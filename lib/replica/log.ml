@@ -46,74 +46,107 @@ end
 
 module S = Set.Make (Record_ord)
 
-type t = S.t
+(* The record set is the log; the four status indexes are a function of
+   it, kept so that classifying an entry is a lookup rather than a scan.
+   Status records are never dropped ([gc] and [stable] only filter
+   entries), so the indexes never shrink. Two commit (or precommit)
+   records for one action keep the later timestamp. *)
+type t = {
+  records : S.t;
+  commits : Lamport.Timestamp.t Action.Map.t;
+  aborts : Action.Set.t;
+  precommits : Lamport.Timestamp.t Action.Map.t;
+  preaborts : Action.Set.t;
+}
 
-let empty = S.empty
-let add t r = S.add r t
-let merge = S.union
-let equal = S.equal
-let records t = S.elements t
+let empty =
+  {
+    records = S.empty;
+    commits = Action.Map.empty;
+    aborts = Action.Set.empty;
+    precommits = Action.Map.empty;
+    preaborts = Action.Set.empty;
+  }
 
+let later t1 t2 = if Lamport.Timestamp.compare t1 t2 >= 0 then t1 else t2
+
+let note_ts index a ts =
+  Action.Map.update a
+    (function Some ts' -> Some (later ts' ts) | None -> Some ts)
+    index
+
+let add t r =
+  let records = S.add r t.records in
+  match r with
+  | Entry _ -> { t with records }
+  | Commit_record (a, ts) -> { t with records; commits = note_ts t.commits a ts }
+  | Abort_record a -> { t with records; aborts = Action.Set.add a t.aborts }
+  | Precommit (a, ts) ->
+    { t with records; precommits = note_ts t.precommits a ts }
+  | Preabort a -> { t with records; preaborts = Action.Set.add a t.preaborts }
+
+(* Folds the smaller index into the larger. Quorum replies mostly know
+   the same statuses, so a merge allocates only for the ones that differ. *)
+let absorb ~cardinal ~fold ~add i1 i2 =
+  let big, small = if cardinal i1 >= cardinal i2 then (i1, i2) else (i2, i1) in
+  fold add small big
+
+let merge t1 t2 =
+  let union_ts =
+    absorb ~cardinal:Action.Map.cardinal ~fold:Action.Map.fold
+      ~add:(fun a ts m -> note_ts m a ts)
+  in
+  let union_set =
+    absorb ~cardinal:Action.Set.cardinal ~fold:Action.Set.fold ~add:Action.Set.add
+  in
+  {
+    records = S.union t1.records t2.records;
+    commits = union_ts t1.commits t2.commits;
+    aborts = union_set t1.aborts t2.aborts;
+    precommits = union_ts t1.precommits t2.precommits;
+    preaborts = union_set t1.preaborts t2.preaborts;
+  }
+
+let equal t1 t2 = S.equal t1.records t2.records
+let records t = S.elements t.records
+
+(* [Entry] ranks lowest in [Record_ord] and compares by [ets] first, so
+   the entries are the set's prefix, already in timestamp order. *)
 let entries t =
-  S.elements t
-  |> List.filter_map (function
-       | Entry e -> Some e
-       | Commit_record _ | Abort_record _ | Precommit _ | Preabort _ -> None)
-  |> List.sort (fun e1 e2 -> Lamport.Timestamp.compare e1.ets e2.ets)
+  let rec prefix seq =
+    match seq () with
+    | Seq.Cons (Entry e, rest) -> e :: prefix rest
+    | Seq.Cons ((Commit_record _ | Abort_record _ | Precommit _ | Preabort _), _)
+    | Seq.Nil ->
+      []
+  in
+  prefix (S.to_seq t.records)
 
-let commit_ts t action =
-  S.fold
-    (fun r acc ->
-      match r with
-      | Commit_record (a, ts) when Action.equal a action -> Some ts
-      | Entry _ | Commit_record _ | Abort_record _ | Precommit _ | Preabort _ ->
-        acc)
-    t None
+let commit_ts t action = Action.Map.find_opt action t.commits
+let is_aborted t action = Action.Set.mem action t.aborts
+let precommit_ts t action = Action.Map.find_opt action t.precommits
+let has_preabort t action = Action.Set.mem action t.preaborts
+let is_committed t action = Action.Map.mem action t.commits
+let size t = S.cardinal t.records
 
-let is_aborted t action =
-  S.exists
-    (function
-      | Abort_record a -> Action.equal a action
-      | Entry _ | Commit_record _ | Precommit _ | Preabort _ -> false)
-    t
+let filter_entries keep t =
+  {
+    t with
+    records =
+      S.filter
+        (function
+          | Entry e -> keep e.action
+          | Commit_record _ | Abort_record _ | Precommit _ | Preabort _ -> true)
+        t.records;
+  }
 
-let precommit_ts t action =
-  S.fold
-    (fun r acc ->
-      match r with
-      | Precommit (a, ts) when Action.equal a action -> Some ts
-      | Entry _ | Commit_record _ | Abort_record _ | Precommit _ | Preabort _ ->
-        acc)
-    t None
+let gc t = filter_entries (fun a -> not (is_aborted t a)) t
 
-let has_preabort t action =
-  S.exists
-    (function
-      | Preabort a -> Action.equal a action
-      | Entry _ | Commit_record _ | Abort_record _ | Precommit _ -> false)
-    t
-
-let size = S.cardinal
-
-let gc t =
-  S.filter
-    (function
-      | Entry e -> not (is_aborted t e.action)
-      | Commit_record _ | Abort_record _ | Precommit _ | Preabort _ -> true)
-    t
-
-let is_committed t action = Option.is_some (commit_ts t action)
-
-let stable t =
-  (* Termination votes (Precommit/Preabort) are part of the stable
-     projection: the quorum-intersection counting argument behind
-     cooperative termination requires that a repository never forgets a
-     vote, even across a crash with amnesia. *)
-  S.filter
-    (function
-      | Entry e -> is_committed t e.action
-      | Commit_record _ | Abort_record _ | Precommit _ | Preabort _ -> true)
-    t
+(* Termination votes (Precommit/Preabort) are part of the stable
+   projection: the quorum-intersection counting argument behind
+   cooperative termination requires that a repository never forgets a
+   vote, even across a crash with amnesia. *)
+let stable t = filter_entries (is_committed t) t
 
 let pp ppf t =
   let pp_record ppf = function

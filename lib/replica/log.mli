@@ -8,7 +8,16 @@
     Besides operation entries, logs carry status records (commit with its
     commit timestamp, abort) so that a view can classify entries. Merging
     is a set union keyed on identity; it is commutative, associative and
-    idempotent, which the property tests check. *)
+    idempotent, which the property tests check.
+
+    A log indexes its status records by action, so every status query is
+    a lookup rather than a scan of the log, and a front-end classifies an
+    [n]-record view in O(n log n). In the costs below, [n] is the number
+    of records in the log.
+
+    When a log holds two [Commit_record]s (or two [Precommit]s) for one
+    action with different timestamps, the later timestamp is the one
+    {!commit_ts} (or {!precommit_ts}) reports. *)
 
 open Atomrep_history
 open Atomrep_clock
@@ -37,34 +46,54 @@ type record =
 type t
 
 val empty : t
+
 val add : t -> record -> t
+(** O(log n). *)
+
 val merge : t -> t -> t
+(** Union of two logs. O(n log n); when both logs hold the same status
+    records, only the record set is rebuilt. *)
+
 val equal : t -> t -> bool
+(** Same records. O(n). *)
+
 val records : t -> record list
+(** Every record, entries first. O(n). *)
+
 val entries : t -> entry list
-(** Operation entries sorted by entry timestamp. *)
+(** Operation entries sorted by entry timestamp. O(n); no sort. *)
 
 val commit_ts : t -> Action.t -> Lamport.Timestamp.t option
+(** The action's commit timestamp, the later one if the log holds two.
+    O(log n). *)
+
 val is_aborted : t -> Action.t -> bool
+(** O(log n). *)
+
+val is_committed : t -> Action.t -> bool
+(** O(log n). *)
 
 val precommit_ts : t -> Action.t -> Lamport.Timestamp.t option
 (** The commit timestamp carried by a [Precommit] vote for the action,
-    if this log holds one. *)
+    if this log holds one; the later one if it holds two. O(log n). *)
 
 val has_preabort : t -> Action.t -> bool
+(** O(log n). *)
+
 val size : t -> int
+(** Number of records. O(n). *)
+
 val pp : Format.formatter -> t -> unit
 
 val gc : t -> t
 (** Garbage-collect aborted actions: drop their operation entries while
     keeping the abort records as tombstones — merging with a stale replica
-    that still holds such an entry must not resurrect it as tentative. *)
-
-val is_committed : t -> Action.t -> bool
+    that still holds such an entry must not resurrect it as tentative.
+    O(n log n). *)
 
 val stable : t -> t
 (** The stable-storage projection: entries of committed actions plus all
     commit and abort records and all termination votes (votes must
     survive crashes or the quorum-counting argument for cooperative
     termination breaks). Tentative (undecided) entries are the volatile
-    part a crash-with-amnesia loses. *)
+    part a crash-with-amnesia loses. O(n log n). *)

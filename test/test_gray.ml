@@ -127,10 +127,36 @@ let golden =
     );
   ]
 
-let test_golden_fingerprints () =
+(* Long-history goldens: the default queue at 240 transactions, so every
+   gather merges logs holding hundreds of resolved actions. Captured
+   before the log gained its status index; a lookup that disagreed with
+   the old full-log scan on any action would change these. *)
+let golden_long =
+  let cfg scheme =
+    { Runtime.default_config with Runtime.scheme; seed = 0; n_txns = 240 }
+  in
+  [
+    ( "long/static/seed0",
+      cfg Replicated.Static,
+      "c=232 a=8 ops=232 sent=7053 drop=0 dup=0 dead=0 to=0 dur=7226.657904 latn=232 latmean=98.864856"
+    );
+    ( "long/hybrid/seed0",
+      cfg Replicated.Hybrid,
+      "c=238 a=2 ops=238 sent=7878 drop=0 dup=0 dead=0 to=0 dur=7294.660606 latn=238 latmean=128.792526"
+    );
+    ( "long/locking/seed0",
+      cfg Replicated.Locking,
+      "c=204 a=36 ops=204 sent=12627 drop=0 dup=0 dead=0 to=0 dur=8369.558283 latn=204 latmean=425.308126"
+    );
+  ]
+
+let check_goldens rows =
   List.iter
     (fun (name, cfg, expected) -> check_string name expected (fingerprint cfg))
-    golden
+    rows
+
+let test_golden_fingerprints () = check_goldens golden
+let test_golden_long_fingerprints () = check_goldens golden_long
 
 let test_dormant_fail_slow_is_free () =
   (* Wiring that never bites must never perturb: an injection scheduled
@@ -365,6 +391,8 @@ let suites =
         [
           test_case "golden fingerprints, hedging off" `Quick
             test_golden_fingerprints;
+          test_case "golden fingerprints, 240-transaction queue" `Quick
+            test_golden_long_fingerprints;
           test_case "dormant fail-slow wiring is free" `Quick
             test_dormant_fail_slow_is_free;
         ]

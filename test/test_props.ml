@@ -86,37 +86,91 @@ let prop_static_minimal_monotone =
         (Static_dep.minimal spec ~max_len:2)
         (Static_dep.minimal spec ~max_len:4))
 
+(* Random replica logs over all five record kinds. Four actions and small
+   timestamps make duplicate commit and precommit records for one action,
+   with different timestamps, common. *)
+module Log = Atomrep_replica.Log
+module Ts = Atomrep_clock.Lamport.Timestamp
+
+let log_actions = List.init 4 Action.of_int
+
+let random_record rng seq =
+  let int = Atomrep_stats.Rng.int rng in
+  let action = List.nth log_actions (int 4) in
+  let ts () = { Ts.counter = 1 + int 10; site = int 2 } in
+  match int 5 with
+  | 0 ->
+    let ets = ts () in
+    Log.Entry { Log.ets; action; begin_ts = ets; seq; event = Queue_type.enq "x" }
+  | 1 -> Log.Commit_record (action, ts ())
+  | 2 -> Log.Abort_record action
+  | 3 -> Log.Precommit (action, ts ())
+  | _ -> Log.Preabort action
+
+let random_log rng ~max_len =
+  let n = Atomrep_stats.Rng.int rng (max_len + 1) in
+  List.fold_left Log.add Log.empty (List.init n (random_record rng))
+
 let prop_log_merge_associative =
   QCheck2.Test.make ~name:"log merge associative/commutative/idempotent" ~count:100
     QCheck2.Gen.(triple nat nat nat)
     (fun (s1, s2, s3) ->
-      let open Atomrep_replica in
-      let open Atomrep_clock in
-      let mk seed =
-        let rng = Atomrep_stats.Rng.create seed in
-        let n = Atomrep_stats.Rng.int rng 5 in
-        let log = ref Log.empty in
-        for i = 0 to n - 1 do
-          let action = Action.of_int (Atomrep_stats.Rng.int rng 3) in
-          let ts_val = 1 + Atomrep_stats.Rng.int rng 10 in
-          let ts = { Lamport.Timestamp.counter = ts_val; site = 0 } in
-          log :=
-            Log.add !log
-              (Log.Entry
-                 {
-                   Log.ets = ts;
-                   action;
-                   begin_ts = ts;
-                   seq = i;
-                   event = Queue_type.enq "x";
-                 })
-        done;
-        !log
-      in
+      let mk seed = random_log (Atomrep_stats.Rng.create seed) ~max_len:8 in
       let l1 = mk s1 and l2 = mk s2 and l3 = mk s3 in
       Log.equal (Log.merge l1 (Log.merge l2 l3)) (Log.merge (Log.merge l1 l2) l3)
       && Log.equal (Log.merge l1 l2) (Log.merge l2 l1)
       && Log.equal (Log.merge l1 l1) l1)
+
+(* Reference scans over the record list: what the status lookups must
+   answer, with the later timestamp winning between duplicates. *)
+let scan_ts log pick action =
+  List.fold_left
+    (fun acc r ->
+      match pick r, acc with
+      | Some (a, ts), Some best when Action.equal a action ->
+        Some (if Ts.compare ts best >= 0 then ts else best)
+      | Some (a, ts), None when Action.equal a action -> Some ts
+      | _ -> acc)
+    None (Log.records log)
+
+let scan_has log pick action =
+  List.exists
+    (fun r -> match pick r with Some a -> Action.equal a action | None -> false)
+    (Log.records log)
+
+let log_agrees_with_scan log =
+  let commit = function Log.Commit_record (a, ts) -> Some (a, ts) | _ -> None in
+  let precommit = function Log.Precommit (a, ts) -> Some (a, ts) | _ -> None in
+  let abort = function Log.Abort_record a -> Some a | _ -> None in
+  let preabort = function Log.Preabort a -> Some a | _ -> None in
+  let ts_eq = Option.equal Ts.equal in
+  let status_ok a =
+    ts_eq (Log.commit_ts log a) (scan_ts log commit a)
+    && ts_eq (Log.precommit_ts log a) (scan_ts log precommit a)
+    && Bool.equal (Log.is_committed log a) (Option.is_some (scan_ts log commit a))
+    && Bool.equal (Log.is_aborted log a) (scan_has log abort a)
+    && Bool.equal (Log.has_preabort log a) (scan_has log preabort a)
+  in
+  let entries =
+    List.filter_map (function Log.Entry e -> Some e | _ -> None) (Log.records log)
+    |> List.stable_sort (fun (e1 : Log.entry) e2 -> Ts.compare e1.ets e2.ets)
+  in
+  List.for_all status_ok log_actions && Log.entries log = entries
+
+let prop_log_status_index =
+  QCheck2.Test.make ~name:"log status lookups agree with a record scan" ~count:200
+    QCheck2.Gen.nat
+    (fun seed ->
+      let rng = Atomrep_stats.Rng.create seed in
+      let step log =
+        match Atomrep_stats.Rng.int rng 4 with
+        | 0 -> Log.add log (random_record rng (Atomrep_stats.Rng.int rng 8))
+        | 1 -> Log.merge log (random_log rng ~max_len:6)
+        | 2 -> Log.gc log
+        | _ -> Log.stable log
+      in
+      let rec go log n = n = 0 || (log_agrees_with_scan log && go (step log) (n - 1)) in
+      go (random_log rng ~max_len:8) 12)
 
 let prop_quorum_intersection_theorem =
   QCheck2.Test.make ~name:"threshold quorums intersect iff k1+k2>n" ~count:200
@@ -322,6 +376,7 @@ let suites =
           prop_commute_symmetric;
           prop_static_minimal_monotone;
           prop_log_merge_associative;
+          prop_log_status_index;
           prop_quorum_intersection_theorem;
           prop_availability_bounds;
           prop_enumerate_satisfies;
