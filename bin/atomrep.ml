@@ -1181,7 +1181,8 @@ let load_cmd =
 (* --- perf --- *)
 
 let perf_cmd =
-  let run scheme_name n_txns n_sites seed sample window ts_file profile_json =
+  let run scheme_name n_txns n_sites seed hedge demote fail_slow sample window
+      ts_file profile_json =
     let scheme =
       match scheme_name with
       | "hybrid" -> Ok Atomrep_replica.Replicated.Hybrid
@@ -1189,11 +1190,14 @@ let perf_cmd =
       | "locking" -> Ok Atomrep_replica.Replicated.Locking
       | other -> Error (Printf.sprintf "unknown scheme %S (hybrid|static|locking)" other)
     in
-    match scheme with
-    | Error e ->
+    match
+      ( scheme,
+        Result.bind (parse_fail_slow fail_slow) (check_fail_slow_sites ~n_sites) )
+    with
+    | Error e, _ | _, Error e ->
       prerr_endline e;
       1
-    | Ok scheme ->
+    | Ok scheme, Ok fail_slow ->
       let open Atomrep_replica in
       let module Monitors = Atomrep_chaos.Monitors in
       (* Full observability stack on: trace bus (sampled if asked, with the
@@ -1217,6 +1221,8 @@ let perf_cmd =
           trace = Some trace;
           profile;
           timeseries;
+          gray = gray_of ~hedge ~demote;
+          fail_slow;
           objects =
             [
               {
@@ -1250,6 +1256,7 @@ let perf_cmd =
         (List.length (Obs.Trace.events trace))
         (Obs.Trace.sampled_out trace)
         (Obs.Trace.sampling trace);
+      if hedge || demote then print_gray_metrics m;
       print_profile profile;
       write_timeseries ts_file timeseries;
       (match profile_json with
@@ -1289,12 +1296,14 @@ let perf_cmd =
   in
   let doc =
     "Profile a monitored run: hot-phase table, trace-sampling stats, and a \
-     sim-time time-series"
+     sim-time time-series. --hedge, --demote and --fail-slow profile the \
+     gray-failure path"
   in
   Cmd.v (Cmd.info "perf" ~doc)
     Term.(
-      const run $ scheme_arg $ txns_arg $ sites_arg $ seed_arg $ sample_arg
-      $ window_arg $ ts_arg $ profile_json_arg)
+      const run $ scheme_arg $ txns_arg $ sites_arg $ seed_arg $ hedge_arg
+      $ demote_arg $ fail_slow_arg $ sample_arg $ window_arg $ ts_arg
+      $ profile_json_arg)
 
 (* --- bench-diff --- *)
 

@@ -1815,12 +1815,9 @@ let run_inner cfg =
           straggling link); demoted members are the spares of last resort,
           least-suspect first. *)
        let spares =
-         List.sort
-           (fun a b ->
-             compare
-               (Detector.slow_score det a, a)
-               (Detector.slow_score det b, b))
-           (List.filter (fun s -> not (List.mem s dsts)) members)
+         List.filter (fun s -> not (List.mem s dsts)) members
+         |> List.map (fun s -> (Detector.slow_score det s, s))
+         |> List.sort compare |> List.map snd
        in
        let hedge =
          if gc.hedge then

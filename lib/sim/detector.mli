@@ -18,7 +18,11 @@
     sample, probes and workload alike) are scored against the cluster
     median, and a site whose score stays past the factor for a full streak
     is suspected slow — reversibly, since the same streak hysteresis
-    clears it when its latencies rejoin the cluster.
+    clears it when its latencies rejoin the cluster. The
+    [Network.on_rpc_result] listener scores every sample as it arrives:
+    O(window) to fold it into the site's book, then O(n_sites) reads of
+    the books' sorted mirrors and two medians over at most [n_sites]
+    values. No window is copied or sorted.
 
     Determinism: probe jitter draws from the caller-supplied RNG (split it
     from the engine's stream, as {!Atomrep_replica.Runtime} does for

@@ -47,18 +47,16 @@ let sorted t =
     t.sorted <- Some a;
     a
 
+let nearest_rank ~n q =
+  let q = Float.min 1.0 (Float.max 0.0 q) in
+  (* Nearest rank is ceil(q*n); the epsilon guards against products like
+     0.07 *. 100. = 7.000000000000001 ceiling one rank too high. *)
+  let rank = int_of_float (ceil ((q *. float_of_int n) -. 1e-9)) in
+  max 0 (min (n - 1) (rank - 1))
+
 let percentile t q =
   let a = sorted t in
-  if Array.length a = 0 then 0.0
-  else begin
-    let q = Float.min 1.0 (Float.max 0.0 q) in
-    (* Nearest rank is ceil(q*n); the epsilon guards against products like
-       0.07 *. 100. = 7.000000000000001 ceiling one rank too high. *)
-    let rank = ceil ((q *. float_of_int (Array.length a)) -. 1e-9) in
-    let idx = int_of_float rank - 1 in
-    let idx = max 0 (min idx (Array.length a - 1)) in
-    a.(idx)
-  end
+  if Array.length a = 0 then 0.0 else a.(nearest_rank ~n:(Array.length a) q)
 
 let confidence95 t =
   if t.n < 2 then 0.0

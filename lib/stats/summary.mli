@@ -24,6 +24,13 @@ val min_value : t -> float
 val max_value : t -> float
 (** Largest observation; [0.] when empty. *)
 
+val nearest_rank : n:int -> float -> int
+(** [nearest_rank ~n q] is the 0-based index of the nearest-rank
+    [q]-quantile (rank [ceil q*n]) in [n > 0] sorted values, clamped to
+    [\[0, n-1\]], with [q] clamped to [\[0,1\]]. A [1e-9] guard keeps a
+    product like [0.07 *. 100. = 7.000000000000001] from ceiling one rank
+    too high. The one rank rule for every percentile in the repository. *)
+
 val percentile : t -> float -> float
 (** [percentile t q] by nearest-rank (rank [ceil q*n]) on the sorted
     sample; [q] is clamped to [\[0,1\]], so any [q] on a single-sample

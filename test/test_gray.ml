@@ -23,9 +23,7 @@ let to_alcotest = List.map QCheck_alcotest.to_alcotest
    random stream touches. A single perturbed draw — an extra probe, a
    reordered send, a hedge that fired when the config said off —
    changes at least the message count or the duration. *)
-let fingerprint cfg =
-  let o = Runtime.run cfg in
-  let m = o.Runtime.metrics in
+let signature (m : Runtime.metrics) =
   Printf.sprintf
     "c=%d a=%d ops=%d sent=%d drop=%d dup=%d dead=%d to=%d dur=%.6f latn=%d latmean=%.6f"
     m.Runtime.committed m.Runtime.aborted m.Runtime.ops_done m.Runtime.msgs_sent
@@ -33,6 +31,8 @@ let fingerprint cfg =
     m.Runtime.rpc_timeouts m.Runtime.duration
     (Summary.count m.Runtime.txn_latency)
     (Summary.mean m.Runtime.txn_latency)
+
+let fingerprint cfg = signature (Runtime.run cfg).Runtime.metrics
 
 let healthy_cfg ~scheme ~seed =
   { Runtime.default_config with Runtime.scheme; seed; n_txns = 40 }
@@ -150,6 +150,45 @@ let golden_long =
     );
   ]
 
+(* The mitigation path's fingerprint: the base signature plus every
+   decision the gray layer takes. A scoring change that moved one
+   suspicion, hedge or demotion would change these counts. *)
+let gray_fingerprint cfg =
+  let m = (Runtime.run cfg).Runtime.metrics in
+  signature m
+  ^ Printf.sprintf " hedges=%d wins=%d late=%d demoted=%d slow=%d"
+      m.Runtime.hedges m.Runtime.hedge_wins m.Runtime.hedge_late
+      m.Runtime.demoted_rounds m.Runtime.slow_suspicions
+
+let gray_on_cfg ~scheme ~seed =
+  { (faulty_cfg ~scheme ~seed) with
+    Runtime.n_txns = 60;
+    install_faults = (fun _ -> ());
+    fail_slow = [ (2, 1000.0, Network.Slow_constant 8.0) ];
+    gray = Some Runtime.default_gray;
+    horizon = 30_000.0;
+  }
+
+(* Gray-on goldens: 5 sites, one 8x fail-slow site from 1 s, hedging,
+   demotion and latency scoring armed. Captured before the latency books
+   kept sorted mirrors; every detector decision, hedge and demotion must
+   replay exactly. *)
+let golden_gray =
+  [
+    ( "gray/static/seed0",
+      gray_on_cfg ~scheme:Replicated.Static ~seed:0,
+      "c=60 a=0 ops=60 sent=9001 drop=0 dup=0 dead=0 to=416 dur=29996.718829 latn=60 latmean=137.362324 hedges=10 wins=3 late=397 demoted=34 slow=5"
+    );
+    ( "gray/hybrid/seed0",
+      gray_on_cfg ~scheme:Replicated.Hybrid ~seed:0,
+      "c=56 a=4 ops=56 sent=9912 drop=0 dup=0 dead=0 to=408 dur=29990.408849 latn=56 latmean=309.295573 hedges=16 wins=6 late=539 demoted=123 slow=5"
+    );
+    ( "gray/locking/seed0",
+      gray_on_cfg ~scheme:Replicated.Locking ~seed:0,
+      "c=54 a=6 ops=54 sent=10961 drop=0 dup=0 dead=0 to=462 dur=29990.408849 latn=54 latmean=553.197009 hedges=20 wins=1 late=751 demoted=149 slow=3"
+    );
+  ]
+
 let check_goldens rows =
   List.iter
     (fun (name, cfg, expected) -> check_string name expected (fingerprint cfg))
@@ -157,6 +196,12 @@ let check_goldens rows =
 
 let test_golden_fingerprints () = check_goldens golden
 let test_golden_long_fingerprints () = check_goldens golden_long
+
+let test_golden_gray_fingerprints () =
+  List.iter
+    (fun (name, cfg, expected) ->
+      check_string name expected (gray_fingerprint cfg))
+    golden_gray
 
 let test_dormant_fail_slow_is_free () =
   (* Wiring that never bites must never perturb: an injection scheduled
@@ -393,6 +438,8 @@ let suites =
             test_golden_fingerprints;
           test_case "golden fingerprints, 240-transaction queue" `Quick
             test_golden_long_fingerprints;
+          test_case "golden fingerprints, gray mitigation on" `Quick
+            test_golden_gray_fingerprints;
           test_case "dormant fail-slow wiring is free" `Quick
             test_dormant_fail_slow_is_free;
         ]

@@ -172,6 +172,151 @@ let prop_log_status_index =
       let rec go log n = n = 0 || (log_agrees_with_scan log && go (step log) (n - 1)) in
       go (random_log rng ~max_len:8) 12)
 
+(* The copy-and-sort latency book that [Sitelat]'s sorted mirrors
+   replaced, kept as the oracle: each site's window is a newest-first
+   list, and every percentile sorts a fresh copy. Its rank rule is
+   written out rather than borrowed from [Summary]. *)
+module Ref_sitelat = struct
+  type t = {
+    alpha : float;
+    window : int;
+    ewma : float array;
+    rings : float list array;
+    seen : int array;
+  }
+
+  let create ~n_sites ~window =
+    {
+      alpha = 0.2;
+      window;
+      ewma = Array.make n_sites (-1.0);
+      rings = Array.make n_sites [];
+      seen = Array.make n_sites 0;
+    }
+
+  let n_sites t = Array.length t.ewma
+  let in_range t site = site >= 0 && site < n_sites t
+
+  let observe t ~site x =
+    if in_range t site then begin
+      t.ewma.(site) <-
+        (if t.ewma.(site) < 0.0 then x
+         else (t.alpha *. x) +. ((1.0 -. t.alpha) *. t.ewma.(site)));
+      t.rings.(site) <- List.filteri (fun i _ -> i < t.window) (x :: t.rings.(site));
+      t.seen.(site) <- t.seen.(site) + 1
+    end
+
+  let nearest_rank values q =
+    let a = Array.of_list values in
+    Array.sort compare a;
+    let n = Array.length a in
+    if n = 0 then 0.0
+    else begin
+      let q = Float.min 1.0 (Float.max 0.0 q) in
+      let rank = int_of_float (ceil ((q *. float_of_int n) -. 1e-9)) in
+      a.(max 0 (min (n - 1) (rank - 1)))
+    end
+
+  let samples t ~site = if in_range t site then t.seen.(site) else 0
+  let ewma t ~site = if in_range t site && t.ewma.(site) >= 0.0 then t.ewma.(site) else 0.0
+  let percentile t ~site ~q = if in_range t site then nearest_rank t.rings.(site) q else 0.0
+
+  let pooled_percentile ~exclude t ~q =
+    nearest_rank
+      (List.concat (List.filteri (fun site _ -> not (exclude site)) (Array.to_list t.rings)))
+      q
+
+  let median_over t stat =
+    nearest_rank
+      (List.filter_map
+         (fun site -> if t.rings.(site) = [] then None else Some (stat site))
+         (List.init (n_sites t) Fun.id))
+      0.5
+
+  let median_ewma t = median_over t (fun site -> ewma t ~site)
+  let median_percentile t ~q = median_over t (fun site -> percentile t ~site ~q)
+end
+
+let prop_sitelat_matches_reference =
+  QCheck2.Test.make ~name:"latency books agree with a copy-and-sort reference"
+    ~count:200 QCheck2.Gen.nat (fun seed ->
+      let module S = Atomrep_obs.Sitelat in
+      let module Rng = Atomrep_stats.Rng in
+      let rng = Rng.create seed in
+      let window = Rng.pick rng [| 1; 2; 3; 64 |] in
+      let n_sites = 1 + Rng.int rng 6 in
+      let book = S.create ~n_sites ~window () in
+      let reference = Ref_sitelat.create ~n_sites ~window in
+      (* A small value set, so windows hold duplicates and evict values
+         that have equals elsewhere in the mirror. *)
+      let values = [| 0.5; 1.0; 1.0; 2.0; 3.5; 8.0; 25.0 |] in
+      let qs = [| 0.0; 0.01; 0.07; 0.5; 0.95; 0.99; 1.0 |] in
+      let sites = List.init (n_sites + 2) (fun i -> i - 1) in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let agrees () =
+        let q = if Rng.bool rng then Rng.pick rng qs else Rng.float rng 1.0 in
+        let excluded = Array.init n_sites (fun _ -> Rng.int rng 3 = 0) in
+        let exclude site = excluded.(site) in
+        List.for_all
+          (fun site ->
+            S.samples book ~site = Ref_sitelat.samples reference ~site
+            && same (S.ewma book ~site) (Ref_sitelat.ewma reference ~site)
+            && same (S.percentile book ~site ~q)
+                 (Ref_sitelat.percentile reference ~site ~q))
+          sites
+        && same (S.pooled_percentile ~exclude book ~q)
+             (Ref_sitelat.pooled_percentile ~exclude reference ~q)
+        && same (S.pooled_percentile book ~q)
+             (Ref_sitelat.pooled_percentile ~exclude:(fun _ -> false) reference ~q)
+        && same (S.median_percentile book ~q) (Ref_sitelat.median_percentile reference ~q)
+        && same (S.median_ewma book) (Ref_sitelat.median_ewma reference)
+      in
+      let rec go n =
+        n = 0
+        || begin
+             (* Site [n_sites] lies outside the book; both ignore it. *)
+             let site = Rng.int rng (n_sites + 1) in
+             let x = Rng.pick rng values in
+             S.observe book ~site x;
+             Ref_sitelat.observe reference ~site x;
+             agrees () && go (n - 1)
+           end
+      in
+      agrees () && go (50 + Rng.int rng 250))
+
+(* Nearest rank is ceil(q*n): 0.07 of 100 samples is the 7th smallest,
+   although [0.07 *. 100.] rounds to 7.000000000000001. *)
+let test_nearest_rank_float_guard () =
+  let book = Atomrep_obs.Sitelat.create ~n_sites:2 ~window:64 () in
+  for i = 1 to 100 do
+    Atomrep_obs.Sitelat.observe book ~site:(i mod 2) (float_of_int i)
+  done;
+  Alcotest.(check (float 0.0)) "pooled" 7.0
+    (Atomrep_obs.Sitelat.pooled_percentile book ~q:0.07);
+  let summary = Atomrep_stats.Summary.create () in
+  for i = 1 to 100 do
+    Atomrep_stats.Summary.add summary (float_of_int i)
+  done;
+  Alcotest.(check (float 0.0)) "summary" 7.0
+    (Atomrep_stats.Summary.percentile summary 0.07);
+  Alcotest.(check int) "rank index" 6 (Atomrep_stats.Summary.nearest_rank ~n:100 0.07)
+
+(* The guard moves no rank the gray layer reads: for the detector's and
+   hedge trigger's quantiles, guarded and unguarded ceilings agree at
+   every pooled size up to 5 sites x 64 samples, so adding it kept every
+   run's decisions unchanged. *)
+let test_nearest_rank_guard_is_inert_for_gray_quantiles () =
+  List.iter
+    (fun q ->
+      for n = 1 to 320 do
+        let unguarded = max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)) in
+        Alcotest.(check int)
+          (Printf.sprintf "q=%g n=%d" q n)
+          unguarded
+          (Atomrep_stats.Summary.nearest_rank ~n q)
+      done)
+    [ 0.5; 0.95; 0.99 ]
+
 let prop_quorum_intersection_theorem =
   QCheck2.Test.make ~name:"threshold quorums intersect iff k1+k2>n" ~count:200
     QCheck2.Gen.(triple (int_range 1 6) (int_range 0 6) (int_range 0 6))
@@ -388,5 +533,12 @@ let suites =
           prop_hybrid_scheduler_hybrid;
           prop_runtime_random_seeds_atomic;
           prop_rng_int_uniform_support;
+          prop_sitelat_matches_reference;
+        ]
+      @ [
+          Alcotest.test_case "nearest rank: 0.07 of 100 is the 7th" `Quick
+            test_nearest_rank_float_guard;
+          Alcotest.test_case "nearest rank: guard inert for gray quantiles"
+            `Quick test_nearest_rank_guard_is_inert_for_gray_quantiles;
         ] );
   ]
