@@ -543,8 +543,9 @@ let run_termination () =
     let t0 = Unix.gettimeofday () in
     List.iter
       (fun seed ->
-        let config = cfg ~seed ~termination ~deadlock in
-        let outcome = Runtime.run config in
+        let outcome, failures =
+          Atomrep_chaos.Monitors.check_run (cfg ~seed ~termination ~deadlock)
+        in
         let m = outcome.Runtime.metrics in
         committed := !committed + m.Runtime.committed;
         aborted := !aborted + m.Runtime.aborted;
@@ -558,10 +559,6 @@ let run_termination () =
         decisions := !decisions + m.Runtime.decision_log_writes;
         List.iter (Summary.add blocked)
           (Summary.observations m.Runtime.blocked_latency);
-        let failures =
-          Runtime.check_atomicity config outcome
-          @ Runtime.check_common_order config outcome
-        in
         violations := !violations + List.length failures)
       seeds;
     let wall = Unix.gettimeofday () -. t0 in
@@ -639,7 +636,6 @@ let run_termination () =
 let run_takeover () =
   let module Runtime = Atomrep_replica.Runtime in
   let module Campaign = Atomrep_chaos.Campaign in
-  let module Monitor = Atomrep_obs.Monitor in
   let module Json = Atomrep_obs.Json in
   let module Summary = Atomrep_stats.Summary in
   let n_txns = 120 and seeds = [ 0; 1; 2; 3; 4 ] in
@@ -648,7 +644,7 @@ let run_takeover () =
     | Some p -> p
     | None -> failwith "coordinator_killer profile missing"
   in
-  let cfg ~seed ~takeover ~trace =
+  let cfg ~seed ~takeover =
     {
       Runtime.default_config with
       Runtime.seed;
@@ -660,8 +656,14 @@ let run_takeover () =
       termination = Atomrep_txn.Termination.Cooperative;
       deadlock = Runtime.Detect;
       takeover;
-      trace;
     }
+  in
+  let monitors =
+    match
+      Atomrep_chaos.Monitors.of_names "commit_atomicity,common_order,no_divergence"
+    with
+    | Ok ms -> ms
+    | Error e -> failwith e
   in
   let summary_json s =
     Json.Obj
@@ -684,11 +686,9 @@ let run_takeover () =
     let t0 = Unix.gettimeofday () in
     List.iter
       (fun seed ->
-        (* A fresh per-run bus: the monitor needs every driver's verdict
-           and txn names repeat across seeds. *)
-        let tr = Atomrep_obs.Trace.create ~n_sites:3 () in
-        let config = cfg ~seed ~takeover ~trace:(Some tr) in
-        let outcome = Runtime.run config in
+        let outcome, failures =
+          Atomrep_chaos.Monitors.check_run ~monitors (cfg ~seed ~takeover)
+        in
         let m = outcome.Runtime.metrics in
         committed := !committed + m.Runtime.committed;
         aborted := !aborted + m.Runtime.aborted;
@@ -704,12 +704,15 @@ let run_takeover () =
         stranded_live := !stranded_live + m.Runtime.stranded_live;
         List.iter (Summary.add blocked)
           (Summary.observations m.Runtime.blocked_latency);
-        let failures =
-          Runtime.check_atomicity config outcome
-          @ Runtime.check_common_order config outcome
+        (* The history oracles and the no-divergence monitor keep separate
+           tallies: the monitor is the takeover-specific property. *)
+        let diverged, broken =
+          List.partition
+            (fun (monitor, _) -> String.starts_with ~prefix:"no_divergence" monitor)
+            failures
         in
-        violations := !violations + List.length failures;
-        divergences := !divergences + List.length (Monitor.no_divergence tr))
+        violations := !violations + List.length broken;
+        divergences := !divergences + List.length diverged)
       seeds;
     let wall = Unix.gettimeofday () -. t0 in
     ( (!committed, !adoptions, !stranded, !violations + !divergences),
@@ -755,17 +758,10 @@ let run_takeover () =
     | Some p -> p
     | None -> failwith "takeover_storm profile missing"
   in
-  let storm_monitors =
-    match
-      Atomrep_chaos.Monitors.of_names "commit_atomicity,common_order,no_divergence"
-    with
-    | Ok ms -> ms
-    | Error e -> failwith e
-  in
   let t0 = Unix.gettimeofday () in
   let report =
     Campaign.run_campaign ~base:Campaign.takeover_base ~n_txns:40
-      ~monitors:storm_monitors
+      ~monitors
       ~schemes:Atomrep_replica.Replicated.[ Static; Hybrid; Locking ]
       ~profiles:[ storm ] ~seeds:10 ()
   in
@@ -983,7 +979,8 @@ let run_explore () =
    headline the `atomrep bench-diff` gate tracks under kind "perf";
    (2) observability overhead: wall clock for bare / profiled /
    traced-full / traced-sampled runs of the same fixed-seed hybrid
-   workload, with the sampled tracing ratio expected below the
+   workload (both traced rungs include the monitor catalogue's fold over
+   the run), with the sampled tracing ratio expected below the
    full-fidelity one (BENCH_3's ~1.11); (3) the zero-loss check: with
    sampling forced to keep every kind the monitor catalogue subscribes
    to, the per-kind monitor-event counts and the monitor verdicts must
@@ -1049,7 +1046,6 @@ let run_perf () =
   in
   (* (2) Observability overhead on the hybrid workload. *)
   let monitors = Monitors.registry in
-  let forced = Monitors.forced monitors in
   (* Interleaved timing: one run of each configuration per round, so
      clock drift, GC state and cache warmth spread evenly across the four
      accumulators instead of biasing whichever ran last. *)
@@ -1057,11 +1053,14 @@ let run_perf () =
   let full_s = ref 0.0 and sampled_s = ref 0.0 in
   let profile = Profile.create () in
   Profile.set_clock profile Unix.gettimeofday;
+  (* A traced run judged by the whole catalogue; sampling forces every
+     monitor-observed kind to full fidelity. *)
   let traced ~sample () =
     let tr = Trace.create ~n_sites () in
-    if sample > 1 then Trace.set_sampling tr ~every:sample ~forced ();
-    let outcome = Runtime.run (cfg ~trace:tr Replicated.Hybrid) in
-    (tr, outcome)
+    let _, failures =
+      Monitors.check_run ~monitors ~sample (cfg ~trace:tr Replicated.Hybrid)
+    in
+    (tr, failures)
   in
   let tally acc f =
     let r, dt = time f in
@@ -1076,7 +1075,7 @@ let run_perf () =
     let sampled = tally sampled_s (traced ~sample:sample_every) in
     last := Some (full, sampled)
   done;
-  let (full_tr, full_outcome), (sampled_tr, sampled_outcome) =
+  let (full_tr, full_failures), (sampled_tr, sampled_failures) =
     match !last with Some r -> r | None -> assert false
   in
   let bare_s = !bare_s and profiled_s = !profiled_s in
@@ -1106,14 +1105,6 @@ let run_perf () =
   in
   let full_counts = counts full_tr and sampled_counts = counts sampled_tr in
   let counts_equal = full_counts = sampled_counts in
-  let verdict outcome tr =
-    Atomrep_obs.Spec_monitor.failures
-      (Monitors.run monitors
-         { Monitors.cfg = cfg ~trace:tr Replicated.Hybrid; outcome }
-         tr)
-  in
-  let full_failures = verdict full_outcome full_tr in
-  let sampled_failures = verdict sampled_outcome sampled_tr in
   let verdicts_equal = full_failures = sampled_failures in
   Printf.printf
     "  fidelity: %d monitored kinds, counts %s, verdicts %s (%d trace events \
@@ -1207,7 +1198,6 @@ let run_load () =
   let module Runtime = Atomrep_replica.Runtime in
   let module Replicated = Atomrep_replica.Replicated in
   let module Monitors = Atomrep_chaos.Monitors in
-  let module Trace = Atomrep_obs.Trace in
   let module Json = Atomrep_obs.Json in
   let module Openloop = Atomrep_workload.Openloop in
   let module Summary = Atomrep_stats.Summary in
@@ -1231,7 +1221,6 @@ let run_load () =
       Openloop.plan ~profile:Openloop.Queue_fanout ~n_objects:1 ~n_sites:3
         ~n_sessions:6 ~seed:plan_seed ~rate:(base_rate *. mult) ~horizon ()
     in
-    let trace = Trace.create ~n_sites:3 () in
     let base =
       {
         Runtime.default_config with
@@ -1239,7 +1228,6 @@ let run_load () =
         seed = engine_seed;
         horizon = horizon +. 28_000.0 (* drain: let the ungated pile finish *);
         timely_bound = deadline;
-        trace = Some trace;
       }
     in
     let cfg =
@@ -1259,12 +1247,8 @@ let run_load () =
         }
       else Openloop.apply plan base
     in
-    let outcome = Runtime.run cfg in
+    let outcome, violations = Monitors.check_run ~monitors cfg in
     let m = outcome.Runtime.metrics in
-    let violations =
-      Atomrep_obs.Spec_monitor.failures
-        (Monitors.run monitors { Monitors.cfg; outcome } trace)
-    in
     let goodput =
       if m.Runtime.duration > 0.0 then
         float_of_int m.Runtime.timely_commits /. m.Runtime.duration *. 1000.0
@@ -1407,7 +1391,6 @@ let run_gray () =
   let module Runtime = Atomrep_replica.Runtime in
   let module Replicated = Atomrep_replica.Replicated in
   let module Monitors = Atomrep_chaos.Monitors in
-  let module Trace = Atomrep_obs.Trace in
   let module Json = Atomrep_obs.Json in
   let module Network = Atomrep_sim.Network in
   let module Openloop = Atomrep_workload.Openloop in
@@ -1444,7 +1427,6 @@ let run_gray () =
       Openloop.plan ~profile:Openloop.Queue_fanout ~n_objects:3 ~n_sites
         ~n_sessions:6 ~seed:plan_seed ~rate ~horizon ()
     in
-    let trace = Trace.create ~n_sites () in
     let base =
       {
         Runtime.default_config with
@@ -1452,7 +1434,6 @@ let run_gray () =
         seed = engine_seed;
         n_sites;
         horizon = horizon +. 8_000.0 (* drain: let late rounds settle *);
-        trace = Some trace;
         gray;
         fail_slow =
           List.map
@@ -1460,13 +1441,10 @@ let run_gray () =
             slow_sites;
       }
     in
-    let cfg = Openloop.apply plan base in
-    let outcome = Runtime.run cfg in
-    let m = outcome.Runtime.metrics in
-    let violations =
-      Atomrep_obs.Spec_monitor.failures
-        (Monitors.run monitors { Monitors.cfg; outcome } trace)
+    let outcome, violations =
+      Monitors.check_run ~monitors (Openloop.apply plan base)
     in
+    let m = outcome.Runtime.metrics in
     total_violations := !total_violations + List.length violations;
     (* Goodput over the fixed offered window, not the run's duration: a
        gray arm's detector probes keep the engine busy to the horizon,

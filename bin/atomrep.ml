@@ -93,9 +93,10 @@ let write_timeseries path ts =
   Printf.printf "wrote %s (%d windows)\n" path
     (List.length (Obs.Timeseries.windows ts))
 
-(* Shared monitor selection: --monitor [SEL] traces the run(s) and gates
-   them on the declarative spec monitors instead of the bare history
-   oracles. A bare --monitor selects the whole catalogue. *)
+(* Shared monitor selection: every run is gated on declarative spec
+   monitors, by default the two history oracles (commit_atomicity,
+   common_order); --monitor [SEL] picks the selection instead, and a bare
+   --monitor selects the whole catalogue. *)
 let monitor_arg =
   Arg.(
     value
@@ -103,15 +104,27 @@ let monitor_arg =
     & info [ "monitor" ] ~docv:"MONITORS"
         ~doc:
           (Printf.sprintf
-             "Trace the run(s) and gate them on the selected declarative spec \
-              monitors instead of the bare history oracles; violations make \
-              the exit code nonzero. $(docv) is %s. Bare $(b,--monitor) \
-              selects `all'."
+             "Gate the run(s) on the selected declarative spec monitors \
+              instead of the default commit_atomicity,common_order history \
+              oracles; runs are traced when a selected monitor observes \
+              trace events, and violations make the exit code nonzero. \
+              $(docv) is %s. Bare $(b,--monitor) selects `all'."
              Atomrep_chaos.Monitors.selection_doc))
 
 let parse_monitors = function
-  | None -> Ok []
+  | None -> Ok Atomrep_chaos.Monitors.history
   | Some sel -> Atomrep_chaos.Monitors.of_names sel
+
+(* One verdict line per judged run: the monitors that held, or one line
+   per failure. *)
+let print_verdict monitors = function
+  | [] ->
+    Printf.printf "monitors: OK (%s)\n"
+      (String.concat ", "
+         (List.map
+            (fun (e : Atomrep_chaos.Monitors.entry) -> e.Atomrep_chaos.Monitors.e_name)
+            monitors))
+  | fs -> List.iter (fun (o, f) -> Printf.printf "VIOLATION %s: %s\n" o f) fs
 
 (* Shared durability flag: which stable-storage model backs every
    repository. `wal' flushes on every append batch; `wal-group-commit'
@@ -444,15 +457,9 @@ let simulate_cmd =
   let run scheme_name n_txns n_sites seed mtbf reconfigure hedge demote fail_slow
       durability termination deadlock takeover retry_budget monitor trace_file
       trace_format metrics_json sample profile_on ts_file window =
-    let scheme =
-      match scheme_name with
-      | "hybrid" -> Ok Atomrep_replica.Replicated.Hybrid
-      | "static" -> Ok Atomrep_replica.Replicated.Static
-      | "locking" -> Ok Atomrep_replica.Replicated.Locking
-      | other -> Error (Printf.sprintf "unknown scheme %S (hybrid|static|locking)" other)
-    in
     match
-      ( scheme, parse_monitors monitor,
+      ( Atomrep_replica.Replicated.scheme_of_name scheme_name,
+        parse_monitors monitor,
         Result.bind (parse_fail_slow fail_slow)
           (check_fail_slow_sites ~n_sites) )
     with
@@ -464,18 +471,12 @@ let simulate_cmd =
       let install_faults net =
         if mtbf > 0.0 then Atomrep_sim.Fault.crash_recover_all net ~mtbf ~mttr:150.0
       in
-      (* Monitors fold the trace, so selecting any forces a bus even when
-         no --trace file was asked for. *)
+      (* A bus to export, or to report the sampling of; otherwise the judge
+         attaches one only if a selected monitor folds trace events. *)
       let trace =
-        match trace_file, monitors with
-        | Some _, _ | None, _ :: _ -> Some (Obs.Trace.create ~n_sites ())
-        | None, [] -> None
+        if trace_file <> None || sample > 1 then Some (Obs.Trace.create ~n_sites ())
+        else None
       in
-      (match trace with
-       | Some tr when sample > 1 ->
-         Obs.Trace.set_sampling tr ~every:sample
-           ~forced:(Atomrep_chaos.Monitors.forced monitors) ()
-       | _ -> ());
       let profile = if profile_on then fresh_profile () else Obs.Profile.null in
       let timeseries =
         match ts_file with
@@ -513,7 +514,9 @@ let simulate_cmd =
           retry_budget = retry_budget_of retry_budget;
         }
       in
-      let outcome = Runtime.run cfg in
+      let outcome, failures =
+        Atomrep_chaos.Monitors.check_run ~monitors ~sample cfg
+      in
       let m = outcome.Runtime.metrics in
       Printf.printf
         "scheme=%s txns=%d committed=%d aborted=%d (unavailable=%d rejected=%d \
@@ -544,30 +547,8 @@ let simulate_cmd =
       if retry_budget > 0 then
         Printf.printf "retries: spent=%d budget-exhausted=%d\n"
           m.Runtime.retries_spent m.Runtime.retries_budget_exhausted;
-      (* The oracles gate the exit code so scripted runs can fail hard:
-         the two history oracles by default, the selected spec monitors
-         under --monitor. *)
-      let failures =
-        match monitors, trace with
-        | [], _ | _, None ->
-          Runtime.check_atomicity cfg outcome @ Runtime.check_common_order cfg outcome
-        | entries, Some tr ->
-          Obs.Spec_monitor.failures
-            (Atomrep_chaos.Monitors.run entries
-               { Atomrep_chaos.Monitors.cfg; outcome }
-               tr)
-      in
-      (match failures with
-       | [] ->
-         if monitors = [] then print_endline "atomicity check: OK"
-         else
-           Printf.printf "monitors: OK (%s)\n"
-             (String.concat ", "
-                (List.map
-                   (fun (e : Atomrep_chaos.Monitors.entry) ->
-                     e.Atomrep_chaos.Monitors.e_name)
-                   monitors))
-       | fs -> List.iter (fun (o, f) -> Printf.printf "VIOLATION %s: %s\n" o f) fs);
+      (* The monitors gate the exit code so scripted runs can fail hard. *)
+      print_verdict monitors failures;
       (match trace with
        | Some tr when sample > 1 ->
          Printf.printf "trace sampling: 1/%d, kept=%d sampled-out=%d\n"
@@ -625,15 +606,9 @@ let simulate_cmd =
 (* --- chaos --- *)
 
 let parse_schemes names =
-  let parse = function
-    | "hybrid" -> Ok Atomrep_replica.Replicated.Hybrid
-    | "static" -> Ok Atomrep_replica.Replicated.Static
-    | "locking" -> Ok Atomrep_replica.Replicated.Locking
-    | other -> Error (Printf.sprintf "unknown scheme %S (hybrid|static|locking)" other)
-  in
   List.fold_right
     (fun name acc ->
-      match acc, parse name with
+      match acc, Atomrep_replica.Replicated.scheme_of_name name with
       | Error e, _ -> Error e
       | _, Error e -> Error e
       | Ok rest, Ok s -> Ok (s :: rest))
@@ -733,7 +708,7 @@ let chaos_cmd =
       if repro then begin
         (* Replay one reproducer tuple per scheme/profile given; all the
            replays share one trace bus, so the exported file covers the
-           whole invocation. *)
+           whole invocation, and each replay is judged on its own events. *)
         let trace =
           match trace_file with
           | Some _ ->
@@ -765,13 +740,8 @@ let chaos_cmd =
                   print_termination_metrics outcome.Atomrep_replica.Runtime.metrics;
                 if takeover then
                   print_takeover_metrics outcome.Atomrep_replica.Runtime.metrics;
-                match failures with
-                | [] -> print_endline "atomicity check: OK"
-                | fs ->
-                  failed := true;
-                  List.iter
-                    (fun (o, f) -> Printf.printf "VIOLATION %s: %s\n" o f)
-                    fs)
+                print_verdict monitors failures;
+                if failures <> [] then failed := true)
               profiles)
           schemes;
         (match trace_file, trace with
@@ -882,13 +852,6 @@ let load_cmd =
       deadline shed_policy no_breaker hedge demote fail_slow retry_budget
       termination deadlock monitor trace_file trace_format metrics_json sample
       ts_file window =
-    let scheme =
-      match scheme_name with
-      | "hybrid" -> Ok Atomrep_replica.Replicated.Hybrid
-      | "static" -> Ok Atomrep_replica.Replicated.Static
-      | "locking" -> Ok Atomrep_replica.Replicated.Locking
-      | other -> Error (Printf.sprintf "unknown scheme %S (hybrid|static|locking)" other)
-    in
     let load_profile =
       match Openloop.profile_of_string load_profile with
       | Some p -> Ok p
@@ -907,7 +870,8 @@ let load_cmd =
              shed_policy)
     in
     match
-      scheme, load_profile, shed_policy, parse_monitors monitor,
+      Atomrep_replica.Replicated.scheme_of_name scheme_name,
+      load_profile, shed_policy, parse_monitors monitor,
       Result.bind (parse_fail_slow fail_slow) (check_fail_slow_sites ~n_sites)
     with
     | Error e, _, _, _, _
@@ -947,16 +911,7 @@ let load_cmd =
                 (if no_breaker then None else Some Runtime.default_breaker);
             }
       in
-      let trace =
-        match trace_file, monitors with
-        | Some _, _ | None, _ :: _ -> Some (Obs.Trace.create ~n_sites ())
-        | None, [] -> None
-      in
-      (match trace with
-       | Some tr when sample > 1 ->
-         Obs.Trace.set_sampling tr ~every:sample
-           ~forced:(Atomrep_chaos.Monitors.forced monitors) ()
-       | _ -> ());
+      let trace = Option.map (fun _ -> Obs.Trace.create ~n_sites ()) trace_file in
       let timeseries =
         match ts_file with
         | Some _ -> Obs.Timeseries.create ~width:window ()
@@ -980,7 +935,9 @@ let load_cmd =
             timeseries;
           }
       in
-      let outcome = Runtime.run cfg in
+      let outcome, failures =
+        Atomrep_chaos.Monitors.check_run ~monitors ~sample cfg
+      in
       let m = outcome.Runtime.metrics in
       let offered = Openloop.n_txns plan in
       Printf.printf
@@ -1015,27 +972,7 @@ let load_cmd =
           (Summary.mean m.Runtime.sojourn)
           (Summary.percentile m.Runtime.sojourn 0.99)
           (Summary.max_value m.Runtime.sojourn);
-      let failures =
-        match monitors, trace with
-        | [], _ | _, None ->
-          Runtime.check_atomicity cfg outcome @ Runtime.check_common_order cfg outcome
-        | entries, Some tr ->
-          Obs.Spec_monitor.failures
-            (Atomrep_chaos.Monitors.run entries
-               { Atomrep_chaos.Monitors.cfg; outcome }
-               tr)
-      in
-      (match failures with
-       | [] ->
-         if monitors = [] then print_endline "atomicity check: OK"
-         else
-           Printf.printf "monitors: OK (%s)\n"
-             (String.concat ", "
-                (List.map
-                   (fun (e : Atomrep_chaos.Monitors.entry) ->
-                     e.Atomrep_chaos.Monitors.e_name)
-                   monitors))
-       | fs -> List.iter (fun (o, f) -> Printf.printf "VIOLATION %s: %s\n" o f) fs);
+      print_verdict monitors failures;
       (match ts_file with
        | Some path -> write_timeseries path timeseries
        | None -> ());
@@ -1183,15 +1120,8 @@ let load_cmd =
 let perf_cmd =
   let run scheme_name n_txns n_sites seed hedge demote fail_slow sample window
       ts_file profile_json =
-    let scheme =
-      match scheme_name with
-      | "hybrid" -> Ok Atomrep_replica.Replicated.Hybrid
-      | "static" -> Ok Atomrep_replica.Replicated.Static
-      | "locking" -> Ok Atomrep_replica.Replicated.Locking
-      | other -> Error (Printf.sprintf "unknown scheme %S (hybrid|static|locking)" other)
-    in
     match
-      ( scheme,
+      ( Atomrep_replica.Replicated.scheme_of_name scheme_name,
         Result.bind (parse_fail_slow fail_slow) (check_fail_slow_sites ~n_sites) )
     with
     | Error e, _ | _, Error e ->
@@ -1206,9 +1136,6 @@ let perf_cmd =
          includes engine dispatch, trace publish, and monitor stepping. *)
       let monitors = Monitors.registry in
       let trace = Obs.Trace.create ~n_sites () in
-      if sample > 1 then
-        Obs.Trace.set_sampling trace ~every:sample
-          ~forced:(Monitors.forced monitors) ();
       let profile = fresh_profile () in
       let timeseries = Obs.Timeseries.create ~width:window () in
       let cfg =
@@ -1236,13 +1163,8 @@ let perf_cmd =
         }
       in
       let wall0 = Unix.gettimeofday () in
-      let outcome = Runtime.run cfg in
-      let failures =
-        (* Monitors fold the trace after the run; install the profile again
-           so monitor/step shows up in the hot-phase table. *)
-        Obs.Profile.with_current profile (fun () ->
-            Obs.Spec_monitor.failures
-              (Monitors.run monitors { Monitors.cfg; outcome } trace))
+      let outcome, failures =
+        Monitors.check_run ~monitors ~sample cfg
       in
       let wall = Unix.gettimeofday () -. wall0 in
       let m = outcome.Runtime.metrics in
@@ -1264,9 +1186,7 @@ let perf_cmd =
          Obs.Export.write_file path (Obs.Json.to_string (Obs.Profile.to_json profile));
          Printf.printf "wrote %s\n" path
        | None -> ());
-      (match failures with
-       | [] -> Printf.printf "monitors: OK (%d entries)\n" (List.length monitors)
-       | fs -> List.iter (fun (o, f) -> Printf.printf "VIOLATION %s: %s\n" o f) fs);
+      print_verdict monitors failures;
       if failures = [] then 0 else 1
   in
   let scheme_arg =
@@ -1360,7 +1280,7 @@ let explore_cmd =
       (Ok [])
   in
   (* Explore is the monitored sweep: no --monitor means the whole
-     catalogue, unlike chaos where it means the bare history oracles. *)
+     catalogue, unlike chaos where it means the two history entries. *)
   let parse_explore_monitors = function
     | None -> Ok Monitors.registry
     | Some sel -> Monitors.of_names sel

@@ -2,7 +2,6 @@ open Atomrep_replica
 module Trace = Atomrep_obs.Trace
 module Export = Atomrep_obs.Export
 module Postmortem = Atomrep_obs.Postmortem
-module Spec_monitor = Atomrep_obs.Spec_monitor
 
 type profile = { profile_name : string; nemesis : Nemesis.t }
 
@@ -268,41 +267,6 @@ let configure ~base ~scheme ~seed ~n_txns ~intensity ?trace profile =
     trace = (match trace with Some _ -> trace | None -> base.Runtime.trace);
   }
 
-(* With a [monitors] selection, the run is traced (a fresh per-run bus
-   unless the caller attached one — per-run buses keep txn names from
-   colliding across runs) and the selected {!Monitors} entries ARE the
-   oracles: each spec is instantiated fresh for this run (so no verdict
-   bleeds between runs or shrink candidates), folded over the trace, and
-   quiesced. Without a selection the two legacy history oracles gate the
-   run untraced, exactly the original behavior. Tracing does not perturb
-   the run (metrics and histories are bit-identical either way), so
-   monitor-gated reproducers still replay. *)
-let check_run ?(monitors = []) ?(sample = 1) cfg =
-  let cfg =
-    if monitors <> [] && cfg.Runtime.trace = None then
-      {
-        cfg with
-        Runtime.trace = Some (Trace.create ~n_sites:cfg.Runtime.n_sites ());
-      }
-    else cfg
-  in
-  (* Optional trace-bus thinning: every kind a selected monitor observes is
-     forced to full fidelity, so sampling can never change a verdict. *)
-  (match cfg.Runtime.trace with
-   | Some tr when sample > 1 ->
-     Trace.set_sampling tr ~every:sample ~forced:(Monitors.forced monitors) ()
-   | _ -> ());
-  let outcome = Runtime.run cfg in
-  match (monitors, cfg.Runtime.trace) with
-  | [], _ | _, None ->
-    ( outcome,
-      Runtime.check_atomicity cfg outcome
-      @ Runtime.check_common_order cfg outcome )
-  | entries, Some tr ->
-    ( outcome,
-      Spec_monitor.failures
-        (Monitors.run entries { Monitors.cfg; outcome } tr) )
-
 (* Shrink a violation into the smallest reproducer the bisection finds:
    first the transaction count (binary search down from the failing count,
    keeping the invariant that the upper bound still fails), then the fault
@@ -314,7 +278,7 @@ let shrink ?monitors ~base v =
       configure ~base ~scheme:v.v_scheme ~seed:v.v_seed ~n_txns ~intensity
         v.v_profile
     in
-    snd (check_run ?monitors cfg) <> []
+    snd (Monitors.check_run ?monitors cfg) <> []
   in
   let rec bisect_txns lo hi =
     (* invariant: [hi] fails *)
@@ -338,7 +302,7 @@ let shrink ?monitors ~base v =
     v with
     v_n_txns = n_txns;
     v_intensity = intensity;
-    v_failures = snd (check_run ?monitors cfg);
+    v_failures = snd (Monitors.check_run ?monitors cfg);
   }
 
 let reproducer_line v =
@@ -357,7 +321,7 @@ let trace_violation ?monitors ?(base = default_base) v =
     configure ~base ~scheme:v.v_scheme ~seed:v.v_seed ~n_txns:v.v_n_txns
       ~intensity:v.v_intensity ~trace v.v_profile
   in
-  let _, failures = check_run ?monitors cfg in
+  let _, failures = Monitors.check_run ?monitors cfg in
   let header =
     [
       ("scheme", Replicated.scheme_name v.v_scheme);
@@ -399,7 +363,7 @@ let run_campaign ?(base = default_base) ?(n_txns = 30) ?(intensity = 1.0)
           for seed = 0 to seeds - 1 do
             incr total;
             let cfg = configure ~base ~scheme ~seed ~n_txns ~intensity profile in
-            let outcome, failures = check_run ?monitors ?sample cfg in
+            let outcome, failures = Monitors.check_run ?monitors ?sample cfg in
             committed := !committed + outcome.Runtime.metrics.Runtime.committed;
             aborted := !aborted + outcome.Runtime.metrics.Runtime.aborted;
             if failures <> [] then begin
@@ -441,7 +405,7 @@ let run_campaign ?(base = default_base) ?(n_txns = 30) ?(intensity = 1.0)
 let reproduce ?(base = default_base) ?monitors ?sample ?trace ~scheme ~profile
     ~seed ~n_txns ~intensity () =
   let cfg = configure ~base ~scheme ~seed ~n_txns ~intensity ?trace profile in
-  check_run ?monitors ?sample cfg
+  Monitors.check_run ?monitors ?sample cfg
 
 let pp_violation ppf v =
   Format.fprintf ppf "@[<v 2>VIOLATION %s/%s seed=%d txns=%d intensity=%g@,repro: %s"

@@ -4,12 +4,12 @@
 
     Every run is a fresh {!Atomrep_replica.Runtime.run} whose
     [install_faults] installs a {!Nemesis} schedule; afterwards
-    {!Atomrep_replica.Runtime.check_atomicity} (the scheme's local
-    atomicity property) and {!Atomrep_replica.Runtime.check_common_order}
-    (one system-wide serialization order) judge the histories. Determinism
-    of the simulator makes a (scheme, profile, seed, n_txns, intensity)
-    tuple a self-contained reproducer, and bisection shrinks it before it
-    is reported. *)
+    {!Monitors.check_run} judges it through the monitor catalogue — by
+    default its [commit_atomicity] (the scheme's local atomicity property)
+    and [common_order] (one system-wide serialization order) entries.
+    Determinism of the simulator makes a (scheme, profile, seed, n_txns,
+    intensity) tuple a self-contained reproducer, and bisection shrinks it
+    before it is reported. *)
 
 open Atomrep_replica
 
@@ -127,22 +127,6 @@ val configure :
     replay a single cell. [trace] attaches a bus to the run (defaults to
     whatever [base] carries). *)
 
-val check_run :
-  ?monitors:Monitors.entry list ->
-  ?sample:int ->
-  Runtime.config ->
-  Runtime.outcome * (string * string) list
-(** Run once and judge it. With no [monitors] selection (the default)
-    the two legacy history oracles gate the run untraced, exactly the
-    pre-monitor behavior. With a selection, the run is traced (a fresh
-    per-run bus unless the configuration already carries one) and the
-    selected {!Monitors} entries {e are} the oracles: each spec is
-    instantiated fresh for this run — no verdict bleeds between runs or
-    shrink candidates — folded over the trace, and quiesced; failures
-    come back in {!Atomrep_obs.Spec_monitor.failures} shape. Tracing
-    does not perturb the run, so monitor-gated reproducer tuples still
-    replay deterministically. *)
-
 val shrink :
   ?monitors:Monitors.entry list -> base:Runtime.config -> violation -> violation
 (** Bisect the transaction count down and then halve the fault intensity
@@ -196,7 +180,8 @@ val reproduce :
   intensity:float ->
   unit ->
   Runtime.outcome * (string * string) list
-(** Replay one reproducer tuple, optionally under tracing. *)
+(** Replay one reproducer tuple, optionally under tracing. Replays that
+    share one [trace] are each judged on their own events only. *)
 
 val reproducer_line : violation -> string
 (** A self-contained [atomrep chaos --repro ...] command line. *)

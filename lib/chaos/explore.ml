@@ -25,7 +25,7 @@ let run_task ~base ~n_txns ~monitors t =
     Campaign.configure ~base ~scheme:t.t_scheme ~seed:t.t_seed ~n_txns
       ~intensity:t.t_intensity t.t_profile
   in
-  let outcome, failures = Campaign.check_run ~monitors cfg in
+  let outcome, failures = Monitors.check_run ~monitors cfg in
   ( outcome.Runtime.metrics.Runtime.committed,
     outcome.Runtime.metrics.Runtime.aborted,
     failures )

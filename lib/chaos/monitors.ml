@@ -1,6 +1,7 @@
 open Atomrep_replica
 module Trace = Atomrep_obs.Trace
 module SM = Atomrep_obs.Spec_monitor
+module Profile = Atomrep_obs.Profile
 module Monitor = Atomrep_obs.Monitor
 module Assignment = Atomrep_quorum.Assignment
 module Op_constraint = Atomrep_quorum.Op_constraint
@@ -698,6 +699,11 @@ let registry =
     };
   ]
 
+let history =
+  List.filter
+    (fun e -> List.mem e.e_name [ "commit_atomicity"; "common_order" ])
+    registry
+
 let names = List.map (fun e -> e.e_name) registry
 let find name = List.find_opt (fun e -> String.equal e.e_name name) registry
 
@@ -733,7 +739,7 @@ let selection_doc =
 let conjoin entries ctx =
   SM.all ~name:"monitors" (List.map (fun e -> e.e_spec ctx) entries)
 
-let run entries ctx trace = SM.run (conjoin entries ctx) trace
+let run ?from_id entries ctx trace = SM.run ?from_id (conjoin entries ctx) trace
 
 let observed_labels entries =
   List.concat_map (fun e -> e.e_observes) entries
@@ -742,3 +748,38 @@ let observed_labels entries =
 let forced entries =
   let labels = observed_labels entries in
   fun kind -> List.mem (Trace.kind_label kind) labels
+
+(* The one judge: the selected entries ARE the oracles, each spec
+   instantiated fresh for this run (so no verdict bleeds between runs or
+   shrink candidates), folded over this run's events, and quiesced. A
+   fresh bus is attached only when the caller gave none and some entry
+   observes a trace kind, so the default history-only selection runs
+   untraced. On a bus the caller shares between runs, the fold starts at
+   the bus length noted before the run, so earlier runs' transaction
+   names never collide with this run's. Tracing does not perturb the run,
+   so monitor-gated reproducer tuples still replay. *)
+let check_run ?(monitors = history) ?(sample = 1) cfg =
+  let cfg =
+    if cfg.Runtime.trace = None && observed_labels monitors <> [] then
+      {
+        cfg with
+        Runtime.trace = Some (Trace.create ~n_sites:cfg.Runtime.n_sites ());
+      }
+    else cfg
+  in
+  (* Optional trace-bus thinning: every kind a selected monitor observes is
+     forced to full fidelity, so sampling can never change a verdict. *)
+  (match cfg.Runtime.trace with
+   | Some tr when sample > 1 ->
+     Trace.set_sampling tr ~every:sample ~forced:(forced monitors) ()
+   | _ -> ());
+  let trace = Option.value cfg.Runtime.trace ~default:Trace.null in
+  let from_id = Trace.length trace in
+  let outcome = Runtime.run cfg in
+  let judge () = run ~from_id monitors { cfg; outcome } trace in
+  let violations =
+    if Profile.enabled cfg.Runtime.profile then
+      Profile.with_current cfg.Runtime.profile judge
+    else judge ()
+  in
+  (outcome, SM.failures violations)

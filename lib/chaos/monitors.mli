@@ -12,6 +12,9 @@
     checks close over it, which is what reduces the legacy imperative
     checkers to thin [at_quiesce] shells of declarative machines.
 
+    The catalogue is the only oracle: every judged run goes through
+    {!check_run}, whose default selection is {!history}.
+
     The catalogue:
 
     - [commit_atomicity] — every object's behavioral history satisfies
@@ -70,6 +73,12 @@ type entry = {
 val registry : entry list
 (** Every monitor, catalogue order. *)
 
+val history : entry list
+(** [commit_atomicity] and [common_order]: the paper's correctness
+    criterion, and the default selection wherever a run is judged
+    ({!check_run}). Neither observes a trace kind, so a run
+    judged by them alone needs no bus. *)
+
 val names : string list
 val find : string -> entry option
 
@@ -86,9 +95,14 @@ val conjoin : entry list -> ctx -> Atomrep_obs.Spec_monitor.t
     child short-circuiting independently. *)
 
 val run :
-  entry list -> ctx -> Atomrep_obs.Trace.t -> Atomrep_obs.Spec_monitor.violation list
+  ?from_id:int ->
+  entry list ->
+  ctx ->
+  Atomrep_obs.Trace.t ->
+  Atomrep_obs.Spec_monitor.violation list
 (** Instantiate the conjunction fresh — no verdict bleed between runs or
-    shrink candidates — fold the trace, quiesce. *)
+    shrink candidates — fold the trace from event [from_id] (default 0)
+    on, quiesce. *)
 
 val observed_labels : entry list -> string list
 (** Union of the entries' [e_observes] lists, sorted, deduplicated. *)
@@ -98,6 +112,27 @@ val forced : entry list -> Atomrep_obs.Trace.kind -> bool
     kind some selected monitor subscribes to must stay full fidelity —
     sampling only thins kinds nothing consumes, so monitor verdicts are
     identical sampled or not. *)
+
+val check_run :
+  ?monitors:entry list ->
+  ?sample:int ->
+  Runtime.config ->
+  Runtime.outcome * (string * string) list
+(** Run once and judge it: the one code path that gates a run. The
+    selected entries are the oracles (default {!history}); each spec is
+    instantiated fresh for this run — no verdict bleeds between runs or
+    shrink candidates — folded over the run's events, and quiesced.
+    Failures come back in {!Atomrep_obs.Spec_monitor.failures} shape.
+
+    A fresh bus is attached only when the configuration carries none and
+    some selected entry observes a trace kind ({!observed_labels}
+    non-empty), so the default selection runs untraced. With
+    [sample > 1] the bus is thinned, every monitor-observed kind forced
+    to full fidelity. The fold starts at the bus length noted before the
+    run, so runs that share one bus are each judged on their own events
+    only. When the configuration's profile is enabled, monitor stepping
+    is recorded in it. Tracing does not perturb the run, so monitor-gated
+    reproducer tuples still replay deterministically. *)
 
 val grace : Runtime.config -> float
 (** The liveness grace window (simulated ms): an obligation still open at

@@ -74,25 +74,3 @@ let spec () =
         else Spec_monitor.Continue s
       | _ -> Spec_monitor.Continue s)
     ()
-
-(* Thin wrapper: run the declarative spec, reshape to the legacy
-   [(txn, explanation)] pairs. The instance name is "no_divergence(<txn>)". *)
-let txn_of_instance monitor =
-  let prefix = "no_divergence(" in
-  let lp = String.length prefix in
-  if
-    String.length monitor > lp + 1
-    && String.sub monitor 0 lp = prefix
-    && monitor.[String.length monitor - 1] = ')'
-  then String.sub monitor lp (String.length monitor - lp - 1)
-  else monitor
-
-let no_divergence ?(from_id = 0) trace =
-  let inst = Spec_monitor.instantiate (spec ()) in
-  List.iter
-    (fun (e : Trace.event) -> if e.Trace.id >= from_id then Spec_monitor.observe inst e)
-    (Trace.events trace);
-  List.map
-    (fun (v : Spec_monitor.violation) ->
-      (txn_of_instance v.Spec_monitor.v_monitor, v.Spec_monitor.v_message))
-    (Spec_monitor.quiesce inst)

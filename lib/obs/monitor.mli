@@ -21,19 +21,15 @@ type verdict = {
 }
 
 val decisions : ?from_id:int -> Trace.t -> verdict list
-(** Per-transaction decision tallies, in first-decision order. [from_id]
-    restricts the scan to events with id at or above it — use it to scope
-    the monitor to one run when several runs share a bus. *)
+(** Per-transaction decision tallies, in first-decision order — an
+    independent count beside {!spec}. [from_id] restricts the scan to
+    events with id at or above it — use it to scope the tally to one run
+    when several runs share a bus. *)
 
 val spec : unit -> Spec_monitor.t
 (** The declarative form: a {!Spec_monitor.keyed} machine (one instance
     per transaction over [Txn_decide] events) that violates at the first
     opposite verdict. The monitor catalogue
-    ({!Atomrep_chaos.Monitors}) registers this spec; {!no_divergence}
-    below is now a thin wrapper running it. *)
-
-val no_divergence : ?from_id:int -> Trace.t -> (string * string) list
-(** [(txn, explanation)] for every transaction with mixed verdicts; empty
-    when no two drivers ever diverged. Shaped like the runtime's oracle
-    failures so campaign gating can concatenate them. Thin wrapper over
-    {!spec}. *)
+    ({!Atomrep_chaos.Monitors}) registers it as [no_divergence]; run it
+    alone with [Spec_monitor.run (spec ())]. Violations are named
+    ["no_divergence(<txn>)"]. *)

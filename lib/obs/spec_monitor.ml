@@ -185,10 +185,12 @@ let quiesce inst =
     inst.quiesced <- Some vs;
     vs
 
-let run t trace =
+let run ?(from_id = 0) t trace =
   let inst = instantiate t in
   Profile.record ~subsystem:"monitor" "step" (fun () ->
-      List.iter (observe inst) (Trace.events trace));
+      for id = from_id to Trace.length trace - 1 do
+        observe inst (Trace.get trace id)
+      done);
   quiesce inst
 
 let failures vs =

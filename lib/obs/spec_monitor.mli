@@ -109,8 +109,11 @@ val quiesce : instance -> violation list
 (** End of trace: run every remaining state's [at_quiesce] and return all
     violations (stepped ones first, in detection order). Idempotent. *)
 
-val run : t -> Trace.t -> violation list
-(** [instantiate], fold the whole trace, [quiesce]. *)
+val run : ?from_id:int -> t -> Trace.t -> violation list
+(** [instantiate], fold the trace's events with id at or above [from_id]
+    (default 0: the whole trace), [quiesce]. A [from_id] taken as
+    {!Trace.length} before a run scopes the fold to that run's events, so
+    runs sharing one bus never judge each other's transactions. *)
 
 val failures : violation list -> (string * string) list
 (** Campaign-oracle shape: [(monitor, message)] with the violating event id

@@ -15,6 +15,12 @@ let scheme_name = function
   | Static -> "static"
   | Locking -> "locking"
 
+let scheme_of_name = function
+  | "hybrid" -> Ok Hybrid
+  | "static" -> Ok Static
+  | "locking" -> Ok Locking
+  | other -> Error (Printf.sprintf "unknown scheme %S (hybrid|static|locking)" other)
+
 let property_of_scheme = function
   | Hybrid -> Atomrep_atomicity.Atomicity.Hybrid
   | Static -> Atomrep_atomicity.Atomicity.Static

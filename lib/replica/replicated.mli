@@ -37,6 +37,10 @@ type scheme = Hybrid | Static | Locking
 
 val scheme_name : scheme -> string
 
+val scheme_of_name : string -> (scheme, string) result
+(** Inverse of {!scheme_name}; [Error] names the unknown scheme and lists
+    the valid ones. *)
+
 val property_of_scheme : scheme -> Atomrep_atomicity.Atomicity.property
 (** The local atomicity property each scheme guarantees. *)
 

@@ -270,6 +270,38 @@ let test_weakened_relation_is_caught_and_shrunk () =
   in
   check_bool "reproducer replays deterministically" true (failures <> [])
 
+(* Replays sharing one trace bus (chaos --repro --trace) reuse transaction
+   names; each must still be judged on its own events only. The tuple is
+   one where folding the whole shared bus flagged hedge_safety(T0) and
+   no_divergence(T9) on the later schemes. *)
+let test_shared_bus_replays_judged_alone () =
+  let profile =
+    match Campaign.find_profile "crashes" with
+    | Some p -> p
+    | None -> Alcotest.fail "crashes profile missing"
+  in
+  let replay trace scheme =
+    let _, failures =
+      Campaign.reproduce ~monitors:Monitors.registry ~trace ~scheme ~profile
+        ~seed:2 ~n_txns:30 ~intensity:1.0 ()
+    in
+    List.map fst failures
+  in
+  let fresh () =
+    Atomrep_obs.Trace.create ~n_sites:Campaign.default_base.Runtime.n_sites ()
+  in
+  let shared = fresh () in
+  List.iter
+    (fun scheme ->
+      let before = Atomrep_obs.Trace.length shared in
+      let on_shared = replay shared scheme in
+      check_bool "the replay landed on the shared bus" true
+        (Atomrep_obs.Trace.length shared > before);
+      Alcotest.(check (list string))
+        (Replicated.scheme_name scheme ^ " verdict as if judged alone")
+        (replay (fresh ()) scheme) on_shared)
+    Replicated.[ Static; Hybrid; Locking ]
+
 let test_nemesis_scale_soft_limits () =
   let nem =
     Nemesis.Compose
@@ -313,6 +345,8 @@ let suites =
         Alcotest.test_case "small campaign clean" `Quick test_small_campaign_is_clean;
         Alcotest.test_case "weakened relation caught and shrunk" `Quick
           test_weakened_relation_is_caught_and_shrunk;
+        Alcotest.test_case "shared-bus replays judged alone" `Quick
+          test_shared_bus_replays_judged_alone;
         Alcotest.test_case "nemesis intensity scaling" `Quick
           test_nemesis_scale_soft_limits;
       ] );

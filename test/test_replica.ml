@@ -250,10 +250,24 @@ let test_available_copies_fine_without_partition () =
   in
   check_bool "serializable without partition" true outcome.Available_copies.serializable
 
+let test_scheme_names_round_trip () =
+  List.iter
+    (fun scheme ->
+      check_bool
+        (Replicated.scheme_name scheme ^ " round-trips")
+        true
+        (Replicated.scheme_of_name (Replicated.scheme_name scheme) = Ok scheme))
+    Replicated.[ Hybrid; Static; Locking ];
+  Alcotest.(check (result reject string))
+    "unknown name lists the valid ones"
+    (Error "unknown scheme \"optimistic\" (hybrid|static|locking)")
+    (Replicated.scheme_of_name "optimistic")
+
 let suites =
   [
     ( "replica",
       [
+        Alcotest.test_case "scheme names round-trip" `Quick test_scheme_names_round_trip;
         Alcotest.test_case "log merge idempotent" `Quick test_log_merge_idempotent;
         Alcotest.test_case "log merge commutative" `Quick test_log_merge_commutative;
         Alcotest.test_case "log entries sorted" `Quick test_log_entries_sorted_by_ts;

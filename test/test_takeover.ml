@@ -12,6 +12,7 @@ module Takeover = Atomrep_txn.Takeover
 module Campaign = Atomrep_chaos.Campaign
 module Trace = Atomrep_obs.Trace
 module Monitor = Atomrep_obs.Monitor
+module Spec_monitor = Atomrep_obs.Spec_monitor
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -121,6 +122,8 @@ let test_repo_amnesia_forgets_grants () =
 let decide tr ~txn ~site ~committed =
   ignore (Trace.emit tr ~site (Trace.Txn_decide { txn; site; committed }))
 
+let divergences ?from_id tr = Spec_monitor.run ?from_id (Monitor.spec ()) tr
+
 let test_monitor_accepts_redecisions () =
   let tr = Trace.create ~n_sites:3 () in
   decide tr ~txn:"T0" ~site:0 ~committed:true;
@@ -134,16 +137,17 @@ let test_monitor_accepts_redecisions () =
        (v0.Monitor.d_sites = [ 0; 2 ]);
      check_int "T1 abort verdicts" 1 v1.Monitor.d_aborts
    | vs -> Alcotest.fail (Printf.sprintf "expected 2 verdicts, got %d" (List.length vs)));
-  check_bool "re-deciding the same outcome is legal" true
-    (Monitor.no_divergence tr = [])
+  check_bool "re-deciding the same outcome is legal" true (divergences tr = [])
 
 let test_monitor_flags_mixed_verdicts () =
   let tr = Trace.create ~n_sites:3 () in
   decide tr ~txn:"T0" ~site:0 ~committed:true;
   decide tr ~txn:"T1" ~site:1 ~committed:true;
   decide tr ~txn:"T0" ~site:2 ~committed:false;
-  (match Monitor.no_divergence tr with
-   | [ (txn, _) ] -> check_bool "the mixed transaction is named" true (txn = "T0")
+  (match divergences tr with
+   | [ v ] ->
+     check_bool "the mixed transaction is named" true
+       (v.Spec_monitor.v_monitor = "no_divergence(T0)")
    | vs -> Alcotest.fail (Printf.sprintf "expected 1 violation, got %d" (List.length vs)))
 
 let test_monitor_from_id_scopes_runs () =
@@ -154,10 +158,8 @@ let test_monitor_from_id_scopes_runs () =
   decide tr ~txn:"T0" ~site:0 ~committed:true;
   let mark = Trace.length tr in
   decide tr ~txn:"T0" ~site:1 ~committed:false;
-  check_int "unscoped fold sees the collision" 1
-    (List.length (Monitor.no_divergence tr));
-  check_bool "scoped fold is clean" true
-    (Monitor.no_divergence ~from_id:mark tr = [])
+  check_int "unscoped fold sees the collision" 1 (List.length (divergences tr));
+  check_bool "scoped fold is clean" true (divergences ~from_id:mark tr = [])
 
 (* --- the takeover runtime under the coordinator killer ----------------- *)
 
@@ -198,7 +200,7 @@ let test_takeover_adopts_and_fences () =
     (m.Runtime.takeover_adoptions > 0);
   check_bool "a stale driver was fenced" true (m.Runtime.takeover_fenced > 0);
   check_int "no tentative entry stranded" 0 m.Runtime.stranded_entries;
-  check_bool "no two drivers diverged" true (Monitor.no_divergence tr = []);
+  check_bool "no two drivers diverged" true (divergences tr = []);
   check_bool "oracle holds" true (oracle_failures cfg outcome = [])
 
 let test_stranded_gauge_lifecycle () =
@@ -269,7 +271,7 @@ let prop_no_divergence_under_storm =
       List.for_all
         (fun v -> v.Monitor.d_commits = 0 || v.Monitor.d_aborts = 0)
         (Monitor.decisions tr)
-      && Monitor.no_divergence tr = []
+      && divergences tr = []
       && oracle_failures cfg outcome = [])
 
 let prop_storm_gauge_drains =
