@@ -15,6 +15,16 @@ open Atomrep_quorum
 open Atomrep_stats
 module Obs = Atomrep_obs
 
+(* A positive integer: sizes a run cannot start from (no sites, a
+   zero-slot admission window) are usage errors, not runs. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* Shared observability flags: --trace/--trace-format for the event trace,
    --metrics-json for the run's metrics registry. *)
 let trace_file_arg =
@@ -435,7 +445,7 @@ let quorums_cmd =
          0)
   in
   let sites_arg =
-    Arg.(value & opt int 5 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
+    Arg.(value & opt pos_int 5 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
   in
   let property_arg =
     Arg.(
@@ -577,7 +587,7 @@ let simulate_cmd =
     Arg.(value & opt int 100 & info [ "txns" ] ~docv:"N" ~doc:"Transactions to run.")
   in
   let sites_arg =
-    Arg.(value & opt int 3 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
+    Arg.(value & opt pos_int 3 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
   in
   let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let mtbf_arg =
@@ -1053,7 +1063,7 @@ let load_cmd =
           ~doc:"Client sessions (each pinned to home site session mod sites).")
   in
   let sites_arg =
-    Arg.(value & opt int 3 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
+    Arg.(value & opt pos_int 3 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
   in
   let horizon_arg =
     Arg.(
@@ -1076,7 +1086,7 @@ let load_cmd =
   in
   let max_in_flight_arg =
     Arg.(
-      value & opt int 8
+      value & opt pos_int 8
       & info [ "max-in-flight" ] ~docv:"N" ~doc:"Bounded in-flight window.")
   in
   let queue_limit_arg =
@@ -1198,7 +1208,7 @@ let perf_cmd =
     Arg.(value & opt int 200 & info [ "txns" ] ~docv:"N" ~doc:"Transactions to run.")
   in
   let sites_arg =
-    Arg.(value & opt int 3 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
+    Arg.(value & opt pos_int 3 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
   in
   let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let ts_arg =
@@ -1597,7 +1607,7 @@ let compare_cmd =
       0
   in
   let sites_arg =
-    Arg.(value & opt int 3 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
+    Arg.(value & opt pos_int 3 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
   in
   let samples_arg =
     Arg.(value & opt int 1000 & info [ "samples" ] ~docv:"N" ~doc:"Random histories to classify.")

@@ -639,34 +639,12 @@ let recoveries t = List.rev !(t.recoveries)
 (* Summed WAL counters over the object's repositories; [None] when the
    object runs volatile. *)
 let wal_totals t =
-  let acc =
-    {
-      Wal.flushes = 0;
-      flushed_records = 0;
-      lost_flushes = 0;
-      full_rejections = 0;
-      torn_writes = 0;
-      rotted = 0;
-      checkpoints = 0;
-    }
-  in
-  let any = ref false in
-  Array.iter
-    (fun repo ->
-      match Repository.store repo with
-      | None -> ()
-      | Some wal ->
-        any := true;
-        let s = Wal.stats wal in
-        acc.Wal.flushes <- acc.Wal.flushes + s.Wal.flushes;
-        acc.Wal.flushed_records <- acc.Wal.flushed_records + s.Wal.flushed_records;
-        acc.Wal.lost_flushes <- acc.Wal.lost_flushes + s.Wal.lost_flushes;
-        acc.Wal.full_rejections <- acc.Wal.full_rejections + s.Wal.full_rejections;
-        acc.Wal.torn_writes <- acc.Wal.torn_writes + s.Wal.torn_writes;
-        acc.Wal.rotted <- acc.Wal.rotted + s.Wal.rotted;
-        acc.Wal.checkpoints <- acc.Wal.checkpoints + s.Wal.checkpoints)
-    t.repos;
-  if !any then Some acc else None
+  match List.filter_map Repository.store (Array.to_list t.repos) with
+  | [] -> None
+  | wals ->
+    let acc = Wal.zero_stats () in
+    List.iter (fun w -> Wal.add_stats acc (Wal.stats w)) wals;
+    Some acc
 
 (* The gossip process draws from its own stream so that enabling or
    disabling it never perturbs the workload's random choices — ablation

@@ -15,7 +15,19 @@
     form the formal model indexes them — Begin events ordered by Begin
     timestamp and Commit events by commit timestamp for the timestamp-based
     schemes, observed order for locking — and can be checked against the
-    scheme's local atomicity property. *)
+    scheme's local atomicity property.
+
+    This module keeps the transaction driver, the run wiring and the
+    metrics projection; the rest of the runtime lives beside it in
+    [atomrep_replica]: the configuration types below are defined once in
+    [Runtime_config] and re-exported here, shared per-run state is
+    [Run_state], admission control (in-flight window, queue, shed
+    policies, circuit breaker, slot release) is [Admission], the single
+    terminal transition plus every termination protocol (vote drives,
+    cooperative termination and takeover, blocker resolution, recovery
+    redrive, the orphan reaper) is [Term_driver], gray-failure routing
+    and hedging is [Gray_policy.install], and the reconfiguration
+    coordinator is [Reconfig_coord.install]. *)
 
 open Atomrep_history
 open Atomrep_spec

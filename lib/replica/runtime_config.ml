@@ -1,0 +1,236 @@
+(* Static run configuration: every record the runtime is configured with,
+   and the defaults. {!Runtime} re-exports these types; their fields are
+   documented in runtime.mli. Mutable per-run state lives in
+   {!Run_state}. *)
+
+open Atomrep_history
+open Atomrep_spec
+open Atomrep_core
+open Atomrep_quorum
+open Atomrep_sim
+open Atomrep_stats
+open Atomrep_txn
+
+type object_config = {
+  obj_name : string;
+  obj_spec : Serial_spec.t;
+  obj_relation : Relation.t;
+  obj_assignment : Assignment.t;
+  obj_members : int list option;
+}
+
+type op_request = { target : string; invocation : Event.Invocation.t }
+
+type reconfig = {
+  probe_every : float;
+  probe_timeout : float;
+  suspect_after : int;
+  check_every : float;
+  cooldown : float;
+  assume_p : float;
+  mix : (string * float) list;
+  monitor : int;
+  allow_barrier : bool;
+  unsafe_no_barrier : bool;
+  plan_override :
+    (live:int list -> n_sites:int -> (int list * Assignment.t) option) option;
+}
+
+let default_reconfig =
+  {
+    probe_every = 40.0;
+    probe_timeout = 25.0;
+    suspect_after = 3;
+    check_every = 60.0;
+    cooldown = 150.0;
+    assume_p = 0.9;
+    mix = [];
+    monitor = 0;
+    allow_barrier = true;
+    unsafe_no_barrier = false;
+    plan_override = None;
+  }
+
+type deadlock_mode = No_deadlock | Detect | Wound_wait
+
+let deadlock_mode_name = function
+  | No_deadlock -> "none"
+  | Detect -> "detect"
+  | Wound_wait -> "wound-wait"
+
+let deadlock_mode_of_string = function
+  | "none" -> Some No_deadlock
+  | "detect" -> Some Detect
+  | "wound-wait" -> Some Wound_wait
+  | _ -> None
+
+type shed_policy = Reject_newest | Shed_reads_first
+
+let shed_policy_name = function
+  | Reject_newest -> "reject-newest"
+  | Shed_reads_first -> "shed-reads-first"
+
+let shed_policy_of_string = function
+  | "reject-newest" -> Some Reject_newest
+  | "shed-reads-first" -> Some Shed_reads_first
+  | _ -> None
+
+type breaker_cfg = {
+  br_window : int;
+  br_threshold : float;
+  br_cooldown : float;
+  br_probes : int;
+}
+
+let default_breaker =
+  { br_window = 8; br_threshold = 0.5; br_cooldown = 400.0; br_probes = 2 }
+
+type admission = {
+  max_in_flight : int;
+  queue_limit : int;
+  deadline : float;
+  adm_shed_policy : shed_policy;
+  adm_breaker : breaker_cfg option;
+}
+
+let default_admission =
+  {
+    max_in_flight = 8;
+    queue_limit = 16;
+    deadline = Float.infinity;
+    adm_shed_policy = Reject_newest;
+    adm_breaker = None;
+  }
+
+type load = {
+  arrivals : float array;
+  home_of : int -> int;
+  session_of : int -> int;
+  class_of : int -> [ `Read | `Write ];
+}
+
+type gray = {
+  hedge : bool;
+  demote : bool;
+  hedge_percentile : float;
+  hedge_delay_floor : float;
+  hedge_max : int;
+  slow : Detector.slow_config;
+  demote_grace : float;
+}
+
+type config = {
+  seed : int;
+  n_sites : int;
+  latency_mean : float;
+  drop_probability : float;
+  scheme : Replicated.scheme;
+  objects : object_config list;
+  n_txns : int;
+  arrival_mean : float;
+  script : Rng.t -> int -> op_request list;
+  max_retries : int;
+  retry_delay : float;
+  retry_delay_cap : float;
+  rpc_timeout : float;
+  commit_quorum_retries : int;
+  install_faults : Network.t -> unit;
+  horizon : float;
+  anti_entropy_every : float option;
+  reconfig : reconfig option;
+  trace : Atomrep_obs.Trace.t option;
+  ungated_rejoin : bool;
+  durability : Repository.durability;
+  termination : Termination.mode;
+  deadlock : deadlock_mode;
+  reaper_every : float;
+  takeover : bool;
+  admission : admission option;
+  retry_budget : int;
+  load : load option;
+  timely_bound : float;
+  gray : gray option;
+  fail_slow : (int * float * Network.slow_mode) list;
+  profile : Atomrep_obs.Profile.t;
+  timeseries : Atomrep_obs.Timeseries.t;
+}
+
+let default_queue_assignment ~n_sites =
+  let majority = (n_sites / 2) + 1 in
+  Assignment.make ~n_sites
+    [
+      ("Enq", { Assignment.initial = majority; final = majority });
+      ("Deq", { Assignment.initial = majority; final = majority });
+    ]
+
+let default_gray =
+  {
+    hedge = true;
+    demote = true;
+    hedge_percentile = 0.95;
+    hedge_delay_floor = 2.0;
+    hedge_max = 2;
+    slow = Detector.default_slow_config;
+    demote_grace = 500.0;
+  }
+
+let default_config =
+  {
+    seed = 42;
+    n_sites = 3;
+    latency_mean = 2.0;
+    drop_probability = 0.0;
+    scheme = Replicated.Hybrid;
+    objects =
+      [
+        {
+          obj_name = "queue";
+          obj_spec = Queue_type.spec;
+          obj_relation = Static_dep.minimal Queue_type.spec ~max_len:4;
+          obj_assignment = default_queue_assignment ~n_sites:3;
+          obj_members = None;
+        };
+      ];
+    n_txns = 20;
+    arrival_mean = 30.0;
+    script =
+      (fun rng _ ->
+        let op =
+          if Rng.bool rng then { target = "queue"; invocation = Queue_type.enq_inv "x" }
+          else { target = "queue"; invocation = Queue_type.deq_inv }
+        in
+        [ op ]);
+    max_retries = 8;
+    retry_delay = 25.0;
+    retry_delay_cap = 400.0;
+    rpc_timeout = 50.0;
+    commit_quorum_retries = 2;
+    install_faults = (fun _ -> ());
+    horizon = 1_000_000.0;
+    anti_entropy_every = None;
+    reconfig = None;
+    trace = None;
+    ungated_rejoin = false;
+    durability = Repository.Volatile;
+    termination = Termination.Disabled;
+    deadlock = No_deadlock;
+    reaper_every = 250.0;
+    takeover = false;
+    admission = None;
+    retry_budget = max_int;
+    load = None;
+    timely_bound = infinity;
+    gray = None;
+    fail_slow = [];
+    profile = Atomrep_obs.Profile.null;
+    timeseries = Atomrep_obs.Timeseries.null;
+  }
+
+(* Capped exponential backoff with jitter: attempt 0 waits around the base
+   delay, each further attempt doubles it up to the cap, and the uniform
+   jitter in [0.5, 1.5) keeps two mutually-refused operations from
+   retrying in lock-step. The cap clamps the jittered delay, not just the
+   exponential part, so no delay ever exceeds [retry_delay_cap]. *)
+let backoff_delay cfg rng ~attempt =
+  let exp = cfg.retry_delay *. (2.0 ** float_of_int attempt) in
+  Float.min (exp *. (0.5 +. Rng.float rng 1.0)) cfg.retry_delay_cap

@@ -57,6 +57,26 @@ type 'a t = {
   st : stats;
 }
 
+let zero_stats () =
+  {
+    flushes = 0;
+    flushed_records = 0;
+    lost_flushes = 0;
+    full_rejections = 0;
+    torn_writes = 0;
+    rotted = 0;
+    checkpoints = 0;
+  }
+
+let add_stats acc s =
+  acc.flushes <- acc.flushes + s.flushes;
+  acc.flushed_records <- acc.flushed_records + s.flushed_records;
+  acc.lost_flushes <- acc.lost_flushes + s.lost_flushes;
+  acc.full_rejections <- acc.full_rejections + s.full_rejections;
+  acc.torn_writes <- acc.torn_writes + s.torn_writes;
+  acc.rotted <- acc.rotted + s.rotted;
+  acc.checkpoints <- acc.checkpoints + s.checkpoints
+
 let create ?(segment_records = 32) () =
   if segment_records < 1 then invalid_arg "Wal.create: segment_records < 1";
   {
@@ -67,16 +87,7 @@ let create ?(segment_records = 32) () =
     torn_armed = false;
     lost_armed = false;
     full = false;
-    st =
-      {
-        flushes = 0;
-        flushed_records = 0;
-        lost_flushes = 0;
-        full_rejections = 0;
-        torn_writes = 0;
-        rotted = 0;
-        checkpoints = 0;
-      };
+    st = zero_stats ();
   }
 
 let append t a = t.buffer <- a :: t.buffer

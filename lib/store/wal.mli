@@ -112,6 +112,10 @@ val segments : 'a t -> int
 
 val stats : 'a t -> stats
 
+val zero_stats : unit -> stats
+val add_stats : stats -> stats -> unit
+(** [add_stats acc s] adds every counter of [s] into [acc]. *)
+
 val recovery_cost_ms : 'a recovery -> float
 (** Modeled (deterministic) recovery time: a per-segment seek cost plus a
     per-record replay cost.  Not wall clock. *)

@@ -189,13 +189,182 @@ let golden_gray =
     );
   ]
 
-let check_goldens rows =
+(* The protocol paths' fingerprint: the base signature plus every counter
+   the termination driver, the deadlock policies, admission and the WAL
+   move. [timely_commits] is left out on purpose: its accounting under the
+   termination modes was fixed after these rows were captured. *)
+let paths_fingerprint cfg =
+  let m = (Runtime.run cfg).Runtime.metrics in
+  signature m
+  ^ Printf.sprintf
+      " coopc=%d coopa=%d pres=%d dl=%d redr=%d orph=%d lease=%d adopt=%d \
+       fenced=%d cont=%d shed=%d rspent=%d rexh=%d strand=%d wal=%d"
+      m.Runtime.coop_commits m.Runtime.coop_aborts m.Runtime.presumed_aborts
+      m.Runtime.deadlock_aborts m.Runtime.redrives m.Runtime.orphans_reaped
+      m.Runtime.takeover_leases m.Runtime.takeover_adoptions
+      m.Runtime.takeover_fenced m.Runtime.takeover_contended m.Runtime.shed
+      m.Runtime.retries_spent m.Runtime.retries_budget_exhausted
+      m.Runtime.stranded_entries m.Runtime.wal_flushes
+
+let campaign_cfg ?(n_txns = 60) ~base ~profile ~scheme ~seed () =
+  match Campaign.find_profile profile with
+  | Some p -> Campaign.configure ~base ~scheme ~seed ~n_txns ~intensity:1.0 p
+  | None -> Alcotest.failf "unknown profile %s" profile
+
+(* A hot single-queue open-loop plan (80 arrivals/s for 3 s) behind
+   admission control with a 1 s sojourn deadline, shed-reads-first, the
+   circuit breaker and a finite retry budget. *)
+let hot_open_cfg ?(termination = Atomrep_txn.Termination.Disabled)
+    ?(deadlock = Runtime.No_deadlock) ~retry_budget ~scheme ~seed () =
+  let module Openloop = Atomrep_workload.Openloop in
+  let plan = Openloop.plan ~n_objects:1 ~seed:42 ~rate:0.08 ~horizon:3000.0 () in
+  Openloop.apply plan
+    {
+      Runtime.default_config with
+      Runtime.scheme;
+      seed;
+      horizon = 5000.0;
+      termination;
+      deadlock;
+      admission =
+        Some
+          {
+            Runtime.default_admission with
+            Runtime.deadline = 1000.0;
+            adm_shed_policy = Runtime.Shed_reads_first;
+            adm_breaker = Some Runtime.default_breaker;
+          };
+      retry_budget;
+    }
+
+(* Two hot queues, each transaction enqueueing into one and dequeueing the
+   other in a random order: under locking the crossing waits close cycles
+   often enough for either deadlock policy to pick victims. *)
+let contended_cfg ~deadlock ~seed =
+  let queue name =
+    {
+      Runtime.obj_name = name;
+      obj_spec = Atomrep_spec.Queue_type.spec;
+      obj_relation =
+        Atomrep_core.Static_dep.minimal Atomrep_spec.Queue_type.spec ~max_len:4;
+      obj_assignment = Runtime.default_queue_assignment ~n_sites:3;
+      obj_members = None;
+    }
+  in
+  {
+    Campaign.termination_base with
+    Runtime.scheme = Replicated.Locking;
+    seed;
+    deadlock;
+    n_txns = 40;
+    arrival_mean = 8.0;
+    objects = [ queue "q1"; queue "q2" ];
+    script =
+      (fun rng _ ->
+        let a, b = if Rng.bool rng then ("q1", "q2") else ("q2", "q1") in
+        [
+          { Runtime.target = a; invocation = Atomrep_spec.Queue_type.enq_inv "x" };
+          { Runtime.target = b; invocation = Atomrep_spec.Queue_type.deq_inv };
+        ]);
+  }
+
+(* Goldens for the paths the runtime's terminal transition, vote drives,
+   retry ladder, admission gate and recovery redrive run through — captured
+   before those paths were restructured: termination under commit-window
+   ambushes, takeover, both deadlock policies, the overload surface
+   (open-loop plan, admission with breaker, shed-reads-first, a retry
+   budget of 12) and durable WALs under crash-with-amnesia. *)
+let golden_paths =
+  let presumed =
+    {
+      Campaign.termination_base with
+      Runtime.termination = Atomrep_txn.Termination.Presumed_abort_only;
+    }
+  in
+  [
+    ( "paths/presumed/coordinator_killer/hybrid/seed0",
+      campaign_cfg ~base:presumed ~profile:"coordinator_killer"
+        ~scheme:Replicated.Hybrid ~seed:0 (),
+      "c=14 a=46 ops=17 sent=1464 drop=25 dup=23 dead=146 to=92 dur=2374.321925 latn=14 latmean=210.360921 coopc=0 coopa=0 pres=16 dl=9 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=95 rexh=0 strand=4 wal=0"
+    );
+    ( "paths/cooperative/coordinator_killer/hybrid/seed0",
+      campaign_cfg ~base:Campaign.termination_base ~profile:"coordinator_killer"
+        ~scheme:Replicated.Hybrid ~seed:0 (),
+      "c=12 a=48 ops=20 sent=1602 drop=25 dup=17 dead=221 to=143 dur=40000.000000 latn=12 latmean=238.397660 coopc=1 coopa=5 pres=20 dl=4 redr=0 orph=10 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=88 rexh=0 strand=0 wal=0"
+    );
+    ( "paths/cooperative/coordinator_killer/locking/seed1",
+      campaign_cfg ~base:Campaign.termination_base ~profile:"coordinator_killer"
+        ~scheme:Replicated.Locking ~seed:1 (),
+      "c=17 a=43 ops=21 sent=2382 drop=28 dup=38 dead=212 to=140 dur=40000.000000 latn=17 latmean=935.087238 coopc=1 coopa=3 pres=10 dl=13 redr=0 orph=4 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=179 rexh=0 strand=0 wal=0"
+    );
+    ( "paths/takeover/takeover_storm/static/seed0",
+      campaign_cfg ~base:Campaign.takeover_base ~profile:"takeover_storm"
+        ~scheme:Replicated.Static ~seed:0 (),
+      "c=9 a=51 ops=15 sent=1684 drop=90 dup=24 dead=231 to=165 dur=40000.000000 latn=9 latmean=116.741960 coopc=0 coopa=0 pres=31 dl=4 redr=0 orph=9 lease=4 adopt=0 fenced=0 cont=1 shed=0 rspent=104 rexh=0 strand=0 wal=0"
+    );
+    ( "paths/takeover/takeover_storm/hybrid/seed2",
+      campaign_cfg ~base:Campaign.takeover_base ~profile:"takeover_storm"
+        ~scheme:Replicated.Hybrid ~seed:2 (),
+      "c=6 a=54 ops=11 sent=1109 drop=48 dup=12 dead=207 to=152 dur=40000.000000 latn=5 latmean=166.232258 coopc=0 coopa=1 pres=20 dl=4 redr=1 orph=11 lease=1 adopt=0 fenced=0 cont=5 shed=0 rspent=55 rexh=0 strand=0 wal=0"
+    );
+    ( "paths/deadlock-detect/locking/seed0",
+      contended_cfg ~deadlock:Runtime.Detect ~seed:0,
+      "c=3 a=37 ops=14 sent=2436 drop=0 dup=0 dead=0 to=0 dur=40000.000000 latn=3 latmean=2070.505406 coopc=0 coopa=1 pres=0 dl=27 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=202 rexh=0 strand=0 wal=0"
+    );
+    ( "paths/wound-wait/locking/seed0",
+      contended_cfg ~deadlock:Runtime.Wound_wait ~seed:0,
+      "c=3 a=37 ops=12 sent=1854 drop=0 dup=0 dead=0 to=0 dur=40000.000000 latn=3 latmean=2125.627432 coopc=0 coopa=0 pres=0 dl=33 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=148 rexh=0 strand=0 wal=0"
+    );
+    ( "paths/takeover/coordinator_killer/hybrid/seed1",
+      campaign_cfg ~n_txns:120 ~base:Campaign.takeover_base
+        ~profile:"coordinator_killer" ~scheme:Replicated.Hybrid ~seed:1 (),
+      "c=15 a=105 ops=24 sent=2470 drop=32 dup=23 dead=489 to=253 dur=40000.000000 latn=14 latmean=413.229794 coopc=0 coopa=2 pres=23 dl=1 redr=1 orph=18 lease=6 adopt=0 fenced=0 cont=8 shed=0 rspent=145 rexh=0 strand=0 wal=0"
+    );
+    ( "paths/takeover/coordinator_killer/hybrid/seed3",
+      campaign_cfg ~n_txns:120 ~base:Campaign.takeover_base
+        ~profile:"coordinator_killer" ~scheme:Replicated.Hybrid ~seed:3 (),
+      "c=34 a=86 ops=40 sent=5536 drop=68 dup=72 dead=339 to=266 dur=40000.000000 latn=31 latmean=330.900930 coopc=6 coopa=3 pres=47 dl=16 redr=5 orph=9 lease=22 adopt=6 fenced=5 cont=3 shed=0 rspent=405 rexh=0 strand=0 wal=0"
+    );
+    ( "paths/overload/overload_storm/locking/seed1",
+      campaign_cfg ~n_txns:300 ~base:Campaign.overload_base
+        ~profile:"overload_storm" ~scheme:Replicated.Locking ~seed:1 (),
+      "c=75 a=38 ops=76 sent=2273 drop=94 dup=27 dead=0 to=66 dur=29600.000000 latn=75 latmean=69.947753 coopc=0 coopa=0 pres=0 dl=0 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=68 rexh=0 strand=4 wal=0"
+    );
+    ( "paths/hot-open/locking/budget12/seed0",
+      hot_open_cfg ~retry_budget:12 ~scheme:Replicated.Locking ~seed:0 (),
+      "c=101 a=142 ops=101 sent=4143 drop=0 dup=0 dead=0 to=0 dur=4057.926125 latn=101 latmean=189.110635 coopc=0 coopa=0 pres=0 dl=0 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=142 rspent=205 rexh=0 strand=0 wal=0"
+    );
+    ( "paths/hot-open/locking/budget12/wound-wait/cooperative/seed0",
+      hot_open_cfg ~termination:Atomrep_txn.Termination.Cooperative
+        ~deadlock:Runtime.Wound_wait ~retry_budget:12
+        ~scheme:Replicated.Locking ~seed:0 (),
+      "c=88 a=155 ops=88 sent=5196 drop=0 dup=0 dead=0 to=0 dur=5000.000000 latn=88 latmean=153.354810 coopc=2 coopa=0 pres=0 dl=58 redr=0 orph=1 lease=0 adopt=0 fenced=0 cont=0 shed=97 rspent=243 rexh=0 strand=0 wal=0"
+    );
+    ( "paths/hot-open/static/budget12/seed1",
+      hot_open_cfg ~retry_budget:12 ~scheme:Replicated.Static ~seed:1 (),
+      "c=149 a=94 ops=149 sent=5628 drop=0 dup=0 dead=0 to=0 dur=3680.901524 latn=149 latmean=51.681061 coopc=0 coopa=0 pres=0 dl=0 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=75 rspent=232 rexh=0 strand=0 wal=0"
+    );
+    ( "paths/hot-open/hybrid/budget2/seed0",
+      hot_open_cfg ~retry_budget:2 ~scheme:Replicated.Hybrid ~seed:0 (),
+      "c=132 a=111 ops=132 sent=7200 drop=0 dup=0 dead=0 to=0 dur=3109.083928 latn=132 latmean=47.295575 coopc=0 coopa=0 pres=0 dl=0 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=319 rexh=111 strand=0 wal=0"
+    );
+    ( "paths/wal/amnesia/hybrid/seed0",
+      campaign_cfg ~base:Campaign.storage_base ~profile:"amnesia"
+        ~scheme:Replicated.Hybrid ~seed:0 (),
+      "c=11 a=34 ops=11 sent=1003 drop=0 dup=0 dead=218 to=93 dur=39953.415569 latn=11 latmean=78.822035 coopc=0 coopa=0 pres=0 dl=0 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=72 rexh=0 strand=0 wal=65"
+    );
+  ]
+
+let check_goldens ?(fp = fingerprint) rows =
   List.iter
-    (fun (name, cfg, expected) -> check_string name expected (fingerprint cfg))
+    (fun (name, cfg, expected) -> check_string name expected (fp cfg))
     rows
 
 let test_golden_fingerprints () = check_goldens golden
 let test_golden_long_fingerprints () = check_goldens golden_long
+
+let test_golden_paths_fingerprints () =
+  check_goldens ~fp:paths_fingerprint golden_paths
 
 let test_golden_gray_fingerprints () =
   List.iter
@@ -440,6 +609,8 @@ let suites =
             test_golden_long_fingerprints;
           test_case "golden fingerprints, gray mitigation on" `Quick
             test_golden_gray_fingerprints;
+          test_case "golden fingerprints, termination/deadlock/admission/WAL"
+            `Quick test_golden_paths_fingerprints;
           test_case "dormant fail-slow wiring is free" `Quick
             test_dormant_fail_slow_is_free;
         ]

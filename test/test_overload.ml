@@ -401,6 +401,34 @@ let test_locking_stays_atomic_on_hot_queue () =
   check_bool "one system-wide order holds" true
     (Runtime.check_common_order cfg outcome = [])
 
+(* Sizes a run cannot start from are refused up front, naming the field:
+   no sites would crash the home draw, and a zero-slot window would queue
+   every arrival forever without counting it anywhere. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let rejects field cfg =
+  match Runtime.run cfg with
+  | _ -> Alcotest.failf "ran with a bad %s" field
+  | exception Invalid_argument msg ->
+    check_bool (field ^ " named in " ^ msg) true
+      (contains msg field)
+
+let gated adm = { Runtime.default_config with Runtime.admission = Some adm }
+
+let test_run_rejects_zero_sites () =
+  rejects "n_sites" { Runtime.default_config with Runtime.n_sites = 0 }
+
+let test_run_rejects_zero_window () =
+  rejects "max_in_flight"
+    (gated { Runtime.default_admission with Runtime.max_in_flight = 0 })
+
+let test_run_rejects_negative_queue () =
+  rejects "queue_limit"
+    (gated { Runtime.default_admission with Runtime.queue_limit = -1 })
+
 let suites =
   [
     ( "overload.openloop",
@@ -454,5 +482,10 @@ let suites =
             test_retry_budget_exhausts_under_contention;
           test_case "locking atomic on a hot queue" `Quick
             test_locking_stays_atomic_on_hot_queue;
+          test_case "rejects zero sites" `Quick test_run_rejects_zero_sites;
+          test_case "rejects a zero in-flight window" `Quick
+            test_run_rejects_zero_window;
+          test_case "rejects a negative queue limit" `Quick
+            test_run_rejects_negative_queue;
         ] );
   ]

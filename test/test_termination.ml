@@ -376,6 +376,30 @@ let test_termination_diverges_only_by_protocol () =
   check_bool "stranding is the protocol's delta" true
     (off.Runtime.stranded_entries > on.Runtime.stranded_entries)
 
+(* Every commit goes through the one terminal transition, so timely
+   accounting cannot depend on which path committed — the driver's own
+   commit, its vote drive, or a substitute coordinator: at the default
+   (infinite) bound every commit is timely under every termination mode,
+   and a finite bound only ever discounts commits. *)
+let test_timely_counts_every_commit () =
+  List.iter
+    (fun termination ->
+      let name = Termination.mode_name termination in
+      let cfg = { Runtime.default_config with Runtime.n_txns = 60; seed = 3; termination } in
+      let m = (Runtime.run cfg).Runtime.metrics in
+      check_bool (name ^ " commits") true (m.Runtime.committed > 0);
+      check_int (name ^ ": timely = committed at the default bound")
+        m.Runtime.committed m.Runtime.timely_commits;
+      let bounded =
+        (Runtime.run { cfg with Runtime.timely_bound = 40.0 }).Runtime.metrics
+      in
+      check_int (name ^ ": the bound never changes what commits")
+        m.Runtime.committed bounded.Runtime.committed;
+      check_bool (name ^ ": timely <= committed under a finite bound") true
+        (bounded.Runtime.timely_commits <= bounded.Runtime.committed
+        && bounded.Runtime.timely_commits < m.Runtime.timely_commits))
+    [ Termination.Disabled; Termination.Presumed_abort_only; Termination.Cooperative ]
+
 let suites =
   [
     ( "termination",
@@ -404,6 +428,8 @@ let suites =
           test_tracing_does_not_perturb_termination;
         Alcotest.test_case "termination diverges only by protocol" `Slow
           test_termination_diverges_only_by_protocol;
+        Alcotest.test_case "timely counts every commit path" `Quick
+          test_timely_counts_every_commit;
       ]
       @ to_alcotest
           [
