@@ -1093,14 +1093,17 @@ let run_perf () =
      (same seed, same workload). *)
   let monitor_labels = Monitors.observed_labels monitors in
   let counts tr =
+    let per_tag = Array.make Trace.n_kind_tags 0 in
+    for id = 0 to Trace.length tr - 1 do
+      let tag = Trace.kind_tag (Trace.get tr id).Trace.kind in
+      per_tag.(tag) <- per_tag.(tag) + 1
+    done;
     List.map
       (fun label ->
         ( label,
-          List.length
-            (List.filter
-               (fun (e : Trace.event) ->
-                 String.equal (Trace.kind_label e.Trace.kind) label)
-               (Trace.events tr)) ))
+          match Trace.tag_of_label label with
+          | Some tag -> per_tag.(tag)
+          | None -> 0 ))
       monitor_labels
   in
   let full_counts = counts full_tr and sampled_counts = counts sampled_tr in

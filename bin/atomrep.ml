@@ -563,7 +563,7 @@ let simulate_cmd =
        | Some tr when sample > 1 ->
          Printf.printf "trace sampling: 1/%d, kept=%d sampled-out=%d\n"
            (Obs.Trace.sampling tr)
-           (List.length (Obs.Trace.events tr))
+           (Obs.Trace.length tr)
            (Obs.Trace.sampled_out tr)
        | _ -> ());
       if profile_on then print_profile profile;
@@ -1185,7 +1185,7 @@ let perf_cmd =
         n_txns m.Runtime.committed m.Runtime.aborted m.Runtime.ops_done
         m.Runtime.duration wall;
       Printf.printf "trace: %d events kept, %d sampled out (1/%d per kind)\n"
-        (List.length (Obs.Trace.events trace))
+        (Obs.Trace.length trace)
         (Obs.Trace.sampled_out trace)
         (Obs.Trace.sampling trace);
       if hedge || demote then print_gray_metrics m;

@@ -44,9 +44,10 @@ let fold_quiesce f (e : Trace.event) =
    not individual events, so their declarative form is pure at_quiesce:
    no events observed, the whole check is the quiesce obligation. *)
 
+let no_kinds = []
+
 let outcome_spec ~name check ctx =
-  SM.make ~name
-    ~on:(fun _ -> false)
+  SM.make ~name ~observes:no_kinds
     ~init:(fun () -> ())
     ~step:(fun () _ -> SM.Continue ())
     ~at_quiesce:(fun () ->
@@ -60,8 +61,7 @@ let outcome_spec ~name check ctx =
 (* Static leg: every object's threshold assignment must satisfy the
    intersection constraints its dependency relation induces. *)
 let quorum_static ctx =
-  SM.make ~name:"quorum_assignment"
-    ~on:(fun _ -> false)
+  SM.make ~name:"quorum_assignment" ~observes:no_kinds
     ~init:(fun () -> ())
     ~step:(fun () _ -> SM.Continue ())
     ~at_quiesce:(fun () ->
@@ -84,9 +84,10 @@ type attempt = { a_ok : bool; a_got : int; a_need : int; a_phase : string }
    latest quorum-assembly outcome; committing while any operation's last
    attempt fell short means the protocol committed without the
    intersection the scheme's correctness argument assumes. *)
+let quorum_kinds = [ "quorum_read"; "quorum_append"; "txn_commit"; "txn_abort" ]
+
 let quorum_operational () =
-  SM.keyed ~name:"quorum_intersection"
-    ~on:(SM.observes [ "quorum_read"; "quorum_append"; "txn_commit"; "txn_abort" ])
+  SM.keyed ~name:"quorum_intersection" ~observes:quorum_kinds
     ~key:(fun e ->
       match e.Trace.kind with
       | Trace.Quorum_read { txn; _ }
@@ -154,11 +155,11 @@ type durab = {
    good, so the site leaves every stored set; gated rejoin resyncs the
    store from a quorum before the site serves again, and durable
    repositories keep what their WAL replays — both keep their credit. *)
+let durability_kinds =
+  [ "repo_append"; "quorum_append"; "txn_commit"; "txn_abort"; "crash" ]
+
 let commit_durability ctx =
-  SM.make ~name:"commit_durability"
-    ~on:
-      (SM.observes
-         [ "repo_append"; "quorum_append"; "txn_commit"; "txn_abort"; "crash" ])
+  SM.make ~name:"commit_durability" ~observes:durability_kinds
     ~init:(fun () ->
       { stored = Hashtbl.create 64; need = Hashtbl.create 64; ops_of = Hashtbl.create 32 })
     ~step:(fun st e ->
@@ -237,9 +238,10 @@ let no_divergence _ctx = Monitor.spec ()
 
 (* --- stranded_entries ------------------------------------------------ *)
 
+let stranded_kinds = [ "quiesce" ]
+
 let stranded_entries ctx =
-  SM.make ~name:"stranded_entries"
-    ~on:(SM.observes [ "quiesce" ])
+  SM.make ~name:"stranded_entries" ~observes:stranded_kinds
     ~init:(fun () -> { fair = false; horizon_t = 0.0 })
     ~step:(fun f e ->
       fold_quiesce f e;
@@ -280,12 +282,12 @@ type blocked = {
   b_fair : fairness;
 }
 
+let blocked_kinds =
+  [ "lock_wait"; "lock_grant"; "txn_commit"; "txn_abort"; "deadlock"; "quiesce" ]
+
 let blocked_liveness ctx =
   let grace = grace ctx.cfg in
-  SM.make ~name:"blocked_liveness"
-    ~on:
-      (SM.observes
-         [ "lock_wait"; "lock_grant"; "txn_commit"; "txn_abort"; "deadlock"; "quiesce" ])
+  SM.make ~name:"blocked_liveness" ~observes:blocked_kinds
     ~init:(fun () ->
       {
         b_waiting = Hashtbl.create 32;
@@ -332,15 +334,15 @@ type indoubt = {
   i_fair : fairness;
 }
 
+let indoubt_kinds =
+  [
+    "commit_point"; "txn_decide"; "txn_commit"; "txn_abort"; "txn_redrive";
+    "coop_term"; "quiesce";
+  ]
+
 let indoubt_liveness ctx =
   let grace = grace ctx.cfg in
-  SM.make ~name:"indoubt_liveness"
-    ~on:
-      (SM.observes
-         [
-           "commit_point"; "txn_decide"; "txn_commit"; "txn_abort"; "txn_redrive";
-           "coop_term"; "quiesce";
-         ])
+  SM.make ~name:"indoubt_liveness" ~observes:indoubt_kinds
     ~init:(fun () ->
       {
         i_pending = Hashtbl.create 32;
@@ -400,15 +402,15 @@ type shed_st = {
    (whatever the delivery path: the abort broadcast, gossip, or a
    status-poll offer), so resolution is tracked at the store, not at the
    front-end. *)
+let shed_kinds =
+  [
+    "crash"; "repo_append"; "repo_resolve"; "shed"; "txn_abort"; "txn_commit";
+    "quiesce";
+  ]
+
 let shed_safety ctx =
   let grace = grace ctx.cfg in
-  SM.make ~name:"shed_safety"
-    ~on:
-      (SM.observes
-         [
-           "crash"; "repo_append"; "repo_resolve"; "shed"; "txn_abort";
-           "txn_commit"; "quiesce";
-         ])
+  SM.make ~name:"shed_safety" ~observes:shed_kinds
     ~init:(fun () ->
       {
         sh_shed = Hashtbl.create 16;
@@ -513,9 +515,10 @@ let shed_safety ctx =
    straggler delivery re-drove a decision. Holds vacuously (and is
    checked!) with hedging off, which is exactly the point: the monitor
    cannot tell hedged runs from unhedged ones. *)
+let hedge_kinds = [ "txn_commit"; "txn_abort"; "repo_resolve" ]
+
 let hedge_safety _ctx =
-  SM.keyed ~name:"hedge_safety"
-    ~on:(SM.observes [ "txn_commit"; "txn_abort"; "repo_resolve" ])
+  SM.keyed ~name:"hedge_safety" ~observes:hedge_kinds
     ~key:(fun e ->
       match e.Trace.kind with
       | Trace.Txn_commit { txn }
@@ -587,9 +590,10 @@ let hedge_safety _ctx =
    therefore means a clock ran backwards or a session leaked across
    sites. Closed-loop runs carry no sessions and emit no [Session_commit]
    events, so the monitor is vacuous there. *)
+let session_kinds = [ "session_commit" ]
+
 let session_monotonic _ctx =
-  SM.keyed ~name:"session_monotonic"
-    ~on:(SM.observes [ "session_commit" ])
+  SM.keyed ~name:"session_monotonic" ~observes:session_kinds
     ~key:(fun e ->
       match e.Trace.kind with
       | Trace.Session_commit { session; _ } -> Some (string_of_int session)
@@ -617,21 +621,21 @@ let registry =
       e_name = "commit_atomicity";
       e_doc = "every object's history satisfies the scheme's local atomicity property";
       e_kind = Safety;
-      e_observes = [];
+      e_observes = no_kinds;
       e_spec = outcome_spec ~name:"commit_atomicity" Runtime.check_atomicity;
     };
     {
       e_name = "common_order";
       e_doc = "committed transactions serialize in one system-wide order";
       e_kind = Safety;
-      e_observes = [];
+      e_observes = no_kinds;
       e_spec = outcome_spec ~name:"common_order" Runtime.check_common_order;
     };
     {
       e_name = "no_divergence";
       e_doc = "no two drivers ever render opposite verdicts for a transaction";
       e_kind = Safety;
-      e_observes = [ "txn_decide" ];
+      e_observes = Monitor.observes;
       e_spec = no_divergence;
     };
     {
@@ -639,25 +643,21 @@ let registry =
       e_doc =
         "assignments satisfy dependency intersection; no commit after a short quorum";
       e_kind = Safety;
-      e_observes = [ "quorum_read"; "quorum_append"; "txn_commit"; "txn_abort" ];
+      e_observes = quorum_kinds;
       e_spec = quorum_intersection;
     };
     {
       e_name = "commit_durability";
       e_doc = "nothing is reported committed before a write quorum stored it";
       e_kind = Safety;
-      e_observes = [ "repo_append"; "quorum_append"; "txn_commit"; "txn_abort"; "crash" ];
+      e_observes = durability_kinds;
       e_spec = commit_durability;
     };
     {
       e_name = "shed_safety";
       e_doc = "every shed transaction is cleanly aborted everywhere";
       e_kind = Safety;
-      e_observes =
-        [
-          "crash"; "repo_append"; "repo_resolve"; "shed"; "txn_abort";
-          "txn_commit"; "quiesce";
-        ];
+      e_observes = shed_kinds;
       e_spec = shed_safety;
     };
     {
@@ -666,35 +666,35 @@ let registry =
         "verdicts are assigned once and never flip under hedged or duplicate \
          deliveries";
       e_kind = Safety;
-      e_observes = [ "txn_commit"; "txn_abort"; "repo_resolve" ];
+      e_observes = hedge_kinds;
       e_spec = hedge_safety;
     };
     {
       e_name = "session_monotonic";
       e_doc = "per-session commit timestamps are strictly increasing";
       e_kind = Safety;
-      e_observes = [ "session_commit" ];
+      e_observes = session_kinds;
       e_spec = session_monotonic;
     };
     {
       e_name = "stranded_entries";
       e_doc = "cooperative termination drains every stranded tentative entry";
       e_kind = Liveness;
-      e_observes = [ "quiesce" ];
+      e_observes = stranded_kinds;
       e_spec = stranded_entries;
     };
     {
       e_name = "blocked_liveness";
       e_doc = "every blocked operation resolves once partitions heal";
       e_kind = Liveness;
-      e_observes = [ "lock_wait"; "lock_grant"; "txn_commit"; "txn_abort"; "deadlock"; "quiesce" ];
+      e_observes = blocked_kinds;
       e_spec = blocked_liveness;
     };
     {
       e_name = "indoubt_liveness";
       e_doc = "every durable commit point reaches a verdict after recovery";
       e_kind = Liveness;
-      e_observes = [ "commit_point"; "txn_decide"; "txn_commit"; "txn_abort"; "txn_redrive"; "coop_term"; "quiesce" ];
+      e_observes = indoubt_kinds;
       e_spec = indoubt_liveness;
     };
   ]
@@ -745,9 +745,7 @@ let observed_labels entries =
   List.concat_map (fun e -> e.e_observes) entries
   |> List.sort_uniq String.compare
 
-let forced entries =
-  let labels = observed_labels entries in
-  fun kind -> List.mem (Trace.kind_label kind) labels
+let forced entries = SM.observes ~name:"monitors" (observed_labels entries)
 
 (* The one judge: the selected entries ARE the oracles, each spec
    instantiated fresh for this run (so no verdict bleeds between runs or

@@ -65,8 +65,9 @@ type entry = {
       (** the {!Atomrep_obs.Trace.kind_label}s the entry's spec subscribes
           to — static (a spec is only buildable from a post-run {!ctx}),
           so trace-bus sampling can compute its forced-kind set {e before}
-          the run. A unit test pins each list to the built spec's actual
-          [on] predicate ({!Atomrep_obs.Spec_monitor.observes_kind}). *)
+          the run. It is the very list the spec is built with; a unit test
+          pins it to the built spec's mask
+          ({!Atomrep_obs.Spec_monitor.observes_kind}). *)
   e_spec : ctx -> Atomrep_obs.Spec_monitor.t;
 }
 
@@ -108,8 +109,11 @@ val observed_labels : entry list -> string list
 (** Union of the entries' [e_observes] lists, sorted, deduplicated. *)
 
 val forced : entry list -> Atomrep_obs.Trace.kind -> bool
-(** The forced-kind predicate for {!Atomrep_obs.Trace.set_sampling}: any
-    kind some selected monitor subscribes to must stay full fidelity —
+(** The forced-kind predicate for {!Atomrep_obs.Trace.set_sampling}: the
+    mask {!Atomrep_obs.Spec_monitor.observes} builds from
+    {!observed_labels}, so the sampler and the judge share one definition
+    of "observed". Any kind some selected monitor subscribes to must stay
+    full fidelity —
     sampling only thins kinds nothing consumes, so monitor verdicts are
     identical sampled or not. *)
 

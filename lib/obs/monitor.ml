@@ -44,9 +44,10 @@ type div_state = {
   s_flagged : bool;
 }
 
+let observes = [ "txn_decide" ]
+
 let spec () =
-  Spec_monitor.keyed ~name:"no_divergence"
-    ~on:(Spec_monitor.observes [ "txn_decide" ])
+  Spec_monitor.keyed ~name:"no_divergence" ~observes
     ~key:(fun e ->
       match e.Trace.kind with
       | Trace.Txn_decide { txn; _ } -> Some txn

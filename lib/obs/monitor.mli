@@ -26,6 +26,9 @@ val decisions : ?from_id:int -> Trace.t -> verdict list
     events with id at or above it — use it to scope the tally to one run
     when several runs share a bus. *)
 
+val observes : string list
+(** The kind labels {!spec} observes: [["txn_decide"]]. *)
+
 val spec : unit -> Spec_monitor.t
 (** The declarative form: a {!Spec_monitor.keyed} machine (one instance
     per transaction over [Txn_decide] events) that violates at the first

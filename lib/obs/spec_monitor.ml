@@ -8,47 +8,61 @@ type 's step = Continue of 's | Accept | Violate of 's * string
 
 (* A spec is a recipe for fresh run state: [fresh ()] builds the mutable
    machine, so instantiating twice never shares state — the no-bleed
-   guarantee the shrinker's candidate runs rely on. *)
+   guarantee the shrinker's candidate runs rely on. [m_observe tag e] is
+   only ever called with an event whose tag ({!Trace.kind_tag}) is in the
+   spec's mask — the caller filters, so a machine never re-tests its
+   kind. *)
 type machine = {
-  m_observe : Trace.event -> violation list;
+  m_observe : int -> Trace.event -> violation list;
   m_quiesce : unit -> violation list;
   m_live : unit -> int;
 }
 
 type t = {
   spec_name : string;
-  spec_on : Trace.kind -> bool; (* static: which kinds the spec observes *)
+  mask : bool array; (* static observed set, indexed by Trace.kind_tag *)
   fresh : unit -> machine;
 }
 
 let name t = t.spec_name
-let observes_kind t kind = t.spec_on kind
+let observes_kind t kind = t.mask.(Trace.kind_tag kind)
 
-let observes labels =
-  fun kind -> List.mem (Trace.kind_label kind) labels
+let mask_of ~name labels =
+  let mask = Array.make Trace.n_kind_tags false in
+  List.iter
+    (fun label ->
+      match Trace.tag_of_label label with
+      | Some tag -> mask.(tag) <- true
+      | None ->
+        invalid_arg
+          (Printf.sprintf "Spec_monitor %s: unknown trace kind label %S" name
+             label))
+    labels;
+  mask
 
-let make ~name ?(on = fun _ -> true) ~init ~step ?(at_quiesce = fun _ -> [])
-    () =
+let observes ~name labels =
+  let mask = mask_of ~name labels in
+  fun kind -> mask.(Trace.kind_tag kind)
+
+let make ~name ~observes ~init ~step ?(at_quiesce = fun _ -> []) () =
+  let mask = mask_of ~name observes in
   let fresh () =
     (* [None] = accepted (discharged, nothing to quiesce). *)
     let state = ref (Some (init ())) in
-    let m_observe (e : Trace.event) =
+    let m_observe _tag (e : Trace.event) =
       match !state with
       | None -> []
-      | Some s ->
-        if not (on e.Trace.kind) then []
-        else begin
-          match step s e with
-          | Continue s' ->
-            state := Some s';
-            []
-          | Accept ->
-            state := None;
-            []
-          | Violate (s', msg) ->
-            state := Some s';
-            [ { v_monitor = name; v_message = msg; v_event = Some e.Trace.id } ]
-        end
+      | Some s -> (
+        match step s e with
+        | Continue s' ->
+          state := Some s';
+          []
+        | Accept ->
+          state := None;
+          []
+        | Violate (s', msg) ->
+          state := Some s';
+          [ { v_monitor = name; v_message = msg; v_event = Some e.Trace.id } ])
     in
     let m_quiesce () =
       match !state with
@@ -61,45 +75,43 @@ let make ~name ?(on = fun _ -> true) ~init ~step ?(at_quiesce = fun _ -> [])
     let m_live () = match !state with Some _ -> 1 | None -> 0 in
     { m_observe; m_quiesce; m_live }
   in
-  { spec_name = name; spec_on = on; fresh }
+  { spec_name = name; mask; fresh }
 
-let keyed ~name ?(on = fun _ -> true) ~key ~init ~step
-    ?(at_quiesce = fun _ _ -> []) () =
+let keyed ~name ~observes ~key ~init ~step ?(at_quiesce = fun _ _ -> []) () =
+  let mask = mask_of ~name observes in
   let fresh () =
     let states = Hashtbl.create 32 in
     (* Insertion order, for deterministic quiesce reports. *)
     let order = ref [] in
-    let m_observe (e : Trace.event) =
-      if not (on e.Trace.kind) then []
-      else
-        match key e with
-        | None -> []
-        | Some k ->
-          let s =
-            match Hashtbl.find_opt states k with
-            | Some s -> s
-            | None ->
-              let s = init k in
-              Hashtbl.replace states k s;
-              order := k :: !order;
-              s
-          in
-          (match step s e with
-           | Continue s' ->
-             Hashtbl.replace states k s';
-             []
-           | Accept ->
-             Hashtbl.remove states k;
-             []
-           | Violate (s', msg) ->
-             Hashtbl.replace states k s';
-             [
-               {
-                 v_monitor = Printf.sprintf "%s(%s)" name k;
-                 v_message = msg;
-                 v_event = Some e.Trace.id;
-               };
-             ])
+    let m_observe _tag (e : Trace.event) =
+      match key e with
+      | None -> []
+      | Some k -> (
+        let s =
+          match Hashtbl.find_opt states k with
+          | Some s -> s
+          | None ->
+            let s = init k in
+            Hashtbl.replace states k s;
+            order := k :: !order;
+            s
+        in
+        match step s e with
+        | Continue s' ->
+          Hashtbl.replace states k s';
+          []
+        | Accept ->
+          Hashtbl.remove states k;
+          []
+        | Violate (s', msg) ->
+          Hashtbl.replace states k s';
+          [
+            {
+              v_monitor = Printf.sprintf "%s(%s)" name k;
+              v_message = msg;
+              v_event = Some e.Trace.id;
+            };
+          ])
     in
     let m_quiesce () =
       List.concat_map
@@ -120,59 +132,84 @@ let keyed ~name ?(on = fun _ -> true) ~key ~init ~step
     let m_live () = Hashtbl.length states in
     { m_observe; m_quiesce; m_live }
   in
-  { spec_name = name; spec_on = on; fresh }
+  { spec_name = name; mask; fresh }
+
+type child = {
+  c_mask : bool array;
+  c_machine : machine;
+  mutable c_failed : bool;
+}
 
 let all ~name children =
+  let mask =
+    Array.init Trace.n_kind_tags (fun tag ->
+        List.exists (fun c -> c.mask.(tag)) children)
+  in
   let fresh () =
     (* Conjunction with per-child short-circuit: once a child yields its
        counterexample it is dropped from stepping and quiescing — each
        child contributes at most its first verdict while the rest keep
        observing independently. *)
     let live =
-      ref (List.map (fun c -> (c.fresh (), ref false)) children)
+      List.map
+        (fun c -> { c_mask = c.mask; c_machine = c.fresh (); c_failed = false })
+        children
     in
-    let m_observe e =
-      List.concat_map
-        (fun (m, failed) ->
-          if !failed then []
-          else begin
-            let vs = m.m_observe e in
-            if vs <> [] then failed := true;
-            vs
-          end)
-        !live
+    (* The dispatch table: row [tag] holds, in child order, the children
+       whose mask has [tag], so an event visits only its observers. *)
+    let rows =
+      Array.init Trace.n_kind_tags (fun tag ->
+          List.filter (fun child -> child.c_mask.(tag)) live)
     in
+    let rec walk tag e = function
+      | [] -> []
+      | child :: rest ->
+        let vs =
+          if child.c_failed then []
+          else
+            match child.c_machine.m_observe tag e with
+            | [] -> []
+            | vs ->
+              child.c_failed <- true;
+              vs
+        in
+        vs @ walk tag e rest
+    in
+    let m_observe tag e = walk tag e rows.(tag) in
     let m_quiesce () =
       List.concat_map
-        (fun (m, failed) -> if !failed then [] else m.m_quiesce ())
-        !live
+        (fun child -> if child.c_failed then [] else child.c_machine.m_quiesce ())
+        live
     in
     let m_live () =
       List.fold_left
-        (fun acc (m, failed) -> if !failed then acc else acc + m.m_live ())
-        0 !live
+        (fun acc child ->
+          if child.c_failed then acc else acc + child.c_machine.m_live ())
+        0 live
     in
     { m_observe; m_quiesce; m_live }
   in
-  {
-    spec_name = name;
-    spec_on = (fun k -> List.exists (fun c -> c.spec_on k) children);
-    fresh;
-  }
+  { spec_name = name; mask; fresh }
 
 type instance = {
   machine : machine;
+  observed : bool array; (* the spec's mask *)
   mutable seen : violation list; (* reverse detection order *)
   mutable quiesced : violation list option;
 }
 
-let instantiate t = { machine = t.fresh (); seen = []; quiesced = None }
+let instantiate t =
+  { machine = t.fresh (); observed = t.mask; seen = []; quiesced = None }
 
 let observe inst e =
   match inst.quiesced with
   | Some _ -> ()
   | None ->
-    List.iter (fun v -> inst.seen <- v :: inst.seen) (inst.machine.m_observe e)
+    let tag = Trace.kind_tag e.Trace.kind in
+    if inst.observed.(tag) then
+      List.iter
+        (fun v -> inst.seen <- v :: inst.seen)
+        (inst.machine.m_observe tag e)
 
 let violations inst = List.rev inst.seen
 let live_instances inst = inst.machine.m_live ()

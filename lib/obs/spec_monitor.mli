@@ -5,8 +5,10 @@
     properties stated as declarative machines over event histories instead
     of imperative assertions buried in the runtime. Each spec declares
 
-    - which event kinds it observes ([on], an event-kind predicate —
-      {!observes} builds one from the stable kind labels);
+    - which event kinds it observes ([observes], a static list of
+      {!Trace.kind_label}s — P's [spec ... observes e1, e2] clause), stored
+      as a mask over {!Trace.kind_tag}: an event of another kind never
+      reaches the spec;
     - a [step] function folding observed events into its state, which can
       also {e accept} (the obligation is discharged, the state is GC'd) or
       {e violate} (a counterexample, anchored at the violating event);
@@ -17,7 +19,8 @@
     Combinators lift specs: {!keyed} instantiates one state machine per
     key (per transaction, per site) with GC on accept, and {!all} conjoins
     monitors, short-circuiting any child that has already produced its
-    counterexample.
+    counterexample. A conjunction dispatches through a per-tag table, so
+    each event visits only the children that observe its kind.
 
     Monitors are pure over the trace: instantiating one allocates fresh
     state, so every run — including every shrink candidate during
@@ -44,37 +47,42 @@ type t
 val name : t -> string
 
 val observes_kind : t -> Trace.kind -> bool
-(** Whether the spec's [on] predicate claims the kind — for a conjunction,
-    whether any child's does. This is the static subscription surface the
+(** Whether the kind is in the spec's observed set — for a conjunction,
+    in any child's. This is the static subscription surface the
     trace-bus sampler must keep at full fidelity ({!Trace.set_sampling}):
     sampling may only thin kinds no active monitor observes. *)
 
-val observes : string list -> Trace.kind -> bool
-(** [observes labels] is an [on] predicate matching events whose
-    {!Trace.kind_label} is listed — the DSL's [on : kind list] clause. *)
+val observes : name:string -> string list -> Trace.kind -> bool
+(** [observes ~name labels] is the membership test of the mask
+    [make ~name ~observes:labels] stores — the sampler's forced-kind
+    predicate shares it with the judge. Raises [Invalid_argument] like
+    {!make}. *)
 
 val make :
   name:string ->
-  ?on:(Trace.kind -> bool) ->
+  observes:string list ->
   init:(unit -> 's) ->
   step:('s -> Trace.event -> 's step) ->
   ?at_quiesce:('s -> string list) ->
   unit ->
   t
-(** A single-instance spec. Events failing [on] (default: observe
-    everything) are not stepped. [at_quiesce] (default: accept) returns the
-    messages of every obligation still standing when the trace ends. *)
+(** A single-instance spec. Only events whose {!Trace.kind_label} is
+    listed in [observes] are stepped; a label no kind carries raises
+    [Invalid_argument] naming the label and the spec. [at_quiesce]
+    (default: accept) returns the messages of every obligation still
+    standing when the trace ends. *)
 
 val keyed :
   name:string ->
-  ?on:(Trace.kind -> bool) ->
+  observes:string list ->
   key:(Trace.event -> string option) ->
   init:(string -> 's) ->
   step:('s -> Trace.event -> 's step) ->
   ?at_quiesce:(string -> 's -> string list) ->
   unit ->
   t
-(** One state machine per key — per transaction, per site. [key] names the
+(** One state machine per key — per transaction, per site. [observes] is
+    as for {!make}. [key] names the
     instance an observed event belongs to ([None]: the event belongs to no
     instance and is skipped); the first event of a fresh key allocates its
     state via [init]. A step returning [Accept] finalizes the instance:
@@ -82,8 +90,10 @@ val keyed :
     instance. Violations are reported as ["name(key)"]. *)
 
 val all : name:string -> t list -> t
-(** Conjunction: every child must hold. A child that has produced a
-    violation is short-circuited — no longer stepped, and its
+(** Conjunction: every child must hold. It observes the union of the
+    children's sets; each instance dispatches an event only to the
+    children (in list order) whose set holds its kind. A child that has
+    produced a violation is short-circuited — no longer stepped, and its
     [at_quiesce] is skipped — so each child contributes at most its first
     counterexample while the others keep observing. *)
 

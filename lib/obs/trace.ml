@@ -82,8 +82,23 @@ type t = {
   mutable sampled_out : int;
 }
 
-(* Dense tag per kind constructor, for the sampling arrays. *)
-let n_kind_tags = 45
+(* The stable label of each kind constructor, indexed by its dense tag
+   ({!kind_tag}). The tag indexes the sampling arrays, this table and the
+   monitors' observed-kind masks. *)
+let labels =
+  [|
+    "rpc_send"; "rpc_recv"; "rpc_drop"; "rpc_timeout"; "quorum_read";
+    "quorum_append"; "repo_append"; "txn_begin"; "txn_commit"; "txn_abort";
+    "lock_wait"; "lock_grant"; "epoch_seal"; "epoch_transfer"; "epoch_fence";
+    "crash"; "recover"; "partition"; "heal"; "detector_suspect";
+    "detector_trust"; "wal_flush"; "wal_checkpoint"; "wal_full"; "wal_replay";
+    "store_fault"; "commit_point"; "txn_redrive"; "coop_term"; "orphan_gc";
+    "deadlock"; "txn_decide"; "takeover_acquire"; "takeover_fence"; "quiesce";
+    "span_begin"; "span_end"; "shed"; "repo_resolve"; "session_commit";
+    "breaker"; "rpc_hedge"; "rpc_outcome"; "slow_inject"; "detector_slow";
+  |]
+
+let n_kind_tags = Array.length labels
 
 let kind_tag = function
   | Rpc_send _ -> 0
@@ -132,6 +147,16 @@ let kind_tag = function
   | Slow_inject _ -> 43
   | Detector_slow _ -> 44
 
+let kind_label kind = labels.(kind_tag kind)
+
+let tag_of_label label =
+  let rec find tag =
+    if tag >= n_kind_tags then None
+    else if String.equal labels.(tag) label then Some tag
+    else find (tag + 1)
+  in
+  find 0
+
 let create ?(enabled = true) ~n_sites () =
   {
     on = enabled;
@@ -165,53 +190,6 @@ let push t e =
   end;
   t.data.(t.size) <- e;
   t.size <- t.size + 1
-
-let kind_label = function
-  | Rpc_send _ -> "rpc_send"
-  | Rpc_recv _ -> "rpc_recv"
-  | Rpc_drop _ -> "rpc_drop"
-  | Rpc_timeout _ -> "rpc_timeout"
-  | Quorum_read _ -> "quorum_read"
-  | Quorum_append _ -> "quorum_append"
-  | Repo_append _ -> "repo_append"
-  | Txn_begin _ -> "txn_begin"
-  | Txn_commit _ -> "txn_commit"
-  | Txn_abort _ -> "txn_abort"
-  | Lock_wait _ -> "lock_wait"
-  | Lock_grant _ -> "lock_grant"
-  | Epoch_seal _ -> "epoch_seal"
-  | Epoch_transfer _ -> "epoch_transfer"
-  | Epoch_fence _ -> "epoch_fence"
-  | Crash _ -> "crash"
-  | Recover _ -> "recover"
-  | Partition _ -> "partition"
-  | Heal -> "heal"
-  | Detector_suspect _ -> "detector_suspect"
-  | Detector_trust _ -> "detector_trust"
-  | Wal_flush _ -> "wal_flush"
-  | Wal_checkpoint _ -> "wal_checkpoint"
-  | Wal_full _ -> "wal_full"
-  | Wal_replay _ -> "wal_replay"
-  | Store_fault _ -> "store_fault"
-  | Commit_point _ -> "commit_point"
-  | Txn_redrive _ -> "txn_redrive"
-  | Coop_term _ -> "coop_term"
-  | Orphan_gc _ -> "orphan_gc"
-  | Deadlock _ -> "deadlock"
-  | Txn_decide _ -> "txn_decide"
-  | Takeover_acquire _ -> "takeover_acquire"
-  | Takeover_fence _ -> "takeover_fence"
-  | Quiesce _ -> "quiesce"
-  | Span_begin _ -> "span_begin"
-  | Span_end _ -> "span_end"
-  | Shed _ -> "shed"
-  | Repo_resolve _ -> "repo_resolve"
-  | Session_commit _ -> "session_commit"
-  | Breaker _ -> "breaker"
-  | Rpc_hedge _ -> "rpc_hedge"
-  | Rpc_outcome _ -> "rpc_outcome"
-  | Slow_inject _ -> "slow_inject"
-  | Detector_slow _ -> "detector_slow"
 
 let set_sampling t ~every ?(forced = fun _ -> false) () =
   t.sample_every <- max 1 every;

@@ -211,7 +211,19 @@ val spans : t -> span list
 val span_durations : t -> (string * Atomrep_stats.Summary.t) list
 (** Per-label duration histograms over the closed spans, label-sorted. *)
 
+val n_kind_tags : int
+(** Number of kind constructors. *)
+
+val kind_tag : kind -> int
+(** Dense tag of the constructor, in [\[0, n_kind_tags)]: one array slot
+    per kind for per-kind tables (sampling counters, monitor masks). *)
+
 val kind_label : kind -> string
-(** Short stable name of the constructor ("rpc_send", "txn_commit", ...). *)
+(** Short stable name of the constructor ("rpc_send", "txn_commit", ...),
+    unique per tag. *)
+
+val tag_of_label : string -> int option
+(** The tag whose {!kind_label} is the given string; [None] for a string
+    no constructor carries. *)
 
 val pp_event : Format.formatter -> event -> unit

@@ -198,28 +198,32 @@ let script t _rng i =
       else [ { Runtime.target; invocation = Counter.dec_inv } ]
   end
 
+(* Every object of a plan shares one type, and the minimal dependency
+   relation depends only on the type's serial spec (Theorem 6), so it is
+   computed once per call and shared by all the plan's objects. *)
 let objects t ~n_sites =
   let majority = (n_sites / 2) + 1 in
   let q = { Assignment.initial = majority; final = majority } in
-  List.init t.pl_n_objects (fun i ->
-      match t.pl_profile with
-      | Queue_fanout ->
+  match t.pl_profile with
+  | Queue_fanout ->
+    let relation = Static_dep.minimal Queue_type.spec ~max_len:4 in
+    List.init t.pl_n_objects (fun i ->
         {
           Runtime.obj_name = target_name i;
           obj_spec = Queue_type.spec;
-          obj_relation = Static_dep.minimal Queue_type.spec ~max_len:4;
-          obj_assignment =
-            Assignment.make ~n_sites [ ("Enq", q); ("Deq", q) ];
+          obj_relation = relation;
+          obj_assignment = Assignment.make ~n_sites [ ("Enq", q); ("Deq", q) ];
           obj_members = None;
-        }
-      | Read_mostly | Write_heavy ->
+        })
+  | Read_mostly | Write_heavy ->
+    let relation = Static_dep.minimal Counter.spec ~max_len:4 in
+    List.init t.pl_n_objects (fun i ->
         {
           Runtime.obj_name = target_name i;
           obj_spec = Counter.spec;
-          obj_relation = Static_dep.minimal Counter.spec ~max_len:4;
+          obj_relation = relation;
           obj_assignment =
-            Assignment.make ~n_sites
-              [ ("Inc", q); ("Dec", q); ("Read", q) ];
+            Assignment.make ~n_sites [ ("Inc", q); ("Dec", q); ("Read", q) ];
           obj_members = None;
         })
 

@@ -285,14 +285,14 @@ module SM = Atomrep_obs.Spec_monitor
 let test_spec_empty_trace () =
   let tr = Trace.create ~n_sites:1 () in
   let never =
-    SM.make ~name:"never"
+    SM.make ~name:"never" ~observes:[ "txn_begin" ]
       ~init:(fun () -> ())
       ~step:(fun () _ -> SM.Violate ((), "stepped on an empty trace"))
       ()
   in
   check_bool "nothing stepped" true (SM.run never tr = []);
   let obligated =
-    SM.keyed ~name:"per_txn"
+    SM.keyed ~name:"per_txn" ~observes:[ "txn_begin" ]
       ~key:(fun _ -> Some "T0")
       ~init:(fun _ -> ())
       ~step:(fun () _ -> SM.Continue ())
@@ -301,7 +301,7 @@ let test_spec_empty_trace () =
   in
   check_bool "keyed: no instance, no obligation" true (SM.run obligated tr = [])
 
-(* Events failing [on] never reach [step]; the quiesce check still judges
+(* Events outside [observes] never reach [step]; the quiesce check still judges
    what the filtered view amounted to. *)
 let test_spec_on_filter () =
   let tr = Trace.create ~n_sites:1 () in
@@ -309,12 +309,12 @@ let test_spec_on_filter () =
   ignore (Trace.emit tr ~site:0 Trace.Heal);
   let commits_only =
     SM.make ~name:"commits_only"
-      ~on:(SM.observes [ "txn_commit" ])
+      ~observes:[ "txn_commit" ]
       ~init:(fun () -> 0)
       ~step:(fun n e ->
         match e.Trace.kind with
         | Trace.Txn_commit _ -> SM.Continue (n + 1)
-        | _ -> SM.Violate (n, "stepped on an event outside [on]"))
+        | _ -> SM.Violate (n, "stepped on an event outside [observes]"))
       ~at_quiesce:(fun n ->
         if n = 1 then [] else [ Printf.sprintf "saw %d commit(s)" n ])
       ()
@@ -326,12 +326,39 @@ let test_spec_on_filter () =
   ignore (Trace.emit tr ~site:0 (Trace.Txn_commit { txn = "T0" }));
   check_bool "commit observed, spec discharged" true (SM.run commits_only tr = [])
 
+(* A label no trace kind carries is a typo, not an empty subscription:
+   building the spec fails, naming the label and the spec. *)
+let test_spec_unknown_label_rejected () =
+  let rejects what build =
+    match build () with
+    | _ -> Alcotest.failf "%s: unknown label accepted" what
+    | exception Invalid_argument msg ->
+      let mentions sub =
+        let n = String.length sub and m = String.length msg in
+        let rec at i = i + n <= m && (String.sub msg i n = sub || at (i + 1)) in
+        at 0
+      in
+      check_bool (what ^ ": names the label") true (mentions "txn_comit");
+      check_bool (what ^ ": names the spec") true (mentions "typo_spec")
+  in
+  rejects "make" (fun () ->
+      SM.make ~name:"typo_spec" ~observes:[ "txn_begin"; "txn_comit" ]
+        ~init:(fun () -> ())
+        ~step:(fun () _ -> SM.Continue ())
+        ());
+  rejects "keyed" (fun () ->
+      SM.keyed ~name:"typo_spec" ~observes:[ "txn_comit" ]
+        ~key:(fun _ -> None)
+        ~init:(fun _ -> ())
+        ~step:(fun () _ -> SM.Continue ())
+        ())
+
 (* Accept finalizes a keyed instance: its state is GC'd, and a later event
    under the same key allocates a fresh machine. *)
 let test_spec_keyed_gc () =
   let open_close =
     SM.keyed ~name:"txn_open"
-      ~on:(SM.observes [ "txn_begin"; "txn_commit" ])
+      ~observes:[ "txn_begin"; "txn_commit" ]
       ~key:(fun e ->
         match e.Trace.kind with
         | Trace.Txn_begin { txn } | Trace.Txn_commit { txn } -> Some txn
@@ -363,14 +390,14 @@ let test_spec_keyed_gc () =
 let test_spec_conjunction_short_circuit () =
   let steps = ref 0 in
   let tripwire =
-    SM.make ~name:"tripwire"
+    SM.make ~name:"tripwire" ~observes:[ "heal" ]
       ~init:(fun () -> ())
       ~step:(fun () _ -> SM.Violate ((), "first event trips"))
       ~at_quiesce:(fun () -> [ "tripwire quiesce must be skipped" ])
       ()
   in
   let counter =
-    SM.make ~name:"counter"
+    SM.make ~name:"counter" ~observes:[ "heal" ]
       ~init:(fun () -> ())
       ~step:(fun () _ ->
         incr steps;
@@ -452,6 +479,8 @@ let suites =
           test_postmortem_slices_amnesia_violation;
         Alcotest.test_case "spec DSL: empty trace" `Quick test_spec_empty_trace;
         Alcotest.test_case "spec DSL: events outside [on]" `Quick test_spec_on_filter;
+        Alcotest.test_case "spec DSL: unknown label rejected" `Quick
+          test_spec_unknown_label_rejected;
         Alcotest.test_case "spec DSL: keyed-instance GC" `Quick test_spec_keyed_gc;
         Alcotest.test_case "spec DSL: conjunction short-circuit" `Quick
           test_spec_conjunction_short_circuit;

@@ -280,38 +280,82 @@ let test_sampling_never_hides_monitor_events () =
       check_bool "bus actually thinned" true (sampled_len < full_len))
     [ 0; 3; 11 ]
 
+(* One representative per kind constructor, in tag order. *)
+let every_kind =
+  [
+    Trace.Rpc_send { src = 0; dst = 1 };
+    Trace.Rpc_recv { src = 0; dst = 1 };
+    Trace.Rpc_drop { src = 0; dst = 1; reason = "link"; elapsed = 1.0 };
+    Trace.Rpc_timeout { src = 0; dst = 1; timeout = 5.0; elapsed = 5.0 };
+    Trace.Quorum_read { txn = "T"; op = "Deq"; got = 1; need = 1 };
+    Trace.Quorum_append { txn = "T"; op = "Enq"; got = 1; need = 1 };
+    Trace.Repo_append { txn = "T"; op = "Enq"; tentative = true };
+    Trace.Txn_begin { txn = "T" };
+    Trace.Txn_commit { txn = "T" };
+    Trace.Txn_abort { txn = "T"; reason = "r" };
+    Trace.Lock_wait { txn = "T"; blocker = "U" };
+    Trace.Lock_grant { txn = "T"; op = "Enq" };
+    Trace.Epoch_seal { epoch = 1 };
+    Trace.Epoch_transfer { epoch = 1 };
+    Trace.Epoch_fence { epoch = 2; stale = 1 };
+    Trace.Crash { site = 0; amnesia = false };
+    Trace.Recover { site = 0; resynced = true };
+    Trace.Partition { n_groups = 2 };
+    Trace.Heal;
+    Trace.Detector_suspect { site = 0 };
+    Trace.Detector_trust { site = 0 };
+    Trace.Wal_flush { site = 0; records = 3 };
+    Trace.Wal_checkpoint { site = 0; kept = 2; dropped_segments = 1 };
+    Trace.Wal_full { site = 0 };
+    Trace.Wal_replay { site = 0; replayed = 3; truncated = 0; corrupt = false };
+    Trace.Store_fault { site = 0; fault = "torn" };
+    Trace.Commit_point { txn = "T" };
+    Trace.Txn_redrive { txn = "T"; outcome = "commit" };
+    Trace.Coop_term { txn = "T"; outcome = "coop-commit" };
+    Trace.Orphan_gc { site = 0; resolved = 1 };
+    Trace.Deadlock { victim = "T"; cycle = [ "T"; "U" ] };
+    Trace.Txn_decide { txn = "T"; site = 0; committed = true };
+    Trace.Takeover_acquire { txn = "T"; site = 0; term = 1 };
+    Trace.Takeover_fence { txn = "T"; site = 0; term = 1; granted = 2 };
+    Trace.Quiesce { up = 3; n_sites = 3; partitioned = false };
+    Trace.Span_begin { span = 0; parent = None; label = "txn" };
+    Trace.Span_end { span = 0; outcome = "ok" };
+    Trace.Shed { txn = "T"; reason = "queue_full" };
+    Trace.Repo_resolve { txn = "T"; committed = false };
+    Trace.Session_commit { session = 0; txn = "T"; counter = 1; site = 0 };
+    Trace.Breaker { site = 0; state = "open" };
+    Trace.Rpc_hedge { src = 0; dst = 1; delay = 2.0 };
+    Trace.Rpc_outcome { src = 0; dst = 1; ok = true; elapsed = 1.0 };
+    Trace.Slow_inject { site = 0; mode = "constant" };
+    Trace.Detector_slow { site = 0; slow = true; score = 3.0 };
+  ]
+
+(* The label table: tags are dense in [0, n_kind_tags) (the i-th
+   constructor has tag i), labels are unique, and a label maps back to
+   its tag. *)
+let test_kind_tags_dense_labels_round_trip () =
+  check_int "one representative per tag" Trace.n_kind_tags
+    (List.length every_kind);
+  List.iteri
+    (fun i kind ->
+      let label = Trace.kind_label kind in
+      check_int (label ^ ": tag is its position") i (Trace.kind_tag kind);
+      check_bool (label ^ ": label round-trips") true
+        (Trace.tag_of_label label = Some i))
+    every_kind;
+  let labels = List.map Trace.kind_label every_kind in
+  check_int "labels unique" Trace.n_kind_tags
+    (List.length (List.sort_uniq String.compare labels));
+  check_bool "unknown label has no tag" true (Trace.tag_of_label "no_such_kind" = None)
+
 (* Drift guard for the catalogue's static subscription lists: every label
-   in [e_observes] must be a kind the built spec's [on] predicate accepts,
-   and no representative kind outside the list may be accepted — otherwise
-   sampling could thin an event a monitor needed. *)
+   in [e_observes] must be in the built spec's mask, and no kind outside
+   the list may be — otherwise sampling could thin an event a monitor
+   needed. *)
 let test_observes_matches_spec_on () =
   let cfg = Runtime.default_config in
   let outcome = Runtime.run { cfg with Runtime.n_txns = 3 } in
   let ctx = { Monitors.cfg; outcome } in
-  let representatives =
-    [
-      Trace.Txn_decide { txn = "T"; site = 0; committed = true };
-      Trace.Quorum_read { txn = "T"; op = "Deq"; got = 1; need = 1 };
-      Trace.Quorum_append { txn = "T"; op = "Enq"; got = 1; need = 1 };
-      Trace.Txn_commit { txn = "T" };
-      Trace.Txn_abort { txn = "T"; reason = "r" };
-      Trace.Repo_append { txn = "T"; op = "Enq"; tentative = true };
-      Trace.Crash { site = 0; amnesia = false };
-      Trace.Quiesce { up = 3; n_sites = 3; partitioned = false };
-      Trace.Lock_wait { txn = "T"; blocker = "U" };
-      Trace.Lock_grant { txn = "T"; op = "Enq" };
-      Trace.Deadlock { victim = "T"; cycle = [ "T"; "U" ] };
-      Trace.Commit_point { txn = "T" };
-      Trace.Txn_redrive { txn = "T"; outcome = "commit" };
-      Trace.Coop_term { txn = "T"; outcome = "coop-commit" };
-      Trace.Rpc_send { src = 0; dst = 1 };
-      Trace.Txn_begin { txn = "T" };
-      Trace.Shed { txn = "T"; reason = "queue_full" };
-      Trace.Repo_resolve { txn = "T"; committed = false };
-      Trace.Session_commit { session = 0; txn = "T"; counter = 1; site = 0 };
-      Trace.Breaker { site = 0; state = "open" };
-    ]
-  in
   List.iter
     (fun (e : Monitors.entry) ->
       let spec = e.Monitors.e_spec ctx in
@@ -324,14 +368,137 @@ let test_observes_matches_spec_on () =
             (Printf.sprintf "%s/%s: e_observes matches spec.on"
                e.Monitors.e_name label)
             listed observed)
-        representatives)
+        every_kind)
     Monitors.registry;
   (* And the forced predicate is exactly the union of the lists. *)
   let forced = Monitors.forced Monitors.registry in
+  let union = Monitors.observed_labels Monitors.registry in
+  List.iter
+    (fun kind ->
+      let label = Trace.kind_label kind in
+      check_bool ("forced = union at " ^ label) (List.mem label union) (forced kind))
+    every_kind;
   check_bool "union forces txn_decide" true
     (forced (Trace.Txn_decide { txn = "T"; site = 0; committed = true }));
   check_bool "union spares rpc_send" false
     (forced (Trace.Rpc_send { src = 0; dst = 1 }))
+
+(* --- kind-indexed dispatch: the table-driven conjunction against a
+   reference fold --- *)
+
+module SM = Atomrep_obs.Spec_monitor
+
+(* A random child: a counting machine (one instance, or one per event id
+   mod 3) over a random set of labels. It violates when a count reaches
+   [d_trip] (so small trips violate early), a keyed instance accepts at
+   [d_accept], and quiesce reports what is left. *)
+type child_desc = {
+  d_keyed : bool;
+  d_observes : string list;
+  d_trip : int;
+  d_accept : int;
+}
+
+let child_spec i d =
+  let name = Printf.sprintf "c%d" i in
+  let step n (e : Trace.event) =
+    let n = n + 1 in
+    if n = d.d_trip then
+      SM.Violate (n, Printf.sprintf "%s tripped at %d" (Trace.kind_label e.Trace.kind) n)
+    else if d.d_keyed && n >= d.d_accept then SM.Accept
+    else SM.Continue n
+  in
+  if d.d_keyed then
+    SM.keyed ~name ~observes:d.d_observes
+      ~key:(fun e -> Some (string_of_int (e.Trace.id mod 3)))
+      ~init:(fun _ -> 0)
+      ~step
+      ~at_quiesce:(fun k n -> [ Printf.sprintf "%s open at %d" k n ])
+      ()
+  else
+    SM.make ~name ~observes:d.d_observes
+      ~init:(fun () -> 0)
+      ~step
+      ~at_quiesce:(fun n -> [ Printf.sprintf "saw %d" n ])
+      ()
+
+(* Violations in order, live_instances after every event, and the
+   quiesce output. *)
+let table_driven descs events =
+  let inst = SM.instantiate (SM.all ~name:"conj" (List.mapi child_spec descs)) in
+  let lives =
+    List.map
+      (fun e ->
+        SM.observe inst e;
+        SM.live_instances inst)
+      events
+  in
+  (SM.violations inst, lives, SM.quiesce inst)
+
+(* The reference: every child stepped, in order, on every event its
+   declared list names, until its first violation. *)
+let reference descs events =
+  let children =
+    List.mapi (fun i d -> (d, SM.instantiate (child_spec i d), ref false)) descs
+  in
+  let seen = ref [] in
+  let lives =
+    List.map
+      (fun (e : Trace.event) ->
+        let label = Trace.kind_label e.Trace.kind in
+        List.iter
+          (fun (d, inst, failed) ->
+            if (not !failed) && List.mem label d.d_observes then begin
+              SM.observe inst e;
+              match SM.violations inst with
+              | [] -> ()
+              | vs ->
+                failed := true;
+                seen := List.rev_append vs !seen
+            end)
+          children;
+        List.fold_left
+          (fun acc (_, inst, failed) ->
+            if !failed then acc else acc + SM.live_instances inst)
+          0 children)
+      events
+  in
+  let at_quiesce =
+    List.concat_map
+      (fun (_, inst, failed) -> if !failed then [] else SM.quiesce inst)
+      children
+  in
+  let seen = List.rev !seen in
+  (seen, lives, seen @ at_quiesce)
+
+let prop_dispatch_table_matches_reference =
+  let labels = Array.of_list (List.map Trace.kind_label every_kind) in
+  let kinds = Array.of_list every_kind in
+  let child =
+    QCheck2.Gen.(
+      map
+        (fun (keyed, observes, trip, accept) ->
+          {
+            d_keyed = keyed;
+            d_observes = List.map (Array.get labels) observes;
+            d_trip = trip;
+            d_accept = accept;
+          })
+        (quad bool
+           (list_size (int_bound 8) (int_bound (Trace.n_kind_tags - 1)))
+           (int_range 1 6) (int_range 1 6)))
+  in
+  QCheck2.Test.make ~name:"dispatch table matches the reference fold" ~count:300
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 6) child)
+        (list_size (int_bound 150) (int_bound (Trace.n_kind_tags - 1))))
+    (fun (descs, stream) ->
+      let tr = Trace.create ~n_sites:1 () in
+      let events =
+        List.map (fun k -> Trace.get tr (Trace.emit tr ~site:0 kinds.(k))) stream
+      in
+      table_driven descs events = reference descs events)
 
 (* --- runtime integration: profile + timeseries on a real run --- *)
 
@@ -550,6 +717,9 @@ let suites =
           test_sampling_never_hides_monitor_events;
         Alcotest.test_case "e_observes matches spec.on" `Quick
           test_observes_matches_spec_on;
+        Alcotest.test_case "kind tags dense, labels unique and round-trip" `Quick
+          test_kind_tags_dense_labels_round_trip;
+        QCheck_alcotest.to_alcotest prop_dispatch_table_matches_reference;
         Alcotest.test_case "run with profile + timeseries" `Quick
           test_run_with_profile_and_timeseries;
         Alcotest.test_case "bench-diff: harvest" `Quick test_bench_diff_harvest;
