@@ -5,88 +5,411 @@
      quorums     — enumerate valid quorum assignments and availabilities
      simulate    — run the replicated-object simulator
      chaos       — fault-injection campaign over seeds x schemes x profiles
+     load        — one open-loop load point against the simulator
+     perf        — profile a monitored run
+     bench-diff  — gate the committed BENCH_*.json trajectory
+     explore     — parallel monitored seed sweeps and fixture replays
      experiment  — run one of the paper-reproduction experiments
-     types       — list the built-in data types *)
+     compare     — the three atomicity properties on one data type
+     witness     — a Theorem-6 witness for a static dependency pair
+     types       — list the built-in data types
+
+   One pipeline serves them all: Cmdliner converters check every flag
+   value where it is parsed, flag groups are terms that yield overlays on
+   a run's config, and [finish] reports a single-run command. A bad value
+   is a usage error (exit 124) that starts no run; exit 1 means a gate
+   failed. *)
 
 open Cmdliner
 open Atomrep_spec
 open Atomrep_core
 open Atomrep_quorum
 open Atomrep_stats
+open Atomrep_replica
 module Obs = Atomrep_obs
+module Json = Obs.Json
+module Monitors = Atomrep_chaos.Monitors
+module Campaign = Atomrep_chaos.Campaign
+module Explore = Atomrep_chaos.Explore
+module Openloop = Atomrep_workload.Openloop
 
-(* A positive integer: sizes a run cannot start from (no sites, a
-   zero-slot admission window) are usage errors, not runs. *)
-let pos_int =
+(* --- converters --- *)
+
+(* A number inside the domain its flag's doc states: a count a run cannot
+   start from, a negative rate or an empty window is a usage error. *)
+let number of_string pp what ok =
   let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    match of_string s with
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv (parse, pp)
 
-(* Shared observability flags: --trace/--trace-format for the event trace,
-   --metrics-json for the run's metrics registry. *)
-let trace_file_arg =
-  let doc = "Write the run's event trace to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+let int_in what ok = number int_of_string_opt Format.pp_print_int what ok
+let pos_int = int_in "a positive integer" (fun n -> n >= 1)
+let nat = int_in "a non-negative integer" (fun n -> n >= 0)
 
-let trace_format_arg =
+let float_in what ok =
+  number float_of_string_opt Format.pp_print_float what (fun x ->
+      Float.is_finite x && ok x)
+
+let pos_float = float_in "a positive number" (fun x -> x > 0.0)
+let nonneg_float = float_in "a non-negative number" (fun x -> x >= 0.0)
+
+(* A value named in a fixed catalogue. *)
+let named what ~name ~find ~known =
+  let parse s =
+    match find s with
+    | Some x -> Ok x
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown %s %S; known: %s" what s (String.concat ", " known)))
+  in
+  Arg.conv (parse, fun ppf x -> Format.pp_print_string ppf (name x))
+
+(* A comma-separated selection from a catalogue, or `all' of it. *)
+let selection what ~name ~find all =
+  let items = Arg.list (named what ~name ~find ~known:("all" :: List.map name all)) in
+  let parse = function "all" -> Ok all | s -> Arg.conv_parser items s in
+  let print ppf l =
+    if l == all then Format.pp_print_string ppf "all" else Arg.conv_printer items ppf l
+  in
+  Arg.conv (parse, print)
+
+let enum_of name values = Arg.enum (List.map (fun v -> (name v, v)) values)
+let scheme = enum_of Replicated.scheme_name Replicated.[ Hybrid; Static; Locking ]
+
+let profiles =
+  selection "profile" ~name:(fun p -> p.Campaign.profile_name) ~find:Campaign.find_profile
+    Campaign.builtin_profiles
+
+let fixtures =
+  selection "fixture" ~name:(fun f -> f.Explore.f_name) ~find:Explore.find_fixture
+    Explore.fixtures
+
+let data_type =
+  named "type" ~name:(fun s -> s.Serial_spec.name) ~find:Type_registry.find
+    ~known:Type_registry.names
+
+let monitors =
+  let parse s = Result.map_error (fun e -> `Msg e) (Monitors.of_names s) in
+  let print ppf sel =
+    Format.pp_print_string ppf
+      (if sel == Monitors.registry then "all"
+       else String.concat "," (List.map (fun e -> e.Monitors.e_name) sel))
+  in
+  Arg.conv (parse, print)
+
+(* One fail-slow injection, SITE[:MODE[:FACTOR[:ONSET]]]. Whether SITE is
+   in the cluster depends on --sites, so [gray_flags] checks it. *)
+let fail_slow_item =
+  let mode name factor =
+    let open Atomrep_sim.Network in
+    match name with
+    | "constant" -> Ok (Slow_constant factor)
+    | "heavy" ->
+      Ok
+        (Slow_heavy
+           {
+             factor = 1.0 +. ((factor -. 1.0) /. 4.0);
+             p_tail = 0.2;
+             tail_factor = 2.0 *. factor;
+           })
+    | "creep" -> Ok (Slow_creeping { rate = factor /. 1000.0; cap = factor })
+    | other ->
+      Error
+        (`Msg (Printf.sprintf "unknown fail-slow mode %S (constant|heavy|creep)" other))
+  in
+  let parse s =
+    let fields = String.split_on_char ':' s in
+    let field i default = Option.value (List.nth_opt fields i) ~default in
+    match
+      ( List.length fields <= 4,
+        int_of_string_opt (field 0 ""),
+        float_of_string_opt (field 2 "8"),
+        float_of_string_opt (field 3 "0") )
+    with
+    | true, Some site, Some factor, Some onset ->
+      Result.map (fun m -> (site, onset, m)) (mode (field 1 "constant") factor)
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "bad fail-slow spec %S (SITE[:MODE[:FACTOR[:ONSET]]])" s))
+  in
+  (* Only the empty default is ever printed. *)
+  Arg.conv (parse, fun ppf (site, _, _) -> Format.pp_print_int ppf site)
+
+(* --- arguments --- *)
+
+let opt ?absent c default names ~docv ~doc =
+  Arg.value (Arg.opt c default (Arg.info names ?absent ~docv ~doc))
+
+let flag names ~doc = Arg.value (Arg.flag (Arg.info names ~doc))
+
+(* A flag a subcommand may lack: absent, it holds [default]. *)
+let present on arg default = if on then arg else Term.const default
+
+let scheme_arg =
+  opt scheme Replicated.Hybrid [ "scheme" ] ~docv:"SCHEME"
+    ~doc:"hybrid, static, or locking."
+
+let schemes_arg =
+  opt (Arg.list scheme) Replicated.[ Static; Hybrid; Locking ] [ "schemes" ]
+    ~docv:"SCHEMES" ~doc:"Comma-separated schemes to sweep."
+
+let profiles_arg =
+  opt profiles Campaign.builtin_profiles [ "profiles" ] ~docv:"PROFILES"
+    ~doc:"Comma-separated fault profiles, or `all'."
+
+let sites_arg default =
+  opt pos_int default [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree."
+
+let seed_arg ?(doc = "RNG seed.") default =
+  opt Arg.int default [ "seed" ] ~docv:"SEED" ~doc
+
+let txns_arg ~doc default = opt pos_int default [ "txns" ] ~docv:"N" ~doc
+let seeds_arg ~doc default = opt pos_int default [ "seeds" ] ~docv:"N" ~doc
+
+let postmortem_dir_arg =
+  opt Arg.(some string) None [ "postmortem-dir" ] ~docv:"DIR"
+    ~doc:
+      "Replay each shrunk violation under tracing and write a causal \
+       postmortem plus the full trace into $(docv)."
+
+let type_arg =
+  let doc = "Data type to analyze (see the `types' subcommand)." in
+  Arg.(required & opt (some data_type) None & info [ "t"; "type" ] ~docv:"TYPE" ~doc)
+
+let max_len_arg =
+  opt pos_int 4 [ "max-len" ] ~docv:"N"
+    ~doc:"History-length bound for the exhaustive analyses."
+
+(* --- flag groups: each term yields an overlay on a run's config --- *)
+
+(* Gray-failure flags: --hedge / --demote overlay the mitigation layer on
+   whatever base the command runs; --fail-slow adds persistent fail-slow
+   sites, each checked against the cluster size [n_sites] before any run
+   starts. *)
+let gray_flags n_sites =
+  let hedge =
+    flag [ "hedge" ]
+      ~doc:
+        "Hedge quorum rounds: fire each quorum gather the moment a satisfying \
+         vote set has answered, and re-issue straggling calls to a spare \
+         quorum member after an adaptive percentile delay (repositories are \
+         idempotent, so first-reply-wins is safe)."
+  in
+  let demote =
+    flag [ "demote" ]
+      ~doc:
+        "Demote slow-suspected sites: steer quorum vote-set selection away \
+         from sites the latency detector grades fail-slow (never below the \
+         quorum floor), and — when the reconfiguration coordinator runs — \
+         plan persistent offenders out of the epoch."
+  in
+  let fail_slow =
+    opt (Arg.list fail_slow_item) [] [ "fail-slow" ] ~docv:"SPEC"
+      ~doc:
+        "Comma-separated fail-slow injections, each SITE[:MODE[:FACTOR[:ONSET]]]: \
+         from ONSET ms on (default 0), SITE answers with service times inflated \
+         by FACTOR (default 8) under shape MODE — `constant', `heavy' (mild \
+         base inflation with occasional large spikes), or `creep' (degradation \
+         ramping up to FACTOR). The site stays up: a gray failure, not a crash."
+  in
+  let overlay hedge demote fail_slow n_sites =
+    match List.find_opt (fun (s, _, _) -> s < 0 || s >= n_sites) fail_slow with
+    | Some (s, _, _) ->
+      Error
+        (`Msg
+          (Printf.sprintf "fail-slow site %d out of range (cluster has %d sites: 0..%d)" s
+             n_sites (n_sites - 1)))
+    | None ->
+      Ok
+        (fun (cfg : Runtime.config) ->
+          let cfg =
+            if hedge || demote then
+              { cfg with gray = Some { Runtime.default_gray with hedge; demote } }
+            else cfg
+          in
+          if fail_slow = [] then cfg else { cfg with fail_slow })
+  in
+  Term.(cli_parse_result (const overlay $ hedge $ demote $ fail_slow $ n_sites))
+
+(* Transaction flags: crash-safe termination, the deadlock policy,
+   coordinator takeover and the retry budget (see Runtime.config). *)
+let txn_flags ?(takeover = true) ?(retry_budget = true) () =
+  let termination =
+    let doc =
+      "Crash-safe transaction termination: `none' (coordinator crashes \
+       strand in-doubt transactions, the historical behavior), \
+       `presumed-abort-only' (durable commit point, recovery redrive, \
+       presumed abort), or `cooperative' (plus participant-driven quorum \
+       termination and the orphan reaper)."
+    in
+    opt
+      (Arg.enum
+         [
+           ("none", Atomrep_txn.Termination.Disabled);
+           ("presumed-abort-only", Atomrep_txn.Termination.Presumed_abort_only);
+           ("cooperative", Atomrep_txn.Termination.Cooperative);
+         ])
+      Atomrep_txn.Termination.Disabled [ "termination" ] ~docv:"MODE" ~doc
+  in
+  let deadlock =
+    let doc =
+      "Deadlock policy for blocked operations: `none' (backoff and retry \
+       budgets only), `detect' (waits-for cycle detection, youngest victim), \
+       or `wound-wait' (older waiters preempt younger blockers)."
+    in
+    opt
+      (Arg.enum
+         [
+           ("none", Runtime.No_deadlock);
+           ("detect", Runtime.Detect);
+           ("wound-wait", Runtime.Wound_wait);
+         ])
+      Runtime.No_deadlock [ "deadlock" ] ~docv:"POLICY" ~doc
+  in
+  let takeover_flag =
+    flag [ "takeover" ]
+      ~doc:
+        "Coordinator takeover: a participant that finds a dead coordinator's \
+         in-doubt transaction wins an epoch-fenced takeover lease, adopts the \
+         drive from the quorum's sticky votes, and force-writes the adopted \
+         decision to its own durable decision log. Only meaningful with \
+         --termination cooperative."
+  in
+  (* Caps retry amplification: conflict backoffs, commit-quorum re-probes
+     and commit re-drives all spend from one per-transaction pot. *)
+  let budget =
+    opt nat 0 [ "retry-budget" ] ~docv:"N"
+      ~doc:
+        "Per-transaction retry budget shared by conflict backoffs, commit-quorum \
+         re-probes and commit re-drives; exhaustion aborts the transaction \
+         (or gives the commit drive up as in-doubt). 0 = unlimited."
+  in
+  let overlay termination deadlock takeover budget (cfg : Runtime.config) =
+    let retry_budget = if budget = 0 then cfg.retry_budget else budget in
+    { cfg with termination; deadlock; takeover; retry_budget }
+  in
+  Term.(
+    const overlay $ termination $ deadlock
+    $ present takeover takeover_flag false
+    $ present retry_budget budget 0)
+
+(* Durability flag: which stable-storage model backs every repository.
+   [~tuned] gives campaign-length runs Campaign.storage_base's small
+   segments and aggressive checkpoint period, so the storage profiles
+   have segments to roll and compact. *)
+let durability_flag ~tuned =
   let doc =
-    "Trace format: `jsonl' (one event per line) or `chrome' (trace_event \
-     JSON, opens in Perfetto / chrome://tracing)."
+    "Stable-storage model: `none' (volatile repositories, the default), \
+     `wal' (per-site write-ahead log, flushed on every append batch), or \
+     `wal-group-commit' (flush barriers only on batches carrying \
+     commit/abort records)."
   in
-  Arg.(
-    value
-    & opt (enum [ ("jsonl", `Jsonl); ("chrome", `Chrome) ]) `Jsonl
-    & info [ "trace-format" ] ~docv:"FMT" ~doc)
-
-let metrics_json_arg =
-  let doc = "Write the run's metrics registry as JSON to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "metrics-json" ] ~docv:"FILE" ~doc)
-
-let write_trace path fmt trace =
-  let contents =
-    match fmt with
-    | `Chrome -> Obs.Export.chrome_string trace
-    | `Jsonl -> Obs.Export.jsonl trace
+  let mode =
+    opt
+      (Arg.enum [ ("none", None); ("wal", Some false); ("wal-group-commit", Some true) ])
+      None [ "durability" ] ~docv:"MODE" ~doc
   in
-  Obs.Export.write_file path contents;
-  print_string (Obs.Export.flame trace)
+  let overlay mode (cfg : Runtime.config) =
+    match mode with
+    | None -> cfg
+    | Some group_commit when tuned ->
+      {
+        cfg with
+        durability =
+          Repository.durable ~group_commit ~segment_records:16 ~checkpoint_every:48 ();
+      }
+    | Some group_commit -> { cfg with durability = Repository.durable ~group_commit () }
+  in
+  Term.(const overlay $ mode)
 
-let write_metrics path registry =
-  Obs.Export.write_file path (Obs.Json.to_string (Obs.Metrics.to_json registry))
+(* Observability flags, resolved: the monitors that gate the run and what
+   to sample, profile and write out. *)
+type obs = {
+  monitors : Monitors.entry list;
+  sample : int;
+  trace_to : (string * [ `Jsonl | `Chrome ]) option;
+  metrics_to : string option;
+  timeseries_to : string option;
+  window : float;
+  profiled : bool;
+}
 
-(* Shared performance-observability flags: --sample thins the trace bus
-   (monitor-subscribed kinds stay full fidelity), --profile turns on the
-   phase profiler, --timeseries samples sim-time windows to a JSON file. *)
+(* --monitor: every run is gated on declarative spec monitors, by default
+   [default]; --monitor SEL picks the selection instead, and a bare
+   --monitor selects the whole catalogue. *)
+let monitor_arg default =
+  let doc =
+    Printf.sprintf
+      "Gate the run(s) on the selected declarative spec monitors \
+       instead of the default commit_atomicity,common_order history \
+       oracles; runs are traced when a selected monitor observes \
+       trace events, and violations make the exit code nonzero. \
+       $(docv) is %s. Bare $(b,--monitor) selects `all'."
+      Monitors.selection_doc
+  in
+  Term.(
+    const (Option.value ~default)
+    $ Arg.(
+        value
+        & opt ~vopt:(Some Monitors.registry) (some monitors) None
+        & info [ "monitor" ] ~docv:"MONITORS" ~doc))
+
 let sample_arg =
-  let doc =
-    "Keep one in $(docv) trace events per kind (deterministic counter, no \
-     RNG). Span and quiesce events, and any kind a selected monitor \
-     subscribes to, are always kept, so monitor verdicts are identical \
-     sampled or not. 1 = full fidelity."
-  in
-  Arg.(value & opt int 1 & info [ "sample" ] ~docv:"N" ~doc)
-
-let profile_flag_arg =
-  let doc =
-    "Profile the run: print the hot-phase table (wall time + minor-heap \
-     allocation per subsystem/phase) after the metrics."
-  in
-  Arg.(value & flag & info [ "profile" ] ~doc)
-
-let timeseries_file_arg =
-  let doc =
-    "Sample committed/aborted/blocked rates, WAL flushes, messages, queue \
-     depth and the stranded gauge into fixed-width sim-time windows and \
-     write them as JSON to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "timeseries" ] ~docv:"FILE" ~doc)
+  opt pos_int 1 [ "sample" ] ~docv:"N"
+    ~doc:
+      "Keep one in $(docv) trace events per kind (deterministic counter, no \
+       RNG). Span and quiesce events, and any kind a selected monitor \
+       subscribes to, are always kept, so monitor verdicts are identical \
+       sampled or not. 1 = full fidelity."
 
 let window_arg =
-  let doc = "Time-series window width in simulated ms." in
-  Arg.(value & opt float 500.0 & info [ "window" ] ~docv:"MS" ~doc)
+  opt pos_float 500.0 [ "window" ] ~docv:"MS"
+    ~doc:"Time-series window width in simulated ms."
+
+let obs_flags ?(timeseries = false) ?(profile = false) () =
+  let trace =
+    opt Arg.(some string) None [ "trace" ] ~docv:"FILE"
+      ~doc:"Write the run's event trace to $(docv)."
+  in
+  let trace_format =
+    opt
+      (Arg.enum [ ("jsonl", `Jsonl); ("chrome", `Chrome) ])
+      `Jsonl [ "trace-format" ] ~docv:"FMT"
+      ~doc:
+        "Trace format: `jsonl' (one event per line) or `chrome' (trace_event \
+         JSON, opens in Perfetto / chrome://tracing)."
+  in
+  let metrics_json =
+    opt Arg.(some string) None [ "metrics-json" ] ~docv:"FILE"
+      ~doc:"Write the run's metrics registry as JSON to $(docv)."
+  in
+  let timeseries_file =
+    opt Arg.(some string) None [ "timeseries" ] ~docv:"FILE"
+      ~doc:
+        "Sample committed/aborted/blocked rates, WAL flushes, messages, queue \
+         depth and the stranded gauge into fixed-width sim-time windows and \
+         write them as JSON to $(docv)."
+  in
+  let profile_flag =
+    flag [ "profile" ]
+      ~doc:
+        "Profile the run: print the hot-phase table (wall time + minor-heap \
+         allocation per subsystem/phase) after the metrics."
+  in
+  let make monitors sample trace fmt metrics_to timeseries_to window profiled =
+    let trace_to = Option.map (fun path -> (path, fmt)) trace in
+    { monitors; sample; trace_to; metrics_to; timeseries_to; window; profiled }
+  in
+  Term.(
+    const make $ monitor_arg Monitors.history $ sample_arg $ trace $ trace_format
+    $ metrics_json
+    $ present timeseries timeseries_file None
+    $ present timeseries window_arg 500.0
+    $ present profile profile_flag false)
 
 (* A wall-clock profile: the obs library defaults to Sys.time because it
    cannot link Unix; the CLI can, so runs measure real elapsed time. *)
@@ -95,861 +418,403 @@ let fresh_profile () =
   Obs.Profile.set_clock p Unix.gettimeofday;
   p
 
-let print_profile p =
-  Format.printf "%a@?" (Obs.Profile.pp_table ?top:None) p
+(* The observability stack [obs] asks for, on [cfg]'s cluster: a trace bus
+   to export or to report the sampling of (otherwise the judge attaches
+   one only if a selected monitor folds trace events), the phase profiler
+   and the sim-time series. *)
+let observe obs (cfg : Runtime.config) =
+  {
+    cfg with
+    trace =
+      (if obs.trace_to <> None || obs.sample > 1 then
+         Some (Obs.Trace.create ~n_sites:cfg.n_sites ())
+       else None);
+    profile = (if obs.profiled then fresh_profile () else Obs.Profile.null);
+    timeseries =
+      (if obs.timeseries_to <> None then Obs.Timeseries.create ~width:obs.window ()
+       else Obs.Timeseries.null);
+  }
+
+let judge obs cfg = Monitors.check_run ~monitors:obs.monitors ~sample:obs.sample cfg
+
+(* --- reporting --- *)
+
+(* The replicated queue the closed-loop commands run. *)
+let queue_objects ~n_sites =
+  [
+    {
+      Runtime.obj_name = "queue";
+      obj_spec = Queue_type.spec;
+      obj_relation = Static_dep.minimal Queue_type.spec ~max_len:4;
+      obj_assignment = Runtime.default_queue_assignment ~n_sites;
+      obj_members = None;
+    };
+  ]
+
+(* Optional metric sections: each prints only when the flags that turn it
+   on are set in the run's config. *)
+let reconfig_section (cfg : Runtime.config) (m : Runtime.metrics) =
+  if Option.is_some cfg.reconfig then
+    Printf.printf
+      "reconfigurations: %d ok (%d refused, %d failed), final epoch %d, \
+       detector transitions %d\n"
+      m.reconfigs m.reconfigs_refused m.reconfigs_failed m.final_epoch
+      m.suspicion_transitions
+
+let gray_section (cfg : Runtime.config) (m : Runtime.metrics) =
+  if Option.is_some cfg.gray then
+    Printf.printf
+      "gray: hedges=%d wins=%d late-replies=%d demoted-rounds=%d slow-suspicions=%d\n"
+      m.hedges m.hedge_wins m.hedge_late m.demoted_rounds m.slow_suspicions
+
+let wal_section (cfg : Runtime.config) (m : Runtime.metrics) =
+  if cfg.durability <> Repository.Volatile then begin
+    Printf.printf
+      "wal: flushes=%d (records=%d, lost=%d, disk-full=%d) checkpoints=%d \
+       torn=%d rotted=%d storage-faults=%d\n"
+      m.wal_flushes m.wal_flushed_records m.wal_lost_flushes m.wal_full_rejections
+      m.wal_checkpoints m.wal_torn_writes m.wal_rotted m.storage_faults;
+    Printf.printf
+      "recovery: %d replays (%d corrupt), mean replay %.1f records, mean cost \
+       %.2f ms\n"
+      m.recoveries m.recoveries_corrupt (Summary.mean m.recovery_replay)
+      (Summary.mean m.recovery_cost)
+  end
+
+let termination_section (cfg : Runtime.config) (m : Runtime.metrics) =
+  if
+    Atomrep_txn.Termination.enabled cfg.termination
+    || cfg.deadlock <> Runtime.No_deadlock
+  then
+    Printf.printf
+      "termination: coop-commits=%d coop-aborts=%d presumed=%d deadlock=%d \
+       redrives=%d orphans-reaped=%d stranded=%d decision-writes=%d mean \
+       blocked %.1f ms\n"
+      m.coop_commits m.coop_aborts m.presumed_aborts m.deadlock_aborts m.redrives
+      m.orphans_reaped m.stranded_entries m.decision_log_writes
+      (Summary.mean m.blocked_latency)
+
+let takeover_section (cfg : Runtime.config) (m : Runtime.metrics) =
+  if cfg.takeover then
+    Printf.printf
+      "takeover: leases=%d adoptions=%d fenced=%d contended=%d \
+       rebroadcasts-suppressed=%d stranded-live=%d\n"
+      m.takeover_leases m.takeover_adoptions m.takeover_fenced m.takeover_contended
+      m.rebroadcasts_suppressed m.stranded_live
+
+let retries_section (cfg : Runtime.config) (m : Runtime.metrics) =
+  if cfg.retry_budget <> max_int then
+    Printf.printf "retries: spent=%d budget-exhausted=%d\n" m.retries_spent
+      m.retries_budget_exhausted
+
+let print_profile p = Format.printf "%a@?" (Obs.Profile.pp_table ?top:None) p
 
 let write_timeseries path ts =
-  Obs.Export.write_file path (Obs.Json.to_string (Obs.Timeseries.to_json ts));
-  Printf.printf "wrote %s (%d windows)\n" path
-    (List.length (Obs.Timeseries.windows ts))
-
-(* Shared monitor selection: every run is gated on declarative spec
-   monitors, by default the two history oracles (commit_atomicity,
-   common_order); --monitor [SEL] picks the selection instead, and a bare
-   --monitor selects the whole catalogue. *)
-let monitor_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some "all") (some string) None
-    & info [ "monitor" ] ~docv:"MONITORS"
-        ~doc:
-          (Printf.sprintf
-             "Gate the run(s) on the selected declarative spec monitors \
-              instead of the default commit_atomicity,common_order history \
-              oracles; runs are traced when a selected monitor observes \
-              trace events, and violations make the exit code nonzero. \
-              $(docv) is %s. Bare $(b,--monitor) selects `all'."
-             Atomrep_chaos.Monitors.selection_doc))
-
-let parse_monitors = function
-  | None -> Ok Atomrep_chaos.Monitors.history
-  | Some sel -> Atomrep_chaos.Monitors.of_names sel
+  Obs.Export.write_file path (Json.to_string (Obs.Timeseries.to_json ts));
+  Printf.printf "wrote %s (%d windows)\n" path (List.length (Obs.Timeseries.windows ts))
 
 (* One verdict line per judged run: the monitors that held, or one line
    per failure. *)
 let print_verdict monitors = function
   | [] ->
     Printf.printf "monitors: OK (%s)\n"
-      (String.concat ", "
-         (List.map
-            (fun (e : Atomrep_chaos.Monitors.entry) -> e.Atomrep_chaos.Monitors.e_name)
-            monitors))
+      (String.concat ", " (List.map (fun e -> e.Monitors.e_name) monitors))
   | fs -> List.iter (fun (o, f) -> Printf.printf "VIOLATION %s: %s\n" o f) fs
 
-(* Shared durability flag: which stable-storage model backs every
-   repository. `wal' flushes on every append batch; `wal-group-commit'
-   defers the flush barrier until a batch carries a commit/abort record. *)
-let durability_arg =
-  let doc =
-    "Stable-storage model: `none' (volatile repositories, the default), \
-     `wal' (per-site write-ahead log, flushed on every append batch), or \
-     `wal-group-commit' (flush barriers only on batches carrying \
-     commit/abort records)."
-  in
-  Arg.(
-    value
-    & opt
-        (enum [ ("none", `None); ("wal", `Wal); ("wal-group-commit", `Wal_gc) ])
-        `None
-    & info [ "durability" ] ~docv:"MODE" ~doc)
-
-let durability_of = function
-  | `None -> Atomrep_replica.Repository.Volatile
-  | `Wal -> Atomrep_replica.Repository.durable ()
-  | `Wal_gc -> Atomrep_replica.Repository.durable ~group_commit:true ()
-
-(* Shared crash-safe-termination flags (see Runtime.config). *)
-let termination_arg =
-  let doc =
-    "Crash-safe transaction termination: `none' (coordinator crashes \
-     strand in-doubt transactions, the historical behavior), \
-     `presumed-abort-only' (durable commit point, recovery redrive, \
-     presumed abort), or `cooperative' (plus participant-driven quorum \
-     termination and the orphan reaper)."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("none", Atomrep_txn.Termination.Disabled);
-             ("presumed-abort-only", Atomrep_txn.Termination.Presumed_abort_only);
-             ("cooperative", Atomrep_txn.Termination.Cooperative);
-           ])
-        Atomrep_txn.Termination.Disabled
-    & info [ "termination" ] ~docv:"MODE" ~doc)
-
-let deadlock_arg =
-  let doc =
-    "Deadlock policy for blocked operations: `none' (backoff and retry \
-     budgets only), `detect' (waits-for cycle detection, youngest victim), \
-     or `wound-wait' (older waiters preempt younger blockers)."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("none", Atomrep_replica.Runtime.No_deadlock);
-             ("detect", Atomrep_replica.Runtime.Detect);
-             ("wound-wait", Atomrep_replica.Runtime.Wound_wait);
-           ])
-        Atomrep_replica.Runtime.No_deadlock
-    & info [ "deadlock" ] ~docv:"POLICY" ~doc)
-
-let takeover_arg =
-  let doc =
-    "Coordinator takeover: a participant that finds a dead coordinator's \
-     in-doubt transaction wins an epoch-fenced takeover lease, adopts the \
-     drive from the quorum's sticky votes, and force-writes the adopted \
-     decision to its own durable decision log. Only meaningful with \
-     --termination cooperative."
-  in
-  Arg.(value & flag & info [ "takeover" ] ~doc)
-
-(* Shared retry-budget flag: caps retry amplification (conflict backoffs,
-   commit-quorum re-probes, and commit re-drives all spend from one
-   per-transaction pot). 0 keeps the historical unlimited behavior. *)
-let retry_budget_arg =
-  let doc =
-    "Per-transaction retry budget shared by conflict backoffs, commit-quorum \
-     re-probes and commit re-drives; exhaustion aborts the transaction \
-     (or gives the commit drive up as in-doubt). 0 = unlimited."
-  in
-  Arg.(value & opt int 0 & info [ "retry-budget" ] ~docv:"N" ~doc)
-
-let retry_budget_of n = if n <= 0 then max_int else n
-
-(* Shared gray-failure flags: --fail-slow injects persistent fail-slow
-   sites, --hedge / --demote turn the mitigation layer on (Runtime.gray). *)
-let hedge_arg =
-  let doc =
-    "Hedge quorum rounds: fire each quorum gather the moment a satisfying \
-     vote set has answered, and re-issue straggling calls to a spare \
-     quorum member after an adaptive percentile delay (repositories are \
-     idempotent, so first-reply-wins is safe)."
-  in
-  Arg.(value & flag & info [ "hedge" ] ~doc)
-
-let demote_arg =
-  let doc =
-    "Demote slow-suspected sites: steer quorum vote-set selection away \
-     from sites the latency detector grades fail-slow (never below the \
-     quorum floor), and — when the reconfiguration coordinator runs — \
-     plan persistent offenders out of the epoch."
-  in
-  Arg.(value & flag & info [ "demote" ] ~doc)
-
-let gray_of ~hedge ~demote =
-  if hedge || demote then
-    Some { Atomrep_replica.Runtime.default_gray with hedge; demote }
-  else None
-
-let fail_slow_arg =
-  let doc =
-    "Comma-separated fail-slow injections, each SITE[:MODE[:FACTOR[:ONSET]]]: \
-     from ONSET ms on (default 0), SITE answers with service times inflated \
-     by FACTOR (default 8) under shape MODE — `constant', `heavy' (mild \
-     base inflation with occasional large spikes), or `creep' (degradation \
-     ramping up to FACTOR). The site stays up: a gray failure, not a crash."
-  in
-  Arg.(value & opt string "" & info [ "fail-slow" ] ~docv:"SPEC" ~doc)
-
-let parse_fail_slow spec =
-  let mode_of name factor =
-    match name with
-    | "constant" -> Ok (Atomrep_sim.Network.Slow_constant factor)
-    | "heavy" ->
-      Ok
-        (Atomrep_sim.Network.Slow_heavy
-           {
-             factor = 1.0 +. ((factor -. 1.0) /. 4.0);
-             p_tail = 0.2;
-             tail_factor = 2.0 *. factor;
-           })
-    | "creep" ->
-      Ok (Atomrep_sim.Network.Slow_creeping { rate = factor /. 1000.0; cap = factor })
-    | other ->
-      Error (Printf.sprintf "unknown fail-slow mode %S (constant|heavy|creep)" other)
-  in
-  let item s =
-    let bad () =
-      Error (Printf.sprintf "bad fail-slow spec %S (SITE[:MODE[:FACTOR[:ONSET]]])" s)
-    in
-    match String.split_on_char ':' s with
-    | ([ _ ] | [ _; _ ] | [ _; _; _ ] | [ _; _; _; _ ]) as parts -> (
-      let site = int_of_string_opt (List.nth parts 0) in
-      let mode_name = if List.length parts > 1 then List.nth parts 1 else "constant" in
-      let factor =
-        if List.length parts > 2 then float_of_string_opt (List.nth parts 2)
-        else Some 8.0
-      in
-      let onset =
-        if List.length parts > 3 then float_of_string_opt (List.nth parts 3)
-        else Some 0.0
-      in
-      match site, factor, onset with
-      | Some site, Some factor, Some onset ->
-        Result.map (fun mode -> (site, onset, mode)) (mode_of mode_name factor)
-      | _ -> bad ())
-    | _ -> bad ()
-  in
-  if String.equal (String.trim spec) "" then Ok []
-  else
-    List.fold_right
-      (fun s acc ->
-        match acc, item s with
-        | Error e, _ -> Error e
-        | _, Error e -> Error e
-        | Ok rest, Ok it -> Ok (it :: rest))
-      (String.split_on_char ',' spec)
-      (Ok [])
-
-let check_fail_slow_sites ~n_sites fs =
-  match List.find_opt (fun (s, _, _) -> s < 0 || s >= n_sites) fs with
-  | Some (s, _, _) ->
-    Error
-      (Printf.sprintf
-         "fail-slow site %d out of range (cluster has %d sites: 0..%d)" s
-         n_sites (n_sites - 1))
-  | None -> Ok fs
-
-let print_gray_metrics (m : Atomrep_replica.Runtime.metrics) =
-  let open Atomrep_replica in
-  Printf.printf
-    "gray: hedges=%d wins=%d late-replies=%d demoted-rounds=%d slow-suspicions=%d\n"
-    m.Runtime.hedges m.Runtime.hedge_wins m.Runtime.hedge_late
-    m.Runtime.demoted_rounds m.Runtime.slow_suspicions
-
-let print_takeover_metrics (m : Atomrep_replica.Runtime.metrics) =
-  let open Atomrep_replica in
-  Printf.printf
-    "takeover: leases=%d adoptions=%d fenced=%d contended=%d \
-     rebroadcasts-suppressed=%d stranded-live=%d\n"
-    m.Runtime.takeover_leases m.Runtime.takeover_adoptions
-    m.Runtime.takeover_fenced m.Runtime.takeover_contended
-    m.Runtime.rebroadcasts_suppressed m.Runtime.stranded_live
-
-let print_termination_metrics (m : Atomrep_replica.Runtime.metrics) =
-  let open Atomrep_replica in
-  Printf.printf
-    "termination: coop-commits=%d coop-aborts=%d presumed=%d deadlock=%d \
-     redrives=%d orphans-reaped=%d stranded=%d decision-writes=%d mean \
-     blocked %.1f ms\n"
-    m.Runtime.coop_commits m.Runtime.coop_aborts m.Runtime.presumed_aborts
-    m.Runtime.deadlock_aborts m.Runtime.redrives m.Runtime.orphans_reaped
-    m.Runtime.stranded_entries m.Runtime.decision_log_writes
-    (Summary.mean m.Runtime.blocked_latency)
-
-let print_wal_metrics (m : Atomrep_replica.Runtime.metrics) =
-  let open Atomrep_replica in
-  Printf.printf
-    "wal: flushes=%d (records=%d, lost=%d, disk-full=%d) checkpoints=%d \
-     torn=%d rotted=%d storage-faults=%d\n"
-    m.Runtime.wal_flushes m.Runtime.wal_flushed_records m.Runtime.wal_lost_flushes
-    m.Runtime.wal_full_rejections m.Runtime.wal_checkpoints m.Runtime.wal_torn_writes
-    m.Runtime.wal_rotted m.Runtime.storage_faults;
-  Printf.printf
-    "recovery: %d replays (%d corrupt), mean replay %.1f records, mean cost \
-     %.2f ms\n"
-    m.Runtime.recoveries m.Runtime.recoveries_corrupt
-    (Summary.mean m.Runtime.recovery_replay)
-    (Summary.mean m.Runtime.recovery_cost)
-
-let find_spec name =
-  match Type_registry.find name with
-  | Some spec -> Ok spec
-  | None ->
-    Error
-      (Printf.sprintf "unknown type %S; available: %s" name
-         (String.concat ", " Type_registry.names))
-
-let type_arg =
-  let doc = "Data type to analyze (see the `types' subcommand)." in
-  Arg.(required & opt (some string) None & info [ "t"; "type" ] ~docv:"TYPE" ~doc)
-
-let max_len_arg =
-  let doc = "History-length bound for the exhaustive analyses." in
-  Arg.(value & opt int 4 & info [ "max-len" ] ~docv:"N" ~doc)
+(* The report of a single-run command. Per judged run: its header, the
+   [sections] the flags turned on, and the monitor verdict; then the trace
+   sampling line, the profile table, and the time-series, trace and
+   metrics files [obs] names (the metrics of the last run). [cfg] holds
+   the observability stack the runs shared. The monitors gate the exit
+   code so scripted runs can fail hard. *)
+let finish ?(sections = []) obs (cfg : Runtime.config) runs =
+  List.iter
+    (fun (header, ((outcome : Runtime.outcome), failures)) ->
+      header outcome.metrics;
+      List.iter (fun section -> section cfg outcome.metrics) sections;
+      print_verdict obs.monitors failures)
+    runs;
+  (match cfg.trace with
+   | Some tr when obs.sample > 1 ->
+     Printf.printf "trace sampling: 1/%d, kept=%d sampled-out=%d\n"
+       (Obs.Trace.sampling tr) (Obs.Trace.length tr) (Obs.Trace.sampled_out tr)
+   | _ -> ());
+  if obs.profiled then print_profile cfg.profile;
+  Option.iter (fun path -> write_timeseries path cfg.timeseries) obs.timeseries_to;
+  (match obs.trace_to, cfg.trace with
+   | Some (path, fmt), Some tr ->
+     Obs.Export.write_file path
+       (match fmt with
+        | `Chrome -> Obs.Export.chrome_string tr
+        | `Jsonl -> Obs.Export.jsonl tr);
+     print_string (Obs.Export.flame tr)
+   | _ -> ());
+  (match obs.metrics_to, List.rev runs with
+   | Some path, (_, ((outcome : Runtime.outcome), _)) :: _ ->
+     Obs.Export.write_file path (Json.to_string (Obs.Metrics.to_json outcome.registry))
+   | _ -> ());
+  if List.for_all (fun (_, (_, failures)) -> failures = []) runs then 0 else 1
 
 (* --- analyze --- *)
 
 let analyze_cmd =
-  let run type_name max_len hybrid_search =
-    match find_spec type_name with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok spec ->
-      let hybrid =
-        if hybrid_search then
-          Analysis.Search { max_events = max_len; max_actions = 3; universe = None }
-        else Analysis.Skip
-      in
-      let analysis = Analysis.analyze ~max_len ~hybrid spec in
-      Format.printf "%a@." Analysis.pp_report analysis;
-      0
+  let run spec max_len hybrid_search =
+    let hybrid =
+      if hybrid_search then
+        Analysis.Search { max_events = max_len; max_actions = 3; universe = None }
+      else Analysis.Skip
+    in
+    Format.printf "%a@." Analysis.pp_report (Analysis.analyze ~max_len ~hybrid spec);
+    0
   in
   let hybrid_arg =
-    let doc =
-      "Also search for minimal hybrid dependency relations (bounded, can be \
-       slow for large event universes)."
-    in
-    Arg.(value & flag & info [ "hybrid-search" ] ~doc)
+    flag [ "hybrid-search" ]
+      ~doc:
+        "Also search for minimal hybrid dependency relations (bounded, can be \
+         slow for large event universes)."
   in
   let doc = "Compute a data type's dependency relations" in
-  Cmd.v (Cmd.info "analyze" ~doc)
-    Term.(const run $ type_arg $ max_len_arg $ hybrid_arg)
+  Cmd.v (Cmd.info "analyze" ~doc) Term.(const run $ type_arg $ max_len_arg $ hybrid_arg)
 
 (* --- quorums --- *)
 
+let ops_of spec =
+  List.sort_uniq String.compare
+    (List.map
+       (fun (inv : Atomrep_history.Event.Invocation.t) -> inv.op)
+       spec.Serial_spec.invocations)
+
 let quorums_cmd =
-  let run type_name max_len n_sites property p =
-    match find_spec type_name with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok spec ->
-      let relation =
-        match property with
-        | "static" -> Ok (Static_dep.minimal spec ~max_len)
-        | "dynamic" -> Ok (Dynamic_dep.minimal spec ~max_len)
-        | other -> Error (Printf.sprintf "unknown property %S (static|dynamic)" other)
-      in
-      (match relation with
-       | Error e ->
-         prerr_endline e;
-         1
-       | Ok relation ->
-         let constraints = Op_constraint.of_relation relation in
-         List.iter (fun c -> Format.printf "%a@." Op_constraint.pp c) constraints;
-         let ops =
-           List.sort_uniq String.compare
-             (List.map
-                (fun (inv : Atomrep_history.Event.Invocation.t) -> inv.op)
-                spec.Serial_spec.invocations)
-         in
-         let assignments = Assignment.enumerate ~n_sites ~ops constraints in
-         Printf.printf "\n%d valid threshold assignments on %d sites\n"
-           (List.length assignments) n_sites;
-         let mix = List.map (fun op -> (op, 1.0)) ops in
-         (match Assignment.best_for_mix ~p ~mix assignments with
-          | None -> print_endline "no valid assignment"
-          | Some best ->
-            Format.printf "best for a uniform mix at p=%.2f: %a@." p Assignment.pp best;
-            List.iter
-              (fun op ->
-                Printf.printf "  availability(%s) = %.4f\n" op
-                  (Assignment.availability best ~p op))
-              ops);
-         0)
-  in
-  let sites_arg =
-    Arg.(value & opt pos_int 5 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
+  let run spec max_len n_sites property p =
+    let relation =
+      match property with
+      | `Static -> Static_dep.minimal spec ~max_len
+      | `Dynamic -> Dynamic_dep.minimal spec ~max_len
+    in
+    let constraints = Op_constraint.of_relation relation in
+    List.iter (fun c -> Format.printf "%a@." Op_constraint.pp c) constraints;
+    let ops = ops_of spec in
+    let assignments = Assignment.enumerate ~n_sites ~ops constraints in
+    Printf.printf "\n%d valid threshold assignments on %d sites\n"
+      (List.length assignments) n_sites;
+    let mix = List.map (fun op -> (op, 1.0)) ops in
+    (match Assignment.best_for_mix ~p ~mix assignments with
+     | None -> print_endline "no valid assignment"
+     | Some best ->
+       Format.printf "best for a uniform mix at p=%.2f: %a@." p Assignment.pp best;
+       List.iter
+         (fun op ->
+           Printf.printf "  availability(%s) = %.4f\n" op
+             (Assignment.availability best ~p op))
+         ops);
+    0
   in
   let property_arg =
-    Arg.(
-      value & opt string "static"
-      & info [ "property" ] ~docv:"PROP" ~doc:"static or dynamic.")
+    opt
+      (Arg.enum [ ("static", `Static); ("dynamic", `Dynamic) ])
+      `Static [ "property" ] ~docv:"PROP" ~doc:"static or dynamic."
   in
   let p_arg =
-    Arg.(
-      value & opt float 0.9
-      & info [ "p" ] ~docv:"P" ~doc:"Per-site up probability for availability.")
+    opt Arg.float 0.9 [ "p" ] ~docv:"P" ~doc:"Per-site up probability for availability."
   in
   let doc = "Enumerate valid quorum assignments for a data type" in
   Cmd.v (Cmd.info "quorums" ~doc)
-    Term.(const run $ type_arg $ max_len_arg $ sites_arg $ property_arg $ p_arg)
+    Term.(const run $ type_arg $ max_len_arg $ sites_arg 5 $ property_arg $ p_arg)
 
 (* --- simulate --- *)
 
 let simulate_cmd =
-  let run scheme_name n_txns n_sites seed mtbf reconfigure hedge demote fail_slow
-      durability termination deadlock takeover retry_budget monitor trace_file
-      trace_format metrics_json sample profile_on ts_file window =
-    match
-      ( Atomrep_replica.Replicated.scheme_of_name scheme_name,
-        parse_monitors monitor,
-        Result.bind (parse_fail_slow fail_slow)
-          (check_fail_slow_sites ~n_sites) )
-    with
-    | Error e, _, _ | _, Error e, _ | _, _, Error e ->
-      prerr_endline e;
-      1
-    | Ok scheme, Ok monitors, Ok fail_slow ->
-      let open Atomrep_replica in
-      let install_faults net =
-        if mtbf > 0.0 then Atomrep_sim.Fault.crash_recover_all net ~mtbf ~mttr:150.0
-      in
-      (* A bus to export, or to report the sampling of; otherwise the judge
-         attaches one only if a selected monitor folds trace events. *)
-      let trace =
-        if trace_file <> None || sample > 1 then Some (Obs.Trace.create ~n_sites ())
-        else None
-      in
-      let profile = if profile_on then fresh_profile () else Obs.Profile.null in
-      let timeseries =
-        match ts_file with
-        | Some _ -> Obs.Timeseries.create ~width:window ()
-        | None -> Obs.Timeseries.null
-      in
-      let cfg =
-        {
-          Runtime.default_config with
-          profile;
-          timeseries;
-          scheme;
-          n_txns;
-          n_sites;
-          seed;
-          install_faults;
-          trace;
-          objects =
-            [
-              {
-                Runtime.obj_name = "queue";
-                obj_spec = Queue_type.spec;
-                obj_relation = Static_dep.minimal Queue_type.spec ~max_len:4;
-                obj_assignment = Runtime.default_queue_assignment ~n_sites;
-                obj_members = None;
-              };
-            ];
-          reconfig = (if reconfigure then Some Runtime.default_reconfig else None);
-          gray = gray_of ~hedge ~demote;
-          fail_slow;
-          durability = durability_of durability;
-          termination;
-          deadlock;
-          takeover;
-          retry_budget = retry_budget_of retry_budget;
-        }
-      in
-      let outcome, failures =
-        Atomrep_chaos.Monitors.check_run ~monitors ~sample cfg
-      in
-      let m = outcome.Runtime.metrics in
+  let run scheme n_txns n_sites seed mtbf reconfigure gray txn durability obs =
+    let install_faults net =
+      if mtbf > 0.0 then Atomrep_sim.Fault.crash_recover_all net ~mtbf ~mttr:150.0
+    in
+    let cfg =
+      {
+        Runtime.default_config with
+        scheme;
+        n_txns;
+        n_sites;
+        seed;
+        install_faults;
+        objects = queue_objects ~n_sites;
+        reconfig = (if reconfigure then Some Runtime.default_reconfig else None);
+      }
+      |> gray |> txn |> durability |> observe obs
+    in
+    let header (m : Runtime.metrics) =
       Printf.printf
         "scheme=%s txns=%d committed=%d aborted=%d (unavailable=%d rejected=%d \
          conflict=%d) blocked-waits=%d\n"
-        (Replicated.scheme_name scheme)
-        n_txns m.Runtime.committed m.Runtime.aborted m.Runtime.unavailable_aborts
-        m.Runtime.rejected_aborts m.Runtime.conflict_aborts m.Runtime.blocked_waits;
+        (Replicated.scheme_name scheme) n_txns m.committed m.aborted m.unavailable_aborts
+        m.rejected_aborts m.conflict_aborts m.blocked_waits;
       Printf.printf "mean txn latency: %.1f ms over %.1f ms simulated\n"
-        (Summary.mean m.Runtime.txn_latency)
-        m.Runtime.duration;
+        (Summary.mean m.txn_latency) m.duration;
       Printf.printf
         "messages: sent=%d dropped=%d duplicated=%d dead-dest=%d rpc-timeouts=%d\n"
-        m.Runtime.msgs_sent m.Runtime.msgs_dropped m.Runtime.msgs_duplicated
-        m.Runtime.msgs_dead_dest m.Runtime.rpc_timeouts;
-      if reconfigure then
-        Printf.printf
-          "reconfigurations: %d ok (%d refused, %d failed), final epoch %d, \
-           detector transitions %d\n"
-          m.Runtime.reconfigs m.Runtime.reconfigs_refused m.Runtime.reconfigs_failed
-          m.Runtime.final_epoch m.Runtime.suspicion_transitions;
-      if hedge || demote then print_gray_metrics m;
-      if durability <> `None then print_wal_metrics m;
-      if
-        termination <> Atomrep_txn.Termination.Disabled
-        || deadlock <> Runtime.No_deadlock
-      then print_termination_metrics m;
-      if takeover then print_takeover_metrics m;
-      if retry_budget > 0 then
-        Printf.printf "retries: spent=%d budget-exhausted=%d\n"
-          m.Runtime.retries_spent m.Runtime.retries_budget_exhausted;
-      (* The monitors gate the exit code so scripted runs can fail hard. *)
-      print_verdict monitors failures;
-      (match trace with
-       | Some tr when sample > 1 ->
-         Printf.printf "trace sampling: 1/%d, kept=%d sampled-out=%d\n"
-           (Obs.Trace.sampling tr)
-           (Obs.Trace.length tr)
-           (Obs.Trace.sampled_out tr)
-       | _ -> ());
-      if profile_on then print_profile profile;
-      (match ts_file with
-       | Some path -> write_timeseries path timeseries
-       | None -> ());
-      (match trace_file, trace with
-       | Some path, Some tr -> write_trace path trace_format tr
-       | _ -> ());
-      (match metrics_json with
-       | Some path -> write_metrics path outcome.Runtime.registry
-       | None -> ());
-      if failures = [] then 0 else 1
+        m.msgs_sent m.msgs_dropped m.msgs_duplicated m.msgs_dead_dest m.rpc_timeouts
+    in
+    finish obs cfg
+      [ (header, judge obs cfg) ]
+      ~sections:
+        [
+          reconfig_section; gray_section; wal_section; termination_section;
+          takeover_section; retries_section;
+        ]
   in
-  let scheme_arg =
-    Arg.(
-      value & opt string "hybrid"
-      & info [ "scheme" ] ~docv:"SCHEME" ~doc:"hybrid, static, or locking.")
-  in
-  let txns_arg =
-    Arg.(value & opt int 100 & info [ "txns" ] ~docv:"N" ~doc:"Transactions to run.")
-  in
-  let sites_arg =
-    Arg.(value & opt pos_int 3 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
-  in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let mtbf_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "mtbf" ] ~docv:"MS" ~doc:"Mean time between site failures (0 = none).")
+    opt nonneg_float 0.0 [ "mtbf" ] ~docv:"MS"
+      ~doc:"Mean time between site failures (0 = none)."
   in
   let reconfigure_arg =
-    Arg.(
-      value & flag
-      & info [ "reconfigure" ]
-          ~doc:
-            "Enable the failure-detector-driven epoch reconfiguration \
-             coordinator (hybrid/locking only; refused under static).")
+    flag [ "reconfigure" ]
+      ~doc:
+        "Enable the failure-detector-driven epoch reconfiguration \
+         coordinator (hybrid/locking only; refused under static)."
   in
+  let sites = sites_arg 3 in
   let doc = "Run the replicated-queue simulator" in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
-      const run $ scheme_arg $ txns_arg $ sites_arg $ seed_arg $ mtbf_arg
-      $ reconfigure_arg $ hedge_arg $ demote_arg $ fail_slow_arg
-      $ durability_arg $ termination_arg $ deadlock_arg
-      $ takeover_arg $ retry_budget_arg $ monitor_arg $ trace_file_arg
-      $ trace_format_arg $ metrics_json_arg $ sample_arg $ profile_flag_arg
-      $ timeseries_file_arg $ window_arg)
+      const run $ scheme_arg
+      $ txns_arg 100 ~doc:"Transactions to run."
+      $ sites $ seed_arg 42 $ mtbf_arg $ reconfigure_arg $ gray_flags sites
+      $ txn_flags () $ durability_flag ~tuned:false
+      $ obs_flags ~timeseries:true ~profile:true ())
 
 (* --- chaos --- *)
 
-let parse_schemes names =
-  List.fold_right
-    (fun name acc ->
-      match acc, Atomrep_replica.Replicated.scheme_of_name name with
-      | Error e, _ -> Error e
-      | _, Error e -> Error e
-      | Ok rest, Ok s -> Ok (s :: rest))
-    (String.split_on_char ',' names)
-    (Ok [])
-
-let parse_profiles names =
-  let module Campaign = Atomrep_chaos.Campaign in
-  if String.equal names "all" then Ok Campaign.builtin_profiles
-  else
-    List.fold_right
-      (fun name acc ->
-        match acc, Campaign.find_profile name with
-        | Error e, _ -> Error e
-        | _, None ->
-          Error
-            (Printf.sprintf "unknown profile %S; known: all, %s" name
-               (String.concat ", " Campaign.profile_names))
-        | Ok rest, Some p -> Ok (p :: rest))
-      (String.split_on_char ',' names)
-      (Ok [])
-
 let chaos_cmd =
-  let module Campaign = Atomrep_chaos.Campaign in
-  let run schemes profiles seeds txns intensity repro seed reconfig overload gray
-      hedge demote fail_slow durability termination deadlock takeover
-      retry_budget monitor trace_file trace_format metrics_json postmortem_dir
-      sample =
-    (* Validate --fail-slow sites against the base the flags select, before
-       any run starts — an out-of-range site would otherwise crash mid-sweep
-       on the raw per-site slow array. *)
-    let base_n_sites =
-      (if overload then Campaign.overload_base
-       else if gray then Campaign.gray_base
-       else if reconfig then Campaign.reconfig_base
-       else Campaign.default_base)
-        .Atomrep_replica.Runtime.n_sites
-    in
-    match
-      ( parse_schemes schemes,
-        parse_profiles profiles,
-        parse_monitors monitor,
-        Result.bind (parse_fail_slow fail_slow)
-          (check_fail_slow_sites ~n_sites:base_n_sites) )
-    with
-    | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e ->
-      prerr_endline e;
-      1
-    | Ok schemes, Ok profiles, Ok monitors, Ok fail_slow ->
-      let base =
-        if overload then Campaign.overload_base
-        else if gray then Campaign.gray_base
-        else if reconfig then Campaign.reconfig_base
-        else Campaign.default_base
-      in
-      let base =
-        if retry_budget > 0 then
-          { base with Atomrep_replica.Runtime.retry_budget }
-        else base
-      in
-      (* --hedge/--demote overlay the mitigation policy on whatever base was
-         picked; --fail-slow adds deterministic per-site slow injections on
-         top of the profile's nemesis schedule. *)
-      let base =
-        match gray_of ~hedge ~demote with
-        | Some g -> { base with Atomrep_replica.Runtime.gray = Some g }
-        | None -> base
-      in
-      let base =
-        match fail_slow with
-        | [] -> base
-        | fs -> { base with Atomrep_replica.Runtime.fail_slow = fs }
-      in
-      (* Chaos-tuned durability: small segments and an aggressive checkpoint
-         period (storage_base's tuning) so campaign-length runs roll and
-         compact segments — the storage profiles need something to bite. *)
-      let base =
-        match durability with
-        | `None -> base
-        | `Wal ->
-          {
-            base with
-            Atomrep_replica.Runtime.durability =
-              Atomrep_replica.Repository.durable ~segment_records:16
-                ~checkpoint_every:48 ();
-          }
-        | `Wal_gc ->
-          {
-            base with
-            Atomrep_replica.Runtime.durability =
-              Campaign.storage_base.Atomrep_replica.Runtime.durability;
-          }
-      in
-      let base =
-        { base with Atomrep_replica.Runtime.termination; deadlock; takeover }
-      in
-      if repro then begin
-        (* Replay one reproducer tuple per scheme/profile given; all the
-           replays share one trace bus, so the exported file covers the
-           whole invocation, and each replay is judged on its own events. *)
-        let trace =
-          match trace_file with
-          | Some _ ->
-            Some (Obs.Trace.create ~n_sites:base.Atomrep_replica.Runtime.n_sites ())
-          | None -> None
+  let run schemes profiles seeds txns intensity repro seed base gray txn durability obs
+      postmortem_dir =
+    let base = base |> gray |> txn |> durability in
+    if repro then begin
+      (* Replay one reproducer tuple per scheme/profile given; all the
+         replays share one trace bus, so the exported file covers the
+         whole invocation, and each replay is judged on its own events. *)
+      let cfg = observe obs base in
+      let replay scheme profile =
+        let header (m : Runtime.metrics) =
+          Printf.printf "%s/%s seed=%d txns=%d intensity=%g: committed=%d\n"
+            (Replicated.scheme_name scheme)
+            profile.Campaign.profile_name seed txns intensity m.committed
         in
-        let failed = ref false in
-        let last_registry = ref None in
-        List.iter
-          (fun scheme ->
-            List.iter
-              (fun profile ->
-                let outcome, failures =
-                  Campaign.reproduce ~base ~monitors ~sample ?trace ~scheme
-                    ~profile ~seed ~n_txns:txns ~intensity ()
-                in
-                last_registry := Some outcome.Atomrep_replica.Runtime.registry;
-                Printf.printf "%s/%s seed=%d txns=%d intensity=%g: committed=%d\n"
-                  (Atomrep_replica.Replicated.scheme_name scheme)
-                  profile.Campaign.profile_name seed txns intensity
-                  outcome.Atomrep_replica.Runtime.metrics
-                    .Atomrep_replica.Runtime.committed;
-                if durability <> `None then
-                  print_wal_metrics outcome.Atomrep_replica.Runtime.metrics;
-                if
-                  termination <> Atomrep_txn.Termination.Disabled
-                  || deadlock <> Atomrep_replica.Runtime.No_deadlock
-                then
-                  print_termination_metrics outcome.Atomrep_replica.Runtime.metrics;
-                if takeover then
-                  print_takeover_metrics outcome.Atomrep_replica.Runtime.metrics;
-                print_verdict monitors failures;
-                if failures <> [] then failed := true)
-              profiles)
-          schemes;
-        (match trace_file, trace with
-         | Some path, Some tr -> write_trace path trace_format tr
-         | _ -> ());
-        (match metrics_json, !last_registry with
-         | Some path, Some registry -> write_metrics path registry
-         | _ -> ());
-        if !failed then 1 else 0
-      end
-      else begin
-        let report =
-          Campaign.run_campaign ~base ~n_txns:txns ~intensity ~monitors ~sample
-            ?postmortem_dir ~schemes ~profiles ~seeds ()
-        in
-        Format.printf "%a" Campaign.pp_report report;
-        if report.Campaign.violations = [] then 0 else 1
-      end
-  in
-  let schemes_arg =
-    Arg.(
-      value
-      & opt string "static,hybrid,locking"
-      & info [ "schemes" ] ~docv:"SCHEMES" ~doc:"Comma-separated schemes to sweep.")
-  in
-  let profiles_arg =
-    Arg.(
-      value & opt string "all"
-      & info [ "profiles" ] ~docv:"PROFILES"
-          ~doc:"Comma-separated fault profiles, or `all'.")
-  in
-  let seeds_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "seeds" ] ~docv:"N" ~doc:"Sweep seeds 0..N-1 per scheme x profile.")
-  in
-  let txns_arg =
-    Arg.(value & opt int 30 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per run.")
+        ( header,
+          Campaign.reproduce ~base ~monitors:obs.monitors ~sample:obs.sample
+            ?trace:cfg.trace ~scheme ~profile ~seed ~n_txns:txns ~intensity () )
+      in
+      finish obs cfg
+        (List.concat_map (fun scheme -> List.map (replay scheme) profiles) schemes)
+        ~sections:[ wal_section; termination_section; takeover_section ]
+    end
+    else begin
+      let report =
+        Campaign.run_campaign ~base ~n_txns:txns ~intensity ~monitors:obs.monitors
+          ~sample:obs.sample ?postmortem_dir ~schemes ~profiles ~seeds ()
+      in
+      Format.printf "%a" Campaign.pp_report report;
+      if report.Campaign.violations = [] then 0 else 1
+    end
   in
   let intensity_arg =
-    Arg.(
-      value & opt float 1.0
-      & info [ "intensity" ] ~docv:"K" ~doc:"Fault intensity scale (1.0 = profile default).")
+    opt pos_float 1.0 [ "intensity" ] ~docv:"K"
+      ~doc:"Fault intensity scale (1.0 = profile default)."
   in
   let repro_arg =
-    Arg.(
-      value & flag
-      & info [ "repro" ]
-          ~doc:"Replay a single reproducer tuple (use --seed) instead of sweeping.")
+    flag [ "repro" ]
+      ~doc:"Replay a single reproducer tuple (use --seed) instead of sweeping."
   in
-  let seed_arg =
-    Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Seed for --repro.")
+  (* The campaign base the flags pick; --fail-slow sites are checked
+     against its cluster. *)
+  let base =
+    let reconfig =
+      flag [ "reconfig" ]
+        ~doc:
+          "Campaign against the reconfiguration base: five sites, the \
+           epoch coordinator enabled (pairs well with --profiles kills)."
+    in
+    let overload =
+      flag [ "overload" ]
+        ~doc:
+          "Campaign against the overload base: a precomputed flash-crowd \
+           open-loop arrival plan over admission control, shed-by-class, \
+           a finite retry budget and the per-site circuit breaker (pairs \
+           with --profiles overload_storm and the shed_safety monitor). \
+           --txns caps how many planned arrivals are dispatched."
+    in
+    let gray =
+      flag [ "gray" ]
+        ~doc:
+          "Campaign against the gray base: the gray-failure mitigation \
+           layer on — hedged early-quorum rounds, latency scoring, \
+           slow-site demotion (pairs with --profiles gray_storm and the \
+           hedge_safety monitor)."
+    in
+    let pick overload gray reconfig =
+      if overload then Campaign.overload_base
+      else if gray then Campaign.gray_base
+      else if reconfig then Campaign.reconfig_base
+      else Campaign.default_base
+    in
+    Term.(const pick $ overload $ gray $ reconfig)
   in
-  let reconfig_arg =
-    Arg.(
-      value & flag
-      & info [ "reconfig" ]
-          ~doc:
-            "Campaign against the reconfiguration base: five sites, the \
-             epoch coordinator enabled (pairs well with --profiles kills).")
-  in
-  let overload_arg =
-    Arg.(
-      value & flag
-      & info [ "overload" ]
-          ~doc:
-            "Campaign against the overload base: a precomputed flash-crowd \
-             open-loop arrival plan over admission control, shed-by-class, \
-             a finite retry budget and the per-site circuit breaker (pairs \
-             with --profiles overload_storm and the shed_safety monitor). \
-             --txns caps how many planned arrivals are dispatched.")
-  in
-  let gray_arg =
-    Arg.(
-      value & flag
-      & info [ "gray" ]
-          ~doc:
-            "Campaign against the gray base: the gray-failure mitigation \
-             layer on — hedged early-quorum rounds, latency scoring, \
-             slow-site demotion (pairs with --profiles gray_storm and the \
-             hedge_safety monitor).")
-  in
-  let postmortem_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "postmortem-dir" ] ~docv:"DIR"
-          ~doc:
-            "Replay each shrunk violation under tracing and write a causal \
-             postmortem plus the full trace into $(docv).")
-  in
+  let n_sites = Term.(const (fun (b : Runtime.config) -> b.n_sites) $ base) in
   let doc = "Run a fault-injection campaign and check atomicity after every run" in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const run $ schemes_arg $ profiles_arg $ seeds_arg $ txns_arg $ intensity_arg
-      $ repro_arg $ seed_arg $ reconfig_arg $ overload_arg $ gray_arg
-      $ hedge_arg $ demote_arg $ fail_slow_arg $ durability_arg
-      $ termination_arg $ deadlock_arg $ takeover_arg $ retry_budget_arg
-      $ monitor_arg $ trace_file_arg $ trace_format_arg $ metrics_json_arg
-      $ postmortem_dir_arg $ sample_arg)
+      const run $ schemes_arg $ profiles_arg
+      $ seeds_arg 10 ~doc:"Sweep seeds 0..N-1 per scheme x profile."
+      $ txns_arg 30 ~doc:"Transactions per run."
+      $ intensity_arg $ repro_arg
+      $ seed_arg 0 ~doc:"Seed for --repro."
+      $ base $ gray_flags n_sites $ txn_flags ()
+      $ durability_flag ~tuned:true $ obs_flags ()
+      $ postmortem_dir_arg)
 
 (* --- load --- *)
 
 let load_cmd =
-  let module Openloop = Atomrep_workload.Openloop in
-  let run scheme_name seed plan_seed rate mult curve load_profile n_objects
-      zipf sessions n_sites horizon drain no_admission max_in_flight queue_limit
-      deadline shed_policy no_breaker hedge demote fail_slow retry_budget
-      termination deadlock monitor trace_file trace_format metrics_json sample
-      ts_file window =
-    let load_profile =
-      match Openloop.profile_of_string load_profile with
-      | Some p -> Ok p
-      | None ->
-        Error
-          (Printf.sprintf
-             "unknown load profile %S (read-mostly|write-heavy|queue-fanout)"
-             load_profile)
+  let run scheme seed plan_seed rate mult curve load_profile n_objects zipf sessions
+      n_sites horizon drain no_admission max_in_flight queue_limit deadline shed_policy
+      no_breaker gray txn obs =
+    let curve =
+      match curve with
+      | `Constant -> Openloop.Constant
+      | `Ramp -> Openloop.Ramp 4.0
+      | `Diurnal -> Openloop.Diurnal { trough = 0.3; period = horizon /. 2.0 }
+      | `Flash_crowd ->
+        Openloop.Flash_crowd
+          { at = horizon /. 4.0; duration = horizon /. 8.0; mult = 6.0 }
     in
-    let shed_policy =
-      match Atomrep_replica.Runtime.shed_policy_of_string shed_policy with
-      | Some p -> Ok p
-      | None ->
-        Error
-          (Printf.sprintf "unknown shed policy %S (reject-newest|shed-reads-first)"
-             shed_policy)
+    let plan_seed = if plan_seed < 0 then seed else plan_seed in
+    let plan =
+      Openloop.plan ~curve ~profile:load_profile ~n_objects ~zipf_theta:zipf ~n_sites
+        ~n_sessions:sessions ~seed:plan_seed ~rate:(rate *. mult /. 1000.0) ~horizon ()
     in
-    match
-      Atomrep_replica.Replicated.scheme_of_name scheme_name,
-      load_profile, shed_policy, parse_monitors monitor,
-      Result.bind (parse_fail_slow fail_slow) (check_fail_slow_sites ~n_sites)
-    with
-    | Error e, _, _, _, _
-    | _, Error e, _, _, _
-    | _, _, Error e, _, _
-    | _, _, _, Error e, _
-    | _, _, _, _, Error e ->
-      prerr_endline e;
-      1
-    | Ok scheme, Ok load_profile, Ok shed_policy, Ok monitors, Ok fail_slow ->
-      let open Atomrep_replica in
-      let curve =
-        match curve with
-        | `Constant -> Openloop.Constant
-        | `Ramp -> Openloop.Ramp 4.0
-        | `Diurnal -> Openloop.Diurnal { trough = 0.3; period = horizon /. 2.0 }
-        | `Flash_crowd ->
-          Openloop.Flash_crowd
-            { at = horizon /. 4.0; duration = horizon /. 8.0; mult = 6.0 }
-      in
-      let plan_seed = if plan_seed < 0 then seed else plan_seed in
-      let plan =
-        Openloop.plan ~curve ~profile:load_profile ~n_objects ~zipf_theta:zipf
-          ~n_sites ~n_sessions:sessions ~seed:plan_seed
-          ~rate:(rate *. mult /. 1000.0) ~horizon ()
-      in
-      let admission =
-        if no_admission then None
-        else
-          Some
-            {
-              Runtime.max_in_flight;
-              queue_limit;
-              deadline = (if deadline <= 0.0 then Float.infinity else deadline);
-              adm_shed_policy = shed_policy;
-              adm_breaker =
-                (if no_breaker then None else Some Runtime.default_breaker);
-            }
-      in
-      let trace = Option.map (fun _ -> Obs.Trace.create ~n_sites ()) trace_file in
-      let timeseries =
-        match ts_file with
-        | Some _ -> Obs.Timeseries.create ~width:window ()
-        | None -> Obs.Timeseries.null
-      in
-      let cfg =
-        Openloop.apply plan
+    let admission =
+      if no_admission then None
+      else
+        Some
           {
-            Runtime.default_config with
-            scheme;
-            seed;
-            n_sites;
-            horizon = horizon +. drain;
-            termination;
-            deadlock;
-            admission;
-            gray = gray_of ~hedge ~demote;
-            fail_slow;
-            retry_budget = retry_budget_of retry_budget;
-            trace;
-            timeseries;
+            Runtime.max_in_flight;
+            queue_limit;
+            deadline = (if deadline = 0.0 then Float.infinity else deadline);
+            adm_shed_policy = shed_policy;
+            adm_breaker = (if no_breaker then None else Some Runtime.default_breaker);
           }
-      in
-      let outcome, failures =
-        Atomrep_chaos.Monitors.check_run ~monitors ~sample cfg
-      in
-      let m = outcome.Runtime.metrics in
-      let offered = Openloop.n_txns plan in
+    in
+    let cfg =
+      {
+        Runtime.default_config with
+        scheme;
+        seed;
+        n_sites;
+        horizon = horizon +. drain;
+        admission;
+      }
+      |> gray |> txn |> observe obs |> Openloop.apply plan
+    in
+    let offered = Openloop.n_txns plan in
+    let header (m : Runtime.metrics) =
       Printf.printf
         "plan: %d arrivals over %.0f ms (curve=%s profile=%s objects=%d \
          zipf=%.2f sessions=%d seed=%d)\n"
@@ -962,193 +827,149 @@ let load_cmd =
         (Replicated.scheme_name scheme)
         (if no_admission then "off" else "on")
         (float_of_int offered /. horizon *. 1000.0)
-        m.Runtime.committed m.Runtime.aborted m.Runtime.shed
-        m.Runtime.unavailable_aborts m.Runtime.conflict_aborts;
+        m.committed m.aborted m.shed m.unavailable_aborts m.conflict_aborts;
       Printf.printf "goodput=%.2f/s over %.1f ms simulated\n"
-        (if m.Runtime.duration > 0.0 then
-           float_of_int m.Runtime.committed /. m.Runtime.duration *. 1000.0
+        (if m.duration > 0.0 then float_of_int m.committed /. m.duration *. 1000.0
          else 0.0)
-        m.Runtime.duration;
+        m.duration;
       Printf.printf "retries: spent=%d budget-exhausted=%d breaker-trips=%d\n"
-        m.Runtime.retries_spent m.Runtime.retries_budget_exhausted
-        m.Runtime.breaker_trips;
-      if hedge || demote then print_gray_metrics m;
-      if Summary.count m.Runtime.txn_latency > 0 then
+        m.retries_spent m.retries_budget_exhausted m.breaker_trips
+    in
+    let latency_section _ (m : Runtime.metrics) =
+      if Summary.count m.txn_latency > 0 then
         Printf.printf "commit latency: p50=%.1f ms p99=%.1f ms\n"
-          (Summary.percentile m.Runtime.txn_latency 0.50)
-          (Summary.percentile m.Runtime.txn_latency 0.99);
-      if Summary.count m.Runtime.sojourn > 0 then
+          (Summary.percentile m.txn_latency 0.50)
+          (Summary.percentile m.txn_latency 0.99);
+      if Summary.count m.sojourn > 0 then
         Printf.printf "sojourn: mean=%.1f ms p99=%.1f ms max=%.1f ms\n"
-          (Summary.mean m.Runtime.sojourn)
-          (Summary.percentile m.Runtime.sojourn 0.99)
-          (Summary.max_value m.Runtime.sojourn);
-      print_verdict monitors failures;
-      (match ts_file with
-       | Some path -> write_timeseries path timeseries
-       | None -> ());
-      (match trace_file, trace with
-       | Some path, Some tr -> write_trace path trace_format tr
-       | _ -> ());
-      (match metrics_json with
-       | Some path -> write_metrics path outcome.Runtime.registry
-       | None -> ());
-      if failures = [] then 0 else 1
+          (Summary.mean m.sojourn)
+          (Summary.percentile m.sojourn 0.99)
+          (Summary.max_value m.sojourn)
+    in
+    finish obs cfg [ (header, judge obs cfg) ] ~sections:[ gray_section; latency_section ]
   in
-  let scheme_arg =
-    Arg.(
-      value & opt string "hybrid"
-      & info [ "scheme" ] ~docv:"SCHEME" ~doc:"hybrid, static, or locking.")
-  in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Engine RNG seed.") in
   let plan_seed_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "plan-seed" ] ~docv:"SEED"
-          ~doc:
-            "Seed for the arrival plan's private stream (default: --seed). \
-             Fixing it while sweeping --seed replays one offered load \
-             against many engine schedules.")
+    opt Arg.int (-1) [ "plan-seed" ] ~docv:"SEED"
+      ~doc:
+        "Seed for the arrival plan's private stream (default: --seed). \
+         Fixing it while sweeping --seed replays one offered load \
+         against many engine schedules."
   in
   let rate_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "rate" ] ~docv:"TPS" ~doc:"Base offered load, transactions per second.")
+    opt pos_float 10.0 [ "rate" ] ~docv:"TPS"
+      ~doc:"Base offered load, transactions per second."
   in
   let mult_arg =
-    Arg.(
-      value & opt float 1.0
-      & info [ "mult" ] ~docv:"K"
-          ~doc:"Offered-load multiplier on --rate (the knob load sweeps turn).")
+    opt pos_float 1.0 [ "mult" ] ~docv:"K"
+      ~doc:"Offered-load multiplier on --rate (the knob load sweeps turn)."
   in
   let curve_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("constant", `Constant); ("ramp", `Ramp); ("diurnal", `Diurnal);
-               ("flash-crowd", `Flash_crowd);
-             ])
-          `Constant
-      & info [ "curve" ] ~docv:"CURVE"
-          ~doc:
-            "Rate shape: `constant', `ramp' (to 4x at the horizon), `diurnal' \
-             (sinusoid to 0.3x, two periods), or `flash-crowd' (6x burst in \
-             the second quarter).")
+    opt
+      (Arg.enum
+         [
+           ("constant", `Constant); ("ramp", `Ramp); ("diurnal", `Diurnal);
+           ("flash-crowd", `Flash_crowd);
+         ])
+      `Constant [ "curve" ] ~docv:"CURVE"
+      ~doc:
+        "Rate shape: `constant', `ramp' (to 4x at the horizon), `diurnal' \
+         (sinusoid to 0.3x, two periods), or `flash-crowd' (6x burst in \
+         the second quarter)."
   in
   let load_profile_arg =
-    Arg.(
-      value & opt string "queue-fanout"
-      & info [ "load-profile" ] ~docv:"PROFILE"
-          ~doc:
-            "Workload shape: `read-mostly' (90% counter reads), `write-heavy' \
-             (90% counter writes), or `queue-fanout' (enq/deq fanned over the \
-             objects).")
+    opt
+      (enum_of Openloop.profile_name Openloop.[ Read_mostly; Write_heavy; Queue_fanout ])
+      Openloop.Queue_fanout [ "load-profile" ] ~docv:"PROFILE"
+      ~doc:
+        "Workload shape: `read-mostly' (90% counter reads), `write-heavy' \
+         (90% counter writes), or `queue-fanout' (enq/deq fanned over the \
+         objects)."
   in
   let objects_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "objects" ] ~docv:"N" ~doc:"Replicated objects the plan fans over.")
+    opt pos_int 3 [ "objects" ] ~docv:"N" ~doc:"Replicated objects the plan fans over."
   in
   let zipf_arg =
-    Arg.(
-      value & opt float 0.9
-      & info [ "zipf" ] ~docv:"THETA"
-          ~doc:"Zipf skew of object popularity (0 = uniform).")
+    opt nonneg_float 0.9 [ "zipf" ] ~docv:"THETA"
+      ~doc:"Zipf skew of object popularity (0 = uniform)."
   in
   let sessions_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "sessions" ] ~docv:"N"
-          ~doc:"Client sessions (each pinned to home site session mod sites).")
-  in
-  let sites_arg =
-    Arg.(value & opt pos_int 3 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
+    opt pos_int 6 [ "sessions" ] ~docv:"N"
+      ~doc:"Client sessions (each pinned to home site session mod sites)."
   in
   let horizon_arg =
-    Arg.(
-      value & opt float 12_000.0
-      & info [ "horizon" ] ~docv:"MS" ~doc:"Arrival-plan horizon in simulated ms.")
+    opt pos_float 12_000.0 [ "horizon" ] ~docv:"MS"
+      ~doc:"Arrival-plan horizon in simulated ms."
   in
   let drain_arg =
-    Arg.(
-      value & opt float 8_000.0
-      & info [ "drain" ] ~docv:"MS"
-          ~doc:"Extra simulated time after the last planned arrival.")
+    opt nonneg_float 8_000.0 [ "drain" ] ~docv:"MS"
+      ~doc:"Extra simulated time after the last planned arrival."
   in
   let no_admission_arg =
-    Arg.(
-      value & flag
-      & info [ "no-admission" ]
-          ~doc:
-            "Disable admission control: every arrival starts immediately (the \
-             collapse-prone baseline load sweeps compare against).")
+    flag [ "no-admission" ]
+      ~doc:
+        "Disable admission control: every arrival starts immediately (the \
+         collapse-prone baseline load sweeps compare against)."
   in
   let max_in_flight_arg =
-    Arg.(
-      value & opt pos_int 8
-      & info [ "max-in-flight" ] ~docv:"N" ~doc:"Bounded in-flight window.")
+    opt pos_int 8 [ "max-in-flight" ] ~docv:"N" ~doc:"Bounded in-flight window."
   in
   let queue_limit_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "queue-limit" ] ~docv:"N" ~doc:"Bounded admission queue; overflow sheds.")
+    opt nat 16 [ "queue-limit" ] ~docv:"N" ~doc:"Bounded admission queue; overflow sheds."
   in
   let deadline_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "deadline" ] ~docv:"MS"
-          ~doc:
-            "Sojourn deadline: shed transactions still queued (or entering a \
-             conflict retry) this long after arrival. 0 = none.")
+    opt nonneg_float 0.0 [ "deadline" ] ~docv:"MS"
+      ~doc:
+        "Sojourn deadline: shed transactions still queued (or entering a \
+         conflict retry) this long after arrival. 0 = none."
   in
   let shed_policy_arg =
-    Arg.(
-      value & opt string "reject-newest"
-      & info [ "shed-policy" ] ~docv:"POLICY"
-          ~doc:"`reject-newest' or `shed-reads-first' (reads sacrificed before writes).")
+    opt
+      (enum_of Runtime.shed_policy_name Runtime.[ Reject_newest; Shed_reads_first ])
+      Runtime.Reject_newest [ "shed-policy" ] ~docv:"POLICY"
+      ~doc:"`reject-newest' or `shed-reads-first' (reads sacrificed before writes)."
   in
   let no_breaker_arg =
-    Arg.(
-      value & flag
-      & info [ "no-breaker" ] ~doc:"Disable the per-site circuit breaker.")
+    flag [ "no-breaker" ] ~doc:"Disable the per-site circuit breaker."
   in
+  let sites = sites_arg 3 in
   let doc = "Run an open-loop load sweep point against the simulator" in
   Cmd.v (Cmd.info "load" ~doc)
     Term.(
-      const run $ scheme_arg $ seed_arg $ plan_seed_arg $ rate_arg $ mult_arg
-      $ curve_arg $ load_profile_arg $ objects_arg $ zipf_arg $ sessions_arg
-      $ sites_arg $ horizon_arg $ drain_arg $ no_admission_arg
+      const run $ scheme_arg
+      $ seed_arg 42 ~doc:"Engine RNG seed."
+      $ plan_seed_arg $ rate_arg $ mult_arg $ curve_arg $ load_profile_arg $ objects_arg
+      $ zipf_arg $ sessions_arg $ sites $ horizon_arg $ drain_arg $ no_admission_arg
       $ max_in_flight_arg $ queue_limit_arg $ deadline_arg $ shed_policy_arg
-      $ no_breaker_arg $ hedge_arg $ demote_arg $ fail_slow_arg
-      $ retry_budget_arg $ termination_arg $ deadlock_arg
-      $ monitor_arg $ trace_file_arg $ trace_format_arg $ metrics_json_arg
-      $ sample_arg $ timeseries_file_arg $ window_arg)
+      $ no_breaker_arg
+      $ gray_flags sites
+      $ txn_flags ~takeover:false ()
+      $ obs_flags ~timeseries:true ())
 
 (* --- perf --- *)
 
 let perf_cmd =
-  let run scheme_name n_txns n_sites seed hedge demote fail_slow sample window
-      ts_file profile_json =
-    match
-      ( Atomrep_replica.Replicated.scheme_of_name scheme_name,
-        Result.bind (parse_fail_slow fail_slow) (check_fail_slow_sites ~n_sites) )
-    with
-    | Error e, _ | _, Error e ->
-      prerr_endline e;
-      1
-    | Ok scheme, Ok fail_slow ->
-      let open Atomrep_replica in
-      let module Monitors = Atomrep_chaos.Monitors in
-      (* Full observability stack on: trace bus (sampled if asked, with the
-         whole monitor catalogue's kinds forced), phase profiler on a real
-         wall clock, and the sim-time time-series — so the hot-phase table
-         includes engine dispatch, trace publish, and monitor stepping. *)
-      let monitors = Monitors.registry in
-      let trace = Obs.Trace.create ~n_sites () in
-      let profile = fresh_profile () in
-      let timeseries = Obs.Timeseries.create ~width:window () in
-      let cfg =
+  let run scheme n_txns n_sites seed gray sample window ts_file profile_json =
+    (* Full observability stack on: trace bus (sampled if asked, with the
+       whole monitor catalogue's kinds forced), phase profiler on a real
+       wall clock, and the sim-time time-series — so the hot-phase table
+       includes engine dispatch, trace publish, and monitor stepping. The
+       run reports them itself, so [finish] is left only the verdict. *)
+    let obs =
+      {
+        monitors = Monitors.registry;
+        sample = 1;
+        trace_to = None;
+        metrics_to = None;
+        timeseries_to = None;
+        window;
+        profiled = false;
+      }
+    in
+    let trace = Obs.Trace.create ~n_sites () in
+    let profile = fresh_profile () in
+    let timeseries = Obs.Timeseries.create ~width:window () in
+    let cfg =
+      gray
         {
           Runtime.default_config with
           scheme;
@@ -1158,72 +979,41 @@ let perf_cmd =
           trace = Some trace;
           profile;
           timeseries;
-          gray = gray_of ~hedge ~demote;
-          fail_slow;
-          objects =
-            [
-              {
-                Runtime.obj_name = "queue";
-                obj_spec = Queue_type.spec;
-                obj_relation = Static_dep.minimal Queue_type.spec ~max_len:4;
-                obj_assignment = Runtime.default_queue_assignment ~n_sites;
-                obj_members = None;
-              };
-            ];
+          objects = queue_objects ~n_sites;
         }
-      in
-      let wall0 = Unix.gettimeofday () in
-      let outcome, failures =
-        Monitors.check_run ~monitors ~sample cfg
-      in
-      let wall = Unix.gettimeofday () -. wall0 in
-      let m = outcome.Runtime.metrics in
+    in
+    let wall0 = Unix.gettimeofday () in
+    let result = judge { obs with sample } cfg in
+    let wall = Unix.gettimeofday () -. wall0 in
+    let header (m : Runtime.metrics) =
       Printf.printf
         "scheme=%s txns=%d committed=%d aborted=%d ops=%d over %.1f ms \
          simulated (%.3f s wall)\n"
         (Replicated.scheme_name scheme)
-        n_txns m.Runtime.committed m.Runtime.aborted m.Runtime.ops_done
-        m.Runtime.duration wall;
+        n_txns m.committed m.aborted m.ops_done m.duration wall;
       Printf.printf "trace: %d events kept, %d sampled out (1/%d per kind)\n"
-        (Obs.Trace.length trace)
-        (Obs.Trace.sampled_out trace)
-        (Obs.Trace.sampling trace);
-      if hedge || demote then print_gray_metrics m;
+        (Obs.Trace.length trace) (Obs.Trace.sampled_out trace) (Obs.Trace.sampling trace)
+    in
+    let profile_section _ _ =
       print_profile profile;
       write_timeseries ts_file timeseries;
-      (match profile_json with
-       | Some path ->
-         Obs.Export.write_file path (Obs.Json.to_string (Obs.Profile.to_json profile));
-         Printf.printf "wrote %s\n" path
-       | None -> ());
-      print_verdict monitors failures;
-      if failures = [] then 0 else 1
+      Option.iter
+        (fun path ->
+          Obs.Export.write_file path (Json.to_string (Obs.Profile.to_json profile));
+          Printf.printf "wrote %s\n" path)
+        profile_json
+    in
+    finish obs cfg [ (header, result) ] ~sections:[ gray_section; profile_section ]
   in
-  let scheme_arg =
-    Arg.(
-      value & opt string "hybrid"
-      & info [ "scheme" ] ~docv:"SCHEME" ~doc:"hybrid, static, or locking.")
-  in
-  let txns_arg =
-    Arg.(value & opt int 200 & info [ "txns" ] ~docv:"N" ~doc:"Transactions to run.")
-  in
-  let sites_arg =
-    Arg.(value & opt pos_int 3 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
-  in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let ts_arg =
-    Arg.(
-      value & opt string "timeseries.json"
-      & info [ "timeseries" ] ~docv:"FILE"
-          ~doc:"Write the sim-time time-series as JSON to $(docv).")
+    opt Arg.string "timeseries.json" [ "timeseries" ] ~docv:"FILE"
+      ~doc:"Write the sim-time time-series as JSON to $(docv)."
   in
   let profile_json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "profile-json" ] ~docv:"FILE"
-          ~doc:"Also write the hot-phase profile as JSON to $(docv).")
+    opt Arg.(some string) None [ "profile-json" ] ~docv:"FILE"
+      ~doc:"Also write the hot-phase profile as JSON to $(docv)."
   in
+  let sites = sites_arg 3 in
   let doc =
     "Profile a monitored run: hot-phase table, trace-sampling stats, and a \
      sim-time time-series. --hedge, --demote and --fail-slow profile the \
@@ -1231,8 +1021,9 @@ let perf_cmd =
   in
   Cmd.v (Cmd.info "perf" ~doc)
     Term.(
-      const run $ scheme_arg $ txns_arg $ sites_arg $ seed_arg $ hedge_arg
-      $ demote_arg $ fail_slow_arg $ sample_arg $ window_arg $ ts_arg
+      const run $ scheme_arg
+      $ txns_arg 200 ~doc:"Transactions to run."
+      $ sites $ seed_arg 42 $ gray_flags sites $ sample_arg $ window_arg $ ts_arg
       $ profile_json_arg)
 
 (* --- bench-diff --- *)
@@ -1259,13 +1050,11 @@ let bench_diff_cmd =
       & info [] ~docv:"DIR" ~doc:"Directory holding the BENCH_<n>.json history.")
   in
   let threshold_arg =
-    Arg.(
-      value & opt float 0.2
-      & info [ "threshold" ] ~docv:"FRAC"
-          ~doc:
-            "Fail (exit 1) when the newest entry's best committed/s falls \
-             more than $(docv) below the most recent earlier entry of the \
-             same bench kind.")
+    opt Arg.float 0.2 [ "threshold" ] ~docv:"FRAC"
+      ~doc:
+        "Fail (exit 1) when the newest entry's best committed/s falls \
+         more than $(docv) below the most recent earlier entry of the \
+         same bench kind."
   in
   let doc = "Gate the committed BENCH_*.json trajectory against regressions" in
   Cmd.v (Cmd.info "bench-diff" ~doc) Term.(const run $ dir_arg $ threshold_arg)
@@ -1273,240 +1062,128 @@ let bench_diff_cmd =
 (* --- explore --- *)
 
 let explore_cmd =
-  let module Campaign = Atomrep_chaos.Campaign in
-  let module Monitors = Atomrep_chaos.Monitors in
-  let module Explore = Atomrep_chaos.Explore in
-  let module Json = Obs.Json in
-  let parse_intensities s =
-    List.fold_right
-      (fun tok acc ->
-        match acc with
-        | Error e -> Error e
-        | Ok rest -> (
-          match float_of_string_opt (String.trim tok) with
-          | Some f when f > 0.0 -> Ok (f :: rest)
-          | _ -> Error (Printf.sprintf "bad intensity %S" tok)))
-      (String.split_on_char ',' s)
-      (Ok [])
-  in
-  (* Explore is the monitored sweep: no --monitor means the whole
-     catalogue, unlike chaos where it means the two history entries. *)
-  let parse_explore_monitors = function
-    | None -> Ok Monitors.registry
-    | Some sel -> Monitors.of_names sel
-  in
-  let parse_fixtures = function
-    | "all" -> Ok Explore.fixtures
-    | sel ->
-      List.fold_right
-        (fun name acc ->
-          match acc, Explore.find_fixture name with
-          | Error e, _ -> Error e
-          | _, None ->
-            Error
-              (Printf.sprintf "unknown fixture %S; known: all, %s" name
-                 (String.concat ", " Explore.fixture_names))
-          | Ok rest, Some f -> Ok (f :: rest))
-        (String.split_on_char ',' sel)
-        (Ok [])
-  in
-  let failures_json fs =
-    Json.List
-      (List.map
-         (fun (m, why) -> Json.Obj [ ("monitor", Json.Str m); ("message", Json.Str why) ])
-         fs)
-  in
   let violation_json (v : Campaign.violation) =
     Json.Obj
       [
-        ("scheme", Json.Str (Atomrep_replica.Replicated.scheme_name v.Campaign.v_scheme));
-        ("profile", Json.Str v.Campaign.v_profile.Campaign.profile_name);
-        ("seed", Json.int v.Campaign.v_seed);
-        ("txns", Json.int v.Campaign.v_n_txns);
-        ("intensity", Json.Num v.Campaign.v_intensity);
+        ("scheme", Json.Str (Replicated.scheme_name v.v_scheme));
+        ("profile", Json.Str v.v_profile.profile_name);
+        ("seed", Json.int v.v_seed);
+        ("txns", Json.int v.v_n_txns);
+        ("intensity", Json.Num v.v_intensity);
         ("repro", Json.Str (Campaign.reproducer_line v));
-        ("failures", failures_json v.Campaign.v_failures);
+        ( "failures",
+          Json.List
+            (List.map
+               (fun (m, why) ->
+                 Json.Obj [ ("monitor", Json.Str m); ("message", Json.Str why) ])
+               v.v_failures) );
         ( "postmortem",
-          match v.Campaign.v_postmortem with
-          | Some p -> Json.Str p
-          | None -> Json.Null );
+          match v.v_postmortem with Some p -> Json.Str p | None -> Json.Null );
       ]
   in
   let run_replay fixtures monitors =
     let results = List.map (Explore.replay ~monitors) fixtures in
     List.iter
       (fun (r : Explore.replay_result) ->
-        let f = r.Explore.rr_fixture in
-        Printf.printf "fixture %-22s %s\n" f.Explore.f_name
-          (if r.Explore.rr_ok then
-             if f.Explore.f_expect_violation then
+        let f = r.rr_fixture in
+        Printf.printf "fixture %-22s %s\n" f.f_name
+          (if r.rr_ok then
+             if f.f_expect_violation then
                Printf.sprintf "OK (violation still reproduces: %d failure(s))"
-                 (List.length r.Explore.rr_failures)
+                 (List.length r.rr_failures)
              else "OK (clean, expectations hold)"
            else "REGRESSION");
-        if not r.Explore.rr_ok then begin
-          if f.Explore.f_expect_violation && r.Explore.rr_failures = [] then
+        if not r.rr_ok then begin
+          if f.f_expect_violation && r.rr_failures = [] then
             Printf.printf "  expected a violation, run was clean\n";
           List.iter
             (fun (m, why) -> Printf.printf "  unexpected %s: %s\n" m why)
-            (if f.Explore.f_expect_violation then [] else r.Explore.rr_failures);
+            (if f.f_expect_violation then [] else r.rr_failures);
           List.iter
             (fun (what, why) -> Printf.printf "  check %s: %s\n" what why)
-            r.Explore.rr_checks
+            r.rr_checks
         end)
       results;
-    if List.for_all (fun r -> r.Explore.rr_ok) results then 0 else 1
+    if List.for_all (fun (r : Explore.replay_result) -> r.rr_ok) results then 0 else 1
   in
-  let run schemes profiles seeds txns intensities domains monitor durability
-      termination deadlock takeover ungated replay report_file postmortem_dir
-      max_shrinks =
-    match parse_explore_monitors monitor with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok monitors -> (
-      match replay with
-      | Some sel -> (
-        match parse_fixtures sel with
-        | Error e ->
-          prerr_endline e;
-          1
-        | Ok fixtures -> run_replay fixtures monitors)
-      | None -> (
-        match
-          (parse_schemes schemes, parse_profiles profiles, parse_intensities intensities)
-        with
-        | Error e, _, _ | _, Error e, _ | _, _, Error e ->
-          prerr_endline e;
-          1
-        | Ok schemes, Ok profiles, Ok intensities ->
-          let base =
-            match durability with
-            | `None -> Campaign.default_base
-            | `Wal ->
-              {
-                Campaign.default_base with
-                Atomrep_replica.Runtime.durability =
-                  Atomrep_replica.Repository.durable ~segment_records:16
-                    ~checkpoint_every:48 ();
-              }
-            | `Wal_gc ->
-              {
-                Campaign.default_base with
-                Atomrep_replica.Runtime.durability =
-                  Campaign.storage_base.Atomrep_replica.Runtime.durability;
-              }
+  let run schemes profiles seeds txns intensities domains monitors durability txn ungated
+      replay report_file postmortem_dir max_shrinks =
+    match replay with
+    | Some fixtures -> run_replay fixtures monitors
+    | None ->
+      let base =
+        {
+          (Campaign.default_base |> durability |> txn) with
+          Runtime.ungated_rejoin = ungated;
+        }
+      in
+      let domains = if domains = 0 then None else Some domains in
+      let report =
+        Explore.sweep ?domains ~n_txns:txns ~monitors ~max_shrinks ?postmortem_dir ~base
+          ~schemes ~profiles ~seeds ~intensities ()
+      in
+      let violations = report.x_violations in
+      Printf.printf
+        "explore: %d runs on %d domain(s) in %.1fs — committed=%d aborted=%d, \
+         %d violation(s)%s\n"
+        report.x_tasks report.x_domains report.x_wall_s report.x_committed
+        report.x_aborted (List.length violations)
+        (if report.x_shrunk > 0 && report.x_shrunk < List.length violations then
+           Printf.sprintf " (%d shrunk)" report.x_shrunk
+         else "");
+      List.iter (fun v -> Format.printf "%a@." Campaign.pp_violation v) violations;
+      Option.iter
+        (fun path ->
+          let doc =
+            Json.Obj
+              [
+                ( "explore",
+                  Json.Obj
+                    [
+                      ( "monitors",
+                        Json.List
+                          (List.map (fun e -> Json.Str e.Monitors.e_name) monitors) );
+                      ("seeds", Json.int seeds);
+                      ("txns", Json.int txns);
+                      ( "intensities",
+                        Json.List (List.map (fun i -> Json.Num i) intensities) );
+                      ("domains", Json.int report.x_domains);
+                      ("tasks", Json.int report.x_tasks);
+                      ("committed", Json.int report.x_committed);
+                      ("aborted", Json.int report.x_aborted);
+                      ("wall_s", Json.Num report.x_wall_s);
+                      ("shrunk", Json.int report.x_shrunk);
+                      ("violations", Json.List (List.map violation_json violations));
+                    ] );
+              ]
           in
-          let base =
-            {
-              base with
-              Atomrep_replica.Runtime.termination;
-              deadlock;
-              takeover;
-              ungated_rejoin = ungated;
-            }
-          in
-          let domains = if domains <= 0 then None else Some domains in
-          let report =
-            Explore.sweep ?domains ~n_txns:txns ~monitors ~max_shrinks
-              ?postmortem_dir ~base ~schemes ~profiles ~seeds ~intensities ()
-          in
-          Printf.printf
-            "explore: %d runs on %d domain(s) in %.1fs — committed=%d aborted=%d, \
-             %d violation(s)%s\n"
-            report.Explore.x_tasks report.Explore.x_domains report.Explore.x_wall_s
-            report.Explore.x_committed report.Explore.x_aborted
-            (List.length report.Explore.x_violations)
-            (if
-               report.Explore.x_shrunk > 0
-               && report.Explore.x_shrunk < List.length report.Explore.x_violations
-             then Printf.sprintf " (%d shrunk)" report.Explore.x_shrunk
-             else "");
-          List.iter
-            (fun v -> Format.printf "%a@." Campaign.pp_violation v)
-            report.Explore.x_violations;
-          (match report_file with
-           | None -> ()
-           | Some path ->
-             let doc =
-               Json.Obj
-                 [
-                   ( "explore",
-                     Json.Obj
-                       [
-                         ( "monitors",
-                           Json.List
-                             (List.map
-                                (fun (e : Monitors.entry) -> Json.Str e.Monitors.e_name)
-                                monitors) );
-                         ("seeds", Json.int seeds);
-                         ("txns", Json.int txns);
-                         ( "intensities",
-                           Json.List (List.map (fun i -> Json.Num i) intensities) );
-                         ("domains", Json.int report.Explore.x_domains);
-                         ("tasks", Json.int report.Explore.x_tasks);
-                         ("committed", Json.int report.Explore.x_committed);
-                         ("aborted", Json.int report.Explore.x_aborted);
-                         ("wall_s", Json.Num report.Explore.x_wall_s);
-                         ("shrunk", Json.int report.Explore.x_shrunk);
-                         ( "violations",
-                           Json.List (List.map violation_json report.Explore.x_violations)
-                         );
-                       ] );
-                 ]
-             in
-             Obs.Export.write_file path (Json.to_string doc);
-             Printf.printf "wrote %s\n" path);
-          if report.Explore.x_violations = [] then 0 else 1))
-  in
-  let schemes_arg =
-    Arg.(
-      value
-      & opt string "static,hybrid,locking"
-      & info [ "schemes" ] ~docv:"SCHEMES" ~doc:"Comma-separated schemes to sweep.")
-  in
-  let profiles_arg =
-    Arg.(
-      value & opt string "all"
-      & info [ "profiles" ] ~docv:"PROFILES"
-          ~doc:"Comma-separated fault profiles, or `all'.")
-  in
-  let seeds_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "seeds" ] ~docv:"N" ~doc:"Sweep seeds 0..N-1 per cell.")
-  in
-  let txns_arg =
-    Arg.(value & opt int 30 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per run.")
+          Obs.Export.write_file path (Json.to_string doc);
+          Printf.printf "wrote %s\n" path)
+        report_file;
+      if violations = [] then 0 else 1
   in
   let intensities_arg =
-    Arg.(
-      value & opt string "1.0"
-      & info [ "intensities" ] ~docv:"LIST"
-          ~doc:"Comma-separated fault intensity scales, one sweep stratum each.")
+    opt ~absent:"1.0" (Arg.list pos_float) [ 1.0 ] [ "intensities" ] ~docv:"LIST"
+      ~doc:"Comma-separated fault intensity scales, one sweep stratum each."
   in
   let domains_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the parallel sweep (0 = the runtime's \
-             recommended count; 1 = sequential). The report is identical \
-             for any value.")
+    opt nat 0 [ "domains" ] ~docv:"N"
+      ~doc:
+        "Worker domains for the parallel sweep (0 = the runtime's \
+         recommended count; 1 = sequential). The report is identical \
+         for any value."
   in
   let ungated_arg =
-    Arg.(
-      value & flag
-      & info [ "ungated-rejoin" ]
-          ~doc:
-            "Negative testing: let amnesiac sites rejoin without a resync \
-             quorum (the pre-fix double-dequeue behavior) so the sweep has \
-             a real violation to find and shrink.")
+    flag [ "ungated-rejoin" ]
+      ~doc:
+        "Negative testing: let amnesiac sites rejoin without a resync \
+         quorum (the pre-fix double-dequeue behavior) so the sweep has \
+         a real violation to find and shrink."
   in
   let replay_arg =
     Arg.(
       value
-      & opt ~vopt:(Some "all") (some string) None
+      & opt ~vopt:(Some Explore.fixtures) (some fixtures) None
       & info [ "replay" ] ~docv:"FIXTURES"
           ~doc:
             (Printf.sprintf
@@ -1516,159 +1193,135 @@ let explore_cmd =
                (String.concat ", " Explore.fixture_names)))
   in
   let report_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE" ~doc:"Write the sweep report as JSON to $(docv).")
-  in
-  let postmortem_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "postmortem-dir" ] ~docv:"DIR"
-          ~doc:
-            "Replay each shrunk violation under tracing and write a causal \
-             postmortem plus the full trace into $(docv).")
+    opt Arg.(some string) None [ "report" ] ~docv:"FILE"
+      ~doc:"Write the sweep report as JSON to $(docv)."
   in
   let max_shrinks_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "max-shrinks" ] ~docv:"N"
-          ~doc:
-            "Bisection-shrink at most $(docv) violations (earliest tasks \
-             first); the rest are reported at their original tuples.")
+    opt nat 4 [ "max-shrinks" ] ~docv:"N"
+      ~doc:
+        "Bisection-shrink at most $(docv) violations (earliest tasks \
+         first); the rest are reported at their original tuples."
   in
   let doc =
     "Parallel monitored seed sweeps (and regression-fixture replays) with \
      shrinking"
   in
+  (* Explore is the monitored sweep: no --monitor means the whole
+     catalogue, unlike chaos where it means the two history entries. *)
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(
-      const run $ schemes_arg $ profiles_arg $ seeds_arg $ txns_arg
-      $ intensities_arg $ domains_arg $ monitor_arg $ durability_arg
-      $ termination_arg $ deadlock_arg $ takeover_arg $ ungated_arg $ replay_arg
-      $ report_arg $ postmortem_dir_arg $ max_shrinks_arg)
+      const run $ schemes_arg $ profiles_arg
+      $ seeds_arg 64 ~doc:"Sweep seeds 0..N-1 per cell."
+      $ txns_arg 30 ~doc:"Transactions per run."
+      $ intensities_arg $ domains_arg $ monitor_arg Monitors.registry
+      $ durability_flag ~tuned:true
+      $ txn_flags ~retry_budget:false ()
+      $ ungated_arg $ replay_arg $ report_arg $ postmortem_dir_arg $ max_shrinks_arg)
 
 (* --- experiment --- *)
 
 let experiment_cmd =
-  let run id =
-    if String.equal id "all" then begin
-      List.iter (fun (_, _, r) -> r ()) Atomrep_experiments.Experiments.all;
-      0
-    end
-    else if Atomrep_experiments.Experiments.run_by_id id then 0
-    else begin
-      Printf.eprintf "unknown experiment %S; known: all, %s\n" id
-        (String.concat ", "
-           (List.map (fun (i, _, _) -> i) Atomrep_experiments.Experiments.all));
-      1
-    end
+  let module E = Atomrep_experiments.Experiments in
+  let run = function
+    | "all" -> List.iter (fun (_, _, r) -> r ()) E.all
+    | id -> ignore (E.run_by_id id)
   in
   let id_arg =
-    let doc = "Experiment id (e1..e10, or `all')." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
+    let ids = "all" :: List.map (fun (id, _, _) -> id) E.all in
+    let doc = "Experiment id (e1..e13, or `all')." in
+    Arg.(
+      required
+      & pos 0 (some (enum (List.map (fun id -> (id, id)) ids))) None
+      & info [] ~docv:"ID" ~doc)
   in
   let doc = "Reproduce one of the paper's figures or examples" in
-  Cmd.v (Cmd.info "experiment" ~doc) Term.(const run $ id_arg)
+  Cmd.v (Cmd.info "experiment" ~doc) Term.(const (fun id -> run id; 0) $ id_arg)
 
 (* --- compare --- *)
 
 let compare_cmd =
-  let run type_name max_len n_sites samples =
-    match find_spec type_name with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok spec ->
-      let module C = Atomrep_experiments.Compare in
-      let concurrency = C.concurrency ~samples spec in
-      Format.printf "concurrency (Figure 1-1), %d random histories:@." samples;
-      Format.printf "  static  vs hybrid : %a@." C.pp_verdict concurrency.C.static_vs_hybrid;
-      Format.printf "  hybrid  vs dynamic: %a@." C.pp_verdict concurrency.C.hybrid_vs_dynamic;
-      Format.printf "  static  vs dynamic: %a@." C.pp_verdict concurrency.C.static_vs_dynamic;
-      (match concurrency.C.witness_hybrid_not_static with
-       | Some h ->
-         Format.printf "@.witness (hybrid but not static atomic):@.%s@."
-           (Atomrep_history.Behavioral.to_string h)
-       | None -> ());
-      let hybrid_relations = [ Static_dep.minimal spec ~max_len ] in
-      let availability = C.availability ~max_len ~hybrid_relations ~n_sites spec in
-      Format.printf
-        "@.availability (Figure 1-2), threshold assignments on %d sites:@." n_sites;
-      Format.printf "  static %d, hybrid >=%d, dynamic %d@." availability.C.static_count
-        availability.C.hybrid_count availability.C.dynamic_count;
-      Format.printf "  static vs hybrid : %a@." C.pp_verdict availability.C.static_vs_hybrid;
-      Format.printf "  hybrid vs dynamic: %a@." C.pp_verdict availability.C.hybrid_vs_dynamic;
-      print_endline
-        "\n(hybrid counted against the static relation — a sound hybrid\n\
-         relation by Theorem 4; run `analyze --hybrid-search' for minimal\n\
-         hybrid relations)";
-      0
-  in
-  let sites_arg =
-    Arg.(value & opt pos_int 3 & info [ "n"; "sites" ] ~docv:"SITES" ~doc:"Replication degree.")
+  let run spec max_len n_sites samples =
+    let module C = Atomrep_experiments.Compare in
+    let concurrency = C.concurrency ~samples spec in
+    Format.printf "concurrency (Figure 1-1), %d random histories:@." samples;
+    Format.printf "  static  vs hybrid : %a@." C.pp_verdict concurrency.C.static_vs_hybrid;
+    Format.printf "  hybrid  vs dynamic: %a@." C.pp_verdict concurrency.C.hybrid_vs_dynamic;
+    Format.printf "  static  vs dynamic: %a@." C.pp_verdict concurrency.C.static_vs_dynamic;
+    (match concurrency.C.witness_hybrid_not_static with
+     | Some h ->
+       Format.printf "@.witness (hybrid but not static atomic):@.%s@."
+         (Atomrep_history.Behavioral.to_string h)
+     | None -> ());
+    let hybrid_relations = [ Static_dep.minimal spec ~max_len ] in
+    let availability = C.availability ~max_len ~hybrid_relations ~n_sites spec in
+    Format.printf "@.availability (Figure 1-2), threshold assignments on %d sites:@." n_sites;
+    Format.printf "  static %d, hybrid >=%d, dynamic %d@." availability.C.static_count
+      availability.C.hybrid_count availability.C.dynamic_count;
+    Format.printf "  static vs hybrid : %a@." C.pp_verdict availability.C.static_vs_hybrid;
+    Format.printf "  hybrid vs dynamic: %a@." C.pp_verdict availability.C.hybrid_vs_dynamic;
+    print_endline
+      "\n(hybrid counted against the static relation — a sound hybrid\n\
+       relation by Theorem 4; run `analyze --hybrid-search' for minimal\n\
+       hybrid relations)";
+    0
   in
   let samples_arg =
-    Arg.(value & opt int 1000 & info [ "samples" ] ~docv:"N" ~doc:"Random histories to classify.")
+    opt pos_int 1000 [ "samples" ] ~docv:"N" ~doc:"Random histories to classify."
   in
   let doc = "Compare the three atomicity properties on one data type" in
   Cmd.v (Cmd.info "compare" ~doc)
-    Term.(const run $ type_arg $ max_len_arg $ sites_arg $ samples_arg)
+    Term.(const run $ type_arg $ max_len_arg $ sites_arg 3 $ samples_arg)
 
 (* --- witness --- *)
 
 let witness_cmd =
-  let run type_name max_len dependent supplier =
-    match find_spec type_name with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok spec ->
-      let universe = Serial_spec.event_universe spec ~max_len in
-      let invs =
-        List.filter
-          (fun (inv : Atomrep_history.Event.Invocation.t) -> String.equal inv.op dependent)
-          spec.Serial_spec.invocations
-      in
-      let events =
-        List.filter
-          (fun (e : Atomrep_history.Event.t) -> String.equal e.inv.op supplier)
-          universe
-      in
-      if invs = [] || events = [] then begin
-        Printf.eprintf "no such operations (%s, %s) for %s\n" dependent supplier type_name;
-        1
-      end
-      else begin
-        let found = ref false in
+  (* The dependent operation's invocations and the supplier's events; an
+     operation the type lacks is a usage error. *)
+  let pairs spec max_len dependent supplier =
+    let invs =
+      List.filter
+        (fun (inv : Atomrep_history.Event.Invocation.t) -> String.equal inv.op dependent)
+        spec.Serial_spec.invocations
+    in
+    let events =
+      List.filter
+        (fun (e : Atomrep_history.Event.t) -> String.equal e.inv.op supplier)
+        (Serial_spec.event_universe spec ~max_len)
+    in
+    if invs = [] || events = [] then
+      Error
+        (`Msg
+          (Printf.sprintf "no such operations (%s, %s) for %s" dependent supplier
+             spec.Serial_spec.name))
+    else Ok (spec, max_len, dependent, supplier, invs, events)
+  in
+  let run (spec, max_len, dependent, supplier, invs, events) =
+    let pp_events ppf l =
+      Format.pp_print_list
+        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+        Atomrep_history.Event.pp ppf l
+    in
+    let found = ref false in
+    List.iter
+      (fun inv ->
         List.iter
-          (fun inv ->
-            List.iter
-              (fun e ->
-                match Static_dep.witness spec ~max_len inv e with
-                | Some (h1, ev, h2, h3) ->
-                  found := true;
-                  let pp_events ppf l =
-                    Format.pp_print_list
-                      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-                      Atomrep_history.Event.pp ppf l
-                  in
-                  Format.printf
-                    "%a >= %a  via Theorem 6:@.  h1 = [%a]@.  insert %a / %a@.  h2 = \
-                     [%a]@.  h3 = [%a]@.@."
-                    Atomrep_history.Event.Invocation.pp inv Atomrep_history.Event.pp e
-                    pp_events h1 Atomrep_history.Event.pp ev Atomrep_history.Event.pp e
-                    pp_events h2 pp_events h3
-                | None -> ())
-              events)
-          invs;
-        if not !found then
-          Printf.printf
-            "no static dependency between %s and %s within %d-event histories\n"
-            dependent supplier max_len;
-        0
-      end
+          (fun e ->
+            match Static_dep.witness spec ~max_len inv e with
+            | Some (h1, ev, h2, h3) ->
+              found := true;
+              Format.printf
+                "%a >= %a  via Theorem 6:@.  h1 = [%a]@.  insert %a / %a@.  h2 = \
+                 [%a]@.  h3 = [%a]@.@."
+                Atomrep_history.Event.Invocation.pp inv Atomrep_history.Event.pp e
+                pp_events h1 Atomrep_history.Event.pp ev Atomrep_history.Event.pp e
+                pp_events h2 pp_events h3
+            | None -> ())
+          events)
+      invs;
+    if not !found then
+      Printf.printf "no static dependency between %s and %s within %d-event histories\n"
+        dependent supplier max_len;
+    0
   in
   let dependent_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"DEPENDENT" ~doc:"Invoking operation.")
@@ -1678,7 +1331,10 @@ let witness_cmd =
   in
   let doc = "Show a Theorem-6 witness for a static dependency pair" in
   Cmd.v (Cmd.info "witness" ~doc)
-    Term.(const run $ type_arg $ max_len_arg $ dependent_arg $ supplier_arg)
+    Term.(
+      const run
+      $ cli_parse_result
+          (const pairs $ type_arg $ max_len_arg $ dependent_arg $ supplier_arg))
 
 (* --- types --- *)
 
@@ -1686,17 +1342,9 @@ let types_cmd =
   let run () =
     List.iter
       (fun (name, spec) ->
-        Printf.printf "%-14s %d operations: %s\n" name
-          (List.length
-             (List.sort_uniq String.compare
-                (List.map
-                   (fun (inv : Atomrep_history.Event.Invocation.t) -> inv.op)
-                   spec.Serial_spec.invocations)))
-          (String.concat ", "
-             (List.sort_uniq String.compare
-                (List.map
-                   (fun (inv : Atomrep_history.Event.Invocation.t) -> inv.op)
-                   spec.Serial_spec.invocations))))
+        let ops = ops_of spec in
+        Printf.printf "%-14s %d operations: %s\n" name (List.length ops)
+          (String.concat ", " ops))
       Type_registry.all;
     0
   in
