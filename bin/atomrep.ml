@@ -94,11 +94,7 @@ let data_type =
 
 let monitors =
   let parse s = Result.map_error (fun e -> `Msg e) (Monitors.of_names s) in
-  let print ppf sel =
-    Format.pp_print_string ppf
-      (if sel == Monitors.registry then "all"
-       else String.concat "," (List.map (fun e -> e.Monitors.e_name) sel))
-  in
+  let print ppf sel = Format.pp_print_string ppf (Monitors.selection_name sel) in
   Arg.conv (parse, print)
 
 (* One fail-slow injection, SITE[:MODE[:FACTOR[:ONSET]]]. Whether SITE is
@@ -684,9 +680,7 @@ let simulate_cmd =
 (* --- chaos --- *)
 
 let chaos_cmd =
-  let run schemes profiles seeds txns intensity repro seed base gray txn durability obs
-      postmortem_dir =
-    let base = base |> gray |> txn |> durability in
+  let run schemes profiles seeds txns intensity repro seed (base, flags) obs postmortem_dir =
     if repro then begin
       (* Replay one reproducer tuple per scheme/profile given; all the
          replays share one trace bus, so the exported file covers the
@@ -708,7 +702,7 @@ let chaos_cmd =
     end
     else begin
       let report =
-        Campaign.run_campaign ~base ~n_txns:txns ~intensity ~monitors:obs.monitors
+        Campaign.run_campaign ~base ~flags ~n_txns:txns ~intensity ~monitors:obs.monitors
           ~sample:obs.sample ?postmortem_dir ~schemes ~profiles ~seeds ()
       in
       Format.printf "%a" Campaign.pp_report report;
@@ -758,6 +752,14 @@ let chaos_cmd =
     Term.(const pick $ overload $ gray $ reconfig)
   in
   let n_sites = Term.(const (fun (b : Runtime.config) -> b.n_sites) $ base) in
+  (* The flags that built the base also go into each violation's
+     reproducer line. *)
+  let base =
+    Term.with_used_args
+      Term.(
+        const (fun base gray txn durability -> base |> gray |> txn |> durability)
+        $ base $ gray_flags n_sites $ txn_flags () $ durability_flag ~tuned:true)
+  in
   let doc = "Run a fault-injection campaign and check atomicity after every run" in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
@@ -766,9 +768,7 @@ let chaos_cmd =
       $ txns_arg 30 ~doc:"Transactions per run."
       $ intensity_arg $ repro_arg
       $ seed_arg 0 ~doc:"Seed for --repro."
-      $ base $ gray_flags n_sites $ txn_flags ()
-      $ durability_flag ~tuned:true $ obs_flags ()
-      $ postmortem_dir_arg)
+      $ base $ obs_flags () $ postmortem_dir_arg)
 
 (* --- load --- *)
 
@@ -1106,21 +1106,16 @@ let explore_cmd =
       results;
     if List.for_all (fun (r : Explore.replay_result) -> r.rr_ok) results then 0 else 1
   in
-  let run schemes profiles seeds txns intensities domains monitors durability txn ungated
+  let run schemes profiles seeds txns intensities domains monitors (overlay, flags) ungated
       replay report_file postmortem_dir max_shrinks =
     match replay with
     | Some fixtures -> run_replay fixtures monitors
     | None ->
-      let base =
-        {
-          (Campaign.default_base |> durability |> txn) with
-          Runtime.ungated_rejoin = ungated;
-        }
-      in
+      let base = { (overlay Campaign.default_base) with Runtime.ungated_rejoin = ungated } in
       let domains = if domains = 0 then None else Some domains in
       let report =
-        Explore.sweep ?domains ~n_txns:txns ~monitors ~max_shrinks ?postmortem_dir ~base
-          ~schemes ~profiles ~seeds ~intensities ()
+        Explore.sweep ?domains ~n_txns:txns ~monitors ~max_shrinks ?postmortem_dir ~flags
+          ~base ~schemes ~profiles ~seeds ~intensities ()
       in
       let violations = report.x_violations in
       Printf.printf
@@ -1214,8 +1209,11 @@ let explore_cmd =
       $ seeds_arg 64 ~doc:"Sweep seeds 0..N-1 per cell."
       $ txns_arg 30 ~doc:"Transactions per run."
       $ intensities_arg $ domains_arg $ monitor_arg Monitors.registry
-      $ durability_flag ~tuned:true
-      $ txn_flags ~retry_budget:false ()
+      $ Term.with_used_args
+          Term.(
+            const (fun durability txn cfg -> cfg |> durability |> txn)
+            $ durability_flag ~tuned:true
+            $ txn_flags ~retry_budget:false ())
       $ ungated_arg $ replay_arg $ report_arg $ postmortem_dir_arg $ max_shrinks_arg)
 
 (* --- experiment --- *)

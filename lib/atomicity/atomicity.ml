@@ -10,56 +10,6 @@ let property_name = function
 
 let all_properties = [ Static; Hybrid; Dynamic ]
 
-(* Exploring hypothetical completions is exponential (factorial, for the
-   permuting properties) in the active — undecided — actions. Histories
-   from crash-heavy runs can end with dozens of permanently stranded
-   actives (a coordinator that died mid-commit leaves its transaction
-   active forever unless a termination protocol resolves it), so past
-   this bound the checker stops enumerating every subset and verifies
-   the completions that add at most two actives instead: still every
-   committed-only serialization, plus every one- and two-active
-   extension. *)
-let max_exhaustive_actives = 6
-
-let completion_subsets actives =
-  if List.length actives <= max_exhaustive_actives then
-    Behavioral.subsets actives
-  else
-    let singletons = List.map (fun a -> [ a ]) actives in
-    let rec pairs = function
-      | [] -> []
-      | a :: rest -> List.map (fun b -> [ a; b ]) rest @ pairs rest
-    in
-    ([] :: singletons) @ pairs actives
-
-let static_orders h =
-  let committed = Behavioral.committed h in
-  let actives = Behavioral.active h in
-  let begins = Behavioral.begin_order h in
-  let in_order chosen =
-    List.filter
-      (fun a ->
-        List.exists (Action.equal a) committed || List.exists (Action.equal a) chosen)
-      begins
-  in
-  List.map in_order (completion_subsets actives)
-
-let hybrid_orders h =
-  let committed = Behavioral.committed h in
-  let actives = Behavioral.active h in
-  List.concat_map
-    (fun chosen ->
-      List.map (fun perm -> committed @ perm) (Behavioral.permutations chosen))
-    (completion_subsets actives)
-
-let dynamic_orders h =
-  let committed = Behavioral.committed h in
-  let actives = Behavioral.active h in
-  let pairs = Behavioral.precedes_pairs h in
-  List.concat_map
-    (fun chosen -> Behavioral.linear_extensions pairs (committed @ chosen))
-    (completion_subsets actives)
-
 type failure = {
   order : Action.t list;
   serial : Event.t list;
@@ -77,59 +27,155 @@ let pp_failure ppf { order; serial; reason } =
        Event.pp)
     serial
 
-let find_illegal spec h orders =
-  let illegal order =
-    let serial = Behavioral.serialize h order in
-    if Serial_spec.legal spec serial then None
-    else Some { order; serial; reason = "illegal serialization" }
+(* A set of placed actions, as indices into the walk's base order: every
+   index below [p] is placed, plus the ascending [extra] indices above it.
+   Placements mostly extend the prefix, so keys stay a few words long. *)
+type placed = { p : int; extra : int list }
+
+let is_placed { p; extra } i = i < p || List.mem i extra
+
+let place ({ p; extra } as set) i =
+  let rec absorb p = function
+    | j :: rest when j = p -> absorb (p + 1) rest
+    | extra -> { p; extra }
   in
-  List.find_map illegal orders
+  if i = p then absorb (p + 1) extra
+  else { set with extra = List.merge compare [ i ] extra }
+
+(* Which unplaced action may be placed next — the only part of the walk
+   that differs per property. [Any_order] walks the committed actions
+   alone, in every order. *)
+type rule = Begin_order | Commit_order | Precedes | Any_order
+
+let rule_of = function Static -> Begin_order | Hybrid -> Commit_order | Dynamic -> Precedes
+
+(* The walk's actions, which exclude those that executed nothing: no
+   serialization sees them. [base] is Begin order for [Begin_order] and
+   commit order followed by the actives in Begin order otherwise, so
+   there the first [committed] indices are the committed actions. *)
+type walk = {
+  base : Action.t array;
+  events : Event.t list array;
+  committed : int;
+  next : placed -> (int * placed) list;  (** eligible placements *)
+}
+
+let walk rule h =
+  let counts = Behavioral.precedes_counts h in
+  let executed a = Action.Map.mem a counts in
+  let committed = List.filter executed (Behavioral.committed h) in
+  let base =
+    Array.of_list
+      (match rule with
+       | Begin_order -> List.filter executed (Behavioral.begin_order h)
+       | Commit_order | Precedes -> committed @ List.filter executed (Behavioral.active h)
+       | Any_order -> committed)
+  in
+  let n = Array.length base and nc = List.length committed in
+  let unplaced set =
+    List.filter (fun i -> not (is_placed set i)) (List.init (n - set.p) (( + ) set.p))
+  in
+  let next =
+    match rule with
+    | Begin_order ->
+      (* The next committed action in Begin order, or an active that
+         began before it. The actives skipped on the way are out of this
+         order for good, so the set key is just the position reached. *)
+      let is_committed =
+        Array.map (fun a -> List.exists (Action.equal a) committed) base
+      in
+      fun { p; _ } ->
+        let rec upto i =
+          if i >= n then []
+          else
+            (i, { p = i + 1; extra = [] })
+            :: (if is_committed.(i) then [] else upto (i + 1))
+        in
+        upto p
+    | Commit_order ->
+      fun set ->
+        List.map
+          (fun i -> (i, place set i))
+          (if set.p < nc then [ set.p ] else unplaced set)
+    | Precedes ->
+      (* Precedes is an interval order: an action's predecessors are the
+         first [counts] actions of commit order, all placed once the
+         placed prefix covers them. *)
+      let preds = Array.map (fun a -> Action.Map.find a counts) base in
+      fun set ->
+        List.filter_map
+          (fun i -> if preds.(i) <= set.p then Some (i, place set i) else None)
+          (unplaced set)
+    | Any_order -> fun set -> List.map (fun i -> (i, place set i)) (unplaced set)
+  in
+  { base; events = Array.map (Behavioral.events_of h) base; committed = nc; next }
+
+(* Depth-first over (placed set, spec state), expanding each pair once.
+   Returns the distinct states reached at every placed set, each with the
+   reversed path that first reached it; or, unless [prune], the reversed
+   path ending in the first illegal placement. With [prune], an illegal
+   placement just ends its branch. *)
+let search ?(prune = false) spec w =
+  let reached = Hashtbl.create 64 in
+  let exception Illegal of int list in
+  let rec visit set state path =
+    let states = Option.value (Hashtbl.find_opt reached set) ~default:[] in
+    if not (List.exists (fun (s, _) -> Value.equal s state) states) then begin
+      Hashtbl.replace reached set ((state, path) :: states);
+      List.iter
+        (fun (i, set') ->
+          let path = i :: path in
+          match
+            List.fold_left
+              (fun s e -> Option.bind s (fun s -> Serial_spec.apply_event spec s e))
+              (Some state) w.events.(i)
+          with
+          | Some state' -> visit set' state' path
+          | None -> if not prune then raise (Illegal path))
+        (w.next set)
+    end
+  in
+  match visit { p = 0; extra = [] } spec.Serial_spec.initial [] with
+  | () -> Ok reached
+  | exception Illegal path -> Error path
+
+let failure w reason path =
+  let path = List.rev path in
+  {
+    order = List.map (fun i -> w.base.(i)) path;
+    serial = List.concat_map (fun i -> w.events.(i)) path;
+    reason;
+  }
 
 let check spec property h =
   let h = Behavioral.strip_aborted h in
-  match property with
-  | Static ->
-    (match find_illegal spec h (static_orders h) with
-     | Some f -> Error f
+  let w = walk (rule_of property) h in
+  match search spec w with
+  | Error path -> Error (failure w "illegal serialization" path)
+  | Ok _ when property <> Dynamic -> Ok ()
+  | Ok reached ->
+    (* All serializations over one action set must be equivalent: every
+       state reached at a set holding all committed actions must be
+       equivalent to the first one reached there. *)
+    let depth = List.length (Behavioral.all_events h) + 2 in
+    let inequivalent (set, states) =
+      match List.rev states with
+      | (first, _) :: rest when set.p >= w.committed ->
+        List.find_map
+          (fun (s, path) ->
+            if Serial_spec.state_equiv spec ~depth first s then None else Some path)
+          rest
+      | _ -> None
+    in
+    (match Seq.find_map inequivalent (Hashtbl.to_seq reached) with
+     | Some path -> Error (failure w "inequivalent serializations" path)
      | None -> Ok ())
-  | Hybrid ->
-    (match find_illegal spec h (hybrid_orders h) with
-     | Some f -> Error f
-     | None -> Ok ())
-  | Dynamic ->
-    let orders = dynamic_orders h in
-    (match find_illegal spec h orders with
-     | Some f -> Error f
-     | None ->
-       (* All serializations over the same action set must be equivalent.
-          Group orders by their action set, compare each group's
-          serializations to the first. *)
-       let depth = List.length (Behavioral.all_events h) + 2 in
-       let module SM = Map.Make (String) in
-       let key order = String.concat "," (List.sort compare (List.map Action.to_string order)) in
-       let groups =
-         List.fold_left
-           (fun m order ->
-             let k = key order in
-             SM.update k (function None -> Some [ order ] | Some l -> Some (order :: l)) m)
-           SM.empty orders
-       in
-       let check_group _ group acc =
-         match acc, group with
-         | Error _, _ -> acc
-         | Ok (), [] -> acc
-         | Ok (), reference :: rest ->
-           let ref_serial = Behavioral.serialize h reference in
-           let differs order =
-             let serial = Behavioral.serialize h order in
-             if Serial_spec.equivalent spec ~depth ref_serial serial then None
-             else Some { order; serial; reason = "inequivalent serializations" }
-           in
-           (match List.find_map differs rest with
-            | Some f -> Error f
-            | None -> Ok ())
-       in
-       SM.fold check_group groups (Ok ()))
+
+let serializable spec h =
+  let w = walk Any_order (Behavioral.strip_aborted h) in
+  match search ~prune:true spec w with
+  | Ok reached -> Hashtbl.mem reached { p = w.committed; extra = [] }
+  | Error _ -> false
 
 let satisfies spec property h = Result.is_ok (check spec property h)
 let is_static_atomic spec h = satisfies spec Static h

@@ -13,9 +13,22 @@
     All checkers implement the {e on-line} versions: a history satisfies the
     property only if it still does after committing any subset of its active
     actions (in any eligible order). Aborted actions are stripped first
-    (recoverability). Checkers are exhaustive and intended for the small
-    histories used in analysis and testing; the simulator's verification pass
-    applies them to every per-object history it generates. *)
+    (recoverability).
+
+    {b Decision procedure.} One depth-first search over pairs (set of placed
+    actions, spec state) decides all three properties exactly. Serial
+    specifications are deterministic per (state, event), so the walk
+    replays each shared prefix once and expands each pair once; the only
+    per-property code is which unplaced action may be placed next — the
+    next committed action in Begin order or an active that began before it
+    (static), commit order and then any active (hybrid), any action whose
+    precedes-predecessors are placed (dynamic). An illegal placement is the
+    counterexample. Actions that executed nothing are left out: no
+    serialization sees them. The cost is the number of (placed set,
+    distinct state) pairs: linear in the history for a chain of commits,
+    exponential only in the actions that may be placed in several orders
+    with distinct effects. The simulator's verification pass applies it to
+    every per-object history it generates. *)
 
 open Atomrep_history
 open Atomrep_spec
@@ -25,24 +38,10 @@ type property = Static | Hybrid | Dynamic
 val property_name : property -> string
 val all_properties : property list
 
-val static_orders : Behavioral.t -> Action.t list list
-(** Serialization orders demanded by on-line static atomicity: for every
-    subset of active actions, the committed actions plus that subset in
-    Begin-event order. *)
-
-val hybrid_orders : Behavioral.t -> Action.t list list
-(** Orders demanded by on-line hybrid atomicity: committed actions in
-    Commit-event order, followed by every permutation of every subset of
-    active actions (their hypothetical Commit events would follow all
-    existing ones, in any relative order). *)
-
-val dynamic_orders : Behavioral.t -> Action.t list list
-(** Orders demanded by on-line strong dynamic atomicity: for every subset of
-    active actions, every linear extension of the precedes order over the
-    committed actions plus that subset. *)
-
 type failure = {
-  order : Action.t list; (** serialization order that failed *)
+  order : Action.t list;
+      (** the failing order: for an illegal serialization its shortest
+          illegal prefix, ending in the action whose placement failed *)
   serial : Event.t list; (** the illegal (or inequivalent) serialization *)
   reason : string;
 }
@@ -52,7 +51,14 @@ val pp_failure : Format.formatter -> failure -> unit
 val check : Serial_spec.t -> property -> Behavioral.t -> (unit, failure) result
 (** Full check with a counterexample on failure. For [Dynamic] this includes
     the equivalence requirement between all serializations, decided with
-    observational equivalence at depth [history length + 2]. *)
+    observational equivalence at depth [history length + 2]: every state
+    reached at a placed set holding all committed actions must be
+    equivalent to the first state reached there. *)
+
+val serializable : Serial_spec.t -> Behavioral.t -> bool
+(** Is {e some} order of the committed actions (aborted stripped, actives
+    ignored) a legal serialization? The same walk, with every committed
+    action eligible at every step and illegal placements pruned. *)
 
 val satisfies : Serial_spec.t -> property -> Behavioral.t -> bool
 

@@ -152,6 +152,7 @@ type violation = {
   v_intensity : float;
   v_failures : (string * string) list;
   v_postmortem : string option;
+  v_flags : string list option;
 }
 
 type cell = {
@@ -305,12 +306,23 @@ let shrink ?monitors ~base v =
     v_failures = snd (Monitors.check_run ?monitors cfg);
   }
 
+let replay_flags ~(base : Runtime.config) ~monitors flags =
+  let selection = Monitors.selection_name monitors in
+  if base.ungated_rejoin then None
+  else if selection = Monitors.selection_name Monitors.history then Some flags
+  else Some (flags @ [ "--monitor"; selection ])
+
 let reproducer_line v =
-  Printf.sprintf
-    "atomrep chaos --repro --schemes %s --profiles %s --seed %d --txns %d \
-     --intensity %g"
-    (Replicated.scheme_name v.v_scheme)
-    v.v_profile.profile_name v.v_seed v.v_n_txns v.v_intensity
+  match v.v_flags with
+  | None -> "not replayable with atomrep chaos: no flag re-enables ungated rejoin"
+  | Some flags ->
+    String.concat " "
+      (Printf.sprintf
+         "atomrep chaos --repro --schemes %s --profiles %s --seed %d --txns %d \
+          --intensity %g"
+         (Replicated.scheme_name v.v_scheme)
+         v.v_profile.profile_name v.v_seed v.v_n_txns v.v_intensity
+      :: flags)
 
 (* Replay a (shrunk) violation with tracing on and slice the trace to the
    causal cone of the violating actions. Determinism makes the traced
@@ -350,8 +362,11 @@ let write_postmortem ?monitors ~base ~dir v =
     (Export.jsonl trace);
   { v with v_postmortem = Some pm_path }
 
-let run_campaign ?(base = default_base) ?(n_txns = 30) ?(intensity = 1.0)
+let run_campaign ?(base = default_base) ?(flags = []) ?(n_txns = 30) ?(intensity = 1.0)
     ?monitors ?sample ?postmortem_dir ~schemes ~profiles ~seeds () =
+  let v_flags =
+    replay_flags ~base ~monitors:(Option.value monitors ~default:Monitors.history) flags
+  in
   let cells = ref [] in
   let violations = ref [] in
   let total = ref 0 in
@@ -377,6 +392,7 @@ let run_campaign ?(base = default_base) ?(n_txns = 30) ?(intensity = 1.0)
                   v_intensity = intensity;
                   v_failures = failures;
                   v_postmortem = None;
+                  v_flags;
                 }
               in
               let v = shrink ?monitors ~base v in

@@ -45,6 +45,9 @@ type violation = {
   v_postmortem : string option;
       (** path of the written causal postmortem, when the campaign ran with
           [postmortem_dir] *)
+  v_flags : string list option;
+      (** the [atomrep chaos] flags that rebuild the run's base and monitor
+          selection, or [None] when no [chaos] flag rebuilds its base *)
 }
 
 type cell = {
@@ -152,8 +155,17 @@ val write_postmortem :
     full trace beside it as [dir/trace-<slug>.jsonl]; returns the violation
     with [v_postmortem] set. Creates [dir] if needed. *)
 
+val replay_flags :
+  base:Runtime.config -> monitors:Monitors.entry list -> string list -> string list option
+(** [replay_flags ~base ~monitors flags] is the {!violation.v_flags} of a
+    run on [base] judged by [monitors]: the command-line [flags] that built
+    [base], plus a [--monitor] selection unless [monitors] is the default
+    {!Monitors.history}. [None] when [base] re-enables ungated rejoin,
+    which no [chaos] flag does. *)
+
 val run_campaign :
   ?base:Runtime.config ->
+  ?flags:string list ->
   ?n_txns:int ->
   ?intensity:float ->
   ?monitors:Monitors.entry list ->
@@ -166,7 +178,9 @@ val run_campaign :
   report
 (** Sweep seeds [0 .. seeds-1] for every scheme x profile pair. With
     [postmortem_dir], every shrunk violation is replayed under tracing and
-    a causal postmortem plus the full trace are written there. *)
+    a causal postmortem plus the full trace are written there. [flags] are
+    the command-line flags that built [base] (default none), for the
+    violations' reproducer lines. *)
 
 val reproduce :
   ?base:Runtime.config ->
@@ -184,7 +198,8 @@ val reproduce :
     share one [trace] are each judged on their own events only. *)
 
 val reproducer_line : violation -> string
-(** A self-contained [atomrep chaos --repro ...] command line. *)
+(** A self-contained [atomrep chaos --repro ...] command line, or a note
+    that no such line replays the run (see {!violation.v_flags}). *)
 
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -31,7 +31,7 @@ let run_task ~base ~n_txns ~monitors t =
     failures )
 
 let sweep ?domains ?(n_txns = 30) ?(monitors = Monitors.registry)
-    ?(max_shrinks = 4) ?postmortem_dir ~base ~schemes ~profiles ~seeds
+    ?(max_shrinks = 4) ?postmortem_dir ?(flags = []) ~base ~schemes ~profiles ~seeds
     ~intensities () =
   let tasks =
     List.concat_map
@@ -86,6 +86,7 @@ let sweep ?domains ?(n_txns = 30) ?(monitors = Monitors.registry)
   in
   let wall = Unix.gettimeofday () -. t0 in
   let committed = ref 0 and aborted = ref 0 in
+  let v_flags = Campaign.replay_flags ~base ~monitors flags in
   let raw =
     List.filter_map
       (fun (_, t, (c, a, failures)) ->
@@ -102,6 +103,7 @@ let sweep ?domains ?(n_txns = 30) ?(monitors = Monitors.registry)
               v_intensity = t.t_intensity;
               v_failures = failures;
               v_postmortem = None;
+              v_flags;
             })
       results
   in

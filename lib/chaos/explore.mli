@@ -42,6 +42,7 @@ val sweep :
   ?monitors:Monitors.entry list ->
   ?max_shrinks:int ->
   ?postmortem_dir:string ->
+  ?flags:string list ->
   base:Runtime.config ->
   schemes:Replicated.scheme list ->
   profiles:Campaign.profile list ->
@@ -56,7 +57,9 @@ val sweep :
     the full catalogue. At most [max_shrinks] violations (default 4,
     earliest tasks first) are bisection-shrunk and, with
     [postmortem_dir], replayed under tracing into causal postmortems;
-    the rest are reported at their original tuples. *)
+    the rest are reported at their original tuples. [flags] are the
+    command-line flags that built [base], for the reproducer lines
+    ({!Campaign.run_campaign}). *)
 
 (** {1 Regression fixtures} *)
 

@@ -705,6 +705,11 @@ let history =
     registry
 
 let names = List.map (fun e -> e.e_name) registry
+
+let selection_name sel =
+  let sel = List.map (fun e -> e.e_name) sel in
+  if sel = names then "all" else String.concat "," sel
+
 let find name = List.find_opt (fun e -> String.equal e.e_name name) registry
 
 let of_names spec =

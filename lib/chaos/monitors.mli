@@ -83,6 +83,10 @@ val history : entry list
 val names : string list
 val find : string -> entry option
 
+val selection_name : entry list -> string
+(** The [--monitor] value that selects exactly these entries: ["all"] for
+    the whole catalogue, else their comma-separated names. *)
+
 val of_names : string -> (entry list, string) result
 (** Parse a [--monitor] selection: ["all"] (the whole catalogue),
     ["safety"] / ["liveness"] (one kind), or a comma-separated list of

@@ -11,11 +11,6 @@ type step = Exec of Event.t * int | Commit of int
 
 let empty_config = { entries = []; commit_order = []; nactions = 0 }
 
-let actives config =
-  List.filter
-    (fun a -> not (List.mem a config.commit_order))
-    (List.init config.nactions Fun.id)
-
 let rec perms = function
   | [] -> [ [] ]
   | l ->
@@ -34,22 +29,12 @@ let subsets l =
    the oracle for the fast engine below.                               *)
 (* ------------------------------------------------------------------ *)
 
-let events_of_action config a =
-  List.filter_map
-    (fun (e, a') -> if a = a' then Some e else None)
-    config.entries
-
-let serialization config order =
-  List.concat_map (events_of_action config) order
-
 let hybrid_ok spec config =
-  let act = actives config in
-  List.for_all
-    (fun s ->
-      List.for_all
-        (fun p -> Serial_spec.legal spec (serialization config (config.commit_order @ p)))
-        (perms s))
-    (subsets act)
+  let action = Action.of_int in
+  Atomrep_atomicity.Atomicity.is_hybrid_atomic spec
+    (List.init config.nactions (fun a -> Behavioral.Begin (action a))
+    @ List.map (fun (e, a) -> Behavioral.Exec (e, action a)) config.entries
+    @ List.map (fun a -> Behavioral.Commit (action a)) config.commit_order)
 
 let steps_of config =
   let entries = Array.of_list config.entries in

@@ -44,7 +44,10 @@ type step = Exec of Event.t * int | Commit of int
 val hybrid_ok : Serial_spec.t -> config -> bool
 (** Does the configuration pass the on-line hybrid atomicity check — every
     serialization (committed actions in commit order, followed by any
-    permutation of any subset of active actions) legal? *)
+    permutation of any subset of active actions) legal? Decided by
+    {!Atomrep_atomicity.Atomicity.is_hybrid_atomic} on the configuration
+    as a behavioral history: a Begin per action, the executions in order,
+    then the Commits in commit order. *)
 
 val steps_of : config -> step list
 (** The canonical earliest-commit interleaving of a configuration. *)

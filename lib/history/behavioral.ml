@@ -78,75 +78,24 @@ let live_events t =
 
 let serialize t order = List.concat_map (events_of t) order
 
-let precedes_pairs t =
-  (* A precedes B when B executes an operation after A commits. *)
-  let rec go committed_so_far acc = function
-    | [] -> acc
-    | Commit a :: rest -> go (a :: committed_so_far) acc rest
-    | Exec (_, b) :: rest ->
-      let acc =
-        List.fold_left
-          (fun acc a -> if Action.equal a b then acc else (a, b) :: acc)
-          acc committed_so_far
-      in
-      go committed_so_far acc rest
-    | (Begin _ | Abort _) :: rest -> go committed_so_far acc rest
-  in
-  let executes_something a = events_of t a <> [] in
-  let pairs = go [] [] t in
-  let pairs =
-    List.filter
-      (fun (a, b) ->
-        (not (is_aborted t a)) && (not (is_aborted t b))
-        && executes_something a && executes_something b)
-      pairs
-  in
-  List.sort_uniq
-    (fun (a1, b1) (a2, b2) ->
-      let c = Action.compare a1 a2 in
-      if c <> 0 then c else Action.compare b1 b2)
-    pairs
-
-let linear_extensions pairs items =
-  let relevant (a, b) =
-    List.exists (Action.equal a) items && List.exists (Action.equal b) items
-  in
-  let pairs = List.filter relevant pairs in
-  let rec extend remaining =
-    match remaining with
-    | [] -> [ [] ]
-    | _ ->
-      let minimal x =
-        not (List.exists (fun (a, b) -> Action.equal b x && List.exists (Action.equal a) remaining) pairs)
-      in
-      let candidates = List.filter minimal remaining in
-      List.concat_map
-        (fun c ->
-          let rest = List.filter (fun x -> not (Action.equal x c)) remaining in
-          List.map (fun tail -> c :: tail) (extend rest))
-        candidates
-  in
-  extend items
-
-let subsets l =
-  List.fold_right
-    (fun x acc -> List.concat_map (fun s -> [ s; x :: s ]) acc)
-    l [ [] ]
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-    let with_head i x =
-      let rest = List.filteri (fun j _ -> j <> i) l in
-      List.map (fun p -> x :: p) (permutations rest)
-    in
-    List.concat (List.mapi with_head l)
-
-let append t entry = t @ [ entry ]
-
 let strip_aborted t =
   let dead = List.of_seq (aborted t) in
   List.filter (fun entry -> not (List.exists (Action.equal (action_of entry)) dead)) t
+
+let precedes_counts t =
+  (* A precedes B when B executes an operation after A commits: B's
+     predecessors are the actions whose Commit comes before B's last
+     execution, a prefix of commit order. *)
+  let rec go commits counts = function
+    | [] -> counts
+    | Exec (_, b) :: rest -> go commits (Action.Map.add b commits counts) rest
+    | Commit a :: rest ->
+      go (if Action.Map.mem a counts then commits + 1 else commits) counts rest
+    | (Begin _ | Abort _) :: rest -> go commits counts rest
+  in
+  go 0 Action.Map.empty (strip_aborted t)
+
+let append t entry = t @ [ entry ]
 
 let of_script script =
   List.map

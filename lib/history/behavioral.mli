@@ -55,20 +55,12 @@ val serialize : t -> Action.t list -> Event.t list
     "serialization of H in the order >>"). Actions absent from [order] are
     excluded. *)
 
-val precedes_pairs : t -> (Action.t * Action.t) list
-(** The partial precedes order (§5): [A] precedes [B] when [B] executes an
-    operation after [A] commits. Only pairs between non-aborted actions that
-    executed at least one event are reported. *)
-
-val linear_extensions : (Action.t * Action.t) list -> Action.t list -> Action.t list list
-(** [linear_extensions pairs actions] enumerates all total orders over
-    [actions] consistent with the given precedence pairs. *)
-
-val subsets : 'a list -> 'a list list
-(** All sublists, preserving relative order. Used to enumerate the sets of
-    active actions hypothetically committed by on-line atomicity checks. *)
-
-val permutations : 'a list -> 'a list list
+val precedes_counts : t -> int Action.Map.t
+(** The partial precedes order (§5) in interval form: [A] precedes [B]
+    when [B] executes an operation after [A] commits. [B]'s binding [k]
+    says its predecessors are exactly the first [k] actions of commit order
+    among the map's keys. The map binds the non-aborted actions that
+    executed at least one operation. *)
 
 val append : t -> entry -> t
 

@@ -13,14 +13,6 @@ type outcome = {
 
 let register_spec = Register.spec
 
-let serializable_any_order history =
-  let h = Behavioral.strip_aborted history in
-  let committed = Behavioral.committed h in
-  let orders = Behavioral.permutations committed in
-  List.exists
-    (fun order -> Serial_spec.legal register_spec (Behavioral.serialize h order))
-    orders
-
 (* One read-modify-write transaction against the available copies: read
    from any reachable copy, write to all reachable copies. No intersection
    discipline — exactly the method's behaviour. *)
@@ -75,7 +67,7 @@ let run ~seed ~n_sites ~txns_per_side ~partition_at ~heal_at () =
   {
     history;
     committed = List.length (Behavioral.committed history);
-    serializable = serializable_any_order history;
+    serializable = Atomrep_atomicity.Atomicity.serializable register_spec history;
   }
 
 let quorum_reference ~seed ~n_sites ~txns_per_side ~partition_at ~heal_at () =

@@ -764,40 +764,12 @@ let spec_of (cfg : config) name =
   let oc = List.find (fun oc -> String.equal oc.obj_name name) cfg.objects in
   oc.obj_spec
 
-(* Exhaustive local-atomicity checking is exponential in the number of
-   active (uncommitted) actions and, for the dynamic property, in the
-   committed actions as well; histories from moderate runs end with few
-   actives, and locking runs fall back to commit-order serializability
-   (which two-phase locking guarantees and which implies a consistent
-   global order) when the full dynamic check would blow up. *)
 let check_atomicity (cfg : config) outcome =
   let module A = Atomrep_atomicity.Atomicity in
+  let property = Replicated.property_of_scheme cfg.scheme in
   List.filter_map
     (fun (name, history) ->
-      let spec = spec_of cfg name in
-      let committed = List.length (Behavioral.committed history) in
-      let result =
-        match cfg.scheme with
-        | Replicated.Static -> A.check spec A.Static history
-        | Replicated.Hybrid -> A.check spec A.Hybrid history
-        | Replicated.Locking ->
-          if committed <= 7 then A.check spec A.Dynamic history
-          else begin
-            (* Commit-order serializability for large locking histories. *)
-            let h = Behavioral.strip_aborted history in
-            let order = Behavioral.committed h in
-            let serial = Behavioral.serialize h order in
-            if Serial_spec.legal spec serial then Ok ()
-            else
-              Error
-                {
-                  A.order;
-                  serial;
-                  reason = "commit-order serialization illegal";
-                }
-          end
-      in
-      match result with
+      match A.check (spec_of cfg name) property history with
       | Ok () -> None
       | Error f -> Some (name, Format.asprintf "%a" A.pp_failure f))
     outcome.histories

@@ -228,6 +228,45 @@ let test_dynamic_equivalence_requirement () =
   check_bool "not hybrid (commit order A,B)" false
     (Atomicity.is_hybrid_atomic Counter.spec h)
 
+(* The on-line check commits every subset of the actives, however many
+   there are: T leaves two x's, D1-D3 each dequeue one and stay active,
+   E1-E4 only begin. Committing D1-D3 takes three x's from a queue of
+   two. *)
+let test_online_past_six_actives () =
+  let h =
+    script
+      ([ ("T", `Begin); ("T", `Exec (enq "x")); ("T", `Exec (enq "x")); ("T", `Commit) ]
+      @ List.concat_map
+          (fun d -> [ (d, `Begin); (d, `Exec (deq_ok "x")) ])
+          [ "D1"; "D2"; "D3" ]
+      @ List.map (fun e -> (e, `Begin)) [ "E1"; "E2"; "E3"; "E4" ])
+  in
+  List.iter
+    (fun property ->
+      check_bool (Atomicity.property_name property ^ " rejects") false
+        (Atomicity.satisfies Queue_type.spec property h))
+    Atomicity.all_properties
+
+(* [serializable] asks for some order of the committed actions, in any
+   order and ignoring actives. *)
+let test_serializable_some_order () =
+  check_bool "commit order not needed" true
+    (Atomicity.serializable Queue_type.spec inverted);
+  check_bool "no order fits" false
+    (Atomicity.serializable Queue_type.spec
+       (script
+          [
+            ("A", `Begin);
+            ("A", `Exec (enq "x"));
+            ("A", `Commit);
+            ("B", `Begin);
+            ("B", `Exec (deq_ok "y"));
+            ("B", `Commit);
+          ]));
+  check_bool "actives ignored" true
+    (Atomicity.serializable Queue_type.spec
+       (script [ ("A", `Begin); ("A", `Exec (deq_ok "x")) ]))
+
 let suites =
   [
     ( "atomicity properties",
@@ -249,5 +288,7 @@ let suites =
         Alcotest.test_case "theorem 5 base history static" `Quick test_prom_static_example;
         Alcotest.test_case "failures carry counterexamples" `Quick test_failure_reporting;
         Alcotest.test_case "dynamic requires equivalence" `Quick test_dynamic_equivalence_requirement;
+        Alcotest.test_case "on-line check past six actives" `Quick test_online_past_six_actives;
+        Alcotest.test_case "serializable in some order" `Quick test_serializable_some_order;
       ] );
   ]

@@ -320,6 +320,42 @@ let test_nemesis_scale_soft_limits () =
     check_int "half the skew" 2 s.max_skew
   | _ -> Alcotest.fail "scale changed the nemesis shape"
 
+(* A reproducer line carries the flags that built the campaign's base and
+   any monitor selection other than chaos's default; a base that no chaos
+   flag rebuilds gets no command line at all. *)
+let test_reproducer_line_carries_flags () =
+  let flags = [ "--termination"; "cooperative"; "--takeover" ] in
+  let v v_flags =
+    {
+      Campaign.v_scheme = Replicated.Hybrid;
+      v_profile = List.hd Campaign.builtin_profiles;
+      v_seed = 3;
+      v_n_txns = 20;
+      v_intensity = 0.5;
+      v_failures = [];
+      v_postmortem = None;
+      v_flags;
+    }
+  in
+  let line ~base ~monitors =
+    Campaign.reproducer_line (v (Campaign.replay_flags ~base ~monitors flags))
+  in
+  Alcotest.(check string)
+    "default monitors add no flag"
+    "atomrep chaos --repro --schemes hybrid --profiles crashes --seed 3 --txns 20 \
+     --intensity 0.5 --termination cooperative --takeover"
+    (line ~base:Campaign.default_base ~monitors:Monitors.history);
+  check_bool "whole catalogue" true
+    (String.ends_with ~suffix:"--takeover --monitor all"
+       (line ~base:Campaign.default_base ~monitors:Monitors.registry));
+  check_bool "ungated rejoin has no chaos line" false
+    (let l =
+       line
+         ~base:{ Campaign.default_base with Runtime.ungated_rejoin = true }
+         ~monitors:Monitors.history
+     in
+     String.starts_with ~prefix:"atomrep" l)
+
 let suites =
   [
     ( "chaos",
@@ -349,5 +385,7 @@ let suites =
           test_shared_bus_replays_judged_alone;
         Alcotest.test_case "nemesis intensity scaling" `Quick
           test_nemesis_scale_soft_limits;
+        Alcotest.test_case "reproducer line carries the flags" `Quick
+          test_reproducer_line_carries_flags;
       ] );
   ]

@@ -34,6 +34,7 @@ let test_shrink_twice_identical_witnesses () =
       v_intensity = 2.0;
       v_failures = [];
       v_postmortem = None;
+      v_flags = None;
     }
   in
   (* The seeded tuple really violates before we shrink it. *)
@@ -103,6 +104,18 @@ let test_fixture_replays () =
   check_bool "unknown fixtures are not found" true
     (Explore.find_fixture "no_such_fixture" = None)
 
+(* A locking run with more than seven commits is judged by the full
+   dynamic check, not by its commit order alone: this ungated storm run
+   serializes in commit order, but not in every order precedes allows. *)
+let test_locking_checked_in_every_order () =
+  let _, failures =
+    Campaign.reproduce ~base:ungated_base ~monitors:all_monitors
+      ~scheme:Replicated.Locking ~profile:(storm ()) ~seed:40 ~n_txns:30
+      ~intensity:1.0 ()
+  in
+  check_bool "commit_atomicity violated" true
+    (List.exists (fun (m, _) -> String.equal m "commit_atomicity") failures)
+
 let suites =
   [
     ( "explore",
@@ -112,5 +125,7 @@ let suites =
         Alcotest.test_case "sweep report independent of domain count" `Quick
           test_sweep_domain_determinism;
         Alcotest.test_case "regression fixtures replay" `Quick test_fixture_replays;
+        Alcotest.test_case "long locking runs get the dynamic check" `Quick
+          test_locking_checked_in_every_order;
       ] );
   ]

@@ -69,16 +69,11 @@ let test_serialize_excludes_unlisted () =
   check_int "only B's events" 2 (List.length serial)
 
 let test_precedes () =
-  (* A commits before B's Deq, so A precedes B. *)
-  let pairs = Behavioral.precedes_pairs sample in
-  check_bool "A precedes B" true
-    (List.exists
-       (fun (a, b) -> Action.to_string a = "A" && Action.to_string b = "B")
-       pairs);
-  check_bool "B does not precede A" false
-    (List.exists
-       (fun (a, b) -> Action.to_string a = "B" && Action.to_string b = "A")
-       pairs)
+  (* A commits before B's Deq, so A precedes B: B's predecessors are the
+     first action of commit order, A's are none. *)
+  let counts = Behavioral.precedes_counts sample in
+  check_int "A precedes B" 1 (Action.Map.find (Action.of_string "B") counts);
+  check_int "B does not precede A" 0 (Action.Map.find (Action.of_string "A") counts)
 
 let test_precedes_empty_when_concurrent () =
   let h =
@@ -92,29 +87,8 @@ let test_precedes_empty_when_concurrent () =
         ("B", `Commit);
       ]
   in
-  check_int "no precedes" 0 (List.length (Behavioral.precedes_pairs h))
-
-let test_linear_extensions_total () =
-  let a = Action.of_string "A" and b = Action.of_string "B" and c = Action.of_string "C" in
-  let exts = Behavioral.linear_extensions [ (a, b); (b, c) ] [ a; b; c ] in
-  check_int "chain has one extension" 1 (List.length exts)
-
-let test_linear_extensions_free () =
-  let a = Action.of_string "A" and b = Action.of_string "B" and c = Action.of_string "C" in
-  let exts = Behavioral.linear_extensions [] [ a; b; c ] in
-  check_int "3! extensions" 6 (List.length exts)
-
-let test_linear_extensions_partial () =
-  let a = Action.of_string "A" and b = Action.of_string "B" and c = Action.of_string "C" in
-  let exts = Behavioral.linear_extensions [ (a, c) ] [ a; b; c ] in
-  (* a before c: 3 of the 6 permutations. *)
-  check_int "constrained extensions" 3 (List.length exts)
-
-let test_subsets_count () =
-  check_int "2^3 subsets" 8 (List.length (Behavioral.subsets [ 1; 2; 3 ]))
-
-let test_permutations_count () =
-  check_int "4! permutations" 24 (List.length (Behavioral.permutations [ 1; 2; 3; 4 ]))
+  check_bool "no precedes" true
+    (Action.Map.for_all (fun _ k -> k = 0) (Behavioral.precedes_counts h))
 
 let test_strip_aborted () =
   let h =
@@ -168,11 +142,6 @@ let suites =
         Alcotest.test_case "serialization excludes unlisted" `Quick test_serialize_excludes_unlisted;
         Alcotest.test_case "precedes order" `Quick test_precedes;
         Alcotest.test_case "precedes empty for concurrent" `Quick test_precedes_empty_when_concurrent;
-        Alcotest.test_case "linear extensions of a chain" `Quick test_linear_extensions_total;
-        Alcotest.test_case "linear extensions unconstrained" `Quick test_linear_extensions_free;
-        Alcotest.test_case "linear extensions partial" `Quick test_linear_extensions_partial;
-        Alcotest.test_case "subsets count" `Quick test_subsets_count;
-        Alcotest.test_case "permutations count" `Quick test_permutations_count;
         Alcotest.test_case "strip aborted" `Quick test_strip_aborted;
         Alcotest.test_case "live events" `Quick test_live_events_excludes_aborted;
         Alcotest.test_case "begin order excludes aborted" `Quick test_begin_order_excludes_aborted;

@@ -257,6 +257,7 @@ let test_postmortem_slices_amnesia_violation () =
       v_intensity = 2.0;
       v_failures = [];
       v_postmortem = None;
+      v_flags = None;
     }
   in
   let trace, pm = Campaign.trace_violation ~base v in

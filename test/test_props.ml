@@ -60,6 +60,165 @@ let prop_stripping_preserves_properties =
             (Atomicity.satisfies spec p (Behavioral.strip_aborted h)))
         Atomicity.all_properties)
 
+(* The reference the serialization search must agree with: build every
+   order the on-line properties demand as a list, serialize it, and replay
+   it from the initial state. Exponential (factorial for hybrid and
+   dynamic) in the active actions, so only for small histories. *)
+module Enumerator = struct
+  let subsets l =
+    List.fold_right (fun x acc -> List.concat_map (fun s -> [ s; x :: s ]) acc) l [ [] ]
+
+  let rec permutations = function
+    | [] -> [ [] ]
+    | l ->
+      List.concat
+        (List.mapi
+           (fun i x ->
+             let rest = List.filteri (fun j _ -> j <> i) l in
+             List.map (fun p -> x :: p) (permutations rest))
+           l)
+
+  (* A precedes B when B executes an operation after A commits; only
+     non-aborted actions that executed something take part. *)
+  let precedes_pairs h =
+    let rec go committed acc = function
+      | [] -> acc
+      | Behavioral.Commit a :: rest -> go (a :: committed) acc rest
+      | Behavioral.Exec (_, b) :: rest ->
+        go committed
+          (List.filter_map (fun a -> if Action.equal a b then None else Some (a, b)) committed
+          @ acc)
+          rest
+      | (Behavioral.Begin _ | Behavioral.Abort _) :: rest -> go committed acc rest
+    in
+    let live a = (not (Behavioral.is_aborted h a)) && Behavioral.events_of h a <> [] in
+    List.filter (fun (a, b) -> live a && live b) (go [] [] h)
+
+  let rec linear_extensions pairs = function
+    | [] -> [ [] ]
+    | remaining ->
+      let minimal x =
+        not
+          (List.exists
+             (fun (a, b) -> Action.equal b x && List.exists (Action.equal a) remaining)
+             pairs)
+      in
+      List.concat_map
+        (fun c ->
+          let rest = List.filter (fun x -> not (Action.equal x c)) remaining in
+          List.map (fun tail -> c :: tail) (linear_extensions pairs rest))
+        (List.filter minimal remaining)
+
+  let orders property h =
+    let committed = Behavioral.committed h in
+    let mem l a = List.exists (Action.equal a) l in
+    List.concat_map
+      (fun chosen ->
+        match property with
+        | Atomicity.Static ->
+          [ List.filter (fun a -> mem committed a || mem chosen a) (Behavioral.begin_order h) ]
+        | Atomicity.Hybrid -> List.map (fun p -> committed @ p) (permutations chosen)
+        | Atomicity.Dynamic -> linear_extensions (precedes_pairs h) (committed @ chosen))
+      (subsets (Behavioral.active h))
+
+  (* The action set an order covers, among the actions that executed
+     something (the others add nothing to a serialization). *)
+  let covers h order =
+    List.filter (fun a -> Behavioral.events_of h a <> []) order
+    |> List.map Action.to_string |> List.sort compare
+
+  let depth h = List.length (Behavioral.all_events h) + 2
+
+  let satisfies spec property h =
+    let h = Behavioral.strip_aborted h in
+    let orders = orders property h in
+    let serial = Behavioral.serialize h in
+    let first = Hashtbl.create 16 in
+    List.iter
+      (fun o -> if not (Hashtbl.mem first (covers h o)) then Hashtbl.add first (covers h o) o)
+      orders;
+    List.for_all (fun o -> Serial_spec.legal spec (serial o)) orders
+    && (property <> Atomicity.Dynamic
+       || List.for_all
+            (fun o ->
+              Serial_spec.equivalent spec ~depth:(depth h)
+                (serial (Hashtbl.find first (covers h o)))
+                (serial o))
+            orders)
+end
+
+let search_specs =
+  [
+    Queue_type.spec; Counter.spec; Prom.spec; Register.spec; Double_buffer.spec;
+    Flag_set.spec;
+  ]
+
+(* Small histories: interleaved random ones, serial executions, prefixes
+   of the latter (which leave actions active), and serial executions
+   whose Commits all move to the end — concurrent actions, legal in commit
+   order, so the dynamic property turns on equivalence. *)
+let small_history spec seed =
+  let rng = Atomrep_stats.Rng.create seed in
+  let module H = Atomrep_workload.Histories in
+  let serial () = H.random_atomic rng spec ~max_actions:6 ~max_events:8 in
+  match seed mod 4 with
+  | 0 -> H.random rng spec ~max_actions:6 ~max_events:6
+  | 1 -> serial ()
+  | 2 ->
+    let h = serial () in
+    let keep = Atomrep_stats.Rng.int rng (List.length h + 1) in
+    List.filteri (fun i _ -> i < keep) h
+  | _ ->
+    let commits, rest =
+      List.partition (function Behavioral.Commit _ -> true | _ -> false) (serial ())
+    in
+    rest @ commits
+
+let prop_search_matches_enumerator =
+  QCheck2.Test.make ~name:"serialization search agrees with the order enumerator"
+    ~count:600
+    QCheck2.Gen.(pair (oneofl search_specs) nat)
+    (fun (spec, seed) ->
+      let h = small_history spec seed in
+      let stripped = Behavioral.strip_aborted h in
+      let serial = Behavioral.serialize stripped in
+      let demanded p = Enumerator.orders p stripped in
+      (* A reported counterexample is an illegal prefix of a demanded
+         order, or an order whose serialization some other demanded order
+         over the same actions is not equivalent to. *)
+      let sound p (f : Atomicity.failure) =
+        let covered = Enumerator.covers stripped in
+        let rec is_prefix l l' =
+          match l, l' with
+          | [], _ -> true
+          | a :: l, b :: l' -> Action.equal a b && is_prefix l l'
+          | _ :: _, [] -> false
+        in
+        let executed o = List.filter (fun a -> Behavioral.events_of stripped a <> []) o in
+        f.serial = serial f.order
+        &&
+        match f.reason with
+        | "illegal serialization" ->
+          (not (Serial_spec.legal spec f.serial))
+          && List.exists (fun o -> is_prefix f.order (executed o)) (demanded p)
+        | "inequivalent serializations" ->
+          List.exists
+            (fun o ->
+              covered o = covered f.order
+              && not
+                   (Serial_spec.equivalent spec ~depth:(Enumerator.depth stripped)
+                      (serial o) f.serial))
+            (demanded p)
+        | _ -> false
+      in
+      List.for_all
+        (fun p ->
+          match Atomicity.check spec p h, Enumerator.satisfies spec p h with
+          | Ok (), true -> true
+          | Error f, false -> sound p f
+          | Ok (), false | Error _, true -> false)
+        Atomicity.all_properties)
+
 let prop_state_equiv_reflexive_on_reachable =
   seeded "state equivalence is reflexive" 200 (fun (spec, seed) ->
       let h = serial_of spec seed ~len:5 in
@@ -517,6 +676,7 @@ let suites =
           prop_dynamic_implies_hybrid;
           prop_atomic_control_accepted;
           prop_stripping_preserves_properties;
+          prop_search_matches_enumerator;
           prop_state_equiv_reflexive_on_reachable;
           prop_commute_symmetric;
           prop_static_minimal_monotone;
