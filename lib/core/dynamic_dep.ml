@@ -9,44 +9,27 @@ let breaks_commutativity spec ~depth state e e' =
      | None, _ | _, None -> true)
   | None, _ | _, None -> false
 
-let commute ?histories spec ~max_len e e' =
-  let histories =
-    match histories with
-    | Some hs -> hs
-    | None -> Serial_spec.enumerate spec ~max_len
-  in
-  let depth = max_len + 2 in
-  not (List.exists (fun (_, state) -> breaks_commutativity spec ~depth state e e') histories)
-
 let non_commuting_witness spec ~max_len e e' =
-  let histories = Serial_spec.enumerate spec ~max_len in
   let depth = max_len + 2 in
   List.find_map
     (fun (hist, state) ->
       if breaks_commutativity spec ~depth state e e' then Some hist else None)
-    histories
+    (Serial_spec.reachable spec ~max_len)
 
-let minimal ?events spec ~max_len =
-  let universe =
-    match events with
-    | Some evs -> evs
-    | None -> Serial_spec.event_universe spec ~max_len
-  in
-  let histories = Serial_spec.enumerate spec ~max_len in
-  let states = List.map snd histories in
+let commute spec ~max_len e e' = Option.is_none (non_commuting_witness spec ~max_len e e')
+
+let minimal spec ~max_len =
+  let universe = Array.of_list (Serial_spec.event_universe spec ~max_len) in
+  let states = List.map snd (Serial_spec.reachable spec ~max_len) in
   let depth = max_len + 2 in
   (* Commutativity of a pair only depends on the pair, so compute it once
      per unordered pair and add both oriented dependency pairs. *)
-  let universe_arr = Array.of_list universe in
-  let n = Array.length universe_arr in
+  let n = Array.length universe in
   let relation = ref Relation.empty in
   for i = 0 to n - 1 do
     for j = i to n - 1 do
-      let e = universe_arr.(i) and e' = universe_arr.(j) in
-      let conflicting =
-        List.exists (fun state -> breaks_commutativity spec ~depth state e e') states
-      in
-      if conflicting then begin
+      let e = universe.(i) and e' = universe.(j) in
+      if List.exists (fun state -> breaks_commutativity spec ~depth state e e') states then begin
         relation := Relation.add (e.Event.inv, e') !relation;
         relation := Relation.add (e'.Event.inv, e) !relation
       end

@@ -5,25 +5,23 @@
     histories. [inv ≽d e] holds when some response [res] makes [[inv;res]]
     and [e] fail to commute.
 
-    Commutativity is decided exhaustively over the legal histories of the
-    specification up to [max_len] events, with history equivalence decided by
-    observational equivalence at depth [max_len + 2]
-    ({!Atomrep_spec.Serial_spec.state_equiv}). *)
+    Commutativity is decided at each distinct state reachable in at most
+    [max_len] events ({!Atomrep_spec.Serial_spec.reachable}): a history
+    matters to Definition 8 only through the state it reaches. History
+    equivalence is decided by observational equivalence at depth
+    [max_len + 2] ({!Atomrep_spec.Serial_spec.state_equiv}). *)
 
 open Atomrep_history
 open Atomrep_spec
 
-val commute :
-  ?histories:(Event.t list * Value.t) list ->
-  Serial_spec.t -> max_len:int -> Event.t -> Event.t -> bool
-(** [commute spec ~max_len e e'] decides Definition 8 within the bound.
-    [histories] lets callers reuse one enumeration across many queries. *)
+val commute : Serial_spec.t -> max_len:int -> Event.t -> Event.t -> bool
+(** [commute spec ~max_len e e'] decides Definition 8 within the bound. *)
 
 val non_commuting_witness :
   Serial_spec.t -> max_len:int -> Event.t -> Event.t -> Event.t list option
 (** A serial history [h] with [h·e] and [h·e'] legal but [h·e·e'] and
-    [h·e'·e] not equivalent legal histories, if one exists within bound. *)
+    [h·e'·e] not equivalent legal histories, if one exists within bound — a
+    shortest one. *)
 
-val minimal :
-  ?events:Event.t list -> Serial_spec.t -> max_len:int -> Relation.t
+val minimal : Serial_spec.t -> max_len:int -> Relation.t
 (** [minimal spec ~max_len] computes [≽d] over the bounded event universe. *)

@@ -175,14 +175,9 @@ module Engine = struct
       Hashtbl.add node.children eid n;
       n
 
-  let legal_ids t ids =
-    let rec go node = function
-      | [] -> true
-      | id :: rest ->
-        let n = child t node id in
-        (match n.state with None -> false | Some _ -> go n rest)
-    in
-    go t.root ids
+  (* The node after [ids] from [node]; an illegal node is final. *)
+  let descend t node ids =
+    List.fold_left (fun n id -> if Option.is_none n.state then n else child t n id) node ids
 
   let iactives c =
     List.filter (fun a -> not (List.mem a c.icommits)) (List.init c.inact Fun.id)
@@ -190,18 +185,20 @@ module Engine = struct
   let ievents_of_action c a =
     List.filter_map (fun (e, a') -> if a = a' then Some e else None) c.ient
 
-  let iserialization c order = List.concat_map (ievents_of_action c) order
-
-  (* [c] ends with an execution by [a], and [c] without that execution is
-     known to pass: only serializations including [a] need checking. *)
-  let iextension_ok t c a =
-    let others = List.filter (fun b -> b <> a) (iactives c) in
-    List.for_all
-      (fun s ->
-        List.for_all
-          (fun p -> legal_ids t (iserialization c (c.icommits @ p)))
-          (perms (a :: s)))
-      (subsets others)
+  (* Every serialization — the commits in order, then any unplaced active
+     after any other — is legal iff every trie node a depth-first walk
+     over those orders reaches is legal. *)
+  let ihybrid_ok t c =
+    let rec walk node unplaced =
+      Option.is_some node.state
+      && List.for_all
+           (fun (b, ids) ->
+             walk (descend t node ids) (List.filter (fun (b', _) -> b' <> b) unplaced))
+           unplaced
+    in
+    walk
+      (descend t t.root (List.concat_map (ievents_of_action c) c.icommits))
+      (List.map (fun b -> (b, ievents_of_action c b)) (iactives c))
 
   let iexec c eid a =
     { c with ient = c.ient @ [ (eid, a) ]; inact = max c.inact (a + 1) }
@@ -226,7 +223,7 @@ module Engine = struct
         | [] -> true
         | `Exec (eid, a) :: rest ->
           let c = iexec c eid a in
-          iextension_ok t c a && go c rest
+          ihybrid_ok t c && go c rest
         | `Commit a :: rest -> go { c with icommits = c.icommits @ [ a ] } rest
       in
       let b = go iempty isteps in
@@ -332,7 +329,7 @@ let enumerate_configs engine ~n_events ~max_events ~max_actions =
           List.iter
             (fun a ->
               let ch = Engine.iexec c eid a in
-              if Engine.iextension_ok engine ch a then begin
+              if Engine.ihybrid_ok engine ch then begin
                 visit ch;
                 (* Commit bunches led by the executing action (earliest
                    placement); committing never breaks membership. *)
@@ -360,7 +357,10 @@ let public_steps universe isteps =
       | `Commit a -> Commit a)
     isteps
 
-let templates_of_config engine universe ~n_events ~max_templates ~seen count emit
+(* A signal to lower the bounds, far above any configuration in use. *)
+let max_templates = 2_000_000
+
+let templates_of_config engine universe ~n_events ~seen count emit
     (c : Engine.iconfig) =
   let entries = Array.of_list c.ient in
   let n = Array.length entries in
@@ -382,7 +382,7 @@ let templates_of_config engine universe ~n_events ~max_templates ~seen count emi
         (* The appended action: any active, or one fresh action (always
            permitted — the paper's examples append via a fresh action). *)
         let extended = Engine.iexec c eid a in
-        if not (Engine.iextension_ok engine extended a) then
+        if not (Engine.ihybrid_ok engine extended) then
           (* H·[ev a] is outside Hybrid(T): any closed G that still accepts
              the event witnesses a violation. Record every subhistory
              selection whose extension stays hybrid. *)
@@ -413,7 +413,7 @@ let templates_of_config engine universe ~n_events ~max_templates ~seen count emi
       (act @ [ c.inact ])
   done
 
-let make_checker ?universe ?(max_templates = 2_000_000) spec ~max_events ~max_actions =
+let make_checker ?universe spec ~max_events ~max_actions =
   let universe =
     match universe with
     | Some u -> u
@@ -428,7 +428,7 @@ let make_checker ?universe ?(max_templates = 2_000_000) spec ~max_events ~max_ac
   let seen = Hashtbl.create 4096 in
   let templates = ref [] in
   List.iter
-    (templates_of_config engine universe_arr ~n_events ~max_templates ~seen count
+    (templates_of_config engine universe_arr ~n_events ~seen count
        (fun t -> templates := t :: !templates))
     configs;
   { spec; universe; templates = List.rev !templates; n_configs = List.length configs }

@@ -76,16 +76,14 @@ val pp_counterexample : Format.formatter -> counterexample -> unit
 type checker
 
 val make_checker :
-  ?universe:Event.t list ->
-  ?max_templates:int ->
-  Serial_spec.t -> max_events:int -> max_actions:int -> checker
+  ?universe:Event.t list -> Serial_spec.t -> max_events:int -> max_actions:int -> checker
 (** Enumerate Hybrid(T) configurations with at most [max_events] executions
     and [max_actions] actions (an appended event may always use one extra
     fresh action) and precompute violation templates. [universe] defaults to
     {!Serial_spec.event_universe} at [max_events].
 
-    @raise Failure if the template store exceeds [max_templates]
-    (default 2_000_000) — a signal to lower the bounds. *)
+    @raise Failure if the template store exceeds 2,000,000 templates — a
+    signal to lower the bounds. *)
 
 val config_count : checker -> int
 val template_count : checker -> int

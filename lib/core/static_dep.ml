@@ -1,129 +1,128 @@
 open Atomrep_history
 open Atomrep_spec
 
-(* Split each enumerated legal history H into h1·h2·h3 and test Theorem 6's
-   two conditions for every candidate pair of events, reusing the states
-   reached along H to avoid re-running prefixes. *)
+(* Theorem 6 for one ordered pair (f, s) — f inserted after h1, s after
+   h2 — decided by a breadth-first search that runs the histories in
+   lockstep as a tuple of spec states. A node is the tuple, whose length
+   gives the phase: [a] while in h1, [a; a+f] while in h2 and
+   [a; a+f; a+s; a+f+s] while in h3, where a is the state after the
+   prefix of h1·h2·h3 read so far. Entering h2 and h3 costs nothing; each
+   event of h1·h2·h3 costs one, so the level of a node is the length of
+   the base history that reaches it. An event must keep every state of
+   the tuple legal except the last, whose turning illegal is a hit.
 
-let prefix_states spec events =
-  (* States s.(i) after the first i events; events are known legal. *)
-  let n = List.length events in
-  let states = Array.make (n + 1) spec.Serial_spec.initial in
-  List.iteri
-    (fun i e ->
-      match Serial_spec.apply_event spec states.(i) e with
-      | Some s -> states.(i + 1) <- s
-      | None -> invalid_arg "Static_dep: history not legal")
-    events;
-  states
+   Each node keeps the least path that reaches it at its level, ordered by
+   the base history's expansion choices and then the two split points.
+   That order is preserved by extending both paths with the same moves,
+   so the least hit at the first level with a hit is the least hit of all:
+   the witness whose base history comes first in breadth-first order,
+   then the earliest splits. *)
 
-type split = {
-  s1 : Value.t; (* state after h1 *)
-  h2 : Event.t list;
-  s2 : Value.t; (* state after h1·h2 *)
-  h3 : Event.t list;
+type path = {
+  rev_hist : Event.t list;
+  choices : (int * int) list;
+      (* (invocation, response) index of each base event at its state *)
+  i : int; (* |h1| once f is inserted *)
+  j : int; (* |h1·h2| once s is inserted *)
 }
 
-let splits_of spec events =
-  let states = prefix_states spec events in
-  let arr = Array.of_list events in
-  let n = Array.length arr in
-  let sub i j = Array.to_list (Array.sub arr i (j - i)) in
-  let acc = ref [] in
-  for i = 0 to n do
-    for j = i to n do
-      acc := { s1 = states.(i); h2 = sub i j; s2 = states.(j); h3 = sub j n } :: !acc
-    done
-  done;
-  !acc
+let order p = (p.choices, p.i, p.j)
 
-(* Condition 1 with [ev] inserted after h1 and [e] after h2; condition 2 is
-   the same test with the roles of [ev] and [e] exchanged, so one primitive
-   serves both. [first] is inserted after h1, [second] after h2. *)
-let condition spec split ~first ~second =
-  match Serial_spec.apply_event spec split.s1 first with
-  | None -> false
-  | Some s1' ->
-    let rec run s = function
-      | [] -> Some s
-      | e :: rest ->
-        (match Serial_spec.apply_event spec s e with
-         | None -> None
-         | Some s' -> run s' rest)
-    in
-    (match run s1' split.h2 with
-     | None -> false
-     | Some t2 ->
-       (* h1·first·h2·h3 legal? *)
-       Serial_spec.legal_from spec t2 split.h3
-       && (match Serial_spec.apply_event spec split.s2 second with
-           | None -> false
-           | Some s2' ->
-             (* h1·h2·second·h3 legal? *)
-             Serial_spec.legal_from spec s2' split.h3
-             (* h1·first·h2·second·h3 illegal? *)
-             && not
-                  (match Serial_spec.apply_event spec t2 second with
-                   | None -> false
-                   | Some u -> Serial_spec.legal_from spec u split.h3)))
-
-let pair_in_split spec split ev e =
-  condition spec split ~first:ev ~second:e
-  || condition spec split ~first:e ~second:ev
-
-let default_events spec ~max_len events =
-  match events with
-  | Some evs -> evs
-  | None -> Serial_spec.event_universe spec ~max_len
-
-let minimal ?events spec ~max_len =
-  let universe = default_events spec ~max_len events in
-  let histories = Serial_spec.enumerate spec ~max_len in
-  let relation = ref Relation.empty in
-  let consider split =
-    List.iter
-      (fun ev ->
-        List.iter
-          (fun e ->
-            if not (Relation.mem (ev.Event.inv, e) !relation)
-               && pair_in_split spec split ev e
-            then relation := Relation.add (ev.Event.inv, e) !relation)
-          universe)
-      universe
+let search spec ~max_len f s =
+  let apply = Serial_spec.apply_event spec in
+  let cands = ref [] and hits = ref [] in
+  (* Record a node reached at [depth], then the nodes its free moves reach. *)
+  let rec reach depth node path =
+    cands := (node, path) :: !cands;
+    match node with
+    | [ a ] -> Option.iter (fun af -> reach depth [ a; af ] { path with i = depth }) (apply a f)
+    | [ a; af ] ->
+      Option.iter
+        (fun as_ ->
+          let path = { path with j = depth } in
+          match apply af s with
+          | None -> hits := path :: !hits
+          | Some afs -> reach depth [ a; af; as_; afs ] path)
+        (apply a s)
+    | _ -> ()
   in
-  List.iter
-    (fun (hist, _) -> List.iter consider (splits_of spec hist))
-    histories;
-  !relation
+  (* Extend a node by each event legal at a. *)
+  let extend depth (node, path) =
+    let a = List.hd node in
+    List.iteri
+      (fun k inv ->
+        List.iteri
+          (fun r (res, a') ->
+            let x = Event.make inv res in
+            let path =
+              { path with rev_hist = x :: path.rev_hist; choices = path.choices @ [ (k, r) ] }
+            in
+            match List.map (fun st -> apply st x) (List.tl node) with
+            | [] -> reach depth [ a' ] path
+            | [ Some af' ] -> reach depth [ a'; af' ] path
+            | [ Some _; Some _; None ] -> hits := path :: !hits
+            | [ Some af'; Some as'; Some afs' ] -> reach depth [ a'; af'; as'; afs' ] path
+            | _ -> ())
+          (spec.Serial_spec.step a inv))
+      spec.Serial_spec.invocations
+  in
+  let visited = Hashtbl.create 64 in
+  let sort_by key = List.stable_sort (fun x y -> compare (key x) (key y)) in
+  let rec levels depth =
+    match sort_by order !hits with
+    | hit :: _ -> Some hit
+    | [] ->
+      (* Keep each node new at this level with its least path. *)
+      let frontier =
+        List.filter
+          (fun (node, _) -> (not (Hashtbl.mem visited node)) && (Hashtbl.add visited node (); true))
+          (sort_by (fun (_, path) -> order path) !cands)
+      in
+      cands := [];
+      if depth < max_len && frontier <> [] then begin
+        List.iter (extend (depth + 1)) frontier;
+        levels (depth + 1)
+      end
+      else None
+  in
+  reach 0 [ spec.Serial_spec.initial ] { rev_hist = []; choices = []; i = -1; j = -1 };
+  levels 0
 
-let witness ?events spec ~max_len inv e =
-  let universe = default_events spec ~max_len events in
-  let candidates =
-    List.filter (fun (ev : Event.t) -> Event.Invocation.equal ev.inv inv) universe
+let minimal spec ~max_len =
+  let universe = Serial_spec.event_universe spec ~max_len in
+  List.fold_left
+    (fun relation (f : Event.t) ->
+      List.fold_left
+        (fun relation (s : Event.t) ->
+          let pairs = [ (f.inv, s); (s.inv, f) ] in
+          if List.for_all (fun p -> Relation.mem p relation) pairs then relation
+          else
+            match search spec ~max_len f s with
+            | Some _ -> List.fold_left (fun r p -> Relation.add p r) relation pairs
+            | None -> relation)
+        relation universe)
+    Relation.empty universe
+
+let witness spec ~max_len inv e =
+  (* Either condition of the theorem, for any response to [inv]: the least
+     hit by base history, splits, candidate event and then condition. *)
+  let hits =
+    List.concat
+      (List.mapi
+         (fun k (ev : Event.t) ->
+           List.filter_map
+             (fun (cond, (f, s)) ->
+               Option.map
+                 (fun p -> ((List.length p.choices, order p, k, cond), (ev, p)))
+                 (search spec ~max_len f s))
+             [ (0, (ev, e)); (1, (e, ev)) ])
+         (List.filter
+            (fun (ev : Event.t) -> Event.Invocation.equal ev.inv inv)
+            (Serial_spec.event_universe spec ~max_len)))
   in
-  let histories = Serial_spec.enumerate spec ~max_len in
-  let check_history (hist, _) =
-    let states = prefix_states spec hist in
-    let arr = Array.of_list hist in
-    let n = Array.length arr in
-    let sub i j = Array.to_list (Array.sub arr i (j - i)) in
-    let check_split i j =
-      let split = { s1 = states.(i); h2 = sub i j; s2 = states.(j); h3 = sub j n } in
-      List.find_map
-        (fun ev ->
-          if pair_in_split spec split ev e then
-            Some (sub 0 i, ev, split.h2, split.h3)
-          else None)
-        candidates
-    in
-    let rec over_splits i j =
-      if i > n then None
-      else if j > n then over_splits (i + 1) (i + 1)
-      else
-        match check_split i j with
-        | Some w -> Some w
-        | None -> over_splits i (j + 1)
-    in
-    over_splits 0 0
-  in
-  List.find_map check_history histories
+  match List.sort (fun (k1, _) (k2, _) -> compare k1 k2) hits with
+  | [] -> None
+  | (_, (ev, path)) :: _ ->
+    let hist = List.rev path.rev_hist in
+    let between lo hi = List.filteri (fun k _ -> lo <= k && k < hi) hist in
+    Some (between 0 path.i, ev, between path.i path.j, between path.j (List.length hist))

@@ -574,7 +574,7 @@ let read_write_classification spec =
   (* An operation is a Read iff no reachable invocation of it changes the
      state (bounded exploration); otherwise Update (read-modify-write) —
      the conservative classical classification. *)
-  let histories = Serial_spec.enumerate spec ~max_len:3 in
+  let states = Serial_spec.reachable spec ~max_len:3 in
   let changes op =
     List.exists
       (fun (_, state) ->
@@ -585,7 +585,7 @@ let read_write_classification spec =
                  (fun (_, state') -> not (Value.equal state state'))
                  (Serial_spec.responses spec state inv))
           spec.Serial_spec.invocations)
-      histories
+      states
   in
   List.map (fun op -> (op, if changes op then `Update else `Read)) (ops_of spec)
 

@@ -28,45 +28,35 @@ let run spec events =
 
 let legal spec events = Option.is_some (run spec events)
 
-let legal_from spec s events =
-  let rec go s = function
-    | [] -> true
-    | e :: rest ->
-      (match apply_event spec s e with
-       | None -> false
-       | Some s' -> go s' rest)
-  in
-  go s events
-
-let enumerate spec ~max_len =
-  (* Breadth-first expansion of the legal-history tree over the invocation
-     universe. Histories are stored reversed during expansion. *)
+let reachable spec ~max_len =
+  (* Breadth-first over states, expanding invocations and responses in
+     declaration order; each state keeps the first history that reaches it.
+     Histories are stored reversed during expansion. *)
+  let seen = Hashtbl.create 64 in
+  let fresh (_, s) = (not (Hashtbl.mem seen s)) && (Hashtbl.add seen s (); true) in
   let expand (rev_hist, s) =
     List.concat_map
       (fun inv ->
-        List.map
-          (fun (res, s') -> (Event.make inv res :: rev_hist, s'))
-          (spec.step s inv))
+        List.map (fun (res, s') -> (Event.make inv res :: rev_hist, s')) (spec.step s inv))
       spec.invocations
   in
   let rec levels frontier depth acc =
-    if depth = 0 then acc
-    else begin
-      let next = List.concat_map expand frontier in
-      match next with
-      | [] -> acc
-      | _ -> levels next (depth - 1) (List.rev_append next acc)
-    end
+    let acc = List.rev_append frontier acc in
+    if depth >= max_len || frontier = [] then acc
+    else levels (List.filter fresh (List.concat_map expand frontier)) (depth + 1) acc
   in
-  let all = levels [ ([], spec.initial) ] max_len [ ([], spec.initial) ] in
-  List.rev_map (fun (rev_hist, s) -> (List.rev rev_hist, s)) all
+  if max_len < 0 then []
+  else
+    levels (List.filter fresh [ ([], spec.initial) ]) 0 []
+    |> List.rev_map (fun (rev_hist, s) -> (List.rev rev_hist, s))
 
 let event_universe spec ~max_len =
-  let seen = ref Event.Set.empty in
-  List.iter
-    (fun (hist, _) -> List.iter (fun e -> seen := Event.Set.add e !seen) hist)
-    (enumerate spec ~max_len);
-  Event.Set.elements !seen
+  reachable spec ~max_len:(max_len - 1)
+  |> List.concat_map (fun (_, s) ->
+         List.concat_map
+           (fun inv -> List.map (fun (res, _) -> Event.make inv res) (spec.step s inv))
+           spec.invocations)
+  |> List.sort_uniq Event.compare
 
 let rec state_equiv spec ~depth s1 s2 =
   Value.equal s1 s2

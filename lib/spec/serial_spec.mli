@@ -9,9 +9,10 @@
     as the paper assumes.
 
     Analyses over a specification are bounded: they quantify over the
-    declared invocation universe and over histories up to a caller-chosen
-    length. The paper's data types all have event universes of size 5–10, so
-    exhaustive bounded analysis reproduces its results exactly. *)
+    declared invocation universe and over the states reachable within a
+    caller-chosen number of events. The paper's data types all have event
+    universes of size 5–10, so exhaustive bounded analysis reproduces its
+    results exactly. *)
 
 open Atomrep_history
 
@@ -39,21 +40,23 @@ val run : t -> Event.t list -> Value.t option
 val legal : t -> Event.t list -> bool
 (** Is the serial history legal (included in the specification)? *)
 
-val legal_from : t -> Value.t -> Event.t list -> bool
-
 val responses : t -> Value.t -> Event.Invocation.t -> (Event.Response.t * Value.t) list
 (** Legal continuations of one invocation from a state. *)
 
-val enumerate :
-  t -> max_len:int -> (Event.t list * Value.t) list
-(** All legal serial histories over the invocation universe with length at
-    most [max_len], paired with their final states. Includes the empty
-    history. The result is in breadth-first order. *)
+val reachable : t -> max_len:int -> (Event.t list * Value.t) list
+(** Every distinct state reachable from the initial state in at most
+    [max_len] events, each paired with the first history that reaches it in
+    breadth-first order — a shortest one. Histories are expanded over the
+    invocation universe in declaration order, and the search stops as soon
+    as a level adds no new state. Since specs are deterministic per
+    (state, event), a history matters to the bounded analyses only through
+    the state it reaches. Empty when [max_len < 0]. *)
 
 val event_universe : t -> max_len:int -> Event.t list
-(** Every event occurring in some legal history of length at most
-    [max_len] — the bounded event universe used when computing dependency
-    relations. Sorted and deduplicated. *)
+(** Every event legal at some state reachable in at most [max_len - 1]
+    events — equivalently, every event occurring in some legal history of
+    length at most [max_len]. This is the bounded event universe used when
+    computing dependency relations. Sorted and deduplicated. *)
 
 val state_equiv : t -> depth:int -> Value.t -> Value.t -> bool
 (** Observational equivalence of two states up to experiments of the given

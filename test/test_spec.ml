@@ -186,24 +186,20 @@ let test_append_log () =
 
 (* --- Serial_spec machinery --- *)
 
-let test_enumerate_prefix_closed () =
-  let histories = List.map fst (Serial_spec.enumerate Queue_type.spec ~max_len:3) in
-  let is_legal h = legal Queue_type.spec h in
+let test_reachable_histories_legal () =
   List.iter
-    (fun h ->
-      check_bool "enumerated history legal" true (is_legal h);
-      match List.rev h with
-      | [] -> ()
-      | _ :: rev_prefix -> check_bool "prefix legal" true (is_legal (List.rev rev_prefix)))
-    histories
+    (fun (h, state) ->
+      check_bool "reachable history reaches its state" true
+        (Option.equal Value.equal (Serial_spec.run Queue_type.spec h) (Some state)))
+    (Serial_spec.reachable Queue_type.spec ~max_len:3);
+  check_int "nothing below zero events" 0
+    (List.length (Serial_spec.reachable Queue_type.spec ~max_len:(-1)))
 
-let test_enumerate_counts () =
-  (* From the empty queue over {x,y}: level 1 has Enq x, Enq y, Deq;Empty. *)
-  let level1 =
-    List.filter (fun (h, _) -> List.length h = 1)
-      (Serial_spec.enumerate Queue_type.spec ~max_len:1)
-  in
-  check_int "three one-event histories" 3 (List.length level1)
+let test_reachable_counts () =
+  (* From the empty queue over {x,y}: Enq x and Enq y reach new states;
+     Deq;Empty returns to the initial one, which is kept once. *)
+  check_int "three states within one event" 3
+    (List.length (Serial_spec.reachable Queue_type.spec ~max_len:1))
 
 let test_event_universe () =
   let u = Serial_spec.event_universe Queue_type.spec ~max_len:3 in
@@ -270,8 +266,8 @@ let suites =
         Alcotest.test_case "semiqueue nondeterminism" `Quick test_semiqueue_nondeterminism;
         Alcotest.test_case "stack LIFO" `Quick test_stack_lifo;
         Alcotest.test_case "append log" `Quick test_append_log;
-        Alcotest.test_case "enumerate is prefix-closed" `Quick test_enumerate_prefix_closed;
-        Alcotest.test_case "enumerate counts" `Quick test_enumerate_counts;
+        Alcotest.test_case "reachable histories are legal" `Quick test_reachable_histories_legal;
+        Alcotest.test_case "reachable counts states" `Quick test_reachable_counts;
         Alcotest.test_case "event universe" `Quick test_event_universe;
         Alcotest.test_case "state equivalence (queue)" `Quick test_state_equiv_queue;
         Alcotest.test_case "state equivalence (flagset)" `Quick test_state_equiv_flagset_hidden_flags;

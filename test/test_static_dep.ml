@@ -75,7 +75,7 @@ let test_monotone_in_bound () =
   let r5 = Static_dep.minimal Queue_type.spec ~max_len:5 in
   check_bool "monotone" true (Relation.subset r3 r5)
 
-(* Saturation: the paper types saturate by length 4-5. *)
+(* Saturation: Queue's relation does not grow from length 4 to 6. *)
 let test_saturation_queue () =
   let r4 = Static_dep.minimal Queue_type.spec ~max_len:4 in
   let r6 = Static_dep.minimal Queue_type.spec ~max_len:6 in
