@@ -1004,7 +1004,7 @@ let run_load () =
               queue_limit = 16;
               deadline;
               adm_shed_policy = Runtime.Shed_reads_first;
-              adm_breaker = Some Runtime.default_breaker;
+              adm_breaker = true;
             };
         retry_budget = 12;
       }

@@ -224,7 +224,7 @@ let gray_flags n_sites =
         (fun (cfg : Runtime.config) ->
           let cfg =
             if hedge || demote then
-              { cfg with gray = Some { Runtime.default_gray with hedge; demote } }
+              { cfg with gray = Some { Runtime.hedge; demote } }
             else cfg
           in
           if fail_slow = [] then cfg else { cfg with fail_slow })
@@ -799,7 +799,7 @@ let load_cmd =
             queue_limit;
             deadline = (if deadline = 0.0 then Float.infinity else deadline);
             adm_shed_policy = shed_policy;
-            adm_breaker = (if no_breaker then None else Some Runtime.default_breaker);
+            adm_breaker = not no_breaker;
           }
     in
     let cfg =

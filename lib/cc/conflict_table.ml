@@ -17,8 +17,6 @@ let of_relation relation =
       Pair_set.add (inv.op, e.inv.op) acc)
     Pair_set.empty (Relation.elements relation)
 
-let of_pairs l = Pair_set.of_list l
-
 let depends t (inv : Event.Invocation.t) (e : Event.t) =
   Pair_set.mem (inv.op, e.inv.op) t
 
@@ -26,10 +24,3 @@ let related t (inv : Event.Invocation.t) (e : Event.t) =
   Pair_set.mem (inv.op, e.inv.op) t || Pair_set.mem (e.inv.op, inv.op) t
 
 let related_ops t op1 op2 = Pair_set.mem (op1, op2) t || Pair_set.mem (op2, op1) t
-
-let pairs t = Pair_set.elements t
-
-let pp ppf t =
-  Format.pp_print_list ~pp_sep:Format.pp_print_newline
-    (fun ppf (a, b) -> Format.fprintf ppf "%s -> %s" a b)
-    ppf (pairs t)

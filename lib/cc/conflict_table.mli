@@ -18,9 +18,6 @@ val of_relation : Relation.t -> t
     the pair (invoking op, supplying op) is conflicting when any instance
     relates them. *)
 
-val of_pairs : (string * string) list -> t
-(** Explicit construction: (dependent op, supplier op) pairs. *)
-
 val depends : t -> Event.Invocation.t -> Event.t -> bool
 (** [depends table inv e]: does the relation's projection put [inv]'s
     operation in dependency on [e]'s operation? *)
@@ -32,6 +29,3 @@ val related : t -> Event.Invocation.t -> Event.t -> bool
 
 val related_ops : t -> string -> string -> bool
 (** [related] at the level of bare operation names. *)
-
-val pairs : t -> (string * string) list
-val pp : Format.formatter -> t -> unit

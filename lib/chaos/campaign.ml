@@ -225,7 +225,7 @@ let overload_base =
             queue_limit = 12;
             deadline = 2_500.0;
             adm_shed_policy = Runtime.Shed_reads_first;
-            adm_breaker = Some Runtime.default_breaker;
+            adm_breaker = true;
           };
       retry_budget = 12;
     }

@@ -24,7 +24,7 @@ type entry = {
 let grace cfg =
   let retries = float_of_int (cfg.Runtime.max_retries + 1) *. cfg.Runtime.retry_delay_cap in
   let rpc = 4.0 *. cfg.Runtime.rpc_timeout in
-  let reaper = 2.0 *. cfg.Runtime.reaper_every in
+  let reaper = 2.0 *. Term_driver.reaper_every in
   Float.max 500.0 (retries +. rpc +. reaper)
 
 (* The end-of-run fairness signal, folded by every liveness monitor: the

@@ -28,12 +28,11 @@ type t = {
    listeners and consulted from the network router. It only gates
    [Rpc.call] — status broadcasts and gossip still use [Network.send], so
    abort records reach a tripped site and shed-safety holds. *)
-let install_breaker st bc =
+let install_breaker st =
   let now () = Engine.now st.engine in
-  let breaker =
-    Breaker.create ~window:bc.br_window ~threshold:bc.br_threshold
-      ~cooldown:bc.br_cooldown ~probes:bc.br_probes ~n_sites:st.cfg.n_sites ()
-  in
+  (* {!Breaker.create}'s defaults: window 8, threshold 0.5, cooldown 400
+     ms, 2 probes. *)
+  let breaker = Breaker.create ~n_sites:st.cfg.n_sites () in
   Breaker.set_transition_hook breaker (fun ~site ~state ->
       if state = Breaker.Open then Metrics.incr st.counters.c_breaker_trips;
       note st ~site (Trace.Breaker { site; state = Breaker.state_label state }));
@@ -45,7 +44,7 @@ let install_breaker st bc =
 (* [start] runs an admitted transaction; it gets the slot's release. *)
 let create st ~start =
   let gate = st.cfg.admission in
-  Option.iter (fun a -> Option.iter (install_breaker st) a.adm_breaker) gate;
+  Option.iter (fun a -> if a.adm_breaker then install_breaker st) gate;
   { st; gate; start; in_flight = 0; queue = [] }
 
 (* Deadline-aware shedding mid-transaction: [admitted] is when the

@@ -7,6 +7,14 @@ open Atomrep_sim
 open Runtime_config
 open Run_state
 
+(* The hedge delay: this percentile of recently observed RPC latencies,
+   pooled across non-slow sites, but never under the floor (sim ms). *)
+let hedge_percentile = 0.95
+let hedge_delay_floor = 2.0
+
+(* Spare re-issues per quorum round. *)
+let hedge_max = 2
+
 let install st gc det =
   let c = st.counters in
   (* Per-site latency histograms mirrored into the registry — the same
@@ -24,11 +32,11 @@ let install st gc det =
   Network.on_rpc_result st.net (fun ~src:_ ~dst ~ok:_ ~elapsed ->
       if dst >= 0 && dst < st.cfg.n_sites then Metrics.observe site_lat.(dst) elapsed);
   let h_delay () =
-    match Detector.latency_percentile det ~q:gc.hedge_percentile with
-    | Some p -> Float.max gc.hedge_delay_floor p
+    match Detector.latency_percentile det ~q:hedge_percentile with
+    | Some p -> Float.max hedge_delay_floor p
     | None ->
       (* No samples yet: a few mean network hops is the only prior. *)
-      Float.max gc.hedge_delay_floor (4.0 *. st.cfg.latency_mean)
+      Float.max hedge_delay_floor (4.0 *. st.cfg.latency_mean)
   in
   let route ~op:_ ~floor ~members =
     let dsts =
@@ -57,7 +65,7 @@ let install st gc det =
           {
             Rpc.h_delay;
             h_spares = spares;
-            h_max = gc.hedge_max;
+            h_max = hedge_max;
             h_on_hedge = (fun ~dst:_ -> Metrics.incr c.c_hedges);
             h_on_win = (fun ~dst:_ -> Metrics.incr c.c_hedge_wins);
           }

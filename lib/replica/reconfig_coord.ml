@@ -8,16 +8,33 @@ open Atomrep_sim
 open Runtime_config
 open Run_state
 
+(* Coordinator wake-up period (sim ms). *)
+let check_every = 60.0
+
+(* Minimum time between reconfiguration attempts (sim ms). *)
+let cooldown = 150.0
+
+(* Per-site up-probability the placement policy scores with; the policy
+   weights the type's operations uniformly. *)
+let assume_p = 0.9
+
+(* Slow-suspicion age (sim ms) before a demoting run treats the site as
+   down for planning; static atomicity still refuses the handoff
+   (Theorems 10–12). *)
+let demote_grace = 500.0
+
 let install st rc det =
   let c = st.counters in
+  (* The coordinator runs at the detector's monitor site. *)
+  let monitor = Detector.monitor det in
   let now () = Engine.now st.engine in
   let in_flight = ref false in
-  let last_done = ref (-.rc.cooldown) in
+  let last_done = ref (-.cooldown) in
   let consider (_, obj) =
     if
       (not !in_flight)
-      && Network.site_up st.net rc.monitor
-      && now () -. !last_done >= rc.cooldown
+      && Network.site_up st.net monitor
+      && now () -. !last_done >= cooldown
     then begin
       let live = Detector.live det in
       (* Demotion handoff: a site slow-suspected past the grace period is
@@ -32,7 +49,7 @@ let install st rc det =
           List.filter
             (fun s ->
               match Detector.slow_since det s with
-              | Some t0 -> now () -. t0 < gc.demote_grace
+              | Some t0 -> now () -. t0 < demote_grace
               | None -> true)
             live
         | _ -> live
@@ -44,8 +61,7 @@ let install st rc det =
           | Some f -> f ~live ~n_sites:st.cfg.n_sites
           | None ->
             Reassign.plan ~live ~ops:(Replicated.ops obj)
-              ~constraints:(Replicated.constraints obj) ~p:rc.assume_p
-              ~mix:rc.mix ()
+              ~constraints:(Replicated.constraints obj) ~p:assume_p ()
         in
         match plan with
         | None -> () (* no satisfying assignment: keep the old epoch *)
@@ -55,7 +71,7 @@ let install st rc det =
           let t0 = now () in
           Replicated.reconfigure obj ~members:members' ~assignment:assignment'
             ~allow_barrier:rc.allow_barrier
-            ~unsafe_no_barrier:rc.unsafe_no_barrier ~from:rc.monitor
+            ~unsafe_no_barrier:rc.unsafe_no_barrier ~from:monitor
             (fun result ->
               in_flight := false;
               last_done := now ();
@@ -69,7 +85,7 @@ let install st rc det =
     end
   in
   let rec check () =
-    Engine.schedule st.engine ~delay:rc.check_every (fun () ->
+    Engine.schedule st.engine ~delay:check_every (fun () ->
         List.iter consider st.objects;
         check ())
   in

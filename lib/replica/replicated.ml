@@ -61,6 +61,20 @@ type t = {
   recoveries : Repository.recovery list ref; (* reversed *)
 }
 
+(* The conflict table is where the schemes genuinely differ (paper, §5):
+   hybrid and static lock on the dependency relation — Enq need not
+   conflict with Enq because timestamp order resolves them — while a
+   locking scheme serializes in commit order and so must conflict every
+   non-commuting pair (the dynamic dependency relation, Theorem 10).
+   Locking on the weaker dependency table admits concurrent Enqs whose
+   commit order can contradict the timestamp order later Deqs answer
+   from, which is exactly a dynamic-atomicity violation. *)
+let conflict_table spec scheme relation =
+  Conflict_table.of_relation
+    (match scheme with
+     | Hybrid | Static -> Lazy.force relation
+     | Locking -> Atomrep_core.Dynamic_dep.minimal spec ~max_len:4)
+
 let create ~name ~spec ~scheme ~relation ~assignment ~net ?members
     ?(durability = Repository.Volatile) ?(rpc_timeout = 50.0) () =
   let repos =
@@ -128,21 +142,7 @@ let create ~name ~spec ~scheme ~relation ~assignment ~net ?members
               (Trace.emit trc ~site
                  (Trace.Repo_resolve { txn = Action.to_string action; committed }))))
     repos;
-  (* The conflict table is where the schemes genuinely differ (paper, §5):
-     hybrid and static lock on the dependency relation — Enq need not
-     conflict with Enq because timestamp order resolves them — while a
-     locking scheme serializes in commit order and so must conflict every
-     non-commuting pair (the dynamic dependency relation, Theorem 10).
-     Locking on the weaker dependency table admits concurrent Enqs whose
-     commit order can contradict the timestamp order later Deqs answer
-     from, which is exactly a dynamic-atomicity violation. *)
-  let table =
-    match scheme with
-    | Hybrid | Static -> Conflict_table.of_relation relation
-    | Locking ->
-      Conflict_table.of_relation
-        (Atomrep_core.Dynamic_dep.minimal spec ~max_len:4)
-  in
+  let table = conflict_table spec scheme (lazy relation) in
   {
     name;
     spec;
@@ -180,104 +180,64 @@ let max_final t =
 let own_entries t action =
   Option.value (Hashtbl.find_opt t.own action) ~default:[]
 
-let run_state spec events =
+let replay spec state events =
   List.fold_left
     (fun state ev ->
       match state with
       | None -> None
       | Some s -> Serial_spec.apply_event spec s ev)
-    (Some spec.Serial_spec.initial) events
+    state events
 
-(* Strip the caller's own entries out of a view: the front-end's per-action
-   cache is authoritative for them (an initial quorum need not intersect
-   the action's own final quorums). *)
-let without_action (view : View.t) action =
-  {
-    View.committed =
-      List.filter (fun (_, e) -> not (Action.equal e.Log.action action)) view.committed;
-    tentative =
-      List.filter (fun e -> not (Action.equal e.Log.action action)) view.tentative;
-  }
-
-let decide t ~(txn : Txn.t) (view : View.t) inv =
-  let action = txn.action in
-  let view = without_action view action in
-  let own = own_entries t action in
+let decide ~spec ~scheme ~table ~action ~begin_ts ~own (view : View.t) inv =
+  (* The caller's own entries are authoritative, not the view's copies: a
+     front-end's initial quorum need not intersect the action's own final
+     quorums. *)
+  let view = View.filter view (fun e -> not (Action.equal e.Log.action action)) in
   let own_events =
     List.sort (fun e1 e2 -> Int.compare e1.Log.seq e2.Log.seq) own
     |> List.map (fun e -> e.Log.event)
   in
-  match t.scheme with
+  let related e = Conflict_table.related table inv e.Log.event in
+  let initial = Some spec.Serial_spec.initial in
+  match scheme with
   | Hybrid | Locking ->
     (* Both lock-style schemes: block on related tentative entries, then
        choose a response against committed (commit-timestamp order) plus
        own events. They differ only in the conflict table installed. *)
-    (match
-       View.tentative_conflicting view ~me:action (fun e ->
-           Conflict_table.related t.table inv e.Log.event)
-     with
+    (match List.find_opt related view.View.tentative with
      | Some e -> Error (Blocked_on e.Log.action)
      | None ->
-       (match run_state t.spec (View.committed_events view @ own_events) with
+       (match replay spec initial (View.committed_events view @ own_events) with
         | None -> Error (Rejected "view reconstruction failed")
         | Some state ->
-          (match Serial_spec.responses t.spec state inv with
+          (match Serial_spec.responses spec state inv with
            | [] -> Error (Rejected "no legal response")
            | (res, _) :: _ -> Ok res)))
   | Static ->
-    let my_bts = txn.begin_ts in
+    let earlier e = Lamport.Timestamp.compare e.Log.begin_ts begin_ts < 0 in
     (* Block on related tentative entries of earlier-timestamped actions. *)
-    (match
-       View.tentative_conflicting view ~me:action (fun e ->
-           Lamport.Timestamp.compare e.Log.begin_ts my_bts < 0
-           && Conflict_table.related t.table inv e.Log.event)
-     with
+    (match List.find_opt (fun e -> earlier e && related e) view.View.tentative with
      | Some e -> Error (Blocked_on e.Log.action)
      | None ->
-       (* Response from committed entries strictly before my timestamp,
-          plus my own events. *)
-       let prefix_view =
-         {
-           View.committed =
-             List.filter
-               (fun (_, e) -> Lamport.Timestamp.compare e.Log.begin_ts my_bts < 0)
-               view.View.committed;
-           tentative = [];
-         }
+       (* In the static order my events follow every earlier-timestamped
+          action's and precede every later one's. The response comes from
+          the committed entries before me plus my own events. *)
+       let before = View.filter view earlier in
+       let after = View.filter view (fun e -> not (earlier e)) in
+       let timeline_to_me ~include_tentative =
+         replay spec initial (View.static_timeline before ~include_tentative @ own_events)
        in
-       let prefix =
-         View.static_timeline prefix_view ~insert:None ~include_tentative:false
-         @ own_events
-       in
-       (match run_state t.spec prefix with
+       (match timeline_to_me ~include_tentative:false with
         | None -> Error (Rejected "inconsistent timeline")
         | Some state ->
-          let candidates = Serial_spec.responses t.spec state inv in
-          let seq = List.length own in
-          (* Validate candidates against the full timeline (committed and
-             tentative, own events included at my position). *)
-          let own_keyed =
-            List.map (fun e -> ((e.Log.begin_ts, e.Log.seq), e.Log.event)) own
+          (* Validate each candidate against the full timeline, committed
+             and tentative, with the new event at my position. *)
+          let at_me = timeline_to_me ~include_tentative:true in
+          let later = View.static_timeline after ~include_tentative:true in
+          let viable (res, _) =
+            Option.is_some (replay spec at_me (Event.make inv res :: later))
           in
-          let viable =
-            List.find_opt
-              (fun (res, _) ->
-                let others =
-                  List.map
-                    (fun (e : Log.entry) -> ((e.begin_ts, e.seq), e.event))
-                    (List.map snd view.View.committed @ view.View.tentative)
-                in
-                let timeline =
-                  others @ own_keyed @ [ ((my_bts, seq), Event.make inv res) ]
-                  |> List.sort (fun ((b1, s1), _) ((b2, s2), _) ->
-                         let c = Lamport.Timestamp.compare b1 b2 in
-                         if c <> 0 then c else Int.compare s1 s2)
-                  |> List.map snd
-                in
-                Option.is_some (run_state t.spec timeline))
-              candidates
-          in
-          (match viable with
+          (match List.find_opt viable (Serial_spec.responses spec state inv) with
            | None -> Error (Rejected "timestamp order violation")
            | Some (res, _) -> Ok res)))
 
@@ -475,7 +435,10 @@ let execute t ~txn ~clock ?(span = -1) inv ~k =
           | Log.Abort_record _ | Log.Preabort _ -> ())
         (Log.records log);
       let view = View.classify log in
-      match decide t ~txn view inv with
+      match
+        decide ~spec:t.spec ~scheme:t.scheme ~table:t.table ~action
+          ~begin_ts:txn.Txn.begin_ts ~own:(own_entries t action) view inv
+      with
       | Error result -> release_and_return result
       | Ok res ->
         note t ~site:src (Trace.Lock_grant { txn = txname; op = opname });

@@ -50,6 +50,33 @@ type op_result =
   | Unavailable of string (** no initial or final quorum reachable *)
   | Rejected of string (** scheme validation failed: abort the action *)
 
+val conflict_table :
+  Serial_spec.t -> scheme -> Relation.t Lazy.t -> Atomrep_cc.Conflict_table.t
+(** The scheme's lock conflicts: [Hybrid] and [Static] project the given
+    dependency relation, [Locking] the minimal dynamic relation of the
+    specification (every non-commuting pair, Theorem 10) without forcing
+    the given one. *)
+
+val decide :
+  spec:Serial_spec.t ->
+  scheme:scheme ->
+  table:Atomrep_cc.Conflict_table.t ->
+  action:Action.t ->
+  begin_ts:Lamport.Timestamp.t ->
+  own:Log.entry list ->
+  View.t ->
+  Event.Invocation.t ->
+  (Event.Response.t, op_result) result
+(** The scheme rule: given a view and the invoking action's own entries
+    ([own] is authoritative; the view's copies of them are ignored),
+    either a response legal for the view ([Ok]) or why the operation
+    cannot run now: [Blocked_on] a related tentative entry (the first in
+    entry-timestamp order; under [Static] only earlier-Begin actions
+    block), or [Rejected] when no legal response exists or, under
+    [Static], none keeps the Begin-timestamp timeline legal. Pure; never
+    returns [Done] or [Unavailable]. {!execute} applies it to the merged
+    view of an initial quorum, {!Scheduler} to one repository's log. *)
+
 type t
 
 val create :

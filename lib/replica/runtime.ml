@@ -85,6 +85,10 @@ type outcome = {
   registry : Metrics.t;
 }
 
+(* Extra prepare-phase probes (with backoff) before a missing commit
+   quorum aborts the transaction; the commit drive re-drives as often. *)
+let commit_quorum_retries = 2
+
 (* The transaction driver. Each transaction runs at a home site: Begin,
    its script of operations with bounded conflict retries, then a
    two-phase commit; every terminal step goes through
@@ -336,7 +340,7 @@ let exec_txn st term index ~arrival ~admitted ~release =
                          resolves it. *)
                       settle "fenced"
                     | `Inconclusive ->
-                      retry ~total:cfg.commit_quorum_retries ~left drive
+                      retry ~total:commit_quorum_retries ~left drive
                         ~give_up:(fun _ ->
                           (* In doubt: the commit point is durable but some
                              vote quorum is unreachable. The decision stays
@@ -347,7 +351,7 @@ let exec_txn st term index ~arrival ~admitted ~release =
                           settle "in-doubt")
                   end)
             in
-            drive cfg.commit_quorum_retries
+            drive commit_quorum_retries
           end
       in
       (* Phase 1: every touched object must show a reachable final quorum
@@ -365,14 +369,14 @@ let exec_txn st term index ~arrival ~admitted ~release =
                     if List.length sites >= Replicated.max_final obj then
                       prepare more
                     else
-                      retry ~total:cfg.commit_quorum_retries ~left probe
+                      retry ~total:commit_quorum_retries ~left probe
                         ~give_up:(function
                           | `Budget ->
                             abort `Unavailable
                               ("commit quorum (retry budget): " ^ name)
                           | `Tries -> abort `Unavailable ("commit quorum: " ^ name))))
           in
-          probe cfg.commit_quorum_retries
+          probe commit_quorum_retries
       in
       (* An empty transaction commits vacuously. *)
       if txn.Txn.touched = [] then commit_now () else prepare txn.Txn.touched
@@ -560,12 +564,11 @@ let run_inner cfg =
   let detector =
     if Option.is_none cfg.reconfig && Option.is_none cfg.gray then None
     else
-      let rc = Option.value cfg.reconfig ~default:default_reconfig in
+      (* The detector's defaults: site 0 probes every 40 with timeout 25
+         and suspects after 3 misses; gray runs add latency scoring. *)
       Some
-        (Detector.start net ~rng:det_rng ~probe_every:rc.probe_every
-           ~timeout:rc.probe_timeout ~suspect_after:rc.suspect_after
-           ~monitor:rc.monitor
-           ?slow:(Option.map (fun gc -> gc.slow) cfg.gray)
+        (Detector.start net ~rng:det_rng
+           ?slow:(Option.map (fun _ -> Detector.default_slow_config) cfg.gray)
            ())
   in
   Option.iter

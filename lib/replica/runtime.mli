@@ -49,14 +49,6 @@ type object_config = {
 type op_request = { target : string; invocation : Event.Invocation.t }
 
 type reconfig = {
-  probe_every : float; (** detector probe period (jittered) *)
-  probe_timeout : float; (** per-probe RPC timeout *)
-  suspect_after : int; (** consecutive misses before suspicion *)
-  check_every : float; (** coordinator wake-up period *)
-  cooldown : float; (** minimum time between reconfiguration attempts *)
-  assume_p : float; (** per-site up-probability the policy scores with *)
-  mix : (string * float) list; (** workload mix for the policy (default uniform) *)
-  monitor : int; (** site hosting the detector and coordinator *)
   allow_barrier : bool; (** permit the state-transfer barrier handoff *)
   unsafe_no_barrier : bool;
       (** negative testing only: skip the invariant and the barrier *)
@@ -66,8 +58,11 @@ type reconfig = {
 }
 
 val default_reconfig : reconfig
-(** Probe every 40 with timeout 25, suspect after 3 misses, check every 60
-    with cooldown 150, score at p = 0.9, monitor site 0, barrier allowed. *)
+(** Barrier allowed, no plan override. The detector runs with
+    {!Atomrep_sim.Detector.start}'s defaults (site 0 probes every 40 with
+    timeout 25 and suspects after 3 misses); [Reconfig_coord] wakes every
+    60 with a cooldown of 150 and scores plans at p = 0.9 over a uniform
+    operation mix. *)
 
 type deadlock_mode =
   | No_deadlock  (** blocked operations rely on backoff and retry budgets *)
@@ -91,16 +86,6 @@ type shed_policy =
 val shed_policy_name : shed_policy -> string
 val shed_policy_of_string : string -> shed_policy option
 
-type breaker_cfg = {
-  br_window : int;  (** sliding window of recent RPC outcomes per site *)
-  br_threshold : float;  (** failure fraction that trips the breaker *)
-  br_cooldown : float;  (** open duration before the half-open probe *)
-  br_probes : int;  (** consecutive successes that close it again *)
-}
-
-val default_breaker : breaker_cfg
-(** Window 8, threshold 0.5, cooldown 400 ms, 2 probes. *)
-
 type admission = {
   max_in_flight : int;  (** bounded in-flight window *)
   queue_limit : int;  (** bounded admission queue; overflow sheds *)
@@ -109,9 +94,10 @@ type admission = {
           conflict retry, this long after arrival is shed (pre-commit
           only — a transaction past its commit point is never shed) *)
   adm_shed_policy : shed_policy;
-  adm_breaker : breaker_cfg option;
-      (** per-site circuit breaker over RPC-timeout signals; [None]
-          disables it *)
+  adm_breaker : bool;
+      (** per-site circuit breaker over RPC-timeout signals, with
+          {!Breaker.create}'s defaults (window 8, threshold 0.5, cooldown
+          400 ms, 2 probes) *)
 }
 
 val default_admission : admission
@@ -142,25 +128,16 @@ type gray = {
       (** route quorum rounds away from slow-suspected sites (never below
           the round's quorum floor), and let the reconfiguration
           coordinator — when one is running — plan the site out of the
-          epoch once its suspicion outlives [demote_grace] *)
-  hedge_percentile : float;
-      (** hedge delay = this percentile of recently observed RPC
-          latencies, pooled across non-slow sites *)
-  hedge_delay_floor : float;  (** never hedge sooner than this (sim ms) *)
-  hedge_max : int;  (** spare re-issues per quorum round *)
-  slow : Atomrep_sim.Detector.slow_config;
-      (** latency-scoring knobs for {!Atomrep_sim.Detector} *)
-  demote_grace : float;
-      (** slow-suspicion age (sim ms) before reconfiguration treats the
-          site as down for planning — static atomicity still refuses the
-          handoff (Theorems 10–12) *)
+          epoch once its suspicion outlives [Reconfig_coord.demote_grace]
+          (500 ms) *)
 }
-(** Gray-failure mitigation policy (DESIGN §3j). *)
+(** Gray-failure mitigation policy (DESIGN §3j). The detector scores
+    latencies with {!Atomrep_sim.Detector.default_slow_config}; the hedge
+    delay and the spare count are [Gray_policy]'s constants (p95 of
+    recent RPC latencies, at least 2 ms; 2 spares per round). *)
 
 val default_gray : gray
-(** Hedging and demotion both on: p95 adaptive delay with a 2 ms floor, 2
-    spare re-issues per round, {!Atomrep_sim.Detector.default_slow_config}
-    scoring, 500 ms demotion grace. *)
+(** Hedging and demotion both on. *)
 
 type config = {
   seed : int;
@@ -177,9 +154,6 @@ type config = {
   retry_delay_cap : float; (** ceiling on the exponential backoff delay *)
   rpc_timeout : float;
       (** per-RPC timeout for quorum reads, writes, and commit probes *)
-  commit_quorum_retries : int;
-      (** extra prepare-phase probes (with backoff) before a missing commit
-          quorum aborts the transaction *)
   install_faults : Network.t -> unit;
   horizon : float; (** simulated-time cutoff *)
   anti_entropy_every : float option;
@@ -215,8 +189,6 @@ type config = {
           reaper. *)
   deadlock : deadlock_mode;
       (** deadlock policy for blocked operations (default [No_deadlock]) *)
-  reaper_every : float;
-      (** orphan-reaper sweep period ([Cooperative] only, default 250) *)
   takeover : bool;
       (** coordinator takeover (default [false]; requires [Cooperative]
           termination to matter): when cooperative termination finds a

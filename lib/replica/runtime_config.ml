@@ -22,14 +22,6 @@ type object_config = {
 type op_request = { target : string; invocation : Event.Invocation.t }
 
 type reconfig = {
-  probe_every : float;
-  probe_timeout : float;
-  suspect_after : int;
-  check_every : float;
-  cooldown : float;
-  assume_p : float;
-  mix : (string * float) list;
-  monitor : int;
   allow_barrier : bool;
   unsafe_no_barrier : bool;
   plan_override :
@@ -37,19 +29,7 @@ type reconfig = {
 }
 
 let default_reconfig =
-  {
-    probe_every = 40.0;
-    probe_timeout = 25.0;
-    suspect_after = 3;
-    check_every = 60.0;
-    cooldown = 150.0;
-    assume_p = 0.9;
-    mix = [];
-    monitor = 0;
-    allow_barrier = true;
-    unsafe_no_barrier = false;
-    plan_override = None;
-  }
+  { allow_barrier = true; unsafe_no_barrier = false; plan_override = None }
 
 type deadlock_mode = No_deadlock | Detect | Wound_wait
 
@@ -75,22 +55,12 @@ let shed_policy_of_string = function
   | "shed-reads-first" -> Some Shed_reads_first
   | _ -> None
 
-type breaker_cfg = {
-  br_window : int;
-  br_threshold : float;
-  br_cooldown : float;
-  br_probes : int;
-}
-
-let default_breaker =
-  { br_window = 8; br_threshold = 0.5; br_cooldown = 400.0; br_probes = 2 }
-
 type admission = {
   max_in_flight : int;
   queue_limit : int;
   deadline : float;
   adm_shed_policy : shed_policy;
-  adm_breaker : breaker_cfg option;
+  adm_breaker : bool;
 }
 
 let default_admission =
@@ -99,7 +69,7 @@ let default_admission =
     queue_limit = 16;
     deadline = Float.infinity;
     adm_shed_policy = Reject_newest;
-    adm_breaker = None;
+    adm_breaker = false;
   }
 
 type load = {
@@ -109,15 +79,7 @@ type load = {
   class_of : int -> [ `Read | `Write ];
 }
 
-type gray = {
-  hedge : bool;
-  demote : bool;
-  hedge_percentile : float;
-  hedge_delay_floor : float;
-  hedge_max : int;
-  slow : Detector.slow_config;
-  demote_grace : float;
-}
+type gray = { hedge : bool; demote : bool }
 
 type config = {
   seed : int;
@@ -133,7 +95,6 @@ type config = {
   retry_delay : float;
   retry_delay_cap : float;
   rpc_timeout : float;
-  commit_quorum_retries : int;
   install_faults : Network.t -> unit;
   horizon : float;
   anti_entropy_every : float option;
@@ -143,7 +104,6 @@ type config = {
   durability : Repository.durability;
   termination : Termination.mode;
   deadlock : deadlock_mode;
-  reaper_every : float;
   takeover : bool;
   admission : admission option;
   retry_budget : int;
@@ -163,16 +123,7 @@ let default_queue_assignment ~n_sites =
       ("Deq", { Assignment.initial = majority; final = majority });
     ]
 
-let default_gray =
-  {
-    hedge = true;
-    demote = true;
-    hedge_percentile = 0.95;
-    hedge_delay_floor = 2.0;
-    hedge_max = 2;
-    slow = Detector.default_slow_config;
-    demote_grace = 500.0;
-  }
+let default_gray = { hedge = true; demote = true }
 
 let default_config =
   {
@@ -204,7 +155,6 @@ let default_config =
     retry_delay = 25.0;
     retry_delay_cap = 400.0;
     rpc_timeout = 50.0;
-    commit_quorum_retries = 2;
     install_faults = (fun _ -> ());
     horizon = 1_000_000.0;
     anti_entropy_every = None;
@@ -214,7 +164,6 @@ let default_config =
     durability = Repository.Volatile;
     termination = Termination.Disabled;
     deadlock = No_deadlock;
-    reaper_every = 250.0;
     takeover = false;
     admission = None;
     retry_budget = max_int;

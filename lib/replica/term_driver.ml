@@ -471,6 +471,10 @@ let redrive t log site =
          btxn.Txn.stranded <- true;
          finalize t btxn ~site (`Abort (`Presumed, "presumed abort")))
 
+(* Orphan-reaper sweep period (sim ms); the liveness monitors' grace
+   allows two sweeps. *)
+let reaper_every = 250.0
+
 (* Orphan reaper ([Cooperative] only): periodically sweep every
    repository for tentative entries. Entries of terminal transactions
    get their status records re-pushed; non-terminal transactions whose
@@ -479,7 +483,7 @@ let redrive t log site =
    to do. *)
 let rec reap t =
   let st = t.st in
-  Engine.schedule st.engine ~delay:st.cfg.reaper_every (fun () ->
+  Engine.schedule st.engine ~delay:reaper_every (fun () ->
       (match List.find_opt (Network.site_up st.net) (List.init st.cfg.n_sites Fun.id) with
        | None -> ()
        | Some origin ->

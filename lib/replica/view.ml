@@ -1,4 +1,3 @@
-open Atomrep_history
 open Atomrep_clock
 
 type t = {
@@ -32,37 +31,15 @@ let classify log =
 
 let committed_events t = List.map (fun (_, e) -> e.Log.event) t.committed
 
-let events_of_action t action =
-  let mine =
-    List.filter_map
-      (fun (_, e) -> if Action.equal e.Log.action action then Some e else None)
-      t.committed
-    @ List.filter (fun e -> Action.equal e.Log.action action) t.tentative
-  in
-  List.sort (fun e1 e2 -> Int.compare e1.Log.seq e2.Log.seq) mine
+let filter t keep =
+  {
+    committed = List.filter (fun (_, e) -> keep e) t.committed;
+    tentative = List.filter keep t.tentative;
+  }
+
+let static_timeline t ~include_tentative =
+  List.map snd t.committed @ (if include_tentative then t.tentative else [])
+  |> List.sort (fun (e1 : Log.entry) e2 ->
+         let c = Lamport.Timestamp.compare e1.begin_ts e2.begin_ts in
+         if c <> 0 then c else Int.compare e1.seq e2.seq)
   |> List.map (fun e -> e.Log.event)
-
-let static_timeline t ~insert ~include_tentative =
-  let base =
-    List.map (fun (_, e) -> e) t.committed
-    @ (if include_tentative then t.tentative else [])
-  in
-  let keyed =
-    List.map (fun (e : Log.entry) -> ((e.begin_ts, e.seq), e.event)) base
-  in
-  let keyed =
-    match insert with
-    | None -> keyed
-    | Some (bts, seq, event) -> ((bts, seq), event) :: keyed
-  in
-  List.sort
-    (fun ((b1, s1), _) ((b2, s2), _) ->
-      let c = Lamport.Timestamp.compare b1 b2 in
-      if c <> 0 then c else Int.compare s1 s2)
-    keyed
-  |> List.map snd
-
-let tentative_conflicting t ~me flagged =
-  List.find_opt
-    (fun (e : Log.entry) -> (not (Action.equal e.action me)) && flagged e)
-    t.tentative

@@ -20,18 +20,12 @@ val classify : Log.t -> t
 val committed_events : t -> Event.t list
 (** Committed events in commit-timestamp order. *)
 
-val events_of_action : t -> Action.t -> Event.t list
-(** All non-aborted entries of one action, committed or tentative, in
-    per-action sequence order. *)
+val filter : t -> (Log.entry -> bool) -> t
+(** The entries the predicate keeps, each list in its original order. *)
 
-val static_timeline : t -> insert:(Lamport.Timestamp.t * int * Event.t) option ->
-  include_tentative:bool -> Event.t list
+val static_timeline : t -> include_tentative:bool -> Event.t list
 (** Events ordered by (action Begin timestamp, per-action sequence) — the
-    static serialization order. [insert] adds a hypothetical event for an
-    action with the given Begin timestamp and sequence number.
-    [include_tentative] controls whether uncommitted actions' entries
-    participate (they do for validation, not for response computation). *)
-
-val tentative_conflicting :
-  t -> me:Action.t -> (Log.entry -> bool) -> Log.entry option
-(** First tentative entry of another action flagged by the predicate. *)
+    static serialization order; entries with equal keys keep their view
+    order, committed before tentative. [include_tentative] controls whether
+    uncommitted actions' entries participate (they do for validation, not
+    for response computation). *)

@@ -232,7 +232,7 @@ let hot_open_cfg ?(termination = Atomrep_txn.Termination.Disabled)
             Runtime.default_admission with
             Runtime.deadline = 1000.0;
             adm_shed_policy = Runtime.Shed_reads_first;
-            adm_breaker = Some Runtime.default_breaker;
+            adm_breaker = true;
           };
       retry_budget;
     }

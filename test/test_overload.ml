@@ -326,7 +326,7 @@ let test_overload_base_sheds_and_stays_safe () =
             queue_limit = 3;
             deadline = 800.0;
             adm_shed_policy = Runtime.Shed_reads_first;
-            adm_breaker = Some Runtime.default_breaker;
+            adm_breaker = true;
           };
     }
   in

@@ -580,13 +580,13 @@ let prop_relation_union_still_dependency =
       (not (Hybrid_dep.is_hybrid_dependency checker base))
       || Hybrid_dep.is_hybrid_dependency checker bigger)
 
-(* Drive a local scheduler with random interleavings; whatever it lets
-   through must satisfy its scheme's property. *)
-let drive_scheduler (type a) (module S : Atomrep_cc.Scheduler.S with type t = a) spec seed =
-  let open Atomrep_cc in
+(* Drive the one-site scheduler with random interleavings; whatever it
+   lets through must satisfy its scheme's property. *)
+let drive_scheduler scheme spec seed =
   let open Atomrep_clock in
+  let open Atomrep_replica in
   let rng = Atomrep_stats.Rng.create seed in
-  let t = S.create spec in
+  let t = Scheduler.create scheme spec in
   let n_actions = 2 + Atomrep_stats.Rng.int rng 2 in
   let clock = ref 0 in
   let tick () =
@@ -599,49 +599,45 @@ let drive_scheduler (type a) (module S : Atomrep_cc.Scheduler.S with type t = a)
     let i = Atomrep_stats.Rng.int rng n_actions in
     match status.(i) with
     | `Fresh ->
-      S.begin_action t actions.(i) ~ts:(tick ());
+      Scheduler.begin_action t actions.(i) ~ts:(tick ());
       status.(i) <- `Active
     | `Active ->
       (match Atomrep_stats.Rng.int rng 4 with
        | 0 ->
-         S.commit t actions.(i) ~ts:(tick ());
+         Scheduler.commit t actions.(i) ~ts:(tick ());
          status.(i) <- `Done
        | 1 ->
-         S.abort t actions.(i);
+         Scheduler.abort t actions.(i);
          status.(i) <- `Done
        | _ ->
          let inv = Atomrep_stats.Rng.pick_list rng spec.Serial_spec.invocations in
-         (match S.try_operation t actions.(i) inv with
-          | Scheduler.Executed _ | Scheduler.Blocked _ -> ()
-          | Scheduler.Rejected _ ->
-            S.abort t actions.(i);
+         (match Scheduler.try_operation t actions.(i) inv with
+          | Replicated.(Done _ | Blocked_on _ | Unavailable _) -> ()
+          | Replicated.Rejected _ ->
+            Scheduler.abort t actions.(i);
             status.(i) <- `Done))
     | `Done -> ()
   done;
-  S.history t
+  Scheduler.history t
 
-let scheduler_specs = [ Queue_type.spec; Prom.spec; Counter.spec; Register.spec ]
+let scheduler_specs = List.map snd Type_registry.all
+
+let prop_scheduler_atomic scheme ~name holds =
+  QCheck2.Test.make ~name ~count:120
+    QCheck2.Gen.(pair (oneofl scheduler_specs) nat)
+    (fun (spec, seed) -> holds spec (drive_scheduler scheme spec seed))
 
 let prop_locking_scheduler_dynamic =
-  QCheck2.Test.make ~name:"locking scheduler yields dynamic atomic histories" ~count:120
-    QCheck2.Gen.(pair (oneofl scheduler_specs) nat)
-    (fun (spec, seed) ->
-      let h = drive_scheduler (module Atomrep_cc.Scheduler.Locking) spec seed in
-      Atomicity.is_dynamic_atomic spec h)
+  prop_scheduler_atomic Atomrep_replica.Replicated.Locking
+    ~name:"locking scheduler yields dynamic atomic histories" Atomicity.is_dynamic_atomic
 
 let prop_static_scheduler_static =
-  QCheck2.Test.make ~name:"static scheduler yields static atomic histories" ~count:120
-    QCheck2.Gen.(pair (oneofl scheduler_specs) nat)
-    (fun (spec, seed) ->
-      let h = drive_scheduler (module Atomrep_cc.Scheduler.Static_ts) spec seed in
-      Atomicity.is_static_atomic spec h)
+  prop_scheduler_atomic Atomrep_replica.Replicated.Static
+    ~name:"static scheduler yields static atomic histories" Atomicity.is_static_atomic
 
 let prop_hybrid_scheduler_hybrid =
-  QCheck2.Test.make ~name:"hybrid scheduler yields hybrid atomic histories" ~count:120
-    QCheck2.Gen.(pair (oneofl scheduler_specs) nat)
-    (fun (spec, seed) ->
-      let h = drive_scheduler (module Atomrep_cc.Scheduler.Hybrid_ts) spec seed in
-      Atomicity.is_hybrid_atomic spec h)
+  prop_scheduler_atomic Atomrep_replica.Replicated.Hybrid
+    ~name:"hybrid scheduler yields hybrid atomic histories" Atomicity.is_hybrid_atomic
 
 let prop_runtime_random_seeds_atomic =
   QCheck2.Test.make ~name:"replicated runtime atomic across random seeds" ~count:8
