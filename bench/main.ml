@@ -182,31 +182,48 @@ let micro_tests () =
       (Staged.stage (fun () ->
            ignore (Runtime.run { Runtime.default_config with n_txns = 20 })))
   in
-  let log_merge =
+  (* The gather a front-end runs per operation: a queue log of committed
+     Enq transactions (an entry and a commit record each) read into a
+     cached view. The hit folds 6 new records into the view of a
+     1,000-record log, walking a chain of 1,000 successive versions; at
+     the chain's end one run rebuilds the view at its first version, a
+     miss amortized over the chain. The miss builds the view of a
+     1,006-record log from empty. *)
+  let view_hit, view_miss =
     let open Atomrep_replica in
     let open Atomrep_clock in
-    let mk offset =
-      List.fold_left
-        (fun log i ->
-          Log.add log
-            (Log.Entry
-               {
-                 Log.ets = { Lamport.Timestamp.counter = offset + i; site = 0 };
-                 action = Atomrep_history.Action.of_int (i mod 5);
-                 begin_ts = { Lamport.Timestamp.counter = offset + i; site = 0 };
-                 seq = i;
-                 event = Queue_type.enq "x";
-               }))
-        Log.empty
-        (List.init 50 Fun.id)
+    let txn log k =
+      let ts = { Lamport.Timestamp.counter = k; site = 0 } in
+      let action = Atomrep_history.Action.of_int k in
+      let entry =
+        { Log.ets = ts; action; begin_ts = ts; seq = 0; event = Queue_type.enq "x" }
+      in
+      Log.add (Log.add log (Log.Entry entry)) (Log.Commit_record (action, ts))
     in
-    let l1 = mk 0 and l2 = mk 25 in
-    Test.make ~name:"replica kernel: 50-entry log merge"
-      (Staged.stage (fun () -> ignore (Log.merge l1 l2)))
+    let grow log from n = List.fold_left txn log (List.init n (fun i -> from + i)) in
+    let base = grow Log.empty 0 500 in
+    let versions = Array.make 1000 base in
+    for i = 1 to 999 do
+      versions.(i) <- grow versions.(i - 1) (500 + (3 * i)) 3
+    done;
+    let cache = ref (View.cache Queue_type.spec) and next = ref 0 in
+    let hit () =
+      if !next = 0 then begin
+        cache := View.cache Queue_type.spec;
+        ignore (View.gather !cache [ (0, versions.(0)) ]);
+        next := 1
+      end;
+      ignore (View.gather !cache [ (0, versions.(!next)) ]);
+      next := (!next + 1) mod 1000
+    in
+    ( Test.make ~name:"replica kernel: view update, 1000 records + 6" (Staged.stage hit),
+      Test.make ~name:"replica kernel: view build, 1006 records"
+        (Staged.stage (fun () ->
+             ignore (View.gather (View.cache Queue_type.spec) [ (0, versions.(1)) ]))) )
   in
   [
     legality; atomicity_check; static_minimal; dynamic_minimal; hybrid_checker;
-    hybrid_verify; availability; simulator; log_merge;
+    hybrid_verify; availability; simulator; view_hit; view_miss;
   ]
 
 let run_micro () =

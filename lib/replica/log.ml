@@ -50,13 +50,24 @@ module S = Set.Make (Record_ord)
    it, kept so that classifying an entry is a lookup rather than a scan.
    Status records are never dropped ([gc] and [stable] only filter
    entries), so the indexes never shrink. Two commit (or precommit)
-   records for one action keep the later timestamp. *)
+   records for one action keep the later timestamp.
+
+   The journal is the log's history since its lineage began: [records] is
+   the lineage's base set plus [journal], newest first, and [count] is the
+   journal's length. Only [add] extends a journal. Every other way of
+   making a log from another ([merge], and [gc] or [stable] when they drop
+   a record) starts a fresh lineage whose base is the result, so two logs
+   of one lineage share their base. The empty log's lineage (0) has the
+   empty base. *)
 type t = {
   records : S.t;
   commits : Lamport.Timestamp.t Action.Map.t;
   aborts : Action.Set.t;
   precommits : Lamport.Timestamp.t Action.Map.t;
   preaborts : Action.Set.t;
+  lineage : int;
+  count : int;
+  journal : record list;
 }
 
 let empty =
@@ -66,7 +77,14 @@ let empty =
     aborts = Action.Set.empty;
     precommits = Action.Map.empty;
     preaborts = Action.Set.empty;
+    lineage = 0;
+    count = 0;
+    journal = [];
   }
+
+(* Atomic: sweeps run simulations on several domains at once. *)
+let lineages = Atomic.make 1
+let rebase t = { t with lineage = Atomic.fetch_and_add lineages 1; count = 0; journal = [] }
 
 let later t1 t2 = if Lamport.Timestamp.compare t1 t2 >= 0 then t1 else t2
 
@@ -77,13 +95,36 @@ let note_ts index a ts =
 
 let add t r =
   let records = S.add r t.records in
-  match r with
-  | Entry _ -> { t with records }
-  | Commit_record (a, ts) -> { t with records; commits = note_ts t.commits a ts }
-  | Abort_record a -> { t with records; aborts = Action.Set.add a t.aborts }
-  | Precommit (a, ts) ->
-    { t with records; precommits = note_ts t.precommits a ts }
-  | Preabort a -> { t with records; preaborts = Action.Set.add a t.preaborts }
+  if records == t.records then t
+  else begin
+    let t = { t with records; count = t.count + 1; journal = r :: t.journal } in
+    match r with
+    | Entry _ -> t
+    | Commit_record (a, ts) -> { t with commits = note_ts t.commits a ts }
+    | Abort_record a -> { t with aborts = Action.Set.add a t.aborts }
+    | Precommit (a, ts) -> { t with precommits = note_ts t.precommits a ts }
+    | Preabort a -> { t with preaborts = Action.Set.add a t.preaborts }
+  end
+
+type mark = { lineage : int; count : int; journal : record list }
+
+let mark (t : t) = { lineage = t.lineage; count = t.count; journal = t.journal }
+
+(* [m]'s journal holds [old]'s, physically, under [m.count - old.count]
+   newer records: then [m]'s log is [old]'s plus exactly those records. A
+   mark that shares [old]'s lineage but not its journal cells branched
+   off an ancestor, and answers [None]. *)
+let since old m =
+  if m.lineage <> old.lineage || m.count < old.count then None
+  else
+    let rec take n journal acc =
+      if n = 0 then if journal == old.journal then Some acc else None
+      else
+        match journal with
+        | r :: rest -> take (n - 1) rest (r :: acc)
+        | [] -> None
+    in
+    take (m.count - old.count) m.journal []
 
 (* Folds the smaller index into the larger. Quorum replies mostly know
    the same statuses, so a merge allocates only for the ones that differ. *)
@@ -99,16 +140,19 @@ let merge t1 t2 =
   let union_set =
     absorb ~cardinal:Action.Set.cardinal ~fold:Action.Set.fold ~add:Action.Set.add
   in
-  {
-    records = S.union t1.records t2.records;
-    commits = union_ts t1.commits t2.commits;
-    aborts = union_set t1.aborts t2.aborts;
-    precommits = union_ts t1.precommits t2.precommits;
-    preaborts = union_set t1.preaborts t2.preaborts;
-  }
+  rebase
+    {
+      t1 with
+      records = S.union t1.records t2.records;
+      commits = union_ts t1.commits t2.commits;
+      aborts = union_set t1.aborts t2.aborts;
+      precommits = union_ts t1.precommits t2.precommits;
+      preaborts = union_set t1.preaborts t2.preaborts;
+    }
 
 let equal t1 t2 = S.equal t1.records t2.records
 let records t = S.elements t.records
+let iter f t = S.iter f t.records
 
 (* [Entry] ranks lowest in [Record_ord] and compares by [ets] first, so
    the entries are the set's prefix, already in timestamp order. *)
@@ -129,16 +173,17 @@ let has_preabort t action = Action.Set.mem action t.preaborts
 let is_committed t action = Action.Map.mem action t.commits
 let size t = S.cardinal t.records
 
+(* [S.filter] returns its argument when it keeps every record, and so
+   does this: the lineage goes on. *)
 let filter_entries keep t =
-  {
-    t with
-    records =
-      S.filter
-        (function
-          | Entry e -> keep e.action
-          | Commit_record _ | Abort_record _ | Precommit _ | Preabort _ -> true)
-        t.records;
-  }
+  let records =
+    S.filter
+      (function
+        | Entry e -> keep e.action
+        | Commit_record _ | Abort_record _ | Precommit _ | Preabort _ -> true)
+      t.records
+  in
+  if records == t.records then t else rebase { t with records }
 
 let gc t = filter_entries (fun a -> not (is_aborted t a)) t
 

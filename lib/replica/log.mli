@@ -11,9 +11,12 @@
     idempotent, which the property tests check.
 
     A log indexes its status records by action, so every status query is
-    a lookup rather than a scan of the log, and a front-end classifies an
-    [n]-record view in O(n log n). In the costs below, [n] is the number
-    of records in the log.
+    a lookup rather than a scan of the log. A log also keeps a journal of
+    the records {!add} gave it since its lineage began, so a reader that
+    saw an earlier version can fetch just the records added since
+    ({!since}), and {!View} folds those into a cached view, so reading a view
+    again costs the new records, not the log's length. In the costs below,
+    [n] is the number of records in the log.
 
     When a log holds two [Commit_record]s (or two [Precommit]s) for one
     action with different timestamps, the later timestamp is the one
@@ -48,17 +51,35 @@ type t
 val empty : t
 
 val add : t -> record -> t
-(** O(log n). *)
+(** O(log n). Extends the log's lineage by one journal record; a record
+    the log already holds returns the log physically unchanged. *)
+
+type mark
+(** A version of a log, as far as {!since} needs it: the log's lineage
+    and journal, not its record set, so holding a mark keeps nothing
+    alive that the log's later versions do not. *)
+
+val mark : t -> mark
+
+val since : mark -> mark -> record list option
+(** [since old m] is [Some rs] when [m]'s log is [old]'s extended by
+    {!add} alone, [rs] being the records added, oldest first; [None]
+    otherwise (another lineage, an older version than [old], or a version
+    that branched off an ancestor of [old]). O(|rs|). *)
 
 val merge : t -> t -> t
 (** Union of two logs. O(n log n); when both logs hold the same status
-    records, only the record set is rebuilt. *)
+    records, only the record set is rebuilt. The result starts a new
+    lineage. *)
 
 val equal : t -> t -> bool
 (** Same records. O(n). *)
 
 val records : t -> record list
 (** Every record, entries first. O(n). *)
+
+val iter : (record -> unit) -> t -> unit
+(** Every record, in {!records}' order. O(n). *)
 
 val entries : t -> entry list
 (** Operation entries sorted by entry timestamp. O(n); no sort. *)
@@ -89,11 +110,13 @@ val gc : t -> t
 (** Garbage-collect aborted actions: drop their operation entries while
     keeping the abort records as tombstones — merging with a stale replica
     that still holds such an entry must not resurrect it as tentative.
-    O(n log n). *)
+    O(n log n). A log with nothing to drop comes back physically
+    unchanged; otherwise the result starts a new lineage. *)
 
 val stable : t -> t
 (** The stable-storage projection: entries of committed actions plus all
     commit and abort records and all termination votes (votes must
     survive crashes or the quorum-counting argument for cooperative
     termination breaks). Tentative (undecided) entries are the volatile
-    part a crash-with-amnesia loses. O(n log n). *)
+    part a crash-with-amnesia loses. O(n log n). Starts a new lineage
+    exactly as {!gc} does. *)

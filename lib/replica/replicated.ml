@@ -54,6 +54,7 @@ type t = {
   net : Network.t;
   repos : Repository.t array;
   own : (Action.t, Log.entry list) Hashtbl.t; (* per-action entry cache *)
+  views : View.cache;
   mutable observer : Behavioral.entry list; (* reversed *)
   rpc_timeout : float;
   mutable commit_piggyback : bool;
@@ -153,6 +154,7 @@ let create ~name ~spec ~scheme ~relation ~assignment ~net ?members
     net;
     repos;
     own = Hashtbl.create 64;
+    views = View.cache spec;
     observer = [];
     rpc_timeout;
     commit_piggyback = true;
@@ -188,26 +190,27 @@ let replay spec state events =
       | Some s -> Serial_spec.apply_event spec s ev)
     state events
 
-let decide ~spec ~scheme ~table ~action ~begin_ts ~own (view : View.t) inv =
+let decide ~spec ~scheme ~table ~action ~begin_ts ~own view inv =
   (* The caller's own entries are authoritative, not the view's copies: a
      front-end's initial quorum need not intersect the action's own final
-     quorums. *)
-  let view = View.filter view (fun e -> not (Action.equal e.Log.action action)) in
+     quorums. Every view query leaves the action's entries out. *)
   let own_events =
     List.sort (fun e1 e2 -> Int.compare e1.Log.seq e2.Log.seq) own
     |> List.map (fun e -> e.Log.event)
   in
-  let related e = Conflict_table.related table inv e.Log.event in
-  let initial = Some spec.Serial_spec.initial in
+  let related e =
+    (not (Action.equal e.Log.action action))
+    && Conflict_table.related table inv e.Log.event
+  in
   match scheme with
   | Hybrid | Locking ->
     (* Both lock-style schemes: block on related tentative entries, then
        choose a response against committed (commit-timestamp order) plus
        own events. They differ only in the conflict table installed. *)
-    (match List.find_opt related view.View.tentative with
+    (match View.find_tentative view related with
      | Some e -> Error (Blocked_on e.Log.action)
      | None ->
-       (match replay spec initial (View.committed_events view @ own_events) with
+       (match replay spec (View.commit_state view ~exclude:action) own_events with
         | None -> Error (Rejected "view reconstruction failed")
         | Some state ->
           (match Serial_spec.responses spec state inv with
@@ -216,24 +219,24 @@ let decide ~spec ~scheme ~table ~action ~begin_ts ~own (view : View.t) inv =
   | Static ->
     let earlier e = Lamport.Timestamp.compare e.Log.begin_ts begin_ts < 0 in
     (* Block on related tentative entries of earlier-timestamped actions. *)
-    (match List.find_opt (fun e -> earlier e && related e) view.View.tentative with
+    (match View.find_tentative view (fun e -> earlier e && related e) with
      | Some e -> Error (Blocked_on e.Log.action)
      | None ->
        (* In the static order my events follow every earlier-timestamped
           action's and precede every later one's. The response comes from
           the committed entries before me plus my own events. *)
-       let before = View.filter view earlier in
-       let after = View.filter view (fun e -> not (earlier e)) in
-       let timeline_to_me ~include_tentative =
-         replay spec initial (View.static_timeline before ~include_tentative @ own_events)
+       let timeline_to_me ~tentative =
+         replay spec
+           (View.static_state view ~exclude:action ~before:begin_ts ~tentative)
+           own_events
        in
-       (match timeline_to_me ~include_tentative:false with
+       (match timeline_to_me ~tentative:false with
         | None -> Error (Rejected "inconsistent timeline")
         | Some state ->
           (* Validate each candidate against the full timeline, committed
              and tentative, with the new event at my position. *)
-          let at_me = timeline_to_me ~include_tentative:true in
-          let later = View.static_timeline after ~include_tentative:true in
+          let at_me = timeline_to_me ~tentative:true in
+          let later = View.static_later view ~exclude:action ~from:begin_ts in
           let viable (res, _) =
             Option.is_some (replay spec at_me (Event.make inv res :: later))
           in
@@ -343,7 +346,7 @@ let execute t ~txn ~clock ?(span = -1) inv ~k =
   in
   let enough_view = if early then Some enough_view else None in
   let with_view k_view =
-    if sizes.Assignment.initial = 0 then k_view Log.empty
+    if sizes.Assignment.initial = 0 then k_view (View.gather t.views [])
     else
       Rpc.multicast ?enough:enough_view ?hedge ?on_late ~on_issue:view_issued
         ~on_settle:view_settled t.net ~src ~dsts ~timeout:t.rpc_timeout
@@ -402,7 +405,7 @@ let execute t ~txn ~clock ?(span = -1) inv ~k =
              | None ->
                let logs =
                  List.filter_map
-                   (fun (_, r) -> match r with Logs l -> Some l | _ -> None)
+                   (fun (site, r) -> match r with Logs l -> Some (site, l) | _ -> None)
                    replies
                in
                note t ~site:src
@@ -419,22 +422,12 @@ let execute t ~txn ~clock ?(span = -1) inv ~k =
                       (Printf.sprintf "initial quorum: %d of %d sites for %s"
                          (List.length logs) sizes.Assignment.initial
                          inv.Event.Invocation.op))
-               else begin
-                 let view = List.fold_left Log.merge Log.empty logs in
-                 k_view view
-               end))
+               else k_view (View.gather t.views logs)))
   in
-  with_view (fun log ->
-      (* Merge log knowledge into the front-end clock so the new entry's
-         timestamp exceeds everything in the view. *)
-      List.iter
-        (function
-          | Log.Entry e -> Lamport.witness clock e.Log.ets
-          | Log.Commit_record (_, ts) | Log.Precommit (_, ts) ->
-            Lamport.witness clock ts
-          | Log.Abort_record _ | Log.Preabort _ -> ())
-        (Log.records log);
-      let view = View.classify log in
+  (* The new entry's timestamp exceeds everything in the view with no pass
+     over it: each replying handler witnessed its repository's high
+     watermark, which bounds every timestamp in the log it returned. *)
+  with_view (fun view ->
       match
         decide ~spec:t.spec ~scheme:t.scheme ~table:t.table ~action
           ~begin_ts:txn.Txn.begin_ts ~own:(own_entries t action) view inv
@@ -596,6 +589,7 @@ let poll_status t action ~from ~k =
     ~gather:(fun replies -> k (List.map snd replies))
 
 let repository_log t ~site = Repository.read t.repos.(site)
+let repository_view t ~site = View.of_log t.spec (repository_log t ~site)
 let repository t ~site = t.repos.(site)
 let recoveries t = List.rev !(t.recoveries)
 

@@ -73,9 +73,10 @@ val decide :
     cannot run now: [Blocked_on] a related tentative entry (the first in
     entry-timestamp order; under [Static] only earlier-Begin actions
     block), or [Rejected] when no legal response exists or, under
-    [Static], none keeps the Begin-timestamp timeline legal. Pure; never
-    returns [Done] or [Unavailable]. {!execute} applies it to the merged
-    view of an initial quorum, {!Scheduler} to one repository's log. *)
+    [Static], none keeps the Begin-timestamp timeline legal. Never returns
+    [Done] or [Unavailable]; its only effect is on the view's replay memo.
+    {!execute} applies it to the view of an initial quorum, {!Scheduler}
+    to one repository's log. *)
 
 type t
 
@@ -131,7 +132,8 @@ val execute :
   k:(op_result -> unit) ->
   unit
 (** Run the §3.2 front-end protocol from the transaction's home site:
-    gather an initial quorum (with RPC timeouts), classify the view, apply
+    gather an initial quorum (with RPC timeouts), read its view through
+    the object's view cache ({!View.gather}), apply
     the scheme rule, and on success write the entry to a final quorum.
     [k] receives the outcome; [Done] responses have already reached their
     final quorum. [span] (a trace span id from the network's attached bus,
@@ -259,6 +261,12 @@ val start_anti_entropy : t -> rng:Atomrep_stats.Rng.t -> every:float -> unit
 
 val repository_log : t -> site:int -> Log.t
 (** Direct (test-only) access to one repository's log. *)
+
+val repository_view : t -> site:int -> View.t
+(** The view of one repository's log, built from empty (the orphan
+    reaper's tentative scan). It stays out of the object's view cache:
+    the scans visit every member site, and a cached view per site would
+    hold memory for the rest of the run. *)
 
 val repository : t -> site:int -> Repository.t
 (** Direct (test-only) access to one repository — checkpoint forcing and

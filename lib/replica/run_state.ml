@@ -182,7 +182,7 @@ let fold_tentative st f init =
       List.fold_left
         (fun acc site ->
           List.fold_left (f name) acc
-            (View.classify (Replicated.repository_log obj ~site)).View.tentative)
+            (View.tentative (Replicated.repository_view obj ~site)))
         acc
         (Epoch.members (Replicated.current_epoch obj)))
     init st.objects

@@ -12,6 +12,7 @@ type t = {
   scheme : Replicated.scheme;
   table : Atomrep_cc.Conflict_table.t;
   mutable log : Log.t;
+  views : View.cache;
   mutable actions : action Action.Map.t;
   mutable clock : int; (* entry timestamps *)
   mutable history : Behavioral.entry list; (* reversed *)
@@ -25,6 +26,7 @@ let create scheme spec =
       Replicated.conflict_table spec scheme
         (lazy (Atomrep_core.Static_dep.minimal spec ~max_len:4));
     log = Log.empty;
+    views = View.cache spec;
     actions = Action.Map.empty;
     clock = 0;
     history = [];
@@ -48,7 +50,9 @@ let try_operation t a inv =
   let st = active t a in
   match
     Replicated.decide ~spec:t.spec ~scheme:t.scheme ~table:t.table ~action:a
-      ~begin_ts:st.begin_ts ~own:st.own (View.classify t.log) inv
+      ~begin_ts:st.begin_ts ~own:st.own
+      (View.gather t.views [ (0, t.log) ])
+      inv
   with
   | Error outcome -> outcome
   | Ok res ->

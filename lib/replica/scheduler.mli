@@ -2,7 +2,8 @@
     mechanisms at a single site.
 
     A single repository's log is the one-site view (paper, §3.2), so each
-    operation classifies the log ({!View.classify}) and applies
+    operation reads the log's view ({!View.gather}, folding in the records
+    logged since the previous operation) and applies
     {!Replicated.decide}, the same rule every replicated front-end applies
     to its merged initial-quorum view:
 

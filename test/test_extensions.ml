@@ -321,8 +321,8 @@ let test_log_gc_tombstone_blocks_resurrection () =
   (* Merging the stale replica back reintroduces the entry, but the
      tombstone still classifies it as aborted. *)
   let merged = Log.merge compacted stale in
-  let view = View.classify merged in
-  check_int "no tentative resurrection" 0 (List.length view.View.tentative)
+  let view = View.of_log Queue_type.spec merged in
+  check_int "no tentative resurrection" 0 (List.length (View.tentative view))
 
 let test_repository_ingest () =
   let open Atomrep_replica in
@@ -333,8 +333,8 @@ let test_repository_ingest () =
   check_bool "entry arrived" true
     (List.length (Log.entries (Repository.read r2)) = 1);
   (* And the commit record classifies it. *)
-  let view = View.classify (Repository.read r2) in
-  check_int "committed" 1 (List.length view.View.committed)
+  let view = View.of_log Queue_type.spec (Repository.read r2) in
+  check_int "committed" 1 (List.length (View.committed view))
 
 let test_anti_entropy_propagates () =
   let open Atomrep_replica in

@@ -86,9 +86,9 @@ let test_view_classification () =
         Log.Commit_record (a, ts 3);
       ]
   in
-  let view = View.classify log in
-  check_int "one committed" 1 (List.length view.View.committed);
-  check_int "one tentative" 1 (List.length view.View.tentative);
+  let view = View.of_log Queue_type.spec log in
+  check_int "one committed" 1 (List.length (View.committed view));
+  check_int "one tentative" 1 (List.length (View.tentative view));
   ignore b
 
 let test_view_commit_ts_order () =
@@ -103,7 +103,7 @@ let test_view_commit_ts_order () =
         Log.Commit_record (b, ts 5);
       ]
   in
-  let view = View.classify log in
+  let view = View.of_log Queue_type.spec log in
   Alcotest.(check (list string))
     "B first" [ "Enq(y);Ok()"; "Enq(x);Ok()" ]
     (List.map Event.to_string (View.committed_events view));
@@ -115,9 +115,9 @@ let test_view_drops_aborted () =
     List.fold_left Log.add Log.empty
       [ entry 1 "A" 0 (Queue_type.enq "x"); Log.Abort_record a ]
   in
-  let view = View.classify log in
+  let view = View.of_log Queue_type.spec log in
   check_int "nothing" 0
-    (List.length view.View.committed + List.length view.View.tentative)
+    (List.length (View.committed view) + List.length (View.tentative view))
 
 (* --- End-to-end runtime, per scheme --- *)
 

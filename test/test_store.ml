@@ -250,9 +250,9 @@ let test_checkpoint_observational_equality_all_types () =
       List.iter Repository.amnesia [ compacted; plain ];
       List.iter (fun r -> ignore (Repository.recover r)) [ compacted; plain ];
       let observe r =
-        let v = View.classify (Repository.read r) in
+        let v = View.of_log spec (Repository.read r) in
         ( List.map Event.to_string (View.committed_events v),
-          List.length v.View.tentative,
+          List.length (View.tentative v),
           Repository.high_ts r,
           Repository.epoch r )
       in
