@@ -251,10 +251,14 @@ let run_micro () =
   true
 
 (* A timed campaign over every scheme, reported as the CLI's table; clean
-   iff it recorded no violation. *)
-let campaign ?base ~profiles ~seeds () =
+   iff it recorded no violation. It runs on one domain, so its runs/s
+   stay comparable across the BENCH trajectory. *)
+let campaign ?(base = Campaign.default_base) ~profiles ~seeds () =
   let report, wall =
-    timed (fun () -> Campaign.run_campaign ?base ~schemes ~profiles ~seeds ())
+    timed (fun () ->
+        Campaign.report
+          (Campaign.sweep ~domains:1 ~flags:[]
+             (Campaign.grid ~base ~schemes ~profiles ~seeds ~intensities:[ 1.0 ] ~n_txns:30)))
   in
   Format.printf "%a" Campaign.pp_report report;
   Printf.printf "campaign wall time: %.2f s (%.1f runs/s)\n" wall
@@ -622,8 +626,11 @@ let run_takeover () =
      schemes; the record is the violation count (gate: zero). *)
   let report, storm_wall =
     timed (fun () ->
-        Campaign.run_campaign ~base:Campaign.takeover_base ~n_txns:40 ~monitors
-          ~schemes ~profiles:[ profile "takeover_storm" ] ~seeds:10 ())
+        Campaign.report
+          (Campaign.sweep ~domains:1 ~monitors ~flags:[]
+             (Campaign.grid ~base:Campaign.takeover_base ~schemes
+                ~profiles:[ profile "takeover_storm" ] ~seeds:10 ~intensities:[ 1.0 ]
+                ~n_txns:40)))
   in
   let storm_violations = List.length report.Campaign.violations in
   Printf.printf "  takeover_storm campaign: %d runs, %d violation(s)\n%!"
@@ -664,7 +671,6 @@ let run_takeover () =
    BENCH_7.json; the schema is documented in EXPERIMENTS.md. The gate is
    a clean healthy sweep and every fixture replaying as expected. *)
 let run_explore () =
-  let module Explore = Atomrep_chaos.Explore in
   let hardened =
     {
       Campaign.default_base with
@@ -676,62 +682,83 @@ let run_explore () =
   let healthy_schemes = Replicated.[ Static; Hybrid ] in
   let healthy_profiles = [ "storm"; "coordinator_killer" ] in
   let seeds = 64 and n_txns = 40 in
+  (* One monitored sweep: its report, wall clock and BENCH_7 row. *)
+  let sweep ~domains ?(max_shrinks = 4) tasks =
+    let results, wall =
+      timed (fun () ->
+          Campaign.sweep ~domains ~monitors:Monitors.registry ~max_shrinks ~flags:[] tasks)
+    in
+    let r = Campaign.report results in
+    let sum f = List.fold_left (fun n c -> n + f c) 0 r.Campaign.cells in
+    let row =
+      Json.Obj
+        [
+          ("runs", Json.int r.Campaign.total_runs);
+          ("committed", Json.int (sum (fun c -> c.Campaign.c_committed)));
+          ("aborted", Json.int (sum (fun c -> c.Campaign.c_aborted)));
+          ("violations", Json.int (List.length r.Campaign.violations));
+          ("shrunk", Json.int (min max_shrinks (List.length r.Campaign.violations)));
+          ("domains", Json.int (min domains r.Campaign.total_runs));
+          ("wall_s", Json.Num wall);
+        ]
+    in
+    (r, wall, row)
+  in
   Printf.printf "explore: healthy hardened sweep (%d seeds/cell)...\n%!" seeds;
   let healthy ~domains =
-    Explore.sweep ~domains ~n_txns ~base:hardened ~schemes:healthy_schemes
-      ~profiles:(List.map profile healthy_profiles) ~seeds ~intensities:[ 1.0 ] ()
+    sweep ~domains
+      (Campaign.grid ~base:hardened ~schemes:healthy_schemes
+         ~profiles:(List.map profile healthy_profiles) ~seeds ~intensities:[ 1.0 ] ~n_txns)
   in
-  let seq = healthy ~domains:1 in
+  let ((seq, seq_wall, _) as seq_sweep) = healthy ~domains:1 in
   let rec_domains = max 1 (Domain.recommended_domain_count ()) in
-  let par = if rec_domains = 1 then seq else healthy ~domains:rec_domains in
-  let speedup = seq.Explore.x_wall_s /. par.Explore.x_wall_s in
+  let par, par_wall, _ = if rec_domains = 1 then seq_sweep else healthy ~domains:rec_domains in
+  let speedup = seq_wall /. par_wall in
   Printf.printf
     "  %d runs: %d violation(s); wall 1 domain %.2fs, %d domain(s) %.2fs \
      (speedup %.2fx)\n%!"
-    seq.Explore.x_tasks
-    (List.length seq.Explore.x_violations)
-    seq.Explore.x_wall_s rec_domains par.Explore.x_wall_s speedup;
+    seq.Campaign.total_runs
+    (List.length seq.Campaign.violations)
+    seq_wall rec_domains par_wall speedup;
   Printf.printf "explore: ungated-rejoin sweep...\n%!";
-  let ungated =
-    Explore.sweep ~domains:rec_domains ~n_txns:60 ~max_shrinks:1
-      ~base:{ Campaign.default_base with Runtime.ungated_rejoin = true }
-      ~schemes:[ Replicated.Static ] ~profiles:[ profile "storm" ] ~seeds:64
-      ~intensities:[ 2.0 ] ()
+  let ungated, ungated_wall, ungated_row =
+    sweep ~domains:rec_domains ~max_shrinks:1
+      (Campaign.grid
+         ~base:{ Campaign.default_base with Runtime.ungated_rejoin = true }
+         ~schemes:[ Replicated.Static ] ~profiles:[ profile "storm" ] ~seeds:64
+         ~intensities:[ 2.0 ] ~n_txns:60)
   in
   Printf.printf "  %d runs: %d violation(s), %d shrunk, wall %.2fs\n%!"
-    ungated.Explore.x_tasks
-    (List.length ungated.Explore.x_violations)
-    ungated.Explore.x_shrunk ungated.Explore.x_wall_s;
-  let replays = List.map Explore.replay Explore.fixtures in
+    ungated.Campaign.total_runs
+    (List.length ungated.Campaign.violations)
+    (min 1 (List.length ungated.Campaign.violations))
+    ungated_wall;
+  let replays =
+    List.map2
+      (fun f r -> (f, r, Campaign.fixture_holds f r))
+      Campaign.fixtures
+      (Campaign.sweep ~monitors:Monitors.registry ~max_shrinks:0 ~flags:[]
+         (List.map (fun f -> f.Campaign.f_task) Campaign.fixtures))
+  in
   List.iter
-    (fun (r : Explore.replay_result) ->
-      Printf.printf "  fixture %s: %s\n%!" r.Explore.rr_fixture.Explore.f_name
-        (if r.Explore.rr_ok then "ok" else "REGRESSION"))
+    (fun (f, _, ok) ->
+      Printf.printf "  fixture %s: %s\n%!" f.Campaign.f_name
+        (if ok then "ok" else "REGRESSION"))
     replays;
   let violation_json (v : Campaign.violation) =
+    let t = v.Campaign.v_task in
     Json.Obj
       [
-        ("scheme", Json.Str (Replicated.scheme_name v.Campaign.v_scheme));
-        ("profile", Json.Str v.Campaign.v_profile.Campaign.profile_name);
-        ("seed", Json.int v.Campaign.v_seed);
-        ("txns", Json.int v.Campaign.v_n_txns);
-        ("intensity", Json.Num v.Campaign.v_intensity);
+        ("scheme", Json.Str (Replicated.scheme_name t.Campaign.scheme));
+        ("profile", Json.Str t.Campaign.profile.Campaign.profile_name);
+        ("seed", Json.int t.Campaign.seed);
+        ("txns", Json.int t.Campaign.n_txns);
+        ("intensity", Json.Num t.Campaign.intensity);
         ("repro", Json.Str (Campaign.reproducer_line v));
         ("failures", failures_json v.Campaign.v_failures);
       ]
   in
-  let sweep_json (r : Explore.report) =
-    Json.Obj
-      [
-        ("runs", Json.int r.Explore.x_tasks);
-        ("committed", Json.int r.Explore.x_committed);
-        ("aborted", Json.int r.Explore.x_aborted);
-        ("violations", Json.int (List.length r.Explore.x_violations));
-        ("shrunk", Json.int r.Explore.x_shrunk);
-        ("domains", Json.int r.Explore.x_domains);
-        ("wall_s", Json.Num r.Explore.x_wall_s);
-      ]
-  in
+  let _, _, seq_row = seq_sweep in
   write_record "BENCH_7.json"
     (Json.Obj
        [
@@ -748,15 +775,15 @@ let run_explore () =
                      ("profiles", strs healthy_profiles);
                      ("seeds", Json.int seeds);
                      ("n_txns", Json.int n_txns);
-                     ("sweep", sweep_json seq);
+                     ("sweep", seq_row);
                    ] );
                ( "parallel",
                  Json.Obj
                    [
                      ("cores", Json.int rec_domains);
-                     ("wall_1_domain_s", Json.Num seq.Explore.x_wall_s);
-                     ("domains", Json.int par.Explore.x_domains);
-                     ("wall_n_domains_s", Json.Num par.Explore.x_wall_s);
+                     ("wall_1_domain_s", Json.Num seq_wall);
+                     ("domains", Json.int (min rec_domains par.Campaign.total_runs));
+                     ("wall_n_domains_s", Json.Num par_wall);
                      ("speedup", Json.Num speedup);
                    ] );
                ( "ungated_rejoin",
@@ -765,29 +792,28 @@ let run_explore () =
                      ("seeds", Json.int 64);
                      ("n_txns", Json.int 60);
                      ("intensity", Json.Num 2.0);
-                     ("sweep", sweep_json ungated);
+                     ("sweep", ungated_row);
                      ( "first_shrunk",
-                       match ungated.Explore.x_violations with
+                       match ungated.Campaign.violations with
                        | v :: _ -> violation_json v
                        | [] -> Json.Null );
                    ] );
                ( "fixtures",
                  Json.List
                    (List.map
-                      (fun (r : Explore.replay_result) ->
+                      (fun (f, r, ok) ->
                         Json.Obj
                           [
-                            ("name", Json.Str r.Explore.rr_fixture.Explore.f_name);
-                            ( "expect_violation",
-                              Json.Bool r.Explore.rr_fixture.Explore.f_expect_violation );
-                            ("ok", Json.Bool r.Explore.rr_ok);
-                            ("failures", failures_json r.Explore.rr_failures);
+                            ("name", Json.Str f.Campaign.f_name);
+                            ("expect_violation", Json.Bool f.Campaign.f_expect_violation);
+                            ("ok", Json.Bool ok);
+                            ("failures", failures_json r.Campaign.r_failures);
                           ])
                       replays) );
              ] );
        ]);
-  seq.Explore.x_violations = [] && par.Explore.x_violations = []
-  && List.for_all (fun (r : Explore.replay_result) -> r.Explore.rr_ok) replays
+  seq.Campaign.violations = [] && par.Campaign.violations = []
+  && List.for_all (fun (_, _, ok) -> ok) replays
 
 (* Performance-observability benchmark record: what the profiling hooks,
    the sim-time time-series and per-kind trace sampling cost and buy.

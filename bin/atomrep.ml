@@ -30,7 +30,6 @@ module Obs = Atomrep_obs
 module Json = Obs.Json
 module Monitors = Atomrep_chaos.Monitors
 module Campaign = Atomrep_chaos.Campaign
-module Explore = Atomrep_chaos.Explore
 module Openloop = Atomrep_workload.Openloop
 
 (* --- converters --- *)
@@ -85,8 +84,8 @@ let profiles =
     Campaign.builtin_profiles
 
 let fixtures =
-  selection "fixture" ~name:(fun f -> f.Explore.f_name) ~find:Explore.find_fixture
-    Explore.fixtures
+  selection "fixture" ~name:(fun f -> f.Campaign.f_name) ~find:Campaign.find_fixture
+    Campaign.fixtures
 
 let data_type =
   named "type" ~name:(fun s -> s.Serial_spec.name) ~find:Type_registry.find
@@ -693,8 +692,8 @@ let chaos_cmd =
             profile.Campaign.profile_name seed txns intensity m.committed
         in
         ( header,
-          Campaign.reproduce ~base ~monitors:obs.monitors ~sample:obs.sample
-            ?trace:cfg.trace ~scheme ~profile ~seed ~n_txns:txns ~intensity () )
+          Campaign.run ~monitors:obs.monitors ~sample:obs.sample ?trace:cfg.trace
+            { base; scheme; profile; seed; n_txns = txns; intensity } )
       in
       finish obs cfg
         (List.concat_map (fun scheme -> List.map (replay scheme) profiles) schemes)
@@ -702,8 +701,10 @@ let chaos_cmd =
     end
     else begin
       let report =
-        Campaign.run_campaign ~base ~flags ~n_txns:txns ~intensity ~monitors:obs.monitors
-          ~sample:obs.sample ?postmortem_dir ~schemes ~profiles ~seeds ()
+        Campaign.report
+          (Campaign.sweep ~monitors:obs.monitors ~sample:obs.sample ?postmortem_dir ~flags
+             (Campaign.grid ~base ~schemes ~profiles ~seeds ~intensities:[ intensity ]
+                ~n_txns:txns))
       in
       Format.printf "%a" Campaign.pp_report report;
       if report.Campaign.violations = [] then 0 else 1
@@ -1065,11 +1066,11 @@ let explore_cmd =
   let violation_json (v : Campaign.violation) =
     Json.Obj
       [
-        ("scheme", Json.Str (Replicated.scheme_name v.v_scheme));
-        ("profile", Json.Str v.v_profile.profile_name);
-        ("seed", Json.int v.v_seed);
-        ("txns", Json.int v.v_n_txns);
-        ("intensity", Json.Num v.v_intensity);
+        ("scheme", Json.Str (Replicated.scheme_name v.v_task.scheme));
+        ("profile", Json.Str v.v_task.profile.profile_name);
+        ("seed", Json.int v.v_task.seed);
+        ("txns", Json.int v.v_task.n_txns);
+        ("intensity", Json.Num v.v_task.intensity);
         ("repro", Json.Str (Campaign.reproducer_line v));
         ( "failures",
           Json.List
@@ -1082,29 +1083,32 @@ let explore_cmd =
       ]
   in
   let run_replay fixtures monitors =
-    let results = List.map (Explore.replay ~monitors) fixtures in
-    List.iter
-      (fun (r : Explore.replay_result) ->
-        let f = r.rr_fixture in
+    let results =
+      Campaign.sweep ~monitors ~max_shrinks:0 ~flags:[]
+        (List.map (fun (f : Campaign.fixture) -> f.f_task) fixtures)
+    in
+    List.fold_left2
+      (fun code (f : Campaign.fixture) (r : Campaign.result) ->
+        let ok = Campaign.fixture_holds f r in
         Printf.printf "fixture %-22s %s\n" f.f_name
-          (if r.rr_ok then
+          (if ok then
              if f.f_expect_violation then
                Printf.sprintf "OK (violation still reproduces: %d failure(s))"
-                 (List.length r.rr_failures)
+                 (List.length r.r_failures)
              else "OK (clean, expectations hold)"
            else "REGRESSION");
-        if not r.rr_ok then begin
-          if f.f_expect_violation && r.rr_failures = [] then
+        if not ok then begin
+          if f.f_expect_violation && r.r_failures = [] then
             Printf.printf "  expected a violation, run was clean\n";
           List.iter
             (fun (m, why) -> Printf.printf "  unexpected %s: %s\n" m why)
-            (if f.f_expect_violation then [] else r.rr_failures);
+            (if f.f_expect_violation then [] else r.r_failures);
           List.iter
             (fun (what, why) -> Printf.printf "  check %s: %s\n" what why)
-            r.rr_checks
-        end)
-      results;
-    if List.for_all (fun (r : Explore.replay_result) -> r.rr_ok) results then 0 else 1
+            (f.f_check r.r_metrics)
+        end;
+        if ok then code else 1)
+      0 fixtures results
   in
   let run schemes profiles seeds txns intensities domains monitors (overlay, flags) ungated
       replay report_file postmortem_dir max_shrinks =
@@ -1112,19 +1116,30 @@ let explore_cmd =
     | Some fixtures -> run_replay fixtures monitors
     | None ->
       let base = { (overlay Campaign.default_base) with Runtime.ungated_rejoin = ungated } in
-      let domains = if domains = 0 then None else Some domains in
-      let report =
-        Explore.sweep ?domains ~n_txns:txns ~monitors ~max_shrinks ?postmortem_dir ~flags
-          ~base ~schemes ~profiles ~seeds ~intensities ()
+      let tasks = Campaign.grid ~base ~schemes ~profiles ~seeds ~intensities ~n_txns:txns in
+      let domains =
+        let d = if domains = 0 then Domain.recommended_domain_count () else domains in
+        max 1 (min d (List.length tasks))
       in
-      let violations = report.x_violations in
+      let t0 = Unix.gettimeofday () in
+      let results =
+        Campaign.sweep ~domains ~monitors ~max_shrinks ?postmortem_dir ~flags tasks
+      in
+      let wall = Unix.gettimeofday () -. t0 in
+      let committed, aborted =
+        List.fold_left
+          (fun (c, a) (r : Campaign.result) ->
+            (c + r.r_metrics.committed, a + r.r_metrics.aborted))
+          (0, 0) results
+      in
+      let violations = List.filter_map (fun (r : Campaign.result) -> r.r_violation) results in
+      let shrunk = min max_shrinks (List.length violations) in
       Printf.printf
         "explore: %d runs on %d domain(s) in %.1fs — committed=%d aborted=%d, \
          %d violation(s)%s\n"
-        report.x_tasks report.x_domains report.x_wall_s report.x_committed
-        report.x_aborted (List.length violations)
-        (if report.x_shrunk > 0 && report.x_shrunk < List.length violations then
-           Printf.sprintf " (%d shrunk)" report.x_shrunk
+        (List.length tasks) domains wall committed aborted (List.length violations)
+        (if shrunk > 0 && shrunk < List.length violations then
+           Printf.sprintf " (%d shrunk)" shrunk
          else "");
       List.iter (fun v -> Format.printf "%a@." Campaign.pp_violation v) violations;
       Option.iter
@@ -1142,12 +1157,12 @@ let explore_cmd =
                       ("txns", Json.int txns);
                       ( "intensities",
                         Json.List (List.map (fun i -> Json.Num i) intensities) );
-                      ("domains", Json.int report.x_domains);
-                      ("tasks", Json.int report.x_tasks);
-                      ("committed", Json.int report.x_committed);
-                      ("aborted", Json.int report.x_aborted);
-                      ("wall_s", Json.Num report.x_wall_s);
-                      ("shrunk", Json.int report.x_shrunk);
+                      ("domains", Json.int domains);
+                      ("tasks", Json.int (List.length tasks));
+                      ("committed", Json.int committed);
+                      ("aborted", Json.int aborted);
+                      ("wall_s", Json.Num wall);
+                      ("shrunk", Json.int shrunk);
                       ("violations", Json.List (List.map violation_json violations));
                     ] );
               ]
@@ -1178,14 +1193,14 @@ let explore_cmd =
   let replay_arg =
     Arg.(
       value
-      & opt ~vopt:(Some Explore.fixtures) (some fixtures) None
+      & opt ~vopt:(Some Campaign.fixtures) (some fixtures) None
       & info [ "replay" ] ~docv:"FIXTURES"
           ~doc:
             (Printf.sprintf
                "Replay the named regression fixtures instead of sweeping \
                 (comma-separated, or `all'; bare $(b,--replay) means all). \
                 Known fixtures: %s."
-               (String.concat ", " Explore.fixture_names)))
+               (String.concat ", " Campaign.fixture_names)))
   in
   let report_arg =
     opt Arg.(some string) None [ "report" ] ~docv:"FILE"

@@ -144,32 +144,6 @@ let find_profile name =
 
 let profile_names = List.map (fun p -> p.profile_name) builtin_profiles
 
-type violation = {
-  v_scheme : Replicated.scheme;
-  v_profile : profile;
-  v_seed : int;
-  v_n_txns : int;
-  v_intensity : float;
-  v_failures : (string * string) list;
-  v_postmortem : string option;
-  v_flags : string list option;
-}
-
-type cell = {
-  c_scheme : Replicated.scheme;
-  c_profile : string;
-  c_runs : int;
-  c_committed : int;
-  c_aborted : int;
-  c_violations : int;
-}
-
-type report = {
-  cells : cell list;
-  violations : violation list; (* shrunk *)
-  total_runs : int;
-}
-
 let default_base = { Runtime.default_config with horizon = 40_000.0 }
 
 (* Small segments and an aggressive checkpoint period so that chaos-length
@@ -257,53 +231,67 @@ let reconfig_base =
     reconfig = Some Runtime.default_reconfig;
   }
 
-let configure ~base ~scheme ~seed ~n_txns ~intensity ?trace profile =
+type task = {
+  base : Runtime.config;
+  scheme : Replicated.scheme;
+  profile : profile;
+  seed : int;
+  n_txns : int;
+  intensity : float;
+}
+
+let configure ?trace t =
   {
-    base with
-    Runtime.scheme;
-    seed;
-    n_txns;
+    t.base with
+    Runtime.scheme = t.scheme;
+    seed = t.seed;
+    n_txns = t.n_txns;
     install_faults =
-      (fun net -> Nemesis.install (Nemesis.scale intensity profile.nemesis) net);
-    trace = (match trace with Some _ -> trace | None -> base.Runtime.trace);
+      (fun net -> Nemesis.install (Nemesis.scale t.intensity t.profile.nemesis) net);
+    trace = (match trace with Some _ -> trace | None -> t.base.Runtime.trace);
   }
+
+(* The one place a task is run and judged. Everything a run touches
+   (engine, network, RNG, trace bus, metrics registry, monitor instances)
+   is allocated inside the call, so runs on concurrent domains share
+   nothing. *)
+let run ?monitors ?sample ?trace t =
+  Monitors.check_run ?monitors ?sample (configure ?trace t)
+
+type violation = {
+  v_task : task;
+  v_failures : (string * string) list;
+  v_postmortem : string option;
+  v_flags : string list option;
+}
 
 (* Shrink a violation into the smallest reproducer the bisection finds:
    first the transaction count (binary search down from the failing count,
    keeping the invariant that the upper bound still fails), then the fault
    intensity by repeated halving. Neither dimension is monotone, so the
    result is a local minimum — which is all a reproducer needs. *)
-let shrink ?monitors ~base v =
-  let fails n_txns intensity =
-    let cfg =
-      configure ~base ~scheme:v.v_scheme ~seed:v.v_seed ~n_txns ~intensity
-        v.v_profile
-    in
-    snd (Monitors.check_run ?monitors cfg) <> []
-  in
+let shrink ?monitors v =
+  let failures n_txns intensity = snd (run ?monitors { v.v_task with n_txns; intensity }) in
+  let fails n_txns intensity = failures n_txns intensity <> [] in
   let rec bisect_txns lo hi =
     (* invariant: [hi] fails *)
     if hi - lo <= 1 then hi
     else begin
       let mid = (lo + hi) / 2 in
-      if fails mid v.v_intensity then bisect_txns lo mid else bisect_txns mid hi
+      if fails mid v.v_task.intensity then bisect_txns lo mid else bisect_txns mid hi
     end
   in
-  let n_txns = bisect_txns 0 v.v_n_txns in
+  let n_txns = bisect_txns 0 v.v_task.n_txns in
   let rec soften intensity =
     let candidate = intensity /. 2.0 in
     if candidate >= 0.05 && fails n_txns candidate then soften candidate
     else intensity
   in
-  let intensity = soften v.v_intensity in
-  let cfg =
-    configure ~base ~scheme:v.v_scheme ~seed:v.v_seed ~n_txns ~intensity v.v_profile
-  in
+  let intensity = soften v.v_task.intensity in
   {
     v with
-    v_n_txns = n_txns;
-    v_intensity = intensity;
-    v_failures = snd (Monitors.check_run ?monitors cfg);
+    v_task = { v.v_task with n_txns; intensity };
+    v_failures = failures n_txns intensity;
   }
 
 let replay_flags ~(base : Runtime.config) ~monitors flags =
@@ -316,45 +304,42 @@ let reproducer_line v =
   match v.v_flags with
   | None -> "not replayable with atomrep chaos: no flag re-enables ungated rejoin"
   | Some flags ->
+    let t = v.v_task in
     String.concat " "
       (Printf.sprintf
          "atomrep chaos --repro --schemes %s --profiles %s --seed %d --txns %d \
           --intensity %g"
-         (Replicated.scheme_name v.v_scheme)
-         v.v_profile.profile_name v.v_seed v.v_n_txns v.v_intensity
+         (Replicated.scheme_name t.scheme)
+         t.profile.profile_name t.seed t.n_txns t.intensity
       :: flags)
 
 (* Replay a (shrunk) violation with tracing on and slice the trace to the
    causal cone of the violating actions. Determinism makes the traced
    replay produce the same failure the untraced run did. *)
-let trace_violation ?monitors ?(base = default_base) v =
-  let trace = Trace.create ~n_sites:base.Runtime.n_sites () in
-  let cfg =
-    configure ~base ~scheme:v.v_scheme ~seed:v.v_seed ~n_txns:v.v_n_txns
-      ~intensity:v.v_intensity ~trace v.v_profile
-  in
-  let _, failures = Monitors.check_run ?monitors cfg in
+let trace_violation ?monitors v =
+  let t = v.v_task in
+  let trace = Trace.create ~n_sites:t.base.Runtime.n_sites () in
+  let _, failures = run ?monitors ~trace t in
   let header =
     [
-      ("scheme", Replicated.scheme_name v.v_scheme);
-      ("profile", v.v_profile.profile_name);
-      ("seed", string_of_int v.v_seed);
-      ("txns", string_of_int v.v_n_txns);
-      ("intensity", Printf.sprintf "%g" v.v_intensity);
+      ("scheme", Replicated.scheme_name t.scheme);
+      ("profile", t.profile.profile_name);
+      ("seed", string_of_int t.seed);
+      ("txns", string_of_int t.n_txns);
+      ("intensity", Printf.sprintf "%g" t.intensity);
       ("repro", reproducer_line v);
     ]
   in
   (trace, Postmortem.build trace ~header ~failures)
 
-let violation_slug v =
-  Printf.sprintf "%s-%s-seed%d"
-    (Replicated.scheme_name v.v_scheme)
-    v.v_profile.profile_name v.v_seed
-
-let write_postmortem ?monitors ~base ~dir v =
+let write_postmortem ?monitors ~dir v =
   (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-  let trace, pm = trace_violation ?monitors ~base v in
-  let slug = violation_slug v in
+  let trace, pm = trace_violation ?monitors v in
+  let t = v.v_task in
+  let slug =
+    Printf.sprintf "%s-%s-seed%d" (Replicated.scheme_name t.scheme) t.profile.profile_name
+      t.seed
+  in
   let pm_path = Filename.concat dir ("postmortem-" ^ slug ^ ".txt") in
   Export.write_file pm_path (Postmortem.render pm);
   Export.write_file
@@ -362,71 +347,145 @@ let write_postmortem ?monitors ~base ~dir v =
     (Export.jsonl trace);
   { v with v_postmortem = Some pm_path }
 
-let run_campaign ?(base = default_base) ?(flags = []) ?(n_txns = 30) ?(intensity = 1.0)
-    ?monitors ?sample ?postmortem_dir ~schemes ~profiles ~seeds () =
-  let v_flags =
-    replay_flags ~base ~monitors:(Option.value monitors ~default:Monitors.history) flags
-  in
-  let cells = ref [] in
-  let violations = ref [] in
-  let total = ref 0 in
-  List.iter
+let grid ~base ~schemes ~profiles ~seeds ~intensities ~n_txns =
+  List.concat_map
     (fun scheme ->
-      List.iter
+      List.concat_map
         (fun profile ->
-          let committed = ref 0 and aborted = ref 0 and bad = ref 0 in
-          for seed = 0 to seeds - 1 do
-            incr total;
-            let cfg = configure ~base ~scheme ~seed ~n_txns ~intensity profile in
-            let outcome, failures = Monitors.check_run ?monitors ?sample cfg in
-            committed := !committed + outcome.Runtime.metrics.Runtime.committed;
-            aborted := !aborted + outcome.Runtime.metrics.Runtime.aborted;
-            if failures <> [] then begin
-              incr bad;
-              let v =
-                {
-                  v_scheme = scheme;
-                  v_profile = profile;
-                  v_seed = seed;
-                  v_n_txns = n_txns;
-                  v_intensity = intensity;
-                  v_failures = failures;
-                  v_postmortem = None;
-                  v_flags;
-                }
-              in
-              let v = shrink ?monitors ~base v in
-              let v =
-                match postmortem_dir with
-                | Some dir -> write_postmortem ?monitors ~base ~dir v
-                | None -> v
-              in
-              violations := v :: !violations
-            end
-          done;
-          cells :=
-            {
-              c_scheme = scheme;
-              c_profile = profile.profile_name;
-              c_runs = seeds;
-              c_committed = !committed;
-              c_aborted = !aborted;
-              c_violations = !bad;
-            }
-            :: !cells)
+          List.concat_map
+            (fun intensity ->
+              List.init seeds (fun seed ->
+                  { base; scheme; profile; seed; n_txns; intensity }))
+            intensities)
         profiles)
-    schemes;
-  { cells = List.rev !cells; violations = List.rev !violations; total_runs = !total }
+    schemes
 
-let reproduce ?(base = default_base) ?monitors ?sample ?trace ~scheme ~profile
-    ~seed ~n_txns ~intensity () =
-  let cfg = configure ~base ~scheme ~seed ~n_txns ~intensity ?trace profile in
-  Monitors.check_run ?monitors ?sample cfg
+type result = {
+  r_task : task;
+  r_metrics : Runtime.metrics;
+  r_failures : (string * string) list;
+  r_violation : violation option;
+}
+
+let sweep ?domains ?(monitors = Monitors.history) ?sample ?(max_shrinks = max_int)
+    ?postmortem_dir ~flags tasks =
+  let judge t =
+    let outcome, failures = run ~monitors ?sample t in
+    {
+      r_task = t;
+      r_metrics = outcome.Runtime.metrics;
+      r_failures = failures;
+      r_violation = None;
+    }
+  in
+  let domains =
+    let d = match domains with Some d -> d | None -> Domain.recommended_domain_count () in
+    max 1 (min d (List.length tasks))
+  in
+  let results =
+    if domains = 1 then List.map judge tasks
+    else begin
+      (* Round-robin dealing spreads every (scheme, profile, intensity)
+         stratum across workers, so no domain ends up with all the
+         expensive cells. Results come back tagged with the task index
+         and are re-merged in task order: the results are identical for
+         any domain count. *)
+      let buckets = Array.make domains [] in
+      List.iteri
+        (fun i t -> buckets.(i mod domains) <- (i, t) :: buckets.(i mod domains))
+        tasks;
+      Array.map
+        (fun bucket ->
+          Domain.spawn (fun () -> List.map (fun (i, t) -> (i, judge t)) (List.rev bucket)))
+        buckets
+      |> Array.to_list |> List.concat_map Domain.join
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.map snd
+    end
+  in
+  (* Shrinking replays many candidate runs, so it stays in the main
+     domain (deterministic order) and is capped: the first [max_shrinks]
+     violations get minimized reproducers and postmortems, the rest are
+     reported at their original tuples. *)
+  let shrunk = ref 0 in
+  List.map
+    (fun r ->
+      if r.r_failures = [] then r
+      else begin
+        let v =
+          {
+            v_task = r.r_task;
+            v_failures = r.r_failures;
+            v_postmortem = None;
+            v_flags = replay_flags ~base:r.r_task.base ~monitors flags;
+          }
+        in
+        let v =
+          if !shrunk >= max_shrinks then v
+          else begin
+            incr shrunk;
+            let v = shrink ~monitors v in
+            match postmortem_dir with
+            | Some dir -> write_postmortem ~monitors ~dir v
+            | None -> v
+          end
+        in
+        { r with r_violation = Some v }
+      end)
+    results
+
+type cell = {
+  c_scheme : Replicated.scheme;
+  c_profile : string;
+  c_runs : int;
+  c_committed : int;
+  c_aborted : int;
+  c_violations : int;
+}
+
+type report = {
+  cells : cell list;
+  violations : violation list;
+  total_runs : int;
+}
+
+let report results =
+  let add cells r =
+    let m = r.r_metrics and bad = if r.r_failures = [] then 0 else 1 in
+    match cells with
+    | c :: rest
+      when c.c_scheme = r.r_task.scheme
+           && String.equal c.c_profile r.r_task.profile.profile_name ->
+      {
+        c with
+        c_runs = c.c_runs + 1;
+        c_committed = c.c_committed + m.Runtime.committed;
+        c_aborted = c.c_aborted + m.Runtime.aborted;
+        c_violations = c.c_violations + bad;
+      }
+      :: rest
+    | _ ->
+      {
+        c_scheme = r.r_task.scheme;
+        c_profile = r.r_task.profile.profile_name;
+        c_runs = 1;
+        c_committed = m.Runtime.committed;
+        c_aborted = m.Runtime.aborted;
+        c_violations = bad;
+      }
+      :: cells
+  in
+  {
+    cells = List.rev (List.fold_left add [] results);
+    violations = List.filter_map (fun r -> r.r_violation) results;
+    total_runs = List.length results;
+  }
 
 let pp_violation ppf v =
+  let t = v.v_task in
   Format.fprintf ppf "@[<v 2>VIOLATION %s/%s seed=%d txns=%d intensity=%g@,repro: %s"
-    (Replicated.scheme_name v.v_scheme)
-    v.v_profile.profile_name v.v_seed v.v_n_txns v.v_intensity (reproducer_line v);
+    (Replicated.scheme_name t.scheme)
+    t.profile.profile_name t.seed t.n_txns t.intensity (reproducer_line v);
   (match v.v_postmortem with
    | Some path -> Format.fprintf ppf "@,postmortem: %s" path
    | None -> ());
@@ -445,3 +504,71 @@ let pp_report ppf r =
   Format.fprintf ppf "%d runs, %d violation(s)@." r.total_runs
     (List.length r.violations);
   List.iter (fun v -> Format.fprintf ppf "%a@." pp_violation v) r.violations
+
+(* --- regression fixtures --------------------------------------------- *)
+
+type fixture = {
+  f_name : string;
+  f_doc : string;
+  f_task : task;
+  f_expect_violation : bool;
+  f_check : Runtime.metrics -> (string * string) list;
+}
+
+let profile_exn name =
+  match find_profile name with
+  | Some p -> p
+  | None -> invalid_arg (Printf.sprintf "builtin profile %s missing" name)
+
+let fixtures =
+  [
+    {
+      f_name = "ungated_rejoin";
+      f_doc =
+        "ungated-rejoin double-dequeue: with resync gating and commit piggyback \
+         disabled, a storm run loses a tentative append to \
+         crash-with-amnesia and a stale rejoined view double-serves an \
+         element — the monitors must still catch it";
+      f_task =
+        {
+          base = { default_base with Runtime.ungated_rejoin = true };
+          scheme = Replicated.Static;
+          profile = profile_exn "storm";
+          seed = 41;
+          n_txns = 60;
+          intensity = 2.0;
+        };
+      f_expect_violation = true;
+      f_check = (fun _ -> []);
+    };
+    {
+      f_name = "takeover_adopt_fence";
+      f_doc =
+        "coordinator-killer tuple where a healed original coordinator \
+         returns mid-takeover: adoptions and lease fences must both \
+         happen, with every monitor quiet";
+      f_task =
+        {
+          base = takeover_base;
+          scheme = Replicated.Hybrid;
+          profile = profile_exn "coordinator_killer";
+          seed = 3;
+          n_txns = 120;
+          intensity = 1.0;
+        };
+      f_expect_violation = false;
+      f_check =
+        (fun m ->
+          (if m.Runtime.takeover_adoptions > 0 then []
+           else [ ("takeover_adoptions", "expected at least one adopted commit") ])
+          @
+          if m.Runtime.takeover_fenced > 0 then []
+          else [ ("takeover_fenced", "expected at least one fenced stale driver") ]);
+    };
+  ]
+
+let find_fixture name = List.find_opt (fun f -> String.equal f.f_name name) fixtures
+let fixture_names = List.map (fun f -> f.f_name) fixtures
+
+let fixture_holds f r =
+  (r.r_failures <> []) = f.f_expect_violation && f.f_check r.r_metrics = []

@@ -1,15 +1,21 @@
 (** Chaos campaigns: sweep seeds x schemes x fault profiles, machine-check
-    the local-atomicity oracles after every run, and turn any violation
-    into a deterministic, shrunk reproducer.
+    the monitor catalogue after every run, and turn any violation into a
+    deterministic, shrunk reproducer.
 
-    Every run is a fresh {!Atomrep_replica.Runtime.run} whose
-    [install_faults] installs a {!Nemesis} schedule; afterwards
-    {!Monitors.check_run} judges it through the monitor catalogue — by
-    default its [commit_atomicity] (the scheme's local atomicity property)
-    and [common_order] (one system-wide serialization order) entries.
-    Determinism of the simulator makes a (scheme, profile, seed, n_txns,
-    intensity) tuple a self-contained reproducer, and bisection shrinks it
-    before it is reported. *)
+    Every run is one {!task}: a fresh {!Atomrep_replica.Runtime.run}
+    whose [install_faults] installs a {!Nemesis} schedule, judged by
+    {!Monitors.check_run} — by default its [commit_atomicity] (the
+    scheme's local atomicity property) and [common_order] (one
+    system-wide serialization order) entries. Determinism of the
+    simulator makes a task a self-contained reproducer.
+
+    One sweep runs every task list — a chaos campaign, an explore sweep,
+    the regression fixtures: {!sweep} deals the tasks over OCaml 5
+    domains, merges the results back in task order (so nothing it returns
+    depends on the domain count), then shrinks violations by bisection in
+    the main domain, in task order, with fresh monitor state per shrink
+    candidate. A chaos cell table, explore's totals and the fixture
+    verdicts are folds over its results. *)
 
 open Atomrep_replica
 
@@ -34,36 +40,6 @@ val builtin_profiles : profile list
 
 val find_profile : string -> profile option
 val profile_names : string list
-
-type violation = {
-  v_scheme : Replicated.scheme;
-  v_profile : profile;
-  v_seed : int;
-  v_n_txns : int;
-  v_intensity : float;
-  v_failures : (string * string) list; (** (object, failure description) *)
-  v_postmortem : string option;
-      (** path of the written causal postmortem, when the campaign ran with
-          [postmortem_dir] *)
-  v_flags : string list option;
-      (** the [atomrep chaos] flags that rebuild the run's base and monitor
-          selection, or [None] when no [chaos] flag rebuilds its base *)
-}
-
-type cell = {
-  c_scheme : Replicated.scheme;
-  c_profile : string;
-  c_runs : int;
-  c_committed : int; (** summed over the cell's runs *)
-  c_aborted : int;
-  c_violations : int;
-}
-
-type report = {
-  cells : cell list;
-  violations : violation list; (** already shrunk *)
-  total_runs : int;
-}
 
 val default_base : Runtime.config
 (** The campaign's base configuration: the default replicated queue with a
@@ -117,43 +93,57 @@ val reconfig_base : Runtime.config
     Pair with the [kills] profile to exercise epoch handoffs under
     progressive permanent site loss. *)
 
-val configure :
-  base:Runtime.config ->
-  scheme:Replicated.scheme ->
-  seed:int ->
-  n_txns:int ->
-  intensity:float ->
-  ?trace:Atomrep_obs.Trace.t ->
-  profile ->
-  Runtime.config
-(** The exact configuration a campaign run uses — exposed so tests can
-    replay a single cell. [trace] attaches a bus to the run (defaults to
-    whatever [base] carries). *)
+(** {1 Tasks} *)
 
-val shrink :
-  ?monitors:Monitors.entry list -> base:Runtime.config -> violation -> violation
+type task = {
+  base : Runtime.config;
+  scheme : Replicated.scheme;
+  profile : profile;
+  seed : int;
+  n_txns : int;
+  intensity : float;  (** fault intensity scale ({!Nemesis.scale}) *)
+}
+(** One run: the reproducer tuple plus the base it runs on. *)
+
+val configure : ?trace:Atomrep_obs.Trace.t -> task -> Runtime.config
+(** The exact configuration the task runs. [trace] attaches a bus to the
+    run (defaults to whatever [base] carries). *)
+
+val run :
+  ?monitors:Monitors.entry list ->
+  ?sample:int ->
+  ?trace:Atomrep_obs.Trace.t ->
+  task ->
+  Runtime.outcome * (string * string) list
+(** Run the task and judge it ({!Monitors.check_run} on {!configure}):
+    the one place a task runs. Runs that share one [trace] are each
+    judged on their own events only. *)
+
+(** {1 Violations} *)
+
+type violation = {
+  v_task : task;  (** the reproducer, shrunk when the sweep shrank it *)
+  v_failures : (string * string) list; (** (monitor, failure description) *)
+  v_postmortem : string option;
+      (** path of the written causal postmortem, when the sweep ran with
+          [postmortem_dir] *)
+  v_flags : string list option;
+      (** the [atomrep chaos] flags that rebuild the run's base and monitor
+          selection, or [None] when no [chaos] flag rebuilds its base *)
+}
+
+val shrink : ?monitors:Monitors.entry list -> violation -> violation
 (** Bisect the transaction count down and then halve the fault intensity
     while the violation persists; returns the smallest reproducer found
     (a local minimum — neither dimension is monotone). *)
 
 val trace_violation :
   ?monitors:Monitors.entry list ->
-  ?base:Runtime.config ->
   violation ->
   Atomrep_obs.Trace.t * Atomrep_obs.Postmortem.t
 (** Replay a (shrunk) violation with tracing on — determinism reproduces
     the same failure — and slice the trace to the causal cone of the
     violating actions. *)
-
-val write_postmortem :
-  ?monitors:Monitors.entry list ->
-  base:Runtime.config ->
-  dir:string ->
-  violation ->
-  violation
-(** {!trace_violation}, rendered to [dir/postmortem-<slug>.txt] with the
-    full trace beside it as [dir/trace-<slug>.jsonl]; returns the violation
-    with [v_postmortem] set. Creates [dir] if needed. *)
 
 val replay_flags :
   base:Runtime.config -> monitors:Monitors.entry list -> string list -> string list option
@@ -163,43 +153,108 @@ val replay_flags :
     {!Monitors.history}. [None] when [base] re-enables ungated rejoin,
     which no [chaos] flag does. *)
 
-val run_campaign :
-  ?base:Runtime.config ->
-  ?flags:string list ->
-  ?n_txns:int ->
-  ?intensity:float ->
-  ?monitors:Monitors.entry list ->
-  ?sample:int ->
-  ?postmortem_dir:string ->
-  schemes:Replicated.scheme list ->
-  profiles:profile list ->
-  seeds:int ->
-  unit ->
-  report
-(** Sweep seeds [0 .. seeds-1] for every scheme x profile pair. With
-    [postmortem_dir], every shrunk violation is replayed under tracing and
-    a causal postmortem plus the full trace are written there. [flags] are
-    the command-line flags that built [base] (default none), for the
-    violations' reproducer lines. *)
-
-val reproduce :
-  ?base:Runtime.config ->
-  ?monitors:Monitors.entry list ->
-  ?sample:int ->
-  ?trace:Atomrep_obs.Trace.t ->
-  scheme:Replicated.scheme ->
-  profile:profile ->
-  seed:int ->
-  n_txns:int ->
-  intensity:float ->
-  unit ->
-  Runtime.outcome * (string * string) list
-(** Replay one reproducer tuple, optionally under tracing. Replays that
-    share one [trace] are each judged on their own events only. *)
-
 val reproducer_line : violation -> string
 (** A self-contained [atomrep chaos --repro ...] command line, or a note
     that no such line replays the run (see {!violation.v_flags}). *)
 
+(** {1 Sweeps} *)
+
+val grid :
+  base:Runtime.config ->
+  schemes:Replicated.scheme list ->
+  profiles:profile list ->
+  seeds:int ->
+  intensities:float list ->
+  n_txns:int ->
+  task list
+(** Seeds [0 .. seeds-1] for every scheme, profile and intensity, in the
+    order scheme, profile, intensity, seed. *)
+
+type result = {
+  r_task : task;
+  r_metrics : Runtime.metrics;
+  r_failures : (string * string) list;  (** the run's own verdict *)
+  r_violation : violation option;
+      (** [Some] iff [r_failures] is nonempty: shrunk (and postmortem'd)
+          when within the sweep's [max_shrinks], else at the task's tuple *)
+}
+
+val sweep :
+  ?domains:int ->
+  ?monitors:Monitors.entry list ->
+  ?sample:int ->
+  ?max_shrinks:int ->
+  ?postmortem_dir:string ->
+  flags:string list ->
+  task list ->
+  result list
+(** Run every task, on [domains] worker domains (default
+    [Domain.recommended_domain_count ()], capped by the task count; [1]
+    runs everything in the calling domain), judged by [monitors] (default
+    {!Monitors.history}) with trace sampling [sample]. Results come back
+    in task order and are identical for any domain count. Then, in the
+    main domain and in task order, the first [max_shrinks] (default all)
+    violations are {!shrink}ed and, with [postmortem_dir], replayed by
+    {!trace_violation} into [postmortem_dir/postmortem-<slug>.txt] with
+    the full trace beside it as [postmortem_dir/trace-<slug>.jsonl]
+    (the directory is created if needed). [flags] are the command-line
+    flags that built the tasks' base, for the reproducer lines
+    ({!replay_flags}). *)
+
+(** {1 Chaos reports} *)
+
+type cell = {
+  c_scheme : Replicated.scheme;
+  c_profile : string;
+  c_runs : int;
+  c_committed : int; (** summed over the cell's runs *)
+  c_aborted : int;
+  c_violations : int;
+}
+
+type report = {
+  cells : cell list;
+  violations : violation list;
+  total_runs : int;
+}
+
+val report : result list -> report
+(** The chaos table: one cell per run of consecutive results on the same
+    scheme and profile (one per pair, for a {!grid}), plus every result's
+    violation in task order. *)
+
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit
+
+(** {1 Regression fixtures} *)
+
+type fixture = {
+  f_name : string;
+  f_doc : string;
+  f_task : task;
+  f_expect_violation : bool;
+      (** [true]: the task must still violate (the bug must still
+          reproduce); [false]: it must run clean *)
+  f_check : Runtime.metrics -> (string * string) list;
+      (** extra expectations on the run (e.g. adoptions happened);
+          nonempty means the fixture failed even if the monitors agree *)
+}
+
+val fixtures : fixture list
+(** The pinned reproducers:
+
+    - [ungated_rejoin]: the ungated-rejoin double-dequeue — with resync gating and
+      commit piggyback disabled, a storm run loses a tentative append to
+      crash-with-amnesia and a stale rejoined view double-serves an
+      element. Must still violate.
+    - [takeover_adopt_fence]: the coordinator-killer tuple whose dead
+      coordinators force takeover adoptions and whose healed originals
+      get lease-fenced. Must run clean, with at least one adoption and
+      one fencing. *)
+
+val find_fixture : string -> fixture option
+val fixture_names : string list
+
+val fixture_holds : fixture -> result -> bool
+(** The result of the fixture's task (swept without shrinking) matches
+    [f_expect_violation] and every [f_check] expectation. *)

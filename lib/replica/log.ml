@@ -171,6 +171,9 @@ let is_aborted t action = Action.Set.mem action t.aborts
 let precommit_ts t action = Action.Map.find_opt action t.precommits
 let has_preabort t action = Action.Set.mem action t.preaborts
 let is_committed t action = Action.Map.mem action t.commits
+
+let tentative t =
+  List.filter (fun e -> not (is_committed t e.action || is_aborted t e.action)) (entries t)
 let size t = S.cardinal t.records
 
 (* [S.filter] returns its argument when it keeps every record, and so

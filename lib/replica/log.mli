@@ -94,6 +94,12 @@ val is_aborted : t -> Action.t -> bool
 val is_committed : t -> Action.t -> bool
 (** O(log n). *)
 
+val tentative : t -> entry list
+(** The entries of actions with neither a commit nor an abort record (a
+    [Precommit] or [Preabort] vote leaves them tentative), by entry
+    timestamp: the classification {!View.tentative} gives the log. O(n log
+    n). *)
+
 val precommit_ts : t -> Action.t -> Lamport.Timestamp.t option
 (** The commit timestamp carried by a [Precommit] vote for the action,
     if this log holds one; the later one if it holds two. O(log n). *)

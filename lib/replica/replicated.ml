@@ -225,20 +225,45 @@ let decide ~spec ~scheme ~table ~action ~begin_ts ~own view inv =
        (* In the static order my events follow every earlier-timestamped
           action's and precede every later one's. The response comes from
           the committed entries before me plus my own events. *)
-       let timeline_to_me ~tentative =
+       let timeline_to_me tentative =
          replay spec
            (View.static_state view ~exclude:action ~before:begin_ts ~tentative)
            own_events
        in
-       (match timeline_to_me ~tentative:false with
+       (match timeline_to_me (fun _ -> false) with
         | None -> Error (Rejected "inconsistent timeline")
         | Some state ->
-          (* Validate each candidate against the full timeline, committed
-             and tentative, with the new event at my position. *)
-          let at_me = timeline_to_me ~tentative:true in
-          let later = View.static_later view ~exclude:action ~from:begin_ts in
+          (* On-line static atomicity: the Begin-order timeline must stay
+             legal whichever of the other active actions go on to commit.
+             A candidate is viable iff, for every subset of them, the
+             committed entries plus that subset's tentative ones, with my
+             events and the candidate at my position, replay legally. The
+             subset of all of them comes first: it is the likeliest to
+             refuse. *)
+          let others =
+            View.tentative view
+            |> List.filter_map (fun e ->
+                   if Action.equal e.Log.action action then None else Some e.Log.action)
+            |> List.sort_uniq Action.compare
+          in
+          let rec subsets = function
+            | [] -> Seq.return []
+            | a :: rest -> Seq.flat_map (fun s -> List.to_seq [ a :: s; s ]) (subsets rest)
+          in
+          let timelines =
+            Seq.memoize
+              (Seq.map
+                 (fun kept ->
+                   let tentative a = List.exists (Action.equal a) kept in
+                   ( timeline_to_me tentative,
+                     View.static_later view ~exclude:action ~from:begin_ts ~tentative ))
+                 (subsets others))
+          in
           let viable (res, _) =
-            Option.is_some (replay spec at_me (Event.make inv res :: later))
+            Seq.for_all
+              (fun (at_me, later) ->
+                Option.is_some (replay spec at_me (Event.make inv res :: later)))
+              timelines
           in
           (match List.find_opt viable (Serial_spec.responses spec state inv) with
            | None -> Error (Rejected "timestamp order violation")
@@ -589,7 +614,6 @@ let poll_status t action ~from ~k =
     ~gather:(fun replies -> k (List.map snd replies))
 
 let repository_log t ~site = Repository.read t.repos.(site)
-let repository_view t ~site = View.of_log t.spec (repository_log t ~site)
 let repository t ~site = t.repos.(site)
 let recoveries t = List.rev !(t.recoveries)
 

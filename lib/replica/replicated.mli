@@ -15,9 +15,10 @@
     - [Locking]: the same structure with non-commutativity conflicts
       (type-specific two-phase locking; strong dynamic atomicity).
     - [Static]: entries are serialized by Begin timestamp; responses are
-      computed at the invoking action's position and rejected if the
-      insertion invalidates later-timestamped entries (multiversion
-      timestamp ordering; static atomicity).
+      computed at the invoking action's position and rejected if, for
+      some commit/abort outcome of the other active actions, the
+      insertion leaves the timeline illegal (multiversion timestamp
+      ordering; on-line static atomicity).
 
     Front-ends are co-located with client sites (the paper places one at
     each client's site: object availability is dominated by repository
@@ -73,7 +74,10 @@ val decide :
     cannot run now: [Blocked_on] a related tentative entry (the first in
     entry-timestamp order; under [Static] only earlier-Begin actions
     block), or [Rejected] when no legal response exists or, under
-    [Static], none keeps the Begin-timestamp timeline legal. Never returns
+    [Static], none keeps the Begin-timestamp timeline legal for every
+    subset of the view's other tentative actions committing (the rest
+    aborting): 2{^k} timelines for [k] such actions, each replayed from
+    the memoized committed prefix, the one where all commit first. Never returns
     [Done] or [Unavailable]; its only effect is on the view's replay memo.
     {!execute} applies it to the view of an initial quorum, {!Scheduler}
     to one repository's log. *)
@@ -260,13 +264,8 @@ val start_anti_entropy : t -> rng:Atomrep_stats.Rng.t -> every:float -> unit
     broadcasts), reducing conflict blocking. *)
 
 val repository_log : t -> site:int -> Log.t
-(** Direct (test-only) access to one repository's log. *)
-
-val repository_view : t -> site:int -> View.t
-(** The view of one repository's log, built from empty (the orphan
-    reaper's tentative scan). It stays out of the object's view cache:
-    the scans visit every member site, and a cached view per site would
-    hold memory for the rest of the run. *)
+(** Direct access to one repository's log (the orphan reaper's and the
+    stranded count's tentative scan, and tests). *)
 
 val repository : t -> site:int -> Repository.t
 (** Direct (test-only) access to one repository — checkpoint forcing and

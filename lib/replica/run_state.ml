@@ -181,8 +181,7 @@ let fold_tentative st f init =
     (fun acc (name, obj) ->
       List.fold_left
         (fun acc site ->
-          List.fold_left (f name) acc
-            (View.tentative (Replicated.repository_view obj ~site)))
+          List.fold_left (f name) acc (Log.tentative (Replicated.repository_log obj ~site)))
         acc
         (Epoch.members (Replicated.current_epoch obj)))
     init st.objects

@@ -359,7 +359,7 @@ let entries_except ~exclude placed =
 let static_state v ~exclude ~before ~tentative =
   let o = begin_order v in
   let first = first_committed v by_begin exclude in
-  let pending = if tentative then pending v ~exclude (earlier ~before) else [] in
+  let pending = pending v ~exclude (fun e -> earlier ~before e && tentative e.action) in
   match pending with
   | [] -> Begin_order.replay o v.spec ~below:(fun p -> earlier ~before p.entry) ~exclude:first
   | t0 :: _ ->
@@ -375,10 +375,12 @@ let static_state v ~exclude ~before ~tentative =
     in
     apply_all v.spec state (interleave rest pending)
 
-let static_later v ~exclude ~from =
+let static_later v ~exclude ~from ~tentative =
   let committed =
     Begin_order.from (begin_order v) (fun p -> not (earlier ~before:from p.entry))
     |> entries_except ~exclude
   in
-  let pending = pending v ~exclude (fun e -> not (earlier ~before:from e)) in
+  let pending =
+    pending v ~exclude (fun e -> (not (earlier ~before:from e)) && tentative e.action)
+  in
   List.of_seq (Seq.map (fun (e : Log.entry) -> e.event) (interleave committed pending))

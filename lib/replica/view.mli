@@ -78,14 +78,20 @@ val static_state :
   t ->
   exclude:Action.t ->
   before:Lamport.Timestamp.t ->
-  tentative:bool ->
+  tentative:(Action.t -> bool) ->
   Value.t option
 (** The state after every event, in the static order, of the entries whose
-    Begin timestamp is below [before]: committed entries only, or with
-    [tentative] the tentative ones too. The committed prefix is memoized
-    as in {!commit_state}. *)
+    Begin timestamp is below [before]: the committed entries and the
+    tentative entries of the actions [tentative] holds for (a timeline in
+    which exactly those active actions commit). The committed prefix is
+    memoized as in {!commit_state}. *)
 
 val static_later :
-  t -> exclude:Action.t -> from:Lamport.Timestamp.t -> Event.t list
-(** The events, committed and tentative, of the entries whose Begin
-    timestamp is at least [from], in the static order. *)
+  t ->
+  exclude:Action.t ->
+  from:Lamport.Timestamp.t ->
+  tentative:(Action.t -> bool) ->
+  Event.t list
+(** The events of the entries whose Begin timestamp is at least [from], in
+    the static order: the committed entries and the tentative entries of
+    the actions [tentative] holds for. *)

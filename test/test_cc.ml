@@ -183,11 +183,89 @@ let test_scheduler_rejects_duplicate_begin () =
     (Invalid_argument "Scheduler: duplicate Begin for A") (fun () ->
       Scheduler.begin_action t a ~ts:(ts 2))
 
+(* --- On-line static atomicity: every commit/abort outcome --- *)
+
+(* Three shapes that a static validation over the single timeline in
+   which every active action commits admitted. Actions A, B, C begin in
+   that order; the steps run as listed, and the last one must be refused,
+   because one of the active actions aborting would make an earlier
+   response illegal. The history must be static atomic after every
+   step, the refused one and the abort it forces included. *)
+let static_shape spec steps () =
+  let t = Scheduler.create Replicated.Static spec in
+  List.iteri
+    (fun i name -> Scheduler.begin_action t (Action.of_string name) ~ts:(ts (i + 1)))
+    [ "A"; "B"; "C" ];
+  let static_atomic what =
+    match
+      Atomrep_atomicity.Atomicity.check spec Atomrep_atomicity.Atomicity.Static
+        (Scheduler.history t)
+    with
+    | Ok () -> ()
+    | Error f ->
+      Alcotest.failf "%s: %a" what Atomrep_atomicity.Atomicity.pp_failure f
+  in
+  let rec go = function
+    | [] -> ()
+    | [ (name, inv, _) ] ->
+      let a = Action.of_string name in
+      (match Scheduler.try_operation t a inv with
+       | Replicated.Rejected _ -> Scheduler.abort t a
+       | Replicated.Done res ->
+         Alcotest.failf "%s %a admitted with %a" name Event.Invocation.pp inv
+           Event.Response.pp res
+       | Replicated.(Blocked_on _ | Unavailable _) ->
+         Alcotest.failf "%s %a not refused" name Event.Invocation.pp inv);
+      static_atomic "after the refusal"
+    | (name, inv, want) :: rest ->
+      let got = exec t (Action.of_string name) inv in
+      check_bool
+        (Format.asprintf "%s %a returns %a" name Event.Invocation.pp inv Event.Response.pp
+           want)
+        true (Event.Response.equal got want);
+      static_atomic (Format.asprintf "after %s %a" name Event.Invocation.pp inv);
+      go rest
+  in
+  go steps
+
+let ok = Event.Response.ok []
+
+(* If A aborts, C's Deq must return y. *)
+let test_static_queue_shape =
+  static_shape Queue_type.spec
+    [
+      ("C", Queue_type.enq_inv "x", ok);
+      ("C", Queue_type.deq_inv, Event.Response.ok [ Value.str "x" ]);
+      ("A", Queue_type.enq_inv "x", ok);
+      ("B", Queue_type.enq_inv "y", ok);
+    ]
+
+(* If B aborts, C's Member must return true. *)
+let test_static_rset_shape =
+  static_shape Rset.spec
+    [
+      ("C", Rset.member_inv "x", (Rset.member "x" false).Event.res);
+      ("B", Rset.remove_inv "x", (Rset.remove "x").Event.res);
+      ("A", Rset.insert_inv "x", (Rset.insert "x").Event.res);
+    ]
+
+(* If B aborts, C's Shift must succeed. *)
+let test_static_flagset_shape =
+  static_shape Flag_set.spec
+    [
+      ("C", Flag_set.shift_inv 1, (Flag_set.shift_disabled 1).Event.res);
+      ("B", Flag_set.close_inv, (Flag_set.close false).Event.res);
+      ("A", Flag_set.open_inv, Flag_set.open_ok.Event.res);
+    ]
+
 (* --- The one-site rule against the schedulers it replaced --- *)
 
 (* The three single-site schedulers as they stood before the front-end's
-   rule became the only copy: the reference the one-repository scheduler must
-   agree with, step by step, on every outcome and response. *)
+   rule became the only copy, with the static one validating under every
+   commit/abort outcome of the other active actions (on-line static
+   atomicity; the original checked only the outcome where all commit):
+   the reference the one-repository scheduler must agree with, step by
+   step, on every outcome and response. *)
 module Reference = struct
   open Atomrep_core
 
@@ -419,12 +497,33 @@ module Reference = struct
          | None -> Rejected "inconsistent timeline"
          | Some state ->
            let candidates = Serial_spec.responses t.spec state inv in
-           (* Validate each candidate against the full non-aborted timeline
-              with the event in place; reject the operation (forcing an
-              abort) if none survives — the timestamp arrived "too late". *)
-           let full_with ev =
+           (* Validate each candidate against the timeline with the event
+              in place, under every commit/abort outcome of the other
+              active actions (on-line static atomicity); reject the
+              operation (forcing an abort) if none survives — the
+              timestamp arrived "too late". *)
+           let active =
+             List.filter
+               (fun b ->
+                 (not (Action.equal a b))
+                 && match (state_of t b).status with
+                    | Active -> true
+                    | Committed _ | Aborted -> false)
+               t.order
+           in
+           let rec outcomes = function
+             | [] -> [ [] ]
+             | b :: rest ->
+               List.concat_map (fun committing -> [ committing; b :: committing ]) (outcomes rest)
+           in
+           let with_ev ev committing =
              timeline t
-               ~including:(fun _ _ -> true)
+               ~including:(fun b stb ->
+                 Action.equal a b
+                 || (match stb.status with
+                     | Committed _ -> true
+                     | Active -> List.exists (Action.equal b) committing
+                     | Aborted -> false))
                ~before_of:(fun b stb ->
                  if Action.equal a b then stb.events @ [ ev ] else stb.events)
            in
@@ -432,9 +531,9 @@ module Reference = struct
              List.find_opt
                (fun (res, _) ->
                  let ev = Event.make inv res in
-                 match run_state t.spec (full_with ev) with
-                 | Some _ -> true
-                 | None -> false)
+                 List.for_all
+                   (fun committing -> Option.is_some (run_state t.spec (with_ev ev committing)))
+                   (outcomes active))
                candidates
            in
            (match viable with
@@ -570,6 +669,10 @@ let suites =
           Alcotest.test_case "static rejects late writer" `Quick test_static_late_writer_rejected;
           Alcotest.test_case "static accepts commuting late op" `Quick test_static_commuting_late_op_accepted;
           Alcotest.test_case "static reads see commits" `Quick test_static_read_positions;
+          Alcotest.test_case "static refuses the Queue shape" `Quick test_static_queue_shape;
+          Alcotest.test_case "static refuses the RSet shape" `Quick test_static_rset_shape;
+          Alcotest.test_case "static refuses the FlagSet shape" `Quick
+            test_static_flagset_shape;
           Alcotest.test_case "unknown action" `Quick test_scheduler_rejects_unknown_action;
           Alcotest.test_case "duplicate begin" `Quick test_scheduler_rejects_duplicate_begin;
           Alcotest.test_case "one-site rule agrees with the reference schedulers" `Quick

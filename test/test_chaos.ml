@@ -175,8 +175,15 @@ let storm_cfg seed =
     | Some p -> p
     | None -> Alcotest.fail "storm profile missing"
   in
-  Campaign.configure ~base:Campaign.default_base ~scheme:Replicated.Static ~seed
-    ~n_txns:25 ~intensity:1.0 profile
+  Campaign.configure
+    {
+      base = Campaign.default_base;
+      scheme = Replicated.Static;
+      profile;
+      seed;
+      n_txns = 25;
+      intensity = 1.0;
+    }
 
 let test_identical_seeds_replay_identically () =
   let o1 = Runtime.run (storm_cfg 11) and o2 = Runtime.run (storm_cfg 11) in
@@ -204,9 +211,11 @@ let test_small_campaign_is_clean () =
       Campaign.builtin_profiles
   in
   let report =
-    Campaign.run_campaign
-      ~schemes:[ Replicated.Static; Replicated.Hybrid ]
-      ~profiles ~seeds:3 ()
+    Campaign.report
+      (Campaign.sweep ~flags:[]
+         (Campaign.grid ~base:Campaign.default_base
+            ~schemes:[ Replicated.Static; Replicated.Hybrid ]
+            ~profiles ~seeds:3 ~intensities:[ 1.0 ] ~n_txns:30))
   in
   check_int "all cells swept" 12 report.Campaign.total_runs;
   check_int "no violations" 0 (List.length report.Campaign.violations);
@@ -250,25 +259,61 @@ let test_weakened_relation_is_caught_and_shrunk () =
   in
   let n_txns = 40 in
   let report =
-    Campaign.run_campaign ~base:weakened_base ~n_txns
-      ~schemes:[ Replicated.Static ] ~profiles ~seeds:10 ()
+    Campaign.report
+      (Campaign.sweep ~flags:[]
+         (Campaign.grid ~base:weakened_base ~schemes:[ Replicated.Static ] ~profiles
+            ~seeds:10 ~intensities:[ 1.0 ] ~n_txns))
   in
   check_bool "campaign catches the weakened relation" true
     (report.Campaign.violations <> []);
   let v = List.hd report.Campaign.violations in
-  check_bool "shrunk txn count" true (v.Campaign.v_n_txns <= n_txns);
+  check_bool "shrunk txn count" true (v.Campaign.v_task.n_txns <= n_txns);
   check_bool "shrunk reproducer still fails" true (v.Campaign.v_failures <> []);
   check_bool "reproducer line is self-contained" true
     (let line = Campaign.reproducer_line v in
      String.length line > 0
      && String.sub line 0 13 = "atomrep chaos");
   (* The reproducer tuple replays to the same verdict. *)
-  let _, failures =
-    Campaign.reproduce ~base:weakened_base ~scheme:v.Campaign.v_scheme
-      ~profile:v.Campaign.v_profile ~seed:v.Campaign.v_seed
-      ~n_txns:v.Campaign.v_n_txns ~intensity:v.Campaign.v_intensity ()
-  in
+  let _, failures = Campaign.run v.Campaign.v_task in
   check_bool "reproducer replays deterministically" true (failures <> [])
+
+(* The weakened campaign on one and on two domains: the same chaos table
+   (cells, shrunk violations with their failures and postmortem paths),
+   the same reproducer lines, and the same postmortem files. *)
+let test_weakened_campaign_domain_independent () =
+  let profiles =
+    List.filter
+      (fun p -> String.equal p.Campaign.profile_name "flaky")
+      Campaign.builtin_profiles
+  in
+  let tasks =
+    Campaign.grid ~base:weakened_base ~schemes:[ Replicated.Static ] ~profiles ~seeds:4
+      ~intensities:[ 1.0 ] ~n_txns:40
+  in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "atomrep-sweep-%d" (Unix.getpid ()))
+  in
+  let on domains =
+    let report =
+      Campaign.report
+        (Campaign.sweep ~domains ~postmortem_dir:dir ~flags:[ "--durability"; "none" ] tasks)
+    in
+    let files = if Sys.file_exists dir then Sys.readdir dir else [||] in
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+    if Sys.file_exists dir then Sys.rmdir dir;
+    Array.sort String.compare files;
+    ( Format.asprintf "%a" Campaign.pp_report report,
+      List.map Campaign.reproducer_line report.Campaign.violations,
+      Array.to_list files )
+  in
+  let table1, lines1, files1 = on 1 and table2, lines2, files2 = on 2 in
+  check_bool "the campaign has violations to shrink" true (lines1 <> []);
+  check_bool "a postmortem and a trace per violation" true
+    (List.length files1 = 2 * List.length lines1);
+  Alcotest.(check string) "same table" table1 table2;
+  Alcotest.(check (list string)) "same reproducer lines" lines1 lines2;
+  Alcotest.(check (list string)) "same postmortem files" files1 files2
 
 (* Replays sharing one trace bus (chaos --repro --trace) reuse transaction
    names; each must still be judged on its own events only. The tuple is
@@ -282,8 +327,8 @@ let test_shared_bus_replays_judged_alone () =
   in
   let replay trace scheme =
     let _, failures =
-      Campaign.reproduce ~monitors:Monitors.registry ~trace ~scheme ~profile
-        ~seed:2 ~n_txns:30 ~intensity:1.0 ()
+      Campaign.run ~monitors:Monitors.registry ~trace
+        { base = Campaign.default_base; scheme; profile; seed = 2; n_txns = 30; intensity = 1.0 }
     in
     List.map fst failures
   in
@@ -327,11 +372,15 @@ let test_reproducer_line_carries_flags () =
   let flags = [ "--termination"; "cooperative"; "--takeover" ] in
   let v v_flags =
     {
-      Campaign.v_scheme = Replicated.Hybrid;
-      v_profile = List.hd Campaign.builtin_profiles;
-      v_seed = 3;
-      v_n_txns = 20;
-      v_intensity = 0.5;
+      Campaign.v_task =
+        {
+          base = Campaign.default_base;
+          scheme = Replicated.Hybrid;
+          profile = List.hd Campaign.builtin_profiles;
+          seed = 3;
+          n_txns = 20;
+          intensity = 0.5;
+        };
       v_failures = [];
       v_postmortem = None;
       v_flags;
@@ -378,6 +427,8 @@ let suites =
         Alcotest.test_case "identical seeds replay identically" `Quick
           test_identical_seeds_replay_identically;
         Alcotest.test_case "different seeds differ" `Quick test_different_seeds_differ;
+        Alcotest.test_case "weakened campaign independent of domain count" `Quick
+          test_weakened_campaign_domain_independent;
         Alcotest.test_case "small campaign clean" `Quick test_small_campaign_is_clean;
         Alcotest.test_case "weakened relation caught and shrunk" `Quick
           test_weakened_relation_is_caught_and_shrunk;

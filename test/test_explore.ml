@@ -1,5 +1,6 @@
-(* The seed-sweep explorer: shrink determinism (fresh monitor state per
-   attempt), domain-count independence of sweep reports, and the pinned
+(* The sweep behind chaos, explore and the fixture replays: shrink
+   determinism (fresh monitor state per attempt), domain-count
+   independence of sweep results on every campaign base, and the pinned
    regression fixtures. *)
 
 open Atomrep_replica
@@ -8,16 +9,21 @@ open Atomrep_chaos
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let storm () =
-  match Campaign.find_profile "storm" with
+let profile name =
+  match Campaign.find_profile name with
   | Some p -> p
-  | None -> Alcotest.fail "storm profile missing"
+  | None -> Alcotest.failf "%s profile missing" name
 
-(* The PR 1 bug, re-enabled: amnesiac sites rejoin without a resync
+(* The ungated-rejoin bug, re-enabled: amnesiac sites rejoin without a resync
    quorum, so storm sweeps have real violations for the explorer to find. *)
 let ungated_base = { Campaign.default_base with Runtime.ungated_rejoin = true }
 
 let all_monitors = Monitors.registry
+
+(* A task's reproducer tuple (its base holds closures, so tasks do not
+   compare structurally). *)
+let tuple (t : Campaign.task) =
+  (Replicated.scheme_name t.scheme, t.profile.profile_name, t.seed, t.n_txns, t.intensity)
 
 (* Shrinking replays monitor state from scratch on every candidate run, so
    shrinking the same seeded violation twice must land on the same minimal
@@ -27,91 +33,116 @@ let all_monitors = Monitors.registry
 let test_shrink_twice_identical_witnesses () =
   let seeded =
     {
-      Campaign.v_scheme = Replicated.Static;
-      v_profile = storm ();
-      v_seed = 5;
-      v_n_txns = 60;
-      v_intensity = 2.0;
+      Campaign.v_task =
+        {
+          base = ungated_base;
+          scheme = Replicated.Static;
+          profile = profile "storm";
+          seed = 5;
+          n_txns = 60;
+          intensity = 2.0;
+        };
       v_failures = [];
       v_postmortem = None;
       v_flags = None;
     }
   in
   (* The seeded tuple really violates before we shrink it. *)
-  let _, failures =
-    Campaign.reproduce ~base:ungated_base ~monitors:all_monitors
-      ~scheme:seeded.Campaign.v_scheme ~profile:seeded.Campaign.v_profile
-      ~seed:seeded.Campaign.v_seed ~n_txns:seeded.Campaign.v_n_txns
-      ~intensity:seeded.Campaign.v_intensity ()
-  in
+  let _, failures = Campaign.run ~monitors:all_monitors seeded.Campaign.v_task in
   check_bool "seeded tuple violates" true (failures <> []);
-  let first = Campaign.shrink ~base:ungated_base ~monitors:all_monitors seeded in
-  let second = Campaign.shrink ~base:ungated_base ~monitors:all_monitors seeded in
-  check_int "same shrunk txn count" first.Campaign.v_n_txns second.Campaign.v_n_txns;
-  check_bool "same shrunk intensity" true
-    (first.Campaign.v_intensity = second.Campaign.v_intensity);
-  check_int "same shrunk seed" first.Campaign.v_seed second.Campaign.v_seed;
+  let first = Campaign.shrink ~monitors:all_monitors seeded in
+  let second = Campaign.shrink ~monitors:all_monitors seeded in
+  check_bool "same shrunk tuple" true
+    (tuple first.Campaign.v_task = tuple second.Campaign.v_task);
+  check_int "same shrunk seed" 5 first.Campaign.v_task.seed;
   check_bool "shrunk reproducer still fails" true (first.Campaign.v_failures <> []);
   Alcotest.(check (list (pair string string)))
     "identical failure witnesses" first.Campaign.v_failures
     second.Campaign.v_failures
 
-(* The sweep report is independent of how many domains ran it: totals and
-   the violation list (tuples, failures, shrunk forms) must match between
-   a sequential and a two-domain sweep of the same space. *)
-let test_sweep_domain_determinism () =
-  let sweep domains =
-    Explore.sweep ~domains ~n_txns:40 ~max_shrinks:1 ~base:ungated_base
-      ~schemes:[ Replicated.Static ]
-      ~profiles:[ storm () ]
-      ~seeds:10 ~intensities:[ 2.0 ] ()
-  in
-  let seq = sweep 1 and par = sweep 2 in
-  check_int "one domain" 1 seq.Explore.x_domains;
-  check_int "two domains" 2 par.Explore.x_domains;
-  check_int "same task count" seq.Explore.x_tasks par.Explore.x_tasks;
-  check_int "same committed total" seq.Explore.x_committed par.Explore.x_committed;
-  check_int "same aborted total" seq.Explore.x_aborted par.Explore.x_aborted;
-  check_int "same shrunk count" seq.Explore.x_shrunk par.Explore.x_shrunk;
-  let tuple v =
-    ( Replicated.scheme_name v.Campaign.v_scheme,
-      v.Campaign.v_seed,
-      v.Campaign.v_n_txns,
-      v.Campaign.v_intensity,
-      v.Campaign.v_failures )
-  in
-  check_bool "ungated sweep finds violations" true (seq.Explore.x_violations <> []);
-  check_bool "identical violation lists" true
-    (List.map tuple seq.Explore.x_violations
-    = List.map tuple par.Explore.x_violations)
+(* Everything a sweep's callers print: the chaos table (cells, violations
+   with their reproducer lines and failures) and the postmortem paths. *)
+let printed results =
+  let report = Campaign.report results in
+  ( Format.asprintf "%a" Campaign.pp_report report,
+    List.map (fun v -> Campaign.reproducer_line v) report.Campaign.violations )
 
-(* The pinned reproducers: the PR 1 double-dequeue tuple must still
-   violate under the monitor catalogue, and the takeover adopt+fence tuple
-   must run clean while actually adopting and fencing. *)
-let test_fixture_replays () =
+(* The same sweep on one and on two domains prints the same. *)
+let same_on_one_and_two_domains ?monitors ?max_shrinks what tasks =
+  let on domains = printed (Campaign.sweep ~domains ?monitors ?max_shrinks ~flags:[] tasks) in
+  let table1, lines1 = on 1 and table2, lines2 = on 2 in
+  Alcotest.(check string) (what ^ ": same table") table1 table2;
+  Alcotest.(check (list string)) (what ^ ": same reproducer lines") lines1 lines2;
+  table1
+
+(* Totals and the violation list (tuples, failures, shrunk forms) match
+   between a sequential and a two-domain sweep of a violating space. *)
+let test_sweep_domain_determinism () =
+  let tasks =
+    Campaign.grid ~base:ungated_base ~schemes:[ Replicated.Static ]
+      ~profiles:[ profile "storm" ] ~seeds:10 ~intensities:[ 2.0 ] ~n_txns:40
+  in
+  let table =
+    same_on_one_and_two_domains ~monitors:all_monitors ~max_shrinks:1 "ungated storm" tasks
+  in
+  check_bool "ungated sweep finds violations" true
+    (not (String.ends_with ~suffix:"0 violation(s)\n" table))
+
+(* The chaos-only bases — a precomputed open-loop plan over admission
+   control, gray mitigation with hedged rounds, the epoch coordinator
+   under permanent kills, durable WALs under storage faults — give
+   identical results on one and two domains under the full catalogue. *)
+let test_campaign_bases_domain_independent () =
   List.iter
-    (fun (f : Explore.fixture) ->
-      let r = Explore.replay f in
-      check_bool (f.Explore.f_name ^ " holds") true r.Explore.rr_ok;
-      if f.Explore.f_expect_violation then
-        check_bool
-          (f.Explore.f_name ^ " reproduces its violation")
-          true
-          (r.Explore.rr_failures <> []))
-    Explore.fixtures;
+    (fun (what, base, name) ->
+      ignore
+        (same_on_one_and_two_domains ~monitors:all_monitors what
+           (Campaign.grid ~base ~schemes:Replicated.[ Static; Hybrid; Locking ]
+              ~profiles:[ profile name ] ~seeds:3 ~intensities:[ 1.0 ] ~n_txns:30)))
+    [
+      ("overload", Campaign.overload_base, "overload_storm");
+      ("gray", Campaign.gray_base, "gray_storm");
+      ("reconfig", Campaign.reconfig_base, "kills");
+      ("storage", Campaign.storage_base, "storage_storm");
+    ]
+
+(* The pinned reproducers, swept as tasks the way [explore --replay] runs
+   them: the ungated-rejoin double-dequeue tuple must still violate under the
+   monitor catalogue, and the takeover adopt+fence tuple must run clean
+   while actually adopting and fencing. *)
+let test_fixture_replays () =
+  let results =
+    Campaign.sweep ~monitors:all_monitors ~max_shrinks:0 ~flags:[]
+      (List.map (fun (f : Campaign.fixture) -> f.f_task) Campaign.fixtures)
+  in
+  List.iter2
+    (fun (f : Campaign.fixture) (r : Campaign.result) ->
+      check_bool (f.f_name ^ " holds") true (Campaign.fixture_holds f r);
+      check_bool (f.f_name ^ " verdict as expected") f.f_expect_violation
+        (r.r_failures <> []);
+      check_bool (f.f_name ^ " not shrunk") true
+        (Option.map (fun (v : Campaign.violation) -> tuple v.v_task) r.r_violation
+        = if r.r_failures = [] then None else Some (tuple f.f_task)))
+    Campaign.fixtures results;
   check_bool "ungated_rejoin fixture is pinned" true
-    (Explore.find_fixture "ungated_rejoin" <> None);
+    (Campaign.find_fixture "ungated_rejoin" <> None);
   check_bool "unknown fixtures are not found" true
-    (Explore.find_fixture "no_such_fixture" = None)
+    (Campaign.find_fixture "no_such_fixture" = None)
 
 (* A locking run with more than seven commits is judged by the full
    dynamic check, not by its commit order alone: this ungated storm run
    serializes in commit order, but not in every order precedes allows. *)
 let test_locking_checked_in_every_order () =
   let _, failures =
-    Campaign.reproduce ~base:ungated_base ~monitors:all_monitors
-      ~scheme:Replicated.Locking ~profile:(storm ()) ~seed:40 ~n_txns:30
-      ~intensity:1.0 ()
+    Campaign.run ~monitors:all_monitors
+      {
+        base = ungated_base;
+        scheme = Replicated.Locking;
+        profile = profile "storm";
+        seed = 40;
+        n_txns = 30;
+        intensity = 1.0;
+      }
   in
   check_bool "commit_atomicity violated" true
     (List.exists (fun (m, _) -> String.equal m "commit_atomicity") failures)
@@ -124,6 +155,8 @@ let suites =
           test_shrink_twice_identical_witnesses;
         Alcotest.test_case "sweep report independent of domain count" `Quick
           test_sweep_domain_determinism;
+        Alcotest.test_case "campaign bases independent of domain count" `Quick
+          test_campaign_bases_domain_independent;
         Alcotest.test_case "regression fixtures replay" `Quick test_fixture_replays;
         Alcotest.test_case "long locking runs get the dynamic check" `Quick
           test_locking_checked_in_every_order;

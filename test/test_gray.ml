@@ -208,7 +208,8 @@ let paths_fingerprint cfg =
 
 let campaign_cfg ?(n_txns = 60) ~base ~profile ~scheme ~seed () =
   match Campaign.find_profile profile with
-  | Some p -> Campaign.configure ~base ~scheme ~seed ~n_txns ~intensity:1.0 p
+  | Some profile ->
+    Campaign.configure { base; scheme; profile; seed; n_txns; intensity = 1.0 }
   | None -> Alcotest.failf "unknown profile %s" profile
 
 (* A hot single-queue open-loop plan (80 arrivals/s for 3 s) behind
@@ -587,8 +588,15 @@ let test_gray_storm_monitors_green () =
     (fun seed ->
       let trace = Trace.create ~n_sites:3 () in
       let cfg =
-        Campaign.configure ~base:Campaign.gray_base ~scheme:Replicated.Hybrid
-          ~seed ~n_txns:40 ~intensity:1.0 ~trace profile
+        Campaign.configure ~trace
+          {
+            base = Campaign.gray_base;
+            scheme = Replicated.Hybrid;
+            profile;
+            seed;
+            n_txns = 40;
+            intensity = 1.0;
+          }
       in
       let outcome = Runtime.run cfg in
       let failures =

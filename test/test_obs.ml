@@ -30,8 +30,15 @@ let clean_traced_run () =
 let storm_traced_run () =
   let trace = Trace.create ~n_sites:3 () in
   let cfg =
-    Campaign.configure ~base:Campaign.default_base ~scheme:Replicated.Static
-      ~seed:11 ~n_txns:25 ~intensity:1.0 ~trace (storm ())
+    Campaign.configure ~trace
+      {
+        base = Campaign.default_base;
+        scheme = Replicated.Static;
+        profile = storm ();
+        seed = 11;
+        n_txns = 25;
+        intensity = 1.0;
+      }
   in
   (trace, Runtime.run cfg)
 
@@ -201,8 +208,15 @@ let test_run_populates_registry () =
 (* --- tracing-off overhead guard: bit-identical runs --- *)
 
 let overhead_cfg trace =
-  Campaign.configure ~base:Campaign.default_base ~scheme:Replicated.Static
-    ~seed:3 ~n_txns:25 ~intensity:1.0 ?trace (storm ())
+  Campaign.configure ?trace
+    {
+      base = Campaign.default_base;
+      scheme = Replicated.Static;
+      profile = storm ();
+      seed = 3;
+      n_txns = 25;
+      intensity = 1.0;
+    }
 
 let test_tracing_off_is_metric_identical () =
   let off = Runtime.run (overhead_cfg None) in
@@ -250,17 +264,21 @@ let test_postmortem_slices_amnesia_violation () =
   let base = { Campaign.default_base with Runtime.ungated_rejoin = true } in
   let v =
     {
-      Campaign.v_scheme = Replicated.Static;
-      v_profile = storm ();
-      v_seed = 41;
-      v_n_txns = 60;
-      v_intensity = 2.0;
+      Campaign.v_task =
+        {
+          base;
+          scheme = Replicated.Static;
+          profile = storm ();
+          seed = 41;
+          n_txns = 60;
+          intensity = 2.0;
+        };
       v_failures = [];
       v_postmortem = None;
       v_flags = None;
     }
   in
-  let trace, pm = Campaign.trace_violation ~base v in
+  let trace, pm = Campaign.trace_violation v in
   check_bool "oracle failure reproduced" true (pm.Postmortem.targets <> []);
   let n_slice = List.length pm.Postmortem.slice in
   check_bool "slice nonempty" true (n_slice > 0);
@@ -433,7 +451,8 @@ let prop_default_judge_agrees_with_reference_oracles =
     (fun (scheme, seed) ->
       let base = { Campaign.default_base with Runtime.ungated_rejoin = true } in
       let cfg =
-        Campaign.configure ~base ~scheme ~seed ~n_txns:40 ~intensity:2.0 (storm ())
+        Campaign.configure
+          { base; scheme; profile = storm (); seed; n_txns = 40; intensity = 2.0 }
       in
       let outcome, judged = Monitors.check_run cfg in
       let reference =

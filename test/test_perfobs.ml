@@ -244,11 +244,18 @@ let monitored_verdicts ~sample ~seed =
   if sample > 1 then
     Trace.set_sampling trace ~every:sample ~forced:(Monitors.forced monitors) ();
   let cfg =
-    Campaign.configure ~base:Campaign.default_base ~scheme:Replicated.Static
-      ~seed ~n_txns:20 ~intensity:1.0 ~trace
-      (match Campaign.find_profile "storm" with
-       | Some p -> p
-       | None -> Alcotest.fail "storm profile missing")
+    Campaign.configure ~trace
+      {
+        base = Campaign.default_base;
+        scheme = Replicated.Static;
+        profile =
+          (match Campaign.find_profile "storm" with
+           | Some p -> p
+           | None -> Alcotest.fail "storm profile missing");
+        seed;
+        n_txns = 20;
+        intensity = 1.0;
+      }
   in
   let outcome = Runtime.run cfg in
   let violations = Monitors.run monitors { Monitors.cfg; outcome } trace in

@@ -184,8 +184,15 @@ let kills_profile =
 
 let run_reconfig_cell ~scheme ~seed =
   let cfg =
-    Campaign.configure ~base:Campaign.reconfig_base ~scheme ~seed ~n_txns:25
-      ~intensity:1.0 kills_profile
+    Campaign.configure
+      {
+        base = Campaign.reconfig_base;
+        scheme;
+        profile = kills_profile;
+        seed;
+        n_txns = 25;
+        intensity = 1.0;
+      }
   in
   let outcome = Runtime.run cfg in
   let failures =
@@ -229,8 +236,15 @@ let test_barrier_disabled_fails_closed () =
     }
   in
   let cfg =
-    Campaign.configure ~base ~scheme:Replicated.Hybrid ~seed:3 ~n_txns:25
-      ~intensity:1.0 kills_profile
+    Campaign.configure
+      {
+        base;
+        scheme = Replicated.Hybrid;
+        profile = kills_profile;
+        seed = 3;
+        n_txns = 25;
+        intensity = 1.0;
+      }
   in
   let outcome = Runtime.run cfg in
   let m = outcome.Runtime.metrics in
@@ -275,6 +289,13 @@ let disjoint_base ~unsafe =
         };
   }
 
+(* A campaign on [base]: every seed below [seeds] for each scheme and
+   profile, 30 transactions a run, violations shrunk. *)
+let sweep ?(schemes = [ Replicated.Hybrid ]) ~base ~profiles ~seeds () =
+  Campaign.report
+    (Campaign.sweep ~flags:[]
+       (Campaign.grid ~base ~schemes ~profiles ~seeds ~intensities:[ 1.0 ] ~n_txns:30))
+
 let kill_member_profile =
   {
     Campaign.profile_name = "kill-member";
@@ -283,32 +304,33 @@ let kill_member_profile =
 
 let test_unsafe_handoff_caught_and_shrunk () =
   let base = disjoint_base ~unsafe:true in
-  let report =
-    Campaign.run_campaign ~base ~schemes:[ Replicated.Hybrid ]
-      ~profiles:[ kill_member_profile ] ~seeds:6 ()
-  in
+  let report = sweep ~base ~profiles:[ kill_member_profile ] ~seeds:6 () in
   check_bool "oracles catch the stranded epoch-0 state" true
     (report.Campaign.violations <> []);
   List.iter
     (fun v ->
       check_bool "shrunk reproducer still fails" true (v.Campaign.v_failures <> []);
-      check_bool "shrunk within the original size" true (v.Campaign.v_n_txns <= 30))
+      check_bool "shrunk within the original size" true (v.Campaign.v_task.n_txns <= 30))
     report.Campaign.violations
 
 let test_barrier_handles_disjoint_handoff () =
   let base = disjoint_base ~unsafe:false in
   (* Same seeds, same kill, same disjoint plan — with the barrier the
      campaign must stay violation-free... *)
-  let report =
-    Campaign.run_campaign ~base ~schemes:[ Replicated.Hybrid ]
-      ~profiles:[ kill_member_profile ] ~seeds:6 ()
-  in
+  let report = sweep ~base ~profiles:[ kill_member_profile ] ~seeds:6 () in
   check_bool "barrier keeps the campaign clean" true
     (report.Campaign.violations = []);
   (* ...and non-vacuously: the handoff to {3,4,5} really happens. *)
   let cfg =
-    Campaign.configure ~base ~scheme:Replicated.Hybrid ~seed:0 ~n_txns:30
-      ~intensity:1.0 kill_member_profile
+    Campaign.configure
+      {
+        base;
+        scheme = Replicated.Hybrid;
+        profile = kill_member_profile;
+        seed = 0;
+        n_txns = 30;
+        intensity = 1.0;
+      }
   in
   let outcome = Runtime.run cfg in
   check_bool "handoff to the disjoint members happened" true
@@ -349,8 +371,8 @@ let test_reconfiguration_improves_committed () =
 
 let test_campaign_reconfig_smoke () =
   let report =
-    Campaign.run_campaign ~base:Campaign.reconfig_base
-      ~schemes:Replicated.[ Hybrid; Locking ] ~profiles:[ kills_profile ] ~seeds:3 ()
+    sweep ~base:Campaign.reconfig_base ~schemes:Replicated.[ Hybrid; Locking ]
+      ~profiles:[ kills_profile ] ~seeds:3 ()
   in
   check_bool "no violations with reconfiguration enabled" true
     (report.Campaign.violations = []);

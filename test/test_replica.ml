@@ -263,11 +263,45 @@ let test_scheme_names_round_trip () =
     (Error "unknown scheme \"optimistic\" (hybrid|static|locking)")
     (Replicated.scheme_of_name "optimistic")
 
+(* On-line static atomicity end to end: with no faults, a queue script
+   mixing two values let a replicated static front-end admit an Enq whose
+   Begin timestamp fell between another active action's Enq and a later
+   Deq that dequeued its value — illegal once that other action aborts.
+   These seeds of 0-4999 produced such histories. *)
+let test_static_two_value_queue_seeds () =
+  let req inv = { Runtime.target = "queue"; invocation = inv } in
+  let scripts =
+    [
+      [ req (Queue_type.enq_inv "x"); req Queue_type.deq_inv ];
+      [ req (Queue_type.enq_inv "x") ];
+      [ req (Queue_type.enq_inv "y") ];
+    ]
+  in
+  List.iter
+    (fun seed ->
+      let cfg =
+        {
+          Runtime.default_config with
+          scheme = Replicated.Static;
+          seed;
+          n_txns = 8;
+          arrival_mean = 5.0;
+          script = (fun rng _ -> Atomrep_stats.Rng.pick_list rng scripts);
+        }
+      in
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "seed %d static atomic" seed)
+        []
+        (Runtime.check_atomicity cfg (Runtime.run cfg)))
+    [ 165; 2441; 4781 ]
+
 let suites =
   [
     ( "replica",
       [
         Alcotest.test_case "scheme names round-trip" `Quick test_scheme_names_round_trip;
+        Alcotest.test_case "static two-value queue seeds" `Quick
+          test_static_two_value_queue_seeds;
         Alcotest.test_case "log merge idempotent" `Quick test_log_merge_idempotent;
         Alcotest.test_case "log merge commutative" `Quick test_log_merge_commutative;
         Alcotest.test_case "log entries sorted" `Quick test_log_entries_sorted_by_ts;

@@ -314,10 +314,11 @@ let storage_storm () =
 let test_storage_storm_campaign_clean () =
   let module Campaign = Atomrep_chaos.Campaign in
   let report =
-    Campaign.run_campaign ~base:Campaign.storage_base
-      ~schemes:[ Replicated.Hybrid ]
-      ~profiles:[ storage_storm () ]
-      ~seeds:3 ()
+    Campaign.report
+      (Campaign.sweep ~flags:[]
+         (Campaign.grid ~base:Campaign.storage_base ~schemes:[ Replicated.Hybrid ]
+            ~profiles:[ storage_storm () ]
+            ~seeds:3 ~intensities:[ 1.0 ] ~n_txns:30))
   in
   check_int "three runs" 3 report.Campaign.total_runs;
   check_bool "no violations under storage faults" true
@@ -326,8 +327,15 @@ let test_storage_storm_campaign_clean () =
 let test_durable_runs_deterministic () =
   let module Campaign = Atomrep_chaos.Campaign in
   let cfg =
-    Campaign.configure ~base:Campaign.storage_base ~scheme:Replicated.Hybrid
-      ~seed:11 ~n_txns:25 ~intensity:1.0 (storage_storm ())
+    Campaign.configure
+      {
+        base = Campaign.storage_base;
+        scheme = Replicated.Hybrid;
+        profile = storage_storm ();
+        seed = 11;
+        n_txns = 25;
+        intensity = 1.0;
+      }
   in
   let o1 = Runtime.run cfg and o2 = Runtime.run cfg in
   let m1 = o1.Runtime.metrics and m2 = o2.Runtime.metrics in

@@ -260,10 +260,15 @@ let prop_no_divergence_under_storm =
     (fun (seed, intensity10) ->
       let tr = Trace.create ~n_sites:3 () in
       let cfg =
-        Campaign.configure ~base:Campaign.takeover_base
-          ~scheme:Replicated.Hybrid ~seed ~n_txns:40
-          ~intensity:(float_of_int intensity10 /. 10.0)
-          ~trace:tr (takeover_storm ())
+        Campaign.configure ~trace:tr
+          {
+            base = Campaign.takeover_base;
+            scheme = Replicated.Hybrid;
+            profile = takeover_storm ();
+            seed;
+            n_txns = 40;
+            intensity = float_of_int intensity10 /. 10.0;
+          }
       in
       let outcome = Runtime.run cfg in
       (* Every transaction's verdicts are one-sided, the monitor agrees,
@@ -279,9 +284,15 @@ let prop_storm_gauge_drains =
     QCheck2.Gen.(int_range 0 100)
     (fun seed ->
       let cfg =
-        Campaign.configure ~base:Campaign.takeover_base
-          ~scheme:Replicated.Hybrid ~seed ~n_txns:40 ~intensity:1.0
-          (takeover_storm ())
+        Campaign.configure
+          {
+            base = Campaign.takeover_base;
+            scheme = Replicated.Hybrid;
+            profile = takeover_storm ();
+            seed;
+            n_txns = 40;
+            intensity = 1.0;
+          }
       in
       let m = (Runtime.run cfg).Runtime.metrics in
       m.Runtime.stranded_live = 0 && m.Runtime.stranded_entries = 0)

@@ -279,8 +279,11 @@ let execute_one engine obj ~clock ~txn invocation =
   | Some (Replicated.Done _) -> ()
   | _ -> Alcotest.fail "operation did not complete"
 
-let tentative_at obj ~site = List.length (View.tentative (Replicated.repository_view obj ~site))
-let committed_at obj ~site = List.length (View.committed (Replicated.repository_view obj ~site))
+let tentative_at obj ~site = List.length (Log.tentative (Replicated.repository_log obj ~site))
+
+let committed_at obj ~site =
+  List.length
+    (View.committed (View.of_log Queue_type.spec (Replicated.repository_log obj ~site)))
 
 let test_abort_rebroadcast_clears_all_reachable () =
   let engine, _net, obj = make_obj ~seed:7 in

@@ -1,7 +1,8 @@
 (* Incremental views. A list classification of a merged log and the scheme
-   rule over its lists are kept here as the reference: a cached view,
-   however its logs grew or were rebuilt, must classify and decide exactly
-   as they do on the merge of the same logs. *)
+   rule over its lists (the static rule enumerating every commit/abort
+   outcome of the other tentative actions itself) are kept here as the
+   reference: a cached view, however its logs grew or were rebuilt, must
+   classify and decide exactly as they do on the merge of the same logs. *)
 
 open Atomrep_history
 open Atomrep_spec
@@ -47,12 +48,22 @@ module Reference = struct
       tentative = List.filter keep t.tentative;
     }
 
-  let static_timeline t ~include_tentative =
-    List.map snd t.committed @ (if include_tentative then t.tentative else [])
+  (* The static order of the committed entries and the tentative entries
+     of the actions in [kept]. *)
+  let static_timeline t ~kept =
+    List.map snd t.committed
+    @ List.filter (fun (e : Log.entry) -> List.exists (Action.equal e.action) kept) t.tentative
     |> List.sort (fun (e1 : Log.entry) e2 ->
            let c = Ts.compare e1.begin_ts e2.begin_ts in
            if c <> 0 then c else Int.compare e1.seq e2.seq)
     |> List.map (fun e -> e.Log.event)
+
+  let tentative_actions t =
+    List.sort_uniq Action.compare (List.map (fun (e : Log.entry) -> e.action) t.tentative)
+
+  let rec power_set = function
+    | [] -> [ [] ]
+    | a :: rest -> List.concat_map (fun s -> [ s; a :: s ]) (power_set rest)
 
   let replay spec state events =
     List.fold_left
@@ -88,16 +99,19 @@ module Reference = struct
        | None ->
          let before = filter view earlier in
          let after = filter view (fun e -> not (earlier e)) in
-         let timeline_to_me ~include_tentative =
-           replay spec initial (static_timeline before ~include_tentative @ own_events)
-         in
-         (match timeline_to_me ~include_tentative:false with
+         (match replay spec initial (static_timeline before ~kept:[] @ own_events) with
           | None -> Error (Replicated.Rejected "inconsistent timeline")
           | Some state ->
-            let at_me = timeline_to_me ~include_tentative:true in
-            let later = static_timeline after ~include_tentative:true in
+            (* On-line static atomicity: legal under every commit/abort
+               outcome of the other active actions. *)
             let viable (res, _) =
-              Option.is_some (replay spec at_me (Event.make inv res :: later))
+              List.for_all
+                (fun kept ->
+                  Option.is_some
+                    (replay spec initial
+                       (static_timeline before ~kept @ own_events
+                       @ (Event.make inv res :: static_timeline after ~kept))))
+                (power_set (tentative_actions view))
             in
             (match List.find_opt viable (Serial_spec.responses spec state inv) with
              | None -> Error (Replicated.Rejected "timestamp order violation")
@@ -226,6 +240,15 @@ let differential seed =
       QCheck2.Test.fail_report "committed entries differ";
     if View.tentative view <> reference.tentative then
       QCheck2.Test.fail_report "tentative entries differ";
+    (* A repository's tentative scan reads the log's status index, not a
+       view: the same entries. *)
+    List.iter
+      (fun (_, log) ->
+        if
+          List.sort compare (Log.tentative log)
+          <> List.sort compare (View.tentative (View.of_log spec log))
+        then QCheck2.Test.fail_report "Log.tentative differs from the view's")
+      replies;
     let same_state what got want =
       if not (Option.equal Value.equal got want) then
         QCheck2.Test.fail_reportf "%s: view %s, reference %s" what
@@ -242,23 +265,25 @@ let differential seed =
       same_state "commit-order state"
         (View.commit_state view ~exclude:action)
         (replayed (Reference.committed_events others));
+      (* Timelines in which none, all, or a random subset of the other
+         active actions commit. *)
+      let active = Reference.tentative_actions others in
       List.iter
-        (fun tentative ->
+        (fun (what, kept) ->
+          let tentative a = List.exists (Action.equal a) kept in
           same_state
-            (Printf.sprintf "static state (tentative %b)" tentative)
+            (Printf.sprintf "static state (%s tentative)" what)
             (View.static_state view ~exclude:action ~before:begin_ts ~tentative)
-            (replayed
-               (Reference.static_timeline (Reference.filter others earlier)
-                  ~include_tentative:tentative)))
-        [ false; true ];
-      if
-        not
-          (List.equal Event.equal
-             (View.static_later view ~exclude:action ~from:begin_ts)
-             (Reference.static_timeline
-                (Reference.filter others (fun e -> not (earlier e)))
-                ~include_tentative:true))
-      then QCheck2.Test.fail_report "static later events differ";
+            (replayed (Reference.static_timeline (Reference.filter others earlier) ~kept));
+          if
+            not
+              (List.equal Event.equal
+                 (View.static_later view ~exclude:action ~from:begin_ts ~tentative)
+                 (Reference.static_timeline
+                    (Reference.filter others (fun e -> not (earlier e)))
+                    ~kept))
+          then QCheck2.Test.fail_reportf "static later events differ (%s tentative)" what)
+        [ ("no", []); ("all", active); ("some", List.filter (fun _ -> Rng.bool rng) active) ];
       let own = List.filteri (fun k _ -> k < int 3) made.(a) in
       let inv = Rng.pick_list rng spec.Serial_spec.invocations in
       List.iter
@@ -411,7 +436,7 @@ let test_memo_staling () =
   let nobody = Action.of_string "nobody" in
   let states view =
     ( View.commit_state view ~exclude:nobody,
-      View.static_state view ~exclude:nobody ~before:(ts 1000) ~tentative:false )
+      View.static_state view ~exclude:nobody ~before:(ts 1000) ~tentative:(fun _ -> false) )
   in
   ignore (states (View.gather cache [ (0, !log) ]));
   log := Log.add !log (Log.Abort_record (action 16));
