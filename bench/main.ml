@@ -182,6 +182,16 @@ let micro_tests () =
       (Staged.stage (fun () ->
            ignore (Runtime.run { Runtime.default_config with n_txns = 20 })))
   in
+  (* The run judges every simulation ends with, on one 240-transaction
+     run of the default replicated queue. *)
+  let judge =
+    let cfg = { Runtime.default_config with n_txns = 240 } in
+    let outcome = Runtime.run cfg in
+    Test.make ~name:"judge kernel: check_atomicity + check_common_order"
+      (Staged.stage (fun () ->
+           ignore (Runtime.check_atomicity cfg outcome);
+           ignore (Runtime.check_common_order cfg outcome)))
+  in
   (* The gather a front-end runs per operation: a queue log of committed
      Enq transactions (an entry and a commit record each) read into a
      cached view. The hit folds 6 new records into the view of a
@@ -223,7 +233,7 @@ let micro_tests () =
   in
   [
     legality; atomicity_check; static_minimal; dynamic_minimal; hybrid_checker;
-    hybrid_verify; availability; simulator; view_hit; view_miss;
+    hybrid_verify; availability; simulator; judge; view_hit; view_miss;
   ]
 
 let run_micro () =

@@ -27,7 +27,8 @@ let balance_of scheme spec history =
   let order =
     match scheme with
     | Replicated.Static ->
-      List.filter (fun a -> List.exists (Action.equal a) committed) (Behavioral.begin_order h)
+      let committed = Action.Set.of_list committed in
+      List.filter (fun a -> Action.Set.mem a committed) (Behavioral.begin_order h)
     | Replicated.Hybrid | Replicated.Locking -> committed
   in
   match Serial_spec.run spec (Behavioral.serialize h order) with

@@ -81,9 +81,8 @@ let walk rule h =
       (* The next committed action in Begin order, or an active that
          began before it. The actives skipped on the way are out of this
          order for good, so the set key is just the position reached. *)
-      let is_committed =
-        Array.map (fun a -> List.exists (Action.equal a) committed) base
-      in
+      let committed = Action.Set.of_list committed in
+      let is_committed = Array.map (fun a -> Action.Set.mem a committed) base in
       fun { p; _ } ->
         let rec upto i =
           if i >= n then []
@@ -100,15 +99,28 @@ let walk rule h =
     | Precedes ->
       (* Precedes is an interval order: an action's predecessors are the
          first [counts] actions of commit order, all placed once the
-         placed prefix covers them. *)
+         placed prefix covers them. So the eligible actions at prefix [p]
+         lie in [p, reach.(p)], where [reach.(p)] is the last index whose
+         predecessor count is at most [p]: a prefix maximum over counts. *)
       let preds = Array.map (fun a -> Action.Map.find a counts) base in
+      let reach = Array.make (n + 1) (-1) in
+      Array.iteri (fun i k -> reach.(k) <- max reach.(k) i) preds;
+      for k = 1 to n do
+        reach.(k) <- max reach.(k) reach.(k - 1)
+      done;
       fun set ->
-        List.filter_map
-          (fun i -> if preds.(i) <= set.p then Some (i, place set i) else None)
-          (unplaced set)
+        let rec scan i =
+          if i > reach.(set.p) then []
+          else if preds.(i) <= set.p && not (is_placed set i) then
+            (i, place set i) :: scan (i + 1)
+          else scan (i + 1)
+        in
+        scan set.p
     | Any_order -> fun set -> List.map (fun i -> (i, place set i)) (unplaced set)
   in
-  { base; events = Array.map (Behavioral.events_of h) base; committed = nc; next }
+  let events = Behavioral.events_by_action h in
+  let events = Array.map (fun a -> Action.Map.find a events) base in
+  { base; events; committed = nc; next }
 
 (* Depth-first over (placed set, spec state), expanding each pair once.
    Returns the distinct states reached at every placed set, each with the

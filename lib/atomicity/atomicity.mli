@@ -27,8 +27,12 @@
     serialization sees them. The cost is the number of (placed set,
     distinct state) pairs: linear in the history for a chain of commits,
     exponential only in the actions that may be placed in several orders
-    with distinct effects. The simulator's verification pass applies it to
-    every per-object history it generates. *)
+    with distinct effects. Building the walk takes a few passes over the
+    history ([Behavioral.events_by_action], set lookups), and a visit
+    scans only its candidates: for dynamic, the window of indices whose
+    predecessors the placed prefix can cover. The simulator's
+    verification pass applies it to every per-object history it
+    generates. *)
 
 open Atomrep_history
 open Atomrep_spec

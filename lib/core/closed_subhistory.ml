@@ -2,11 +2,10 @@ open Atomrep_history
 
 let executions h =
   (* (event, action, aborted?) in order *)
-  let aborted = List.of_seq (Behavioral.aborted h) in
+  let aborted = Behavioral.aborted h in
   List.filter_map
     (function
-      | Behavioral.Exec (e, a) ->
-        Some (e, a, List.exists (Action.equal a) aborted)
+      | Behavioral.Exec (e, a) -> Some (e, a, Action.Set.mem a aborted)
       | Behavioral.Begin _ | Behavioral.Commit _ | Behavioral.Abort _ -> None)
     h
 

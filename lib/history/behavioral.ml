@@ -45,28 +45,33 @@ let committed t =
   List.filter_map (function Commit a -> Some a | Begin _ | Exec _ | Abort _ -> None) t
 
 let aborted t =
-  List.to_seq t
-  |> Seq.filter_map (function Abort a -> Some a | Begin _ | Exec _ | Commit _ -> None)
-
-let is_aborted t a = Seq.exists (Action.equal a) (aborted t)
+  List.fold_left
+    (fun dead -> function
+      | Abort a -> Action.Set.add a dead
+      | Begin _ | Exec _ | Commit _ -> dead)
+    Action.Set.empty t
 
 let active t =
   let finished =
-    List.filter_map
-      (function Commit a | Abort a -> Some a | Begin _ | Exec _ -> None)
-      t
+    List.fold_left
+      (fun set -> function
+        | Commit a | Abort a -> Action.Set.add a set
+        | Begin _ | Exec _ -> set)
+      Action.Set.empty t
   in
-  List.filter (fun a -> not (List.exists (Action.equal a) finished)) (actions t)
+  List.filter (fun a -> not (Action.Set.mem a finished)) (actions t)
 
 let begin_order t =
-  List.filter (fun a -> not (is_aborted t a)) (actions t)
+  let dead = aborted t in
+  List.filter (fun a -> not (Action.Set.mem a dead)) (actions t)
 
-let events_of t a =
-  List.filter_map
-    (function
-      | Exec (e, a') when Action.equal a a' -> Some e
-      | Begin _ | Exec _ | Commit _ | Abort _ -> None)
-    t
+let events_by_action t =
+  List.fold_left
+    (fun by -> function
+      | Exec (e, a) ->
+        Action.Map.update a (function None -> Some [ e ] | Some es -> Some (e :: es)) by
+      | Begin _ | Commit _ | Abort _ -> by)
+    Action.Map.empty (List.rev t)
 
 let all_events t =
   List.filter_map
@@ -74,13 +79,17 @@ let all_events t =
     t
 
 let live_events t =
-  List.filter (fun (_, a) -> not (is_aborted t a)) (all_events t)
+  let dead = aborted t in
+  List.filter (fun (_, a) -> not (Action.Set.mem a dead)) (all_events t)
 
-let serialize t order = List.concat_map (events_of t) order
+let serialize t order =
+  let by = events_by_action t in
+  List.concat_map (fun a -> Option.value (Action.Map.find_opt a by) ~default:[]) order
 
 let strip_aborted t =
-  let dead = List.of_seq (aborted t) in
-  List.filter (fun entry -> not (List.exists (Action.equal (action_of entry)) dead)) t
+  let dead = aborted t in
+  if Action.Set.is_empty dead then t
+  else List.filter (fun entry -> not (Action.Set.mem (action_of entry) dead)) t
 
 let precedes_counts t =
   (* A precedes B when B executes an operation after A commits: B's
@@ -94,8 +103,6 @@ let precedes_counts t =
     | (Begin _ | Abort _) :: rest -> go commits counts rest
   in
   go 0 Action.Map.empty (strip_aborted t)
-
-let append t entry = t @ [ entry ]
 
 let of_script script =
   List.map

@@ -4,7 +4,13 @@
     a behavioral history: a sequence of Begin events, operation executions,
     Commit events and Abort events, each associated with an action. The
     ordering of operation executions reflects the order in which the object
-    returned responses. *)
+    returned responses.
+
+    {b Cost.} Every function below makes a constant number of passes over
+    the history, with an [Action.Set]/[Action.Map] lookup per entry: O(n
+    log a) for n entries and a actions. None rescans the history per
+    action, so the judges built on them stay near-linear in history
+    length. *)
 
 type entry =
   | Begin of Action.t
@@ -30,9 +36,8 @@ val actions : t -> Action.t list
 val committed : t -> Action.t list
 (** Committed actions, in Commit-event order. *)
 
-val aborted : t -> Action.t Seq.t
-
-val is_aborted : t -> Action.t -> bool
+val aborted : t -> Action.Set.t
+(** The actions with an Abort entry. One pass. *)
 
 val active : t -> Action.t list
 (** Actions begun but neither committed nor aborted, in Begin order. *)
@@ -40,8 +45,9 @@ val active : t -> Action.t list
 val begin_order : t -> Action.t list
 (** Non-aborted actions in the order of their Begin events. *)
 
-val events_of : t -> Action.t -> Event.t list
-(** The subsequence of events executed by one action, in execution order. *)
+val events_by_action : t -> Event.t list Action.Map.t
+(** Each action's subsequence of executed events, in execution order, in
+    one pass. Actions that executed nothing are unbound. *)
 
 val all_events : t -> (Event.t * Action.t) list
 (** All executions in history order, including those of aborted actions. *)
@@ -62,11 +68,10 @@ val precedes_counts : t -> int Action.Map.t
     among the map's keys. The map binds the non-aborted actions that
     executed at least one operation. *)
 
-val append : t -> entry -> t
-
 val strip_aborted : t -> t
 (** Remove aborted actions' entries entirely (recoverability: an aborted
-    action has no effect). *)
+    action has no effect). Returns the history itself when nothing
+    aborted. *)
 
 val of_script : (string * [ `Begin | `Commit | `Abort | `Exec of Event.t ]) list -> t
 (** Convenience constructor for tests: action names with steps. *)

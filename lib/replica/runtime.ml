@@ -794,9 +794,8 @@ let check_common_order (cfg : config) outcome =
         | Replicated.Static ->
           (* Begin-entry order in the reconstructed history is the
              Begin-timestamp order. *)
-          List.filter
-            (fun a -> List.exists (Action.equal a) committed)
-            (Behavioral.begin_order h)
+          let committed = Action.Set.of_list committed in
+          List.filter (fun a -> Action.Set.mem a committed) (Behavioral.begin_order h)
       in
       let serial = Behavioral.serialize h order in
       if Serial_spec.legal spec serial then None

@@ -53,7 +53,7 @@ let test_active () =
 
 let test_events_of () =
   check_int "B executed 2 events" 2
-    (List.length (Behavioral.events_of sample (Action.of_string "B")))
+    (List.length (Action.Map.find (Action.of_string "B") (Behavioral.events_by_action sample)))
 
 let test_serialize_order () =
   let serial =

@@ -3,7 +3,7 @@
 let () =
   Alcotest.run "atomrep"
     (Test_value.suites @ Test_history.suites @ Test_spec.suites
-   @ Test_atomicity.suites @ Test_relation.suites @ Test_static_dep.suites @ Test_reachable.suites
+   @ Test_atomicity.suites @ Test_judge.suites @ Test_relation.suites @ Test_static_dep.suites @ Test_reachable.suites
    @ Test_dynamic_dep.suites @ Test_hybrid_dep.suites @ Test_paper.suites
    @ Test_quorum.suites @ Test_clock.suites @ Test_stats.suites
    @ Test_sim.suites @ Test_cc.suites @ Test_replica.suites @ Test_view.suites

@@ -91,7 +91,8 @@ module Enumerator = struct
           rest
       | (Behavioral.Begin _ | Behavioral.Abort _) :: rest -> go committed acc rest
     in
-    let live a = (not (Behavioral.is_aborted h a)) && Behavioral.events_of h a <> [] in
+    let aborted = Behavioral.aborted h and executed = Behavioral.events_by_action h in
+    let live a = (not (Action.Set.mem a aborted)) && Action.Map.mem a executed in
     List.filter (fun (a, b) -> live a && live b) (go [] [] h)
 
   let rec linear_extensions pairs = function
@@ -124,7 +125,8 @@ module Enumerator = struct
   (* The action set an order covers, among the actions that executed
      something (the others add nothing to a serialization). *)
   let covers h order =
-    List.filter (fun a -> Behavioral.events_of h a <> []) order
+    let executed = Behavioral.events_by_action h in
+    List.filter (fun a -> Action.Map.mem a executed) order
     |> List.map Action.to_string |> List.sort compare
 
   let depth h = List.length (Behavioral.all_events h) + 2
@@ -194,7 +196,9 @@ let prop_search_matches_enumerator =
           | a :: l, b :: l' -> Action.equal a b && is_prefix l l'
           | _ :: _, [] -> false
         in
-        let executed o = List.filter (fun a -> Behavioral.events_of stripped a <> []) o in
+        let executed o =
+          List.filter (fun a -> Action.Map.mem a (Behavioral.events_by_action stripped)) o
+        in
         f.serial = serial f.order
         &&
         match f.reason with
