@@ -347,16 +347,11 @@ let run_json () =
      static relation — the old behavior — made the hybrid and locking rows
      byte-identical, because the drivers only differ in their conflict
      tables on this fault-free workload. *)
-  let relation_for scheme =
-    match scheme with
-    | Replicated.Locking -> Dynamic_dep.minimal Queue_type.spec ~max_len:4
-    | Replicated.Hybrid | Replicated.Static ->
-      Static_dep.minimal Queue_type.spec ~max_len:4
-  in
   let cfg ?trace scheme seed =
     let objects =
       List.map
-        (fun o -> { o with Runtime.obj_relation = relation_for scheme })
+        (fun o ->
+          { o with Runtime.obj_relation = Replicated.scheme_relation scheme Queue_type.spec })
         Runtime.default_config.Runtime.objects
     in
     { Runtime.default_config with Runtime.seed; n_txns; scheme; trace; objects }

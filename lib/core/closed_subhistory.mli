@@ -9,23 +9,23 @@
     assemble: quorum intersection guarantees that a view contains every
     event the invocation depends on, and the closure condition captures
     transitive visibility through intermediate events (the FlagSet
-    example's indirect Shift(1)→Shift(2)→Shift(3) path). *)
+    example's indirect Shift(1)→Shift(2)→Shift(3) path).
+
+    {!is_closed} is the library's one statement of the closure condition:
+    {!Hybrid_dep.verify} applies it to each stored violation template, and
+    {!is_closed_history} to a behavioral history. *)
 
 open Atomrep_history
 
-val is_closed : Relation.t -> Behavioral.t -> keep:(int -> bool) -> bool
-(** [is_closed rel h ~keep] — is the selection (by execution index, 0-based
-    over [h]'s executions in order) closed under [rel]? Events of aborted
-    actions are exempt, per Definition 1. *)
+val is_closed : Relation.t -> Event.t array -> keep:(int -> bool) -> bool
+(** [is_closed rel events ~keep] — is the selection of [events] (executions
+    in history order, none aborted) by index closed under [rel]: does every
+    kept event keep every earlier event its invocation depends on? *)
 
-val closure : Relation.t -> Behavioral.t -> int list -> int list
-(** [closure rel h selected] is the least superset of [selected] that is
-    closed under [rel] — the events a front-end must pull into a view
-    seeded with [selected]. Sorted ascending. *)
-
-val closed_selections : Relation.t -> Behavioral.t -> int list list
-(** Every closed selection of [h]'s executions (exponential; intended for
-    the small histories of the analyses). Each selection is sorted. *)
+val is_closed_history : Relation.t -> Behavioral.t -> keep:(int -> bool) -> bool
+(** [is_closed_history rel h ~keep] — {!is_closed} for a selection by
+    execution index (0-based over [h]'s executions in order). Events of
+    aborted actions are exempt, per Definition 1. *)
 
 val subhistory : Behavioral.t -> keep:(int -> bool) -> Behavioral.t
 (** The behavioral history [G]: drops rejected executions and the

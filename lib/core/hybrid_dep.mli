@@ -10,6 +10,14 @@
     with [inv ≽ e], and appended events [\[inv;res A\]], looking for a
     violation — [G·\[inv;res A\]] in Hybrid(T) but [H·\[inv;res A\]] not.
 
+    {b One history representation.} A history is a list of {!step}s over
+    an event payload: the search runs over events interned to integer ids
+    of an {!engine}'s universe, and a {!counterexample} carries the same
+    steps mapped back to events. {!steps_of} and {!project} serve both;
+    membership ({!hybrid_ok}, {!steps_hybrid}) runs on interned events,
+    with serial legality memoized in a trie of reached states and
+    prefix-wise membership cached per history.
+
     {b Canonical histories.} Hybrid atomicity is insensitive to where Begin
     events fall and, for fixed commit {e order}, committing an action only
     ever shrinks the set of serializations that must be legal. Hence the
@@ -25,47 +33,50 @@
     relation-independent, so the expensive enumeration runs once per
     (specification, bounds) as {!make_checker}; each candidate violation is
     stored as a template, and {!verify} reduces to testing, per template,
-    whether the selected subhistory is closed under the candidate relation
-    and contains its required dependencies. This makes the minimal-relation
-    search ({!minimal_hybrids}) practical. *)
+    that the selected subhistory contains the appended invocation's
+    required dependencies and is closed under the candidate relation
+    ({!Closed_subhistory.is_closed}, Definition 1). This makes the
+    minimal-relation search ({!minimal_hybrids}) practical. *)
 
 open Atomrep_history
 open Atomrep_spec
 
-type config = {
-  entries : (Event.t * int) list;
+type 'e step = Exec of 'e * int | Commit of int
+(** One history entry; [int] is the action id. Begin entries are implicit. *)
+
+type 'e config = {
+  entries : ('e * int) list;
       (** operation executions in history order; [int] is the action id *)
   commit_order : int list; (** committed action ids, in Commit-event order *)
   nactions : int;
 }
 
-type step = Exec of Event.t * int | Commit of int
-
-val hybrid_ok : Serial_spec.t -> config -> bool
-(** Does the configuration pass the on-line hybrid atomicity check — every
-    serialization (committed actions in commit order, followed by any
-    permutation of any subset of active actions) legal? Decided by
-    {!Atomrep_atomicity.Atomicity.is_hybrid_atomic} on the configuration
-    as a behavioral history: a Begin per action, the executions in order,
-    then the Commits in commit order. *)
-
-val steps_of : config -> step list
+val steps_of : 'e config -> 'e step list
 (** The canonical earliest-commit interleaving of a configuration. *)
 
-val config_of_steps : step list -> config
-
-val steps_hybrid : Serial_spec.t -> step list -> bool
-(** Is the history (as an interleaving) a member of Hybrid(T) — i.e. does
-    every execution prefix pass {!hybrid_ok}? *)
-
-val project : step list -> keep:(int -> bool) -> step list
+val project : 'e step list -> keep:(int -> bool) -> 'e step list
 (** [project steps ~keep] deletes executions at positions (0-based, counting
     executions only) rejected by [keep], along with Commit entries of
     actions left without executions — the subhistory [G] with its inherited
     interleaving. *)
 
+type engine
+(** A specification with an interned event universe. *)
+
+val engine : Serial_spec.t -> Event.t list -> engine
+(** [engine spec universe]: an event's id is its index in [universe]. *)
+
+val hybrid_ok : engine -> int config -> bool
+(** Does the configuration pass the on-line hybrid atomicity check — every
+    serialization (committed actions in commit order, followed by any
+    permutation of any subset of active actions) legal? *)
+
+val steps_hybrid : engine -> int step list -> bool
+(** Is the history a member of Hybrid(T) — does every execution prefix
+    pass {!hybrid_ok}? Cached per history. *)
+
 type counterexample = {
-  history : step list;
+  history : Event.t step list;
   g_positions : int list;
   appended : Event.t;
   appended_action : int;

@@ -385,11 +385,6 @@ let e7_doublebuffer () =
 (* E8 — replicated-object simulation under faults                        *)
 (* ------------------------------------------------------------------ *)
 
-let scheme_relation scheme spec =
-  match scheme with
-  | Replicated.Locking -> Dynamic_dep.minimal spec ~max_len:4
-  | Replicated.Static | Replicated.Hybrid -> Static_dep.minimal spec ~max_len:4
-
 let e8_simulation () =
   section "E8 (section 3.2): replicated queue on the simulator, under faults";
   let table =
@@ -418,7 +413,7 @@ let e8_simulation () =
                   {
                     Runtime.obj_name = "queue";
                     obj_spec = Queue_type.spec;
-                    obj_relation = scheme_relation scheme Queue_type.spec;
+                    obj_relation = Replicated.scheme_relation scheme Queue_type.spec;
                     obj_assignment = Runtime.default_queue_assignment ~n_sites:3;
             obj_members = None;
                   };
@@ -533,7 +528,7 @@ let e9_concurrency_sim () =
   List.iter
     (fun scheme ->
       run scheme Prom.spec
-        (scheme_relation scheme Prom.spec)
+        (Replicated.scheme_relation scheme Prom.spec)
         (majority [ "Read"; "Seal"; "Write" ])
         prom_script "PROM writes" table)
     [ Replicated.Hybrid; Replicated.Static; Replicated.Locking ];
@@ -543,7 +538,7 @@ let e9_concurrency_sim () =
   List.iter
     (fun scheme ->
       run scheme Counter.spec
-        (scheme_relation scheme Counter.spec)
+        (Replicated.scheme_relation scheme Counter.spec)
         (majority [ "Inc"; "Dec"; "Read" ])
         counter_script "Counter inc/dec" table)
     [ Replicated.Hybrid; Replicated.Static; Replicated.Locking ];
@@ -552,7 +547,7 @@ let e9_concurrency_sim () =
   List.iter
     (fun scheme ->
       run scheme Queue_type.spec
-        (scheme_relation scheme Queue_type.spec)
+        (Replicated.scheme_relation scheme Queue_type.spec)
         (majority [ "Enq"; "Deq" ])
         queue_script "Queue enq/deq" table)
     [ Replicated.Hybrid; Replicated.Static; Replicated.Locking ];
@@ -703,7 +698,7 @@ let e12_partition_availability () =
   let table =
     Table.create
       ~title:
-        "Monte-Carlo availability (100k trials), p(site up)=0.95, client at site 0"
+        "Exact availability, p(site up)=0.95, client at site 0"
       ~columns:
         [ "p(partition {0,1}|{2,3,4})"; "Write hyb"; "Write sta"; "Read hyb";
           "Seal (both)" ]
@@ -712,15 +707,12 @@ let e12_partition_availability () =
     (fun p_part ->
       let model =
         {
-          Montecarlo.p_up = Array.make n 0.95;
+          Partition_availability.p_up = Array.make n 0.95;
           partition_probability = p_part;
           groups = [ [ 0; 1 ]; [ 2; 3; 4 ] ];
         }
       in
-      let rng = Rng.create 7 in
-      let est a op =
-        Montecarlo.estimate rng ~trials:100_000 model ~client_site:0 a ~op
-      in
+      let est a op = Partition_availability.exact model ~client_site:0 a ~op in
       Table.add_row table
         [
           Printf.sprintf "%.2f" p_part;
@@ -805,7 +797,7 @@ let all =
     ("e9", "scheme concurrency under contention", e9_concurrency_sim);
     ("e10", "type-specific vs read/write ablation", e10_read_write_ablation);
     ("e11", "weighted voting on heterogeneous sites", e11_weighted_voting);
-    ("e12", "availability under partitions (Monte Carlo)", e12_partition_availability);
+    ("e12", "availability under partitions (exact)", e12_partition_availability);
     ("e13", "anti-entropy ablation", e13_anti_entropy);
   ]
 

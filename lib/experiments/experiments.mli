@@ -53,7 +53,7 @@ val e11_weighted_voting : unit -> unit
     reliable site. *)
 
 val e12_partition_availability : unit -> unit
-(** Extension (§3's fault model): Monte-Carlo operation availability under
+(** Extension (§3's fault model): exact operation availability under
     crashes plus partitions for the paper's PROM assignments — hybrid's
     one-site Write quorum survives partitions that kill static's
     all-sites Write quorum. *)

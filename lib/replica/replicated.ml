@@ -70,11 +70,16 @@ type t = {
    Locking on the weaker dependency table admits concurrent Enqs whose
    commit order can contradict the timestamp order later Deqs answer
    from, which is exactly a dynamic-atomicity violation. *)
+let scheme_relation scheme spec =
+  match scheme with
+  | Locking -> Atomrep_core.Dynamic_dep.minimal spec ~max_len:4
+  | Hybrid | Static -> Atomrep_core.Static_dep.minimal spec ~max_len:4
+
 let conflict_table spec scheme relation =
   Conflict_table.of_relation
     (match scheme with
      | Hybrid | Static -> Lazy.force relation
-     | Locking -> Atomrep_core.Dynamic_dep.minimal spec ~max_len:4)
+     | Locking -> scheme_relation Locking spec)
 
 let create ~name ~spec ~scheme ~relation ~assignment ~net ?members
     ?(durability = Repository.Volatile) ?(rpc_timeout = 50.0) () =

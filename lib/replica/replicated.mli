@@ -51,6 +51,11 @@ type op_result =
   | Unavailable of string (** no initial or final quorum reachable *)
   | Rejected of string (** scheme validation failed: abort the action *)
 
+val scheme_relation : scheme -> Serial_spec.t -> Atomrep_core.Relation.t
+(** The dependency relation a scheme's object is configured with: the
+    minimal dynamic relation for [Locking] (Theorem 10), the minimal static
+    one for [Hybrid] and [Static] (Theorem 6), both at [max_len:4]. *)
+
 val conflict_table :
   Serial_spec.t -> scheme -> Relation.t Lazy.t -> Atomrep_cc.Conflict_table.t
 (** The scheme's lock conflicts: [Hybrid] and [Static] project the given

@@ -1,5 +1,5 @@
 (* Tests for the extension modules: new data types, closed subhistories,
-   programmatic comparisons, Monte-Carlo availability, weighted-voting
+   programmatic comparisons, availability under partitions, weighted-voting
    enumeration, log garbage collection and anti-entropy. *)
 
 open Atomrep_history
@@ -7,7 +7,6 @@ open Atomrep_spec
 open Atomrep_core
 open Atomrep_quorum
 open Atomrep_clock
-open Atomrep_stats
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -88,39 +87,55 @@ let queue_static = lazy (Static_dep.minimal Queue_type.spec ~max_len:4)
 let test_closed_full_and_empty () =
   let rel = Lazy.force queue_static in
   check_bool "full selection closed" true
-    (Closed_subhistory.is_closed rel sample_history ~keep:(fun _ -> true));
+    (Closed_subhistory.is_closed_history rel sample_history ~keep:(fun _ -> true));
   check_bool "empty selection closed" true
-    (Closed_subhistory.is_closed rel sample_history ~keep:(fun _ -> false))
+    (Closed_subhistory.is_closed_history rel sample_history ~keep:(fun _ -> false))
 
 let test_closed_violation () =
   let rel = Lazy.force queue_static in
   (* Selecting the Deq (index 2) without the Enqs it depends on is not
      closed: Deq ≽ Enq;Ok. *)
   check_bool "deq without enq not closed" false
-    (Closed_subhistory.is_closed rel sample_history ~keep:(fun i -> i = 2))
+    (Closed_subhistory.is_closed_history rel sample_history ~keep:(fun i -> i = 2))
+
+(* Every closed selection of [sample_history]'s three executions, by
+   enumeration over [is_closed_history]. *)
+let closed_selections rel =
+  List.filter
+    (fun s -> Closed_subhistory.is_closed_history rel sample_history ~keep:(fun i -> List.mem i s))
+    [ []; [ 0 ]; [ 1 ]; [ 2 ]; [ 0; 1 ]; [ 0; 2 ]; [ 1; 2 ]; [ 0; 1; 2 ] ]
 
 let test_closure_pulls_dependencies () =
   let rel = Lazy.force queue_static in
-  let closure = Closed_subhistory.closure rel sample_history [ 2 ] in
-  (* The Deq pulls in both earlier Enqs. *)
-  Alcotest.(check (list int)) "closure" [ 0; 1; 2 ] closure
+  (* The Deq pulls in both earlier Enqs: the only closed selection holding
+     it is the whole history. *)
+  Alcotest.(check (list (list int))) "closed selections with the Deq" [ [ 0; 1; 2 ] ]
+    (List.filter (List.mem 2) (closed_selections rel))
 
 let test_closure_already_closed () =
   let rel = Lazy.force queue_static in
-  Alcotest.(check (list int)) "enq alone is closed" [ 0 ]
-    (Closed_subhistory.closure rel sample_history [ 0 ])
+  check_bool "enq alone is closed" true
+    (Closed_subhistory.is_closed_history rel sample_history ~keep:(fun i -> i = 0))
 
 let test_closed_selections_count () =
   let rel = Lazy.force queue_static in
-  let selections = Closed_subhistory.closed_selections rel sample_history in
   (* Closed subsets of {Enq x, Enq y, Deq x}: {}, {0}, {1}, {0,1}, {0,1,2}.
      ({2} alone, {0,2}, {1,2} are not closed.) *)
-  check_int "five closed selections" 5 (List.length selections);
+  Alcotest.(check (list (list int))) "five closed selections"
+    [ []; [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 0; 1; 2 ] ]
+    (closed_selections rel)
+
+let test_closed_events_array () =
+  (* The array form is the same predicate over the executions themselves. *)
+  let rel = Lazy.force queue_static in
+  let events = Array.of_list (List.map fst (Behavioral.all_events sample_history)) in
   List.iter
-    (fun s ->
-      check_bool "each is closed" true
-        (Closed_subhistory.is_closed rel sample_history ~keep:(fun i -> List.mem i s)))
-    selections
+    (fun mask ->
+      let keep i = mask land (1 lsl i) <> 0 in
+      check_bool "agrees with the history form"
+        (Closed_subhistory.is_closed_history rel sample_history ~keep)
+        (Closed_subhistory.is_closed rel events ~keep))
+    [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
 let test_closed_aborted_exempt () =
   let h =
@@ -137,7 +152,7 @@ let test_closed_aborted_exempt () =
   (* Selecting the Deq;Empty without A's aborted Enq is fine: aborted
      actions are exempt from the closure condition. *)
   check_bool "aborted exempt" true
-    (Closed_subhistory.is_closed rel h ~keep:(fun i -> i = 1))
+    (Closed_subhistory.is_closed_history rel h ~keep:(fun i -> i = 1))
 
 let test_subhistory_drops_bookkeeping () =
   let g = Closed_subhistory.subhistory sample_history ~keep:(fun i -> i = 0) in
@@ -180,7 +195,7 @@ let test_compare_availability_doublebuffer () =
     (report.Atomrep_experiments.Compare.hybrid_vs_dynamic
      = Atomrep_experiments.Compare.Incomparable)
 
-(* --- Monte-Carlo availability --- *)
+(* --- Availability under partitions --- *)
 
 let prom_hybrid_assignment n =
   Assignment.make ~n_sites:n
@@ -188,35 +203,32 @@ let prom_hybrid_assignment n =
        (fun (op, (i, f)) -> (op, { Assignment.initial = i; final = f }))
        (Paper.prom_hybrid_quorums ~n))
 
-let test_montecarlo_agrees_with_binomial () =
+let test_partition_availability_agrees_with_binomial () =
   let n = 5 in
   let a = prom_hybrid_assignment n in
-  let model = Montecarlo.uniform ~n ~p:0.9 in
-  let rng = Rng.create 99 in
-  (* The Monte-Carlo estimate conditions on the client's own site being up
-     (the front-end runs there); the binomial formula does not. Compare
-     against availability * p_client ... for Write (1 site) the client's
-     site alone suffices, so estimate ≈ p. *)
-  let est = Montecarlo.estimate rng ~trials:60_000 model ~client_site:0 a ~op:"Write" in
-  check_bool "write estimate near 0.9" true (abs_float (est -. 0.9) < 0.02)
+  let model = Partition_availability.uniform ~n ~p:0.9 in
+  (* The availability conditions on the client's own site being up (the
+     front-end runs there); the binomial formula does not. For Write (1
+     site) the client's site alone suffices, so it is exactly p. *)
+  let avail = Partition_availability.exact model ~client_site:0 a ~op:"Write" in
+  check_bool "write availability is p" true (avail = 0.9)
 
-let test_montecarlo_partition_kills_full_quorum () =
+let test_partition_availability_kills_full_quorum () =
   let n = 5 in
   let a =
     Assignment.make ~n_sites:n [ ("Seal", { Assignment.initial = n; final = n }) ]
   in
   let model =
     {
-      Montecarlo.p_up = Array.make n 1.0;
+      Partition_availability.p_up = Array.make n 1.0;
       partition_probability = 1.0;
       groups = [ [ 0; 1 ]; [ 2; 3; 4 ] ];
     }
   in
-  let rng = Rng.create 5 in
-  let est = Montecarlo.estimate rng ~trials:2_000 model ~client_site:0 a ~op:"Seal" in
-  check_bool "always partitioned, never all-sites" true (est = 0.0)
+  let avail = Partition_availability.exact model ~client_site:0 a ~op:"Seal" in
+  check_bool "always partitioned, never all-sites" true (avail = 0.0)
 
-let test_montecarlo_unlisted_sites_are_isolated () =
+let test_partition_availability_unlisted_sites_are_isolated () =
   (* Regression: sites absent from [groups] used to share one implicit
      group, so a permanently-partitioned model still let two unlisted
      sites reach each other. Each unlisted site is its own singleton. *)
@@ -226,35 +238,33 @@ let test_montecarlo_unlisted_sites_are_isolated () =
   in
   let model =
     {
-      Montecarlo.p_up = Array.make n 1.0;
+      Partition_availability.p_up = Array.make n 1.0;
       partition_probability = 1.0;
       groups = [ [ 0; 1 ] ];
     }
   in
-  let rng = Rng.create 5 in
   (* Client at unlisted site 2: it must not reach unlisted site 3, so no
      2-of-4 quorum is ever available. *)
-  let est = Montecarlo.estimate rng ~trials:2_000 model ~client_site:2 a ~op:"Write" in
-  check_bool "unlisted sites cannot reach each other" true (est = 0.0);
+  let avail = Partition_availability.exact model ~client_site:2 a ~op:"Write" in
+  check_bool "unlisted sites cannot reach each other" true (avail = 0.0);
   (* Client inside the listed group still finds its quorum. *)
-  let est = Montecarlo.estimate rng ~trials:2_000 model ~client_site:0 a ~op:"Write" in
-  check_bool "listed group unaffected" true (est = 1.0)
+  let avail = Partition_availability.exact model ~client_site:0 a ~op:"Write" in
+  check_bool "listed group unaffected" true (avail = 1.0)
 
-let test_montecarlo_partition_spares_singleton () =
+let test_partition_availability_spares_singleton () =
   let n = 4 in
   let a =
     Assignment.make ~n_sites:n [ ("Write", { Assignment.initial = 1; final = 1 }) ]
   in
   let model =
     {
-      Montecarlo.p_up = Array.make n 1.0;
+      Partition_availability.p_up = Array.make n 1.0;
       partition_probability = 1.0;
       groups = [ [ 0 ]; [ 1; 2; 3 ] ];
     }
   in
-  let rng = Rng.create 5 in
-  let est = Montecarlo.estimate rng ~trials:2_000 model ~client_site:0 a ~op:"Write" in
-  check_bool "singleton quorum survives partition" true (est = 1.0)
+  let avail = Partition_availability.exact model ~client_site:0 a ~op:"Write" in
+  check_bool "singleton quorum survives partition" true (avail = 1.0)
 
 (* --- Weighted enumeration --- *)
 
@@ -397,18 +407,20 @@ let suites =
         Alcotest.test_case "closure of closed set" `Quick test_closure_already_closed;
         Alcotest.test_case "closed selections" `Quick test_closed_selections_count;
         Alcotest.test_case "closed: aborted exempt" `Quick test_closed_aborted_exempt;
+        Alcotest.test_case "closed: event-array form" `Quick test_closed_events_array;
         Alcotest.test_case "subhistory bookkeeping" `Quick test_subhistory_drops_bookkeeping;
         Alcotest.test_case "compare: queue concurrency" `Slow test_compare_concurrency_queue;
         Alcotest.test_case "compare: PROM availability" `Quick test_compare_availability_prom;
         Alcotest.test_case "compare: DoubleBuffer incomparable" `Quick
           test_compare_availability_doublebuffer;
-        Alcotest.test_case "montecarlo vs binomial" `Quick test_montecarlo_agrees_with_binomial;
-        Alcotest.test_case "montecarlo: partition kills full quorum" `Quick
-          test_montecarlo_partition_kills_full_quorum;
-        Alcotest.test_case "montecarlo: singleton survives" `Quick
-          test_montecarlo_partition_spares_singleton;
-        Alcotest.test_case "montecarlo: unlisted sites isolated" `Quick
-          test_montecarlo_unlisted_sites_are_isolated;
+        Alcotest.test_case "partition availability vs binomial" `Quick
+          test_partition_availability_agrees_with_binomial;
+        Alcotest.test_case "partition availability: partition kills full quorum" `Quick
+          test_partition_availability_kills_full_quorum;
+        Alcotest.test_case "partition availability: singleton survives" `Quick
+          test_partition_availability_spares_singleton;
+        Alcotest.test_case "partition availability: unlisted sites isolated" `Quick
+          test_partition_availability_unlisted_sites_are_isolated;
         Alcotest.test_case "weighted enumerate" `Quick test_weighted_enumerate_respects_constraints;
         Alcotest.test_case "weighted beats uniform" `Quick test_weighted_beats_uniform_on_reliable_site;
         Alcotest.test_case "log gc" `Quick test_log_gc_drops_aborted_entries;

@@ -1,4 +1,6 @@
+open Atomrep_history
 open Atomrep_spec
+open Atomrep_atomicity
 open Atomrep_core
 
 let check_bool = Alcotest.(check bool)
@@ -20,6 +22,79 @@ let flagset_checker =
 let register_checker =
   lazy (Hybrid_dep.make_checker Register.spec ~max_events:4 ~max_actions:3)
 
+(* Uncached membership over events, decided by [Atomicity.is_hybrid_atomic]
+   on each execution prefix: the oracle for the library's interned, cached
+   copy. *)
+module Reference = struct
+  let hybrid_ok spec (config : Event.t Hybrid_dep.config) =
+    let action = Action.of_int in
+    Atomicity.is_hybrid_atomic spec
+      (List.init config.Hybrid_dep.nactions (fun a -> Behavioral.Begin (action a))
+      @ List.map (fun (e, a) -> Behavioral.Exec (e, action a)) config.Hybrid_dep.entries
+      @ List.map (fun a -> Behavioral.Commit (action a)) config.Hybrid_dep.commit_order)
+
+  let empty_config = { Hybrid_dep.entries = []; commit_order = []; nactions = 0 }
+
+  let step config = function
+    | Hybrid_dep.Exec (e, a) ->
+      {
+        config with
+        Hybrid_dep.entries = config.Hybrid_dep.entries @ [ (e, a) ];
+        nactions = max config.Hybrid_dep.nactions (a + 1);
+      }
+    | Hybrid_dep.Commit a ->
+      { config with Hybrid_dep.commit_order = config.Hybrid_dep.commit_order @ [ a ] }
+
+  let config_of_steps steps = List.fold_left step empty_config steps
+
+  let steps_hybrid spec steps =
+    let rec go config = function
+      | [] -> true
+      | (Hybrid_dep.Exec _ as s) :: rest ->
+        let config = step config s in
+        hybrid_ok spec config && go config rest
+      | (Hybrid_dep.Commit _ as s) :: rest -> go (step config s) rest
+    in
+    go empty_config steps
+end
+
+(* The library's copy runs over interned events: an engine whose universe
+   is exactly the events a history mentions, an event's id its index. *)
+let interned spec events =
+  let universe = List.sort_uniq Event.compare events in
+  let id e =
+    let rec find i = function
+      | [] -> raise Not_found
+      | e' :: rest -> if Event.equal e e' then i else find (i + 1) rest
+    in
+    find 0 universe
+  in
+  (Hybrid_dep.engine spec universe, id)
+
+(* Library verdicts, asserted equal to the reference's. *)
+let hybrid_ok spec config =
+  let engine, id = interned spec (List.map fst config.Hybrid_dep.entries) in
+  let entries = List.map (fun (e, a) -> (id e, a)) config.Hybrid_dep.entries in
+  let got = Hybrid_dep.hybrid_ok engine { config with Hybrid_dep.entries } in
+  check_bool "agrees with Reference.hybrid_ok" (Reference.hybrid_ok spec config) got;
+  got
+
+let steps_hybrid spec steps =
+  let events =
+    List.concat_map (function Hybrid_dep.Exec (e, _) -> [ e ] | Hybrid_dep.Commit _ -> []) steps
+  in
+  let engine, id = interned spec events in
+  let isteps =
+    List.map
+      (function
+        | Hybrid_dep.Exec (e, a) -> Hybrid_dep.Exec (id e, a)
+        | Hybrid_dep.Commit a -> Hybrid_dep.Commit a)
+      steps
+  in
+  let got = Hybrid_dep.steps_hybrid engine isteps in
+  check_bool "agrees with Reference.steps_hybrid" (Reference.steps_hybrid spec steps) got;
+  got
+
 (* --- configuration-level helpers --- *)
 
 let test_hybrid_ok_accepts_commit_order () =
@@ -31,7 +106,7 @@ let test_hybrid_ok_accepts_commit_order () =
       nactions = 2;
     }
   in
-  check_bool "accepted" true (Hybrid_dep.hybrid_ok Queue_type.spec config)
+  check_bool "accepted" true (hybrid_ok Queue_type.spec config)
 
 let test_hybrid_ok_rejects_wrong_order () =
   let config =
@@ -41,7 +116,7 @@ let test_hybrid_ok_rejects_wrong_order () =
       nactions = 2;
     }
   in
-  check_bool "rejected" false (Hybrid_dep.hybrid_ok Queue_type.spec config)
+  check_bool "rejected" false (hybrid_ok Queue_type.spec config)
 
 let test_hybrid_ok_active_permutations () =
   (* Two active actions with non-commuting events: both commit orders must
@@ -53,10 +128,9 @@ let test_hybrid_ok_active_permutations () =
       nactions = 2;
     }
   in
-  check_bool "rejected while both active" false (Hybrid_dep.hybrid_ok Queue_type.spec config);
+  check_bool "rejected while both active" false (hybrid_ok Queue_type.spec config);
   let committed = { config with Hybrid_dep.commit_order = [ 0 ] } in
-  check_bool "accepted once enqueuer committed" true
-    (Hybrid_dep.hybrid_ok Queue_type.spec committed)
+  check_bool "accepted once enqueuer committed" true (hybrid_ok Queue_type.spec committed)
 
 let test_steps_roundtrip () =
   let config =
@@ -68,7 +142,7 @@ let test_steps_roundtrip () =
     }
   in
   let steps = Hybrid_dep.steps_of config in
-  let config' = Hybrid_dep.config_of_steps steps in
+  let config' = Reference.config_of_steps steps in
   check_bool "roundtrip entries" true (config.Hybrid_dep.entries = config'.Hybrid_dep.entries);
   check_bool "roundtrip commits" true
     (config.Hybrid_dep.commit_order = config'.Hybrid_dep.commit_order)
@@ -99,7 +173,7 @@ let test_steps_hybrid_prefixwise () =
       Hybrid_dep.Exec (Prom.read_ok "x", 2);
     ]
   in
-  check_bool "interleaved member" true (Hybrid_dep.steps_hybrid Prom.spec interleaved);
+  check_bool "interleaved member" true (steps_hybrid Prom.spec interleaved);
   let commits_last =
     [
       Hybrid_dep.Exec (Prom.write "x", 0);
@@ -109,7 +183,7 @@ let test_steps_hybrid_prefixwise () =
       Hybrid_dep.Commit 1;
     ]
   in
-  check_bool "commits-last not member" false (Hybrid_dep.steps_hybrid Prom.spec commits_last)
+  check_bool "commits-last not member" false (steps_hybrid Prom.spec commits_last)
 
 let test_project () =
   let steps =
@@ -157,12 +231,12 @@ let test_prom_counterexample_is_concrete () =
   | Ok () -> Alcotest.fail "expected counterexample"
   | Error ce ->
     (* The counterexample must be checkable: H is a member, H+e is not. *)
-    check_bool "H in Hybrid(T)" true (Hybrid_dep.steps_hybrid Prom.spec ce.Hybrid_dep.history);
+    check_bool "H in Hybrid(T)" true (steps_hybrid Prom.spec ce.Hybrid_dep.history);
     let extended =
       ce.Hybrid_dep.history
       @ [ Hybrid_dep.Exec (ce.Hybrid_dep.appended, ce.Hybrid_dep.appended_action) ]
     in
-    check_bool "H+e not in Hybrid(T)" false (Hybrid_dep.steps_hybrid Prom.spec extended)
+    check_bool "H+e not in Hybrid(T)" false (steps_hybrid Prom.spec extended)
 
 let test_prom_unique_minimal () =
   let static = Static_dep.minimal Prom.spec ~max_len:4 in
@@ -230,6 +304,87 @@ let test_register_minimal_hybrid () =
     (fun r -> check_bool "within static" true (Relation.subset r static))
     minimal
 
+(* --- the template engine against Definition 2 itself --- *)
+
+(* H as a behavioral history: each action begins just before its first
+   execution. *)
+let behavioral_of_steps steps =
+  let begun = Hashtbl.create 8 in
+  List.concat_map
+    (function
+      | Hybrid_dep.Exec (e, a) ->
+        let act = Action.of_int a in
+        if Hashtbl.mem begun a then [ Behavioral.Exec (e, act) ]
+        else begin
+          Hashtbl.add begun a ();
+          [ Behavioral.Begin act; Behavioral.Exec (e, act) ]
+        end
+      | Hybrid_dep.Commit a -> [ Behavioral.Commit (Action.of_int a) ])
+    steps
+
+(* Back to steps; every action of such a history is [Action.of_int a]. *)
+let steps_of_behavioral h =
+  let id act =
+    let rec find a = if Action.equal (Action.of_int a) act then a else find (a + 1) in
+    find 0
+  in
+  List.filter_map
+    (function
+      | Behavioral.Exec (e, act) -> Some (Hybrid_dep.Exec (e, id act))
+      | Behavioral.Commit act -> Some (Hybrid_dep.Commit (id act))
+      | Behavioral.Begin _ | Behavioral.Abort _ -> None)
+    h
+
+(* Every counterexample [verify] returns is a violation of Definition 2,
+   checked without the template engine: H ∈ Hybrid(T), H·e ∉ Hybrid(T), and
+   G (H's subhistory at [g_positions]) is closed, holds every event the
+   appended invocation depends on, and accepts e. *)
+let check_counterexample spec relation (ce : Hybrid_dep.counterexample) =
+  let h_steps = ce.Hybrid_dep.history in
+  let e = Hybrid_dep.Exec (ce.Hybrid_dep.appended, ce.Hybrid_dep.appended_action) in
+  check_bool "H in Hybrid(T)" true (Reference.steps_hybrid spec h_steps);
+  check_bool "H.e not in Hybrid(T)" false (Reference.steps_hybrid spec (h_steps @ [ e ]));
+  let h = behavioral_of_steps h_steps in
+  let keep i = List.mem i ce.Hybrid_dep.g_positions in
+  check_bool "G closed (Definition 1)" true
+    (Closed_subhistory.is_closed_history relation h ~keep);
+  List.iteri
+    (fun i (ev, _) ->
+      if Relation.mem (ce.Hybrid_dep.appended.Event.inv, ev) relation then
+        check_bool "G holds the appended invocation's dependencies" true (keep i))
+    (Behavioral.all_events h);
+  let g_steps = steps_of_behavioral (Closed_subhistory.subhistory h ~keep) in
+  check_bool "project agrees with subhistory" true
+    (g_steps = Hybrid_dep.project h_steps ~keep);
+  check_bool "G.e in Hybrid(T)" true (Reference.steps_hybrid spec (g_steps @ [ e ]))
+
+let test_counterexamples_violate_definition_2 () =
+  List.iter
+    (fun (spec, max_len, checker) ->
+      let checker = Lazy.force checker in
+      (* At the checker's own bound: FlagSet's 4-event static relation
+         lacks Shift(n) >= Close();Ok(true), which 5 events expose. *)
+      let static = Static_dep.minimal spec ~max_len in
+      (* Theorem 4: the static relation itself has no counterexample. *)
+      check_bool "static relation verifies" true
+        (Hybrid_dep.is_hybrid_dependency checker static);
+      let candidates =
+        Relation.empty
+        :: List.map (fun p -> Relation.remove p static) (Relation.elements static)
+      in
+      List.iter
+        (fun relation ->
+          match Hybrid_dep.verify checker relation with
+          | Ok () -> ()
+          | Error ce -> check_counterexample spec relation ce)
+        candidates)
+    [
+      (Prom.spec, 4, prom_checker);
+      (Double_buffer.spec, 4, db_checker);
+      (Flag_set.spec, 5, flagset_checker);
+      (Register.spec, 4, register_checker);
+    ]
+
 let test_checker_counts () =
   let checker = Lazy.force prom_checker in
   check_bool "nonzero configs" true (Hybrid_dep.config_count checker > 0);
@@ -261,5 +416,7 @@ let suites =
         Alcotest.test_case "validity is monotone" `Quick test_monotonicity;
         Alcotest.test_case "register minimal hybrids" `Quick test_register_minimal_hybrid;
         Alcotest.test_case "checker statistics" `Quick test_checker_counts;
+        Alcotest.test_case "counterexamples violate Definition 2" `Quick
+          test_counterexamples_violate_definition_2;
       ] );
   ]
