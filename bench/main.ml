@@ -36,18 +36,7 @@ let heading ?(rule = '=') title =
   print_endline title;
   print_endline (String.make (String.length title) rule)
 
-let profile name =
-  match Campaign.find_profile name with
-  | Some p -> p
-  | None -> invalid_arg ("unknown chaos profile " ^ name)
-
 let strs l = Json.List (List.map (fun s -> Json.Str s) l)
-
-let failures_json failures =
-  Json.List
-    (List.map
-       (fun (m, why) -> Json.Obj [ ("monitor", Json.Str m); ("message", Json.Str why) ])
-       failures)
 
 let write_record ?(note = "") path doc =
   Atomrep_obs.Export.write_file path (Json.to_string doc);
@@ -292,7 +281,7 @@ let run_reconfig () =
   heading "Reconfiguration campaign (3 schemes x {crashes,kills} x 67 seeds)";
   let campaign_clean =
     campaign ~base:Campaign.reconfig_base
-      ~profiles:[ profile "crashes"; profile "kills" ]
+      ~profiles:[ Campaign.profile "crashes"; Campaign.profile "kills" ]
       ~seeds:67 ()
   in
   heading ~rule:'-' "Committed throughput under majority-breaking site loss (hybrid)";
@@ -494,7 +483,7 @@ let run_storage () =
 let ambush_seeds = [ 0; 1; 2; 3; 4 ] and ambush_txns = 120
 
 let ambushed ~seed =
-  let nemesis = (profile "coordinator_killer").Campaign.nemesis in
+  let nemesis = (Campaign.profile "coordinator_killer").Campaign.nemesis in
   {
     Runtime.default_config with
     Runtime.seed;
@@ -634,8 +623,8 @@ let run_takeover () =
         Campaign.report
           (Campaign.sweep ~domains:1 ~monitors ~flags:[]
              (Campaign.grid ~base:Campaign.takeover_base ~schemes
-                ~profiles:[ profile "takeover_storm" ] ~seeds:10 ~intensities:[ 1.0 ]
-                ~n_txns:40)))
+                ~profiles:[ Campaign.profile "takeover_storm" ]
+                ~seeds:10 ~intensities:[ 1.0 ] ~n_txns:40)))
   in
   let storm_violations = List.length report.Campaign.violations in
   Printf.printf "  takeover_storm campaign: %d runs, %d violation(s)\n%!"
@@ -676,14 +665,6 @@ let run_takeover () =
    BENCH_7.json; the schema is documented in EXPERIMENTS.md. The gate is
    a clean healthy sweep and every fixture replaying as expected. *)
 let run_explore () =
-  let hardened =
-    {
-      Campaign.default_base with
-      Runtime.termination = Atomrep_txn.Termination.Cooperative;
-      deadlock = Runtime.Detect;
-      takeover = true;
-    }
-  in
   let healthy_schemes = Replicated.[ Static; Hybrid ] in
   let healthy_profiles = [ "storm"; "coordinator_killer" ] in
   let seeds = 64 and n_txns = 40 in
@@ -712,8 +693,9 @@ let run_explore () =
   Printf.printf "explore: healthy hardened sweep (%d seeds/cell)...\n%!" seeds;
   let healthy ~domains =
     sweep ~domains
-      (Campaign.grid ~base:hardened ~schemes:healthy_schemes
-         ~profiles:(List.map profile healthy_profiles) ~seeds ~intensities:[ 1.0 ] ~n_txns)
+      (Campaign.grid ~base:Campaign.takeover_base ~schemes:healthy_schemes
+         ~profiles:(List.map Campaign.profile healthy_profiles)
+         ~seeds ~intensities:[ 1.0 ] ~n_txns)
   in
   let ((seq, seq_wall, _) as seq_sweep) = healthy ~domains:1 in
   let rec_domains = max 1 (Domain.recommended_domain_count ()) in
@@ -730,7 +712,7 @@ let run_explore () =
     sweep ~domains:rec_domains ~max_shrinks:1
       (Campaign.grid
          ~base:{ Campaign.default_base with Runtime.ungated_rejoin = true }
-         ~schemes:[ Replicated.Static ] ~profiles:[ profile "storm" ] ~seeds:64
+         ~schemes:[ Replicated.Static ] ~profiles:[ Campaign.profile "storm" ] ~seeds:64
          ~intensities:[ 2.0 ] ~n_txns:60)
   in
   Printf.printf "  %d runs: %d violation(s), %d shrunk, wall %.2fs\n%!"
@@ -742,27 +724,13 @@ let run_explore () =
     List.map2
       (fun f r -> (f, r, Campaign.fixture_holds f r))
       Campaign.fixtures
-      (Campaign.sweep ~monitors:Monitors.registry ~max_shrinks:0 ~flags:[]
-         (List.map (fun f -> f.Campaign.f_task) Campaign.fixtures))
+      (Campaign.replay_fixtures ~monitors:Monitors.registry Campaign.fixtures)
   in
   List.iter
     (fun (f, _, ok) ->
       Printf.printf "  fixture %s: %s\n%!" f.Campaign.f_name
         (if ok then "ok" else "REGRESSION"))
     replays;
-  let violation_json (v : Campaign.violation) =
-    let t = v.Campaign.v_task in
-    Json.Obj
-      [
-        ("scheme", Json.Str (Replicated.scheme_name t.Campaign.scheme));
-        ("profile", Json.Str t.Campaign.profile.Campaign.profile_name);
-        ("seed", Json.int t.Campaign.seed);
-        ("txns", Json.int t.Campaign.n_txns);
-        ("intensity", Json.Num t.Campaign.intensity);
-        ("repro", Json.Str (Campaign.reproducer_line v));
-        ("failures", failures_json v.Campaign.v_failures);
-      ]
-  in
   let _, _, seq_row = seq_sweep in
   write_record "BENCH_7.json"
     (Json.Obj
@@ -800,7 +768,7 @@ let run_explore () =
                      ("sweep", ungated_row);
                      ( "first_shrunk",
                        match ungated.Campaign.violations with
-                       | v :: _ -> violation_json v
+                       | v :: _ -> Campaign.violation_json v
                        | [] -> Json.Null );
                    ] );
                ( "fixtures",
@@ -812,7 +780,7 @@ let run_explore () =
                             ("name", Json.Str f.Campaign.f_name);
                             ("expect_violation", Json.Bool f.Campaign.f_expect_violation);
                             ("ok", Json.Bool ok);
-                            ("failures", failures_json r.Campaign.r_failures);
+                            ("failures", Campaign.failures_json r.Campaign.r_failures);
                           ])
                       replays) );
              ] );

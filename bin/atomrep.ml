@@ -4,11 +4,9 @@
      analyze     — dependency relations of a data type
      quorums     — enumerate valid quorum assignments and availabilities
      simulate    — run the replicated-object simulator
-     chaos       — fault-injection campaign over seeds x schemes x profiles
+     chaos       — fault-injection sweeps, reproducer and fixture replays
      load        — one open-loop load point against the simulator
-     perf        — profile a monitored run
      bench-diff  — gate the committed BENCH_*.json trajectory
-     explore     — parallel monitored seed sweeps and fixture replays
      experiment  — run one of the paper-reproduction experiments
      compare     — the three atomicity properties on one data type
      witness     — a Theorem-6 witness for a static dependency pair
@@ -163,13 +161,6 @@ let seed_arg ?(doc = "RNG seed.") default =
   opt Arg.int default [ "seed" ] ~docv:"SEED" ~doc
 
 let txns_arg ~doc default = opt pos_int default [ "txns" ] ~docv:"N" ~doc
-let seeds_arg ~doc default = opt pos_int default [ "seeds" ] ~docv:"N" ~doc
-
-let postmortem_dir_arg =
-  opt Arg.(some string) None [ "postmortem-dir" ] ~docv:"DIR"
-    ~doc:
-      "Replay each shrunk violation under tracing and write a causal \
-       postmortem plus the full trace into $(docv)."
 
 let type_arg =
   let doc = "Data type to analyze (see the `types' subcommand)." in
@@ -232,7 +223,7 @@ let gray_flags n_sites =
 
 (* Transaction flags: crash-safe termination, the deadlock policy,
    coordinator takeover and the retry budget (see Runtime.config). *)
-let txn_flags ?(takeover = true) ?(retry_budget = true) () =
+let txn_flags ?(takeover = true) () =
   let termination =
     let doc =
       "Crash-safe transaction termination: `none' (coordinator crashes \
@@ -290,7 +281,7 @@ let txn_flags ?(takeover = true) ?(retry_budget = true) () =
   Term.(
     const overlay $ termination $ deadlock
     $ present takeover takeover_flag false
-    $ present retry_budget budget 0)
+    $ budget)
 
 (* Durability flag: which stable-storage model backs every repository.
    [~tuned] gives campaign-length runs Campaign.storage_base's small
@@ -331,56 +322,56 @@ type obs = {
   timeseries_to : string option;
   window : float;
   profiled : bool;
+  profile_to : string option;
 }
 
-(* --monitor: every run is gated on declarative spec monitors, by default
-   [default]; --monitor SEL picks the selection instead, and a bare
-   --monitor selects the whole catalogue. *)
-let monitor_arg default =
-  let doc =
-    Printf.sprintf
-      "Gate the run(s) on the selected declarative spec monitors \
-       instead of the default commit_atomicity,common_order history \
-       oracles; runs are traced when a selected monitor observes \
-       trace events, and violations make the exit code nonzero. \
-       $(docv) is %s. Bare $(b,--monitor) selects `all'."
-      Monitors.selection_doc
+(* [export] wraps the flags that write a run's trace and metrics, for a
+   command that reads them only in some modes. *)
+let obs_flags ?(timeseries = false) ?(profile = false) ?(export = Fun.id) () =
+  let monitor =
+    let doc =
+      Printf.sprintf
+        "Gate the run(s) on the selected declarative spec monitors \
+         instead of the default commit_atomicity,common_order history \
+         oracles; runs are traced when a selected monitor observes \
+         trace events, and violations make the exit code nonzero. \
+         $(docv) is %s. Bare $(b,--monitor) selects `all'."
+        Monitors.selection_doc
+    in
+    Term.(
+      const (Option.value ~default:Monitors.history)
+      $ Arg.(
+          value
+          & opt ~vopt:(Some Monitors.registry) (some monitors) None
+          & info [ "monitor" ] ~docv:"MONITORS" ~doc))
   in
-  Term.(
-    const (Option.value ~default)
-    $ Arg.(
-        value
-        & opt ~vopt:(Some Monitors.registry) (some monitors) None
-        & info [ "monitor" ] ~docv:"MONITORS" ~doc))
-
-let sample_arg =
-  opt pos_int 1 [ "sample" ] ~docv:"N"
-    ~doc:
-      "Keep one in $(docv) trace events per kind (deterministic counter, no \
-       RNG). Span and quiesce events, and any kind a selected monitor \
-       subscribes to, are always kept, so monitor verdicts are identical \
-       sampled or not. 1 = full fidelity."
-
-let window_arg =
-  opt pos_float 500.0 [ "window" ] ~docv:"MS"
-    ~doc:"Time-series window width in simulated ms."
-
-let obs_flags ?(timeseries = false) ?(profile = false) () =
-  let trace =
-    opt Arg.(some string) None [ "trace" ] ~docv:"FILE"
-      ~doc:"Write the run's event trace to $(docv)."
-  in
-  let trace_format =
-    opt
-      (Arg.enum [ ("jsonl", `Jsonl); ("chrome", `Chrome) ])
-      `Jsonl [ "trace-format" ] ~docv:"FMT"
+  let sample =
+    opt pos_int 1 [ "sample" ] ~docv:"N"
       ~doc:
-        "Trace format: `jsonl' (one event per line) or `chrome' (trace_event \
-         JSON, opens in Perfetto / chrome://tracing)."
+        "Keep one in $(docv) trace events per kind (deterministic counter, no \
+         RNG). Span and quiesce events, and any kind a selected monitor \
+         subscribes to, are always kept, so monitor verdicts are identical \
+         sampled or not. 1 = full fidelity."
   in
-  let metrics_json =
-    opt Arg.(some string) None [ "metrics-json" ] ~docv:"FILE"
-      ~doc:"Write the run's metrics registry as JSON to $(docv)."
+  let exports =
+    let trace =
+      opt Arg.(some string) None [ "trace" ] ~docv:"FILE"
+        ~doc:"Write the run's event trace to $(docv)."
+    in
+    let trace_format =
+      opt
+        (Arg.enum [ ("jsonl", `Jsonl); ("chrome", `Chrome) ])
+        `Jsonl [ "trace-format" ] ~docv:"FMT"
+        ~doc:
+          "Trace format: `jsonl' (one event per line) or `chrome' (trace_event \
+           JSON, opens in Perfetto / chrome://tracing)."
+    in
+    let metrics_json =
+      opt Arg.(some string) None [ "metrics-json" ] ~docv:"FILE"
+        ~doc:"Write the run's metrics registry as JSON to $(docv)."
+    in
+    let pair trace fmt metrics_to = (Option.map (fun path -> (path, fmt)) trace, metrics_to) in
+    export Term.(const pair $ trace $ trace_format $ metrics_json)
   in
   let timeseries_file =
     opt Arg.(some string) None [ "timeseries" ] ~docv:"FILE"
@@ -389,22 +380,29 @@ let obs_flags ?(timeseries = false) ?(profile = false) () =
          depth and the stranded gauge into fixed-width sim-time windows and \
          write them as JSON to $(docv)."
   in
+  let window =
+    opt pos_float 500.0 [ "window" ] ~docv:"MS"
+      ~doc:"Time-series window width in simulated ms."
+  in
   let profile_flag =
     flag [ "profile" ]
       ~doc:
         "Profile the run: print the hot-phase table (wall time + minor-heap \
          allocation per subsystem/phase) after the metrics."
   in
-  let make monitors sample trace fmt metrics_to timeseries_to window profiled =
-    let trace_to = Option.map (fun path -> (path, fmt)) trace in
-    { monitors; sample; trace_to; metrics_to; timeseries_to; window; profiled }
+  let profile_json =
+    opt Arg.(some string) None [ "profile-json" ] ~docv:"FILE"
+      ~doc:"Profile the run and write the hot-phase profile as JSON to $(docv)."
+  in
+  let make monitors sample (trace_to, metrics_to) timeseries_to window profiled profile_to =
+    { monitors; sample; trace_to; metrics_to; timeseries_to; window; profiled; profile_to }
   in
   Term.(
-    const make $ monitor_arg Monitors.history $ sample_arg $ trace $ trace_format
-    $ metrics_json
+    const make $ monitor $ sample $ exports
     $ present timeseries timeseries_file None
-    $ present timeseries window_arg 500.0
-    $ present profile profile_flag false)
+    $ present timeseries window 500.0
+    $ present profile profile_flag false
+    $ present profile profile_json None)
 
 (* A wall-clock profile: the obs library defaults to Sys.time because it
    cannot link Unix; the CLI can, so runs measure real elapsed time. *)
@@ -424,7 +422,9 @@ let observe obs (cfg : Runtime.config) =
       (if obs.trace_to <> None || obs.sample > 1 then
          Some (Obs.Trace.create ~n_sites:cfg.n_sites ())
        else None);
-    profile = (if obs.profiled then fresh_profile () else Obs.Profile.null);
+    profile =
+      (if obs.profiled || obs.profile_to <> None then fresh_profile ()
+       else Obs.Profile.null);
     timeseries =
       (if obs.timeseries_to <> None then Obs.Timeseries.create ~width:obs.window ()
        else Obs.Timeseries.null);
@@ -433,18 +433,6 @@ let observe obs (cfg : Runtime.config) =
 let judge obs cfg = Monitors.check_run ~monitors:obs.monitors ~sample:obs.sample cfg
 
 (* --- reporting --- *)
-
-(* The replicated queue the closed-loop commands run. *)
-let queue_objects ~n_sites =
-  [
-    {
-      Runtime.obj_name = "queue";
-      obj_spec = Queue_type.spec;
-      obj_relation = Static_dep.minimal Queue_type.spec ~max_len:4;
-      obj_assignment = Runtime.default_queue_assignment ~n_sites;
-      obj_members = None;
-    };
-  ]
 
 (* Optional metric sections: each prints only when the flags that turn it
    on are set in the run's config. *)
@@ -502,8 +490,6 @@ let retries_section (cfg : Runtime.config) (m : Runtime.metrics) =
     Printf.printf "retries: spent=%d budget-exhausted=%d\n" m.retries_spent
       m.retries_budget_exhausted
 
-let print_profile p = Format.printf "%a@?" (Obs.Profile.pp_table ?top:None) p
-
 let write_timeseries path ts =
   Obs.Export.write_file path (Json.to_string (Obs.Timeseries.to_json ts));
   Printf.printf "wrote %s (%d windows)\n" path (List.length (Obs.Timeseries.windows ts))
@@ -534,8 +520,13 @@ let finish ?(sections = []) obs (cfg : Runtime.config) runs =
      Printf.printf "trace sampling: 1/%d, kept=%d sampled-out=%d\n"
        (Obs.Trace.sampling tr) (Obs.Trace.length tr) (Obs.Trace.sampled_out tr)
    | _ -> ());
-  if obs.profiled then print_profile cfg.profile;
+  if obs.profiled then Format.printf "%a@?" (Obs.Profile.pp_table ?top:None) cfg.profile;
   Option.iter (fun path -> write_timeseries path cfg.timeseries) obs.timeseries_to;
+  Option.iter
+    (fun path ->
+      Obs.Export.write_file path (Json.to_string (Obs.Profile.to_json cfg.profile));
+      Printf.printf "wrote %s\n" path)
+    obs.profile_to;
   (match obs.trace_to, cfg.trace with
    | Some (path, fmt), Some tr ->
      Obs.Export.write_file path
@@ -631,7 +622,7 @@ let simulate_cmd =
         n_sites;
         seed;
         install_faults;
-        objects = queue_objects ~n_sites;
+        objects = Runtime.queue_objects ~n_sites;
         reconfig = (if reconfigure then Some Runtime.default_reconfig else None);
       }
       |> gray |> txn |> durability |> observe obs
@@ -678,45 +669,186 @@ let simulate_cmd =
 
 (* --- chaos --- *)
 
+(* A chaos invocation sweeps its grid (the default), replays its tuples
+   one at a time (--repro), or replays regression fixtures (--replay). A
+   flag that only some of these read is a usage error in the others. *)
 let chaos_cmd =
-  let run schemes profiles seeds txns intensity repro seed (base, flags) obs postmortem_dir =
-    if repro then begin
-      (* Replay one reproducer tuple per scheme/profile given; all the
-         replays share one trace bus, so the exported file covers the
-         whole invocation, and each replay is judged on its own events. *)
+  let repro_arg =
+    flag [ "repro" ]
+      ~doc:
+        "Replay the tuples --schemes x --profiles x --intensity at --seed one \
+         by one instead of sweeping."
+  in
+  let replay_arg =
+    Arg.(
+      value
+      & opt ~vopt:(Some Campaign.fixtures) (some fixtures) None
+      & info [ "replay" ] ~docv:"FIXTURES"
+          ~doc:
+            (Printf.sprintf
+               "Replay the named regression fixtures instead of sweeping \
+                (comma-separated, or `all'; bare $(b,--replay) means all). \
+                Known fixtures: %s."
+               (String.concat ", " Campaign.fixture_names)))
+  in
+  let mode =
+    let pick repro replay =
+      match (repro, replay) with
+      | true, Some _ -> Error (`Msg "--repro and --replay are exclusive")
+      | true, None -> Ok `Repro
+      | false, Some _ -> Ok `Replay
+      | false, None -> Ok `Sweep
+    in
+    Term.(cli_parse_result (const pick $ repro_arg $ replay_arg))
+  in
+  let mode_name = function
+    | `Sweep -> "sweeps"
+    | `Repro -> "--repro"
+    | `Replay -> "--replay"
+  in
+  (* [t], read only in [modes]: set in another mode, it is a usage error
+     naming the flag as typed. Every such term evaluates [mode], so
+     --repro with --replay is one too. *)
+  let only modes t =
+    let check mode (v, used) =
+      match used with
+      | arg :: _ when not (List.mem mode modes) ->
+        let name = List.hd (String.split_on_char '=' arg) in
+        Error
+          (`Msg
+            (Printf.sprintf "%s applies only to %s" name
+               (String.concat " and " (List.map mode_name modes))))
+      | _ -> Ok v
+    in
+    Term.(cli_parse_result (const check $ mode $ with_used_args t))
+  in
+  let run repro replay schemes profiles seeds txns intensities seed (base, flags) ungated
+      obs postmortem_dir report_file max_shrinks =
+    let base = { base with Runtime.ungated_rejoin = ungated } in
+    let monitors = obs.monitors and sample = obs.sample in
+    match replay with
+    | Some fixtures ->
+      let results = Campaign.replay_fixtures ~monitors ~sample fixtures in
+      List.fold_left2
+        (fun code (f : Campaign.fixture) (r : Campaign.result) ->
+          let ok = Campaign.fixture_holds f r in
+          Printf.printf "fixture %-22s %s (%s)\n" f.f_name
+            (if ok then "OK" else "REGRESSION")
+            (if f.f_expect_violation then "must violate" else "must run clean");
+          Option.iter (Format.printf "%a@." Campaign.pp_violation) r.r_violation;
+          List.iter
+            (fun (what, why) -> Printf.printf "  check %s: %s\n" what why)
+            (f.f_check r.r_metrics);
+          if ok then code else 1)
+        0 fixtures results
+    | None when repro ->
+      (* Replay one reproducer tuple per scheme/profile/intensity given;
+         all the replays share one trace bus, so the exported file covers
+         the whole invocation, and each replay is judged on its own
+         events. *)
       let cfg = observe obs base in
-      let replay scheme profile =
+      let replay scheme profile intensity =
+        let task = { Campaign.base; scheme; profile; seed; n_txns = txns; intensity } in
+        let ((_, failures) as verdict) =
+          Campaign.run ~monitors ~sample ?trace:cfg.trace task
+        in
+        let postmortem =
+          match postmortem_dir with
+          | Some dir when failures <> [] ->
+            (Campaign.write_postmortem ~monitors ~dir
+               {
+                 v_task = task;
+                 v_failures = failures;
+                 v_postmortem = None;
+                 v_flags = Campaign.replay_flags ~base ~monitors flags;
+               })
+              .v_postmortem
+          | _ -> None
+        in
         let header (m : Runtime.metrics) =
           Printf.printf "%s/%s seed=%d txns=%d intensity=%g: committed=%d\n"
             (Replicated.scheme_name scheme)
-            profile.Campaign.profile_name seed txns intensity m.committed
+            profile.Campaign.profile_name seed txns intensity m.committed;
+          Option.iter (Printf.printf "postmortem: %s\n") postmortem
         in
-        ( header,
-          Campaign.run ~monitors:obs.monitors ~sample:obs.sample ?trace:cfg.trace
-            { base; scheme; profile; seed; n_txns = txns; intensity } )
+        (header, verdict)
       in
       finish obs cfg
-        (List.concat_map (fun scheme -> List.map (replay scheme) profiles) schemes)
+        (List.concat_map
+           (fun scheme ->
+             List.concat_map
+               (fun profile -> List.map (replay scheme profile) intensities)
+               profiles)
+           schemes)
         ~sections:[ wal_section; termination_section; takeover_section ]
-    end
-    else begin
+    | None ->
       let report =
         Campaign.report
-          (Campaign.sweep ~monitors:obs.monitors ~sample:obs.sample ?postmortem_dir ~flags
-             (Campaign.grid ~base ~schemes ~profiles ~seeds ~intensities:[ intensity ]
-                ~n_txns:txns))
+          (Campaign.sweep ~monitors ~sample ?max_shrinks ?postmortem_dir ~flags
+             (Campaign.grid ~base ~schemes ~profiles ~seeds ~intensities ~n_txns:txns))
       in
       Format.printf "%a" Campaign.pp_report report;
-      if report.Campaign.violations = [] then 0 else 1
-    end
+      Option.iter
+        (fun path ->
+          let sum f = Json.int (List.fold_left (fun n c -> n + f c) 0 report.cells) in
+          let shrunk = Option.value max_shrinks ~default:max_int in
+          let violations = report.violations in
+          let fields =
+            [
+              ("monitors", Json.List (List.map (fun e -> Json.Str e.Monitors.e_name) monitors));
+              ("seeds", Json.int seeds);
+              ("txns", Json.int txns);
+              ("intensities", Json.List (List.map (fun i -> Json.Num i) intensities));
+              ("tasks", Json.int report.total_runs);
+              ("committed", sum (fun c -> c.Campaign.c_committed));
+              ("aborted", sum (fun c -> c.Campaign.c_aborted));
+              ("shrunk", Json.int (min shrunk (List.length violations)));
+              ("violations", Json.List (List.map Campaign.violation_json violations));
+            ]
+          in
+          Obs.Export.write_file path (Json.to_string (Json.Obj [ ("chaos", Json.Obj fields) ]));
+          Printf.printf "wrote %s\n" path)
+        report_file;
+      if report.violations = [] then 0 else 1
   in
-  let intensity_arg =
-    opt pos_float 1.0 [ "intensity" ] ~docv:"K"
-      ~doc:"Fault intensity scale (1.0 = profile default)."
+  (* The intensities, comma-separated; a bad one reads as a bad single
+     value. *)
+  let intensities =
+    let parse s =
+      List.fold_right
+        (fun x acc ->
+          Result.bind (Arg.conv_parser pos_float x) (fun i -> Result.map (List.cons i) acc))
+        (String.split_on_char ',' s) (Ok [])
+    in
+    opt ~absent:"1.0"
+      (Arg.conv (parse, Arg.conv_printer (Arg.list pos_float)))
+      [ 1.0 ] [ "intensity" ] ~docv:"K"
+      ~doc:
+        "Comma-separated fault intensity scales (1.0 = profile default), one \
+         sweep stratum each."
   in
-  let repro_arg =
-    flag [ "repro" ]
-      ~doc:"Replay a single reproducer tuple (use --seed) instead of sweeping."
+  let ungated =
+    flag [ "ungated-rejoin" ]
+      ~doc:
+        "Negative testing: let amnesiac sites rejoin without a resync quorum \
+         (the pre-fix double-dequeue behavior) so the sweep has a real \
+         violation to find and shrink."
+  in
+  let postmortem_dir =
+    opt Arg.(some string) None [ "postmortem-dir" ] ~docv:"DIR"
+      ~doc:
+        "Replay each shrunk violation under tracing and write a causal \
+         postmortem plus the full trace into $(docv)."
+  in
+  let report =
+    opt Arg.(some string) None [ "report" ] ~docv:"FILE"
+      ~doc:"Write the sweep report as JSON to $(docv)."
+  in
+  let max_shrinks =
+    opt ~absent:"all" Arg.(some nat) None [ "max-shrinks" ] ~docv:"N"
+      ~doc:
+        "Bisection-shrink at most $(docv) violations (earliest tasks first); \
+         the rest are reported at their original tuples."
   in
   (* The campaign base the flags pick; --fail-slow sites are checked
      against its cluster. *)
@@ -761,15 +893,27 @@ let chaos_cmd =
         const (fun base gray txn durability -> base |> gray |> txn |> durability)
         $ base $ gray_flags n_sites $ txn_flags () $ durability_flag ~tuned:true)
   in
-  let doc = "Run a fault-injection campaign and check atomicity after every run" in
+  let seeds =
+    opt pos_int 10 [ "seeds" ] ~docv:"N"
+      ~doc:"Sweep seeds 0..N-1 per scheme x profile x intensity."
+  in
+  let tuple = [ `Sweep; `Repro ] in
+  let doc =
+    "Run a fault-injection campaign and check atomicity after every run, \
+     replay a reproducer, or replay the regression fixtures"
+  in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const run $ schemes_arg $ profiles_arg
-      $ seeds_arg 10 ~doc:"Sweep seeds 0..N-1 per scheme x profile."
-      $ txns_arg 30 ~doc:"Transactions per run."
-      $ intensity_arg $ repro_arg
-      $ seed_arg 0 ~doc:"Seed for --repro."
-      $ base $ obs_flags () $ postmortem_dir_arg)
+      const run $ repro_arg $ replay_arg $ only tuple schemes_arg $ only tuple profiles_arg
+      $ only [ `Sweep ] seeds
+      $ only tuple (txns_arg 30 ~doc:"Transactions per run.")
+      $ only tuple intensities
+      $ only [ `Repro ] (seed_arg 0 ~doc:"Seed for --repro.")
+      $ only tuple base $ only tuple ungated
+      $ obs_flags ~export:(only [ `Repro ]) ()
+      $ only tuple postmortem_dir
+      $ only [ `Sweep ] report
+      $ only [ `Sweep ] max_shrinks)
 
 (* --- load --- *)
 
@@ -946,87 +1090,6 @@ let load_cmd =
       $ txn_flags ~takeover:false ()
       $ obs_flags ~timeseries:true ())
 
-(* --- perf --- *)
-
-let perf_cmd =
-  let run scheme n_txns n_sites seed gray sample window ts_file profile_json =
-    (* Full observability stack on: trace bus (sampled if asked, with the
-       whole monitor catalogue's kinds forced), phase profiler on a real
-       wall clock, and the sim-time time-series — so the hot-phase table
-       includes engine dispatch, trace publish, and monitor stepping. The
-       run reports them itself, so [finish] is left only the verdict. *)
-    let obs =
-      {
-        monitors = Monitors.registry;
-        sample = 1;
-        trace_to = None;
-        metrics_to = None;
-        timeseries_to = None;
-        window;
-        profiled = false;
-      }
-    in
-    let trace = Obs.Trace.create ~n_sites () in
-    let profile = fresh_profile () in
-    let timeseries = Obs.Timeseries.create ~width:window () in
-    let cfg =
-      gray
-        {
-          Runtime.default_config with
-          scheme;
-          n_txns;
-          n_sites;
-          seed;
-          trace = Some trace;
-          profile;
-          timeseries;
-          objects = queue_objects ~n_sites;
-        }
-    in
-    let wall0 = Unix.gettimeofday () in
-    let result = judge { obs with sample } cfg in
-    let wall = Unix.gettimeofday () -. wall0 in
-    let header (m : Runtime.metrics) =
-      Printf.printf
-        "scheme=%s txns=%d committed=%d aborted=%d ops=%d over %.1f ms \
-         simulated (%.3f s wall)\n"
-        (Replicated.scheme_name scheme)
-        n_txns m.committed m.aborted m.ops_done m.duration wall;
-      Printf.printf "trace: %d events kept, %d sampled out (1/%d per kind)\n"
-        (Obs.Trace.length trace) (Obs.Trace.sampled_out trace) (Obs.Trace.sampling trace)
-    in
-    let profile_section _ _ =
-      print_profile profile;
-      write_timeseries ts_file timeseries;
-      Option.iter
-        (fun path ->
-          Obs.Export.write_file path (Json.to_string (Obs.Profile.to_json profile));
-          Printf.printf "wrote %s\n" path)
-        profile_json
-    in
-    finish obs cfg [ (header, result) ] ~sections:[ gray_section; profile_section ]
-  in
-  let ts_arg =
-    opt Arg.string "timeseries.json" [ "timeseries" ] ~docv:"FILE"
-      ~doc:"Write the sim-time time-series as JSON to $(docv)."
-  in
-  let profile_json_arg =
-    opt Arg.(some string) None [ "profile-json" ] ~docv:"FILE"
-      ~doc:"Also write the hot-phase profile as JSON to $(docv)."
-  in
-  let sites = sites_arg 3 in
-  let doc =
-    "Profile a monitored run: hot-phase table, trace-sampling stats, and a \
-     sim-time time-series. --hedge, --demote and --fail-slow profile the \
-     gray-failure path"
-  in
-  Cmd.v (Cmd.info "perf" ~doc)
-    Term.(
-      const run $ scheme_arg
-      $ txns_arg 200 ~doc:"Transactions to run."
-      $ sites $ seed_arg 42 $ gray_flags sites $ sample_arg $ window_arg $ ts_arg
-      $ profile_json_arg)
-
 (* --- bench-diff --- *)
 
 let bench_diff_cmd =
@@ -1059,177 +1122,6 @@ let bench_diff_cmd =
   in
   let doc = "Gate the committed BENCH_*.json trajectory against regressions" in
   Cmd.v (Cmd.info "bench-diff" ~doc) Term.(const run $ dir_arg $ threshold_arg)
-
-(* --- explore --- *)
-
-let explore_cmd =
-  let violation_json (v : Campaign.violation) =
-    Json.Obj
-      [
-        ("scheme", Json.Str (Replicated.scheme_name v.v_task.scheme));
-        ("profile", Json.Str v.v_task.profile.profile_name);
-        ("seed", Json.int v.v_task.seed);
-        ("txns", Json.int v.v_task.n_txns);
-        ("intensity", Json.Num v.v_task.intensity);
-        ("repro", Json.Str (Campaign.reproducer_line v));
-        ( "failures",
-          Json.List
-            (List.map
-               (fun (m, why) ->
-                 Json.Obj [ ("monitor", Json.Str m); ("message", Json.Str why) ])
-               v.v_failures) );
-        ( "postmortem",
-          match v.v_postmortem with Some p -> Json.Str p | None -> Json.Null );
-      ]
-  in
-  let run_replay fixtures monitors =
-    let results =
-      Campaign.sweep ~monitors ~max_shrinks:0 ~flags:[]
-        (List.map (fun (f : Campaign.fixture) -> f.f_task) fixtures)
-    in
-    List.fold_left2
-      (fun code (f : Campaign.fixture) (r : Campaign.result) ->
-        let ok = Campaign.fixture_holds f r in
-        Printf.printf "fixture %-22s %s\n" f.f_name
-          (if ok then
-             if f.f_expect_violation then
-               Printf.sprintf "OK (violation still reproduces: %d failure(s))"
-                 (List.length r.r_failures)
-             else "OK (clean, expectations hold)"
-           else "REGRESSION");
-        if not ok then begin
-          if f.f_expect_violation && r.r_failures = [] then
-            Printf.printf "  expected a violation, run was clean\n";
-          List.iter
-            (fun (m, why) -> Printf.printf "  unexpected %s: %s\n" m why)
-            (if f.f_expect_violation then [] else r.r_failures);
-          List.iter
-            (fun (what, why) -> Printf.printf "  check %s: %s\n" what why)
-            (f.f_check r.r_metrics)
-        end;
-        if ok then code else 1)
-      0 fixtures results
-  in
-  let run schemes profiles seeds txns intensities domains monitors (overlay, flags) ungated
-      replay report_file postmortem_dir max_shrinks =
-    match replay with
-    | Some fixtures -> run_replay fixtures monitors
-    | None ->
-      let base = { (overlay Campaign.default_base) with Runtime.ungated_rejoin = ungated } in
-      let tasks = Campaign.grid ~base ~schemes ~profiles ~seeds ~intensities ~n_txns:txns in
-      let domains =
-        let d = if domains = 0 then Domain.recommended_domain_count () else domains in
-        max 1 (min d (List.length tasks))
-      in
-      let t0 = Unix.gettimeofday () in
-      let results =
-        Campaign.sweep ~domains ~monitors ~max_shrinks ?postmortem_dir ~flags tasks
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      let committed, aborted =
-        List.fold_left
-          (fun (c, a) (r : Campaign.result) ->
-            (c + r.r_metrics.committed, a + r.r_metrics.aborted))
-          (0, 0) results
-      in
-      let violations = List.filter_map (fun (r : Campaign.result) -> r.r_violation) results in
-      let shrunk = min max_shrinks (List.length violations) in
-      Printf.printf
-        "explore: %d runs on %d domain(s) in %.1fs — committed=%d aborted=%d, \
-         %d violation(s)%s\n"
-        (List.length tasks) domains wall committed aborted (List.length violations)
-        (if shrunk > 0 && shrunk < List.length violations then
-           Printf.sprintf " (%d shrunk)" shrunk
-         else "");
-      List.iter (fun v -> Format.printf "%a@." Campaign.pp_violation v) violations;
-      Option.iter
-        (fun path ->
-          let doc =
-            Json.Obj
-              [
-                ( "explore",
-                  Json.Obj
-                    [
-                      ( "monitors",
-                        Json.List
-                          (List.map (fun e -> Json.Str e.Monitors.e_name) monitors) );
-                      ("seeds", Json.int seeds);
-                      ("txns", Json.int txns);
-                      ( "intensities",
-                        Json.List (List.map (fun i -> Json.Num i) intensities) );
-                      ("domains", Json.int domains);
-                      ("tasks", Json.int (List.length tasks));
-                      ("committed", Json.int committed);
-                      ("aborted", Json.int aborted);
-                      ("wall_s", Json.Num wall);
-                      ("shrunk", Json.int shrunk);
-                      ("violations", Json.List (List.map violation_json violations));
-                    ] );
-              ]
-          in
-          Obs.Export.write_file path (Json.to_string doc);
-          Printf.printf "wrote %s\n" path)
-        report_file;
-      if violations = [] then 0 else 1
-  in
-  let intensities_arg =
-    opt ~absent:"1.0" (Arg.list pos_float) [ 1.0 ] [ "intensities" ] ~docv:"LIST"
-      ~doc:"Comma-separated fault intensity scales, one sweep stratum each."
-  in
-  let domains_arg =
-    opt nat 0 [ "domains" ] ~docv:"N"
-      ~doc:
-        "Worker domains for the parallel sweep (0 = the runtime's \
-         recommended count; 1 = sequential). The report is identical \
-         for any value."
-  in
-  let ungated_arg =
-    flag [ "ungated-rejoin" ]
-      ~doc:
-        "Negative testing: let amnesiac sites rejoin without a resync \
-         quorum (the pre-fix double-dequeue behavior) so the sweep has \
-         a real violation to find and shrink."
-  in
-  let replay_arg =
-    Arg.(
-      value
-      & opt ~vopt:(Some Campaign.fixtures) (some fixtures) None
-      & info [ "replay" ] ~docv:"FIXTURES"
-          ~doc:
-            (Printf.sprintf
-               "Replay the named regression fixtures instead of sweeping \
-                (comma-separated, or `all'; bare $(b,--replay) means all). \
-                Known fixtures: %s."
-               (String.concat ", " Campaign.fixture_names)))
-  in
-  let report_arg =
-    opt Arg.(some string) None [ "report" ] ~docv:"FILE"
-      ~doc:"Write the sweep report as JSON to $(docv)."
-  in
-  let max_shrinks_arg =
-    opt nat 4 [ "max-shrinks" ] ~docv:"N"
-      ~doc:
-        "Bisection-shrink at most $(docv) violations (earliest tasks \
-         first); the rest are reported at their original tuples."
-  in
-  let doc =
-    "Parallel monitored seed sweeps (and regression-fixture replays) with \
-     shrinking"
-  in
-  (* Explore is the monitored sweep: no --monitor means the whole
-     catalogue, unlike chaos where it means the two history entries. *)
-  Cmd.v (Cmd.info "explore" ~doc)
-    Term.(
-      const run $ schemes_arg $ profiles_arg
-      $ seeds_arg 64 ~doc:"Sweep seeds 0..N-1 per cell."
-      $ txns_arg 30 ~doc:"Transactions per run."
-      $ intensities_arg $ domains_arg $ monitor_arg Monitors.registry
-      $ Term.with_used_args
-          Term.(
-            const (fun durability txn cfg -> cfg |> durability |> txn)
-            $ durability_flag ~tuned:true
-            $ txn_flags ~retry_budget:false ())
-      $ ungated_arg $ replay_arg $ report_arg $ postmortem_dir_arg $ max_shrinks_arg)
 
 (* --- experiment --- *)
 
@@ -1371,7 +1263,6 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            analyze_cmd; quorums_cmd; simulate_cmd; chaos_cmd; load_cmd; perf_cmd;
-            bench_diff_cmd; explore_cmd; experiment_cmd; compare_cmd;
-            witness_cmd; types_cmd;
+            analyze_cmd; quorums_cmd; simulate_cmd; chaos_cmd; load_cmd;
+            bench_diff_cmd; experiment_cmd; compare_cmd; witness_cmd; types_cmd;
           ]))

@@ -1,6 +1,7 @@
 open Atomrep_replica
 module Trace = Atomrep_obs.Trace
 module Export = Atomrep_obs.Export
+module Json = Atomrep_obs.Json
 module Postmortem = Atomrep_obs.Postmortem
 
 type profile = { profile_name : string; nemesis : Nemesis.t }
@@ -142,8 +143,6 @@ let builtin_profiles =
 let find_profile name =
   List.find_opt (fun p -> String.equal p.profile_name name) builtin_profiles
 
-let profile_names = List.map (fun p -> p.profile_name) builtin_profiles
-
 let default_base = { Runtime.default_config with horizon = 40_000.0 }
 
 (* Small segments and an aggressive checkpoint period so that chaos-length
@@ -216,18 +215,7 @@ let reconfig_base =
     n_sites;
     horizon = 8_000.0;
     arrival_mean = 120.0;
-    objects =
-      [
-        {
-          Runtime.obj_name = "queue";
-          obj_spec = Atomrep_spec.Queue_type.spec;
-          obj_relation =
-            Atomrep_core.Static_dep.minimal Atomrep_spec.Queue_type.spec
-              ~max_len:4;
-          obj_assignment = Runtime.default_queue_assignment ~n_sites;
-          obj_members = None;
-        };
-      ];
+    objects = Runtime.queue_objects ~n_sites;
     reconfig = Some Runtime.default_reconfig;
   }
 
@@ -262,7 +250,7 @@ type violation = {
   v_task : task;
   v_failures : (string * string) list;
   v_postmortem : string option;
-  v_flags : string list option;
+  v_flags : string list;
 }
 
 (* Shrink a violation into the smallest reproducer the bisection finds:
@@ -296,22 +284,41 @@ let shrink ?monitors v =
 
 let replay_flags ~(base : Runtime.config) ~monitors flags =
   let selection = Monitors.selection_name monitors in
-  if base.ungated_rejoin then None
-  else if selection = Monitors.selection_name Monitors.history then Some flags
-  else Some (flags @ [ "--monitor"; selection ])
+  flags
+  @ (if base.ungated_rejoin then [ "--ungated-rejoin" ] else [])
+  @
+  if selection = Monitors.selection_name Monitors.history then []
+  else [ "--monitor"; selection ]
 
 let reproducer_line v =
-  match v.v_flags with
-  | None -> "not replayable with atomrep chaos: no flag re-enables ungated rejoin"
-  | Some flags ->
-    let t = v.v_task in
-    String.concat " "
-      (Printf.sprintf
-         "atomrep chaos --repro --schemes %s --profiles %s --seed %d --txns %d \
-          --intensity %g"
-         (Replicated.scheme_name t.scheme)
-         t.profile.profile_name t.seed t.n_txns t.intensity
-      :: flags)
+  let t = v.v_task in
+  String.concat " "
+    (Printf.sprintf
+       "atomrep chaos --repro --schemes %s --profiles %s --seed %d --txns %d \
+        --intensity %g"
+       (Replicated.scheme_name t.scheme)
+       t.profile.profile_name t.seed t.n_txns t.intensity
+    :: v.v_flags)
+
+let failures_json failures =
+  Json.List
+    (List.map
+       (fun (m, why) -> Json.Obj [ ("monitor", Json.Str m); ("message", Json.Str why) ])
+       failures)
+
+let violation_json v =
+  let t = v.v_task in
+  Json.Obj
+    [
+      ("scheme", Json.Str (Replicated.scheme_name t.scheme));
+      ("profile", Json.Str t.profile.profile_name);
+      ("seed", Json.int t.seed);
+      ("txns", Json.int t.n_txns);
+      ("intensity", Json.Num t.intensity);
+      ("repro", Json.Str (reproducer_line v));
+      ("failures", failures_json v.v_failures);
+      ("postmortem", match v.v_postmortem with Some p -> Json.Str p | None -> Json.Null);
+    ]
 
 (* Replay a (shrunk) violation with tracing on and slice the trace to the
    causal cone of the violating actions. Determinism makes the traced
@@ -511,14 +518,15 @@ type fixture = {
   f_name : string;
   f_doc : string;
   f_task : task;
+  f_flags : string list;
   f_expect_violation : bool;
   f_check : Runtime.metrics -> (string * string) list;
 }
 
-let profile_exn name =
+let profile name =
   match find_profile name with
   | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "builtin profile %s missing" name)
+  | None -> invalid_arg (Printf.sprintf "unknown chaos profile %s" name)
 
 let fixtures =
   [
@@ -533,11 +541,12 @@ let fixtures =
         {
           base = { default_base with Runtime.ungated_rejoin = true };
           scheme = Replicated.Static;
-          profile = profile_exn "storm";
+          profile = profile "storm";
           seed = 41;
           n_txns = 60;
           intensity = 2.0;
         };
+      f_flags = [];
       f_expect_violation = true;
       f_check = (fun _ -> []);
     };
@@ -551,11 +560,12 @@ let fixtures =
         {
           base = takeover_base;
           scheme = Replicated.Hybrid;
-          profile = profile_exn "coordinator_killer";
+          profile = profile "coordinator_killer";
           seed = 3;
           n_txns = 120;
           intensity = 1.0;
         };
+      f_flags = [ "--termination"; "cooperative"; "--deadlock"; "detect"; "--takeover" ];
       f_expect_violation = false;
       f_check =
         (fun m ->
@@ -569,6 +579,11 @@ let fixtures =
 
 let find_fixture name = List.find_opt (fun f -> String.equal f.f_name name) fixtures
 let fixture_names = List.map (fun f -> f.f_name) fixtures
+
+let replay_fixtures ?monitors ?sample fixtures =
+  List.concat_map
+    (fun f -> sweep ?monitors ?sample ~max_shrinks:0 ~flags:f.f_flags [ f.f_task ])
+    fixtures
 
 let fixture_holds f r =
   (r.r_failures <> []) = f.f_expect_violation && f.f_check r.r_metrics = []

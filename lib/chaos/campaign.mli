@@ -9,13 +9,13 @@
     system-wide serialization order) entries. Determinism of the
     simulator makes a task a self-contained reproducer.
 
-    One sweep runs every task list — a chaos campaign, an explore sweep,
-    the regression fixtures: {!sweep} deals the tasks over OCaml 5
-    domains, merges the results back in task order (so nothing it returns
-    depends on the domain count), then shrinks violations by bisection in
-    the main domain, in task order, with fresh monitor state per shrink
-    candidate. A chaos cell table, explore's totals and the fixture
-    verdicts are folds over its results. *)
+    One sweep runs every task list — a chaos campaign, the regression
+    fixtures: {!sweep} deals the tasks over OCaml 5 domains, merges the
+    results back in task order (so nothing it returns depends on the
+    domain count), then shrinks violations by bisection in the main
+    domain, in task order, with fresh monitor state per shrink candidate.
+    The chaos cell table and the fixture verdicts are folds over its
+    results. *)
 
 open Atomrep_replica
 
@@ -39,7 +39,9 @@ val builtin_profiles : profile list
     early-quorum rounds never double-apply), and the composed storm. *)
 
 val find_profile : string -> profile option
-val profile_names : string list
+
+val profile : string -> profile
+(** The builtin profile of that name; [Invalid_argument] if there is none. *)
 
 val default_base : Runtime.config
 (** The campaign's base configuration: the default replicated queue with a
@@ -62,17 +64,14 @@ val takeover_base : Runtime.config
     which the [takeover_storm] profile must convert strandings into
     adopted commits with zero no-divergence monitor violations. *)
 
-val overload_plan : Atomrep_workload.Openloop.t
-(** The flash-crowd open-loop plan {!overload_base} runs: Zipf-skewed
-    queue fanout over three objects at a 0.004/ms base rate with a 10x
-    burst — precomputed from its own seed, so every scheme and seed
-    replays the identical offered load. *)
-
 val overload_base : Runtime.config
-(** {!default_base} under {!overload_plan} with the graceful-degradation
-    surface on: bounded in-flight window with a shed-by-class admission
-    queue and sojourn deadline, a finite per-transaction retry budget,
-    and the per-site circuit breaker. The base the [overload_storm]
+(** {!default_base} under a flash-crowd open-loop plan (Zipf-skewed queue
+    fanout over three objects at a 0.004/ms base rate with a 10x burst,
+    precomputed from its own seed, so every scheme and seed replays the
+    identical offered load) with the graceful-degradation surface on:
+    bounded in-flight window with a shed-by-class admission queue and
+    sojourn deadline, a finite per-transaction retry budget, and the
+    per-site circuit breaker. The base the [overload_storm]
     profile (rolling partitions through the flash crowd) is meant to be
     survived with — zero shed-safety or atomicity violations while
     goodput degrades gracefully. Termination and deadlock stay at the
@@ -127,9 +126,9 @@ type violation = {
   v_postmortem : string option;
       (** path of the written causal postmortem, when the sweep ran with
           [postmortem_dir] *)
-  v_flags : string list option;
+  v_flags : string list;
       (** the [atomrep chaos] flags that rebuild the run's base and monitor
-          selection, or [None] when no [chaos] flag rebuilds its base *)
+          selection *)
 }
 
 val shrink : ?monitors:Monitors.entry list -> violation -> violation
@@ -145,17 +144,31 @@ val trace_violation :
     the same failure — and slice the trace to the causal cone of the
     violating actions. *)
 
+val write_postmortem :
+  ?monitors:Monitors.entry list -> dir:string -> violation -> violation
+(** Replay the violation by {!trace_violation} into
+    [dir/postmortem-<slug>.txt], with the full trace beside it as
+    [dir/trace-<slug>.jsonl] (the directory is created if needed), and
+    record the postmortem's path in [v_postmortem]. *)
+
 val replay_flags :
-  base:Runtime.config -> monitors:Monitors.entry list -> string list -> string list option
+  base:Runtime.config -> monitors:Monitors.entry list -> string list -> string list
 (** [replay_flags ~base ~monitors flags] is the {!violation.v_flags} of a
     run on [base] judged by [monitors]: the command-line [flags] that built
-    [base], plus a [--monitor] selection unless [monitors] is the default
-    {!Monitors.history}. [None] when [base] re-enables ungated rejoin,
-    which no [chaos] flag does. *)
+    [base], then [--ungated-rejoin] if [base] re-enables ungated rejoin,
+    then a [--monitor] selection unless [monitors] is the default
+    {!Monitors.history}. *)
 
 val reproducer_line : violation -> string
-(** A self-contained [atomrep chaos --repro ...] command line, or a note
-    that no such line replays the run (see {!violation.v_flags}). *)
+(** A self-contained [atomrep chaos --repro ...] command line that replays
+    the violation. *)
+
+val failures_json : (string * string) list -> Atomrep_obs.Json.t
+(** Failures as a JSON list of [{"monitor", "message"}] objects. *)
+
+val violation_json : violation -> Atomrep_obs.Json.t
+(** The violation as a JSON object: its tuple, {!reproducer_line},
+    failures and postmortem path. *)
 
 (** {1 Sweeps} *)
 
@@ -194,10 +207,8 @@ val sweep :
     {!Monitors.history}) with trace sampling [sample]. Results come back
     in task order and are identical for any domain count. Then, in the
     main domain and in task order, the first [max_shrinks] (default all)
-    violations are {!shrink}ed and, with [postmortem_dir], replayed by
-    {!trace_violation} into [postmortem_dir/postmortem-<slug>.txt] with
-    the full trace beside it as [postmortem_dir/trace-<slug>.jsonl]
-    (the directory is created if needed). [flags] are the command-line
+    violations are {!shrink}ed and, with [postmortem_dir], get a
+    {!write_postmortem} there. [flags] are the command-line
     flags that built the tasks' base, for the reproducer lines
     ({!replay_flags}). *)
 
@@ -232,6 +243,8 @@ type fixture = {
   f_name : string;
   f_doc : string;
   f_task : task;
+  f_flags : string list;
+      (** the [atomrep chaos] flags that rebuild [f_task]'s base *)
   f_expect_violation : bool;
       (** [true]: the task must still violate (the bug must still
           reproduce); [false]: it must run clean *)
@@ -255,6 +268,11 @@ val fixtures : fixture list
 val find_fixture : string -> fixture option
 val fixture_names : string list
 
+val replay_fixtures :
+  ?monitors:Monitors.entry list -> ?sample:int -> fixture list -> result list
+(** Sweep each fixture's task without shrinking, with the fixture's
+    [f_flags] in its reproducer line; one result per fixture, in order. *)
+
 val fixture_holds : fixture -> result -> bool
-(** The result of the fixture's task (swept without shrinking) matches
-    [f_expect_violation] and every [f_check] expectation. *)
+(** The fixture's {!replay_fixtures} result matches [f_expect_violation]
+    and every [f_check] expectation. *)

@@ -23,7 +23,7 @@ type entry = {
    to the horizon than this never had a fair chance to resolve. *)
 let grace cfg =
   let retries = float_of_int (cfg.Runtime.max_retries + 1) *. cfg.Runtime.retry_delay_cap in
-  let rpc = 4.0 *. cfg.Runtime.rpc_timeout in
+  let rpc = 4.0 *. Replicated.rpc_timeout in
   let reaper = 2.0 *. Term_driver.reaper_every in
   Float.max 500.0 (retries +. rpc +. reaper)
 

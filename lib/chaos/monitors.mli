@@ -95,19 +95,16 @@ val of_names : string -> (entry list, string) result
 val selection_doc : string
 (** Help text enumerating the valid selections (for CLI man pages). *)
 
-val conjoin : entry list -> ctx -> Atomrep_obs.Spec_monitor.t
-(** The selected entries as one conjunction (name ["monitors"]), each
-    child short-circuiting independently. *)
-
 val run :
   ?from_id:int ->
   entry list ->
   ctx ->
   Atomrep_obs.Trace.t ->
   Atomrep_obs.Spec_monitor.violation list
-(** Instantiate the conjunction fresh — no verdict bleed between runs or
-    shrink candidates — fold the trace from event [from_id] (default 0)
-    on, quiesce. *)
+(** Instantiate the selected entries fresh as one conjunction (name
+    ["monitors"], each child short-circuiting independently) — no verdict
+    bleed between runs or shrink candidates — fold the trace from event
+    [from_id] (default 0) on, quiesce. *)
 
 val observed_labels : entry list -> string list
 (** Union of the entries' [e_observes] lists, sorted, deduplicated. *)

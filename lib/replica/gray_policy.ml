@@ -36,7 +36,7 @@ let install st gc det =
     | Some p -> Float.max hedge_delay_floor p
     | None ->
       (* No samples yet: a few mean network hops is the only prior. *)
-      Float.max hedge_delay_floor (4.0 *. st.cfg.latency_mean)
+      Float.max hedge_delay_floor (4.0 *. latency_mean)
   in
   let route ~op:_ ~floor ~members =
     let dsts =

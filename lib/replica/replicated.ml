@@ -44,6 +44,9 @@ type gray = {
   g_on_late : (dst:int -> ok:bool -> unit) option;
 }
 
+(* Every quorum RPC's timeout, in ms: reads, writes and commit probes. *)
+let rpc_timeout = 50.0
+
 type t = {
   name : string;
   spec : Serial_spec.t;
@@ -56,7 +59,6 @@ type t = {
   own : (Action.t, Log.entry list) Hashtbl.t; (* per-action entry cache *)
   views : View.cache;
   mutable observer : Behavioral.entry list; (* reversed *)
-  rpc_timeout : float;
   mutable commit_piggyback : bool;
   mutable gray : gray option;
   recoveries : Repository.recovery list ref; (* reversed *)
@@ -82,7 +84,7 @@ let conflict_table spec scheme relation =
      | Locking -> scheme_relation Locking spec)
 
 let create ~name ~spec ~scheme ~relation ~assignment ~net ?members
-    ?(durability = Repository.Volatile) ?(rpc_timeout = 50.0) () =
+    ?(durability = Repository.Volatile) () =
   let repos =
     Array.init (Network.n_sites net) (fun site ->
         Repository.create ~durability ~site ())
@@ -161,7 +163,6 @@ let create ~name ~spec ~scheme ~relation ~assignment ~net ?members
     own = Hashtbl.create 64;
     views = View.cache spec;
     observer = [];
-    rpc_timeout;
     commit_piggyback = true;
     gray = None;
     recoveries;
@@ -175,7 +176,6 @@ let current_epoch t = t.current
 let assignment t = Epoch.assignment t.current
 let constraints t = t.constraints
 let ops t = List.map fst (assignment t).Assignment.ops
-let rpc_timeout t = t.rpc_timeout
 let history t = List.rev t.observer
 let observe t entry = t.observer <- entry :: t.observer
 
@@ -379,7 +379,7 @@ let execute t ~txn ~clock ?(span = -1) inv ~k =
     if sizes.Assignment.initial = 0 then k_view (View.gather t.views [])
     else
       Rpc.multicast ?enough:enough_view ?hedge ?on_late ~on_issue:view_issued
-        ~on_settle:view_settled t.net ~src ~dsts ~timeout:t.rpc_timeout
+        ~on_settle:view_settled t.net ~src ~dsts ~timeout:rpc_timeout
         ~handler:(fun site ->
           let repo = t.repos.(site) in
           if epoch < Repository.epoch repo then Stale_epoch (Repository.epoch repo)
@@ -489,7 +489,7 @@ let execute t ~txn ~clock ?(span = -1) inv ~k =
           in
           let enough_append = if early then Some enough_append else None in
           Rpc.multicast ?enough:enough_append ?hedge ?on_late t.net ~src ~dsts
-            ~timeout:t.rpc_timeout
+            ~timeout:rpc_timeout
             ~handler:(fun site ->
               let repo = t.repos.(site) in
               if epoch < Repository.epoch repo then false
@@ -585,7 +585,7 @@ let veto_need t = quorum_n t - vote_need t + 1
 
 let place_vote ?term t record ~from ~k =
   Rpc.multicast t.net ~src:from ~dsts:(Epoch.members t.current)
-    ~timeout:t.rpc_timeout
+    ~timeout:rpc_timeout
     ~handler:(fun site -> Repository.offer ?term t.repos.(site) record)
     ~gather:(fun replies -> k (List.map snd replies))
 
@@ -599,7 +599,7 @@ let lease_need t = max (vote_need t) (veto_need t)
 
 let takeover_acquire t action ~term ~holder ~from ~k =
   Rpc.multicast t.net ~src:from ~dsts:(Epoch.members t.current)
-    ~timeout:t.rpc_timeout
+    ~timeout:rpc_timeout
     ~handler:(fun site -> Repository.grant_takeover t.repos.(site) action ~term ~holder)
     ~gather:(fun replies ->
       let granted, highest =
@@ -614,7 +614,7 @@ let takeover_acquire t action ~term ~holder ~from ~k =
 
 let poll_status t action ~from ~k =
   Rpc.multicast t.net ~src:from ~dsts:(Epoch.members t.current)
-    ~timeout:t.rpc_timeout
+    ~timeout:rpc_timeout
     ~handler:(fun site -> Repository.status_of t.repos.(site) action)
     ~gather:(fun replies -> k (List.map snd replies))
 
@@ -764,7 +764,7 @@ let reconfigure t ~members ~assignment ?(allow_barrier = true)
           if sn = 0 then k_logs []
           else
             Rpc.multicast t.net ~src:from ~dsts:(Epoch.members prev)
-              ~timeout:t.rpc_timeout
+              ~timeout:rpc_timeout
               ~handler:(fun site ->
                 let repo = t.repos.(site) in
                 Repository.advance_epoch repo number;
@@ -784,7 +784,7 @@ let reconfigure t ~members ~assignment ?(allow_barrier = true)
               if tn = 0 then k_done ()
               else
                 Rpc.multicast t.net ~src:from ~dsts:(Epoch.members next)
-                  ~timeout:t.rpc_timeout
+                  ~timeout:rpc_timeout
                   ~handler:(fun site ->
                     let repo = t.repos.(site) in
                     Repository.advance_epoch repo number;

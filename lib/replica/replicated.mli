@@ -98,11 +98,10 @@ val create :
   net:Network.t ->
   ?members:int list ->
   ?durability:Repository.durability ->
-  ?rpc_timeout:float ->
   unit ->
   t
-(** [rpc_timeout] bounds every quorum RPC issued on the object's behalf
-    (default 50). [members] (default: all sites) are epoch 0's repository
+(** {!rpc_timeout} bounds every quorum RPC issued on the object's behalf.
+    [members] (default: all sites) are epoch 0's repository
     sites; [assignment] must be sized for exactly that member count.
     [durability] (default [Volatile]) selects the repositories' stable
     storage model — see {!Repository.durability}. Creation also registers
@@ -128,8 +127,8 @@ val ops : t -> string list
 val assignment : t -> Assignment.t
 (** The current epoch's assignment. *)
 
-val rpc_timeout : t -> float
-(** The configured per-RPC timeout, shared by reads, writes, and the commit
+val rpc_timeout : float
+(** The per-RPC timeout in ms (50), shared by reads, writes, and the commit
     protocol's prepare probes. *)
 
 val execute :

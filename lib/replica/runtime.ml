@@ -364,7 +364,7 @@ let exec_txn st term index ~arrival ~admitted ~release =
           let obj = find_object st name in
           let rec probe left =
             Replicated.prepared_sites obj ~from:home
-              ~timeout:(Replicated.rpc_timeout obj) ~k:(fun sites ->
+              ~timeout:Replicated.rpc_timeout ~k:(fun sites ->
                 step (fun () ->
                     if List.length sites >= Replicated.max_final obj then
                       prepare more
@@ -490,8 +490,7 @@ let start_sampler st term ts =
 let run_inner cfg =
   let engine = Engine.create ~seed:cfg.seed in
   let net =
-    Network.create engine ~n_sites:cfg.n_sites ~latency_mean:cfg.latency_mean
-      ~drop_probability:cfg.drop_probability ()
+Network.create engine ~n_sites:cfg.n_sites ~latency_mean ()
   in
   let objects =
     List.map
@@ -499,8 +498,7 @@ let run_inner cfg =
         ( oc.obj_name,
           Replicated.create ~name:oc.obj_name ~spec:oc.obj_spec ~scheme:cfg.scheme
             ~relation:oc.obj_relation ~assignment:oc.obj_assignment ~net
-            ?members:oc.obj_members ~durability:cfg.durability
-            ~rpc_timeout:cfg.rpc_timeout () ))
+            ?members:oc.obj_members ~durability:cfg.durability () ))
       cfg.objects
   in
   (match cfg.trace with Some tr -> Network.set_trace net tr | None -> ());

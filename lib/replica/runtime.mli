@@ -142,8 +142,6 @@ val default_gray : gray
 type config = {
   seed : int;
   n_sites : int;
-  latency_mean : float;
-  drop_probability : float;
   scheme : Replicated.scheme;
   objects : object_config list;
   n_txns : int;
@@ -152,8 +150,6 @@ type config = {
   max_retries : int;
   retry_delay : float; (** base delay for the capped exponential backoff *)
   retry_delay_cap : float; (** ceiling on the exponential backoff delay *)
-  rpc_timeout : float;
-      (** per-RPC timeout for quorum reads, writes, and commit probes *)
   install_faults : Network.t -> unit;
   horizon : float; (** simulated-time cutoff *)
   anti_entropy_every : float option;
@@ -252,6 +248,11 @@ val default_config : config
 
 val default_queue_assignment : n_sites:int -> Assignment.t
 (** Majority initial and final quorums for Enq and Deq. *)
+
+val queue_objects : n_sites:int -> object_config list
+(** One replicated queue, ["queue"], on [n_sites] sites: its minimal static
+    relation and {!default_queue_assignment} ({!default_config}'s objects
+    at three sites). *)
 
 val backoff_delay : config -> Rng.t -> attempt:int -> float
 (** The capped exponential backoff with jitter used for conflict retries

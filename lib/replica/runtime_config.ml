@@ -84,8 +84,6 @@ type gray = { hedge : bool; demote : bool }
 type config = {
   seed : int;
   n_sites : int;
-  latency_mean : float;
-  drop_probability : float;
   scheme : Replicated.scheme;
   objects : object_config list;
   n_txns : int;
@@ -94,7 +92,6 @@ type config = {
   max_retries : int;
   retry_delay : float;
   retry_delay_cap : float;
-  rpc_timeout : float;
   install_faults : Network.t -> unit;
   horizon : float;
   anti_entropy_every : float option;
@@ -123,25 +120,28 @@ let default_queue_assignment ~n_sites =
       ("Deq", { Assignment.initial = majority; final = majority });
     ]
 
+let queue_objects ~n_sites =
+  [
+    {
+      obj_name = "queue";
+      obj_spec = Queue_type.spec;
+      obj_relation = Static_dep.minimal Queue_type.spec ~max_len:4;
+      obj_assignment = default_queue_assignment ~n_sites;
+      obj_members = None;
+    };
+  ]
+
 let default_gray = { hedge = true; demote = true }
+
+(* Mean one-way message latency of every run's network, in ms. *)
+let latency_mean = 2.0
 
 let default_config =
   {
     seed = 42;
     n_sites = 3;
-    latency_mean = 2.0;
-    drop_probability = 0.0;
     scheme = Replicated.Hybrid;
-    objects =
-      [
-        {
-          obj_name = "queue";
-          obj_spec = Queue_type.spec;
-          obj_relation = Static_dep.minimal Queue_type.spec ~max_len:4;
-          obj_assignment = default_queue_assignment ~n_sites:3;
-          obj_members = None;
-        };
-      ];
+    objects = queue_objects ~n_sites:3;
     n_txns = 20;
     arrival_mean = 30.0;
     script =
@@ -154,7 +154,6 @@ let default_config =
     max_retries = 8;
     retry_delay = 25.0;
     retry_delay_cap = 400.0;
-    rpc_timeout = 50.0;
     install_faults = (fun _ -> ());
     horizon = 1_000_000.0;
     anti_entropy_every = None;

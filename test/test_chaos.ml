@@ -365,9 +365,9 @@ let test_nemesis_scale_soft_limits () =
     check_int "half the skew" 2 s.max_skew
   | _ -> Alcotest.fail "scale changed the nemesis shape"
 
-(* A reproducer line carries the flags that built the campaign's base and
-   any monitor selection other than chaos's default; a base that no chaos
-   flag rebuilds gets no command line at all. *)
+(* A reproducer line carries the flags that built the campaign's base,
+   --ungated-rejoin when the base re-enables it, and any monitor selection
+   other than chaos's default. *)
 let test_reproducer_line_carries_flags () =
   let flags = [ "--termination"; "cooperative"; "--takeover" ] in
   let v v_flags =
@@ -397,13 +397,13 @@ let test_reproducer_line_carries_flags () =
   check_bool "whole catalogue" true
     (String.ends_with ~suffix:"--takeover --monitor all"
        (line ~base:Campaign.default_base ~monitors:Monitors.registry));
-  check_bool "ungated rejoin has no chaos line" false
-    (let l =
-       line
-         ~base:{ Campaign.default_base with Runtime.ungated_rejoin = true }
-         ~monitors:Monitors.history
-     in
-     String.starts_with ~prefix:"atomrep" l)
+  Alcotest.(check string)
+    "ungated rejoin replays with its flag"
+    "atomrep chaos --repro --schemes hybrid --profiles crashes --seed 3 --txns 20 \
+     --intensity 0.5 --termination cooperative --takeover --ungated-rejoin --monitor all"
+    (line
+       ~base:{ Campaign.default_base with Runtime.ungated_rejoin = true }
+       ~monitors:Monitors.registry)
 
 let suites =
   [

@@ -44,7 +44,7 @@ let test_shrink_twice_identical_witnesses () =
         };
       v_failures = [];
       v_postmortem = None;
-      v_flags = None;
+      v_flags = [];
     }
   in
   (* The seeded tuple really violates before we shrink it. *)
@@ -106,15 +106,13 @@ let test_campaign_bases_domain_independent () =
       ("storage", Campaign.storage_base, "storage_storm");
     ]
 
-(* The pinned reproducers, swept as tasks the way [explore --replay] runs
-   them: the ungated-rejoin double-dequeue tuple must still violate under the
-   monitor catalogue, and the takeover adopt+fence tuple must run clean
-   while actually adopting and fencing. *)
+(* The pinned reproducers, replayed the way [chaos --replay] runs them:
+   the ungated-rejoin double-dequeue tuple must still violate under the
+   monitor catalogue, with a reproducer line that replays it, and the
+   takeover adopt+fence tuple must run clean while actually adopting and
+   fencing. *)
 let test_fixture_replays () =
-  let results =
-    Campaign.sweep ~monitors:all_monitors ~max_shrinks:0 ~flags:[]
-      (List.map (fun (f : Campaign.fixture) -> f.f_task) Campaign.fixtures)
-  in
+  let results = Campaign.replay_fixtures ~monitors:all_monitors Campaign.fixtures in
   List.iter2
     (fun (f : Campaign.fixture) (r : Campaign.result) ->
       check_bool (f.f_name ^ " holds") true (Campaign.fixture_holds f r);
@@ -124,6 +122,15 @@ let test_fixture_replays () =
         (Option.map (fun (v : Campaign.violation) -> tuple v.v_task) r.r_violation
         = if r.r_failures = [] then None else Some (tuple f.f_task)))
     Campaign.fixtures results;
+  Alcotest.(check (list string))
+    "the violating fixture's reproducer line"
+    [
+      "atomrep chaos --repro --schemes static --profiles storm --seed 41 --txns 60 \
+       --intensity 2 --ungated-rejoin --monitor all";
+    ]
+    (List.filter_map
+       (fun (r : Campaign.result) -> Option.map Campaign.reproducer_line r.r_violation)
+       results);
   check_bool "ungated_rejoin fixture is pinned" true
     (Campaign.find_fixture "ungated_rejoin" <> None);
   check_bool "unknown fixtures are not found" true

@@ -275,7 +275,7 @@ let test_postmortem_slices_amnesia_violation () =
         };
       v_failures = [];
       v_postmortem = None;
-      v_flags = None;
+      v_flags = [];
     }
   in
   let trace, pm = Campaign.trace_violation v in
