@@ -140,11 +140,11 @@ let micro_tests () =
   in
   let static_minimal =
     Test.make ~name:"Theorem 6: minimal static relation (queue, len 4)"
-      (Staged.stage (fun () -> ignore (Static_dep.minimal Queue_type.spec ~max_len:4)))
+      (Staged.stage (fun () -> ignore (Static_dep.minimal Queue_type.spec)))
   in
   let dynamic_minimal =
     Test.make ~name:"Theorem 10: minimal dynamic relation (queue, len 4)"
-      (Staged.stage (fun () -> ignore (Dynamic_dep.minimal Queue_type.spec ~max_len:4)))
+      (Staged.stage (fun () -> ignore (Dynamic_dep.minimal Queue_type.spec)))
   in
   let hybrid_checker =
     Test.make ~name:"Definition 2: hybrid checker build (PROM, e3 a2)"
@@ -330,20 +330,8 @@ let run_reconfig () =
 let run_json () =
   let seed = 42 and n_txns = 200 in
   let n_sites = Runtime.default_config.Runtime.n_sites in
-  (* Per-scheme conflict relations: the locking scheme's conflict tables
-     come from its dynamic dependency relation (Theorem 10), the timestamp
-     schemes from the static one (Theorem 6). Giving every scheme the
-     static relation — the old behavior — made the hybrid and locking rows
-     byte-identical, because the drivers only differ in their conflict
-     tables on this fault-free workload. *)
   let cfg ?trace scheme seed =
-    let objects =
-      List.map
-        (fun o ->
-          { o with Runtime.obj_relation = Replicated.scheme_relation scheme Queue_type.spec })
-        Runtime.default_config.Runtime.objects
-    in
-    { Runtime.default_config with Runtime.seed; n_txns; scheme; trace; objects }
+    { Runtime.default_config with Runtime.seed; n_txns; scheme; trace }
   in
   let rows =
     grid ~seeds:[ seed ]

@@ -167,7 +167,7 @@ let type_arg =
   Arg.(required & opt (some data_type) None & info [ "t"; "type" ] ~docv:"TYPE" ~doc)
 
 let max_len_arg =
-  opt pos_int 4 [ "max-len" ] ~docv:"N"
+  opt pos_int Relation.default_max_len [ "max-len" ] ~docv:"N"
     ~doc:"History-length bound for the exhaustive analyses."
 
 (* --- flag groups: each term yields an overlay on a run's config --- *)
@@ -326,7 +326,9 @@ type obs = {
 }
 
 (* [export] wraps the flags that write a run's trace and metrics, for a
-   command that reads them only in some modes. *)
+   command that reads them only in some modes. A flag that only shapes a
+   file (--trace-format, --window) is a usage error without the flag that
+   names the file, never silently ignored. *)
 let obs_flags ?(timeseries = false) ?(profile = false) ?(export = Fun.id) () =
   let monitor =
     let doc =
@@ -359,30 +361,44 @@ let obs_flags ?(timeseries = false) ?(profile = false) ?(export = Fun.id) () =
         ~doc:"Write the run's event trace to $(docv)."
     in
     let trace_format =
-      opt
-        (Arg.enum [ ("jsonl", `Jsonl); ("chrome", `Chrome) ])
-        `Jsonl [ "trace-format" ] ~docv:"FMT"
+      opt ~absent:"jsonl"
+        Arg.(some (enum [ ("jsonl", `Jsonl); ("chrome", `Chrome) ]))
+        None [ "trace-format" ] ~docv:"FMT"
         ~doc:
           "Trace format: `jsonl' (one event per line) or `chrome' (trace_event \
-           JSON, opens in Perfetto / chrome://tracing)."
+           JSON, opens in Perfetto / chrome://tracing). Requires --trace."
     in
     let metrics_json =
       opt Arg.(some string) None [ "metrics-json" ] ~docv:"FILE"
         ~doc:"Write the run's metrics registry as JSON to $(docv)."
     in
-    let pair trace fmt metrics_to = (Option.map (fun path -> (path, fmt)) trace, metrics_to) in
-    export Term.(const pair $ trace $ trace_format $ metrics_json)
+    let pair trace fmt metrics_to =
+      match (trace, fmt) with
+      | None, Some _ -> Error (`Msg "--trace-format applies only with --trace")
+      | _ ->
+        let fmt = Option.value fmt ~default:`Jsonl in
+        Ok (Option.map (fun path -> (path, fmt)) trace, metrics_to)
+    in
+    export Term.(cli_parse_result (const pair $ trace $ trace_format $ metrics_json))
   in
-  let timeseries_file =
-    opt Arg.(some string) None [ "timeseries" ] ~docv:"FILE"
-      ~doc:
-        "Sample committed/aborted/blocked rates, WAL flushes, messages, queue \
-         depth and the stranded gauge into fixed-width sim-time windows and \
-         write them as JSON to $(docv)."
-  in
-  let window =
-    opt pos_float 500.0 [ "window" ] ~docv:"MS"
-      ~doc:"Time-series window width in simulated ms."
+  let timeseries_flags =
+    let file =
+      opt Arg.(some string) None [ "timeseries" ] ~docv:"FILE"
+        ~doc:
+          "Sample committed/aborted/blocked rates, WAL flushes, messages, queue \
+           depth and the stranded gauge into fixed-width sim-time windows and \
+           write them as JSON to $(docv)."
+    in
+    let window =
+      opt ~absent:"500" Arg.(some pos_float) None [ "window" ] ~docv:"MS"
+        ~doc:"Time-series window width in simulated ms. Requires --timeseries."
+    in
+    let check file window =
+      match (file, window) with
+      | None, Some _ -> Error (`Msg "--window applies only with --timeseries")
+      | _ -> Ok (file, Option.value window ~default:500.0)
+    in
+    Term.(cli_parse_result (const check $ file $ window))
   in
   let profile_flag =
     flag [ "profile" ]
@@ -394,13 +410,13 @@ let obs_flags ?(timeseries = false) ?(profile = false) ?(export = Fun.id) () =
     opt Arg.(some string) None [ "profile-json" ] ~docv:"FILE"
       ~doc:"Profile the run and write the hot-phase profile as JSON to $(docv)."
   in
-  let make monitors sample (trace_to, metrics_to) timeseries_to window profiled profile_to =
+  let make monitors sample (trace_to, metrics_to) (timeseries_to, window) profiled
+      profile_to =
     { monitors; sample; trace_to; metrics_to; timeseries_to; window; profiled; profile_to }
   in
   Term.(
     const make $ monitor $ sample $ exports
-    $ present timeseries timeseries_file None
-    $ present timeseries window 500.0
+    $ present timeseries timeseries_flags (None, 500.0)
     $ present profile profile_flag false
     $ present profile profile_json None)
 

@@ -32,8 +32,8 @@ let () =
   let mix = List.map (fun op -> (op, 1.0)) ops in
   Printf.printf "type %s, operations: %s\n\n" spec.Serial_spec.name
     (String.concat ", " ops);
-  let static_cs = Op_constraint.of_relation (Static_dep.minimal spec ~max_len:4) in
-  let dynamic_cs = Op_constraint.of_relation (Dynamic_dep.minimal spec ~max_len:4) in
+  let static_cs = Op_constraint.of_relation (Static_dep.minimal spec) in
+  let dynamic_cs = Op_constraint.of_relation (Dynamic_dep.minimal spec) in
   List.iter
     (fun (label, constraints) ->
       Printf.printf "constraints (%s):\n" label;

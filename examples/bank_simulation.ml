@@ -14,11 +14,6 @@ open Atomrep_core
 open Atomrep_quorum
 open Atomrep_replica
 
-let scheme_relation scheme spec =
-  match scheme with
-  | Replicated.Locking -> Dynamic_dep.minimal spec ~max_len:3
-  | Replicated.Static | Replicated.Hybrid -> Static_dep.minimal spec ~max_len:3
-
 let balance_of scheme spec history =
   let h = Behavioral.strip_aborted history in
   let committed = Behavioral.committed h in
@@ -41,22 +36,18 @@ let () =
     Assignment.make ~n_sites
       (List.map (fun op -> (op, { Assignment.initial = 2; final = 2 })) op_list)
   in
+  let relation = Static_dep.minimal Bank_account.spec in
   let account name =
     {
       Runtime.obj_name = name;
       obj_spec = Bank_account.spec;
-      obj_relation = Static_dep.minimal Bank_account.spec ~max_len:3;
+      obj_relation = relation;
       obj_assignment = majority [ "Deposit"; "Withdraw"; "Balance" ];
       obj_members = None;
     }
   in
   List.iter
     (fun scheme ->
-      let objects =
-        List.map
-          (fun oc -> { oc with Runtime.obj_relation = scheme_relation scheme Bank_account.spec })
-          [ account "checking"; account "savings" ]
-      in
       let cfg =
         {
           Runtime.default_config with
@@ -65,7 +56,7 @@ let () =
           scheme;
           n_txns = 60;
           arrival_mean = 80.0;
-          objects;
+          objects = [ account "checking"; account "savings" ];
           script = Atomrep_workload.Mixes.bank_mix ~targets:[ "checking"; "savings" ] ();
           install_faults =
             (fun net -> Atomrep_sim.Fault.crash_recover net ~site:2 ~mtbf:500.0 ~mttr:100.0);

@@ -11,8 +11,8 @@ open Atomrep_stats
 
 let () =
   let n = 5 in
-  let static_rel = Static_dep.minimal Prom.spec ~max_len:4 in
-  let universe = Serial_spec.event_universe Prom.spec ~max_len:4 in
+  let static_rel = Static_dep.minimal Prom.spec in
+  let universe = Serial_spec.event_universe Prom.spec ~max_len:Relation.default_max_len in
   let pp_rel =
     Relation.pp_schematic ~universe ~invocations:Prom.spec.Serial_spec.invocations
   in

@@ -49,9 +49,9 @@ let () =
     (Atomicity.is_dynamic_atomic spec history);
 
   (* 3. Minimal dependency relations, computed from the specification. *)
-  let static_rel = Static_dep.minimal spec ~max_len:4 in
-  let dynamic_rel = Dynamic_dep.minimal spec ~max_len:4 in
-  let universe = Serial_spec.event_universe spec ~max_len:4 in
+  let static_rel = Static_dep.minimal spec in
+  let dynamic_rel = Dynamic_dep.minimal spec in
+  let universe = Serial_spec.event_universe spec ~max_len:Relation.default_max_len in
   Format.printf "@.minimal static dependency relation (Theorem 6):@.%a@."
     (Relation.pp_schematic ~universe ~invocations:spec.Serial_spec.invocations)
     static_rel;

@@ -16,7 +16,7 @@ open Atomrep_replica
 
 let () =
   let n_sites = 3 in
-  let relation = Static_dep.minimal Queue_type.spec ~max_len:4 in
+  let relation = Static_dep.minimal Queue_type.spec in
   (* Majority quorums for both operations: 2 + 2 > 3 covers every
      dependency pair. *)
   let assignment =

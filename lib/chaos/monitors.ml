@@ -59,7 +59,7 @@ let outcome_spec ~name check ctx =
 (* --- quorum_intersection -------------------------------------------- *)
 
 (* Static leg: every object's threshold assignment must satisfy the
-   intersection constraints its dependency relation induces. *)
+   intersection constraints its scheme's relation induces. *)
 let quorum_static ctx =
   SM.make ~name:"quorum_assignment" ~observes:no_kinds
     ~init:(fun () -> ())
@@ -67,7 +67,11 @@ let quorum_static ctx =
     ~at_quiesce:(fun () ->
       List.filter_map
         (fun (o : Runtime.object_config) ->
-          let constraints = Op_constraint.of_relation o.Runtime.obj_relation in
+          let constraints =
+            Op_constraint.of_relation
+              (Replicated.scheme_relation ~configured:o.Runtime.obj_relation
+                 ctx.cfg.Runtime.scheme o.Runtime.obj_spec)
+          in
           if Assignment.satisfies o.Runtime.obj_assignment constraints then None
           else
             Some

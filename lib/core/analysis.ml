@@ -14,7 +14,7 @@ type t = {
   hybrid_minimal : Relation.t list;
 }
 
-let analyze ?(max_len = 4) ?(hybrid = Skip) spec =
+let analyze ?(max_len = Relation.default_max_len) ?(hybrid = Skip) spec =
   let universe = Serial_spec.event_universe spec ~max_len in
   let static_relation = Static_dep.minimal spec ~max_len in
   let dynamic_relation = Dynamic_dep.minimal spec ~max_len in

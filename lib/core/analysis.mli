@@ -20,10 +20,10 @@ type t = {
 }
 
 val analyze : ?max_len:int -> ?hybrid:hybrid_request -> Serial_spec.t -> t
-(** [analyze spec] computes the relations at [max_len] (default 4). The
-    hybrid search defaults to [Skip]; pass [Search] bounds to enumerate
-    minimal hybrid relations from the static relation (Theorem 4 makes it a
-    sound starting point). *)
+(** [analyze spec] computes the relations at [max_len] (default
+    {!Relation.default_max_len}). The hybrid search defaults to [Skip];
+    pass [Search] bounds to enumerate minimal hybrid relations from the
+    static relation (Theorem 4 makes it a sound starting point). *)
 
 val is_static_dependency : t -> Relation.t -> bool
 (** By Theorem 6 the minimal static relation is unique, so a relation is a

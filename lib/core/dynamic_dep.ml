@@ -18,7 +18,7 @@ let non_commuting_witness spec ~max_len e e' =
 
 let commute spec ~max_len e e' = Option.is_none (non_commuting_witness spec ~max_len e e')
 
-let minimal spec ~max_len =
+let minimal ?(max_len = Relation.default_max_len) spec =
   let universe = Array.of_list (Serial_spec.event_universe spec ~max_len) in
   let states = List.map snd (Serial_spec.reachable spec ~max_len) in
   let depth = max_len + 2 in

@@ -23,5 +23,6 @@ val non_commuting_witness :
     [h·e'·e] not equivalent legal histories, if one exists within bound — a
     shortest one. *)
 
-val minimal : Serial_spec.t -> max_len:int -> Relation.t
-(** [minimal spec ~max_len] computes [≽d] over the bounded event universe. *)
+val minimal : ?max_len:int -> Serial_spec.t -> Relation.t
+(** [minimal spec] computes [≽d] over the event universe bounded at
+    [max_len] (default {!Relation.default_max_len}). *)

@@ -2,6 +2,8 @@ open Atomrep_history
 
 type pair = Event.Invocation.t * Event.t
 
+let default_max_len = 4
+
 module Pair_ord = struct
   type t = pair
 

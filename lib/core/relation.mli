@@ -19,6 +19,13 @@ open Atomrep_history
 
 type pair = Event.Invocation.t * Event.t
 
+val default_max_len : int
+(** The history-length bound (4 events) at which the static and dynamic
+    relations are computed unless a caller asks for another: the bound of
+    every runtime object, experiment and CLI analysis. At this bound the
+    relation is already exact for seven of the eight certified types (see
+    {!Static_dep}). *)
+
 type t
 
 val empty : t

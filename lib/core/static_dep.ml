@@ -88,7 +88,7 @@ let search spec ~max_len f s =
   reach 0 [ spec.Serial_spec.initial ] { rev_hist = []; choices = []; i = -1; j = -1 };
   levels 0
 
-let minimal spec ~max_len =
+let minimal ?(max_len = Relation.default_max_len) spec =
   let universe = Serial_spec.event_universe spec ~max_len in
   List.fold_left
     (fun relation (f : Event.t) ->

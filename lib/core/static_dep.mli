@@ -24,9 +24,9 @@
 open Atomrep_history
 open Atomrep_spec
 
-val minimal : Serial_spec.t -> max_len:int -> Relation.t
-(** [minimal spec ~max_len] computes [≽s] over
-    {!Serial_spec.event_universe} at [max_len]. *)
+val minimal : ?max_len:int -> Serial_spec.t -> Relation.t
+(** [minimal spec] computes [≽s] over {!Serial_spec.event_universe} at
+    [max_len] (default {!Relation.default_max_len}). *)
 
 val witness :
   Serial_spec.t ->

@@ -26,6 +26,13 @@ let verdict_of ~left_only ~right_only =
 
 type concurrency_report = {
   samples : int;
+  static_accepted : int;
+  hybrid_accepted : int;
+  dynamic_accepted : int;
+  hybrid_not_static : int;
+  static_not_hybrid : int;
+  hybrid_not_dynamic : int;
+  dynamic_not_hybrid : int;
   static_vs_hybrid : verdict;
   hybrid_vs_dynamic : verdict;
   static_vs_dynamic : verdict;
@@ -37,35 +44,51 @@ type concurrency_report = {
 let concurrency ?(seed = 1985) ?(samples = 2000) ?(max_actions = 3) ?(max_events = 4)
     spec =
   let rng = Atomrep_stats.Rng.create seed in
-  let sta_not_hyb = ref None and hyb_not_sta = ref None in
-  let hyb_not_dyn = ref None and dyn_not_hyb = ref None in
-  let sta_not_dyn = ref false and dyn_not_sta = ref false in
+  (* One tally per acceptance set or difference: how many sampled
+     histories fall in it, and the first of them. *)
+  let tally () = (ref 0, ref None) in
+  let sta = tally () and hyb = tally () and dyn = tally () in
+  let sta_not_hyb = tally () and hyb_not_sta = tally () in
+  let hyb_not_dyn = tally () and dyn_not_hyb = tally () in
+  let sta_not_dyn = tally () and dyn_not_sta = tally () in
+  let count (n, witness) h holds =
+    if holds then begin
+      incr n;
+      if Option.is_none !witness then witness := Some h
+    end
+  in
   for _ = 1 to samples do
     let h = Atomrep_workload.Histories.random rng spec ~max_actions ~max_events in
     let s = Atomicity.is_static_atomic spec h in
     let y = Atomicity.is_hybrid_atomic spec h in
     let d = Atomicity.is_dynamic_atomic spec h in
-    if s && not y && Option.is_none !sta_not_hyb then sta_not_hyb := Some h;
-    if y && not s && Option.is_none !hyb_not_sta then hyb_not_sta := Some h;
-    if y && not d && Option.is_none !hyb_not_dyn then hyb_not_dyn := Some h;
-    if d && not y && Option.is_none !dyn_not_hyb then dyn_not_hyb := Some h;
-    if s && not d then sta_not_dyn := true;
-    if d && not s then dyn_not_sta := true
+    count sta h s;
+    count hyb h y;
+    count dyn h d;
+    count sta_not_hyb h (s && not y);
+    count hyb_not_sta h (y && not s);
+    count hyb_not_dyn h (y && not d);
+    count dyn_not_hyb h (d && not y);
+    count sta_not_dyn h (s && not d);
+    count dyn_not_sta h (d && not s)
   done;
+  let n (k, _) = !k and witness (_, w) = !w in
+  let verdict left right = verdict_of ~left_only:(n left > 0) ~right_only:(n right > 0) in
   {
     samples;
-    static_vs_hybrid =
-      verdict_of
-        ~left_only:(Option.is_some !sta_not_hyb)
-        ~right_only:(Option.is_some !hyb_not_sta);
-    hybrid_vs_dynamic =
-      verdict_of
-        ~left_only:(Option.is_some !hyb_not_dyn)
-        ~right_only:(Option.is_some !dyn_not_hyb);
-    static_vs_dynamic = verdict_of ~left_only:!sta_not_dyn ~right_only:!dyn_not_sta;
-    witness_hybrid_not_static = !hyb_not_sta;
-    witness_static_not_hybrid = !sta_not_hyb;
-    witness_hybrid_not_dynamic = !hyb_not_dyn;
+    static_accepted = n sta;
+    hybrid_accepted = n hyb;
+    dynamic_accepted = n dyn;
+    hybrid_not_static = n hyb_not_sta;
+    static_not_hybrid = n sta_not_hyb;
+    hybrid_not_dynamic = n hyb_not_dyn;
+    dynamic_not_hybrid = n dyn_not_hyb;
+    static_vs_hybrid = verdict sta_not_hyb hyb_not_sta;
+    hybrid_vs_dynamic = verdict hyb_not_dyn dyn_not_hyb;
+    static_vs_dynamic = verdict sta_not_dyn dyn_not_sta;
+    witness_hybrid_not_static = witness hyb_not_sta;
+    witness_static_not_hybrid = witness sta_not_hyb;
+    witness_hybrid_not_dynamic = witness hyb_not_dyn;
   }
 
 type availability_report = {
@@ -77,7 +100,7 @@ type availability_report = {
   hybrid_vs_dynamic : verdict;
 }
 
-let availability ?(max_len = 4) ~hybrid_relations ~n_sites spec =
+let availability ?(max_len = Relation.default_max_len) ~hybrid_relations ~n_sites spec =
   let open Atomrep_quorum in
   let ops =
     List.sort_uniq String.compare

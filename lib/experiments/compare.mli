@@ -20,6 +20,13 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 type concurrency_report = {
   samples : int;
+  static_accepted : int; (** sampled histories static atomicity accepts *)
+  hybrid_accepted : int;
+  dynamic_accepted : int;
+  hybrid_not_static : int; (** accepted by hybrid, rejected by static *)
+  static_not_hybrid : int;
+  hybrid_not_dynamic : int;
+  dynamic_not_hybrid : int;
   static_vs_hybrid : verdict;
   hybrid_vs_dynamic : verdict;
   static_vs_dynamic : verdict;

@@ -9,7 +9,7 @@ open Atomrep_replica
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
-let print_relation spec ~max_len name rel =
+let print_relation ?(max_len = Relation.default_max_len) spec name rel =
   let universe = Serial_spec.event_universe spec ~max_len in
   Format.printf "%s (%d pairs):@.%a@.@." name (Relation.cardinal rel)
     (Relation.pp_schematic ~universe ~invocations:spec.Serial_spec.invocations)
@@ -37,36 +37,15 @@ let e1_concurrency () =
   in
   List.iter
     (fun spec ->
-      let rng = Rng.create 1985 in
-      let sta = ref 0 and hyb = ref 0 and dyn = ref 0 in
-      let hyb_not_sta = ref 0 and sta_not_hyb = ref 0 in
-      let hyb_not_dyn = ref 0 and dyn_not_hyb = ref 0 in
-      for _ = 1 to 2000 do
-        let h =
-          Atomrep_workload.Histories.random rng spec ~max_actions:3 ~max_events:4
-        in
-        let s = Atomicity.is_static_atomic spec h in
-        let y = Atomicity.is_hybrid_atomic spec h in
-        let d = Atomicity.is_dynamic_atomic spec h in
-        if s then incr sta;
-        if y then incr hyb;
-        if d then incr dyn;
-        if y && not s then incr hyb_not_sta;
-        if s && not y then incr sta_not_hyb;
-        if y && not d then incr hyb_not_dyn;
-        if d && not y then incr dyn_not_hyb
-      done;
+      let r = Compare.concurrency ~samples:2000 spec in
       Table.add_row table
-        [
-          spec.Serial_spec.name;
-          Table.cell_int !sta;
-          Table.cell_int !hyb;
-          Table.cell_int !dyn;
-          Table.cell_int !hyb_not_sta;
-          Table.cell_int !sta_not_hyb;
-          Table.cell_int !hyb_not_dyn;
-          Table.cell_int !dyn_not_hyb;
-        ])
+        (spec.Serial_spec.name
+         :: List.map Table.cell_int
+              [
+                r.static_accepted; r.hybrid_accepted; r.dynamic_accepted;
+                r.hybrid_not_static; r.static_not_hybrid; r.hybrid_not_dynamic;
+                r.dynamic_not_hybrid;
+              ]))
     specs;
   Table.print table;
   print_endline
@@ -81,38 +60,12 @@ let ops_of spec =
   List.sort_uniq String.compare
     (List.map (fun (inv : Event.Invocation.t) -> inv.op) spec.Serial_spec.invocations)
 
-let hybrid_minimals_for = function
-  | "Queue" ->
-    Some
-      (lazy
-        (let checker =
-           Hybrid_dep.make_checker Queue_type.spec ~max_events:4 ~max_actions:3
-         in
-         Hybrid_dep.minimal_hybrids checker
-           ~base:(Static_dep.minimal Queue_type.spec ~max_len:4)))
-  | "PROM" ->
-    Some
-      (lazy
-        (let checker = Hybrid_dep.make_checker Prom.spec ~max_events:4 ~max_actions:3 in
-         Hybrid_dep.minimal_hybrids checker
-           ~base:(Static_dep.minimal Prom.spec ~max_len:4)))
-  | "Register" ->
-    Some
-      (lazy
-        (let checker =
-           Hybrid_dep.make_checker Register.spec ~max_events:4 ~max_actions:3
-         in
-         Hybrid_dep.minimal_hybrids checker
-           ~base:(Static_dep.minimal Register.spec ~max_len:4)))
-  | "DoubleBuffer" ->
-    Some
-      (lazy
-        (let checker =
-           Hybrid_dep.make_checker Double_buffer.spec ~max_events:4 ~max_actions:3
-         in
-         Hybrid_dep.minimal_hybrids checker
-           ~base:(Static_dep.minimal Double_buffer.spec ~max_len:4)))
-  | _ -> None
+(* The type's minimal hybrid relations, searched from its static relation
+   (a sound start by Theorem 4). *)
+let hybrid_minimals spec =
+  Hybrid_dep.minimal_hybrids
+    (Hybrid_dep.make_checker spec ~max_events:4 ~max_actions:3)
+    ~base:(Static_dep.minimal spec)
 
 let e2_availability () =
   section "E2 (Figure 1-2): quorum assignments admitted by each property";
@@ -130,47 +83,22 @@ let e2_availability () =
   in
   List.iter
     (fun spec ->
-      let name = spec.Serial_spec.name in
-      let ops = ops_of spec in
-      let static_rel = Static_dep.minimal spec ~max_len:4 in
-      let dynamic_rel = Dynamic_dep.minimal spec ~max_len:4 in
-      let hybrids =
-        match hybrid_minimals_for name with
-        | Some l -> Lazy.force l
-        | None -> []
-      in
-      let static_cs = Op_constraint.of_relation static_rel in
-      let dynamic_cs = Op_constraint.of_relation dynamic_rel in
-      let hybrid_css = List.map Op_constraint.of_relation hybrids in
+      let hybrid_relations = hybrid_minimals spec in
       List.iter
-        (fun n ->
-          let all_unconstrained = Assignment.enumerate ~n_sites:n ~ops [] in
-          let static_valid =
-            List.filter (fun a -> Assignment.satisfies a static_cs) all_unconstrained
-          in
-          let hybrid_valid =
-            List.filter
-              (fun a -> List.exists (Assignment.satisfies a) hybrid_css)
-              all_unconstrained
-          in
-          let dynamic_valid =
-            List.filter (fun a -> Assignment.satisfies a dynamic_cs) all_unconstrained
-          in
-          let subset xs ys = List.for_all (fun x -> List.mem x ys) xs in
-          let sta_le_hyb = subset static_valid hybrid_valid in
-          let incomparable =
-            (not (subset hybrid_valid dynamic_valid))
-            && not (subset dynamic_valid hybrid_valid)
-          in
+        (fun n_sites ->
+          let r = Compare.availability ~hybrid_relations ~n_sites spec in
           Table.add_row table
             [
-              name;
-              Table.cell_int n;
-              Table.cell_int (List.length static_valid);
-              Table.cell_int (List.length hybrid_valid);
-              Table.cell_int (List.length dynamic_valid);
-              string_of_bool sta_le_hyb;
-              string_of_bool incomparable;
+              spec.Serial_spec.name;
+              Table.cell_int n_sites;
+              Table.cell_int r.static_count;
+              Table.cell_int r.hybrid_count;
+              Table.cell_int r.dynamic_count;
+              string_of_bool
+                (match r.static_vs_hybrid with
+                 | Compare.Equal | Compare.Right_strictly_contains -> true
+                 | Compare.Left_strictly_contains | Compare.Incomparable -> false);
+              string_of_bool (r.hybrid_vs_dynamic = Compare.Incomparable);
             ])
         [ 3; 4 ])
     [ Queue_type.spec; Prom.spec; Register.spec; Double_buffer.spec ];
@@ -200,9 +128,7 @@ let e3_prom () =
   in
   let hybrid_assignment = mk (Paper.prom_hybrid_quorums ~n) in
   let static_assignment = mk (Paper.prom_static_quorums ~n) in
-  let static_cs =
-    Op_constraint.of_relation (Static_dep.minimal Prom.spec ~max_len:4)
-  in
+  let static_cs = Op_constraint.of_relation (Static_dep.minimal Prom.spec) in
   let hybrid_cs = Op_constraint.of_relation Paper.prom_hybrid_relation in
   Printf.printf
     "paper hybrid assignment  (Read 1, Seal %d, Write 1): hybrid-valid=%b static-valid=%b\n"
@@ -243,10 +169,10 @@ let e3_prom () =
 
 let e4_static_vs_hybrid () =
   section "E4 (Theorems 4, 5, 6): static vs hybrid dependency on PROM";
-  let static_rel = Static_dep.minimal Prom.spec ~max_len:4 in
-  print_relation Prom.spec ~max_len:4 "minimal static dependency relation (Theorem 6)"
+  let static_rel = Static_dep.minimal Prom.spec in
+  print_relation Prom.spec "minimal static dependency relation (Theorem 6)"
     static_rel;
-  print_relation Prom.spec ~max_len:4 "paper hybrid dependency relation"
+  print_relation Prom.spec "paper hybrid dependency relation"
     Paper.prom_hybrid_relation;
   let checker = Hybrid_dep.make_checker Prom.spec ~max_events:4 ~max_actions:3 in
   Printf.printf "hybrid relation verifies as hybrid dependency relation: %b\n"
@@ -315,9 +241,9 @@ let e6_queue () =
   section "E6 (Theorem 11): Queue under static vs dynamic atomicity";
   let static_rel = Static_dep.minimal Queue_type.spec ~max_len:5 in
   let dynamic_rel = Dynamic_dep.minimal Queue_type.spec ~max_len:5 in
-  print_relation Queue_type.spec ~max_len:5 "minimal static dependency relation"
+  print_relation ~max_len:5 Queue_type.spec "minimal static dependency relation"
     static_rel;
-  print_relation Queue_type.spec ~max_len:5 "minimal dynamic dependency relation"
+  print_relation ~max_len:5 Queue_type.spec "minimal dynamic dependency relation"
     dynamic_rel;
   Printf.printf "static is a dynamic dependency relation: %b (Theorem 11: no)\n"
     (Relation.subset dynamic_rel static_rel);
@@ -355,8 +281,8 @@ let e6_queue () =
 
 let e7_doublebuffer () =
   section "E7 (Theorem 12): DoubleBuffer's dynamic relation is not hybrid";
-  let dynamic_rel = Dynamic_dep.minimal Double_buffer.spec ~max_len:4 in
-  print_relation Double_buffer.spec ~max_len:4 "minimal dynamic dependency relation"
+  let dynamic_rel = Dynamic_dep.minimal Double_buffer.spec in
+  print_relation Double_buffer.spec "minimal dynamic dependency relation"
     dynamic_rel;
   Printf.printf "computed relation equals the paper's: %b\n\n"
     (Relation.equal dynamic_rel Paper.doublebuffer_dynamic_relation);
@@ -368,7 +294,7 @@ let e7_doublebuffer () =
    | Error ce ->
      Format.printf "dynamic relation rejected as hybrid, counterexample:@.  %a@.@."
        Hybrid_dep.pp_counterexample ce);
-  let static_rel = Static_dep.minimal Double_buffer.spec ~max_len:4 in
+  let static_rel = Static_dep.minimal Double_buffer.spec in
   Printf.printf "static relation verifies as hybrid (Thm 4): %b\n"
     (Hybrid_dep.is_hybrid_dependency checker static_rel);
   (* The paper's own witness history through the atomicity checkers. *)
@@ -408,16 +334,6 @@ let e8_simulation () =
               n_txns = 120;
               seed = 1985;
               install_faults = faults;
-              objects =
-                [
-                  {
-                    Runtime.obj_name = "queue";
-                    obj_spec = Queue_type.spec;
-                    obj_relation = Replicated.scheme_relation scheme Queue_type.spec;
-                    obj_assignment = Runtime.default_queue_assignment ~n_sites:3;
-            obj_members = None;
-                  };
-                ];
             }
           in
           let outcome = Runtime.run cfg in
@@ -521,36 +437,22 @@ let e9_concurrency_sim () =
     Assignment.make ~n_sites:3
       (List.map (fun op -> (op, { Assignment.initial = 2; final = 2 })) op_list)
   in
-  (* PROM write-heavy workload: hybrid's Write/Write freedom shows. *)
-  let prom_script =
-    Atomrep_workload.Mixes.prom_mix ~seal_every:1000 ~target:"obj" ()
+  let workload label spec ops script =
+    let relation = Static_dep.minimal spec in
+    List.iter
+      (fun scheme -> run scheme spec relation (majority ops) script label table)
+      [ Replicated.Hybrid; Replicated.Static; Replicated.Locking ]
   in
-  List.iter
-    (fun scheme ->
-      run scheme Prom.spec
-        (Replicated.scheme_relation scheme Prom.spec)
-        (majority [ "Read"; "Seal"; "Write" ])
-        prom_script "PROM writes" table)
-    [ Replicated.Hybrid; Replicated.Static; Replicated.Locking ];
+  (* PROM write-heavy workload: hybrid's Write/Write freedom shows. *)
+  workload "PROM writes" Prom.spec [ "Read"; "Seal"; "Write" ]
+    (Atomrep_workload.Mixes.prom_mix ~seal_every:1000 ~target:"obj" ());
   (* Counter workload: commuting increments — all lock-free under
      type-specific analysis. *)
-  let counter_script = Atomrep_workload.Mixes.counter_mix ~read_ratio:0.2 ~target:"obj" () in
-  List.iter
-    (fun scheme ->
-      run scheme Counter.spec
-        (Replicated.scheme_relation scheme Counter.spec)
-        (majority [ "Inc"; "Dec"; "Read" ])
-        counter_script "Counter inc/dec" table)
-    [ Replicated.Hybrid; Replicated.Static; Replicated.Locking ];
+  workload "Counter inc/dec" Counter.spec [ "Inc"; "Dec"; "Read" ]
+    (Atomrep_workload.Mixes.counter_mix ~read_ratio:0.2 ~target:"obj" ());
   (* Queue workload: every pair of operations conflicts somewhere. *)
-  let queue_script = Atomrep_workload.Mixes.queue_mix ~enq_ratio:0.6 ~target:"obj" () in
-  List.iter
-    (fun scheme ->
-      run scheme Queue_type.spec
-        (Replicated.scheme_relation scheme Queue_type.spec)
-        (majority [ "Enq"; "Deq" ])
-        queue_script "Queue enq/deq" table)
-    [ Replicated.Hybrid; Replicated.Static; Replicated.Locking ];
+  workload "Queue enq/deq" Queue_type.spec [ "Enq"; "Deq" ]
+    (Atomrep_workload.Mixes.queue_mix ~enq_ratio:0.6 ~target:"obj" ());
   Table.print table;
   print_endline
     "Shape check (paper, sections 1 and 6): hybrid atomicity permits more\n\
@@ -600,9 +502,7 @@ let e10_read_write_ablation () =
     (fun spec ->
       let ops = ops_of spec in
       let mix = List.map (fun op -> (op, 1.0)) ops in
-      let typed_cs =
-        Op_constraint.of_relation (Static_dep.minimal spec ~max_len:4)
-      in
+      let typed_cs = Op_constraint.of_relation (Static_dep.minimal spec) in
       let rw_cs = Op_constraint.read_write ~ops:(read_write_classification spec) in
       let typed = Assignment.enumerate ~n_sites:4 ~ops typed_cs in
       let rw = Assignment.enumerate ~n_sites:4 ~ops rw_cs in
@@ -640,9 +540,7 @@ let e11_weighted_voting () =
     "Five sites; site 0 is reliable (p=0.99), the rest flaky (p=0.70).\n\
      Register under its type-specific static constraints. Weighted voting\n\
      (weights 3,1,1,1,1) can concentrate quorums on the reliable site.\n";
-  let constraints =
-    Op_constraint.of_relation (Static_dep.minimal Register.spec ~max_len:4)
-  in
+  let constraints = Op_constraint.of_relation (Static_dep.minimal Register.spec) in
   let ops = [ "Read"; "Write" ] in
   let p_up = [| 0.99; 0.7; 0.7; 0.7; 0.7 |] in
   let mix = [ ("Read", 1.0); ("Write", 1.0) ] in

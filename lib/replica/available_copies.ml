@@ -72,7 +72,7 @@ let run ~seed ~n_sites ~txns_per_side ~partition_at ~heal_at () =
 
 let quorum_reference ~seed ~n_sites ~txns_per_side ~partition_at ~heal_at () =
   let majority = (n_sites / 2) + 1 in
-  let relation = Static_dep.minimal register_spec ~max_len:4 in
+  let relation = Static_dep.minimal register_spec in
   let assignment =
     Assignment.make ~n_sites
       [

@@ -64,24 +64,21 @@ type t = {
   recoveries : Repository.recovery list ref; (* reversed *)
 }
 
-(* The conflict table is where the schemes genuinely differ (paper, §5):
-   hybrid and static lock on the dependency relation — Enq need not
-   conflict with Enq because timestamp order resolves them — while a
-   locking scheme serializes in commit order and so must conflict every
-   non-commuting pair (the dynamic dependency relation, Theorem 10).
-   Locking on the weaker dependency table admits concurrent Enqs whose
-   commit order can contradict the timestamp order later Deqs answer
-   from, which is exactly a dynamic-atomicity violation. *)
-let scheme_relation scheme spec =
-  match scheme with
-  | Locking -> Atomrep_core.Dynamic_dep.minimal spec ~max_len:4
-  | Hybrid | Static -> Atomrep_core.Static_dep.minimal spec ~max_len:4
-
-let conflict_table spec scheme relation =
-  Conflict_table.of_relation
-    (match scheme with
-     | Hybrid | Static -> Lazy.force relation
-     | Locking -> scheme_relation Locking spec)
+(* The relation is where the schemes genuinely differ (paper, §5):
+   hybrid and static lock on the static relation — Enq need not conflict
+   with Enq because timestamp order resolves them — while a locking scheme
+   serializes in commit order and so must conflict every non-commuting
+   pair (the dynamic relation, Theorem 10). Locking on the weaker table
+   admits concurrent Enqs whose commit order can contradict the timestamp
+   order later Deqs answer from, which is exactly a dynamic-atomicity
+   violation. The same relation bounds the quorums: a locking Enq must
+   also see every earlier Enq, so its initial quorums meet Enq's final
+   quorums. *)
+let scheme_relation ?configured scheme spec =
+  match scheme, configured with
+  | Locking, _ -> Atomrep_core.Dynamic_dep.minimal spec
+  | (Hybrid | Static), Some relation -> relation
+  | (Hybrid | Static), None -> Atomrep_core.Static_dep.minimal spec
 
 let create ~name ~spec ~scheme ~relation ~assignment ~net ?members
     ?(durability = Repository.Volatile) () =
@@ -150,12 +147,12 @@ let create ~name ~spec ~scheme ~relation ~assignment ~net ?members
               (Trace.emit trc ~site
                  (Trace.Repo_resolve { txn = Action.to_string action; committed }))))
     repos;
-  let table = conflict_table spec scheme (lazy relation) in
+  let relation = scheme_relation ~configured:relation scheme spec in
   {
     name;
     spec;
     scheme;
-    table;
+    table = Conflict_table.of_relation relation;
     constraints = Op_constraint.of_relation relation;
     current = Epoch.bootstrap ~n_sites:(Network.n_sites net) ?members assignment;
     net;

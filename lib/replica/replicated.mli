@@ -51,17 +51,15 @@ type op_result =
   | Unavailable of string (** no initial or final quorum reachable *)
   | Rejected of string (** scheme validation failed: abort the action *)
 
-val scheme_relation : scheme -> Serial_spec.t -> Atomrep_core.Relation.t
-(** The dependency relation a scheme's object is configured with: the
-    minimal dynamic relation for [Locking] (Theorem 10), the minimal static
-    one for [Hybrid] and [Static] (Theorem 6), both at [max_len:4]. *)
-
-val conflict_table :
-  Serial_spec.t -> scheme -> Relation.t Lazy.t -> Atomrep_cc.Conflict_table.t
-(** The scheme's lock conflicts: [Hybrid] and [Static] project the given
-    dependency relation, [Locking] the minimal dynamic relation of the
-    specification (every non-commuting pair, Theorem 10) without forcing
-    the given one. *)
+val scheme_relation : ?configured:Relation.t -> scheme -> Serial_spec.t -> Relation.t
+(** The relation a scheme's object both locks on and intersects quorums
+    on — its conflict table and its {!constraints}. [Hybrid] and [Static]
+    serialize in timestamp order and use the object's configured static
+    relation (Theorem 6): [configured], by default the type's minimal
+    static relation. [Locking] serializes in commit order, so it uses the
+    type's minimal dynamic relation (every non-commuting pair, Theorem
+    10) and never reads [configured]. Both defaults are computed at
+    {!Relation.default_max_len}. *)
 
 val decide :
   spec:Serial_spec.t ->
@@ -118,8 +116,8 @@ val current_epoch : t -> Epoch.t
     fails over to a retry under the new epoch. *)
 
 val constraints : t -> Op_constraint.t list
-(** The intersection constraints projected from the object's dependency
-    relation — what any epoch's assignment must satisfy. *)
+(** The intersection constraints projected from the object's
+    {!scheme_relation} — what any epoch's assignment must satisfy. *)
 
 val ops : t -> string list
 (** Operation names of the object's type (from the current assignment). *)

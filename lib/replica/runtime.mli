@@ -39,7 +39,9 @@ open Atomrep_stats
 type object_config = {
   obj_name : string;
   obj_spec : Serial_spec.t;
-  obj_relation : Relation.t; (** dependency relation for conflict tables *)
+  obj_relation : Relation.t;
+      (** the type's static relation; locking uses its dynamic relation
+          ({!Replicated.scheme_relation}) *)
   obj_assignment : Assignment.t;
   obj_members : int list option;
       (** epoch 0's repository sites (default all sites); the assignment

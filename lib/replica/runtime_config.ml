@@ -125,7 +125,7 @@ let queue_objects ~n_sites =
     {
       obj_name = "queue";
       obj_spec = Queue_type.spec;
-      obj_relation = Static_dep.minimal Queue_type.spec ~max_len:4;
+      obj_relation = Static_dep.minimal Queue_type.spec;
       obj_assignment = default_queue_assignment ~n_sites;
       obj_members = None;
     };

@@ -22,9 +22,7 @@ let create scheme spec =
   {
     spec;
     scheme;
-    table =
-      Replicated.conflict_table spec scheme
-        (lazy (Atomrep_core.Static_dep.minimal spec ~max_len:4));
+    table = Atomrep_cc.Conflict_table.of_relation (Replicated.scheme_relation scheme spec);
     log = Log.empty;
     views = View.cache spec;
     actions = Action.Map.empty;

@@ -25,9 +25,9 @@ open Atomrep_clock
 type t
 
 val create : Replicated.scheme -> Serial_spec.t -> t
-(** A fresh object. Its conflict table is {!Replicated.conflict_table}
-    over [Static_dep.minimal spec ~max_len:4], which [Locking] never
-    computes. *)
+(** A fresh object. Its conflict table projects
+    {!Replicated.scheme_relation} at the type's default relations, so
+    [Locking] never computes the static one. *)
 
 val begin_action : t -> Action.t -> ts:Lamport.Timestamp.t -> unit
 (** Register an action; [ts] is its Begin timestamp, unique per action.

@@ -206,7 +206,7 @@ let objects t ~n_sites =
   let q = { Assignment.initial = majority; final = majority } in
   match t.pl_profile with
   | Queue_fanout ->
-    let relation = Static_dep.minimal Queue_type.spec ~max_len:4 in
+    let relation = Static_dep.minimal Queue_type.spec in
     List.init t.pl_n_objects (fun i ->
         {
           Runtime.obj_name = target_name i;
@@ -216,7 +216,7 @@ let objects t ~n_sites =
           obj_members = None;
         })
   | Read_mostly | Write_heavy ->
-    let relation = Static_dep.minimal Counter.spec ~max_len:4 in
+    let relation = Static_dep.minimal Counter.spec in
     List.init t.pl_n_objects (fun i ->
         {
           Runtime.obj_name = target_name i;

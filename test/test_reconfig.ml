@@ -175,6 +175,32 @@ let test_reassign_plan () =
     (Reassign.plan ~live:[] ~ops:[ "Enq"; "Deq" ] ~constraints:queue_constraints ()
      = None)
 
+(* A locking object intersects quorums on the relation it locks on, the
+   dynamic one (Theorem 10): besides the static pairs, every Enq must see
+   every earlier Enq. Timestamp schemes keep the configured static
+   relation, which has no Enq/Enq pair. *)
+let test_locking_plans_on_dynamic_relation () =
+  let obj scheme =
+    let net = Network.create (Engine.create ~seed:1) ~n_sites:5 () in
+    Replicated.create ~name:"q" ~spec:Queue_type.spec ~scheme
+      ~relation:(Static_dep.minimal Queue_type.spec)
+      ~assignment:(Runtime.default_queue_assignment ~n_sites:5) ~net ()
+  in
+  let enq_enq (c : Op_constraint.t) = c.dependent = "Enq" && c.supplier = "Enq" in
+  let locking = Replicated.constraints (obj Replicated.Locking) in
+  check_bool "locking: initial(Enq) x final(Enq)" true (List.exists enq_enq locking);
+  check_bool "hybrid: no Enq/Enq constraint" false
+    (List.exists enq_enq (Replicated.constraints (obj Replicated.Hybrid)));
+  match
+    Reassign.plan ~live:[ 0; 1; 3; 4 ] ~ops:[ "Enq"; "Deq" ] ~constraints:locking ()
+  with
+  | None -> Alcotest.fail "expected a plan over four live sites"
+  | Some (_, a) ->
+    let enq = Assignment.sizes_of a "Enq" in
+    check_bool "Enq quorums intersect each other" true (enq.initial + enq.final > 4);
+    check_bool "plan satisfies the locking constraints" true
+      (Assignment.satisfies a locking)
+
 (* --- runtime coordinator: positive and negative paths --- *)
 
 let kills_profile =
@@ -397,6 +423,8 @@ let suites =
         Alcotest.test_case "repository: epoch monotone and stable" `Quick
           test_repository_epoch_monotone_and_stable;
         Alcotest.test_case "reassign: plan over live sites" `Quick test_reassign_plan;
+        Alcotest.test_case "reassign: locking plans on the dynamic relation" `Quick
+          test_locking_plans_on_dynamic_relation;
         Alcotest.test_case "static scheme refuses reassignment" `Quick
           test_static_refuses_reconfiguration;
         Alcotest.test_case "hybrid reconfigures and stays atomic" `Quick

@@ -134,9 +134,12 @@ let cases =
     (List.map
        (fun name ->
          let spec = Option.get (Type_registry.find name) in
-         let relation = lazy (Static_dep.minimal spec ~max_len:4) in
-         ( spec,
-           List.map (fun s -> (s, Replicated.conflict_table spec s relation)) schemes ))
+         let configured = Static_dep.minimal spec in
+         let table s =
+           Atomrep_cc.Conflict_table.of_relation
+             (Replicated.scheme_relation ~configured s spec)
+         in
+         (spec, List.map (fun s -> (s, table s)) schemes))
        [ "queue"; "counter"; "rset"; "flagset" ])
 
 let n_actions = 12
