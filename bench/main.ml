@@ -646,8 +646,8 @@ let run_takeover () =
    every one judged by the full monitor catalogue, expected clean. The
    same sweep runs once on a single domain and once on the recommended
    domain count to record the parallel speedup (bounded by the machine:
-   on a single-core container the honest ratio is ~1). Part two flips
-   [ungated_rejoin] on and sweeps the storm profile so the explorer has a
+   on a single-core container the honest ratio is ~1). Part two plants
+   the [Ungated_rejoin] mutant and sweeps the storm profile so the explorer has a
    real bug to find: the record keeps the violation count and the first
    shrunk reproducer. Fixture replays close the record. Written to
    BENCH_7.json; the schema is documented in EXPERIMENTS.md. The gate is
@@ -699,7 +699,7 @@ let run_explore () =
   let ungated, ungated_wall, ungated_row =
     sweep ~domains:rec_domains ~max_shrinks:1
       (Campaign.grid
-         ~base:{ Campaign.default_base with Runtime.ungated_rejoin = true }
+         ~base:{ Campaign.default_base with Runtime.mutant = Some Replicated.Ungated_rejoin }
          ~schemes:[ Replicated.Static ] ~profiles:[ Campaign.profile "storm" ] ~seeds:64
          ~intensities:[ 2.0 ] ~n_txns:60)
   in

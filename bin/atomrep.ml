@@ -85,6 +85,10 @@ let fixtures =
   selection "fixture" ~name:(fun f -> f.Campaign.f_name) ~find:Campaign.find_fixture
     Campaign.fixtures
 
+let mutant =
+  named "mutant" ~name:Replicated.mutant_name ~find:Replicated.mutant_of_name
+    ~known:(List.map Replicated.mutant_name Replicated.mutants)
+
 let data_type =
   named "type" ~name:(fun s -> s.Serial_spec.name) ~find:Type_registry.find
     ~known:Type_registry.names
@@ -232,14 +236,10 @@ let txn_flags ?(takeover = true) () =
        presumed abort), or `cooperative' (plus participant-driven quorum \
        termination and the orphan reaper)."
     in
+    let open Atomrep_txn.Termination in
     opt
-      (Arg.enum
-         [
-           ("none", Atomrep_txn.Termination.Disabled);
-           ("presumed-abort-only", Atomrep_txn.Termination.Presumed_abort_only);
-           ("cooperative", Atomrep_txn.Termination.Cooperative);
-         ])
-      Atomrep_txn.Termination.Disabled [ "termination" ] ~docv:"MODE" ~doc
+      (enum_of mode_name [ Disabled; Presumed_abort_only; Cooperative ])
+      Disabled [ "termination" ] ~docv:"MODE" ~doc
   in
   let deadlock =
     let doc =
@@ -248,12 +248,7 @@ let txn_flags ?(takeover = true) () =
        or `wound-wait' (older waiters preempt younger blockers)."
     in
     opt
-      (Arg.enum
-         [
-           ("none", Runtime.No_deadlock);
-           ("detect", Runtime.Detect);
-           ("wound-wait", Runtime.Wound_wait);
-         ])
+      (enum_of Runtime.deadlock_mode_name Runtime.[ No_deadlock; Detect; Wound_wait ])
       Runtime.No_deadlock [ "deadlock" ] ~docv:"POLICY" ~doc
   in
   let takeover_flag =
@@ -738,9 +733,9 @@ let chaos_cmd =
     in
     Term.(cli_parse_result (const check $ mode $ with_used_args t))
   in
-  let run repro replay schemes profiles seeds txns intensities seed (base, flags) ungated
+  let run repro replay schemes profiles seeds txns intensities seed (base, flags) mutant
       obs postmortem_dir report_file max_shrinks =
-    let base = { base with Runtime.ungated_rejoin = ungated } in
+    let base = { base with Runtime.mutant } in
     let monitors = obs.monitors and sample = obs.sample in
     match replay with
     | Some fixtures ->
@@ -843,12 +838,13 @@ let chaos_cmd =
         "Comma-separated fault intensity scales (1.0 = profile default), one \
          sweep stratum each."
   in
-  let ungated =
-    flag [ "ungated-rejoin" ]
+  let mutant =
+    opt Arg.(some mutant) None [ "mutant" ] ~docv:"NAME"
       ~doc:
-        "Negative testing: let amnesiac sites rejoin without a resync quorum \
-         (the pre-fix double-dequeue behavior) so the sweep has a real \
-         violation to find and shrink."
+        (Printf.sprintf
+           "Negative testing: plant the named deliberate bug (%s) so the \
+            sweep has a real violation to find and shrink."
+           (String.concat ", " (List.map Replicated.mutant_name Replicated.mutants)))
   in
   let postmortem_dir =
     opt Arg.(some string) None [ "postmortem-dir" ] ~docv:"DIR"
@@ -925,7 +921,7 @@ let chaos_cmd =
       $ only tuple (txns_arg 30 ~doc:"Transactions per run.")
       $ only tuple intensities
       $ only [ `Repro ] (seed_arg 0 ~doc:"Seed for --repro.")
-      $ only tuple base $ only tuple ungated
+      $ only tuple base $ only tuple mutant
       $ obs_flags ~export:(only [ `Repro ]) ()
       $ only tuple postmortem_dir
       $ only [ `Sweep ] report

@@ -285,7 +285,9 @@ let shrink ?monitors v =
 let replay_flags ~(base : Runtime.config) ~monitors flags =
   let selection = Monitors.selection_name monitors in
   flags
-  @ (if base.ungated_rejoin then [ "--ungated-rejoin" ] else [])
+  @ (match base.mutant with
+     | Some m -> [ "--mutant"; Replicated.mutant_name m ]
+     | None -> [])
   @
   if selection = Monitors.selection_name Monitors.history then []
   else [ "--monitor"; selection ]
@@ -533,13 +535,13 @@ let fixtures =
     {
       f_name = "ungated_rejoin";
       f_doc =
-        "ungated-rejoin double-dequeue: with resync gating and commit piggyback \
-         disabled, a storm run loses a tentative append to \
+        "ungated-rejoin double-dequeue: under the ungated_rejoin mutant (no \
+         resync gating, no commit piggyback), a storm run loses a tentative append to \
          crash-with-amnesia and a stale rejoined view double-serves an \
          element — the monitors must still catch it";
       f_task =
         {
-          base = { default_base with Runtime.ungated_rejoin = true };
+          base = { default_base with Runtime.mutant = Some Replicated.Ungated_rejoin };
           scheme = Replicated.Static;
           profile = profile "storm";
           seed = 41;

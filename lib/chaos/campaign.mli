@@ -46,7 +46,7 @@ val profile : string -> profile
 val default_base : Runtime.config
 (** The campaign's base configuration: the default replicated queue with a
     horizon sized for chaos runs. Override [base] to campaign against a
-    different object set (e.g. a deliberately weakened relation). *)
+    different object set or a planted {!Replicated.mutant}. *)
 
 val storage_base : Runtime.config
 (** {!default_base} with WAL-backed (group-commit) repositories, small
@@ -256,8 +256,8 @@ type fixture = {
 val fixtures : fixture list
 (** The pinned reproducers:
 
-    - [ungated_rejoin]: the ungated-rejoin double-dequeue — with resync gating and
-      commit piggyback disabled, a storm run loses a tentative append to
+    - [ungated_rejoin]: the ungated-rejoin double-dequeue — under the
+      [Ungated_rejoin] mutant, a storm run loses a tentative append to
       crash-with-amnesia and a stale rejoined view double-serves an
       element. Must still violate.
     - [takeover_adopt_fence]: the coordinator-killer tuple whose dead

@@ -21,8 +21,8 @@ type entry = {
 (* Liveness grace: the whole retry budget (capped backoff x attempts), a
    few RPC round trips, and two reaper sweeps. An obligation opened closer
    to the horizon than this never had a fair chance to resolve. *)
-let grace cfg =
-  let retries = float_of_int (cfg.Runtime.max_retries + 1) *. cfg.Runtime.retry_delay_cap in
+let grace =
+  let retries = float_of_int (Runtime.max_retries + 1) *. Runtime.retry_delay_cap in
   let rpc = 4.0 *. Replicated.rpc_timeout in
   let reaper = 2.0 *. Term_driver.reaper_every in
   Float.max 500.0 (retries +. rpc +. reaper)
@@ -192,7 +192,7 @@ let commit_durability ctx =
         SM.Continue st
       | Trace.Crash { site; amnesia = true }
         when ctx.cfg.Runtime.durability = Repository.Volatile
-             && ctx.cfg.Runtime.ungated_rejoin ->
+             && ctx.cfg.Runtime.mutant = Some Replicated.Ungated_rejoin ->
         (* Amnesia wipes a volatile repository, and with rejoin gating
            disabled nothing ever restores it: whatever the site stored is
            gone for good. Under gated rejoin the resync protocol rebuilds
@@ -289,8 +289,7 @@ type blocked = {
 let blocked_kinds =
   [ "lock_wait"; "lock_grant"; "txn_commit"; "txn_abort"; "deadlock"; "quiesce" ]
 
-let blocked_liveness ctx =
-  let grace = grace ctx.cfg in
+let blocked_liveness _ctx =
   SM.make ~name:"blocked_liveness" ~observes:blocked_kinds
     ~init:(fun () ->
       {
@@ -345,7 +344,6 @@ let indoubt_kinds =
   ]
 
 let indoubt_liveness ctx =
-  let grace = grace ctx.cfg in
   SM.make ~name:"indoubt_liveness" ~observes:indoubt_kinds
     ~init:(fun () ->
       {
@@ -412,8 +410,7 @@ let shed_kinds =
     "quiesce";
   ]
 
-let shed_safety ctx =
-  let grace = grace ctx.cfg in
+let shed_safety _ctx =
   SM.make ~name:"shed_safety" ~observes:shed_kinds
     ~init:(fun () ->
       {

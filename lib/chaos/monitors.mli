@@ -139,8 +139,8 @@ val check_run :
     is recorded in it. Tracing does not perturb the run, so monitor-gated
     reproducer tuples still replay deterministically. *)
 
-val grace : Runtime.config -> float
+val grace : float
 (** The liveness grace window (simulated ms): an obligation still open at
     quiesce is only a violation if it had been open at least this long
-    before the horizon — enough for the configured retry backoff, RPC
+    before the horizon — enough for the retry backoff, RPC
     timeouts, and a reaper sweep to have had their chance. *)

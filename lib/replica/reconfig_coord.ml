@@ -70,8 +70,7 @@ let install st rc det =
           in_flight := true;
           let t0 = now () in
           Replicated.reconfigure obj ~members:members' ~assignment:assignment'
-            ~allow_barrier:rc.allow_barrier
-            ~unsafe_no_barrier:rc.unsafe_no_barrier ~from:monitor
+            ~from:monitor
             (fun result ->
               in_flight := false;
               last_done := now ();

@@ -21,6 +21,17 @@ let scheme_of_name = function
   | "locking" -> Ok Locking
   | other -> Error (Printf.sprintf "unknown scheme %S (hybrid|static|locking)" other)
 
+type mutant = Ungated_rejoin | No_barrier | Weak_relation
+
+let mutants = [ Ungated_rejoin; No_barrier; Weak_relation ]
+
+let mutant_name = function
+  | Ungated_rejoin -> "ungated_rejoin"
+  | No_barrier -> "no_barrier"
+  | Weak_relation -> "weak_relation"
+
+let mutant_of_name name = List.find_opt (fun m -> mutant_name m = name) mutants
+
 let property_of_scheme = function
   | Hybrid -> Atomrep_atomicity.Atomicity.Hybrid
   | Static -> Atomrep_atomicity.Atomicity.Static
@@ -59,7 +70,7 @@ type t = {
   own : (Action.t, Log.entry list) Hashtbl.t; (* per-action entry cache *)
   views : View.cache;
   mutable observer : Behavioral.entry list; (* reversed *)
-  mutable commit_piggyback : bool;
+  mutant : mutant option;
   mutable gray : gray option;
   recoveries : Repository.recovery list ref; (* reversed *)
 }
@@ -81,7 +92,7 @@ let scheme_relation ?configured scheme spec =
   | (Hybrid | Static), None -> Atomrep_core.Static_dep.minimal spec
 
 let create ~name ~spec ~scheme ~relation ~assignment ~net ?members
-    ?(durability = Repository.Volatile) () =
+    ?(durability = Repository.Volatile) ?mutant () =
   let repos =
     Array.init (Network.n_sites net) (fun site ->
         Repository.create ~durability ~site ())
@@ -148,6 +159,15 @@ let create ~name ~spec ~scheme ~relation ~assignment ~net ?members
                  (Trace.Repo_resolve { txn = Action.to_string action; committed }))))
     repos;
   let relation = scheme_relation ~configured:relation scheme spec in
+  let relation =
+    if mutant = Some Weak_relation then
+      Atomrep_core.Relation.of_list
+        (List.filter
+           (fun ((inv : Event.Invocation.t), (e : Event.t)) ->
+             not (String.equal inv.op e.inv.op))
+           (Atomrep_core.Relation.elements relation))
+    else relation
+  in
   {
     name;
     spec;
@@ -160,12 +180,11 @@ let create ~name ~spec ~scheme ~relation ~assignment ~net ?members
     own = Hashtbl.create 64;
     views = View.cache spec;
     observer = [];
-    commit_piggyback = true;
+    mutant;
     gray = None;
     recoveries;
   }
 
-let set_commit_piggyback t v = t.commit_piggyback <- v
 let set_gray t g = t.gray <- g
 
 let name t = t.name
@@ -530,7 +549,7 @@ let broadcast_status t record ~reachable_from =
      (appends are idempotent — duplicates are harmless). *)
   let records =
     match record with
-    | Log.Commit_record (action, _) when t.commit_piggyback ->
+    | Log.Commit_record (action, _) when t.mutant <> Some Ungated_rejoin ->
       List.map (fun e -> Log.Entry e) (own_entries t action) @ [ record ]
     | Log.Commit_record _ | Log.Entry _ | Log.Abort_record _ | Log.Precommit _
     | Log.Preabort _ ->
@@ -692,8 +711,7 @@ let transfer_need epoch =
       else acc)
     0 (Epoch.assignment epoch).Assignment.ops
 
-let reconfigure t ~members ~assignment ?(allow_barrier = true)
-    ?(unsafe_no_barrier = false) ~from k =
+let reconfigure t ~members ~assignment ~from k =
   match t.scheme with
   | Static ->
     (* Theorem 12's flip side: static atomicity orders actions by Begin
@@ -720,9 +738,9 @@ let reconfigure t ~members ~assignment ?(allow_barrier = true)
         Epoch.make ~number:(Epoch.number prev + 1) ~members ~assignment
       in
       let number = Epoch.number next in
-      if unsafe_no_barrier then begin
-        (* Deliberately broken handoff for negative testing: no invariant
-           check, no seal, no state transfer. If the member sets drift
+      if t.mutant = Some No_barrier then begin
+        (* The [No_barrier] mutant's broken handoff: no invariant check,
+           no seal, no state transfer. If the member sets drift
            apart, committed state is left behind at ex-members and the
            atomicity oracles catch the divergence. *)
         t.current <- next;
@@ -742,11 +760,6 @@ let reconfigure t ~members ~assignment ?(allow_barrier = true)
         note t ~site:from (Trace.Epoch_transfer { epoch = number });
         k (Reconfigured number)
       end
-      else if not allow_barrier then
-        k
-          (Failed
-             "epochs do not intersect and the state-transfer barrier is \
-              disabled")
       else begin
         (* State-transfer barrier: seal the old epoch (advancing each old
            member fences its future old-epoch appends in the same handler

@@ -42,6 +42,19 @@ val scheme_of_name : string -> (scheme, string) result
 (** Inverse of {!scheme_name}; [Error] names the unknown scheme and lists
     the valid ones. *)
 
+type mutant = Ungated_rejoin | No_barrier | Weak_relation
+(** A deliberate bug for negative testing, one guard skipped:
+    [Ungated_rejoin] lets amnesiac sites rejoin with no resync quorum (the
+    runtime's gate) and stops {!broadcast_status} re-pushing committed
+    entries; [No_barrier] makes {!reconfigure} switch epochs with no
+    intersection check and no barrier; [Weak_relation] makes {!create} drop
+    every relation pair whose invocation and event name the same operation
+    (for Queue under [Static] and [Hybrid], exactly Deq ≽ Deq). *)
+
+val mutants : mutant list
+val mutant_name : mutant -> string
+val mutant_of_name : string -> mutant option
+
 val property_of_scheme : scheme -> Atomrep_atomicity.Atomicity.property
 (** The local atomicity property each scheme guarantees. *)
 
@@ -96,6 +109,7 @@ val create :
   net:Network.t ->
   ?members:int list ->
   ?durability:Repository.durability ->
+  ?mutant:mutant ->
   unit ->
   t
 (** {!rpc_timeout} bounds every quorum RPC issued on the object's behalf.
@@ -105,7 +119,8 @@ val create :
     storage model — see {!Repository.durability}. Creation also registers
     the object's repositories with the network's crash-with-amnesia,
     rejoin-resync, and storage-fault hooks; durable repositories replay
-    their WAL ({!Repository.recover}) before the peer resync runs. *)
+    their WAL ({!Repository.recover}) before the peer resync runs.
+    [mutant] (default none) plants one deliberate bug ({!mutant}). *)
 
 val name : t -> string
 
@@ -150,13 +165,8 @@ val broadcast_status : t -> Log.record -> reachable_from:int -> unit
     site — commit-protocol phase 2 and abort/status propagation. Commit
     records carry the action's own entries with them (idempotent re-push
     that repairs repositories whose tentative copies were lost to
-    crash-with-amnesia) unless {!set_commit_piggyback} turned that off. *)
-
-val set_commit_piggyback : t -> bool -> unit
-(** Negative testing only: [false] stops commit records from re-pushing
-    their action's entries — half of the pre-fix amnesia behavior the
-    postmortem tests replay (the other half is ungated rejoin). Default
-    [true]. *)
+    crash-with-amnesia) unless the object runs the [Ungated_rejoin]
+    mutant. *)
 
 type gray = {
   g_route : op:string -> floor:int -> members:int list -> int list * Rpc.hedge option;
@@ -293,8 +303,6 @@ val reconfigure :
   t ->
   members:int list ->
   assignment:Assignment.t ->
-  ?allow_barrier:bool ->
-  ?unsafe_no_barrier:bool ->
   from:int ->
   (reconfig_result -> unit) ->
   unit
@@ -311,15 +319,13 @@ val reconfigure :
 
     - if {!Epoch.intersects} holds, the switch is immediate — new initial
       quorums already meet old final quorums;
-    - otherwise (requires [allow_barrier], default true) a state-transfer
-      barrier drains the old epoch: every old member that acks the seal
-      atomically joins the new epoch (fencing its future old-epoch
-      appends) and returns its log; [n_old - f + 1] acks guarantee the
+    - otherwise a state-transfer barrier drains the old epoch: every old
+      member that acks the seal atomically joins the new epoch (fencing
+      its future old-epoch appends) and returns its log; [n_old - f + 1] acks guarantee the
       merged log holds every entry any old final quorum accepted; the
       merge is installed at [n_new - i + 1] new members so every future
       initial quorum meets it.
 
-    [unsafe_no_barrier] skips both the invariant and the barrier — a
-    deliberately broken handoff kept for negative testing, so chaos
-    campaigns can demonstrate the oracles catching the resulting
-    atomicity violations. *)
+    The [No_barrier] mutant skips both the invariant and the barrier, so
+    chaos campaigns can show the oracles catching the resulting atomicity
+    violations. *)

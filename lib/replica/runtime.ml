@@ -165,7 +165,7 @@ let exec_txn st term index ~arrival ~admitted ~release =
       else if !budget > 0 then begin
         decr budget;
         Metrics.incr c.c_retries_spent;
-        let delay = backoff_delay cfg rng ~attempt:(total - left) in
+        let delay = backoff_delay rng ~attempt:(total - left) in
         Engine.schedule st.engine ~delay (fun () -> step (fun () -> again (left - 1)))
       end
       else begin
@@ -236,7 +236,7 @@ let exec_txn st term index ~arrival ~admitted ~release =
         (* Wall-clock the op's blocked period: set at the first refusal,
            closed when the attempt chain terminates (driver-owned, like
            the transaction latency histogram). *)
-        attempt obj (ref None) rest invocation cfg.max_retries
+        attempt obj (ref None) rest invocation max_retries
     and attempt obj blocked_at rest invocation retries =
       let unblocked () =
         Option.iter
@@ -280,7 +280,7 @@ let exec_txn st term index ~arrival ~admitted ~release =
                          broadcast. *)
                       give_up `Shed "deadline exceeded"
                     else
-                      retry ~total:cfg.max_retries ~left:retries
+                      retry ~total:max_retries ~left:retries
                         (attempt obj blocked_at rest invocation)
                         ~give_up:(function
                           | `Budget -> give_up `Conflict "retry budget exhausted"
@@ -498,7 +498,8 @@ Network.create engine ~n_sites:cfg.n_sites ~latency_mean ()
         ( oc.obj_name,
           Replicated.create ~name:oc.obj_name ~spec:oc.obj_spec ~scheme:cfg.scheme
             ~relation:oc.obj_relation ~assignment:oc.obj_assignment ~net
-            ?members:oc.obj_members ~durability:cfg.durability () ))
+            ?members:oc.obj_members ~durability:cfg.durability ?mutant:cfg.mutant
+            () ))
       cfg.objects
   in
   (match cfg.trace with Some tr -> Network.set_trace net tr | None -> ());
@@ -527,13 +528,10 @@ Network.create engine ~n_sites:cfg.n_sites ~latency_mean ()
           acc oc.obj_assignment.Assignment.ops)
       0 cfg.objects
   in
-  (* [ungated_rejoin] reverts both halves of the amnesia fix (rejoin
-     without a resync quorum, commits not re-pushing their entries) so the
-     double-dequeue violation can be replayed under tracing for postmortem
-     tests. *)
-  Network.set_resync_quorum net (if cfg.ungated_rejoin then 0 else resync_quorum);
-  if cfg.ungated_rejoin then
-    List.iter (fun (_, obj) -> Replicated.set_commit_piggyback obj false) objects;
+  (* The [Ungated_rejoin] mutant lets amnesiac sites rejoin with no
+     resync quorum; its objects also stop re-pushing entries on commit. *)
+  Network.set_resync_quorum net
+    (if cfg.mutant = Some Replicated.Ungated_rejoin then 0 else resync_quorum);
   Term_driver.install term;
   cfg.install_faults net;
   (* Split gossip streams unconditionally so the workload's draws are the

@@ -51,16 +51,13 @@ type object_config = {
 type op_request = { target : string; invocation : Event.Invocation.t }
 
 type reconfig = {
-  allow_barrier : bool; (** permit the state-transfer barrier handoff *)
-  unsafe_no_barrier : bool;
-      (** negative testing only: skip the invariant and the barrier *)
   plan_override :
     (live:int list -> n_sites:int -> (int list * Assignment.t) option) option;
       (** test hook replacing {!Atomrep_quorum.Reassign.plan} *)
 }
 
 val default_reconfig : reconfig
-(** Barrier allowed, no plan override. The detector runs with
+(** No plan override. The detector runs with
     {!Atomrep_sim.Detector.start}'s defaults (site 0 probes every 40 with
     timeout 25 and suspects after 3 misses); [Reconfig_coord] wakes every
     60 with a cooldown of 150 and scores plans at p = 0.9 over a uniform
@@ -76,7 +73,6 @@ type deadlock_mode =
           preemptive, cycle-free, no graph *)
 
 val deadlock_mode_name : deadlock_mode -> string
-val deadlock_mode_of_string : string -> deadlock_mode option
 
 type shed_policy =
   | Reject_newest  (** queue full: shed the arriving transaction *)
@@ -86,7 +82,6 @@ type shed_policy =
           finding no read to evict, are shed themselves *)
 
 val shed_policy_name : shed_policy -> string
-val shed_policy_of_string : string -> shed_policy option
 
 type admission = {
   max_in_flight : int;  (** bounded in-flight window *)
@@ -149,9 +144,6 @@ type config = {
   n_txns : int;
   arrival_mean : float; (** mean transaction inter-arrival time *)
   script : Rng.t -> int -> op_request list; (** per-transaction operations *)
-  max_retries : int;
-  retry_delay : float; (** base delay for the capped exponential backoff *)
-  retry_delay_cap : float; (** ceiling on the exponential backoff delay *)
   install_faults : Network.t -> unit;
   horizon : float; (** simulated-time cutoff *)
   anti_entropy_every : float option;
@@ -169,10 +161,10 @@ type config = {
           it, and per-span-kind latency histograms land in the registry.
           [None] (the default) runs the zero-cost disabled path — metrics
           and histories are bit-identical either way. *)
-  ungated_rejoin : bool;
-      (** negative testing only: let amnesiac sites rejoin without a resync
-          quorum (the pre-fix behavior whose double-dequeue violation the
-          postmortem tests replay). *)
+  mutant : Replicated.mutant option;
+      (** negative testing only: plant one deliberate bug
+          ({!Replicated.mutant}) in every object and, for [Ungated_rejoin],
+          the network's rejoin gate (default [None]) *)
   durability : Repository.durability;
       (** stable-storage model for every repository (default [Volatile],
           the original behavior): [Durable] backs each site with a
@@ -256,11 +248,15 @@ val queue_objects : n_sites:int -> object_config list
     relation and {!default_queue_assignment} ({!default_config}'s objects
     at three sites). *)
 
-val backoff_delay : config -> Rng.t -> attempt:int -> float
+val max_retries : int
+val retry_delay : float
+val retry_delay_cap : float
+
+val backoff_delay : Rng.t -> attempt:int -> float
 (** The capped exponential backoff with jitter used for conflict retries
-    and commit-quorum re-probes: always within
-    [[0.5 *. retry_delay *. 2^attempt, retry_delay_cap]] (exposed so the
-    bound can be property-tested). *)
+    (at most [max_retries] = 8 per operation) and commit-quorum re-probes:
+    always within [[0.5 *. retry_delay *. 2^attempt, retry_delay_cap]]
+    (25 ms base, 400 ms cap; exposed so the bound can be property-tested). *)
 
 type metrics = {
   committed : int;

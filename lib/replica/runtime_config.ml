@@ -22,14 +22,11 @@ type object_config = {
 type op_request = { target : string; invocation : Event.Invocation.t }
 
 type reconfig = {
-  allow_barrier : bool;
-  unsafe_no_barrier : bool;
   plan_override :
     (live:int list -> n_sites:int -> (int list * Assignment.t) option) option;
 }
 
-let default_reconfig =
-  { allow_barrier = true; unsafe_no_barrier = false; plan_override = None }
+let default_reconfig = { plan_override = None }
 
 type deadlock_mode = No_deadlock | Detect | Wound_wait
 
@@ -38,22 +35,11 @@ let deadlock_mode_name = function
   | Detect -> "detect"
   | Wound_wait -> "wound-wait"
 
-let deadlock_mode_of_string = function
-  | "none" -> Some No_deadlock
-  | "detect" -> Some Detect
-  | "wound-wait" -> Some Wound_wait
-  | _ -> None
-
 type shed_policy = Reject_newest | Shed_reads_first
 
 let shed_policy_name = function
   | Reject_newest -> "reject-newest"
   | Shed_reads_first -> "shed-reads-first"
-
-let shed_policy_of_string = function
-  | "reject-newest" -> Some Reject_newest
-  | "shed-reads-first" -> Some Shed_reads_first
-  | _ -> None
 
 type admission = {
   max_in_flight : int;
@@ -89,15 +75,12 @@ type config = {
   n_txns : int;
   arrival_mean : float;
   script : Rng.t -> int -> op_request list;
-  max_retries : int;
-  retry_delay : float;
-  retry_delay_cap : float;
   install_faults : Network.t -> unit;
   horizon : float;
   anti_entropy_every : float option;
   reconfig : reconfig option;
   trace : Atomrep_obs.Trace.t option;
-  ungated_rejoin : bool;
+  mutant : Replicated.mutant option;
   durability : Repository.durability;
   termination : Termination.mode;
   deadlock : deadlock_mode;
@@ -151,15 +134,12 @@ let default_config =
           else { target = "queue"; invocation = Queue_type.deq_inv }
         in
         [ op ]);
-    max_retries = 8;
-    retry_delay = 25.0;
-    retry_delay_cap = 400.0;
     install_faults = (fun _ -> ());
     horizon = 1_000_000.0;
     anti_entropy_every = None;
     reconfig = None;
     trace = None;
-    ungated_rejoin = false;
+    mutant = None;
     durability = Repository.Volatile;
     termination = Termination.Disabled;
     deadlock = No_deadlock;
@@ -174,11 +154,17 @@ let default_config =
     timeseries = Atomrep_obs.Timeseries.null;
   }
 
+(* Conflict retries per operation, and the backoff's base delay and cap
+   in ms. *)
+let max_retries = 8
+let retry_delay = 25.0
+let retry_delay_cap = 400.0
+
 (* Capped exponential backoff with jitter: attempt 0 waits around the base
    delay, each further attempt doubles it up to the cap, and the uniform
    jitter in [0.5, 1.5) keeps two mutually-refused operations from
    retrying in lock-step. The cap clamps the jittered delay, not just the
    exponential part, so no delay ever exceeds [retry_delay_cap]. *)
-let backoff_delay cfg rng ~attempt =
-  let exp = cfg.retry_delay *. (2.0 ** float_of_int attempt) in
-  Float.min (exp *. (0.5 +. Rng.float rng 1.0)) cfg.retry_delay_cap
+let backoff_delay rng ~attempt =
+  let exp = retry_delay *. (2.0 ** float_of_int attempt) in
+  Float.min (exp *. (0.5 +. Rng.float rng 1.0)) retry_delay_cap

@@ -9,12 +9,6 @@ let mode_name = function
   | Presumed_abort_only -> "presumed-abort-only"
   | Cooperative -> "cooperative"
 
-let mode_of_string = function
-  | "none" -> Some Disabled
-  | "presumed-abort-only" | "presumed-abort" -> Some Presumed_abort_only
-  | "cooperative" -> Some Cooperative
-  | _ -> None
-
 let enabled = function Disabled -> false | Presumed_abort_only | Cooperative -> true
 let cooperative = function Cooperative -> true | Disabled | Presumed_abort_only -> false
 

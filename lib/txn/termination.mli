@@ -26,7 +26,6 @@ type mode =
           unreachable) and the orphan reaper *)
 
 val mode_name : mode -> string
-val mode_of_string : string -> mode option
 
 val enabled : mode -> bool
 (** Any crash-safe termination at all — [mode <> Disabled]. The liveness

@@ -222,34 +222,12 @@ let test_small_campaign_is_clean () =
   check_bool "work was done" true
     (List.for_all (fun c -> c.Campaign.c_committed > 0) report.Campaign.cells)
 
-(* An intentionally weakened dependency relation (the Deq-vs-Deq pairs
-   dropped) lets two concurrent Deqs race through the read phase without
-   meeting a conflicting intention, double-dequeueing an element. The
-   campaign must catch it and shrink the reproducer. *)
+(* The [Weak_relation] mutant (the Deq-vs-Deq pair dropped) lets two
+   concurrent Deqs race through the read phase without meeting a
+   conflicting intention, double-dequeueing an element. The campaign must
+   catch it and shrink the reproducer. *)
 let weakened_base =
-  let spec = Queue_type.spec in
-  let full = Static_dep.minimal spec ~max_len:4 in
-  let weak =
-    Relation.of_list
-      (List.filter
-         (fun ((inv : Event.Invocation.t), (e : Event.t)) ->
-           not (String.equal inv.op "Deq" && String.equal e.inv.op "Deq"))
-         (Relation.elements full))
-  in
-  {
-    Campaign.default_base with
-    Runtime.arrival_mean = 3.0;
-    objects =
-      [
-        {
-          Runtime.obj_name = "queue";
-          obj_spec = spec;
-          obj_relation = weak;
-          obj_assignment = Runtime.default_queue_assignment ~n_sites:3;
-            obj_members = None;
-        };
-      ];
-  }
+  { Campaign.default_base with Runtime.mutant = Some Replicated.Weak_relation }
 
 let test_weakened_relation_is_caught_and_shrunk () =
   let profiles =
@@ -269,13 +247,41 @@ let test_weakened_relation_is_caught_and_shrunk () =
   let v = List.hd report.Campaign.violations in
   check_bool "shrunk txn count" true (v.Campaign.v_task.n_txns <= n_txns);
   check_bool "shrunk reproducer still fails" true (v.Campaign.v_failures <> []);
-  check_bool "reproducer line is self-contained" true
+  check_bool "reproducer line names the mutant" true
     (let line = Campaign.reproducer_line v in
-     String.length line > 0
-     && String.sub line 0 13 = "atomrep chaos");
+     String.starts_with ~prefix:"atomrep chaos --repro" line
+     && String.ends_with ~suffix:"--mutant weak_relation" line);
   (* The reproducer tuple replays to the same verdict. *)
   let _, failures = Campaign.run v.Campaign.v_task in
   check_bool "reproducer replays deterministically" true (failures <> [])
+
+(* The mutant kill table: one killer task per deliberate bug. Under the
+   default history monitors each task violates with its mutant and runs
+   clean without it; a mutant missing from the table fails the test. *)
+let killers =
+  let task base scheme profile seed n_txns intensity =
+    { Campaign.base; scheme; profile = Campaign.profile profile; seed; n_txns; intensity }
+  in
+  Replicated.
+    [
+      (Ungated_rejoin, task Campaign.default_base Static "storm" 41 60 2.0);
+      (No_barrier, task Campaign.reconfig_base Locking "crashes" 14 30 1.0);
+      (Weak_relation, task Campaign.default_base Hybrid "flaky" 0 30 1.0);
+    ]
+
+let test_every_mutant_has_a_killer () =
+  List.iter
+    (fun m ->
+      let name = Replicated.mutant_name m in
+      match List.assoc_opt m killers with
+      | None -> Alcotest.failf "mutant %s has no killer task" name
+      | Some (task : Campaign.task) ->
+        let failures mutant =
+          snd (Campaign.run { task with base = { task.base with Runtime.mutant } })
+        in
+        check_bool (name ^ " killed") true (failures (Some m) <> []);
+        check_bool (name ^ " task clean without it") true (failures None = []))
+    Replicated.mutants
 
 (* The weakened campaign on one and on two domains: the same chaos table
    (cells, shrunk violations with their failures and postmortem paths),
@@ -366,7 +372,7 @@ let test_nemesis_scale_soft_limits () =
   | _ -> Alcotest.fail "scale changed the nemesis shape"
 
 (* A reproducer line carries the flags that built the campaign's base,
-   --ungated-rejoin when the base re-enables it, and any monitor selection
+   --mutant NAME when the base plants one, and any monitor selection
    other than chaos's default. *)
 let test_reproducer_line_carries_flags () =
   let flags = [ "--termination"; "cooperative"; "--takeover" ] in
@@ -398,11 +404,12 @@ let test_reproducer_line_carries_flags () =
     (String.ends_with ~suffix:"--takeover --monitor all"
        (line ~base:Campaign.default_base ~monitors:Monitors.registry));
   Alcotest.(check string)
-    "ungated rejoin replays with its flag"
+    "a mutant replays with its flag"
     "atomrep chaos --repro --schemes hybrid --profiles crashes --seed 3 --txns 20 \
-     --intensity 0.5 --termination cooperative --takeover --ungated-rejoin --monitor all"
+     --intensity 0.5 --termination cooperative --takeover --mutant ungated_rejoin \
+     --monitor all"
     (line
-       ~base:{ Campaign.default_base with Runtime.ungated_rejoin = true }
+       ~base:{ Campaign.default_base with Runtime.mutant = Some Replicated.Ungated_rejoin }
        ~monitors:Monitors.registry)
 
 let suites =
@@ -432,6 +439,8 @@ let suites =
         Alcotest.test_case "small campaign clean" `Quick test_small_campaign_is_clean;
         Alcotest.test_case "weakened relation caught and shrunk" `Quick
           test_weakened_relation_is_caught_and_shrunk;
+        Alcotest.test_case "every mutant has a killer" `Quick
+          test_every_mutant_has_a_killer;
         Alcotest.test_case "shared-bus replays judged alone" `Quick
           test_shared_bus_replays_judged_alone;
         Alcotest.test_case "nemesis intensity scaling" `Quick

@@ -14,9 +14,9 @@ let profile name =
   | Some p -> p
   | None -> Alcotest.failf "%s profile missing" name
 
-(* The ungated-rejoin bug, re-enabled: amnesiac sites rejoin without a resync
+(* The [Ungated_rejoin] mutant: amnesiac sites rejoin without a resync
    quorum, so storm sweeps have real violations for the explorer to find. *)
-let ungated_base = { Campaign.default_base with Runtime.ungated_rejoin = true }
+let ungated_base = { Campaign.default_base with Runtime.mutant = Some Replicated.Ungated_rejoin }
 
 let all_monitors = Monitors.registry
 
@@ -126,7 +126,7 @@ let test_fixture_replays () =
     "the violating fixture's reproducer line"
     [
       "atomrep chaos --repro --schemes static --profiles storm --seed 41 --txns 60 \
-       --intensity 2 --ungated-rejoin --monitor all";
+       --intensity 2 --mutant ungated_rejoin --monitor all";
     ]
     (List.filter_map
        (fun (r : Campaign.result) -> Option.map Campaign.reproducer_line r.r_violation)

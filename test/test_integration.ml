@@ -82,7 +82,7 @@ let test_multi_op_pipeline () =
 
 (* Conflict-retry exhaustion: two transactions that genuinely deadlock
    (each holding what the other needs) resolve by abort, and the system
-   stays atomic. Forced by zero retries. *)
+   stays atomic. Forced by a zero retry budget. *)
 let test_retry_exhaustion_aborts () =
   let script _rng _ =
     [
@@ -97,7 +97,7 @@ let test_retry_exhaustion_aborts () =
       n_txns = 6;
       seed = 3;
       arrival_mean = 1.0 (* pile-up *);
-      max_retries = 0;
+      retry_budget = 0;
       script;
     }
   in

@@ -254,14 +254,14 @@ let test_causal_cone_walks_both_edges () =
   check_bool "future excluded" false (List.mem unrelated ids)
 
 (* Replay the PR 1 double-dequeue: with quorum gating and commit piggyback
-   both disabled ([ungated_rejoin]), a storm run loses a tentative append to
+   both disabled (the [Ungated_rejoin] mutant), a storm run loses a tentative append to
    crash-with-amnesia and the rejoined repository serves a stale view. The
    postmortem's causal slice must surface the whole mechanism: the amnesia
    crash, the ungated rejoin, and the tentative append that was lost.
    (Empirically verified violating tuple; the slice is a strict subset of
    the trace, so these are causal-cone facts, not whole-trace facts.) *)
 let test_postmortem_slices_amnesia_violation () =
-  let base = { Campaign.default_base with Runtime.ungated_rejoin = true } in
+  let base = { Campaign.default_base with Runtime.mutant = Some Replicated.Ungated_rejoin } in
   let v =
     {
       Campaign.v_task =
@@ -449,7 +449,7 @@ let prop_default_judge_agrees_with_reference_oracles =
         (oneofl [ Replicated.Static; Replicated.Hybrid; Replicated.Locking ])
         (int_bound 999))
     (fun (scheme, seed) ->
-      let base = { Campaign.default_base with Runtime.ungated_rejoin = true } in
+      let base = { Campaign.default_base with Runtime.mutant = Some Replicated.Ungated_rejoin } in
       let cfg =
         Campaign.configure
           { base; scheme; profile = storm (); seed; n_txns = 40; intensity = 2.0 }

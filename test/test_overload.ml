@@ -130,7 +130,7 @@ let test_curve_multipliers () =
 (* --- the shed-safety monitor over hand-built traces -------------------- *)
 
 (* The monitor specs close over a {cfg; outcome} context; the trace-level
-   ones only read the configuration (for the grace window), so one cheap
+   ones only read the configuration, so one cheap
    real outcome serves every hand-built-trace test. *)
 let tiny_ctx =
   lazy

@@ -240,54 +240,15 @@ let test_hybrid_reconfigures_and_stays_atomic () =
   check_bool "detector saw the kills" true (m.Runtime.suspicion_transitions > 0);
   check_bool "still atomic" true (failures = [])
 
-let test_barrier_disabled_fails_closed () =
-  (* Force a plan whose quorums cannot intersect epoch 0's across the
-     member union; with the barrier disallowed the coordinator must fail
-     the handoff and leave the old epoch in force. *)
-  let narrow ~live ~n_sites:_ =
-    if List.length live = 4 then
-      Some (live, even_assignment ~n_sites:4 2 3)
-    else None
-  in
-  let base =
-    {
-      Campaign.reconfig_base with
-      Runtime.reconfig =
-        Some
-          {
-            Runtime.default_reconfig with
-            Runtime.allow_barrier = false;
-            plan_override = Some narrow;
-          };
-    }
-  in
-  let cfg =
-    Campaign.configure
-      {
-        base;
-        scheme = Replicated.Hybrid;
-        profile = kills_profile;
-        seed = 3;
-        n_txns = 25;
-        intensity = 1.0;
-      }
-  in
-  let outcome = Runtime.run cfg in
-  let m = outcome.Runtime.metrics in
-  check_int "no handoff without the barrier" 0 m.Runtime.reconfigs;
-  check_bool "failures recorded" true (m.Runtime.reconfigs_failed > 0);
-  check_int "old epoch stays in force" 0 m.Runtime.final_epoch;
-  check_bool "failing closed is still atomic" true
-    (Runtime.check_atomicity cfg outcome @ Runtime.check_common_order cfg outcome = [])
-
 (* A six-site cluster whose queue lives on members {0,1,2}; when site 2
    dies the override proposes the disjoint member set {3,4,5}, so the only
    sound handoff is the state-transfer barrier. *)
-let disjoint_base ~unsafe =
+let disjoint_base mutant =
   let three = Runtime.default_queue_assignment ~n_sites:3 in
   {
     Campaign.reconfig_base with
     Runtime.n_sites = 6;
+    mutant;
     (* Fast arrivals commit plenty of queue state in epoch 0 before the
        kill triggers the handoff — the state an unsafe switch strands. *)
     arrival_mean = 50.0;
@@ -304,9 +265,7 @@ let disjoint_base ~unsafe =
     reconfig =
       Some
         {
-          Runtime.default_reconfig with
-          Runtime.unsafe_no_barrier = unsafe;
-          plan_override =
+          Runtime.plan_override =
             Some
               (fun ~live ~n_sites:_ ->
                 if List.for_all (fun s -> List.mem s live) [ 3; 4; 5 ] then
@@ -329,7 +288,7 @@ let kill_member_profile =
   }
 
 let test_unsafe_handoff_caught_and_shrunk () =
-  let base = disjoint_base ~unsafe:true in
+  let base = disjoint_base (Some Replicated.No_barrier) in
   let report = sweep ~base ~profiles:[ kill_member_profile ] ~seeds:6 () in
   check_bool "oracles catch the stranded epoch-0 state" true
     (report.Campaign.violations <> []);
@@ -340,7 +299,7 @@ let test_unsafe_handoff_caught_and_shrunk () =
     report.Campaign.violations
 
 let test_barrier_handles_disjoint_handoff () =
-  let base = disjoint_base ~unsafe:false in
+  let base = disjoint_base None in
   (* Same seeds, same kill, same disjoint plan — with the barrier the
      campaign must stay violation-free... *)
   let report = sweep ~base ~profiles:[ kill_member_profile ] ~seeds:6 () in
@@ -429,8 +388,6 @@ let suites =
           test_static_refuses_reconfiguration;
         Alcotest.test_case "hybrid reconfigures and stays atomic" `Quick
           test_hybrid_reconfigures_and_stays_atomic;
-        Alcotest.test_case "barrier disabled fails closed" `Quick
-          test_barrier_disabled_fails_closed;
         Alcotest.test_case "unsafe handoff caught and shrunk" `Quick
           test_unsafe_handoff_caught_and_shrunk;
         Alcotest.test_case "barrier handles disjoint handoff" `Quick

@@ -29,21 +29,12 @@ let act i = Action.of_string (Printf.sprintf "T%d" i)
    exponential, unless the cap is below even that. *)
 let prop_backoff_within_bounds =
   QCheck2.Test.make ~name:"backoff delay within [0.5*base*2^k, cap]" ~count:500
-    QCheck2.Gen.(
-      quad (int_range 1 200) (int_range 1 2000) (int_range 0 12) (int_range 0 10_000))
-    (fun (base, cap, attempt, seed) ->
-      let cfg =
-        {
-          Runtime.default_config with
-          Runtime.retry_delay = float_of_int base;
-          retry_delay_cap = float_of_int cap;
-        }
-      in
-      let rng = Rng.create seed in
-      let d = Runtime.backoff_delay cfg rng ~attempt in
-      let exp = float_of_int base *. (2.0 ** float_of_int attempt) in
-      let lo = Float.min (0.5 *. exp) (float_of_int cap) in
-      d >= lo -. 1e-9 && d <= float_of_int cap +. 1e-9)
+    QCheck2.Gen.(pair (int_range 0 12) (int_range 0 10_000))
+    (fun (attempt, seed) ->
+      let cap = Runtime.retry_delay_cap in
+      let d = Runtime.backoff_delay (Rng.create seed) ~attempt in
+      let exp = Runtime.retry_delay *. (2.0 ** float_of_int attempt) in
+      d >= Float.min (0.5 *. exp) cap -. 1e-9 && d <= cap +. 1e-9)
 
 (* --- waits-for graph --------------------------------------------------- *)
 
