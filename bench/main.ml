@@ -11,8 +11,9 @@
    write a BENCH_<n>.json record (schemas in EXPERIMENTS.md); their
    seed-summed grids all go through [grid]. An unknown name prints the
    table to stderr and exits 2 before anything runs; an entry whose gate
-   fails (a monitor violation, a fixture regression, a sampling-fidelity
-   mismatch, no reconfiguration gain) makes the process exit 1. *)
+   fails (a monitor violation, a fixture regression, a judge-only bus
+   that loses a monitored event, no reconfiguration gain) makes the
+   process exit 1. *)
 
 open Atomrep_spec
 open Atomrep_core
@@ -777,25 +778,24 @@ let run_explore () =
   && List.for_all (fun (_, _, ok) -> ok) replays
 
 (* Performance-observability benchmark record: what the profiling hooks,
-   the sim-time time-series and per-kind trace sampling cost and buy.
+   the sim-time time-series and the judge-only trace bus cost and buy.
    (1) per-scheme committed/s with no observability attached — the
    headline the `atomrep bench-diff` gate tracks under kind "perf";
-   (2) observability overhead: wall clock for bare / profiled /
-   traced-full / traced-sampled runs of the same fixed-seed hybrid
-   workload (both traced rungs include the monitor catalogue's fold over
-   the run), with the sampled tracing ratio expected below the
-   full-fidelity one (BENCH_3's ~1.11); (3) the zero-loss check: with
-   sampling forced to keep every kind the monitor catalogue subscribes
-   to, the per-kind monitor-event counts and the monitor verdicts must
-   be identical sampled or not; (4) hot-phase profile and time-series
-   snapshots. Written to BENCH_8.json; the schema is documented in
-   EXPERIMENTS.md. The gate is (3) plus clean verdicts; the overhead
-   ordering is wall-clock noise and only warns. *)
+   (2) observability overhead: wall clock for bare / profiled / traced /
+   judge-only runs of the same fixed-seed hybrid workload (both traced
+   rungs include the monitor catalogue's fold over the run; the traced
+   rung stores every event, the judge-only rung only the kinds the
+   catalogue observes and spans); (3) the fidelity audit: the per-kind
+   monitor-event counts and the monitor verdicts must be identical on the
+   two buses, and both must issue the same number of ids; (4) hot-phase
+   profile and time-series snapshots. Written to BENCH_8.json; the schema
+   is documented in EXPERIMENTS.md. The gate is (3) plus clean verdicts;
+   the overhead ordering is wall-clock noise and only warns. *)
 let run_perf () =
   let module Trace = Atomrep_obs.Trace in
   let module Profile = Atomrep_obs.Profile in
   let module Timeseries = Atomrep_obs.Timeseries in
-  let seed = 42 and n_txns = 200 and reps = 5 and sample_every = 8 in
+  let seed = 42 and n_txns = 200 and reps = 5 in
   let n_sites = Runtime.default_config.Runtime.n_sites in
   let cfg ?trace ?(profile = Profile.null) ?(timeseries = Timeseries.null)
       scheme =
@@ -824,77 +824,65 @@ let run_perf () =
     scheme_rows;
   (* (2) Observability overhead on the hybrid workload. *)
   let monitors = Monitors.registry in
+  let monitor_labels = Monitors.observed_labels monitors in
   (* Interleaved timing: one run of each configuration per round, so
      clock drift, GC state and cache warmth spread evenly across the four
      accumulators instead of biasing whichever ran last. *)
   let bare_s = ref 0.0 and profiled_s = ref 0.0 in
-  let full_s = ref 0.0 and sampled_s = ref 0.0 in
+  let full_s = ref 0.0 and judge_s = ref 0.0 in
   let profile = Profile.create () in
   Profile.set_clock profile Unix.gettimeofday;
-  (* A traced run judged by the whole catalogue; sampling forces every
-     monitor-observed kind to full fidelity. *)
-  let traced ~sample () =
-    let tr = Trace.create ~n_sites () in
-    let _, failures =
-      Monitors.check_run ~monitors ~sample (cfg ~trace:tr Replicated.Hybrid)
-    in
-    (tr, failures)
+  (* A traced run judged by the whole catalogue, on a fresh bus. *)
+  let traced ?observes () =
+    let tr = Trace.create ?observes ~n_sites () in
+    (tr, snd (Monitors.check_run ~monitors (cfg ~trace:tr Replicated.Hybrid)))
   in
   let tally acc f =
     let r, dt = timed f in
     acc := !acc +. dt;
     r
   in
-  let last = ref None in
-  for _ = 1 to reps do
-    ignore (tally bare_s (fun () -> Runtime.run (cfg Replicated.Hybrid)));
-    ignore (tally profiled_s (fun () -> Runtime.run (cfg ~profile Replicated.Hybrid)));
-    let full = tally full_s (traced ~sample:1) in
-    let sampled = tally sampled_s (traced ~sample:sample_every) in
-    last := Some (full, sampled)
-  done;
-  let (full_tr, full_failures), (sampled_tr, sampled_failures) =
-    match !last with Some r -> r | None -> assert false
+  let rounds =
+    List.init reps (fun _ ->
+        ignore (tally bare_s (fun () -> Runtime.run (cfg Replicated.Hybrid)));
+        ignore (tally profiled_s (fun () -> Runtime.run (cfg ~profile Replicated.Hybrid)));
+        let full = tally full_s traced in
+        (full, tally judge_s (traced ~observes:monitor_labels)))
   in
+  let (full_tr, full_failures), (judge_tr, judge_failures) = List.nth rounds (reps - 1) in
   let bare_s = !bare_s and profiled_s = !profiled_s in
-  let full_s = !full_s and sampled_s = !sampled_s in
+  let full_s = !full_s and judge_s = !judge_s in
   let ratio x = if bare_s > 0.0 then x /. bare_s else 0.0 in
   Printf.printf
     "  overhead: bare %.3fs, profiled %.3fs (x%.3f), traced %.3fs (x%.3f), \
-     sampled 1/%d %.3fs (x%.3f)\n%!"
-    bare_s profiled_s (ratio profiled_s) full_s (ratio full_s) sample_every
-    sampled_s (ratio sampled_s);
-  if ratio sampled_s >= ratio full_s then
-    print_endline "  WARNING: sampling did not reduce the tracing overhead";
+     judge-only %.3fs (x%.3f)\n%!"
+    bare_s profiled_s (ratio profiled_s) full_s (ratio full_s) judge_s (ratio judge_s);
+  if ratio judge_s >= ratio full_s then
+    print_endline "  WARNING: the judge-only bus did not reduce the tracing overhead";
   (* (3) Zero monitor-visible loss: per-kind counts over the monitored
-     labels, and the verdicts, from the last full vs last sampled run
-     (same seed, same workload). *)
-  let monitor_labels = Monitors.observed_labels monitors in
+     labels, and the verdicts, from the last traced vs the last
+     judge-only run (same seed, same workload). *)
   let counts tr =
-    let per_tag = Array.make Trace.n_kind_tags 0 in
-    for id = 0 to Trace.length tr - 1 do
-      let tag = Trace.kind_tag (Trace.get tr id).Trace.kind in
-      per_tag.(tag) <- per_tag.(tag) + 1
-    done;
+    let events = Trace.events tr in
     List.map
       (fun label ->
-        ( label,
-          match Trace.tag_of_label label with
-          | Some tag -> per_tag.(tag)
-          | None -> 0 ))
+        let observed (e : Trace.event) = Trace.kind_label e.Trace.kind = label in
+        (label, List.length (List.filter observed events)))
       monitor_labels
   in
-  let full_counts = counts full_tr and sampled_counts = counts sampled_tr in
-  let counts_equal = full_counts = sampled_counts in
-  let verdicts_equal = full_failures = sampled_failures in
+  let judge_stored = List.length (Trace.events judge_tr) in
+  let full_counts = counts full_tr and judge_counts = counts judge_tr in
+  let counts_equal =
+    full_counts = judge_counts && Trace.length full_tr = Trace.length judge_tr
+  in
+  let verdicts_equal = full_failures = judge_failures in
   Printf.printf
-    "  fidelity: %d monitored kinds, counts %s, verdicts %s (%d trace events \
-     kept of %d emitted)\n%!"
+    "  fidelity: %d monitored kinds, counts %s, verdicts %s (judge-only bus \
+     stored %d of %d events)\n%!"
     (List.length monitor_labels)
     (if counts_equal then "identical" else "DIFFER")
     (if verdicts_equal then "identical" else "DIFFER")
-    (Trace.length sampled_tr)
-    (Trace.length sampled_tr + Trace.sampled_out sampled_tr);
+    judge_stored (Trace.length judge_tr);
   (* (4) Snapshots: the hot-phase table and a time-series run. *)
   let ts = Timeseries.create ~width:500.0 () in
   let _ = Runtime.run (cfg ~timeseries:ts Replicated.Hybrid) in
@@ -924,25 +912,23 @@ let run_perf () =
                ("bare_s", Json.Num bare_s);
                ("profiled_s", Json.Num profiled_s);
                ("traced_full_s", Json.Num full_s);
-               ("traced_sampled_s", Json.Num sampled_s);
+               ("judge_only_s", Json.Num judge_s);
                ("profile_ratio", Json.Num (ratio profiled_s));
                ("tracing_full_ratio", Json.Num (ratio full_s));
-               ("tracing_sampled_ratio", Json.Num (ratio sampled_s));
-               ("sample_every", Json.int sample_every);
+               ("judge_only_ratio", Json.Num (ratio judge_s));
                ("full_events", Json.int (Trace.length full_tr));
-               ("sampled_kept", Json.int (Trace.length sampled_tr));
-               ("sampled_out", Json.int (Trace.sampled_out sampled_tr));
+               ("judge_only_stored", Json.int judge_stored);
              ] );
          ( "monitor_fidelity",
            Json.Obj
              [
                ("labels", strs monitor_labels);
                ("full_counts", counts_json full_counts);
-               ("sampled_counts", counts_json sampled_counts);
+               ("judge_only_counts", counts_json judge_counts);
                ("counts_equal", Json.Bool counts_equal);
                ("verdicts_equal", Json.Bool verdicts_equal);
                ("full_violations", Json.int (List.length full_failures));
-               ("sampled_violations", Json.int (List.length sampled_failures));
+               ("judge_only_violations", Json.int (List.length judge_failures));
              ] );
          ("profile_top", Json.List (List.map phase_json (Profile.top profile ~n:5)));
          ( "timeseries",
@@ -954,7 +940,7 @@ let run_perf () =
                ("series", strs (Timeseries.series_names ts));
              ] );
        ]);
-  counts_equal && verdicts_equal && full_failures = [] && sampled_failures = []
+  counts_equal && verdicts_equal && full_failures = [] && judge_failures = []
 
 (* Overload bench: offered-load-vs-goodput curves per scheme, admission
    on vs off, on identical open-loop arrival plans. Goodput counts only
@@ -1268,7 +1254,7 @@ let entries =
     ("termination", ("BENCH_5.json: termination modes under coordinator kills", run_termination));
     ("takeover", ("BENCH_6.json: takeover on/off + monitor-gated storm campaign", run_takeover));
     ("explore", ("BENCH_7.json: explorer sweeps, domain speedup, fixture replays", run_explore));
-    ("perf", ("BENCH_8.json: observability overhead ladder + sampling fidelity", run_perf));
+    ("perf", ("BENCH_8.json: observability overhead ladder + judge-only bus fidelity", run_perf));
     ("load", ("BENCH_9.json: open-loop goodput, admission on vs off", run_load));
     ("gray", ("BENCH_10.json: fail-slow sites, hedging x demotion grid", run_gray));
   ]

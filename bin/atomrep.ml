@@ -308,10 +308,9 @@ let durability_flag ~tuned =
   Term.(const overlay $ mode)
 
 (* Observability flags, resolved: the monitors that gate the run and what
-   to sample, profile and write out. *)
+   to profile and write out. *)
 type obs = {
   monitors : Monitors.entry list;
-  sample : int;
   trace_to : (string * [ `Jsonl | `Chrome ]) option;
   metrics_to : string option;
   timeseries_to : string option;
@@ -341,14 +340,6 @@ let obs_flags ?(timeseries = false) ?(profile = false) ?(export = Fun.id) () =
           value
           & opt ~vopt:(Some Monitors.registry) (some monitors) None
           & info [ "monitor" ] ~docv:"MONITORS" ~doc))
-  in
-  let sample =
-    opt pos_int 1 [ "sample" ] ~docv:"N"
-      ~doc:
-        "Keep one in $(docv) trace events per kind (deterministic counter, no \
-         RNG). Span and quiesce events, and any kind a selected monitor \
-         subscribes to, are always kept, so monitor verdicts are identical \
-         sampled or not. 1 = full fidelity."
   in
   let exports =
     let trace =
@@ -405,12 +396,11 @@ let obs_flags ?(timeseries = false) ?(profile = false) ?(export = Fun.id) () =
     opt Arg.(some string) None [ "profile-json" ] ~docv:"FILE"
       ~doc:"Profile the run and write the hot-phase profile as JSON to $(docv)."
   in
-  let make monitors sample (trace_to, metrics_to) (timeseries_to, window) profiled
-      profile_to =
-    { monitors; sample; trace_to; metrics_to; timeseries_to; window; profiled; profile_to }
+  let make monitors (trace_to, metrics_to) (timeseries_to, window) profiled profile_to =
+    { monitors; trace_to; metrics_to; timeseries_to; window; profiled; profile_to }
   in
   Term.(
-    const make $ monitor $ sample $ exports
+    const make $ monitor $ exports
     $ present timeseries timeseries_flags (None, 500.0)
     $ present profile profile_flag false
     $ present profile profile_json None)
@@ -422,15 +412,15 @@ let fresh_profile () =
   Obs.Profile.set_clock p Unix.gettimeofday;
   p
 
-(* The observability stack [obs] asks for, on [cfg]'s cluster: a trace bus
-   to export or to report the sampling of (otherwise the judge attaches
-   one only if a selected monitor folds trace events), the phase profiler
-   and the sim-time series. *)
+(* The observability stack [obs] asks for, on [cfg]'s cluster: a full
+   trace bus to export (otherwise the judge attaches a judge-only one if a
+   selected monitor folds trace events), the phase profiler and the
+   sim-time series. *)
 let observe obs (cfg : Runtime.config) =
   {
     cfg with
     trace =
-      (if obs.trace_to <> None || obs.sample > 1 then
+      (if obs.trace_to <> None then
          Some (Obs.Trace.create ~n_sites:cfg.n_sites ())
        else None);
     profile =
@@ -441,7 +431,7 @@ let observe obs (cfg : Runtime.config) =
        else Obs.Timeseries.null);
   }
 
-let judge obs cfg = Monitors.check_run ~monitors:obs.monitors ~sample:obs.sample cfg
+let judge obs cfg = Monitors.check_run ~monitors:obs.monitors cfg
 
 (* --- reporting --- *)
 
@@ -514,9 +504,8 @@ let print_verdict monitors = function
   | fs -> List.iter (fun (o, f) -> Printf.printf "VIOLATION %s: %s\n" o f) fs
 
 (* The report of a single-run command. Per judged run: its header, the
-   [sections] the flags turned on, and the monitor verdict; then the trace
-   sampling line, the profile table, and the time-series, trace and
-   metrics files [obs] names (the metrics of the last run). [cfg] holds
+   [sections] the flags turned on, and the monitor verdict; then the
+   profile table, and the time-series, trace and metrics files [obs] names (the metrics of the last run). [cfg] holds
    the observability stack the runs shared. The monitors gate the exit
    code so scripted runs can fail hard. *)
 let finish ?(sections = []) obs (cfg : Runtime.config) runs =
@@ -526,11 +515,6 @@ let finish ?(sections = []) obs (cfg : Runtime.config) runs =
       List.iter (fun section -> section cfg outcome.metrics) sections;
       print_verdict obs.monitors failures)
     runs;
-  (match cfg.trace with
-   | Some tr when obs.sample > 1 ->
-     Printf.printf "trace sampling: 1/%d, kept=%d sampled-out=%d\n"
-       (Obs.Trace.sampling tr) (Obs.Trace.length tr) (Obs.Trace.sampled_out tr)
-   | _ -> ());
   if obs.profiled then Format.printf "%a@?" (Obs.Profile.pp_table ?top:None) cfg.profile;
   Option.iter (fun path -> write_timeseries path cfg.timeseries) obs.timeseries_to;
   Option.iter
@@ -736,10 +720,10 @@ let chaos_cmd =
   let run repro replay schemes profiles seeds txns intensities seed (base, flags) mutant
       obs postmortem_dir report_file max_shrinks =
     let base = { base with Runtime.mutant } in
-    let monitors = obs.monitors and sample = obs.sample in
+    let monitors = obs.monitors in
     match replay with
     | Some fixtures ->
-      let results = Campaign.replay_fixtures ~monitors ~sample fixtures in
+      let results = Campaign.replay_fixtures ~monitors fixtures in
       List.fold_left2
         (fun code (f : Campaign.fixture) (r : Campaign.result) ->
           let ok = Campaign.fixture_holds f r in
@@ -761,7 +745,7 @@ let chaos_cmd =
       let replay scheme profile intensity =
         let task = { Campaign.base; scheme; profile; seed; n_txns = txns; intensity } in
         let ((_, failures) as verdict) =
-          Campaign.run ~monitors ~sample ?trace:cfg.trace task
+          Campaign.run ~monitors ?trace:cfg.trace task
         in
         let postmortem =
           match postmortem_dir with
@@ -795,7 +779,7 @@ let chaos_cmd =
     | None ->
       let report =
         Campaign.report
-          (Campaign.sweep ~monitors ~sample ?max_shrinks ?postmortem_dir ~flags
+          (Campaign.sweep ~monitors ?max_shrinks ?postmortem_dir ~flags
              (Campaign.grid ~base ~schemes ~profiles ~seeds ~intensities ~n_txns:txns))
       in
       Format.printf "%a" Campaign.pp_report report;
@@ -1159,7 +1143,7 @@ let experiment_cmd =
 let compare_cmd =
   let run spec max_len n_sites samples =
     let module C = Atomrep_experiments.Compare in
-    let concurrency = C.concurrency ~samples spec in
+    let concurrency = C.concurrency ~histories:samples spec in
     Format.printf "concurrency (Figure 1-1), %d random histories:@." samples;
     Format.printf "  static  vs hybrid : %a@." C.pp_verdict concurrency.C.static_vs_hybrid;
     Format.printf "  hybrid  vs dynamic: %a@." C.pp_verdict concurrency.C.hybrid_vs_dynamic;

@@ -243,8 +243,7 @@ let configure ?trace t =
    (engine, network, RNG, trace bus, metrics registry, monitor instances)
    is allocated inside the call, so runs on concurrent domains share
    nothing. *)
-let run ?monitors ?sample ?trace t =
-  Monitors.check_run ?monitors ?sample (configure ?trace t)
+let run ?monitors ?trace t = Monitors.check_run ?monitors (configure ?trace t)
 
 type violation = {
   v_task : task;
@@ -376,10 +375,10 @@ type result = {
   r_violation : violation option;
 }
 
-let sweep ?domains ?(monitors = Monitors.history) ?sample ?(max_shrinks = max_int)
+let sweep ?domains ?(monitors = Monitors.history) ?(max_shrinks = max_int)
     ?postmortem_dir ~flags tasks =
   let judge t =
-    let outcome, failures = run ~monitors ?sample t in
+    let outcome, failures = run ~monitors t in
     {
       r_task = t;
       r_metrics = outcome.Runtime.metrics;
@@ -582,9 +581,9 @@ let fixtures =
 let find_fixture name = List.find_opt (fun f -> String.equal f.f_name name) fixtures
 let fixture_names = List.map (fun f -> f.f_name) fixtures
 
-let replay_fixtures ?monitors ?sample fixtures =
+let replay_fixtures ?monitors fixtures =
   List.concat_map
-    (fun f -> sweep ?monitors ?sample ~max_shrinks:0 ~flags:f.f_flags [ f.f_task ])
+    (fun f -> sweep ?monitors ~max_shrinks:0 ~flags:f.f_flags [ f.f_task ])
     fixtures
 
 let fixture_holds f r =

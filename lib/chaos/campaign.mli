@@ -110,13 +110,13 @@ val configure : ?trace:Atomrep_obs.Trace.t -> task -> Runtime.config
 
 val run :
   ?monitors:Monitors.entry list ->
-  ?sample:int ->
   ?trace:Atomrep_obs.Trace.t ->
   task ->
   Runtime.outcome * (string * string) list
 (** Run the task and judge it ({!Monitors.check_run} on {!configure}):
-    the one place a task runs. Runs that share one [trace] are each
-    judged on their own events only. *)
+    the one place a task runs. Without a [trace] the judge attaches its
+    own judge-only bus when a selected monitor observes trace kinds. Runs
+    that share one [trace] are each judged on their own events only. *)
 
 (** {1 Violations} *)
 
@@ -140,8 +140,9 @@ val trace_violation :
   ?monitors:Monitors.entry list ->
   violation ->
   Atomrep_obs.Trace.t * Atomrep_obs.Postmortem.t
-(** Replay a (shrunk) violation with tracing on — determinism reproduces
-    the same failure — and slice the trace to the causal cone of the
+(** Replay a (shrunk) violation on a full bus — determinism reproduces
+    the same failure, and the bus numbers its events as the judge-only
+    bus of the sweep did — and slice the trace to the causal cone of the
     violating actions. *)
 
 val write_postmortem :
@@ -195,7 +196,6 @@ type result = {
 val sweep :
   ?domains:int ->
   ?monitors:Monitors.entry list ->
-  ?sample:int ->
   ?max_shrinks:int ->
   ?postmortem_dir:string ->
   flags:string list ->
@@ -204,7 +204,7 @@ val sweep :
 (** Run every task, on [domains] worker domains (default
     [Domain.recommended_domain_count ()], capped by the task count; [1]
     runs everything in the calling domain), judged by [monitors] (default
-    {!Monitors.history}) with trace sampling [sample]. Results come back
+    {!Monitors.history}). Results come back
     in task order and are identical for any domain count. Then, in the
     main domain and in task order, the first [max_shrinks] (default all)
     violations are {!shrink}ed and, with [postmortem_dir], get a
@@ -269,7 +269,7 @@ val find_fixture : string -> fixture option
 val fixture_names : string list
 
 val replay_fixtures :
-  ?monitors:Monitors.entry list -> ?sample:int -> fixture list -> result list
+  ?monitors:Monitors.entry list -> fixture list -> result list
 (** Sweep each fixture's task without shrinking, with the fixture's
     [f_flags] in its reproducer line; one result per fixture, in order. *)
 

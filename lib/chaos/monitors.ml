@@ -751,32 +751,16 @@ let observed_labels entries =
   List.concat_map (fun e -> e.e_observes) entries
   |> List.sort_uniq String.compare
 
-let forced entries = SM.observes ~name:"monitors" (observed_labels entries)
-
-(* The one judge: the selected entries ARE the oracles, each spec
-   instantiated fresh for this run (so no verdict bleeds between runs or
-   shrink candidates), folded over this run's events, and quiesced. A
-   fresh bus is attached only when the caller gave none and some entry
-   observes a trace kind, so the default history-only selection runs
-   untraced. On a bus the caller shares between runs, the fold starts at
-   the bus length noted before the run, so earlier runs' transaction
-   names never collide with this run's. Tracing does not perturb the run,
-   so monitor-gated reproducer tuples still replay. *)
-let check_run ?(monitors = history) ?(sample = 1) cfg =
+let check_run ?(monitors = history) cfg =
   let cfg =
-    if cfg.Runtime.trace = None && observed_labels monitors <> [] then
+    match observed_labels monitors with
+    | _ :: _ as observes when cfg.Runtime.trace = None ->
       {
         cfg with
-        Runtime.trace = Some (Trace.create ~n_sites:cfg.Runtime.n_sites ());
+        Runtime.trace = Some (Trace.create ~observes ~n_sites:cfg.Runtime.n_sites ());
       }
-    else cfg
+    | _ -> cfg
   in
-  (* Optional trace-bus thinning: every kind a selected monitor observes is
-     forced to full fidelity, so sampling can never change a verdict. *)
-  (match cfg.Runtime.trace with
-   | Some tr when sample > 1 ->
-     Trace.set_sampling tr ~every:sample ~forced:(forced monitors) ()
-   | _ -> ());
   let trace = Option.value cfg.Runtime.trace ~default:Trace.null in
   let from_id = Trace.length trace in
   let outcome = Runtime.run cfg in

@@ -64,10 +64,10 @@ type entry = {
   e_observes : string list;
       (** the {!Atomrep_obs.Trace.kind_label}s the entry's spec subscribes
           to — static (a spec is only buildable from a post-run {!ctx}),
-          so trace-bus sampling can compute its forced-kind set {e before}
-          the run. It is the very list the spec is built with; a unit test
-          pins it to the built spec's mask
-          ({!Atomrep_obs.Spec_monitor.observes_kind}). *)
+          so {!check_run} can build the judge-only bus {e before} the
+          run. It is the very list the spec is built with; a unit test
+          pins it to the built spec's
+          {!Atomrep_obs.Spec_monitor.observed}. *)
   e_spec : ctx -> Atomrep_obs.Spec_monitor.t;
 }
 
@@ -107,20 +107,11 @@ val run :
     [from_id] (default 0) on, quiesce. *)
 
 val observed_labels : entry list -> string list
-(** Union of the entries' [e_observes] lists, sorted, deduplicated. *)
-
-val forced : entry list -> Atomrep_obs.Trace.kind -> bool
-(** The forced-kind predicate for {!Atomrep_obs.Trace.set_sampling}: the
-    mask {!Atomrep_obs.Spec_monitor.observes} builds from
-    {!observed_labels}, so the sampler and the judge share one definition
-    of "observed". Any kind some selected monitor subscribes to must stay
-    full fidelity —
-    sampling only thins kinds nothing consumes, so monitor verdicts are
-    identical sampled or not. *)
+(** Union of the entries' [e_observes] lists, sorted, deduplicated: the
+    kinds {!check_run}'s judge-only bus stores. *)
 
 val check_run :
   ?monitors:entry list ->
-  ?sample:int ->
   Runtime.config ->
   Runtime.outcome * (string * string) list
 (** Run once and judge it: the one code path that gates a run. The
@@ -129,18 +120,13 @@ val check_run :
     shrink candidates — folded over the run's events, and quiesced.
     Failures come back in {!Atomrep_obs.Spec_monitor.failures} shape.
 
-    A fresh bus is attached only when the configuration carries none and
-    some selected entry observes a trace kind ({!observed_labels}
-    non-empty), so the default selection runs untraced. With
-    [sample > 1] the bus is thinned, every monitor-observed kind forced
-    to full fidelity. The fold starts at the bus length noted before the
+    When the configuration carries no bus and some selected entry
+    observes a trace kind ({!observed_labels} non-empty), a judge-only
+    bus ({!Atomrep_obs.Trace.create} [~observes]) is attached: it stores
+    only the observed kinds and spans, and numbers events as a full bus
+    would. The default selection runs untraced; a bus the caller passes
+    is used as it is. The fold starts at the bus length noted before the
     run, so runs that share one bus are each judged on their own events
     only. When the configuration's profile is enabled, monitor stepping
     is recorded in it. Tracing does not perturb the run, so monitor-gated
     reproducer tuples still replay deterministically. *)
-
-val grace : float
-(** The liveness grace window (simulated ms): an obligation still open at
-    quiesce is only a violation if it had been open at least this long
-    before the horizon — enough for the retry backoff, RPC
-    timeouts, and a reaper sweep to have had their chance. *)

@@ -41,7 +41,7 @@ type concurrency_report = {
   witness_hybrid_not_dynamic : Behavioral.t option;
 }
 
-let concurrency ?(seed = 1985) ?(samples = 2000) ?(max_actions = 3) ?(max_events = 4)
+let concurrency ?(seed = 1985) ?(histories = 2000) ?(max_actions = 3) ?(max_events = 4)
     spec =
   let rng = Atomrep_stats.Rng.create seed in
   (* One tally per acceptance set or difference: how many sampled
@@ -57,7 +57,7 @@ let concurrency ?(seed = 1985) ?(samples = 2000) ?(max_actions = 3) ?(max_events
       if Option.is_none !witness then witness := Some h
     end
   in
-  for _ = 1 to samples do
+  for _ = 1 to histories do
     let h = Atomrep_workload.Histories.random rng spec ~max_actions ~max_events in
     let s = Atomicity.is_static_atomic spec h in
     let y = Atomicity.is_hybrid_atomic spec h in
@@ -75,7 +75,7 @@ let concurrency ?(seed = 1985) ?(samples = 2000) ?(max_actions = 3) ?(max_events
   let n (k, _) = !k and witness (_, w) = !w in
   let verdict left right = verdict_of ~left_only:(n left > 0) ~right_only:(n right > 0) in
   {
-    samples;
+    samples = histories;
     static_accepted = n sta;
     hybrid_accepted = n hyb;
     dynamic_accepted = n dyn;

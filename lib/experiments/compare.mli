@@ -36,15 +36,15 @@ type concurrency_report = {
 }
 
 val concurrency :
-  ?seed:int -> ?samples:int -> ?max_actions:int -> ?max_events:int ->
+  ?seed:int -> ?histories:int -> ?max_actions:int -> ?max_events:int ->
   Serial_spec.t -> concurrency_report
-(** Sample random histories and compare which properties accept them. A
-    [Left_strictly_contains] verdict means every sampled history accepted
-    by the right property was accepted by the left and some history
-    separated them; [Equal] means no sampled history separated them
-    (bounded evidence, not proof). Expected per the paper: hybrid strictly
-    contains dynamic; static incomparable with both (on types rich enough
-    to separate them). *)
+(** Sample [histories] random histories (default 2000) and compare which
+    properties accept them. A [Left_strictly_contains] verdict means every
+    sampled history accepted by the right property was accepted by the
+    left and some history separated them; [Equal] means no sampled history
+    separated them (bounded evidence, not proof). Expected per the paper:
+    hybrid strictly contains dynamic; static incomparable with both (on
+    types rich enough to separate them). *)
 
 type availability_report = {
   n_sites : int;

@@ -37,7 +37,7 @@ let e1_concurrency () =
   in
   List.iter
     (fun spec ->
-      let r = Compare.concurrency ~samples:2000 spec in
+      let r = Compare.concurrency ~histories:2000 spec in
       Table.add_row table
         (spec.Serial_spec.name
          :: List.map Table.cell_int

@@ -25,27 +25,14 @@ type t = {
 }
 
 let name t = t.spec_name
-let observes_kind t kind = t.mask.(Trace.kind_tag kind)
 
-let mask_of ~name labels =
-  let mask = Array.make Trace.n_kind_tags false in
-  List.iter
-    (fun label ->
-      match Trace.tag_of_label label with
-      | Some tag -> mask.(tag) <- true
-      | None ->
-        invalid_arg
-          (Printf.sprintf "Spec_monitor %s: unknown trace kind label %S" name
-             label))
-    labels;
-  mask
-
-let observes ~name labels =
-  let mask = mask_of ~name labels in
-  fun kind -> mask.(Trace.kind_tag kind)
+let observed t =
+  List.filter_map
+    (fun tag -> if t.mask.(tag) then Some (Trace.label_of_tag tag) else None)
+    (List.init Trace.n_kind_tags Fun.id)
 
 let make ~name ~observes ~init ~step ?(at_quiesce = fun _ -> []) () =
-  let mask = mask_of ~name observes in
+  let mask = Trace.mask ~name:("Spec_monitor " ^ name) observes in
   let fresh () =
     (* [None] = accepted (discharged, nothing to quiesce). *)
     let state = ref (Some (init ())) in
@@ -78,7 +65,7 @@ let make ~name ~observes ~init ~step ?(at_quiesce = fun _ -> []) () =
   { spec_name = name; mask; fresh }
 
 let keyed ~name ~observes ~key ~init ~step ?(at_quiesce = fun _ _ -> []) () =
-  let mask = mask_of ~name observes in
+  let mask = Trace.mask ~name:("Spec_monitor " ^ name) observes in
   let fresh () =
     let states = Hashtbl.create 32 in
     (* Insertion order, for deterministic quiesce reports. *)
@@ -225,9 +212,7 @@ let quiesce inst =
 let run ?(from_id = 0) t trace =
   let inst = instantiate t in
   Profile.record ~subsystem:"monitor" "step" (fun () ->
-      for id = from_id to Trace.length trace - 1 do
-        observe inst (Trace.get trace id)
-      done);
+      Trace.iter ~from_id trace (observe inst));
   quiesce inst
 
 let failures vs =
@@ -240,23 +225,3 @@ let failures vs =
       in
       (v.v_monitor, msg))
     vs
-
-let witness trace v =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "MONITOR VIOLATION %s: %s\n" v.v_monitor v.v_message);
-  (match v.v_event with
-   | None -> Buffer.add_string buf "(liveness verdict at quiesce: no anchor event)\n"
-   | Some id when id < 0 || id >= Trace.length trace ->
-     Buffer.add_string buf (Printf.sprintf "(event #%d outside the trace)\n" id)
-   | Some id ->
-     Buffer.add_string buf
-       (Format.asprintf "violating event: %a\n" Trace.pp_event (Trace.get trace id));
-     let cone = Postmortem.causal_cone trace ~targets:[ id ] in
-     Buffer.add_string buf
-       (Printf.sprintf "causal cone: %d of %d events\n" (List.length cone)
-          (Trace.length trace));
-     List.iter
-       (fun e -> Buffer.add_string buf (Format.asprintf "  %a\n" Trace.pp_event e))
-       cone);
-  Buffer.contents buf

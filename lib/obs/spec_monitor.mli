@@ -7,7 +7,7 @@
 
     - which event kinds it observes ([observes], a static list of
       {!Trace.kind_label}s — P's [spec ... observes e1, e2] clause), stored
-      as a mask over {!Trace.kind_tag}: an event of another kind never
+      as a mask over {!Trace.kind_tag} ({!Trace.mask}): an event of another kind never
       reaches the spec;
     - a [step] function folding observed events into its state, which can
       also {e accept} (the obligation is discharged, the state is GC'd) or
@@ -46,17 +46,9 @@ type t
 
 val name : t -> string
 
-val observes_kind : t -> Trace.kind -> bool
-(** Whether the kind is in the spec's observed set — for a conjunction,
-    in any child's. This is the static subscription surface the
-    trace-bus sampler must keep at full fidelity ({!Trace.set_sampling}):
-    sampling may only thin kinds no active monitor observes. *)
-
-val observes : name:string -> string list -> Trace.kind -> bool
-(** [observes ~name labels] is the membership test of the mask
-    [make ~name ~observes:labels] stores — the sampler's forced-kind
-    predicate shares it with the judge. Raises [Invalid_argument] like
-    {!make}. *)
+val observed : t -> string list
+(** The {!Trace.kind_label}s of the kinds the spec observes (for a
+    conjunction, the union of its children's), in tag order. *)
 
 val make :
   name:string ->
@@ -120,18 +112,12 @@ val quiesce : instance -> violation list
     violations (stepped ones first, in detection order). Idempotent. *)
 
 val run : ?from_id:int -> t -> Trace.t -> violation list
-(** [instantiate], fold the trace's events with id at or above [from_id]
-    (default 0: the whole trace), [quiesce]. A [from_id] taken as
-    {!Trace.length} before a run scopes the fold to that run's events, so
-    runs sharing one bus never judge each other's transactions. *)
+(** [instantiate], fold the trace's stored events with id at or above
+    [from_id] (default 0: the whole trace), [quiesce]. A [from_id] taken
+    as {!Trace.length} before a run scopes the fold to that run's events,
+    so runs sharing one bus never judge each other's transactions. *)
 
 val failures : violation list -> (string * string) list
 (** Campaign-oracle shape: [(monitor, message)] with the violating event id
     woven into the message, concatenable with the runtime's oracle
     failures. *)
-
-val witness : Trace.t -> violation -> string
-(** Formatted counterexample: the verdict line, the violating event, and
-    its causal cone (via {!Postmortem.causal_cone}) one event per line.
-    Quiesce-time violations (no anchor event) render the verdict line
-    only. *)

@@ -58,33 +58,29 @@ type event = {
 let dummy_event =
   { id = -1; time = 0.0; site = -1; lamport = 0; prev = None; cause = None; kind = Heal }
 
+(* A full bus stores every event. A judge-only bus stores the events of
+   the kinds in its [mask] and keeps the Lamport stamp of every emit, so
+   that a later [~cause] naming an unstored event still witnesses its
+   clock. *)
 type t = {
   on : bool;
-  mutable data : event array; (* growable; [size] slots in use *)
+  full : bool;
+  mask : bool array; (* judge-only: stored kinds, indexed by kind tag *)
+  mutable data : event array; (* growable; [size] slots in use, in id order *)
   mutable size : int;
+  mutable ids : int; (* ids issued, one per emit *)
+  mutable stamps : int array; (* judge-only: the Lamport stamp of each id *)
   mutable now : unit -> float;
   (* Per-site Lamport counter and last event id; index [site + 1] so the
      system lane (-1) shares the machinery. *)
   counters : int array;
   last : int array;
   mutable next_span : int;
-  (* Per-kind sampling: keep 1 in [sample_every] events of each kind
-     (deterministic per-kind counters, no RNG), except kinds the
-     [sample_forced] predicate claims — those stay full fidelity. The
-     counters and the forced-decision cache are dense arrays indexed by
-     {!kind_tag}, so the sampled-out path costs two array reads — no
-     hashing, no allocation — and thinning the bus actually saves the
-     wall time the dropped events would have cost. *)
-  mutable sample_every : int;
-  mutable sample_forced : kind -> bool;
-  sample_counts : int array;
-  sample_forced_cache : int array; (* -1 unknown, 0 thinned, 1 forced *)
-  mutable sampled_out : int;
 }
 
 (* The stable label of each kind constructor, indexed by its dense tag
-   ({!kind_tag}). The tag indexes the sampling arrays, this table and the
-   monitors' observed-kind masks. *)
+   ({!kind_tag}). The tag indexes this table and the observed-kind
+   masks. *)
 let labels =
   [|
     "rpc_send"; "rpc_recv"; "rpc_drop"; "rpc_timeout"; "quorum_read";
@@ -147,6 +143,7 @@ let kind_tag = function
   | Slow_inject _ -> 43
   | Detector_slow _ -> 44
 
+let label_of_tag tag = labels.(tag)
 let kind_label kind = labels.(kind_tag kind)
 
 let tag_of_label label =
@@ -157,30 +154,54 @@ let tag_of_label label =
   in
   find 0
 
-let create ?(enabled = true) ~n_sites () =
+let mask ~name labels =
+  let mask = Array.make n_kind_tags false in
+  List.iter
+    (fun label ->
+      match tag_of_label label with
+      | Some tag -> mask.(tag) <- true
+      | None ->
+        invalid_arg (Printf.sprintf "%s: unknown trace kind label %S" name label))
+    labels;
+  mask
+
+let create ?(enabled = true) ?observes ~n_sites () =
   {
     on = enabled;
+    full = observes = None;
+    (* Spans are always stored: the runtime turns closed spans into the
+       registry's span.* histograms. *)
+    mask =
+      (match observes with
+       | None -> [||]
+       | Some labels -> mask ~name:"Trace.create" ("span_begin" :: "span_end" :: labels));
     data = Array.make 1024 dummy_event;
     size = 0;
+    ids = 0;
+    stamps = (if observes = None then [||] else Array.make 1024 0);
     now = (fun () -> 0.0);
     counters = Array.make (n_sites + 1) 0;
     last = Array.make (n_sites + 1) (-1);
     next_span = 0;
-    sample_every = 1;
-    sample_forced = (fun _ -> false);
-    sample_counts = Array.make n_kind_tags 0;
-    sample_forced_cache = Array.make n_kind_tags (-1);
-    sampled_out = 0;
   }
 
 let null = create ~enabled:false ~n_sites:0 ()
 let enabled t = t.on
 let set_clock t f = t.now <- f
-let length t = t.size
+let length t = t.ids
 
 let get t id =
-  if id < 0 || id >= t.size then invalid_arg "Trace.get: bad event id";
+  if (not t.full) || id < 0 || id >= t.size then
+    invalid_arg "Trace.get: bad event id, or a judge-only bus";
   t.data.(id)
+
+(* Stored events sit in id order, but on a judge-only bus an event's
+   index can be below its id, so the scan starts at the first. *)
+let iter ?(from_id = 0) t f =
+  for i = 0 to t.size - 1 do
+    let e = t.data.(i) in
+    if e.id >= from_id then f e
+  done
 
 let push t e =
   if t.size = Array.length t.data then begin
@@ -191,68 +212,50 @@ let push t e =
   t.data.(t.size) <- e;
   t.size <- t.size + 1
 
-let set_sampling t ~every ?(forced = fun _ -> false) () =
-  t.sample_every <- max 1 every;
-  t.sample_forced <- forced;
-  Array.fill t.sample_counts 0 n_kind_tags 0;
-  Array.fill t.sample_forced_cache 0 n_kind_tags (-1)
+let stamp t id lamport =
+  if id = Array.length t.stamps then begin
+    let bigger = Array.make (2 * id) 0 in
+    Array.blit t.stamps 0 bigger 0 id;
+    t.stamps <- bigger
+  end;
+  t.stamps.(id) <- lamport
 
-let sampling t = t.sample_every
-let sampled_out t = t.sampled_out
+let store t ~id ~site ~lamport ~last ~cause kind =
+  let prev = if last >= 0 then Some last else None in
+  push t { id; time = t.now (); site; lamport; prev; cause; kind }
 
-(* Structural kinds are never thinned: dropping a span half corrupts the
-   span tree, and the final Quiesce is the fairness signal every liveness
-   monitor folds. Everything else keeps 1 in [sample_every] per kind, on a
-   deterministic per-kind counter — no RNG, so a sampled run draws exactly
-   what the full-fidelity run draws. *)
-let keep t kind =
-  t.sample_every <= 1
-  || (match kind with
-      | Span_begin _ | Span_end _ | Quiesce _ -> true
-      | _ ->
-        (* The forced predicate is pure per kind constructor, so its
-           verdict is cached per tag: steady state is two array reads. *)
-        let tag = kind_tag kind in
-        let forced =
-          match t.sample_forced_cache.(tag) with
-          | -1 ->
-            let f = if t.sample_forced kind then 1 else 0 in
-            t.sample_forced_cache.(tag) <- f;
-            f = 1
-          | f -> f = 1
-        in
-        forced
-        ||
-        let n = t.sample_counts.(tag) in
-        t.sample_counts.(tag) <- n + 1;
-        n mod t.sample_every = 0)
-
-let emit_kept t ~site ~cause kind =
+(* Every emit takes the next id and advances its lane's Lamport counter
+   and program order, whatever it stores, so a stored event is equal
+   field for field to the event the same emit makes on a full bus. *)
+let record t ~site ~cause kind =
   let lane = site + 1 in
   let cause = match cause with Some c when c >= 0 -> Some c | _ -> None in
   let witnessed =
-    match cause with Some c -> (get t c).lamport | None -> t.counters.(lane)
+    match cause with
+    | Some c -> if t.full then t.data.(c).lamport else t.stamps.(c)
+    | None -> t.counters.(lane)
   in
   let lamport = max t.counters.(lane) witnessed + 1 in
   t.counters.(lane) <- lamport;
-  let prev = if t.last.(lane) >= 0 then Some t.last.(lane) else None in
-  let id = t.size in
+  let last = t.last.(lane) in
+  let id = t.ids in
+  t.ids <- id + 1;
   t.last.(lane) <- id;
-  push t { id; time = t.now (); site; lamport; prev; cause; kind };
+  if t.full then store t ~id ~site ~lamport ~last ~cause kind
+  else begin
+    stamp t id lamport;
+    if t.mask.(kind_tag kind) then store t ~id ~site ~lamport ~last ~cause kind
+  end;
   id
 
 let emit t ~site ?cause kind =
   if not t.on then -1
-  else if not (keep t kind) then begin
-    t.sampled_out <- t.sampled_out + 1;
-    -1
-  end
   else begin
     let p = Profile.current () in
     if Profile.enabled p then
       Profile.time p ~subsystem:"trace" "publish" (fun () ->
-          emit_kept t ~site ~cause kind)
-    else emit_kept t ~site ~cause kind
+          record t ~site ~cause kind)
+    else record t ~site ~cause kind
   end
 
 let events t = Array.to_list (Array.sub t.data 0 t.size)

@@ -139,8 +139,20 @@ type event = {
 
 type t
 
-val create : ?enabled:bool -> n_sites:int -> unit -> t
-(** A collecting bus for sites [0 .. n_sites-1] plus the system lane [-1]. *)
+val create : ?enabled:bool -> ?observes:string list -> n_sites:int -> unit -> t
+(** A collecting bus for sites [0 .. n_sites-1] plus the system lane [-1].
+
+    Without [observes] the bus is {e full}: it stores every event. With
+    [observes] (a list of {!kind_label}s, typically the selected monitors'
+    {!Atomrep_chaos.Monitors.observed_labels}) it is {e judge-only}: it
+    stores the events of those kinds and of spans ([Span_begin] and
+    [Span_end], which [Runtime.run] turns into its [span.*] histograms),
+    and keeps only the Lamport stamp of every other emit. Every emit on
+    either bus takes the next id and advances its site's Lamport counter
+    and program order, so each stored event is equal, field for field, to
+    the event the same emit makes on a full bus, and an [(event #N)] in a
+    verdict names the same event as a full-bus replay. A label no kind
+    carries raises [Invalid_argument]. *)
 
 val null : t
 (** The shared disabled bus: every emit is a no-op. *)
@@ -153,40 +165,30 @@ val set_clock : t -> (unit -> float) -> unit
     to a constant 0. *)
 
 val emit : t -> site:int -> ?cause:int -> kind -> int
-(** Record an event and return its id, or [-1] when the bus is disabled or
-    the event was sampled out. A negative [cause] (from a disabled or
-    sampled-out emit) is treated as absent. *)
+(** Record an event and return its id, or [-1] when the bus is disabled.
+    A negative [cause] (from a disabled bus) is treated as absent. *)
 
-(** {1 Per-kind sampling}
-
-    [set_sampling ~every] thins the bus to 1 in [every] events per kind, on
-    deterministic per-kind-label counters — no RNG is drawn, so a sampled
-    run behaves bit-for-bit like a full-fidelity run; only the recorded
-    trace thins. Kinds matched by [forced] are exempt and stay full
-    fidelity: pass the union of every active monitor's observed kinds
-    ({!Atomrep_chaos.Monitors.forced}) so monitors never miss an event.
-    Span and Quiesce events are always kept (span-tree integrity, and the
-    fairness signal liveness monitors fold). A sampled-out emit returns
-    [-1], which the causal machinery already treats as "no event". *)
-
-val set_sampling : t -> every:int -> ?forced:(kind -> bool) -> unit -> unit
-(** [every <= 1] restores full fidelity. Resets the per-kind counters.
-    [forced] must depend only on the kind's constructor (e.g. via
-    {!kind_label}), not its payload: its verdict is cached per
-    constructor so the sampled-out path stays allocation-free. *)
-
-val sampling : t -> int
-(** The current 1-in-N period (1 = full fidelity). *)
-
-val sampled_out : t -> int
-(** Events dropped by sampling since creation. *)
+val mask : name:string -> string list -> bool array
+(** [mask ~name labels]: one slot per kind tag, [true] at the tags of
+    [labels]. The one label-to-mask function: spec monitors build their
+    observed sets with it, and {!create} its judge-only bus. Raises
+    [Invalid_argument] naming [name] and the first label no kind
+    carries. *)
 
 val events : t -> event list
-(** All events in emission order. *)
+(** The stored events, in id order. *)
+
+val iter : ?from_id:int -> t -> (event -> unit) -> unit
+(** [iter ~from_id t f] applies [f] to the stored events whose id is at
+    least [from_id] (default 0), in id order. *)
 
 val length : t -> int
+(** The number of ids issued, one per emit: on a full bus, the number of
+    events stored. *)
+
 val get : t -> int -> event
-(** [get t id] — O(1); raises [Invalid_argument] on an out-of-range id. *)
+(** [get t id] — O(1) on a full bus; raises [Invalid_argument] on an
+    out-of-range id or a judge-only bus (fold one with {!iter}). *)
 
 val span_begin : t -> site:int -> ?parent:int -> string -> int
 (** Open a span (a [Span_begin] event) and return its span id, [-1] when
@@ -216,11 +218,15 @@ val n_kind_tags : int
 
 val kind_tag : kind -> int
 (** Dense tag of the constructor, in [\[0, n_kind_tags)]: one array slot
-    per kind for per-kind tables (sampling counters, monitor masks). *)
+    per kind for per-kind tables (monitor masks, the bus's record
+    table). *)
 
 val kind_label : kind -> string
 (** Short stable name of the constructor ("rpc_send", "txn_commit", ...),
     unique per tag. *)
+
+val label_of_tag : int -> string
+(** The {!kind_label} of the kinds with this tag. *)
 
 val tag_of_label : string -> int option
 (** The tag whose {!kind_label} is the given string; [None] for a string

@@ -163,7 +163,7 @@ let test_subhistory_drops_bookkeeping () =
 (* --- Compare (figures 1-1 / 1-2 programmatically) --- *)
 
 let test_compare_concurrency_queue () =
-  let report = Atomrep_experiments.Compare.concurrency ~samples:800 Queue_type.spec in
+  let report = Atomrep_experiments.Compare.concurrency ~histories:800 Queue_type.spec in
   check_bool "hybrid strictly contains dynamic" true
     (report.Atomrep_experiments.Compare.hybrid_vs_dynamic
      = Atomrep_experiments.Compare.Left_strictly_contains);

@@ -1,6 +1,6 @@
 (* Performance observability: phase profiler, sim-time time-series
-   windowing, per-kind trace sampling (with the forced-fidelity guard for
-   monitor-subscribed kinds), and the BENCH regression gate. *)
+   windowing, the judge-only trace bus (with the guard that it keeps every
+   monitor-observed event), and the BENCH regression gate. *)
 
 open Atomrep_replica
 open Atomrep_chaos
@@ -180,69 +180,56 @@ let test_timeseries_registration_freezes () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "registration after first observation must raise"
 
-(* --- trace sampling --- *)
+(* --- the judge-only bus --- *)
 
-let rpc i = Trace.Rpc_send { src = i mod 3; dst = (i + 1) mod 3 }
-
-let test_sampling_deterministic_thinning () =
-  let tr = Trace.create ~n_sites:3 () in
-  Trace.set_sampling tr ~every:4 ();
-  let ids = List.init 20 (fun i -> Trace.emit tr ~site:0 (rpc i)) in
-  let kept = List.filter (fun id -> id >= 0) ids in
-  check_int "1 in 4 kept" 5 (List.length kept);
-  check_int "dropped counted" 15 (Trace.sampled_out tr);
-  (* The very first event of a kind is always kept (counter starts at 0),
-     and sampled-out emits return -1. *)
-  check_bool "first kept" true (List.hd ids >= 0);
-  check_int "second dropped" (-1) (List.nth ids 1);
-  (* Per-kind counters: a different kind starts its own counter. *)
-  let c = Trace.emit tr ~site:0 (Trace.Txn_begin { txn = "T0" }) in
-  check_bool "new kind's first event kept" true (c >= 0)
-
-let test_sampling_keeps_spans_and_quiesce () =
-  let tr = Trace.create ~n_sites:1 () in
-  Trace.set_sampling tr ~every:1000 ();
-  let spans = List.init 5 (fun _ -> Trace.span_begin tr ~site:0 "op") in
-  List.iter (fun s -> Trace.span_end tr ~site:0 ~span:s ~outcome:"ok") spans;
-  ignore
-    (Trace.emit tr ~site:(-1)
-       (Trace.Quiesce { up = 1; n_sites = 1; partitioned = false }));
-  check_bool "all spans kept" true (List.for_all (fun s -> s >= 0) spans);
-  check_int "5 begin + 5 end + quiesce" 11 (Trace.length tr);
-  check_int "nothing sampled out" 0 (Trace.sampled_out tr)
-
-let test_sampling_forced_kinds_full_fidelity () =
-  let tr = Trace.create ~n_sites:3 () in
-  let forced k = String.equal (Trace.kind_label k) "txn_commit" in
-  Trace.set_sampling tr ~every:10 ~forced ();
-  for i = 0 to 19 do
-    ignore (Trace.emit tr ~site:0 (rpc i));
-    ignore
-      (Trace.emit tr ~site:0 (Trace.Txn_commit { txn = Printf.sprintf "T%d" i }))
-  done;
-  let events = Trace.events tr in
-  let count label =
-    List.length
-      (List.filter
-         (fun (e : Trace.event) ->
-           String.equal (Trace.kind_label e.Trace.kind) label)
-         events)
+(* One emit stream on a full bus and on a judge-only bus observing only
+   txn_commit. The judge-only bus stores the commits and the spans; ids
+   advance on every emit; and each stored event equals the full bus's
+   event with its id, including a commit whose [~cause] (a send) it did
+   not store and whose program-order predecessor it did not store. *)
+let test_judge_only_bus () =
+  let full = Trace.create ~n_sites:2 () in
+  let judge = Trace.create ~observes:[ "txn_commit" ] ~n_sites:2 () in
+  let clock = ref 0.0 in
+  List.iter (fun tr -> Trace.set_clock tr (fun () -> !clock)) [ full; judge ];
+  let both f =
+    clock := !clock +. 1.0;
+    let id = f full in
+    check_int "same id on both buses" id (f judge);
+    id
   in
-  check_int "forced kind kept fully" 20 (count "txn_commit");
-  check_int "unforced kind thinned" 2 (count "rpc_send");
-  (* Restoring full fidelity resets the counters. *)
-  Trace.set_sampling tr ~every:1 ();
-  ignore (Trace.emit tr ~site:0 (rpc 0));
-  check_int "full fidelity again" 23 (Trace.length tr)
+  let emit ~site ?cause kind = both (fun tr -> Trace.emit tr ~site ?cause kind) in
+  let span = both (fun tr -> Trace.span_begin tr ~site:0 "txn") in
+  let send = emit ~site:0 (Trace.Rpc_send { src = 0; dst = 1 }) in
+  (* Site 1's first event: its Lamport stamp comes from the send's. *)
+  ignore (emit ~site:1 ~cause:send (Trace.Txn_commit { txn = "T0" }));
+  ignore (emit ~site:1 ~cause:send (Trace.Rpc_recv { src = 0; dst = 1 }));
+  ignore (emit ~site:0 (Trace.Txn_begin { txn = "T1" }));
+  ignore (emit ~site:0 (Trace.Txn_commit { txn = "T1" }));
+  ignore (both (fun tr -> Trace.span_end tr ~site:0 ~span ~outcome:"ok"; 0));
+  let stored = Trace.events judge in
+  Alcotest.(check (list string))
+    "only the masked kind and spans are stored"
+    [ "span_begin"; "txn_commit"; "txn_commit"; "span_end" ]
+    (List.map (fun (e : Trace.event) -> Trace.kind_label e.Trace.kind) stored);
+  check_int "ids count every emit" 7 (Trace.length judge);
+  check_int "length counts ids on both buses" (Trace.length full) (Trace.length judge);
+  List.iter
+    (fun (e : Trace.event) ->
+      check_bool
+        (Printf.sprintf "event #%d equals the full bus's" e.Trace.id)
+        true
+        (e = Trace.get full e.Trace.id))
+    stored;
+  check_bool "a stored commit names the unstored send as its cause" true
+    (List.exists (fun (e : Trace.event) -> e.Trace.cause = Some send) stored
+    && not (List.exists (fun (e : Trace.event) -> e.Trace.id = send) stored))
 
-(* The guard the whole design rests on: a monitored run under sampling
-   reaches the same verdicts as the full-fidelity run at the same seed,
-   because every kind some active monitor subscribes to is forced. *)
-let monitored_verdicts ~sample ~seed =
+(* The guard the judge-only bus rests on: a monitored run reaches the same
+   verdicts on it as on a full bus at the same seed, because it stores
+   every kind some selected monitor observes. *)
+let monitored_verdicts trace ~seed =
   let monitors = Monitors.registry in
-  let trace = Trace.create ~n_sites:3 () in
-  if sample > 1 then
-    Trace.set_sampling trace ~every:sample ~forced:(Monitors.forced monitors) ();
   let cfg =
     Campaign.configure ~trace
       {
@@ -259,6 +246,7 @@ let monitored_verdicts ~sample ~seed =
   in
   let outcome = Runtime.run cfg in
   let violations = Monitors.run monitors { Monitors.cfg; outcome } trace in
+  let events = Trace.events trace in
   let counts =
     List.map
       (fun label ->
@@ -267,24 +255,26 @@ let monitored_verdicts ~sample ~seed =
             (List.filter
                (fun (e : Trace.event) ->
                  String.equal (Trace.kind_label e.Trace.kind) label)
-               (Trace.events trace)) ))
+               events) ))
       (Monitors.observed_labels monitors)
   in
-  (Atomrep_obs.Spec_monitor.failures violations, counts, Trace.length trace)
+  (Atomrep_obs.Spec_monitor.failures violations, counts, List.length events)
 
-let test_sampling_never_hides_monitor_events () =
+let test_judge_only_bus_never_hides_monitor_events () =
+  let observes = Monitors.observed_labels Monitors.registry in
   List.iter
     (fun seed ->
-      let full_failures, full_counts, full_len =
-        monitored_verdicts ~sample:1 ~seed
-      in
-      let sampled_failures, sampled_counts, sampled_len =
-        monitored_verdicts ~sample:7 ~seed
-      in
-      check_bool "verdicts identical" true (full_failures = sampled_failures);
-      check_bool "monitor-kind counts identical" true
-        (full_counts = sampled_counts);
-      check_bool "bus actually thinned" true (sampled_len < full_len))
+      let full = Trace.create ~n_sites:3 () in
+      let judge = Trace.create ~observes ~n_sites:3 () in
+      let full_failures, full_counts, full_stored = monitored_verdicts full ~seed in
+      let judge_failures, judge_counts, judge_stored = monitored_verdicts judge ~seed in
+      check_bool "verdicts identical" true (full_failures = judge_failures);
+      check_bool "monitor-kind counts identical" true (full_counts = judge_counts);
+      check_bool "judge-only bus stores fewer events" true (judge_stored < full_stored);
+      check_bool "stored events equal the full bus's" true
+        (List.for_all
+           (fun (e : Trace.event) -> e = Trace.get full e.Trace.id)
+           (Trace.events judge)))
     [ 0; 3; 11 ]
 
 (* One representative per kind constructor, in tag order. *)
@@ -357,38 +347,39 @@ let test_kind_tags_dense_labels_round_trip () =
 
 (* Drift guard for the catalogue's static subscription lists: every label
    in [e_observes] must be in the built spec's mask, and no kind outside
-   the list may be — otherwise sampling could thin an event a monitor
-   needed. *)
+   the list may be — otherwise the judge-only bus, built from the lists,
+   would not store an event a monitor needed. *)
 let test_observes_matches_spec_on () =
   let cfg = Runtime.default_config in
   let outcome = Runtime.run { cfg with Runtime.n_txns = 3 } in
   let ctx = { Monitors.cfg; outcome } in
   List.iter
     (fun (e : Monitors.entry) ->
-      let spec = e.Monitors.e_spec ctx in
+      let observed = Atomrep_obs.Spec_monitor.observed (e.Monitors.e_spec ctx) in
       List.iter
         (fun kind ->
           let label = Trace.kind_label kind in
-          let listed = List.mem label e.Monitors.e_observes in
-          let observed = Atomrep_obs.Spec_monitor.observes_kind spec kind in
           check_bool
             (Printf.sprintf "%s/%s: e_observes matches spec.on"
                e.Monitors.e_name label)
-            listed observed)
+            (List.mem label e.Monitors.e_observes) (List.mem label observed))
         every_kind)
     Monitors.registry;
-  (* And the forced predicate is exactly the union of the lists. *)
-  let forced = Monitors.forced Monitors.registry in
+  (* And the catalogue's judge-only bus stores exactly the union of the
+     lists, plus spans. *)
   let union = Monitors.observed_labels Monitors.registry in
+  let tr = Trace.create ~observes:union ~n_sites:1 () in
+  List.iter (fun kind -> ignore (Trace.emit tr ~site:0 kind)) every_kind;
+  let stored = List.map (fun (e : Trace.event) -> Trace.kind_label e.Trace.kind) (Trace.events tr) in
   List.iter
     (fun kind ->
       let label = Trace.kind_label kind in
-      check_bool ("forced = union at " ^ label) (List.mem label union) (forced kind))
+      check_bool ("bus stores the union at " ^ label)
+        (List.mem label ("span_begin" :: "span_end" :: union))
+        (List.mem label stored))
     every_kind;
-  check_bool "union forces txn_decide" true
-    (forced (Trace.Txn_decide { txn = "T"; site = 0; committed = true }));
-  check_bool "union spares rpc_send" false
-    (forced (Trace.Rpc_send { src = 0; dst = 1 }))
+  check_bool "union stores txn_decide" true (List.mem "txn_decide" stored);
+  check_bool "union drops rpc_send" false (List.mem "rpc_send" stored)
 
 (* --- kind-indexed dispatch: the table-driven conjunction against a
    reference fold --- *)
@@ -714,14 +705,10 @@ let suites =
           test_timeseries_ring_overflow;
         Alcotest.test_case "timeseries: registration freezes" `Quick
           test_timeseries_registration_freezes;
-        Alcotest.test_case "sampling: deterministic thinning" `Quick
-          test_sampling_deterministic_thinning;
-        Alcotest.test_case "sampling: spans and quiesce kept" `Quick
-          test_sampling_keeps_spans_and_quiesce;
-        Alcotest.test_case "sampling: forced kinds full fidelity" `Quick
-          test_sampling_forced_kinds_full_fidelity;
-        Alcotest.test_case "sampling: monitors never lose events" `Quick
-          test_sampling_never_hides_monitor_events;
+        Alcotest.test_case "judge-only bus: masked kinds, full-bus ids" `Quick
+          test_judge_only_bus;
+        Alcotest.test_case "judge-only bus: monitors never lose events" `Quick
+          test_judge_only_bus_never_hides_monitor_events;
         Alcotest.test_case "e_observes matches spec.on" `Quick
           test_observes_matches_spec_on;
         Alcotest.test_case "kind tags dense, labels unique and round-trip" `Quick
