@@ -277,6 +277,65 @@ let test_judge_only_bus_never_hides_monitor_events () =
            (Trace.events judge)))
     [ 0; 3; 11 ]
 
+(* Spans are stored whatever the mask: a run on a judge-only bus that
+   observes only quiesce has the full bus's span tree, so the registry's
+   span.* histograms, and with them --metrics-json, are identical. *)
+let test_judge_only_bus_keeps_span_metrics () =
+  let cfg = { Runtime.default_config with Runtime.n_txns = 30 } in
+  let run trace = (Runtime.run { cfg with Runtime.trace = Some trace }).Runtime.registry in
+  let full = Trace.create ~n_sites:cfg.Runtime.n_sites () in
+  let judge = Trace.create ~observes:[ "quiesce" ] ~n_sites:cfg.Runtime.n_sites () in
+  let full_registry = run full and judge_registry = run judge in
+  (match Trace.span_durations full with
+   | [] -> Alcotest.fail "the run closed no spans"
+   | (label, _) :: _ ->
+     check_bool "registry has span histograms" true
+       (Atomrep_stats.Summary.count
+          (Atomrep_obs.Metrics.histogram_summary full_registry
+             ~labels:[ ("scheme", Replicated.scheme_name cfg.Runtime.scheme) ]
+             ("span." ^ label))
+       > 0));
+  check_string "metrics identical"
+    (Json.to_string (Atomrep_obs.Metrics.to_json full_registry))
+    (Json.to_string (Atomrep_obs.Metrics.to_json judge_registry));
+  check_bool "span trees identical" true (Trace.spans full = Trace.spans judge);
+  Alcotest.(check (list string))
+    "only quiesce and spans are stored"
+    [ "quiesce"; "span_begin"; "span_end" ]
+    (List.sort_uniq String.compare
+       (List.map (fun (e : Trace.event) -> Trace.kind_label e.Trace.kind) (Trace.events judge)))
+
+(* The judge attaches its own judge-only bus when the caller passes none.
+   On a violating task (the weak_relation mutant's killer) it reaches the
+   full bus's verdicts; and a second run on the same full bus is judged
+   on its own events only, so it repeats the first run's verdicts. *)
+let test_check_run_judge_only_agrees () =
+  let task =
+    {
+      Campaign.base =
+        { Campaign.default_base with Runtime.mutant = Some Replicated.Weak_relation };
+      scheme = Replicated.Hybrid;
+      profile = Campaign.profile "flaky";
+      seed = 0;
+      n_txns = 30;
+      intensity = 1.0;
+    }
+  in
+  let monitors = Monitors.registry in
+  let judge_outcome, judge_failures = Campaign.run ~monitors task in
+  let full =
+    Trace.create ~n_sites:(Campaign.configure task).Runtime.n_sites ()
+  in
+  let full_outcome, full_failures = Campaign.run ~monitors ~trace:full task in
+  check_bool "the task violates" true (judge_failures <> []);
+  check_bool "verdicts identical" true (judge_failures = full_failures);
+  check_int "committed identical" full_outcome.Runtime.metrics.Runtime.committed
+    judge_outcome.Runtime.metrics.Runtime.committed;
+  let first_ids = Trace.length full in
+  let _, again = Campaign.run ~monitors ~trace:full task in
+  check_int "the second run's ids follow the first's" (2 * first_ids) (Trace.length full);
+  check_bool "a shared bus judges each run on its own events" true (again = full_failures)
+
 (* One representative per kind constructor, in tag order. *)
 let every_kind =
   [
@@ -709,6 +768,10 @@ let suites =
           test_judge_only_bus;
         Alcotest.test_case "judge-only bus: monitors never lose events" `Quick
           test_judge_only_bus_never_hides_monitor_events;
+        Alcotest.test_case "judge-only bus: span metrics identical" `Quick
+          test_judge_only_bus_keeps_span_metrics;
+        Alcotest.test_case "judge-only bus: check_run agrees with a full bus" `Quick
+          test_check_run_judge_only_agrees;
         Alcotest.test_case "e_observes matches spec.on" `Quick
           test_observes_matches_spec_on;
         Alcotest.test_case "kind tags dense, labels unique and round-trip" `Quick
