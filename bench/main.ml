@@ -787,8 +787,10 @@ let run_explore () =
    rung stores every event, the judge-only rung only the kinds the
    catalogue observes and spans); (3) the fidelity audit: the per-kind
    monitor-event counts and the monitor verdicts must be identical on the
-   two buses, and both must issue the same number of ids; (4) hot-phase
-   profile and time-series snapshots. Written to BENCH_8.json; the schema
+   two buses, and both must issue the same number of ids; (3b) each
+   bus's retained words per stored event and minor words per emit,
+   deterministic counts; (4) hot-phase profile and time-series
+   snapshots. Written to BENCH_8.json; the schema
    is documented in EXPERIMENTS.md. The gate is (3) plus clean verdicts;
    the overhead ordering is wall-clock noise and only warns. *)
 let run_perf () =
@@ -883,6 +885,34 @@ let run_perf () =
     (if counts_equal then "identical" else "DIFFER")
     (if verdicts_equal then "identical" else "DIFFER")
     judge_stored (Trace.length judge_tr);
+  (* (3b) What the bus costs per event, as deterministic counts: the
+     words it retains per stored event once its run is over (its clock
+     reset, so that the engine behind the clock is not counted), and the
+     minor words per emit that a profiled run's trace/publish phase
+     counts (the profiler's own two float boxes included). *)
+  let bus_cost ?observes () =
+    let tr = Trace.create ?observes ~n_sites () in
+    let profile = Profile.create () in
+    ignore (Monitors.check_run ~monitors (cfg ~trace:tr ~profile Replicated.Hybrid));
+    Trace.set_clock tr (fun () -> 0.0);
+    let stored = List.length (Trace.events tr) in
+    let retained =
+      float_of_int (Obj.reachable_words (Obj.repr tr)) /. float_of_int stored
+    in
+    let publish =
+      List.find
+        (fun (p : Profile.phase) ->
+          p.Profile.p_subsystem = "trace" && p.Profile.p_phase = "publish")
+        (Profile.phases profile)
+    in
+    (retained, publish.Profile.p_minor_words /. float_of_int publish.Profile.p_count)
+  in
+  let full_retained, full_publish = bus_cost () in
+  let judge_retained, judge_publish = bus_cost ~observes:monitor_labels () in
+  Printf.printf
+    "  bus cost: full %.2f retained words per stored event, %.2f minor words per \
+     emit; judge-only %.2f and %.2f\n%!"
+    full_retained full_publish judge_retained judge_publish;
   (* (4) Snapshots: the hot-phase table and a time-series run. *)
   let ts = Timeseries.create ~width:500.0 () in
   let _ = Runtime.run (cfg ~timeseries:ts Replicated.Hybrid) in
@@ -918,6 +948,14 @@ let run_perf () =
                ("judge_only_ratio", Json.Num (ratio judge_s));
                ("full_events", Json.int (Trace.length full_tr));
                ("judge_only_stored", Json.int judge_stored);
+             ] );
+         ( "bus_cost",
+           Json.Obj
+             [
+               ("full_retained_words_per_event", Json.Num full_retained);
+               ("full_minor_words_per_emit", Json.Num full_publish);
+               ("judge_only_retained_words_per_event", Json.Num judge_retained);
+               ("judge_only_minor_words_per_emit", Json.Num judge_publish);
              ] );
          ( "monitor_fidelity",
            Json.Obj

@@ -110,11 +110,9 @@ let event_json (e : Trace.event) =
 
 let jsonl t =
   let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
+  Trace.iter t (fun e ->
       Buffer.add_string buf (Json.to_string (event_json e));
-      Buffer.add_char buf '\n')
-    (Trace.events t);
+      Buffer.add_char buf '\n');
   Buffer.contents buf
 
 (* tid 0 is the system lane (site -1); site s maps to tid s + 1. *)

@@ -212,7 +212,7 @@ let quiesce inst =
 let run ?(from_id = 0) t trace =
   let inst = instantiate t in
   Profile.record ~subsystem:"monitor" "step" (fun () ->
-      Trace.iter ~from_id trace (observe inst));
+      Trace.iter ~from_id ~kinds:inst.observed trace (observe inst));
   quiesce inst
 
 let failures vs =

@@ -55,21 +55,37 @@ type event = {
   kind : kind;
 }
 
-let dummy_event =
-  { id = -1; time = 0.0; site = -1; lamport = 0; prev = None; cause = None; kind = Heal }
+(* Storage: events sit in fixed-size chunks of columns, slot [s] at
+   offset [s land chunk_mask] of chunk [s lsr chunk_bits]. A full bus
+   stores every event, so its slot is its id. A judge-only bus stores
+   the events of the kinds in its [mask] and records each one's id in
+   [c_id]. [c_prev] and [c_cause] hold -1 for none; records are built only
+   when a reader asks for an event. Growing allocates one chunk and never
+   copies a stored event. *)
+let chunk_bits = 10
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
 
-(* A full bus stores every event. A judge-only bus stores the events of
-   the kinds in its [mask] and keeps the Lamport stamp of every emit, so
-   that a later [~cause] naming an unstored event still witnesses its
-   clock. *)
+type chunk = {
+  c_time : float array;
+  c_site : int array;
+  c_prev : int array;
+  c_cause : int array;
+  c_kind : kind array;
+  c_id : int array; (* judge-only: the id of each slot; [||] on a full bus *)
+}
+
 type t = {
   on : bool;
   full : bool;
   mask : bool array; (* judge-only: stored kinds, indexed by kind tag *)
-  mutable data : event array; (* growable; [size] slots in use, in id order *)
+  mutable chunks : chunk array; (* [size] slots in use, in id order *)
   mutable size : int;
   mutable ids : int; (* ids issued, one per emit *)
-  mutable stamps : int array; (* judge-only: the Lamport stamp of each id *)
+  (* The Lamport stamp of every id, stored or not, in chunks of
+     [chunk_size], so that a later [~cause] naming an unstored event
+     still witnesses its clock. *)
+  mutable lamports : int array array;
   mutable now : unit -> float;
   (* Per-site Lamport counter and last event id; index [site + 1] so the
      system lane (-1) shares the machinery. *)
@@ -175,10 +191,10 @@ let create ?(enabled = true) ?observes ~n_sites () =
       (match observes with
        | None -> [||]
        | Some labels -> mask ~name:"Trace.create" ("span_begin" :: "span_end" :: labels));
-    data = Array.make 1024 dummy_event;
+    chunks = [||];
     size = 0;
     ids = 0;
-    stamps = (if observes = None then [||] else Array.make 1024 0);
+    lamports = [||];
     now = (fun () -> 0.0);
     counters = Array.make (n_sites + 1) 0;
     last = Array.make (n_sites + 1) (-1);
@@ -190,62 +206,126 @@ let enabled t = t.on
 let set_clock t f = t.now <- f
 let length t = t.ids
 
+(* [dir] with entry [n] set to [chunk]: a full directory doubles, which
+   copies chunk pointers, never the chunks (the slots past [n] hold
+   [chunk] until their own chunk replaces it). *)
+let add_chunk dir n chunk =
+  let dir =
+    if n < Array.length dir then dir
+    else begin
+      let bigger = Array.make (Int.max 4 (2 * n)) chunk in
+      Array.blit dir 0 bigger 0 n;
+      bigger
+    end
+  in
+  dir.(n) <- chunk;
+  dir
+
+let lamport_of t id = t.lamports.(id lsr chunk_bits).(id land chunk_mask)
+
+let id_of t slot =
+  if t.full then slot else t.chunks.(slot lsr chunk_bits).c_id.(slot land chunk_mask)
+
+let kind_at t slot = t.chunks.(slot lsr chunk_bits).c_kind.(slot land chunk_mask)
+
+let opt i = if i >= 0 then Some i else None
+
+let event_at t slot =
+  let c = t.chunks.(slot lsr chunk_bits) and o = slot land chunk_mask in
+  let id = if t.full then slot else c.c_id.(o) in
+  {
+    id;
+    time = c.c_time.(o);
+    site = c.c_site.(o);
+    lamport = lamport_of t id;
+    prev = opt c.c_prev.(o);
+    cause = opt c.c_cause.(o);
+    kind = c.c_kind.(o);
+  }
+
 let get t id =
   if (not t.full) || id < 0 || id >= t.size then
     invalid_arg "Trace.get: bad event id, or a judge-only bus";
-  t.data.(id)
+  event_at t id
 
-(* Stored events sit in id order, but on a judge-only bus an event's
-   index can be below its id, so the scan starts at the first. *)
-let iter ?(from_id = 0) t f =
-  for i = 0 to t.size - 1 do
-    let e = t.data.(i) in
-    if e.id >= from_id then f e
-  done
+(* The first slot whose id is at least [from_id]: the id itself on a full
+   bus; a binary search over the ids on a judge-only bus, where ids
+   increase with slots. *)
+let first_slot t from_id =
+  if from_id <= 0 then 0
+  else if t.full then Int.min from_id t.size
+  else begin
+    let lo = ref 0 and hi = ref t.size in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if id_of t mid < from_id then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end
 
-let push t e =
-  if t.size = Array.length t.data then begin
-    let bigger = Array.make (2 * t.size) dummy_event in
-    Array.blit t.data 0 bigger 0 t.size;
-    t.data <- bigger
+let iter ?(from_id = 0) ?kinds t f =
+  let first = first_slot t from_id in
+  match kinds with
+  | None ->
+    for slot = first to t.size - 1 do
+      f (event_at t slot)
+    done
+  | Some kinds ->
+    for slot = first to t.size - 1 do
+      if kinds.(kind_tag (kind_at t slot)) then f (event_at t slot)
+    done
+
+let events t =
+  let rec build slot acc =
+    if slot < 0 then acc else build (slot - 1) (event_at t slot :: acc)
+  in
+  build (t.size - 1) []
+
+let store t ~id ~site ~last ~cause kind =
+  let slot = t.size in
+  let o = slot land chunk_mask in
+  if o = 0 then begin
+    let col () = Array.make chunk_size (-1) in
+    let chunk =
+      {
+        c_time = Array.make chunk_size 0.0;
+        c_site = col ();
+        c_prev = col ();
+        c_cause = col ();
+        c_kind = Array.make chunk_size Heal;
+        c_id = (if t.full then [||] else col ());
+      }
+    in
+    t.chunks <- add_chunk t.chunks (slot lsr chunk_bits) chunk
   end;
-  t.data.(t.size) <- e;
-  t.size <- t.size + 1
-
-let stamp t id lamport =
-  if id = Array.length t.stamps then begin
-    let bigger = Array.make (2 * id) 0 in
-    Array.blit t.stamps 0 bigger 0 id;
-    t.stamps <- bigger
-  end;
-  t.stamps.(id) <- lamport
-
-let store t ~id ~site ~lamport ~last ~cause kind =
-  let prev = if last >= 0 then Some last else None in
-  push t { id; time = t.now (); site; lamport; prev; cause; kind }
+  let c = t.chunks.(slot lsr chunk_bits) in
+  c.c_time.(o) <- t.now ();
+  c.c_site.(o) <- site;
+  c.c_prev.(o) <- last;
+  c.c_cause.(o) <- cause;
+  c.c_kind.(o) <- kind;
+  if not t.full then c.c_id.(o) <- id;
+  t.size <- slot + 1
 
 (* Every emit takes the next id and advances its lane's Lamport counter
    and program order, whatever it stores, so a stored event is equal
    field for field to the event the same emit makes on a full bus. *)
 let record t ~site ~cause kind =
   let lane = site + 1 in
-  let cause = match cause with Some c when c >= 0 -> Some c | _ -> None in
-  let witnessed =
-    match cause with
-    | Some c -> if t.full then t.data.(c).lamport else t.stamps.(c)
-    | None -> t.counters.(lane)
-  in
-  let lamport = max t.counters.(lane) witnessed + 1 in
+  let cause = match cause with Some c when c >= 0 -> c | _ -> -1 in
+  let counter = t.counters.(lane) in
+  let witnessed = if cause >= 0 then lamport_of t cause else counter in
+  let lamport = Int.max counter witnessed + 1 in
   t.counters.(lane) <- lamport;
   let last = t.last.(lane) in
   let id = t.ids in
   t.ids <- id + 1;
   t.last.(lane) <- id;
-  if t.full then store t ~id ~site ~lamport ~last ~cause kind
-  else begin
-    stamp t id lamport;
-    if t.mask.(kind_tag kind) then store t ~id ~site ~lamport ~last ~cause kind
-  end;
+  let o = id land chunk_mask in
+  if o = 0 then
+    t.lamports <- add_chunk t.lamports (id lsr chunk_bits) (Array.make chunk_size 0);
+  t.lamports.(id lsr chunk_bits).(o) <- lamport;
+  if t.full || t.mask.(kind_tag kind) then store t ~id ~site ~last ~cause kind;
   id
 
 let emit t ~site ?cause kind =
@@ -257,8 +337,6 @@ let emit t ~site ?cause kind =
           record t ~site ~cause kind)
     else record t ~site ~cause kind
   end
-
-let events t = Array.to_list (Array.sub t.data 0 t.size)
 
 let span_begin t ~site ?parent label =
   if not t.on then -1
@@ -283,11 +361,12 @@ type span = {
   span_outcome : string option;
 }
 
+let span_kinds = mask ~name:"Trace.spans" [ "span_begin"; "span_end" ]
+
 let spans t =
   let tbl = Hashtbl.create 64 in
   let order = ref [] in
-  for i = 0 to t.size - 1 do
-    let e = t.data.(i) in
+  iter ~kinds:span_kinds t (fun e ->
     match e.kind with
     | Span_begin { span; parent; label } ->
       Hashtbl.replace tbl span
@@ -307,8 +386,7 @@ let spans t =
          Hashtbl.replace tbl span
            { s with t_end = Some e.time; span_outcome = Some outcome }
        | None -> ())
-    | _ -> ()
-  done;
+    | _ -> ());
   List.rev_map (fun id -> Hashtbl.find tbl id) !order
 
 let span_durations t =

@@ -166,7 +166,10 @@ val set_clock : t -> (unit -> float) -> unit
 
 val emit : t -> site:int -> ?cause:int -> kind -> int
 (** Record an event and return its id, or [-1] when the bus is disabled.
-    A negative [cause] (from a disabled bus) is treated as absent. *)
+    A negative [cause] (from a disabled bus) is treated as absent. The bus
+    keeps [kind] itself, not a copy: a kind is immutable, so an emitter
+    may pass one shared value for many events (the network interns one
+    [Rpc_send] and one [Rpc_recv] per link). *)
 
 val mask : name:string -> string list -> bool array
 (** [mask ~name labels]: one slot per kind tag, [true] at the tags of
@@ -176,19 +179,32 @@ val mask : name:string -> string list -> bool array
     carries. *)
 
 val events : t -> event list
-(** The stored events, in id order. *)
+(** The stored events, in id order. Builds one {!event} record per stored
+    event: O(stored) time and allocation. *)
 
-val iter : ?from_id:int -> t -> (event -> unit) -> unit
-(** [iter ~from_id t f] applies [f] to the stored events whose id is at
-    least [from_id] (default 0), in id order. *)
+val iter : ?from_id:int -> ?kinds:bool array -> t -> (event -> unit) -> unit
+(** [iter ~from_id ~kinds t f] applies [f] to the stored events whose id
+    is at least [from_id] (default 0) and, when [kinds] is given, whose
+    {!kind_tag} is [true] in it, in id order. [kinds] has one slot per
+    kind tag, as {!mask} builds it. The walk starts at the first stored
+    event with id [from_id] or above (found in O(1) on a full bus, by
+    binary search on a judge-only one) and tests [kinds] before building
+    anything, so it builds a record only for each event [f] receives. *)
+
+val chunk_size : int
+(** Events per storage chunk. A bus stores its events in chunks of
+    columns (time, site, [prev], [cause], kind, and on a judge-only bus
+    the id) and the Lamport stamp of every id in a column of the same
+    chunking; growing adds a chunk and never copies a stored event. *)
 
 val length : t -> int
 (** The number of ids issued, one per emit: on a full bus, the number of
     events stored. *)
 
 val get : t -> int -> event
-(** [get t id] — O(1) on a full bus; raises [Invalid_argument] on an
-    out-of-range id or a judge-only bus (fold one with {!iter}). *)
+(** [get t id] — O(1) on a full bus, building a fresh record from the
+    stored columns; raises [Invalid_argument] on an out-of-range id or a
+    judge-only bus (fold one with {!iter}). *)
 
 val span_begin : t -> site:int -> ?parent:int -> string -> int
 (** Open a span (a [Span_begin] event) and return its span id, [-1] when
@@ -208,7 +224,8 @@ type span = {
 }
 
 val spans : t -> span list
-(** Reconstructed span tree, in open order. *)
+(** Reconstructed span tree, in open order. Reads only the span events
+    ({!iter} with the span kinds' mask). *)
 
 val span_durations : t -> (string * Atomrep_stats.Summary.t) list
 (** Per-label duration histograms over the closed spans, label-sorted. *)

@@ -46,6 +46,10 @@ type t = {
   mutable skew_handler : site:int -> amount:int -> unit;
   mutable resync_quorum : int;
   mutable trace : Trace.t;
+  (* Interned while traced: the [Rpc_send] and [Rpc_recv] kinds of link
+     (src, dst), at [src * n_sites + dst]. *)
+  mutable rpc_sends : Trace.kind array;
+  mutable rpc_recvs : Trace.kind array;
   mutable router : (src:int -> dst:int -> bool) option;
   mutable rpc_result_listeners :
     (src:int -> dst:int -> ok:bool -> elapsed:float -> unit) list;
@@ -82,6 +86,8 @@ let create engine ~n_sites ?(latency_mean = 5.0) ?(drop_probability = 0.0) () =
     skew_handler = (fun ~site:_ ~amount:_ -> ());
     resync_quorum = 0;
     trace = Trace.null;
+    rpc_sends = [||];
+    rpc_recvs = [||];
     router = None;
     rpc_result_listeners = [];
   }
@@ -94,7 +100,13 @@ let trace t = t.trace
 
 let set_trace t tr =
   t.trace <- tr;
-  Trace.set_clock tr (fun () -> Engine.now t.engine)
+  Trace.set_clock tr (fun () -> Engine.now t.engine);
+  if Trace.enabled tr then begin
+    let n = t.n_sites in
+    let links f = Array.init (n * n) (fun i -> f (i / n) (i mod n)) in
+    t.rpc_sends <- links (fun src dst -> Trace.Rpc_send { src; dst });
+    t.rpc_recvs <- links (fun src dst -> Trace.Rpc_recv { src; dst })
+  end
 
 let note t ~site kind =
   if Trace.enabled t.trace then ignore (Trace.emit t.trace ~site kind)
@@ -243,7 +255,7 @@ let send_impl t ~src ~dst thunk =
   t.stats.sent <- t.stats.sent + 1;
   let sid =
     if Trace.enabled t.trace then
-      Trace.emit t.trace ~site:src (Trace.Rpc_send { src; dst })
+      Trace.emit t.trace ~site:src t.rpc_sends.((src * t.n_sites) + dst)
     else -1
   in
   let latency = Rng.exponential rng t.latency_mean in
@@ -286,7 +298,7 @@ let send_impl t ~src ~dst thunk =
             if Trace.enabled t.trace then
               ignore
                 (Trace.emit t.trace ~site:dst ~cause:sid
-                   (Trace.Rpc_recv { src; dst }));
+                   t.rpc_recvs.((src * t.n_sites) + dst));
             thunk ()
           end
           else begin
