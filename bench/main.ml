@@ -253,11 +253,11 @@ let run_micro () =
 (* A timed campaign over every scheme, reported as the CLI's table; clean
    iff it recorded no violation. It runs on one domain, so its runs/s
    stay comparable across the BENCH trajectory. *)
-let campaign ?(base = Campaign.default_base) ~profiles ~seeds () =
+let campaign ?(base = Campaign.default_base) ?(flags = []) ~profiles ~seeds () =
   let report, wall =
     timed (fun () ->
         Campaign.report
-          (Campaign.sweep ~domains:1 ~flags:[]
+          (Campaign.sweep ~domains:1 ~flags
              (Campaign.grid ~base ~schemes ~profiles ~seeds ~intensities:[ 1.0 ] ~n_txns:30)))
   in
   Format.printf "%a" Campaign.pp_report report;
@@ -281,7 +281,7 @@ let run_chaos () =
 let run_reconfig () =
   heading "Reconfiguration campaign (3 schemes x {crashes,kills} x 67 seeds)";
   let campaign_clean =
-    campaign ~base:Campaign.reconfig_base
+    campaign ~base:Campaign.reconfig_base ~flags:[ "--base"; "reconfig" ]
       ~profiles:[ Campaign.profile "crashes"; Campaign.profile "kills" ]
       ~seeds:67 ()
   in
@@ -564,13 +564,8 @@ let run_takeover () =
     | Ok ms -> ms
     | Error e -> failwith e
   in
-  let mode takeover seed =
-    {
-      (ambushed ~seed) with
-      Runtime.termination = Atomrep_txn.Termination.Cooperative;
-      deadlock = Runtime.Detect;
-      takeover;
-    }
+  let mode termination seed =
+    { (ambushed ~seed) with Runtime.termination; deadlock = Runtime.Detect }
   in
   (* The history oracles and the no-divergence monitor keep separate
      tallies: the monitor is the takeover-specific property. *)
@@ -596,7 +591,8 @@ let run_takeover () =
           Failed ("monitor_violations", divergence);
           Wall; Per_s;
         ]
-      [ ("cooperative", mode false); ("takeover", mode true) ]
+      Atomrep_txn.Termination.
+        [ ("cooperative", mode Cooperative); ("takeover", mode Takeover) ]
   in
   List.iter
     (fun r ->
@@ -610,7 +606,7 @@ let run_takeover () =
   let report, storm_wall =
     timed (fun () ->
         Campaign.report
-          (Campaign.sweep ~domains:1 ~monitors ~flags:[]
+          (Campaign.sweep ~domains:1 ~monitors ~flags:Campaign.takeover_flags
              (Campaign.grid ~base:Campaign.takeover_base ~schemes
                 ~profiles:[ Campaign.profile "takeover_storm" ]
                 ~seeds:10 ~intensities:[ 1.0 ] ~n_txns:40)))
@@ -642,7 +638,7 @@ let run_takeover () =
   clean modes && storm_violations = 0
 
 (* E17: the monitored seed-sweep explorer. Part one sweeps a hardened
-   configuration (cooperative termination, deadlock detection, takeover)
+   configuration (takeover termination, deadlock detection)
    across two schemes x two adversarial profiles x 64 seeds — 256 runs,
    every one judged by the full monitor catalogue, expected clean. The
    same sweep runs once on a single domain and once on the recommended
@@ -658,10 +654,10 @@ let run_explore () =
   let healthy_profiles = [ "storm"; "coordinator_killer" ] in
   let seeds = 64 and n_txns = 40 in
   (* One monitored sweep: its report, wall clock and BENCH_7 row. *)
-  let sweep ~domains ?(max_shrinks = 4) tasks =
+  let sweep ~domains ?(max_shrinks = 4) ~flags tasks =
     let results, wall =
       timed (fun () ->
-          Campaign.sweep ~domains ~monitors:Monitors.registry ~max_shrinks ~flags:[] tasks)
+          Campaign.sweep ~domains ~monitors:Monitors.registry ~max_shrinks ~flags tasks)
     in
     let r = Campaign.report results in
     let sum f = List.fold_left (fun n c -> n + f c) 0 r.Campaign.cells in
@@ -681,7 +677,7 @@ let run_explore () =
   in
   Printf.printf "explore: healthy hardened sweep (%d seeds/cell)...\n%!" seeds;
   let healthy ~domains =
-    sweep ~domains
+    sweep ~domains ~flags:Campaign.takeover_flags
       (Campaign.grid ~base:Campaign.takeover_base ~schemes:healthy_schemes
          ~profiles:(List.map Campaign.profile healthy_profiles)
          ~seeds ~intensities:[ 1.0 ] ~n_txns)
@@ -698,7 +694,7 @@ let run_explore () =
     seq_wall rec_domains par_wall speedup;
   Printf.printf "explore: ungated-rejoin sweep...\n%!";
   let ungated, ungated_wall, ungated_row =
-    sweep ~domains:rec_domains ~max_shrinks:1
+    sweep ~domains:rec_domains ~max_shrinks:1 ~flags:[]
       (Campaign.grid
          ~base:{ Campaign.default_base with Runtime.mutant = Some Replicated.Ungated_rejoin }
          ~schemes:[ Replicated.Static ] ~profiles:[ Campaign.profile "storm" ] ~seeds:64

@@ -225,20 +225,24 @@ let gray_flags n_sites =
   in
   Term.(cli_parse_result (const overlay $ hedge $ demote $ fail_slow $ n_sites))
 
-(* Transaction flags: crash-safe termination, the deadlock policy,
-   coordinator takeover and the retry budget (see Runtime.config). *)
-let txn_flags ?(takeover = true) () =
+(* Transaction flags: crash-safe termination (coordinator takeover is
+   one of its modes), the deadlock policy and the retry budget (see
+   Runtime.config). *)
+let txn_flags =
   let termination =
     let doc =
       "Crash-safe transaction termination: `none' (coordinator crashes \
        strand in-doubt transactions, the historical behavior), \
        `presumed-abort-only' (durable commit point, recovery redrive, \
-       presumed abort), or `cooperative' (plus participant-driven quorum \
-       termination and the orphan reaper)."
+       presumed abort), `cooperative' (plus participant-driven quorum \
+       termination and the orphan reaper), or `takeover' (cooperative \
+       termination whose terminator first wins an epoch-fenced takeover \
+       lease, adopts the drive from the quorum's sticky votes, and \
+       force-writes the adopted decision to its own durable decision log)."
     in
     let open Atomrep_txn.Termination in
     opt
-      (enum_of mode_name [ Disabled; Presumed_abort_only; Cooperative ])
+      (enum_of mode_name [ Disabled; Presumed_abort_only; Cooperative; Takeover ])
       Disabled [ "termination" ] ~docv:"MODE" ~doc
   in
   let deadlock =
@@ -251,15 +255,6 @@ let txn_flags ?(takeover = true) () =
       (enum_of Runtime.deadlock_mode_name Runtime.[ No_deadlock; Detect; Wound_wait ])
       Runtime.No_deadlock [ "deadlock" ] ~docv:"POLICY" ~doc
   in
-  let takeover_flag =
-    flag [ "takeover" ]
-      ~doc:
-        "Coordinator takeover: a participant that finds a dead coordinator's \
-         in-doubt transaction wins an epoch-fenced takeover lease, adopts the \
-         drive from the quorum's sticky votes, and force-writes the adopted \
-         decision to its own durable decision log. Only meaningful with \
-         --termination cooperative."
-  in
   (* Caps retry amplification: conflict backoffs, commit-quorum re-probes
      and commit re-drives all spend from one per-transaction pot. *)
   let budget =
@@ -269,19 +264,16 @@ let txn_flags ?(takeover = true) () =
          re-probes and commit re-drives; exhaustion aborts the transaction \
          (or gives the commit drive up as in-doubt). 0 = unlimited."
   in
-  let overlay termination deadlock takeover budget (cfg : Runtime.config) =
+  let overlay termination deadlock budget (cfg : Runtime.config) =
     let retry_budget = if budget = 0 then cfg.retry_budget else budget in
-    { cfg with termination; deadlock; takeover; retry_budget }
+    { cfg with termination; deadlock; retry_budget }
   in
-  Term.(
-    const overlay $ termination $ deadlock
-    $ present takeover takeover_flag false
-    $ budget)
+  Term.(const overlay $ termination $ deadlock $ budget)
 
 (* Durability flag: which stable-storage model backs every repository.
-   [~tuned] gives campaign-length runs Campaign.storage_base's small
-   segments and aggressive checkpoint period, so the storage profiles
-   have segments to roll and compact. *)
+   [~tuned] gives campaign-length runs Campaign.durable's small segments
+   and aggressive checkpoint period, so the storage profiles have
+   segments to roll and compact. *)
 let durability_flag ~tuned =
   let doc =
     "Stable-storage model: `none' (volatile repositories, the default), \
@@ -298,11 +290,7 @@ let durability_flag ~tuned =
     match mode with
     | None -> cfg
     | Some group_commit when tuned ->
-      {
-        cfg with
-        durability =
-          Repository.durable ~group_commit ~segment_records:16 ~checkpoint_every:48 ();
-      }
+      { cfg with durability = Campaign.durable ~group_commit }
     | Some group_commit -> { cfg with durability = Repository.durable ~group_commit () }
   in
   Term.(const overlay $ mode)
@@ -479,7 +467,7 @@ let termination_section (cfg : Runtime.config) (m : Runtime.metrics) =
       (Summary.mean m.blocked_latency)
 
 let takeover_section (cfg : Runtime.config) (m : Runtime.metrics) =
-  if cfg.takeover then
+  if cfg.termination = Atomrep_txn.Termination.Takeover then
     Printf.printf
       "takeover: leases=%d adoptions=%d fenced=%d contended=%d \
        rebroadcasts-suppressed=%d stranded-live=%d\n"
@@ -659,7 +647,7 @@ let simulate_cmd =
       const run $ scheme_arg
       $ txns_arg 100 ~doc:"Transactions to run."
       $ sites $ seed_arg 42 $ mtbf_arg $ reconfigure_arg $ gray_flags sites
-      $ txn_flags () $ durability_flag ~tuned:false
+      $ txn_flags $ durability_flag ~tuned:false
       $ obs_flags ~timeseries:true ~profile:true ())
 
 (* --- chaos --- *)
@@ -846,39 +834,30 @@ let chaos_cmd =
         "Bisection-shrink at most $(docv) violations (earliest tasks first); \
          the rest are reported at their original tuples."
   in
-  (* The campaign base the flags pick; --fail-slow sites are checked
+  (* The one campaign base --base picks; --fail-slow sites are checked
      against its cluster. *)
   let base =
-    let reconfig =
-      flag [ "reconfig" ]
-        ~doc:
-          "Campaign against the reconfiguration base: five sites, the \
-           epoch coordinator enabled (pairs well with --profiles kills)."
+    let pick = function
+      | `Default -> Campaign.default_base
+      | `Reconfig -> Campaign.reconfig_base
+      | `Overload -> Campaign.overload_base
     in
-    let overload =
-      flag [ "overload" ]
-        ~doc:
-          "Campaign against the overload base: a precomputed flash-crowd \
-           open-loop arrival plan over admission control, shed-by-class, \
-           a finite retry budget and the per-site circuit breaker (pairs \
-           with --profiles overload_storm and the shed_safety monitor). \
-           --txns caps how many planned arrivals are dispatched."
-    in
-    let gray =
-      flag [ "gray" ]
-        ~doc:
-          "Campaign against the gray base: the gray-failure mitigation \
-           layer on — hedged early-quorum rounds, latency scoring, \
-           slow-site demotion (pairs with --profiles gray_storm and the \
-           hedge_safety monitor)."
-    in
-    let pick overload gray reconfig =
-      if overload then Campaign.overload_base
-      else if gray then Campaign.gray_base
-      else if reconfig then Campaign.reconfig_base
-      else Campaign.default_base
-    in
-    Term.(const pick $ overload $ gray $ reconfig)
+    Term.(
+      const pick
+      $ opt
+          (Arg.enum
+             [ ("default", `Default); ("reconfig", `Reconfig); ("overload", `Overload) ])
+          `Default [ "base" ] ~docv:"BASE"
+          ~doc:
+            "Campaign base: `default' (the replicated queue on three sites), \
+             `reconfig' (five sites, the epoch coordinator enabled; pairs \
+             well with --profiles kills), or `overload' (a precomputed \
+             flash-crowd open-loop arrival plan over admission control, \
+             shed-by-class, a finite retry budget and the per-site circuit \
+             breaker; pairs with --profiles overload_storm and the \
+             shed_safety monitor, and --txns caps how many planned arrivals \
+             are dispatched). The gray_storm profile pairs with --hedge \
+             --demote on the default base.")
   in
   let n_sites = Term.(const (fun (b : Runtime.config) -> b.n_sites) $ base) in
   (* The flags that built the base also go into each violation's
@@ -887,7 +866,7 @@ let chaos_cmd =
     Term.with_used_args
       Term.(
         const (fun base gray txn durability -> base |> gray |> txn |> durability)
-        $ base $ gray_flags n_sites $ txn_flags () $ durability_flag ~tuned:true)
+        $ base $ gray_flags n_sites $ txn_flags $ durability_flag ~tuned:true)
   in
   let seeds =
     opt pos_int 10 [ "seeds" ] ~docv:"N"
@@ -915,8 +894,7 @@ let chaos_cmd =
 
 let load_cmd =
   let run scheme seed plan_seed rate mult curve load_profile n_objects zipf sessions
-      n_sites horizon drain no_admission max_in_flight queue_limit deadline shed_policy
-      no_breaker gray txn obs =
+      n_sites horizon drain admission gray txn obs =
     let curve =
       match curve with
       | `Constant -> Openloop.Constant
@@ -930,18 +908,6 @@ let load_cmd =
     let plan =
       Openloop.plan ~curve ~profile:load_profile ~n_objects ~zipf_theta:zipf ~n_sites
         ~n_sessions:sessions ~seed:plan_seed ~rate:(rate *. mult /. 1000.0) ~horizon ()
-    in
-    let admission =
-      if no_admission then None
-      else
-        Some
-          {
-            Runtime.max_in_flight;
-            queue_limit;
-            deadline = (if deadline = 0.0 then Float.infinity else deadline);
-            adm_shed_policy = shed_policy;
-            adm_breaker = not no_breaker;
-          }
     in
     let cfg =
       {
@@ -966,7 +932,7 @@ let load_cmd =
         "scheme=%s admission=%s offered=%.1f/s committed=%d aborted=%d \
          (shed=%d unavailable=%d conflict=%d)\n"
         (Replicated.scheme_name scheme)
-        (if no_admission then "off" else "on")
+        (if admission = None then "off" else "on")
         (float_of_int offered /. horizon *. 1000.0)
         m.committed m.aborted m.shed m.unavailable_aborts m.conflict_aborts;
       Printf.printf "goodput=%.2f/s over %.1f ms simulated\n"
@@ -1072,6 +1038,32 @@ let load_cmd =
   let no_breaker_arg =
     flag [ "no-breaker" ] ~doc:"Disable the per-site circuit breaker."
   in
+  (* The knobs shape the admission layer --no-admission turns off: given
+     with it, each is a usage error naming the knob as typed. *)
+  let admission =
+    let knobs max_in_flight queue_limit deadline adm_shed_policy no_breaker =
+      {
+        Runtime.max_in_flight;
+        queue_limit;
+        deadline = (if deadline = 0.0 then Float.infinity else deadline);
+        adm_shed_policy;
+        adm_breaker = not no_breaker;
+      }
+    in
+    let check no_admission (admission, used) =
+      match used with
+      | arg :: _ when no_admission ->
+        let name = List.hd (String.split_on_char '=' arg) in
+        Error (`Msg (Printf.sprintf "%s applies only without --no-admission" name))
+      | _ -> Ok (if no_admission then None else Some admission)
+    in
+    Term.(
+      cli_parse_result
+        (const check $ no_admission_arg
+        $ with_used_args
+            (const knobs $ max_in_flight_arg $ queue_limit_arg $ deadline_arg
+           $ shed_policy_arg $ no_breaker_arg)))
+  in
   let sites = sites_arg 3 in
   let doc = "Run an open-loop load sweep point against the simulator" in
   Cmd.v (Cmd.info "load" ~doc)
@@ -1079,11 +1071,8 @@ let load_cmd =
       const run $ scheme_arg
       $ seed_arg 42 ~doc:"Engine RNG seed."
       $ plan_seed_arg $ rate_arg $ mult_arg $ curve_arg $ load_profile_arg $ objects_arg
-      $ zipf_arg $ sessions_arg $ sites $ horizon_arg $ drain_arg $ no_admission_arg
-      $ max_in_flight_arg $ queue_limit_arg $ deadline_arg $ shed_policy_arg
-      $ no_breaker_arg
-      $ gray_flags sites
-      $ txn_flags ~takeover:false ()
+      $ zipf_arg $ sessions_arg $ sites $ horizon_arg $ drain_arg $ admission
+      $ gray_flags sites $ txn_flags
       $ obs_flags ~timeseries:true ())
 
 (* --- bench-diff --- *)

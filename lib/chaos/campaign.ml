@@ -125,7 +125,7 @@ let builtin_profiles =
       (* Gray failures: random sites repeatedly turn fail-slow — up,
          answering, just dragging every quorum round to their pace — while
          a light link flake keeps timeouts honest. Meant to be survived
-         over {!gray_base}: hedged early-quorum rounds and slow-site
+         with [--hedge --demote]: hedged early-quorum rounds and slow-site
          demotion keep latency bounded, and the [hedge_safety] monitor
          must hold (no double-apply from duplicate hedged deliveries,
          verdicts identical hedged or not). *)
@@ -146,15 +146,13 @@ let find_profile name =
 let default_base = { Runtime.default_config with horizon = 40_000.0 }
 
 (* Small segments and an aggressive checkpoint period so that chaos-length
-   runs actually roll segments and compact; group commit so torn writes
-   and lost flushes have a mixed (tentative + status) buffer to bite. *)
-let storage_base =
-  {
-    default_base with
-    Runtime.durability =
-      Repository.durable ~group_commit:true ~segment_records:16
-        ~checkpoint_every:48 ();
-  }
+   runs actually roll segments and compact. *)
+let durable ~group_commit =
+  Repository.durable ~group_commit ~segment_records:16 ~checkpoint_every:48 ()
+
+(* Group commit so torn writes and lost flushes have a mixed (tentative +
+   status) buffer to bite. *)
+let storage_base = { default_base with Runtime.durability = durable ~group_commit:true }
 
 (* Crash-safe termination on: the base the coordinator_killer profile is
    meant to be survived with. Cooperative termination resolves in-doubt
@@ -168,9 +166,13 @@ let termination_base =
     deadlock = Runtime.Detect;
   }
 
-(* Coordinator takeover on top of the termination base: the base the
-   takeover_storm profile is meant to be survived with. *)
-let takeover_base = { termination_base with Runtime.takeover = true }
+(* Coordinator takeover on top of the termination base's deadlock
+   detection: the base the takeover_storm profile is meant to be survived
+   with. *)
+let takeover_base =
+  { termination_base with Runtime.termination = Atomrep_txn.Termination.Takeover }
+
+let takeover_flags = [ "--termination"; "takeover"; "--deadlock"; "detect" ]
 
 (* Open-loop overload: a flash-crowd arrival plan (precomputed, so every
    scheme and seed replays the identical offered load) over admission
@@ -202,11 +204,6 @@ let overload_base =
           };
       retry_budget = 12;
     }
-
-(* Gray-failure mitigation on: the base the gray_storm profile is meant to
-   be survived with — hedged early-quorum rounds, latency scoring, and
-   slow-site demotion, over the default 3-site cluster. *)
-let gray_base = { default_base with Runtime.gray = Some Runtime.default_gray }
 
 let reconfig_base =
   let n_sites = 5 in
@@ -566,7 +563,7 @@ let fixtures =
           n_txns = 120;
           intensity = 1.0;
         };
-      f_flags = [ "--termination"; "cooperative"; "--deadlock"; "detect"; "--takeover" ];
+      f_flags = takeover_flags;
       f_expect_violation = false;
       f_check =
         (fun m ->

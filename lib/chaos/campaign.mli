@@ -35,7 +35,7 @@ val builtin_profiles : profile list
     flake timed to land inside {!overload_base}'s flash crowd — pair with
     {!overload_base} and the shed_safety/session_monotonic monitors),
     gray_storm (recurring fail-slow episodes plus light link flake — pair
-    with {!gray_base} and the hedge_safety monitor to prove hedged
+    with [--hedge --demote] and the hedge_safety monitor to prove hedged
     early-quorum rounds never double-apply), and the composed storm. *)
 
 val find_profile : string -> profile option
@@ -48,11 +48,15 @@ val default_base : Runtime.config
     horizon sized for chaos runs. Override [base] to campaign against a
     different object set or a planted {!Replicated.mutant}. *)
 
+val durable : group_commit:bool -> Repository.durability
+(** WAL-backed repositories tuned for campaign-length runs: 16-record
+    segments and a checkpoint every 48 records, so runs actually roll
+    segments and compact. [chaos --durability] uses it too. *)
+
 val storage_base : Runtime.config
-(** {!default_base} with WAL-backed (group-commit) repositories, small
-    segments and an aggressive checkpoint period — the base the
-    storage-fault profiles need to bite (on {!default_base}'s volatile
-    repositories they are no-ops). *)
+(** {!default_base} with {!durable} group-commit repositories — the base
+    the storage-fault profiles need to bite (on {!default_base}'s
+    volatile repositories they are no-ops). *)
 
 val termination_base : Runtime.config
 (** {!default_base} with [Cooperative] termination and deadlock detection
@@ -60,9 +64,12 @@ val termination_base : Runtime.config
     leave zero stranded tentative entries and zero oracle violations. *)
 
 val takeover_base : Runtime.config
-(** {!termination_base} with coordinator takeover on — the base under
+(** {!termination_base} with [Takeover] termination — the base under
     which the [takeover_storm] profile must convert strandings into
     adopted commits with zero no-divergence monitor violations. *)
+
+val takeover_flags : string list
+(** The [atomrep chaos] flags that rebuild {!takeover_base}. *)
 
 val overload_base : Runtime.config
 (** {!default_base} under a flash-crowd open-loop plan (Zipf-skewed queue
@@ -76,13 +83,6 @@ val overload_base : Runtime.config
     survived with — zero shed-safety or atomicity violations while
     goodput degrades gracefully. Termination and deadlock stay at the
     defaults so CLI flags compose. *)
-
-val gray_base : Runtime.config
-(** {!default_base} with the gray-failure mitigation layer on
-    ({!Atomrep_replica.Runtime.default_gray}: hedged early-quorum rounds,
-    latency scoring, slow-site demotion) — the base the [gray_storm]
-    profile is meant to be survived with: bounded latency and zero
-    [hedge_safety] violations. *)
 
 val reconfig_base : Runtime.config
 (** A base sized for reconfiguration campaigns: five sites, a majority
@@ -156,8 +156,8 @@ val replay_flags :
   base:Runtime.config -> monitors:Monitors.entry list -> string list -> string list
 (** [replay_flags ~base ~monitors flags] is the {!violation.v_flags} of a
     run on [base] judged by [monitors]: the command-line [flags] that built
-    [base], then [--ungated-rejoin] if [base] re-enables ungated rejoin,
-    then a [--monitor] selection unless [monitors] is the default
+    [base], then [--mutant NAME] if [base] plants a mutant, then a
+    [--monitor] selection unless [monitors] is the default
     {!Monitors.history}. *)
 
 val reproducer_line : violation -> string

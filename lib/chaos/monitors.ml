@@ -2,7 +2,6 @@ open Atomrep_replica
 module Trace = Atomrep_obs.Trace
 module SM = Atomrep_obs.Spec_monitor
 module Profile = Atomrep_obs.Profile
-module Monitor = Atomrep_obs.Monitor
 module Assignment = Atomrep_quorum.Assignment
 module Op_constraint = Atomrep_quorum.Op_constraint
 module Termination = Atomrep_txn.Termination
@@ -238,7 +237,52 @@ let commit_durability ctx =
 
 (* --- no_divergence --------------------------------------------------- *)
 
-let no_divergence _ctx = Monitor.spec ()
+(* Every driver that renders a verdict for a transaction — the original
+   coordinator, a recovered coordinator re-driving its decision log, a
+   cooperative participant, or a takeover lease holder — emits a
+   [Txn_decide] event at the verdict, before the idempotent finalize
+   guard. One state machine per transaction folds them; re-deciding the
+   same outcome is legal (redrive and adoption are idempotent), and the
+   first opposite verdict is the counterexample (flagged once — later
+   contradictions of an already-divergent transaction add nothing). *)
+type div_state = {
+  s_commits : int;
+  s_aborts : int;
+  s_sites : int list; (* deciding sites, first-decision order *)
+  s_flagged : bool;
+}
+
+let divergence_kinds = [ "txn_decide" ]
+
+let no_divergence _ctx =
+  SM.keyed ~name:"no_divergence" ~observes:divergence_kinds
+    ~key:(fun e ->
+      match e.Trace.kind with
+      | Trace.Txn_decide { txn; _ } -> Some txn
+      | _ -> None)
+    ~init:(fun _ -> { s_commits = 0; s_aborts = 0; s_sites = []; s_flagged = false })
+    ~step:(fun s e ->
+      match e.Trace.kind with
+      | Trace.Txn_decide { site; committed; _ } ->
+        let s =
+          if committed then { s with s_commits = s.s_commits + 1 }
+          else { s with s_aborts = s.s_aborts + 1 }
+        in
+        let s =
+          if List.mem site s.s_sites then s
+          else { s with s_sites = s.s_sites @ [ site ] }
+        in
+        if s.s_commits > 0 && s.s_aborts > 0 && not s.s_flagged then
+          SM.Violate
+            ( { s with s_flagged = true },
+              Printf.sprintf
+                "divergent decisions: %d commit verdict(s) and %d abort \
+                 verdict(s) across driver sites [%s]"
+                s.s_commits s.s_aborts
+                (String.concat ";" (List.map string_of_int s.s_sites)) )
+        else SM.Continue s
+      | _ -> SM.Continue s)
+    ()
 
 (* --- stranded_entries ------------------------------------------------ *)
 
@@ -636,7 +680,7 @@ let registry =
       e_name = "no_divergence";
       e_doc = "no two drivers ever render opposite verdicts for a transaction";
       e_kind = Safety;
-      e_observes = Monitor.observes;
+      e_observes = divergence_kinds;
       e_spec = no_divergence;
     };
     {

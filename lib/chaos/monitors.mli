@@ -37,9 +37,9 @@
     - [session_monotonic] — commit timestamps within one client session
       are strictly increasing (safety, per-session keyed machine; only
       open-loop plans emit session commits).
-    - [stranded_entries] — under [Cooperative] termination with fairness,
-      the stranded-entry count and the live stranded-transaction gauge
-      both drain to zero (liveness).
+    - [stranded_entries] — under [Cooperative] or [Takeover] termination
+      with fairness, the stranded-entry count and the live
+      stranded-transaction gauge both drain to zero (liveness).
     - [blocked_liveness] — every operation that blocked resolves (grant,
       commit, abort, or deadlock sentence) once partitions heal and all
       sites are back up (liveness, grace-windowed).

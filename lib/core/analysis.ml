@@ -30,7 +30,6 @@ let analyze ?(max_len = Relation.default_max_len) ?(hybrid = Skip) spec =
   { spec; max_len; universe; static_relation; dynamic_relation; hybrid_minimal }
 
 let is_static_dependency t rel = Relation.subset t.static_relation rel
-let is_dynamic_dependency t rel = Relation.subset t.dynamic_relation rel
 
 let pp_report ppf t =
   let invocations = t.spec.Serial_spec.invocations in

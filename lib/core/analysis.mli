@@ -29,9 +29,6 @@ val is_static_dependency : t -> Relation.t -> bool
 (** By Theorem 6 the minimal static relation is unique, so a relation is a
     static dependency relation iff it contains it. *)
 
-val is_dynamic_dependency : t -> Relation.t -> bool
-(** Likewise via Theorem 10. *)
-
 val pp_report : Format.formatter -> t -> unit
 (** Human-readable report: the relations in schematic form plus the
     operation-level constraint counts. *)

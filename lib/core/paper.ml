@@ -140,9 +140,3 @@ let prom_static_quorums ~n =
      Read's final quorums; keeping Read at one site therefore pushes
      Write's initial quorum to n as well — the "(1, n, n)" of §4. *)
   [ ("Read", (1, 1)); ("Seal", (n, n)); ("Write", (n, n)) ]
-
-let spec_of_example = function
-  | `Prom -> Prom.spec
-  | `Queue -> Queue_type.spec
-  | `FlagSet -> Flag_set.spec
-  | `DoubleBuffer -> Double_buffer.spec

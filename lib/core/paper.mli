@@ -5,7 +5,6 @@
     modules. *)
 
 open Atomrep_history
-open Atomrep_spec
 
 (** {1 PROM (§4)} *)
 
@@ -76,5 +75,3 @@ val prom_hybrid_quorums : n:int -> (string * (int * int)) list
 
 val prom_static_quorums : n:int -> (string * (int * int)) list
 (** The static version: Write's final quorum grows to [n]. *)
-
-val spec_of_example : [ `Prom | `Queue | `FlagSet | `DoubleBuffer ] -> Serial_spec.t

@@ -41,7 +41,6 @@ type t = { inv : Invocation.t; res : Response.t }
 
 let make inv res = { inv; res }
 let simple op args res = { inv = Invocation.make op args; res }
-let is_normal t = Response.is_ok t.res
 
 let compare a b =
   let c = Invocation.compare a.inv b.inv in

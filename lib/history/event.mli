@@ -38,9 +38,6 @@ val make : Invocation.t -> Response.t -> t
 val simple : string -> Value.t list -> Response.t -> t
 (** [simple op args res] builds the event [op(args); res]. *)
 
-val is_normal : t -> bool
-(** A normal event is one that terminates with Ok (paper, §4). *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 

@@ -59,8 +59,6 @@ let to_string v =
   write buf v;
   Buffer.contents buf
 
-let to_channel oc v = output_string oc (to_string v)
-
 exception Bad of string
 
 let parse s =

@@ -17,7 +17,6 @@ val int : int -> t
 (** Integers render without a fractional part. *)
 
 val to_string : t -> string
-val to_channel : out_channel -> t -> unit
 
 val parse : string -> (t, string) result
 (** Parse one JSON value (surrounding whitespace allowed, trailing garbage

@@ -66,11 +66,6 @@ let counter_sum t name =
       | _ -> acc)
     t.cells 0
 
-let gauge_value t ?(labels = []) name =
-  match Hashtbl.find_opt t.cells (key name labels) with
-  | Some (Gauge g) -> g.g
-  | _ -> 0.0
-
 let histogram_summary t ?(labels = []) name =
   match Hashtbl.find_opt t.cells (key name labels) with
   | Some (Histogram h) -> h

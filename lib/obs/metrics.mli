@@ -37,8 +37,6 @@ val counter_value : t -> ?labels:(string * string) list -> string -> int
 val counter_sum : t -> string -> int
 (** Sum over every label set registered under the name. *)
 
-val gauge_value : t -> ?labels:(string * string) list -> string -> float
-
 val histogram_summary :
   t -> ?labels:(string * string) list -> string -> Atomrep_stats.Summary.t
 (** The live accumulator (empty if never registered). *)

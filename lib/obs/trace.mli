@@ -78,8 +78,8 @@ type kind =
           holder) rendered a commit/abort verdict for the transaction.
           Emitted at the verdict, before any idempotent finalize guard —
           so every contending driver's decision lands on the bus and the
-          no-divergence monitor ({!Atomrep_obs.Monitor}) can check that no
-          two drivers ever decided differently *)
+          [no_divergence] monitor ({!Atomrep_chaos.Monitors}) can check
+          that no two drivers ever decided differently *)
   | Takeover_acquire of { txn : string; site : int; term : int }
       (** the site won a takeover lease at [term] and adopts the drive *)
   | Takeover_fence of { txn : string; site : int; term : int; granted : int }

@@ -36,5 +36,3 @@ let all_of_size ~n k =
     else go (from + 1) (remaining - 1) (acc lor (1 lsl from)) @ go (from + 1) remaining acc
   in
   if k < 0 || k > n then [] else go 0 k 0
-
-let contains_quorum_of_size ~live k = cardinal live >= k

@@ -26,7 +26,3 @@ val pp : Format.formatter -> t -> unit
 val all_of_size : n:int -> int -> t list
 (** [all_of_size ~n k] enumerates every k-subset of [0 .. n-1] — the
     threshold quorum family of size [k]. *)
-
-val contains_quorum_of_size : live:t -> int -> bool
-(** Does the live set contain some quorum of the given threshold size —
-    i.e. is its cardinality at least the threshold? *)

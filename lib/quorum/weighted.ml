@@ -17,8 +17,6 @@ let live_votes t live =
   Array.iteri (fun i w -> if Quorum.mem i live then acc := !acc + w) t.weights;
   !acc
 
-let quorum_live t ~live ~votes = live_votes t live >= votes
-
 let op_available t ~live op =
   let vi, vf = votes_of t op in
   let v = live_votes t live in

@@ -17,9 +17,6 @@ val make : weights:int array -> (string * (int * int)) list -> t
 
 val total_votes : t -> int
 
-val quorum_live : t -> live:Quorum.t -> votes:int -> bool
-(** Do the live sites muster the required votes? *)
-
 val op_available : t -> live:Quorum.t -> string -> bool
 
 val satisfies : t -> Op_constraint.t list -> bool

@@ -176,17 +176,10 @@ type config = {
           recovery redrive, and presumed abort for coordinators that died
           before it; [Cooperative] adds participant-driven quorum
           termination for unreachable coordinators and the orphan
-          reaper. *)
+          reaper; [Takeover] makes each cooperative terminator first win
+          an epoch-fenced lease. *)
   deadlock : deadlock_mode;
       (** deadlock policy for blocked operations (default [No_deadlock]) *)
-  takeover : bool;
-      (** coordinator takeover (default [false]; requires [Cooperative]
-          termination to matter): when cooperative termination finds a
-          blocker whose coordinator is dead, the surviving site first wins
-          an epoch-fenced takeover lease over the blocked object's
-          repositories, stamps its votes with the lease term so stale
-          drivers fence, and force-writes adopted decisions to its own
-          durable decision log before driving them. *)
   admission : admission option;
       (** admission control and load shedding (default [None], the ungated
           runtime — bit-identical to the historical behavior): bound the

@@ -84,7 +84,6 @@ type config = {
   durability : Repository.durability;
   termination : Termination.mode;
   deadlock : deadlock_mode;
-  takeover : bool;
   admission : admission option;
   retry_budget : int;
   load : load option;
@@ -143,7 +142,6 @@ let default_config =
     durability = Repository.Volatile;
     termination = Termination.Disabled;
     deadlock = No_deadlock;
-    takeover = false;
     admission = None;
     retry_budget = max_int;
     load = None;

@@ -34,10 +34,9 @@ let create st =
   {
     st;
     log =
-      (match st.cfg.termination with
-       | Termination.Disabled -> None
-       | Termination.Presumed_abort_only | Termination.Cooperative ->
-         Some (Termination.create ~n_sites:st.cfg.n_sites ()));
+      (if Termination.enabled st.cfg.termination then
+         Some (Termination.create ~n_sites:st.cfg.n_sites ())
+       else None);
     in_termination = Hashtbl.create 16;
     rebroadcasted = Hashtbl.create 16;
     takeover_terms = Hashtbl.create 16;
@@ -45,10 +44,14 @@ let create st =
     n_stranded_live = 0;
   }
 
-(* With takeover on, a transaction's own driver — its coordinator, or a
+(* Under [Takeover], a transaction's own driver — its coordinator, or a
    recovered one redriving — votes at the implicit term 0 so a takeover
-   lease holder fences it; takeover off leaves the votes unfenced. *)
-let driver_term t = if t.st.cfg.takeover then Some 0 else None
+   lease holder fences it; every other mode leaves the votes unfenced. *)
+let driver_term t =
+  match t.st.cfg.termination with
+  | Termination.Takeover -> Some 0
+  | Termination.Disabled | Termination.Presumed_abort_only | Termination.Cooperative ->
+    None
 
 (* Live stranded-transaction gauge. One increment the first time a
    transaction is observed stranded (driver died / coordinator found
@@ -237,7 +240,7 @@ let drive_commit_votes ?term t btxn cts ~from ~k =
    there (the vote sets intersect), so installing the abort record is
    safe — presumed abort with a quorum proof.
 
-   With [takeover] on, the active branch first wins a takeover lease at
+   Under [Takeover], the active branch first wins a takeover lease at
    the blocked object's repositories (a monotone term granted by
    [lease_need] members — enough to intersect every commit AND abort
    vote set), stamps its votes with the term so stale drivers fence, and
@@ -260,12 +263,8 @@ let cooperative_terminate t btxn target ~from =
        phase, so a dead taker's round ends (releasing the in-flight
        dedup for the next contender) instead of continuing as a ghost.
        Replies already in flight still land — messages sent are sent.
-       Without takeover, keep the PR-5 behavior exactly. *)
-    let alive k =
-      if st.cfg.takeover && not (Network.site_up st.net from) then
-        finish "taker-died"
-      else k ()
-    in
+       [Cooperative] terminators never re-check. *)
+    let alive k = if Network.site_up st.net from then k () else finish "taker-died" in
     let adopt_certified evs k =
       match List.find_map (function Repository.E_committed ts -> Some ts | _ -> None) evs with
       | Some cts ->
@@ -310,6 +309,9 @@ let cooperative_terminate t btxn target ~from =
           | `Fenced -> finish "fenced"
           | `Inconclusive -> finish "inconclusive")
     in
+    let precommit =
+      List.find_map (function Repository.E_precommit ts -> Some ts | _ -> None)
+    in
     Replicated.poll_status obj action ~from ~k:(fun evs ->
         adopt_certified evs (fun () ->
             match st.cfg.termination with
@@ -318,67 +320,61 @@ let cooperative_terminate t btxn target ~from =
                  waiting for the coordinator (textbook presumed-abort
                  blocking). *)
               finish "inconclusive"
-            | Termination.Cooperative ->
-              let precommit =
-                List.find_map
-                  (function Repository.E_precommit ts -> Some ts | _ -> None)
-                  evs
-              in
-              if not st.cfg.takeover then (
-                match precommit with
-                | Some cts ->
-                  (* The coordinator reached its commit point: act as a
-                     substitute coordinator and complete the commit. *)
-                  drive_adopted cts
-                | None -> preabort_round ())
-              else
-                alive (fun () ->
-                    (* Bid for the takeover lease before driving either
-                       side. The bid announces itself to the fault layer
-                       (the takeover killer ambushes here). *)
-                    Network.note_takeover st.net ~site:from;
-                    let propose =
-                      1
-                      + Option.value ~default:0
-                          (Hashtbl.find_opt t.takeover_terms action)
-                    in
-                    Replicated.takeover_acquire obj action ~term:propose
-                      ~holder:from ~from ~k:(fun ~granted ~highest ->
-                        Hashtbl.replace t.takeover_terms action
-                          (max highest propose);
-                        alive (fun () ->
-                            if granted < Replicated.lease_need obj then begin
-                              Metrics.incr st.counters.c_takeover_contended;
-                              finish "lease-refused"
-                            end
-                            else begin
-                              Metrics.incr st.counters.c_takeover_lease;
-                              note st ~site:from
-                                (Trace.Takeover_acquire
-                                   {
-                                     txn = Action.to_string action;
-                                     site = from;
-                                     term = propose;
-                                   });
-                              match precommit with
-                              | Some cts ->
-                                (* Force-write the adopted decision to the
-                                   taker's own durable decision log first:
-                                   if the taker crashes mid-drive, its
-                                   recovery re-drives the adoption like
-                                   any in-doubt intent of its own. *)
-                                let logged =
-                                  match t.log with
-                                  | Some log ->
-                                    Termination.log_intent log ~site:from
-                                      ~action ~touched:btxn.Txn.touched ~cts
-                                  | None -> false
-                                in
-                                if logged then
-                                  drive_adopted ~term:propose cts
-                                else finish "adoption-log-full"
-                              | None -> preabort_round ~term:propose ()
-                            end)))))
+            | Termination.Cooperative -> (
+              match precommit evs with
+              | Some cts ->
+                (* The coordinator reached its commit point: act as a
+                   substitute coordinator and complete the commit. *)
+                drive_adopted cts
+              | None -> preabort_round ())
+            | Termination.Takeover ->
+              alive (fun () ->
+                  (* Bid for the takeover lease before driving either
+                     side. The bid announces itself to the fault layer
+                     (the takeover killer ambushes here). *)
+                  Network.note_takeover st.net ~site:from;
+                  let propose =
+                    1
+                    + Option.value ~default:0
+                        (Hashtbl.find_opt t.takeover_terms action)
+                  in
+                  Replicated.takeover_acquire obj action ~term:propose
+                    ~holder:from ~from ~k:(fun ~granted ~highest ->
+                      Hashtbl.replace t.takeover_terms action
+                        (max highest propose);
+                      alive (fun () ->
+                          if granted < Replicated.lease_need obj then begin
+                            Metrics.incr st.counters.c_takeover_contended;
+                            finish "lease-refused"
+                          end
+                          else begin
+                            Metrics.incr st.counters.c_takeover_lease;
+                            note st ~site:from
+                              (Trace.Takeover_acquire
+                                 {
+                                   txn = Action.to_string action;
+                                   site = from;
+                                   term = propose;
+                                 });
+                            match precommit evs with
+                            | Some cts ->
+                              (* Force-write the adopted decision to the
+                                 taker's own durable decision log first:
+                                 if the taker crashes mid-drive, its
+                                 recovery re-drives the adoption like
+                                 any in-doubt intent of its own. *)
+                              let logged =
+                                match t.log with
+                                | Some log ->
+                                  Termination.log_intent log ~site:from
+                                    ~action ~touched:btxn.Txn.touched ~cts
+                                | None -> false
+                              in
+                              if logged then
+                                drive_adopted ~term:propose cts
+                              else finish "adoption-log-full"
+                            | None -> preabort_round ~term:propose ()
+                          end)))))
   end
 
 (* A blocked operation consults the blocking transaction's coordinator when
@@ -414,11 +410,8 @@ let try_resolve t ~home blocker target =
         end
       | Txn.Running | Txn.Committing -> ()
     end
-    else (
-      match st.cfg.termination with
-      | Termination.Disabled -> ()
-      | Termination.Presumed_abort_only | Termination.Cooperative ->
-        cooperative_terminate t btxn target ~from:home)
+    else if Termination.enabled st.cfg.termination then
+      cooperative_terminate t btxn target ~from:home
 
 let redrive_outcome = function
   | `Committed -> "committed"
@@ -475,7 +468,7 @@ let redrive t log site =
    allows two sweeps. *)
 let reaper_every = 250.0
 
-(* Orphan reaper ([Cooperative] only): periodically sweep every
+(* Orphan reaper ([Cooperative] and [Takeover]): periodically sweep every
    repository for tentative entries. Entries of terminal transactions
    get their status records re-pushed; non-terminal transactions whose
    coordinator is gone (or which sit in the in-doubt commit window) get
@@ -519,9 +512,7 @@ let rec reap t =
       reap t)
 
 (* Arm recovery redrive (any termination mode) and the orphan reaper
-   ([Cooperative]). *)
+   ([Cooperative] and [Takeover]). *)
 let install t =
   Option.iter (fun log -> Network.on_recover t.st.net (redrive t log)) t.log;
-  match t.st.cfg.termination with
-  | Termination.Cooperative -> reap t
-  | Termination.Disabled | Termination.Presumed_abort_only -> ()
+  if Termination.cooperative t.st.cfg.termination then reap t

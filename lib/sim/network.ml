@@ -167,7 +167,6 @@ let set_delay_spike t ~probability ~factor =
 let link_up t ~src ~dst = not (Hashtbl.mem t.blocked (src, dst))
 let fail_link t ~src ~dst = Hashtbl.replace t.blocked (src, dst) ()
 let heal_link t ~src ~dst = Hashtbl.remove t.blocked (src, dst)
-let heal_all_links t = Hashtbl.reset t.blocked
 
 let on_amnesia t f = t.amnesia_listeners <- f :: t.amnesia_listeners
 let on_rejoin t f = t.rejoin_listeners <- f :: t.rejoin_listeners

@@ -127,7 +127,6 @@ val fail_link : t -> src:int -> dst:int -> unit
     dropped; the reverse direction is unaffected. *)
 
 val heal_link : t -> src:int -> dst:int -> unit
-val heal_all_links : t -> unit
 val link_up : t -> src:int -> dst:int -> bool
 
 val set_drop_probability : t -> float -> unit

@@ -57,7 +57,3 @@ let nearest_rank ~n q =
 let percentile t q =
   let a = sorted t in
   if Array.length a = 0 then 0.0 else a.(nearest_rank ~n:(Array.length a) q)
-
-let confidence95 t =
-  if t.n < 2 then 0.0
-  else 1.96 *. stddev t /. sqrt (float_of_int t.n)

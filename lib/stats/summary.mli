@@ -36,7 +36,3 @@ val percentile : t -> float -> float
     sample; [q] is clamped to [\[0,1\]], so any [q] on a single-sample
     summary returns that sample and [0.] on an empty one. Retains all
     observations; intended for simulation-scale data. *)
-
-val confidence95 : t -> float
-(** Half-width of the normal-approximation 95% confidence interval for the
-    mean. *)

@@ -2,15 +2,21 @@ open Atomrep_history
 open Atomrep_clock
 module Wal = Atomrep_store.Wal
 
-type mode = Disabled | Presumed_abort_only | Cooperative
+type mode = Disabled | Presumed_abort_only | Cooperative | Takeover
 
 let mode_name = function
   | Disabled -> "none"
   | Presumed_abort_only -> "presumed-abort-only"
   | Cooperative -> "cooperative"
+  | Takeover -> "takeover"
 
-let enabled = function Disabled -> false | Presumed_abort_only | Cooperative -> true
-let cooperative = function Cooperative -> true | Disabled | Presumed_abort_only -> false
+let enabled = function
+  | Disabled -> false
+  | Presumed_abort_only | Cooperative | Takeover -> true
+
+let cooperative = function
+  | Cooperative | Takeover -> true
+  | Disabled | Presumed_abort_only -> false
 
 type decision =
   | Intent of { action : Action.t; touched : string list; cts : Lamport.Timestamp.t }

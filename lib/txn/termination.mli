@@ -24,6 +24,12 @@ type mode =
       (** [Presumed_abort_only] plus participant-driven cooperative
           termination (quorum vote rounds when the coordinator is
           unreachable) and the orphan reaper *)
+  | Takeover
+      (** [Cooperative] whose terminators first win an epoch-fenced
+          takeover lease over the blocked object's repositories, stamp
+          their votes with the lease term so stale drivers fence, and
+          force-write adopted decisions to their own durable decision log
+          before driving them *)
 
 val mode_name : mode -> string
 
@@ -34,8 +40,9 @@ val enabled : mode -> bool
     exists to resolve them. *)
 
 val cooperative : mode -> bool
-(** Participant-driven termination is on — the only mode under which the
-    stranded-entry gauge is required to drain to zero. *)
+(** Participant-driven termination is on ([Cooperative] or [Takeover]) —
+    the only modes under which the stranded-entry gauge is required to
+    drain to zero. *)
 
 type decision =
   | Intent of {

@@ -29,11 +29,3 @@ let create ~action ~begin_ts ~home_site =
   }
 
 let touch t name = if not (List.mem name t.touched) then t.touched <- t.touched @ [ name ]
-
-let is_running t = match t.status with Running -> true | Committing | Committed _ | Aborted _ -> false
-
-let pp_status ppf = function
-  | Running -> Format.pp_print_string ppf "running"
-  | Committing -> Format.pp_print_string ppf "committing"
-  | Committed ts -> Format.fprintf ppf "committed@%a" Lamport.Timestamp.pp ts
-  | Aborted why -> Format.fprintf ppf "aborted(%s)" why

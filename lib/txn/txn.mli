@@ -29,5 +29,3 @@ type t = {
 
 val create : action:Action.t -> begin_ts:Lamport.Timestamp.t -> home_site:int -> t
 val touch : t -> string -> unit
-val is_running : t -> bool
-val pp_status : Format.formatter -> status -> unit

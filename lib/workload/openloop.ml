@@ -62,12 +62,6 @@ let profile_name = function
   | Write_heavy -> "write-heavy"
   | Queue_fanout -> "queue-fanout"
 
-let profile_of_string = function
-  | "read-mostly" -> Some Read_mostly
-  | "write-heavy" -> Some Write_heavy
-  | "queue-fanout" -> Some Queue_fanout
-  | _ -> None
-
 let read_ratio = function
   | Read_mostly -> 0.9
   | Write_heavy -> 0.1

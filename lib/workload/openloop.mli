@@ -36,7 +36,6 @@ val multiplier : curve -> horizon:float -> float -> float
 type profile = Read_mostly | Write_heavy | Queue_fanout
 
 val profile_name : profile -> string
-val profile_of_string : string -> profile option
 
 val read_ratio : profile -> float
 (** Fraction of transactions classed [`Read]: 0.9 / 0.1 / 0.5. *)

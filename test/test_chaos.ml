@@ -375,7 +375,7 @@ let test_nemesis_scale_soft_limits () =
    --mutant NAME when the base plants one, and any monitor selection
    other than chaos's default. *)
 let test_reproducer_line_carries_flags () =
-  let flags = [ "--termination"; "cooperative"; "--takeover" ] in
+  let flags = [ "--termination"; "takeover" ] in
   let v v_flags =
     {
       Campaign.v_task =
@@ -398,15 +398,15 @@ let test_reproducer_line_carries_flags () =
   Alcotest.(check string)
     "default monitors add no flag"
     "atomrep chaos --repro --schemes hybrid --profiles crashes --seed 3 --txns 20 \
-     --intensity 0.5 --termination cooperative --takeover"
+     --intensity 0.5 --termination takeover"
     (line ~base:Campaign.default_base ~monitors:Monitors.history);
   check_bool "whole catalogue" true
-    (String.ends_with ~suffix:"--takeover --monitor all"
+    (String.ends_with ~suffix:"--termination takeover --monitor all"
        (line ~base:Campaign.default_base ~monitors:Monitors.registry));
   Alcotest.(check string)
     "a mutant replays with its flag"
     "atomrep chaos --repro --schemes hybrid --profiles crashes --seed 3 --txns 20 \
-     --intensity 0.5 --termination cooperative --takeover --mutant ungated_rejoin \
+     --intensity 0.5 --termination takeover --mutant ungated_rejoin \
      --monitor all"
     (line
        ~base:{ Campaign.default_base with Runtime.mutant = Some Replicated.Ungated_rejoin }

@@ -101,7 +101,9 @@ let test_campaign_bases_domain_independent () =
               ~profiles:[ profile name ] ~seeds:3 ~intensities:[ 1.0 ] ~n_txns:30)))
     [
       ("overload", Campaign.overload_base, "overload_storm");
-      ("gray", Campaign.gray_base, "gray_storm");
+      ( "gray",
+        { Campaign.default_base with Runtime.gray = Some Runtime.default_gray },
+        "gray_storm" );
       ("reconfig", Campaign.reconfig_base, "kills");
       ("storage", Campaign.storage_base, "storage_storm");
     ]

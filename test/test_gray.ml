@@ -574,11 +574,11 @@ let test_mitigation_beats_baseline () =
     (p99 mit < p99 base)
 
 let test_gray_storm_monitors_green () =
-  (* The CI smoke in miniature: the gray base (hedging, demotion and
-     latency scoring armed) under the gray_storm profile, judged by the
-     full monitor catalogue — hedge_safety included, so a hedged
-     duplicate surfacing as a double commit or conflicting verdicts
-     would fail here first. *)
+  (* The CI smoke in miniature: the default base with gray mitigation
+     on (hedging, demotion and latency scoring armed) under the
+     gray_storm profile, judged by the full monitor catalogue —
+     hedge_safety included, so a hedged duplicate surfacing as a double
+     commit or conflicting verdicts would fail here first. *)
   let profile =
     match Campaign.find_profile "gray_storm" with
     | Some p -> p
@@ -590,7 +590,8 @@ let test_gray_storm_monitors_green () =
       let cfg =
         Campaign.configure ~trace
           {
-            base = Campaign.gray_base;
+            base =
+              { Campaign.default_base with Runtime.gray = Some Runtime.default_gray };
             scheme = Replicated.Hybrid;
             profile;
             seed;

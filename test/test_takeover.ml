@@ -11,7 +11,7 @@ module Termination = Atomrep_txn.Termination
 module Takeover = Atomrep_txn.Takeover
 module Campaign = Atomrep_chaos.Campaign
 module Trace = Atomrep_obs.Trace
-module Monitor = Atomrep_obs.Monitor
+module Monitors = Atomrep_chaos.Monitors
 module Spec_monitor = Atomrep_obs.Spec_monitor
 
 let check_bool = Alcotest.(check bool)
@@ -122,20 +122,65 @@ let test_repo_amnesia_forgets_grants () =
 let decide tr ~txn ~site ~committed =
   ignore (Trace.emit tr ~site (Trace.Txn_decide { txn; site; committed }))
 
-let divergences ?from_id tr = Spec_monitor.run ?from_id (Monitor.spec ()) tr
+(* The catalogue's specs close over a {cfg; outcome} context that
+   no_divergence never reads; one cheap real run supplies it. *)
+let tiny_ctx =
+  lazy
+    (let cfg = { Runtime.default_config with Runtime.n_txns = 2; horizon = 5_000.0 } in
+     { Monitors.cfg; outcome = Runtime.run cfg })
+
+let divergences ?from_id tr =
+  match Monitors.find "no_divergence" with
+  | Some e -> Spec_monitor.run ?from_id (e.Monitors.e_spec (Lazy.force tiny_ctx)) tr
+  | None -> Alcotest.fail "no_divergence missing from the monitor catalogue"
+
+(* Per-transaction decision tallies, in first-decision order: an
+   independent count of the Txn_decide events beside the monitor. *)
+type verdict = {
+  d_txn : string;
+  d_commits : int;
+  d_aborts : int;
+  d_sites : int list; (* deciding sites, first-decision order *)
+}
+
+let decisions tr =
+  let tbl = Hashtbl.create 32 in
+  let order = ref [] in
+  List.iter
+    (fun (e : Trace.event) ->
+      match e.Trace.kind with
+      | Trace.Txn_decide { txn; site; committed } ->
+        let v =
+          match Hashtbl.find_opt tbl txn with
+          | Some v -> v
+          | None ->
+            order := txn :: !order;
+            { d_txn = txn; d_commits = 0; d_aborts = 0; d_sites = [] }
+        in
+        let v =
+          if committed then { v with d_commits = v.d_commits + 1 }
+          else { v with d_aborts = v.d_aborts + 1 }
+        in
+        let v =
+          if List.mem site v.d_sites then v else { v with d_sites = v.d_sites @ [ site ] }
+        in
+        Hashtbl.replace tbl txn v
+      | _ -> ())
+    (Trace.events tr);
+  List.rev_map (fun txn -> Hashtbl.find tbl txn) !order
 
 let test_monitor_accepts_redecisions () =
   let tr = Trace.create ~n_sites:3 () in
   decide tr ~txn:"T0" ~site:0 ~committed:true;
   decide tr ~txn:"T0" ~site:2 ~committed:true;
   decide tr ~txn:"T1" ~site:1 ~committed:false;
-  (match Monitor.decisions tr with
+  (match decisions tr with
    | [ v0; v1 ] ->
-     check_int "T0 commit verdicts" 2 v0.Monitor.d_commits;
-     check_int "T0 abort verdicts" 0 v0.Monitor.d_aborts;
-     check_bool "T0 deciders in first-decision order" true
-       (v0.Monitor.d_sites = [ 0; 2 ]);
-     check_int "T1 abort verdicts" 1 v1.Monitor.d_aborts
+     check_bool "T0 first" true (v0.d_txn = "T0");
+     check_int "T0 commit verdicts" 2 v0.d_commits;
+     check_int "T0 abort verdicts" 0 v0.d_aborts;
+     check_bool "T0 deciders in first-decision order" true (v0.d_sites = [ 0; 2 ]);
+     check_int "T1 abort verdicts" 1 v1.d_aborts
    | vs -> Alcotest.fail (Printf.sprintf "expected 2 verdicts, got %d" (List.length vs)));
   check_bool "re-deciding the same outcome is legal" true (divergences tr = [])
 
@@ -177,9 +222,8 @@ let killer_cfg ?trace ~takeover ~seed () =
     horizon = 40_000.0;
     install_faults =
       (fun net -> Atomrep_chaos.Nemesis.install profile.Campaign.nemesis net);
-    termination = Termination.Cooperative;
+    termination = (if takeover then Termination.Takeover else Termination.Cooperative);
     deadlock = Runtime.Detect;
-    takeover;
     trace;
   }
 
@@ -274,8 +318,8 @@ let prop_no_divergence_under_storm =
       (* Every transaction's verdicts are one-sided, the monitor agrees,
          and the run stays atomic. *)
       List.for_all
-        (fun v -> v.Monitor.d_commits = 0 || v.Monitor.d_aborts = 0)
-        (Monitor.decisions tr)
+        (fun v -> v.d_commits = 0 || v.d_aborts = 0)
+        (decisions tr)
       && divergences tr = []
       && oracle_failures cfg outcome = [])
 

@@ -389,7 +389,7 @@ let test_timely_counts_every_commit () =
       check_bool (name ^ ": timely <= committed under a finite bound") true
         (bounded.Runtime.timely_commits <= bounded.Runtime.committed
         && bounded.Runtime.timely_commits < m.Runtime.timely_commits))
-    [ Termination.Disabled; Termination.Presumed_abort_only; Termination.Cooperative ]
+    Termination.[ Disabled; Presumed_abort_only; Cooperative; Takeover ]
 
 let suites =
   [
