@@ -360,8 +360,9 @@ let obs_flags ?(timeseries = false) ?(profile = false) ?(export = Fun.id) () =
       opt Arg.(some string) None [ "timeseries" ] ~docv:"FILE"
         ~doc:
           "Sample committed/aborted/blocked rates, WAL flushes, messages, queue \
-           depth and the stranded gauge into fixed-width sim-time windows and \
-           write them as JSON to $(docv)."
+           depth (live engine events; cancelled timers are not counted) and \
+           the stranded gauge into fixed-width sim-time windows and write \
+           them as JSON to $(docv)."
     in
     let window =
       opt ~absent:"500" Arg.(some pos_float) None [ "window" ] ~docv:"MS"
@@ -953,7 +954,9 @@ let load_cmd =
           (Summary.percentile m.sojourn 0.99)
           (Summary.max_value m.sojourn)
     in
-    finish obs cfg [ (header, judge obs cfg) ] ~sections:[ gray_section; latency_section ]
+    finish obs cfg
+      [ (header, judge obs cfg) ]
+      ~sections:[ gray_section; termination_section; takeover_section; latency_section ]
   in
   let plan_seed_arg =
     opt Arg.int (-1) [ "plan-seed" ] ~docv:"SEED"
@@ -1073,7 +1076,7 @@ let load_cmd =
       $ plan_seed_arg $ rate_arg $ mult_arg $ curve_arg $ load_profile_arg $ objects_arg
       $ zipf_arg $ sessions_arg $ sites $ horizon_arg $ drain_arg $ admission
       $ gray_flags sites $ txn_flags
-      $ obs_flags ~timeseries:true ())
+      $ obs_flags ~timeseries:true ~profile:true ())
 
 (* --- bench-diff --- *)
 

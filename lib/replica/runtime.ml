@@ -483,7 +483,10 @@ let start_sampler st term ts =
         Timeseries.observe ts s_queue ~now (float_of_int (Engine.pending st.engine));
         Timeseries.observe ts s_stranded ~now
           (float_of_int term.Term_driver.n_stranded_live);
-        if Engine.pending st.engine > 0 then tick ())
+        (* Re-armed until the clock stops moving, cancelled deadlines
+           included, so the sampler's trailing tick, and with it the run's
+           duration, does not depend on which timers were cancelled. *)
+        if Engine.queued st.engine > 0 then tick ())
   in
   tick ()
 

@@ -220,11 +220,12 @@ type config = {
       (** sim-time time-series (default [Atomrep_obs.Timeseries.null]):
           when enabled, a recurring engine event samples committed /
           aborted / blocked-wait deltas, WAL flushes, messages sent, event
-          queue depth and the live stranded gauge into the series'
+          queue depth ([Engine.pending]: live events, cancelled timers not
+          counted) and the live stranded gauge into the series'
           fixed-width windows; the run calls [Timeseries.finish] at the
           horizon. The sampler draws no RNG and re-arms only while other
-          work is pending, so committed work, histories and verdicts are
-          bit-identical with it on or off; only [duration] can extend to
+          events are queued (cancelled ones included), so committed work,
+          histories and verdicts are bit-identical with it on or off; only [duration] can extend to
           the sampler's final (empty) tick, at most half a window past
           the last real event. *)
 }

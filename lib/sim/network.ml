@@ -164,7 +164,10 @@ let set_delay_spike t ~probability ~factor =
   t.spike_probability <- probability;
   t.spike_factor <- factor
 
-let link_up t ~src ~dst = not (Hashtbl.mem t.blocked (src, dst))
+(* The length test keeps the common no-failed-link case free of a tuple
+   allocation and a hash. *)
+let link_up t ~src ~dst =
+  Hashtbl.length t.blocked = 0 || not (Hashtbl.mem t.blocked (src, dst))
 let fail_link t ~src ~dst = Hashtbl.replace t.blocked (src, dst) ()
 let heal_link t ~src ~dst = Hashtbl.remove t.blocked (src, dst)
 
@@ -249,6 +252,27 @@ let reachable t a b =
   && link_up t ~src:a ~dst:b
   && link_up t ~src:b ~dst:a
 
+(* A copy of a message reaching [dst]. [deliver] queues it with one closure
+   per copy. *)
+let arrive t ~src ~dst ~sid thunk delay =
+  if t.up.(dst) then begin
+    if Trace.enabled t.trace then
+      ignore
+        (Trace.emit t.trace ~site:dst ~cause:sid
+           t.rpc_recvs.((src * t.n_sites) + dst));
+    thunk ()
+  end
+  else begin
+    t.stats.dead_dest <- t.stats.dead_dest + 1;
+    if Trace.enabled t.trace then
+      ignore
+        (Trace.emit t.trace ~site:dst ~cause:sid
+           (Trace.Rpc_drop { src; dst; reason = "dead_dest"; elapsed = delay }))
+  end
+
+let deliver t ~src ~dst ~sid thunk delay =
+  Engine.schedule t.engine ~delay (fun () -> arrive t ~src ~dst ~sid thunk delay)
+
 let send_impl t ~src ~dst thunk =
   let rng = Engine.rng t.engine in
   t.stats.sent <- t.stats.sent + 1;
@@ -291,28 +315,11 @@ let send_impl t ~src ~dst thunk =
         let f = if same_site then f else f *. slow_rate t rng ~site:dst in
         latency *. f
     in
-    let deliver delay =
-      Engine.schedule t.engine ~delay (fun () ->
-          if t.up.(dst) then begin
-            if Trace.enabled t.trace then
-              ignore
-                (Trace.emit t.trace ~site:dst ~cause:sid
-                   t.rpc_recvs.((src * t.n_sites) + dst));
-            thunk ()
-          end
-          else begin
-            t.stats.dead_dest <- t.stats.dead_dest + 1;
-            if Trace.enabled t.trace then
-              ignore
-                (Trace.emit t.trace ~site:dst ~cause:sid
-                   (Trace.Rpc_drop { src; dst; reason = "dead_dest"; elapsed = delay }))
-          end)
-    in
-    deliver latency;
+    deliver t ~src ~dst ~sid thunk latency;
     if (not same_site) && t.dup_probability > 0.0 && Rng.bernoulli rng t.dup_probability
     then begin
       t.stats.duplicated <- t.stats.duplicated + 1;
-      deliver (Rng.exponential rng t.latency_mean)
+      deliver t ~src ~dst ~sid thunk (Rng.exponential rng t.latency_mean)
     end
   end
 

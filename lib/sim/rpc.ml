@@ -26,30 +26,37 @@ let call net ~src ~dst ~timeout ~handler ~reply =
   end
   else begin
     let start = Engine.now engine in
-    let done_ = ref false in
+    (* The armed timeout while the call is open; [None] once it settled, so
+       a late or duplicated reply finds nothing to settle. *)
+    let armed = ref None in
     let finish ~ok result =
-      if not !done_ then begin
-        done_ := true;
-        Network.note_rpc_result net ~src ~dst ~ok
-          ~elapsed:(Engine.now engine -. start);
-        reply result
-      end
+      Network.note_rpc_result net ~src ~dst ~ok
+        ~elapsed:(Engine.now engine -. start);
+      reply result
     in
     Network.send net ~src ~dst (fun () ->
         let response = handler () in
         Network.send net ~src:dst ~dst:src (fun () ->
-            finish ~ok:true (Some response)));
-    Engine.schedule engine ~delay:timeout (fun () ->
-        if not !done_ then begin
-          Network.note_rpc_timeout net;
-          let tr = Network.trace net in
-          if Trace.enabled tr then
-            ignore
-              (Trace.emit tr ~site:src
-                 (Trace.Rpc_timeout
-                    { src; dst; timeout; elapsed = Engine.now engine -. start }));
-          finish ~ok:false None
-        end)
+            match !armed with
+            | None -> ()
+            | Some timer ->
+              armed := None;
+              Engine.cancel engine timer;
+              finish ~ok:true (Some response)));
+    (* Cancelled when the reply settles the call, so it runs only on a call
+       still open at its deadline. *)
+    armed :=
+      Some
+        (Engine.timer engine ~delay:timeout (fun () ->
+             armed := None;
+             Network.note_rpc_timeout net;
+             let tr = Network.trace net in
+             if Trace.enabled tr then
+               ignore
+                 (Trace.emit tr ~site:src
+                    (Trace.Rpc_timeout
+                       { src; dst; timeout; elapsed = Engine.now engine -. start }));
+             finish ~ok:false None))
   end
 
 let multicast ?enough ?hedge ?on_late ?on_issue ?on_settle net ~src ~dsts
@@ -61,12 +68,14 @@ let multicast ?enough ?hedge ?on_late ?on_issue ?on_settle net ~src ~dsts
     (* First successful reply per destination is the one that counts: a
        hedged re-issue and its slow original may both answer, and a gather
        that saw the same site twice would double-count its vote. *)
-    let got = Hashtbl.create 8 in
+    let got = Array.make (Network.n_sites net) false in
     let pending = ref 0 in
     let finished = ref false in
+    let hedge_timer = ref None in
     let tr = Network.trace net in
     let fire () =
       finished := true;
+      Option.iter (Engine.cancel engine) !hedge_timer;
       (* The quorum round's synchronous half: reply gathering plus the
          caller's decision logic (vote counting, view merge, commit). *)
       Atomrep_obs.Profile.record ~subsystem:"quorum" "gather" (fun () ->
@@ -112,8 +121,8 @@ let multicast ?enough ?hedge ?on_late ?on_issue ?on_settle net ~src ~dsts
           end
           else begin
             (match result with
-             | Some r when not (Hashtbl.mem got dst) ->
-               Hashtbl.replace got dst ();
+             | Some r when not got.(dst) ->
+               got.(dst) <- true;
                received := (dst, r) :: !received;
                if not primary then
                  (match hedge with Some h -> h.h_on_win ~dst | None -> ())
@@ -125,8 +134,10 @@ let multicast ?enough ?hedge ?on_late ?on_issue ?on_settle net ~src ~dsts
     match hedge with
     | Some h when h.h_max > 0 ->
       let delay = h.h_delay () in
-      Engine.schedule engine ~delay (fun () ->
-          if not !finished then begin
+      (* [fire] cancels the hedge, so it runs only on a round still open. *)
+      hedge_timer :=
+        Some
+          (Engine.timer engine ~delay (fun () ->
             (* The round is lagging its adaptive percentile: hedge it.
                Destinations still lacking a reply are re-issued to first —
                a fresh send re-rolls a straggling link's latency draw —
@@ -140,7 +151,7 @@ let multicast ?enough ?hedge ?on_late ?on_issue ?on_settle net ~src ~dsts
             let consider dst =
               if
                 !fired < h.h_max
-                && (not (Hashtbl.mem got dst))
+                && (not got.(dst))
                 && Network.router_allows net ~src ~dst
               then begin
                 incr fired;
@@ -154,7 +165,6 @@ let multicast ?enough ?hedge ?on_late ?on_issue ?on_settle net ~src ~dsts
             List.iter consider dsts;
             List.iter
               (fun spare -> if not (List.mem spare dsts) then consider spare)
-              h.h_spares
-          end)
+              h.h_spares))
     | _ -> ()
   end

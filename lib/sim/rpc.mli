@@ -38,7 +38,10 @@ val call :
   unit
 (** Run [handler] at [dst]; deliver [Some response] back at [src], or [None]
     at [src] once [timeout] elapses without a response. [reply] runs exactly
-    once. *)
+    once; a reply that arrives after the timeout is ignored. A settled call
+    leaves no timer behind: the reply cancels the timeout
+    ({!Engine.cancel}), so it never runs and {!Engine.pending} no longer
+    counts it. *)
 
 val multicast :
   ?enough:((int * 'resp) list -> bool) ->
@@ -68,7 +71,8 @@ val multicast :
 
     [hedge] issues hedged requests once the round lags [h_delay]; hedged
     calls join the all-settled completion rule, so a round never gives up
-    while a hedge it fired is still in flight.
+    while a hedge it fired is still in flight. A round whose gather fires
+    first cancels its hedge timer.
 
     [on_issue] fires when a request (primary or hedged) is issued to a
     destination; [on_settle] fires exactly once per issued call when it
