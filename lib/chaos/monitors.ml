@@ -9,61 +9,70 @@ module Termination = Atomrep_txn.Termination
 type ctx = { cfg : Runtime.config; outcome : Runtime.outcome }
 type kind = Safety | Liveness
 
-type entry = {
-  e_name : string;
-  e_doc : string;
-  e_kind : kind;
-  e_observes : string list;
-  e_spec : ctx -> SM.t;
-}
+type entry = { e_name : string; e_doc : string; e_kind : kind; e_spec : ctx SM.t }
 
-(* Liveness grace: the whole retry budget (capped backoff x attempts), a
-   few RPC round trips, and two reaper sweeps. An obligation opened closer
-   to the horizon than this never had a fair chance to resolve. *)
+(* The whole retry budget (capped backoff x attempts), a few RPC round
+   trips, and two reaper sweeps. *)
 let grace =
   let retries = float_of_int (Runtime.max_retries + 1) *. Runtime.retry_delay_cap in
   let rpc = 4.0 *. Replicated.rpc_timeout in
   let reaper = 2.0 *. Term_driver.reaper_every in
   Float.max 500.0 (retries +. rpc +. reaper)
 
-(* The end-of-run fairness signal, folded by every liveness monitor: the
-   runtime's final [Quiesce] event says whether the network ended healed
-   and fully live — only then did every open obligation get its chance. *)
-type fairness = { mutable fair : bool; mutable horizon_t : float }
+(* One shape for every obligation judged at quiesce. The runtime's final
+   [Quiesce] event is the end-of-run fairness signal: only a network that
+   ended healed and fully live gave every open obligation its chance, so
+   only then — and only when [gate] enables the property for this run —
+   does the machine report what is [standing]: (opened-at time, message
+   given its age) pairs, each reported once it aged [grace] or more,
+   sorted. [step] folds every other observed kind into the (mutable)
+   state; a violation message it returns is anchored at the event as in
+   any machine, so one machine can carry a safety leg beside its
+   obligations. *)
+type 's obligations = { st : 's; on : bool; mutable fair : bool; mutable horizon : float }
 
-let fold_quiesce f (e : Trace.event) =
-  match e.Trace.kind with
-  | Trace.Quiesce { up; n_sites; partitioned } ->
-    f.fair <- up = n_sites && not partitioned;
-    f.horizon_t <- e.Trace.time
-  | _ -> ()
+let obligations ~name ~observes ?(gate = fun _ -> true) ~init
+    ?(step = fun _ _ -> None) ~standing () =
+  SM.make ~name ~observes:("quiesce" :: observes)
+    ~init:(fun ctx -> { st = init ctx; on = gate ctx; fair = false; horizon = 0.0 })
+    ~step:(fun o e ->
+      match e.Trace.kind with
+      | Trace.Quiesce { up; n_sites; partitioned } ->
+        o.fair <- up = n_sites && not partitioned;
+        o.horizon <- e.Trace.time;
+        SM.Continue o
+      | _ -> (
+        match step o.st e with
+        | None -> SM.Continue o
+        | Some msg -> SM.Violate (o, msg)))
+    ~at_quiesce:(fun o ->
+      if not (o.on && o.fair) then []
+      else
+        List.filter_map
+          (fun (opened, msg) ->
+            let age = o.horizon -. opened in
+            if age >= grace then Some (msg age) else None)
+          (standing o.st)
+        |> List.sort compare)
+    ()
 
 (* --- commit_atomicity / common_order -------------------------------- *)
 (* The history-based oracles judge reconstructed behavioral histories,
    not individual events, so their declarative form is pure at_quiesce:
    no events observed, the whole check is the quiesce obligation. *)
 
-let no_kinds = []
-
-let outcome_spec ~name check ctx =
-  SM.make ~name ~observes:no_kinds
-    ~init:(fun () -> ())
-    ~step:(fun () _ -> SM.Continue ())
-    ~at_quiesce:(fun () ->
+let outcome_spec ~name check =
+  SM.check ~name (fun ctx ->
       List.map
         (fun (obj, why) -> Printf.sprintf "%s: %s" obj why)
         (check ctx.cfg ctx.outcome))
-    ()
 
 (* --- quorum_intersection -------------------------------------------- *)
 
 (* Static leg: every object's threshold assignment must satisfy the
    intersection constraints its scheme's relation induces. *)
-let quorum_static ctx =
-  SM.make ~name:"quorum_assignment" ~observes:no_kinds
-    ~init:(fun () -> ())
-    ~step:(fun () _ -> SM.Continue ())
-    ~at_quiesce:(fun () ->
+let quorum_static =
+  SM.check ~name:"quorum_assignment" (fun ctx ->
       List.filter_map
         (fun (o : Runtime.object_config) ->
           let constraints =
@@ -79,7 +88,6 @@ let quorum_static ctx =
                   constraint (some initial(dependent) + final(supplier) <= n)"
                  o.Runtime.obj_name))
         ctx.cfg.Runtime.objects)
-    ()
 
 type attempt = { a_ok : bool; a_got : int; a_need : int; a_phase : string }
 
@@ -87,10 +95,9 @@ type attempt = { a_ok : bool; a_got : int; a_need : int; a_phase : string }
    latest quorum-assembly outcome; committing while any operation's last
    attempt fell short means the protocol committed without the
    intersection the scheme's correctness argument assumes. *)
-let quorum_kinds = [ "quorum_read"; "quorum_append"; "txn_commit"; "txn_abort" ]
-
-let quorum_operational () =
-  SM.keyed ~name:"quorum_intersection" ~observes:quorum_kinds
+let quorum_operational =
+  SM.keyed ~name:"quorum_intersection"
+    ~observes:[ "quorum_read"; "quorum_append"; "txn_commit"; "txn_abort" ]
     ~key:(fun e ->
       match e.Trace.kind with
       | Trace.Quorum_read { txn; _ }
@@ -132,15 +139,16 @@ let quorum_operational () =
       | _ -> SM.Continue ops)
     ()
 
-let quorum_intersection ctx =
-  SM.all ~name:"quorum_intersection"
-    [ quorum_static ctx; quorum_operational () ]
+let quorum_intersection =
+  SM.all ~name:"quorum_intersection" [ quorum_static; quorum_operational ]
 
 (* --- commit_durability ---------------------------------------------- *)
 
 module IntSet = Set.Make (Int)
 
 type durab = {
+  (* amnesia erases a site's stored entries for good (see the Crash arm) *)
+  wipes : bool;
   (* (txn, op) -> distinct repository sites holding the tentative entry *)
   stored : (string * string, IntSet.t) Hashtbl.t;
   (* (txn, op) -> write-quorum size of the latest final-quorum append *)
@@ -158,13 +166,18 @@ type durab = {
    good, so the site leaves every stored set; gated rejoin resyncs the
    store from a quorum before the site serves again, and durable
    repositories keep what their WAL replays — both keep their credit. *)
-let durability_kinds =
-  [ "repo_append"; "quorum_append"; "txn_commit"; "txn_abort"; "crash" ]
-
-let commit_durability ctx =
-  SM.make ~name:"commit_durability" ~observes:durability_kinds
-    ~init:(fun () ->
-      { stored = Hashtbl.create 64; need = Hashtbl.create 64; ops_of = Hashtbl.create 32 })
+let commit_durability =
+  SM.make ~name:"commit_durability"
+    ~observes:[ "repo_append"; "quorum_append"; "txn_commit"; "txn_abort"; "crash" ]
+    ~init:(fun ctx ->
+      {
+        wipes =
+          ctx.cfg.Runtime.durability = Repository.Volatile
+          && ctx.cfg.Runtime.mutant = Some Replicated.Ungated_rejoin;
+        stored = Hashtbl.create 64;
+        need = Hashtbl.create 64;
+        ops_of = Hashtbl.create 32;
+      })
     ~step:(fun st e ->
       let gc txn =
         (match Hashtbl.find_opt st.ops_of txn with
@@ -189,9 +202,7 @@ let commit_durability ctx =
         let ops = Option.value ~default:[] (Hashtbl.find_opt st.ops_of txn) in
         if not (List.mem op ops) then Hashtbl.replace st.ops_of txn (ops @ [ op ]);
         SM.Continue st
-      | Trace.Crash { site; amnesia = true }
-        when ctx.cfg.Runtime.durability = Repository.Volatile
-             && ctx.cfg.Runtime.mutant = Some Replicated.Ungated_rejoin ->
+      | Trace.Crash { site; amnesia = true } when st.wipes ->
         (* Amnesia wipes a volatile repository, and with rejoin gating
            disabled nothing ever restores it: whatever the site stored is
            gone for good. Under gated rejoin the resync protocol rebuilds
@@ -252,10 +263,8 @@ type div_state = {
   s_flagged : bool;
 }
 
-let divergence_kinds = [ "txn_decide" ]
-
-let no_divergence _ctx =
-  SM.keyed ~name:"no_divergence" ~observes:divergence_kinds
+let no_divergence =
+  SM.keyed ~name:"no_divergence" ~observes:[ "txn_decide" ]
     ~key:(fun e ->
       match e.Trace.kind with
       | Trace.Txn_decide { txn; _ } -> Some txn
@@ -286,120 +295,99 @@ let no_divergence _ctx =
 
 (* --- stranded_entries ------------------------------------------------ *)
 
-let stranded_kinds = [ "quiesce" ]
-
-let stranded_entries ctx =
-  SM.make ~name:"stranded_entries" ~observes:stranded_kinds
-    ~init:(fun () -> { fair = false; horizon_t = 0.0 })
-    ~step:(fun f e ->
-      fold_quiesce f e;
-      SM.Continue f)
-    ~at_quiesce:(fun f ->
-      let m = ctx.outcome.Runtime.metrics in
-      if not (Termination.cooperative ctx.cfg.Runtime.termination && f.fair) then []
-      else
-        (if m.Runtime.stranded_entries > 0 then
-           [
-             Printf.sprintf
-               "%d tentative entr%s still stranded at the horizon despite \
-                cooperative termination and a healed, fully-live network"
-               m.Runtime.stranded_entries
-               (if m.Runtime.stranded_entries = 1 then "y" else "ies");
-           ]
-         else [])
-        @
-        if m.Runtime.stranded_live <> 0 then
-          [
-            Printf.sprintf
-              "stranded-transaction gauge ended at %d (must drain to 0 under \
-               cooperative termination)"
-              m.Runtime.stranded_live;
-          ]
-        else [])
+(* The gauges are read at the horizon and carry no opening time: a
+   nonzero reading is overdue whatever the grace window. *)
+let stranded_entries =
+  obligations ~name:"stranded_entries" ~observes:[]
+    ~gate:(fun ctx -> Termination.cooperative ctx.cfg.Runtime.termination)
+    ~init:(fun ctx -> ctx.outcome.Runtime.metrics)
+    ~standing:(fun m ->
+      let overdue msg = (Float.neg_infinity, fun _ -> msg) in
+      (if m.Runtime.stranded_entries > 0 then
+         [
+           overdue
+             (Printf.sprintf
+                "%d tentative entr%s still stranded at the horizon despite \
+                 cooperative termination and a healed, fully-live network"
+                m.Runtime.stranded_entries
+                (if m.Runtime.stranded_entries = 1 then "y" else "ies"));
+         ]
+       else [])
+      @
+      if m.Runtime.stranded_live <> 0 then
+        [
+          overdue
+            (Printf.sprintf
+               "stranded-transaction gauge ended at %d (must drain to 0 under \
+                cooperative termination)"
+               m.Runtime.stranded_live);
+        ]
+      else [])
     ()
 
 (* --- blocked_liveness ------------------------------------------------ *)
 
 type blocked = {
-  b_waiting : (string, int * float * string) Hashtbl.t;
-      (* txn -> (event id, time, blocker) of the latest unresolved wait *)
+  b_waiting : (string, float * string) Hashtbl.t;
+      (* txn -> (time, blocker) of the latest unresolved wait *)
   b_terminal : (string, unit) Hashtbl.t;
       (* txns that already reached a commit/abort verdict: a later
          lock_wait is a zombie retry attempt the front-end abandons
          without another event, not a new obligation *)
-  b_fair : fairness;
 }
 
-let blocked_kinds =
-  [ "lock_wait"; "lock_grant"; "txn_commit"; "txn_abort"; "deadlock"; "quiesce" ]
-
-let blocked_liveness _ctx =
-  SM.make ~name:"blocked_liveness" ~observes:blocked_kinds
-    ~init:(fun () ->
-      {
-        b_waiting = Hashtbl.create 32;
-        b_terminal = Hashtbl.create 32;
-        b_fair = { fair = false; horizon_t = 0.0 };
-      })
+let blocked_liveness =
+  obligations ~name:"blocked_liveness"
+    ~observes:[ "lock_wait"; "lock_grant"; "txn_commit"; "txn_abort"; "deadlock" ]
+    ~init:(fun _ -> { b_waiting = Hashtbl.create 32; b_terminal = Hashtbl.create 32 })
     ~step:(fun st e ->
       (match e.Trace.kind with
        | Trace.Lock_wait { txn; blocker } ->
          if not (Hashtbl.mem st.b_terminal txn) then
-           Hashtbl.replace st.b_waiting txn (e.Trace.id, e.Trace.time, blocker)
+           Hashtbl.replace st.b_waiting txn (e.Trace.time, blocker)
        | Trace.Lock_grant { txn; _ } -> Hashtbl.remove st.b_waiting txn
        | Trace.Txn_commit { txn } | Trace.Txn_abort { txn; _ } ->
          Hashtbl.replace st.b_terminal txn ();
          Hashtbl.remove st.b_waiting txn
        | Trace.Deadlock { victim; _ } -> Hashtbl.remove st.b_waiting victim
-       | k -> fold_quiesce st.b_fair { e with Trace.kind = k });
-      SM.Continue st)
-    ~at_quiesce:(fun st ->
-      if not st.b_fair.fair then []
-      else
-        Hashtbl.fold
-          (fun txn (_, t, blocker) acc ->
-            if st.b_fair.horizon_t -. t >= grace then
-              Printf.sprintf
-                "%s blocked on %s at t=%.0f and never resolved in the %.0fms \
-                 before quiesce on a healed, fully-live network"
-                txn blocker t
-                (st.b_fair.horizon_t -. t)
-              :: acc
-            else acc)
-          st.b_waiting []
-        |> List.sort compare)
+       | _ -> ());
+      None)
+    ~standing:(fun st ->
+      Hashtbl.fold
+        (fun txn (t, blocker) acc ->
+          ( t,
+            Printf.sprintf
+              "%s blocked on %s at t=%.0f and never resolved in the %.0fms \
+               before quiesce on a healed, fully-live network"
+              txn blocker t )
+          :: acc)
+        st.b_waiting [])
     ()
 
 (* --- indoubt_liveness ------------------------------------------------ *)
 
 type indoubt = {
-  i_pending : (string, int * float) Hashtbl.t;
-      (* txn -> (event id, time) of its durable commit point *)
+  i_pending : (string, float) Hashtbl.t;
+      (* txn -> time of its durable commit point *)
   i_done : (string, unit) Hashtbl.t;
       (* txns that already reached a verdict: a commit point re-logged by
          a redrive or adoption does not reopen the obligation *)
-  i_fair : fairness;
 }
 
-let indoubt_kinds =
-  [
-    "commit_point"; "txn_decide"; "txn_commit"; "txn_abort"; "txn_redrive";
-    "coop_term"; "quiesce";
-  ]
-
-let indoubt_liveness ctx =
-  SM.make ~name:"indoubt_liveness" ~observes:indoubt_kinds
-    ~init:(fun () ->
-      {
-        i_pending = Hashtbl.create 32;
-        i_done = Hashtbl.create 32;
-        i_fair = { fair = false; horizon_t = 0.0 };
-      })
+let indoubt_liveness =
+  obligations ~name:"indoubt_liveness"
+    ~observes:
+      [
+        "commit_point"; "txn_decide"; "txn_commit"; "txn_abort"; "txn_redrive";
+        "coop_term";
+      ]
+    ~gate:(fun ctx -> Termination.enabled ctx.cfg.Runtime.termination)
+    ~init:(fun _ -> { i_pending = Hashtbl.create 32; i_done = Hashtbl.create 32 })
     ~step:(fun st e ->
       (match e.Trace.kind with
        | Trace.Commit_point { txn } ->
          if not (Hashtbl.mem st.i_pending txn || Hashtbl.mem st.i_done txn) then
-           Hashtbl.replace st.i_pending txn (e.Trace.id, e.Trace.time)
+           Hashtbl.replace st.i_pending txn e.Trace.time
        | Trace.Txn_decide { txn; _ }
        | Trace.Txn_commit { txn }
        | Trace.Txn_abort { txn; _ }
@@ -407,25 +395,19 @@ let indoubt_liveness ctx =
        | Trace.Coop_term { txn; _ } ->
          Hashtbl.replace st.i_done txn ();
          Hashtbl.remove st.i_pending txn
-       | k -> fold_quiesce st.i_fair { e with Trace.kind = k });
-      SM.Continue st)
-    ~at_quiesce:(fun st ->
-      if not (Termination.enabled ctx.cfg.Runtime.termination && st.i_fair.fair) then
-        []
-      else
-        Hashtbl.fold
-          (fun txn (_, t) acc ->
-            if st.i_fair.horizon_t -. t >= grace then
-              Printf.sprintf
-                "%s logged a durable commit point at t=%.0f but reached no \
-                 verdict in the %.0fms before quiesce despite enabled \
-                 termination and a healed, fully-live network"
-                txn t
-                (st.i_fair.horizon_t -. t)
-              :: acc
-            else acc)
-          st.i_pending []
-        |> List.sort compare)
+       | _ -> ());
+      None)
+    ~standing:(fun st ->
+      Hashtbl.fold
+        (fun txn t acc ->
+          ( t,
+            Printf.sprintf
+              "%s logged a durable commit point at t=%.0f but reached no \
+               verdict in the %.0fms before quiesce despite enabled \
+               termination and a healed, fully-live network"
+              txn t )
+          :: acc)
+        st.i_pending [])
     ()
 
 (* --- shed_safety ------------------------------------------------------ *)
@@ -438,7 +420,6 @@ type shed_st = {
      tentative re-delivery after the resolution does not reopen the
      obligation — the repository drops it as a duplicate anyway) *)
   sh_resolved : (string, IntSet.t) Hashtbl.t;
-  sh_fair : fairness;
 }
 
 (* "A shed transaction is cleanly aborted everywhere": it must never be
@@ -447,27 +428,24 @@ type shed_st = {
    when a repository first installs the transaction's terminal record
    (whatever the delivery path: the abort broadcast, gossip, or a
    status-poll offer), so resolution is tracked at the store, not at the
-   front-end. *)
-let shed_kinds =
-  [
-    "crash"; "repo_append"; "repo_resolve"; "shed"; "txn_abort"; "txn_commit";
-    "quiesce";
-  ]
-
-let shed_safety _ctx =
-  SM.make ~name:"shed_safety" ~observes:shed_kinds
-    ~init:(fun () ->
+   front-end. One machine carries both legs, so in the catalogue's
+   conjunction a commit-of-a-shed-transaction violation also silences
+   the residual leg. *)
+let shed_safety =
+  obligations ~name:"shed_safety"
+    ~observes:
+      [ "crash"; "repo_append"; "repo_resolve"; "shed"; "txn_abort"; "txn_commit" ]
+    ~init:(fun _ ->
       {
         sh_shed = Hashtbl.create 16;
         sh_pending = Hashtbl.create 32;
         sh_resolved = Hashtbl.create 32;
-        sh_fair = { fair = false; horizon_t = 0.0 };
       })
     ~step:(fun st e ->
       match e.Trace.kind with
       | Trace.Shed { txn; _ } ->
         Hashtbl.replace st.sh_shed txn e.Trace.time;
-        SM.Continue st
+        None
       | Trace.Repo_append { txn; tentative = true; _ } ->
         let resolved =
           Option.value ~default:IntSet.empty (Hashtbl.find_opt st.sh_resolved txn)
@@ -478,8 +456,7 @@ let shed_safety _ctx =
           in
           Hashtbl.replace st.sh_pending txn (IntSet.add e.Trace.site s)
         end;
-        SM.Continue st
-      | Trace.Repo_append { tentative = false; _ } -> SM.Continue st
+        None
       | Trace.Repo_resolve { txn; _ } ->
         let r =
           Option.value ~default:IntSet.empty (Hashtbl.find_opt st.sh_resolved txn)
@@ -488,7 +465,7 @@ let shed_safety _ctx =
         (match Hashtbl.find_opt st.sh_pending txn with
          | Some s -> Hashtbl.replace st.sh_pending txn (IntSet.remove e.Trace.site s)
          | None -> ());
-        SM.Continue st
+        None
       | Trace.Crash { site; amnesia = true } ->
         (* Amnesia wipes a volatile repository's log (and a durable one
            replays only what its WAL kept): the site's unresolved entries
@@ -499,15 +476,14 @@ let shed_safety _ctx =
             if IntSet.mem site s then
               Hashtbl.replace st.sh_pending txn (IntSet.remove site s))
           (Hashtbl.copy st.sh_pending);
-        SM.Continue st
-      | Trace.Crash _ -> SM.Continue st
+        None
       | Trace.Txn_commit { txn } ->
         if Hashtbl.mem st.sh_shed txn then
-          SM.Violate (st, Printf.sprintf "shed transaction %s reported committed" txn)
+          Some (Printf.sprintf "shed transaction %s reported committed" txn)
         else begin
           Hashtbl.remove st.sh_pending txn;
           Hashtbl.remove st.sh_resolved txn;
-          SM.Continue st
+          None
         end
       | Trace.Txn_abort { txn; _ } ->
         (* A shed transaction's entries must still resolve at every
@@ -516,32 +492,24 @@ let shed_safety _ctx =
           Hashtbl.remove st.sh_pending txn;
           Hashtbl.remove st.sh_resolved txn
         end;
-        SM.Continue st
-      | k ->
-        fold_quiesce st.sh_fair { e with Trace.kind = k };
-        SM.Continue st)
-    ~at_quiesce:(fun st ->
-      if not st.sh_fair.fair then []
-      else
-        Hashtbl.fold
-          (fun txn t0 acc ->
-            let pending =
-              Option.value ~default:IntSet.empty (Hashtbl.find_opt st.sh_pending txn)
-            in
-            if
-              (not (IntSet.is_empty pending))
-              && st.sh_fair.horizon_t -. t0 >= grace
-            then
-              Printf.sprintf
-                "shed transaction %s still holds tentative entries at site(s) \
-                 %s on a healed, fully-live network"
-                txn
-                (String.concat ", "
-                   (List.map string_of_int (IntSet.elements pending)))
-              :: acc
-            else acc)
-          st.sh_shed []
-        |> List.sort compare)
+        None
+      | _ -> None)
+    ~standing:(fun st ->
+      Hashtbl.fold
+        (fun txn t0 acc ->
+          match Hashtbl.find_opt st.sh_pending txn with
+          | Some pending when not (IntSet.is_empty pending) ->
+            ( t0,
+              fun _ ->
+                Printf.sprintf
+                  "shed transaction %s still holds tentative entries at \
+                   site(s) %s on a healed, fully-live network"
+                  txn
+                  (String.concat ", "
+                     (List.map string_of_int (IntSet.elements pending))) )
+            :: acc
+          | _ -> acc)
+        st.sh_shed [])
     ()
 
 (* --- hedge_safety ----------------------------------------------------- *)
@@ -560,10 +528,8 @@ let shed_safety _ctx =
    straggler delivery re-drove a decision. Holds vacuously (and is
    checked!) with hedging off, which is exactly the point: the monitor
    cannot tell hedged runs from unhedged ones. *)
-let hedge_kinds = [ "txn_commit"; "txn_abort"; "repo_resolve" ]
-
-let hedge_safety _ctx =
-  SM.keyed ~name:"hedge_safety" ~observes:hedge_kinds
+let hedge_safety =
+  SM.keyed ~name:"hedge_safety" ~observes:[ "txn_commit"; "txn_abort"; "repo_resolve" ]
     ~key:(fun e ->
       match e.Trace.kind with
       | Trace.Txn_commit { txn }
@@ -635,10 +601,8 @@ let hedge_safety _ctx =
    therefore means a clock ran backwards or a session leaked across
    sites. Closed-loop runs carry no sessions and emit no [Session_commit]
    events, so the monitor is vacuous there. *)
-let session_kinds = [ "session_commit" ]
-
-let session_monotonic _ctx =
-  SM.keyed ~name:"session_monotonic" ~observes:session_kinds
+let session_monotonic =
+  SM.keyed ~name:"session_monotonic" ~observes:[ "session_commit" ]
     ~key:(fun e ->
       match e.Trace.kind with
       | Trace.Session_commit { session; _ } -> Some (string_of_int session)
@@ -660,88 +624,35 @@ let session_monotonic _ctx =
 
 (* --- registry --------------------------------------------------------- *)
 
+(* An entry's name is its spec's. *)
+let entry e_kind e_doc e_spec = { e_name = SM.name e_spec; e_doc; e_kind; e_spec }
+
 let registry =
   [
-    {
-      e_name = "commit_atomicity";
-      e_doc = "every object's history satisfies the scheme's local atomicity property";
-      e_kind = Safety;
-      e_observes = no_kinds;
-      e_spec = outcome_spec ~name:"commit_atomicity" Runtime.check_atomicity;
-    };
-    {
-      e_name = "common_order";
-      e_doc = "committed transactions serialize in one system-wide order";
-      e_kind = Safety;
-      e_observes = no_kinds;
-      e_spec = outcome_spec ~name:"common_order" Runtime.check_common_order;
-    };
-    {
-      e_name = "no_divergence";
-      e_doc = "no two drivers ever render opposite verdicts for a transaction";
-      e_kind = Safety;
-      e_observes = divergence_kinds;
-      e_spec = no_divergence;
-    };
-    {
-      e_name = "quorum_intersection";
-      e_doc =
-        "assignments satisfy dependency intersection; no commit after a short quorum";
-      e_kind = Safety;
-      e_observes = quorum_kinds;
-      e_spec = quorum_intersection;
-    };
-    {
-      e_name = "commit_durability";
-      e_doc = "nothing is reported committed before a write quorum stored it";
-      e_kind = Safety;
-      e_observes = durability_kinds;
-      e_spec = commit_durability;
-    };
-    {
-      e_name = "shed_safety";
-      e_doc = "every shed transaction is cleanly aborted everywhere";
-      e_kind = Safety;
-      e_observes = shed_kinds;
-      e_spec = shed_safety;
-    };
-    {
-      e_name = "hedge_safety";
-      e_doc =
-        "verdicts are assigned once and never flip under hedged or duplicate \
-         deliveries";
-      e_kind = Safety;
-      e_observes = hedge_kinds;
-      e_spec = hedge_safety;
-    };
-    {
-      e_name = "session_monotonic";
-      e_doc = "per-session commit timestamps are strictly increasing";
-      e_kind = Safety;
-      e_observes = session_kinds;
-      e_spec = session_monotonic;
-    };
-    {
-      e_name = "stranded_entries";
-      e_doc = "cooperative termination drains every stranded tentative entry";
-      e_kind = Liveness;
-      e_observes = stranded_kinds;
-      e_spec = stranded_entries;
-    };
-    {
-      e_name = "blocked_liveness";
-      e_doc = "every blocked operation resolves once partitions heal";
-      e_kind = Liveness;
-      e_observes = blocked_kinds;
-      e_spec = blocked_liveness;
-    };
-    {
-      e_name = "indoubt_liveness";
-      e_doc = "every durable commit point reaches a verdict after recovery";
-      e_kind = Liveness;
-      e_observes = indoubt_kinds;
-      e_spec = indoubt_liveness;
-    };
+    entry Safety
+      "every object's history satisfies the scheme's local atomicity property"
+      (outcome_spec ~name:"commit_atomicity" Runtime.check_atomicity);
+    entry Safety "committed transactions serialize in one system-wide order"
+      (outcome_spec ~name:"common_order" Runtime.check_common_order);
+    entry Safety "no two drivers ever render opposite verdicts for a transaction"
+      no_divergence;
+    entry Safety
+      "assignments satisfy dependency intersection; no commit after a short quorum"
+      quorum_intersection;
+    entry Safety "nothing is reported committed before a write quorum stored it"
+      commit_durability;
+    entry Safety "every shed transaction is cleanly aborted everywhere" shed_safety;
+    entry Safety
+      "verdicts are assigned once and never flip under hedged or duplicate deliveries"
+      hedge_safety;
+    entry Safety "per-session commit timestamps are strictly increasing"
+      session_monotonic;
+    entry Liveness "cooperative termination drains every stranded tentative entry"
+      stranded_entries;
+    entry Liveness "every blocked operation resolves once partitions heal"
+      blocked_liveness;
+    entry Liveness "every durable commit point reaches a verdict after recovery"
+      indoubt_liveness;
   ]
 
 let history =
@@ -786,13 +697,12 @@ let selection_doc =
   Printf.sprintf "all, safety, liveness, or a comma-separated subset of: %s"
     (String.concat ", " names)
 
-let conjoin entries ctx =
-  SM.all ~name:"monitors" (List.map (fun e -> e.e_spec ctx) entries)
-
-let run ?from_id entries ctx trace = SM.run ?from_id (conjoin entries ctx) trace
+let run ?from_id entries ctx trace =
+  let all = SM.all ~name:"monitors" (List.map (fun e -> e.e_spec) entries) in
+  SM.run ?from_id all ctx trace
 
 let observed_labels entries =
-  List.concat_map (fun e -> e.e_observes) entries
+  List.concat_map (fun e -> SM.observed e.e_spec) entries
   |> List.sort_uniq String.compare
 
 let check_run ?(monitors = history) cfg =

@@ -3,14 +3,17 @@
 
     Each entry names a property, says whether it is a safety property
     (violated by a specific event) or a liveness property (an obligation
-    judged at quiesce, gated on the run's end-of-run fairness signal —
-    the final {!Atomrep_obs.Trace.Quiesce} event), and builds its spec
-    from a {!ctx}: the run's configuration and outcome. Trace-level
-    monitors ignore the context; the history-based oracles
+    judged at quiesce), and carries its spec: a value built once, which
+    states the trace kinds it observes and is instantiated per run with
+    a {!ctx} — the run's configuration and outcome. Trace-level monitors
+    read only the trace; the history-based oracles
     ({!Atomrep_replica.Runtime.check_atomicity},
-    {!Atomrep_replica.Runtime.check_common_order}) and the metric-gauge
-    checks close over it, which is what reduces the legacy imperative
-    checkers to thin [at_quiesce] shells of declarative machines.
+    {!Atomrep_replica.Runtime.check_common_order}) judge the outcome at
+    quiesce. Every liveness obligation (and [shed_safety]'s residual
+    leg) has one shape: it is reported only when the run's end-of-run
+    fairness signal — the final {!Atomrep_obs.Trace.Quiesce} event —
+    says the network ended healed and fully live, and only once it has
+    stood for {!grace}.
 
     The catalogue is the only oracle: every judged run goes through
     {!check_run}, whose default selection is {!history}.
@@ -53,23 +56,25 @@ type ctx = {
   cfg : Runtime.config;
   outcome : Runtime.outcome;
 }
-(** What a monitor may close over, available once the run finished. *)
+(** What a spec is instantiated with, available once the run finished. *)
 
 type kind = Safety | Liveness
 
 type entry = {
-  e_name : string;
+  e_name : string;  (** the spec's name *)
   e_doc : string;  (** one-line property statement *)
   e_kind : kind;
-  e_observes : string list;
-      (** the {!Atomrep_obs.Trace.kind_label}s the entry's spec subscribes
-          to — static (a spec is only buildable from a post-run {!ctx}),
-          so {!check_run} can build the judge-only bus {e before} the
-          run. It is the very list the spec is built with; a unit test
-          pins it to the built spec's
-          {!Atomrep_obs.Spec_monitor.observed}. *)
-  e_spec : ctx -> Atomrep_obs.Spec_monitor.t;
+  e_spec : ctx Atomrep_obs.Spec_monitor.t;
+      (** built once; its {!Atomrep_obs.Spec_monitor.observed} kinds are
+          known before any run, so {!check_run} builds the judge-only
+          bus from them *)
 }
+
+val grace : float
+(** Liveness grace window, in simulated ms: the whole retry budget, a few
+    RPC round trips and two reaper sweeps. An obligation is reported at
+    quiesce only when it has stood at least this long; one opened closer
+    to the horizon never had a fair chance to resolve. *)
 
 val registry : entry list
 (** Every monitor, catalogue order. *)
@@ -107,7 +112,7 @@ val run :
     [from_id] (default 0) on, quiesce. *)
 
 val observed_labels : entry list -> string list
-(** Union of the entries' [e_observes] lists, sorted, deduplicated: the
+(** Union of the entries' observed kind labels, sorted, deduplicated: the
     kinds {!check_run}'s judge-only bus stores. *)
 
 val check_run :

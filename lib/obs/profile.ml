@@ -17,29 +17,55 @@ type cell = {
 type t = {
   on : bool;
   mutable clock : unit -> float;
-  cells : (string * string, cell) Hashtbl.t;
-  mutable order : (string * string) list; (* reversed registration order *)
+  mutable slots : cell option array; (* indexed by key id *)
+  mutable order : cell list; (* reversed registration order *)
 }
 
+(* A key is a declared phase: one dense id per distinct (subsystem, phase)
+   pair, process-wide, so a profile finds the phase's cell by an array
+   index instead of hashing the two names on every call. *)
+type key = { k_id : int; k_subsystem : string; k_phase : string }
+
+let keys : (string * string, key) Hashtbl.t = Hashtbl.create 16
+let keys_lock = Mutex.create ()
+
+let key ~subsystem phase =
+  Mutex.protect keys_lock (fun () ->
+      match Hashtbl.find_opt keys (subsystem, phase) with
+      | Some k -> k
+      | None ->
+        let k =
+          { k_id = Hashtbl.length keys; k_subsystem = subsystem; k_phase = phase }
+        in
+        Hashtbl.add keys (subsystem, phase) k;
+        k)
+
 let create ?(enabled = true) () =
-  { on = enabled; clock = Sys.time; cells = Hashtbl.create 32; order = [] }
+  { on = enabled; clock = Sys.time; slots = [||]; order = [] }
 
 let null = create ~enabled:false ()
 let enabled t = t.on
 let set_clock t f = t.clock <- f
 
-let cell t subsystem phase =
-  let k = (subsystem, phase) in
-  match Hashtbl.find_opt t.cells k with
-  | Some c -> c
-  | None ->
-    let c =
-      { c_subsystem = subsystem; c_phase = phase; c_count = 0; c_wall = 0.0;
-        c_minor = 0.0 }
-    in
-    Hashtbl.add t.cells k c;
-    t.order <- k :: t.order;
-    c
+(* A phase's cell is created on its first timing. *)
+let register t k =
+  let c =
+    { c_subsystem = k.k_subsystem; c_phase = k.k_phase; c_count = 0; c_wall = 0.0;
+      c_minor = 0.0 }
+  in
+  if k.k_id >= Array.length t.slots then begin
+    let slots = Array.make (k.k_id + 8) None in
+    Array.blit t.slots 0 slots 0 (Array.length t.slots);
+    t.slots <- slots
+  end;
+  t.slots.(k.k_id) <- Some c;
+  t.order <- c :: t.order;
+  c
+
+let cell t k =
+  if k.k_id < Array.length t.slots then
+    match Array.unsafe_get t.slots k.k_id with Some c -> c | None -> register t k
+  else register t k
 
 (* Gc.minor_words is a noalloc primitive (allocated-words-so-far), far
    cheaper than Gc.quick_stat; the delta is the same minor-words figure. *)
@@ -50,10 +76,10 @@ let finish t c w0 a0 =
   c.c_wall <- c.c_wall +. (w1 -. w0);
   c.c_minor <- c.c_minor +. (a1 -. a0)
 
-let time t ~subsystem phase f =
+let time t k f =
   if not t.on then f ()
   else begin
-    let c = cell t subsystem phase in
+    let c = cell t k in
     let w0 = t.clock () in
     let a0 = Gc.minor_words () in
     match f () with
@@ -85,15 +111,14 @@ let with_current p f =
     set_current prev;
     raise e
 
-let record ~subsystem phase f =
+let record k f =
   let p = current () in
-  if p.on then time p ~subsystem phase f else f ()
+  if p.on then time p k f else f ()
 
 let phases t =
   let all =
     List.rev_map
-      (fun k ->
-        let c = Hashtbl.find t.cells k in
+      (fun c ->
         {
           p_subsystem = c.c_subsystem;
           p_phase = c.c_phase;
@@ -118,8 +143,7 @@ let top t ~n =
   in
   take n (phases t)
 
-let total_wall t =
-  Hashtbl.fold (fun _ c acc -> acc +. c.c_wall) t.cells 0.0
+let total_wall t = List.fold_left (fun acc c -> acc +. c.c_wall) 0.0 t.order
 
 let pp_table ?(top = 10) ppf t =
   let rows = ref (phases t) in

@@ -1,9 +1,10 @@
 (** Scoped phase timers with allocation accounting.
 
-    A profile is a table of phases keyed by [subsystem x phase name]; each
-    {!time} call accumulates the wrapped thunk's wall time and its
-    minor-heap allocation ([Gc.minor_words] delta) into the
-    phase's cell. Phases are inclusive: a network send timed inside an
+    A profile is a table of phases keyed by [subsystem x phase name],
+    each declared once as a {!key} (instrumented code declares its keys
+    at module initialization); each {!time} call accumulates the wrapped
+    thunk's wall time and its minor-heap allocation ([Gc.minor_words]
+    delta) into the phase's cell. Phases are inclusive: a network send timed inside an
     engine dispatch counts toward both.
 
     The disabled profile ({!null}, or [create ~enabled:false]) runs the
@@ -36,10 +37,19 @@ val set_clock : t -> (unit -> float) -> unit
     library cannot link Unix — callers that can should inject
     [Unix.gettimeofday]. *)
 
-val time : t -> subsystem:string -> string -> (unit -> 'a) -> 'a
-(** [time t ~subsystem phase f] runs [f] and accumulates its wall time,
-    allocation and a call count into the phase's cell. Exceptions
-    propagate; the partial measurement is still recorded. *)
+type key
+(** A declared phase. A profile finds the phase's cell by the key's dense
+    id — an array index, not a hash of the names — and creates the cell
+    on the key's first timing. *)
+
+val key : subsystem:string -> string -> key
+(** [key ~subsystem phase]: the key of that phase; declaring the same pair
+    twice returns the same key. *)
+
+val time : t -> key -> (unit -> 'a) -> 'a
+(** [time t key f] runs [f] and accumulates its wall time, allocation and
+    a call count into the phase's cell. Exceptions propagate; the partial
+    measurement is still recorded. *)
 
 (** {1 Ambient (domain-local) profile} *)
 
@@ -50,7 +60,7 @@ val with_current : t -> (unit -> 'a) -> 'a
 (** Install a profile for the extent of the callback, restoring the
     previous one after (also on exceptions). *)
 
-val record : subsystem:string -> string -> (unit -> 'a) -> 'a
+val record : key -> (unit -> 'a) -> 'a
 (** {!time} against {!current}; one branch when the current profile is
     disabled. *)
 

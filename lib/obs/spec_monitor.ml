@@ -6,22 +6,22 @@ type violation = {
 
 type 's step = Continue of 's | Accept | Violate of 's * string
 
-(* A spec is a recipe for fresh run state: [fresh ()] builds the mutable
-   machine, so instantiating twice never shares state — the no-bleed
-   guarantee the shrinker's candidate runs rely on. [m_observe tag e] is
-   only ever called with an event whose tag ({!Trace.kind_tag}) is in the
-   spec's mask — the caller filters, so a machine never re-tests its
-   kind. *)
+(* A spec is a recipe for fresh run state: [fresh ctx] builds the mutable
+   machine for one run's context, so instantiating twice never shares
+   state — the no-bleed guarantee the shrinker's candidate runs rely on.
+   [m_observe tag e] is only ever called with an event whose tag
+   ({!Trace.kind_tag}) is in the spec's mask — the caller filters, so a
+   machine never re-tests its kind. *)
 type machine = {
   m_observe : int -> Trace.event -> violation list;
   m_quiesce : unit -> violation list;
   m_live : unit -> int;
 }
 
-type t = {
+type 'ctx t = {
   spec_name : string;
   mask : bool array; (* static observed set, indexed by Trace.kind_tag *)
-  fresh : unit -> machine;
+  fresh : 'ctx -> machine;
 }
 
 let name t = t.spec_name
@@ -33,9 +33,9 @@ let observed t =
 
 let make ~name ~observes ~init ~step ?(at_quiesce = fun _ -> []) () =
   let mask = Trace.mask ~name:("Spec_monitor " ^ name) observes in
-  let fresh () =
+  let fresh ctx =
     (* [None] = accepted (discharged, nothing to quiesce). *)
-    let state = ref (Some (init ())) in
+    let state = ref (Some (init ctx)) in
     let m_observe _tag (e : Trace.event) =
       match !state with
       | None -> []
@@ -64,9 +64,14 @@ let make ~name ~observes ~init ~step ?(at_quiesce = fun _ -> []) () =
   in
   { spec_name = name; mask; fresh }
 
+let check ~name judge =
+  make ~name ~observes:[] ~init:Fun.id
+    ~step:(fun ctx _ -> Continue ctx)
+    ~at_quiesce:judge ()
+
 let keyed ~name ~observes ~key ~init ~step ?(at_quiesce = fun _ _ -> []) () =
   let mask = Trace.mask ~name:("Spec_monitor " ^ name) observes in
-  let fresh () =
+  let fresh _ctx =
     let states = Hashtbl.create 32 in
     (* Insertion order, for deterministic quiesce reports. *)
     let order = ref [] in
@@ -132,14 +137,14 @@ let all ~name children =
     Array.init Trace.n_kind_tags (fun tag ->
         List.exists (fun c -> c.mask.(tag)) children)
   in
-  let fresh () =
+  let fresh ctx =
     (* Conjunction with per-child short-circuit: once a child yields its
        counterexample it is dropped from stepping and quiescing — each
        child contributes at most its first verdict while the rest keep
        observing independently. *)
     let live =
       List.map
-        (fun c -> { c_mask = c.mask; c_machine = c.fresh (); c_failed = false })
+        (fun c -> { c_mask = c.mask; c_machine = c.fresh ctx; c_failed = false })
         children
     in
     (* The dispatch table: row [tag] holds, in child order, the children
@@ -185,8 +190,8 @@ type instance = {
   mutable quiesced : violation list option;
 }
 
-let instantiate t =
-  { machine = t.fresh (); observed = t.mask; seen = []; quiesced = None }
+let instantiate t ctx =
+  { machine = t.fresh ctx; observed = t.mask; seen = []; quiesced = None }
 
 let observe inst e =
   match inst.quiesced with
@@ -209,9 +214,11 @@ let quiesce inst =
     inst.quiesced <- Some vs;
     vs
 
-let run ?(from_id = 0) t trace =
-  let inst = instantiate t in
-  Profile.record ~subsystem:"monitor" "step" (fun () ->
+let step_key = Profile.key ~subsystem:"monitor" "step"
+
+let run ?(from_id = 0) t ctx trace =
+  let inst = instantiate t ctx in
+  Profile.record step_key (fun () ->
       Trace.iter ~from_id ~kinds:inst.observed trace (observe inst));
   quiesce inst
 

@@ -16,6 +16,14 @@
       when the trace ends — where liveness obligations ("every blocked op
       eventually resolves") become violations.
 
+    A spec is a value, built once: its observed kinds are fixed when it is
+    built, and {!observed} reads them back, so a spec states what it
+    observes exactly once. What a run contributes arrives when the spec
+    is {e instantiated}: a ['ctx t] takes one ['ctx] value (a run's
+    configuration and outcome, in the monitor catalogue; [()] for a spec
+    that reads nothing), handed to its [init] — and, for a {!check} spec,
+    to its quiesce verdict.
+
     Combinators lift specs: {!keyed} instantiates one state machine per
     key (per transaction, per site) with GC on accept, and {!all} conjoins
     monitors, short-circuiting any child that has already produced its
@@ -40,29 +48,36 @@ type 's step =
           instance keeps folding with the given state so later independent
           violations still surface *)
 
-type t
-(** A monitor specification. Pure: building one performs no allocation of
-    run state; every {!instantiate} (or {!run}) starts fresh. *)
+type 'ctx t
+(** A monitor specification over run context ['ctx]. Pure: building one
+    performs no allocation of run state; every {!instantiate} (or {!run})
+    starts fresh from the context it is given. *)
 
-val name : t -> string
+val name : _ t -> string
 
-val observed : t -> string list
+val observed : _ t -> string list
 (** The {!Trace.kind_label}s of the kinds the spec observes (for a
     conjunction, the union of its children's), in tag order. *)
 
 val make :
   name:string ->
   observes:string list ->
-  init:(unit -> 's) ->
+  init:('ctx -> 's) ->
   step:('s -> Trace.event -> 's step) ->
   ?at_quiesce:('s -> string list) ->
   unit ->
-  t
-(** A single-instance spec. Only events whose {!Trace.kind_label} is
+  'ctx t
+(** A single-instance spec. [init] builds its state from the context
+    given at instantiation. Only events whose {!Trace.kind_label} is
     listed in [observes] are stepped; a label no kind carries raises
     [Invalid_argument] naming the label and the spec. [at_quiesce]
     (default: accept) returns the messages of every obligation still
     standing when the trace ends. *)
+
+val check : name:string -> ('ctx -> string list) -> 'ctx t
+(** A spec that observes no event: at quiesce, [check ~name judge]
+    reports [judge ctx] — a verdict taken from the run's context alone
+    (its reconstructed histories, its configuration). *)
 
 val keyed :
   name:string ->
@@ -72,16 +87,16 @@ val keyed :
   step:('s -> Trace.event -> 's step) ->
   ?at_quiesce:(string -> 's -> string list) ->
   unit ->
-  t
-(** One state machine per key — per transaction, per site. [observes] is
-    as for {!make}. [key] names the
+  'ctx t
+(** One state machine per key — per transaction, per site; the instances
+    do not read the context. [observes] is as for {!make}. [key] names the
     instance an observed event belongs to ([None]: the event belongs to no
     instance and is skipped); the first event of a fresh key allocates its
     state via [init]. A step returning [Accept] finalizes the instance:
     its state is GC'd and later events under the same key allocate a new
     instance. Violations are reported as ["name(key)"]. *)
 
-val all : name:string -> t list -> t
+val all : name:string -> 'ctx t list -> 'ctx t
 (** Conjunction: every child must hold. It observes the union of the
     children's sets; each instance dispatches an event only to the
     children (in list order) whose set holds its kind. A child that has
@@ -95,7 +110,9 @@ type instance
 (** Fresh run state for one spec (created by {!instantiate}); feed it
     events with {!observe}, then close it with {!quiesce}. *)
 
-val instantiate : t -> instance
+val instantiate : 'ctx t -> 'ctx -> instance
+(** [instantiate spec ctx]: fresh state for one run, built from [ctx]. *)
+
 val observe : instance -> Trace.event -> unit
 
 val violations : instance -> violation list
@@ -111,8 +128,8 @@ val quiesce : instance -> violation list
 (** End of trace: run every remaining state's [at_quiesce] and return all
     violations (stepped ones first, in detection order). Idempotent. *)
 
-val run : ?from_id:int -> t -> Trace.t -> violation list
-(** [instantiate], fold the trace's stored events with id at or above
+val run : ?from_id:int -> 'ctx t -> 'ctx -> Trace.t -> violation list
+(** [instantiate] with the context, fold the trace's stored events with id at or above
     [from_id] (default 0: the whole trace), [quiesce]. A [from_id] taken
     as {!Trace.length} before a run scopes the fold to that run's events,
     so runs sharing one bus never judge each other's transactions. *)

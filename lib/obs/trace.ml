@@ -328,12 +328,14 @@ let record t ~site ~cause kind =
   if t.full || t.mask.(kind_tag kind) then store t ~id ~site ~last ~cause kind;
   id
 
+let publish_key = Profile.key ~subsystem:"trace" "publish"
+
 let emit t ~site ?cause kind =
   if not t.on then -1
   else begin
     let p = Profile.current () in
     if Profile.enabled p then
-      Profile.time p ~subsystem:"trace" "publish" (fun () ->
+      Profile.time p publish_key (fun () ->
           record t ~site ~cause kind)
     else record t ~site ~cause kind
   end

@@ -122,11 +122,13 @@ let checkpoint t =
          (Checkpointed { kept = List.length snapshot; dropped_segments = dropped })
      | Error `Disk_full -> t.on_storage Flush_rejected)
 
+let flush_key = Atomrep_obs.Profile.key ~subsystem:"wal" "flush"
+
 (* A full disk does not stop the repository: it keeps serving from memory
    with durable state lagging — anything a later crash loses is restored by
    the quorum-gated resync, exactly like amnesia. *)
 let flush_now t wal =
-  match Atomrep_obs.Profile.record ~subsystem:"wal" "flush" (fun () -> Wal.flush wal) with
+  match Atomrep_obs.Profile.record flush_key (fun () -> Wal.flush wal) with
   | Ok 0 -> ()
   | Ok n ->
     t.on_storage (Flushed n);

@@ -147,6 +147,8 @@ let cancel t e =
     t.n_cancelled <- t.n_cancelled + 1
   end
 
+let dispatch_key = Atomrep_obs.Profile.key ~subsystem:"engine" "dispatch"
+
 let run ?until t =
   let limit = match until with Some l -> l | None -> infinity in
   (* The dispatch phase wraps every simulated thunk, so the hot-phase
@@ -165,7 +167,7 @@ let run ?until t =
        no-op it replaces did, but is neither dispatched nor profiled. *)
     if e.live then begin
       e.live <- false;
-      if profiled then Atomrep_obs.Profile.time p ~subsystem:"engine" "dispatch" e.thunk
+      if profiled then Atomrep_obs.Profile.time p dispatch_key e.thunk
       else e.thunk ()
     end
     else t.n_cancelled <- t.n_cancelled - 1

@@ -323,10 +323,12 @@ let send_impl t ~src ~dst thunk =
     end
   end
 
+let send_key = Atomrep_obs.Profile.key ~subsystem:"network" "send"
+
 let send t ~src ~dst thunk =
   let p = Atomrep_obs.Profile.current () in
   if Atomrep_obs.Profile.enabled p then
-    Atomrep_obs.Profile.time p ~subsystem:"network" "send" (fun () ->
+    Atomrep_obs.Profile.time p send_key (fun () ->
         send_impl t ~src ~dst thunk)
   else send_impl t ~src ~dst thunk
 

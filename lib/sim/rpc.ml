@@ -59,6 +59,8 @@ let call net ~src ~dst ~timeout ~handler ~reply =
              finish ~ok:false None))
   end
 
+let gather_key = Atomrep_obs.Profile.key ~subsystem:"quorum" "gather"
+
 let multicast ?enough ?hedge ?on_late ?on_issue ?on_settle net ~src ~dsts
     ~timeout ~handler ~gather =
   let engine = Network.engine net in
@@ -78,7 +80,7 @@ let multicast ?enough ?hedge ?on_late ?on_issue ?on_settle net ~src ~dsts
       Option.iter (Engine.cancel engine) !hedge_timer;
       (* The quorum round's synchronous half: reply gathering plus the
          caller's decision logic (vote counting, view merge, commit). *)
-      Atomrep_obs.Profile.record ~subsystem:"quorum" "gather" (fun () ->
+      Atomrep_obs.Profile.record gather_key (fun () ->
           gather (List.rev !received))
     in
     let complete () =

@@ -44,10 +44,12 @@ let create ~n_sites () =
 
 let writes t = t.writes
 
+let decision_flush_key = Atomrep_obs.Profile.key ~subsystem:"wal" "decision_flush"
+
 let flushed t d =
   let s = t.sites.(d) in
   match
-    Atomrep_obs.Profile.record ~subsystem:"wal" "decision_flush" (fun () ->
+    Atomrep_obs.Profile.record decision_flush_key (fun () ->
         Wal.flush s.wal)
   with
   | Ok _ ->

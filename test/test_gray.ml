@@ -10,7 +10,6 @@ open Atomrep_sim
 open Atomrep_replica
 module Campaign = Atomrep_chaos.Campaign
 module Monitors = Atomrep_chaos.Monitors
-module Trace = Atomrep_obs.Trace
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -541,22 +540,20 @@ let test_hedge_skips_breaker_open_site () =
 
 (* --- slow-site demotion and hedging, end to end ------------------------ *)
 
-let gray_e2e_cfg ~gray ~trace ~seed =
+let gray_e2e_cfg ~gray ~seed =
   { (faulty_cfg ~scheme:Replicated.Hybrid ~seed) with
     Runtime.n_txns = 100;
     install_faults = (fun _ -> ());
     fail_slow = [ (2, 500.0, Network.Slow_constant 8.0) ];
     gray;
-    trace = Some trace;
   }
 
 let test_mitigation_beats_baseline () =
   let run gray =
-    let trace = Trace.create ~n_sites:5 () in
-    let cfg = gray_e2e_cfg ~gray ~trace ~seed:0 in
-    let outcome = Runtime.run cfg in
-    let violations = Monitors.run Monitors.registry { Monitors.cfg; outcome } trace in
-    (outcome.Runtime.metrics, Atomrep_obs.Spec_monitor.failures violations)
+    let outcome, failures =
+      Monitors.check_run ~monitors:Monitors.registry (gray_e2e_cfg ~gray ~seed:0)
+    in
+    (outcome.Runtime.metrics, failures)
   in
   let base, base_fails = run None in
   let mit, mit_fails = run (Some Runtime.default_gray) in
@@ -586,9 +583,8 @@ let test_gray_storm_monitors_green () =
   in
   List.iter
     (fun seed ->
-      let trace = Trace.create ~n_sites:3 () in
       let cfg =
-        Campaign.configure ~trace
+        Campaign.configure
           {
             base =
               { Campaign.default_base with Runtime.gray = Some Runtime.default_gray };
@@ -599,11 +595,7 @@ let test_gray_storm_monitors_green () =
             intensity = 1.0;
           }
       in
-      let outcome = Runtime.run cfg in
-      let failures =
-        Atomrep_obs.Spec_monitor.failures
-          (Monitors.run Monitors.registry { Monitors.cfg; outcome } trace)
-      in
+      let _, failures = Monitors.check_run ~monitors:Monitors.registry cfg in
       check_int (Printf.sprintf "seed %d green" seed) 0 (List.length failures))
     [ 0; 1; 2 ]
 

@@ -309,7 +309,7 @@ let test_spec_empty_trace () =
       ~step:(fun () _ -> SM.Violate ((), "stepped on an empty trace"))
       ()
   in
-  check_bool "nothing stepped" true (SM.run never tr = []);
+  check_bool "nothing stepped" true (SM.run never () tr = []);
   let obligated =
     SM.keyed ~name:"per_txn" ~observes:[ "txn_begin" ]
       ~key:(fun _ -> Some "T0")
@@ -318,7 +318,7 @@ let test_spec_empty_trace () =
       ~at_quiesce:(fun _ () -> [ "standing obligation" ])
       ()
   in
-  check_bool "keyed: no instance, no obligation" true (SM.run obligated tr = [])
+  check_bool "keyed: no instance, no obligation" true (SM.run obligated () tr = [])
 
 (* Events outside [observes] never reach [step]; the quiesce check still judges
    what the filtered view amounted to. *)
@@ -338,12 +338,12 @@ let test_spec_on_filter () =
         if n = 1 then [] else [ Printf.sprintf "saw %d commit(s)" n ])
       ()
   in
-  let vs = SM.run commits_only tr in
+  let vs = SM.run commits_only () tr in
   check_int "only the quiesce obligation fires" 1 (List.length vs);
   check_bool "no step-anchored violation" true
     (List.for_all (fun v -> v.SM.v_event = None) vs);
   ignore (Trace.emit tr ~site:0 (Trace.Txn_commit { txn = "T0" }));
-  check_bool "commit observed, spec discharged" true (SM.run commits_only tr = [])
+  check_bool "commit observed, spec discharged" true (SM.run commits_only () tr = [])
 
 (* A label no trace kind carries is a typo, not an empty subscription:
    building the spec fails, naming the label and the spec. *)
@@ -390,7 +390,7 @@ let test_spec_keyed_gc () =
       ()
   in
   let tr = Trace.create ~n_sites:1 () in
-  let inst = SM.instantiate open_close in
+  let inst = SM.instantiate open_close () in
   let feed kind = SM.observe inst (Trace.get tr (Trace.emit tr ~site:0 kind)) in
   feed (Trace.Txn_begin { txn = "T0" });
   feed (Trace.Txn_begin { txn = "T1" });
@@ -429,7 +429,7 @@ let test_spec_conjunction_short_circuit () =
   for _ = 1 to 3 do
     ignore (Trace.emit tr ~site:0 Trace.Heal)
   done;
-  let names = List.map (fun v -> v.SM.v_monitor) (SM.run both tr) in
+  let names = List.map (fun v -> v.SM.v_monitor) (SM.run both () tr) in
   check_int "tripwire contributes exactly one counterexample" 1
     (List.length (List.filter (String.equal "tripwire") names));
   check_int "sibling keeps stepping after the short-circuit" 3 !steps;

@@ -1,8 +1,9 @@
 (* Graceful degradation under overload: open-loop plan determinism and
    the Zipf sampler (qcheck), the shed-safety and session-monotonicity
-   monitors over hand-built traces, the per-site circuit breaker's state
-   machine, and the admission-controlled runtime end to end — including
-   the locking conflict-table regression the open-loop load exposed. *)
+   monitors and the liveness grace window over hand-built traces, the
+   per-site circuit breaker's state machine, and the admission-controlled
+   runtime end to end — including the locking conflict-table regression
+   the open-loop load exposed. *)
 
 open Atomrep_stats
 open Atomrep_replica
@@ -129,9 +130,10 @@ let test_curve_multipliers () =
 
 (* --- the shed-safety monitor over hand-built traces -------------------- *)
 
-(* The monitor specs close over a {cfg; outcome} context; the trace-level
-   ones only read the configuration, so one cheap
-   real outcome serves every hand-built-trace test. *)
+(* The catalogue's specs are instantiated with a {cfg; outcome} context,
+   and an outcome comes only from a run; the trace-level specs read at
+   most the configuration, so one cheap real outcome serves every
+   hand-built-trace test. *)
 let tiny_ctx =
   lazy
     (let cfg =
@@ -139,9 +141,9 @@ let tiny_ctx =
      in
      { Monitors.cfg; outcome = Runtime.run cfg })
 
-let spec_of name =
+let judge ?(ctx = Lazy.force tiny_ctx) name tr =
   match Monitors.find name with
-  | Some e -> e.Monitors.e_spec (Lazy.force tiny_ctx)
+  | Some e -> SM.run e.Monitors.e_spec ctx tr
   | None -> Alcotest.fail (name ^ " missing from the monitor catalogue")
 
 (* A trace bus with a hand-cranked clock, so quiesce can land far past
@@ -152,11 +154,8 @@ let clocked_trace () =
   Trace.set_clock tr (fun () -> !now);
   (tr, now)
 
-let quiesce ?(fair = true) tr =
-  ignore
-    (Trace.emit tr ~site:(-1)
-       (Trace.Quiesce
-          { up = (if fair then 3 else 2); n_sites = 3; partitioned = false }))
+let quiesce ?(up = 3) ?(partitioned = false) tr =
+  ignore (Trace.emit tr ~site:(-1) (Trace.Quiesce { up; n_sites = 3; partitioned }))
 
 let test_shed_safety_accepts_clean_shed () =
   let tr, now = clocked_trace () in
@@ -169,7 +168,7 @@ let test_shed_safety_accepts_clean_shed () =
   ignore (Trace.emit tr ~site:0 (Trace.Txn_abort { txn = "T0"; reason = "shed" }));
   now := 1_000_000.0;
   quiesce tr;
-  check_bool "resolved shed is clean" true (SM.run (spec_of "shed_safety") tr = [])
+  check_bool "resolved shed is clean" true (judge "shed_safety" tr = [])
 
 let test_shed_safety_flags_residual_entry () =
   let tr, now = clocked_trace () in
@@ -179,7 +178,7 @@ let test_shed_safety_flags_residual_entry () =
        (Trace.Repo_append { txn = "T0"; op = "Enq"; tentative = true }));
   now := 1_000_000.0;
   quiesce tr;
-  (match SM.run (spec_of "shed_safety") tr with
+  (match judge "shed_safety" tr with
    | [ v ] ->
      check_bool "the surviving site is named" true
        (String.length v.SM.v_message > 0
@@ -196,16 +195,16 @@ let test_shed_safety_unfair_run_owes_nothing () =
     (Trace.emit tr ~site:2
        (Trace.Repo_append { txn = "T0"; op = "Enq"; tentative = true }));
   now := 1_000_000.0;
-  quiesce ~fair:false tr;
+  quiesce ~up:2 tr;
   check_bool "no obligation on an unfair run" true
-    (SM.run (spec_of "shed_safety") tr = [])
+    (judge "shed_safety" tr = [])
 
 let test_shed_safety_flags_shed_commit () =
   let tr, _now = clocked_trace () in
   ignore (Trace.emit tr ~site:0 (Trace.Shed { txn = "T3"; reason = "deadline" }));
   ignore (Trace.emit tr ~site:0 (Trace.Txn_commit { txn = "T3" }));
   quiesce tr;
-  (match SM.run (spec_of "shed_safety") tr with
+  (match judge "shed_safety" tr with
    | [ v ] ->
      check_bool "commit of a shed txn is the violation" true
        (v.SM.v_event <> None)
@@ -224,7 +223,7 @@ let test_shed_safety_amnesia_clears_site () =
   now := 1_000_000.0;
   quiesce tr;
   check_bool "amnesia discharges the obligation" true
-    (SM.run (spec_of "shed_safety") tr = [])
+    (judge "shed_safety" tr = [])
 
 (* --- the per-session monotonicity monitor ------------------------------ *)
 
@@ -241,7 +240,7 @@ let test_session_monotonic_accepts_increasing () =
   session_commit tr ~session:1 ~txn:"T3" ~counter:2;
   quiesce tr;
   check_bool "interleaved sessions, each increasing" true
-    (SM.run (spec_of "session_monotonic") tr = [])
+    (judge "session_monotonic" tr = [])
 
 let test_session_monotonic_flags_backwards () =
   let tr, _ = clocked_trace () in
@@ -249,12 +248,66 @@ let test_session_monotonic_flags_backwards () =
   session_commit tr ~session:1 ~txn:"T1" ~counter:9;
   session_commit tr ~session:0 ~txn:"T2" ~counter:5 (* not strictly above *);
   quiesce tr;
-  match SM.run (spec_of "session_monotonic") tr with
+  match judge "session_monotonic" tr with
   | [ v ] ->
     check_bool "keyed instance names the session" true
       (v.SM.v_monitor = "session_monotonic(0)")
   | vs ->
     Alcotest.fail (Printf.sprintf "expected 1 violation, got %d" (List.length vs))
+
+(* --- the liveness grace window ------------------------------------------ *)
+
+(* Each obligation-carrying monitor with one obligation opened at t=0 on a
+   hand-clocked bus, so the quiesce time is the obligation's exact age:
+   [Monitors.grace] is the boundary, reported at and past it, never
+   before, and never on a quiesce that is partitioned or has a site down.
+   indoubt_liveness is judged under an enabled termination protocol. *)
+let grace_cases =
+  let emit tr site kind = ignore (Trace.emit tr ~site kind) in
+  [
+    ( "blocked_liveness",
+      (fun ctx -> ctx),
+      fun tr -> emit tr 0 (Trace.Lock_wait { txn = "T0"; blocker = "T1" }) );
+    ( "indoubt_liveness",
+      (fun (ctx : Monitors.ctx) ->
+        { ctx with
+          Monitors.cfg =
+            { ctx.Monitors.cfg with
+              Runtime.termination = Atomrep_txn.Termination.Cooperative } }),
+      fun tr -> emit tr 0 (Trace.Commit_point { txn = "T0" }) );
+    ( "shed_safety",
+      (fun ctx -> ctx),
+      fun tr ->
+        emit tr 0 (Trace.Shed { txn = "T0"; reason = "deadline" });
+        emit tr 2 (Trace.Repo_append { txn = "T0"; op = "Enq"; tentative = true }) );
+  ]
+
+let test_liveness_grace_boundary () =
+  List.iter
+    (fun (name, ctx_of, open_obligation) ->
+      let verdicts ~age ?up ?partitioned () =
+        let tr, now = clocked_trace () in
+        open_obligation tr;
+        now := age;
+        quiesce ?up ?partitioned tr;
+        List.length (judge ~ctx:(ctx_of (Lazy.force tiny_ctx)) name tr)
+      in
+      let g = Monitors.grace in
+      check_int (name ^ ": just under grace is not reported") 0
+        (verdicts ~age:(Float.pred g) ());
+      check_int (name ^ ": exactly grace is reported") 1 (verdicts ~age:g ());
+      check_int (name ^ ": partitioned quiesce reports nothing") 0
+        (verdicts ~age:(10.0 *. g) ~partitioned:true ());
+      check_int (name ^ ": a site down reports nothing") 0
+        (verdicts ~age:(10.0 *. g) ~up:2 ()))
+    grace_cases;
+  (* indoubt_liveness owes nothing without a termination protocol. *)
+  let tr, now = clocked_trace () in
+  ignore (Trace.emit tr ~site:0 (Trace.Commit_point { txn = "T0" }));
+  now := 10.0 *. Monitors.grace;
+  quiesce tr;
+  check_int "indoubt_liveness: disabled termination reports nothing" 0
+    (List.length (judge "indoubt_liveness" tr))
 
 (* --- the circuit breaker's state machine -------------------------------- *)
 
@@ -312,14 +365,11 @@ let test_overload_base_sheds_and_stays_safe () =
   (* The chaos base under its own flash crowd, with the admission window
      cinched tight enough that the burst alone overflows it (the stock
      base only sheds once a nemesis amplifies retries): shedding must
-     happen, and the whole monitor catalogue must stay green over the
-     traced run. *)
-  let tr = Trace.create ~n_sites:3 () in
+     happen, and the whole monitor catalogue must stay green. *)
   let cfg =
     {
       Campaign.overload_base with
-      Runtime.trace = Some tr;
-      admission =
+      Runtime.admission =
         Some
           {
             Runtime.max_in_flight = 2;
@@ -330,7 +380,7 @@ let test_overload_base_sheds_and_stays_safe () =
           };
     }
   in
-  let outcome = Runtime.run cfg in
+  let outcome, failures = Monitors.check_run ~monitors:Monitors.registry cfg in
   let m = outcome.Runtime.metrics in
   check_bool "the crowd overwhelms the window" true (m.Runtime.shed > 0);
   check_bool "but work still commits" true (m.Runtime.committed > 0);
@@ -338,8 +388,7 @@ let test_overload_base_sheds_and_stays_safe () =
   check_bool "timely is a subset of committed" true
     (m.Runtime.timely_commits <= m.Runtime.committed);
   check_bool "sojourns were recorded" true (Summary.count m.Runtime.sojourn > 0);
-  check_bool "full catalogue green" true
-    (Monitors.run Monitors.registry { Monitors.cfg; outcome } tr = [])
+  check_bool "full catalogue green" true (failures = [])
 
 let test_overload_run_is_deterministic () =
   let run () =
@@ -460,6 +509,7 @@ let suites =
             test_session_monotonic_accepts_increasing;
           test_case "session_monotonic: backwards" `Quick
             test_session_monotonic_flags_backwards;
+          test_case "liveness grace boundary" `Quick test_liveness_grace_boundary;
         ] );
     ( "overload.breaker",
       Alcotest.

@@ -21,14 +21,14 @@ let test_profile_records_phases () =
   let clock = ref 0.0 in
   Profile.set_clock p (fun () -> !clock);
   let v =
-    Profile.time p ~subsystem:"engine" "dispatch" (fun () ->
+    Profile.time p (Profile.key ~subsystem:"engine" "dispatch") (fun () ->
         clock := !clock +. 2.0;
-        Profile.time p ~subsystem:"network" "send" (fun () ->
+        Profile.time p (Profile.key ~subsystem:"network" "send") (fun () ->
             clock := !clock +. 1.0;
             7))
   in
   check_int "thunk value returned" 7 v;
-  ignore (Profile.time p ~subsystem:"engine" "dispatch" (fun () -> ()));
+  ignore (Profile.time p (Profile.key ~subsystem:"engine" "dispatch") (fun () -> ()));
   let phases = Profile.phases p in
   check_int "two phases" 2 (List.length phases);
   (* Hottest first: dispatch accumulated 3.0 — its own 2.0 plus the
@@ -44,14 +44,14 @@ let test_profile_records_phases () =
 
 let test_profile_null_is_inert () =
   check_bool "null disabled" false (Profile.enabled Profile.null);
-  let v = Profile.time Profile.null ~subsystem:"x" "y" (fun () -> 3) in
+  let v = Profile.time Profile.null (Profile.key ~subsystem:"x" "y") (fun () -> 3) in
   check_int "thunk still runs" 3 v;
   check_int "nothing recorded" 0 (List.length (Profile.phases Profile.null))
 
 let test_profile_exception_still_counts () =
   let p = Profile.create () in
   (try
-     Profile.time p ~subsystem:"wal" "flush" (fun () -> failwith "boom")
+     Profile.time p (Profile.key ~subsystem:"wal" "flush") (fun () -> failwith "boom")
    with Failure _ -> ());
   match Profile.phases p with
   | [ c ] -> check_int "partial measurement recorded" 1 c.Profile.p_count
@@ -63,7 +63,7 @@ let test_profile_ambient_install () =
   let r =
     Profile.with_current p (fun () ->
         check_bool "installed" true (Profile.enabled (Profile.current ()));
-        Profile.record ~subsystem:"trace" "publish" (fun () -> 11))
+        Profile.record (Profile.key ~subsystem:"trace" "publish") (fun () -> 11))
   in
   check_int "record returns" 11 r;
   check_bool "restored after" false (Profile.enabled (Profile.current ()));
@@ -75,7 +75,7 @@ let test_profile_ambient_install () =
 
 let test_profile_json_shape () =
   let p = Profile.create () in
-  ignore (Profile.time p ~subsystem:"a" "b" (fun () -> ()));
+  ignore (Profile.time p (Profile.key ~subsystem:"a" "b") (fun () -> ()));
   match Profile.to_json p with
   | Json.Obj [ ("phases", Json.List [ Json.Obj fields ]) ] ->
     check_bool "has subsystem" true (List.mem_assoc "subsystem" fields);
@@ -650,28 +650,10 @@ let test_kind_tags_dense_labels_round_trip () =
     (List.length (List.sort_uniq String.compare labels));
   check_bool "unknown label has no tag" true (Trace.tag_of_label "no_such_kind" = None)
 
-(* Drift guard for the catalogue's static subscription lists: every label
-   in [e_observes] must be in the built spec's mask, and no kind outside
-   the list may be — otherwise the judge-only bus, built from the lists,
-   would not store an event a monitor needed. *)
-let test_observes_matches_spec_on () =
-  let cfg = Runtime.default_config in
-  let outcome = Runtime.run { cfg with Runtime.n_txns = 3 } in
-  let ctx = { Monitors.cfg; outcome } in
-  List.iter
-    (fun (e : Monitors.entry) ->
-      let observed = Atomrep_obs.Spec_monitor.observed (e.Monitors.e_spec ctx) in
-      List.iter
-        (fun kind ->
-          let label = Trace.kind_label kind in
-          check_bool
-            (Printf.sprintf "%s/%s: e_observes matches spec.on"
-               e.Monitors.e_name label)
-            (List.mem label e.Monitors.e_observes) (List.mem label observed))
-        every_kind)
-    Monitors.registry;
-  (* And the catalogue's judge-only bus stores exactly the union of the
-     lists, plus spans. *)
+(* The catalogue's judge-only bus stores exactly the union of the specs'
+   observed kinds, plus spans: no kind a monitor observes is dropped, and
+   nothing else is kept. *)
+let test_judge_only_bus_stores_observed_union () =
   let union = Monitors.observed_labels Monitors.registry in
   let tr = Trace.create ~observes:union ~n_sites:1 () in
   List.iter (fun kind -> ignore (Trace.emit tr ~site:0 kind)) every_kind;
@@ -728,7 +710,7 @@ let child_spec i d =
 (* Violations in order, live_instances after every event, and the
    quiesce output. *)
 let table_driven descs events =
-  let inst = SM.instantiate (SM.all ~name:"conj" (List.mapi child_spec descs)) in
+  let inst = SM.instantiate (SM.all ~name:"conj" (List.mapi child_spec descs)) () in
   let lives =
     List.map
       (fun e ->
@@ -742,7 +724,7 @@ let table_driven descs events =
    declared list names, until its first violation. *)
 let reference descs events =
   let children =
-    List.mapi (fun i d -> (d, SM.instantiate (child_spec i d), ref false)) descs
+    List.mapi (fun i d -> (d, SM.instantiate (child_spec i d) (), ref false)) descs
   in
   let seen = ref [] in
   let lives =
@@ -1020,8 +1002,8 @@ let suites =
           test_bus_memory_guard;
         Alcotest.test_case "judge-only bus: check_run agrees with a full bus" `Quick
           test_check_run_judge_only_agrees;
-        Alcotest.test_case "e_observes matches spec.on" `Quick
-          test_observes_matches_spec_on;
+        Alcotest.test_case "judge-only bus stores the observed union" `Quick
+          test_judge_only_bus_stores_observed_union;
         Alcotest.test_case "kind tags dense, labels unique and round-trip" `Quick
           test_kind_tags_dense_labels_round_trip;
         QCheck_alcotest.to_alcotest prop_dispatch_table_matches_reference;

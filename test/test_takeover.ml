@@ -122,8 +122,9 @@ let test_repo_amnesia_forgets_grants () =
 let decide tr ~txn ~site ~committed =
   ignore (Trace.emit tr ~site (Trace.Txn_decide { txn; site; committed }))
 
-(* The catalogue's specs close over a {cfg; outcome} context that
-   no_divergence never reads; one cheap real run supplies it. *)
+(* The catalogue's specs are instantiated with a {cfg; outcome} context
+   that no_divergence never reads, and an outcome comes only from a run;
+   one cheap real run supplies it. *)
 let tiny_ctx =
   lazy
     (let cfg = { Runtime.default_config with Runtime.n_txns = 2; horizon = 5_000.0 } in
@@ -131,7 +132,7 @@ let tiny_ctx =
 
 let divergences ?from_id tr =
   match Monitors.find "no_divergence" with
-  | Some e -> Spec_monitor.run ?from_id (e.Monitors.e_spec (Lazy.force tiny_ctx)) tr
+  | Some e -> Spec_monitor.run ?from_id e.Monitors.e_spec (Lazy.force tiny_ctx) tr
   | None -> Alcotest.fail "no_divergence missing from the monitor catalogue"
 
 (* Per-transaction decision tallies, in first-decision order: an
