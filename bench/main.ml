@@ -884,24 +884,25 @@ let run_perf () =
   (* (3b) What the bus costs per event, as deterministic counts: the
      words it retains per stored event once its run is over (its clock
      reset, so that the engine behind the clock is not counted), and the
-     minor words per emit that a profiled run's trace/publish phase
-     counts (the profiler's own two float boxes included). *)
+     minor words per emitted id: the run with the bus minus the same run
+     without one, both unprofiled and unjudged (a bus leaves the run
+     bit-identical), so every word the bus costs counts, at the emit
+     sites as well as inside [Trace.emit]. *)
+  let minor_words run =
+    let before = Gc.minor_words () in
+    ignore (run () : Runtime.outcome);
+    Gc.minor_words () -. before
+  in
+  let untraced = minor_words (fun () -> Runtime.run (cfg Replicated.Hybrid)) in
   let bus_cost ?observes () =
     let tr = Trace.create ?observes ~n_sites () in
-    let profile = Profile.create () in
-    ignore (Monitors.check_run ~monitors (cfg ~trace:tr ~profile Replicated.Hybrid));
+    let traced = minor_words (fun () -> Runtime.run (cfg ~trace:tr Replicated.Hybrid)) in
     Trace.set_clock tr (fun () -> 0.0);
     let stored = List.length (Trace.events tr) in
     let retained =
       float_of_int (Obj.reachable_words (Obj.repr tr)) /. float_of_int stored
     in
-    let publish =
-      List.find
-        (fun (p : Profile.phase) ->
-          p.Profile.p_subsystem = "trace" && p.Profile.p_phase = "publish")
-        (Profile.phases profile)
-    in
-    (retained, publish.Profile.p_minor_words /. float_of_int publish.Profile.p_count)
+    (retained, (traced -. untraced) /. float_of_int (Trace.length tr))
   in
   let full_retained, full_publish = bus_cost () in
   let judge_retained, judge_publish = bus_cost ~observes:monitor_labels () in

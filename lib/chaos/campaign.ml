@@ -559,7 +559,7 @@ let fixtures =
           base = takeover_base;
           scheme = Replicated.Hybrid;
           profile = profile "coordinator_killer";
-          seed = 3;
+          seed = 20;
           n_txns = 120;
           intensity = 1.0;
         };

@@ -11,13 +11,15 @@ type kind = Safety | Liveness
 
 type entry = { e_name : string; e_doc : string; e_kind : kind; e_spec : ctx SM.t }
 
-(* The whole retry budget (capped backoff x attempts), a few RPC round
-   trips, and two reaper sweeps. *)
+(* The longer of the whole retry budget (capped backoff x attempts) plus
+   a few RPC round trips and the reaper's commit-window bound, then two
+   reaper sweeps: an obligation a live coordinator left open is adopted
+   within [commit_window] plus one sweep. *)
 let grace =
   let retries = float_of_int (Runtime.max_retries + 1) *. Runtime.retry_delay_cap in
   let rpc = 4.0 *. Replicated.rpc_timeout in
   let reaper = 2.0 *. Term_driver.reaper_every in
-  Float.max 500.0 (retries +. rpc +. reaper)
+  Float.max 500.0 (Float.max (retries +. rpc) Term_driver.commit_window +. reaper)
 
 (* One shape for every obligation judged at quiesce. The runtime's final
    [Quiesce] event is the end-of-run fairness signal: only a network that

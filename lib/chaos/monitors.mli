@@ -71,10 +71,12 @@ type entry = {
 }
 
 val grace : float
-(** Liveness grace window, in simulated ms: the whole retry budget, a few
-    RPC round trips and two reaper sweeps. An obligation is reported at
-    quiesce only when it has stood at least this long; one opened closer
-    to the horizon never had a fair chance to resolve. *)
+(** Liveness grace window, in simulated ms: the longer of the whole retry
+    budget plus a few RPC round trips and the reaper's commit-window bound
+    ([Term_driver.commit_window]), then two reaper sweeps (4,300 ms). An
+    obligation is reported at quiesce only when it has stood at least this
+    long; one opened closer to the horizon never had a fair chance to
+    resolve. *)
 
 val registry : entry list
 (** Every monitor, catalogue order. *)

@@ -1,99 +1,6 @@
 open Atomrep_stats
 
-let args_json (kind : Trace.kind) =
-  let fields =
-    match kind with
-    | Trace.Rpc_send { src; dst } | Trace.Rpc_recv { src; dst } ->
-      [ ("src", Json.int src); ("dst", Json.int dst) ]
-    | Trace.Rpc_timeout { src; dst; timeout; elapsed } ->
-      [ ("src", Json.int src); ("dst", Json.int dst);
-        ("timeout", Json.Num timeout); ("elapsed", Json.Num elapsed) ]
-    | Trace.Rpc_drop { src; dst; reason; elapsed } ->
-      [ ("src", Json.int src); ("dst", Json.int dst); ("reason", Json.Str reason);
-        ("elapsed", Json.Num elapsed) ]
-    | Trace.Rpc_hedge { src; dst; delay } ->
-      [ ("src", Json.int src); ("dst", Json.int dst); ("delay", Json.Num delay) ]
-    | Trace.Rpc_outcome { src; dst; ok; elapsed } ->
-      [ ("src", Json.int src); ("dst", Json.int dst); ("ok", Json.Bool ok);
-        ("elapsed", Json.Num elapsed) ]
-    | Trace.Slow_inject { site; mode } ->
-      [ ("site", Json.int site); ("mode", Json.Str mode) ]
-    | Trace.Detector_slow { site; slow; score } ->
-      [ ("site", Json.int site); ("slow", Json.Bool slow);
-        ("score", Json.Num score) ]
-    | Trace.Quorum_read { txn; op; got; need }
-    | Trace.Quorum_append { txn; op; got; need } ->
-      [ ("txn", Json.Str txn); ("op", Json.Str op); ("got", Json.int got);
-        ("need", Json.int need) ]
-    | Trace.Repo_append { txn; op; tentative } ->
-      [ ("txn", Json.Str txn); ("op", Json.Str op); ("tentative", Json.Bool tentative) ]
-    | Trace.Txn_begin { txn } | Trace.Txn_commit { txn } -> [ ("txn", Json.Str txn) ]
-    | Trace.Txn_abort { txn; reason } ->
-      [ ("txn", Json.Str txn); ("reason", Json.Str reason) ]
-    | Trace.Lock_wait { txn; blocker } ->
-      [ ("txn", Json.Str txn); ("blocker", Json.Str blocker) ]
-    | Trace.Lock_grant { txn; op } -> [ ("txn", Json.Str txn); ("op", Json.Str op) ]
-    | Trace.Epoch_seal { epoch } | Trace.Epoch_transfer { epoch } ->
-      [ ("epoch", Json.int epoch) ]
-    | Trace.Epoch_fence { epoch; stale } ->
-      [ ("epoch", Json.int epoch); ("stale", Json.int stale) ]
-    | Trace.Crash { site; amnesia } ->
-      [ ("site", Json.int site); ("amnesia", Json.Bool amnesia) ]
-    | Trace.Recover { site; resynced } ->
-      [ ("site", Json.int site); ("resynced", Json.Bool resynced) ]
-    | Trace.Partition { n_groups } -> [ ("n_groups", Json.int n_groups) ]
-    | Trace.Heal -> []
-    | Trace.Detector_suspect { site } | Trace.Detector_trust { site } ->
-      [ ("site", Json.int site) ]
-    | Trace.Wal_flush { site; records } ->
-      [ ("site", Json.int site); ("records", Json.int records) ]
-    | Trace.Wal_checkpoint { site; kept; dropped_segments } ->
-      [ ("site", Json.int site); ("kept", Json.int kept);
-        ("dropped_segments", Json.int dropped_segments) ]
-    | Trace.Wal_full { site } -> [ ("site", Json.int site) ]
-    | Trace.Wal_replay { site; replayed; truncated; corrupt } ->
-      [ ("site", Json.int site); ("replayed", Json.int replayed);
-        ("truncated", Json.int truncated); ("corrupt", Json.Bool corrupt) ]
-    | Trace.Store_fault { site; fault } ->
-      [ ("site", Json.int site); ("fault", Json.Str fault) ]
-    | Trace.Commit_point { txn } -> [ ("txn", Json.Str txn) ]
-    | Trace.Txn_redrive { txn; outcome } ->
-      [ ("txn", Json.Str txn); ("outcome", Json.Str outcome) ]
-    | Trace.Coop_term { txn; outcome } ->
-      [ ("txn", Json.Str txn); ("outcome", Json.Str outcome) ]
-    | Trace.Orphan_gc { site; resolved } ->
-      [ ("site", Json.int site); ("resolved", Json.int resolved) ]
-    | Trace.Txn_decide { txn; site; committed } ->
-      [ ("txn", Json.Str txn); ("site", Json.int site);
-        ("committed", Json.Bool committed) ]
-    | Trace.Takeover_acquire { txn; site; term } ->
-      [ ("txn", Json.Str txn); ("site", Json.int site); ("term", Json.int term) ]
-    | Trace.Takeover_fence { txn; site; term; granted } ->
-      [ ("txn", Json.Str txn); ("site", Json.int site); ("term", Json.int term);
-        ("granted", Json.int granted) ]
-    | Trace.Quiesce { up; n_sites; partitioned } ->
-      [ ("up", Json.int up); ("n_sites", Json.int n_sites);
-        ("partitioned", Json.Bool partitioned) ]
-    | Trace.Deadlock { victim; cycle } ->
-      [ ("victim", Json.Str victim);
-        ("cycle", Json.List (List.map (fun t -> Json.Str t) cycle)) ]
-    | Trace.Span_begin { span; parent; label } ->
-      [ ("span", Json.int span);
-        ("parent", match parent with Some p -> Json.int p | None -> Json.Null);
-        ("label", Json.Str label) ]
-    | Trace.Span_end { span; outcome } ->
-      [ ("span", Json.int span); ("outcome", Json.Str outcome) ]
-    | Trace.Shed { txn; reason } ->
-      [ ("txn", Json.Str txn); ("reason", Json.Str reason) ]
-    | Trace.Repo_resolve { txn; committed } ->
-      [ ("txn", Json.Str txn); ("committed", Json.Bool committed) ]
-    | Trace.Session_commit { session; txn; counter; site } ->
-      [ ("session", Json.int session); ("txn", Json.Str txn);
-        ("counter", Json.int counter); ("site", Json.int site) ]
-    | Trace.Breaker { site; state } ->
-      [ ("site", Json.int site); ("state", Json.Str state) ]
-  in
-  Json.Obj fields
+let args_json kind = Json.Obj (Trace.fields kind)
 
 let event_json (e : Trace.event) =
   Json.Obj

@@ -7,7 +7,9 @@
     milliseconds map to the format's microsecond [ts] field. *)
 
 val event_json : Trace.event -> Json.t
-(** One event as [{id,t,site,lamport,prev,cause,kind,args}]. *)
+(** One event as [{id,t,site,lamport,prev,cause,kind,args}]: [kind] is
+    its {!Trace.kind_label}, [args] its {!Trace.fields} as an object. A
+    Chrome instant carries the same [args]. *)
 
 val jsonl : Trace.t -> string
 (** One {!event_json} object per line, in emission order. *)

@@ -33,19 +33,24 @@ let causal_cone trace ~targets =
     !out
   end
 
-let mentions actions (kind : Trace.kind) =
-  let hit a = List.exists (String.equal a) actions in
-  match kind with
-  | Trace.Txn_begin { txn } | Trace.Txn_commit { txn } | Trace.Txn_abort { txn; _ }
-  | Trace.Lock_grant { txn; _ } | Trace.Repo_append { txn; _ } ->
-    hit txn
-  | Trace.Lock_wait { txn; blocker } -> hit txn || hit blocker
+(* Does the field name one of [actions]? The fields that name a
+   transaction are [txn], [blocker], [victim] and [cycle]. *)
+let names_action actions (name, value) =
+  let hit = function
+    | Json.Str a -> List.exists (String.equal a) actions
+    | _ -> false
+  in
+  match name, value with
+  | ("txn" | "blocker" | "victim"), v -> hit v
+  | "cycle", Json.List vs -> List.exists hit vs
   | _ -> false
 
 let events_of_actions trace ~actions =
   List.filter_map
     (fun (e : Trace.event) ->
-      if mentions actions e.Trace.kind then Some e.Trace.id else None)
+      if List.exists (names_action actions) (Trace.fields e.Trace.kind) then
+        Some e.Trace.id
+      else None)
     (Trace.events trace)
 
 (* Transaction names are "T<index>" (see Runtime.run_txn); scanning the

@@ -15,8 +15,13 @@ val causal_cone : Trace.t -> targets:int list -> Trace.event list
     Negative / out-of-range ids are ignored. *)
 
 val events_of_actions : Trace.t -> actions:string list -> int list
-(** Ids of events naming any of the given transactions (Txn_*, Lock_*,
-    Repo_append) — the usual targets of a slice. *)
+(** Ids of the events naming any of the given transactions: those with a
+    {!Trace.fields} entry [txn], [blocker] or [victim] equal to one, or a
+    [cycle] holding one. These are a slice's targets: every kind that
+    names a transaction ([txn_*], [lock_*], [quorum_*], [repo_*],
+    [commit_point], [coop_term], [takeover_*], [shed], [session_commit],
+    [deadlock], ...) counts, and a kind added later counts as soon as its
+    fields name one. *)
 
 val actions_of_failure : string -> string list
 (** Transaction names ([T<digits>] tokens) mentioned by an atomicity-oracle

@@ -157,26 +157,3 @@ let to_json t =
                  ])
              (windows t)) );
     ]
-
-let to_csv t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "window_start";
-  List.iter
-    (fun n ->
-      Buffer.add_char buf ',';
-      Buffer.add_string buf n)
-    (series_names t);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun w ->
-      Buffer.add_string buf (Printf.sprintf "%g" w.w_start);
-      Array.iter
-        (fun cell ->
-          Buffer.add_char buf ',';
-          match cell with
-          | Some v -> Buffer.add_string buf (Printf.sprintf "%g" v)
-          | None -> ())
-        w.w_values;
-      Buffer.add_char buf '\n')
-    (windows t);
-  Buffer.contents buf

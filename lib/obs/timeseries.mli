@@ -68,7 +68,3 @@ val dropped : t -> int
 val to_json : t -> Json.t
 (** [{"width","dropped_windows","series":[names],
     "windows":[{index,start,until,complete,values:{name: num|null}}...]}] *)
-
-val to_csv : t -> string
-(** Header [window_start,<series>...]; one row per window; empty cell for a
-    series with no observation in that window. *)

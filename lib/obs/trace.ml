@@ -411,94 +411,89 @@ let span_durations t =
   Hashtbl.fold (fun label sum acc -> (label, sum) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let pp_kind ppf = function
-  | Rpc_send { src; dst } -> Format.fprintf ppf "rpc_send %d->%d" src dst
-  | Rpc_recv { src; dst } -> Format.fprintf ppf "rpc_recv %d->%d" src dst
-  | Rpc_drop { src; dst; reason; elapsed } ->
-    Format.fprintf ppf "rpc_drop %d->%d (%s, %.1f elapsed)" src dst reason elapsed
+(* The one description of a kind: its named fields, in the order the
+   exporters print them. Every view of an event (JSONL and Chrome args,
+   the text line, postmortem targeting) reads it. *)
+let fields kind =
+  let int = Json.int and str s = Json.Str s and bool b = Json.Bool b
+  and num f = Json.Num f in
+  match kind with
+  | Rpc_send { src; dst } | Rpc_recv { src; dst } -> [ ("src", int src); ("dst", int dst) ]
   | Rpc_timeout { src; dst; timeout; elapsed } ->
-    Format.fprintf ppf "rpc_timeout %d->%d (%.1f configured, %.1f elapsed)" src
-      dst timeout elapsed
-  | Quorum_read { txn; op; got; need } ->
-    Format.fprintf ppf "quorum_read %s.%s %d/%d" txn op got need
-  | Quorum_append { txn; op; got; need } ->
-    Format.fprintf ppf "quorum_append %s.%s %d/%d" txn op got need
-  | Repo_append { txn; op; tentative } ->
-    Format.fprintf ppf "repo_append %s.%s%s" txn op
-      (if tentative then " (tentative)" else "")
-  | Txn_begin { txn } -> Format.fprintf ppf "txn_begin %s" txn
-  | Txn_commit { txn } -> Format.fprintf ppf "txn_commit %s" txn
-  | Txn_abort { txn; reason } -> Format.fprintf ppf "txn_abort %s (%s)" txn reason
-  | Lock_wait { txn; blocker } ->
-    Format.fprintf ppf "lock_wait %s on %s" txn blocker
-  | Lock_grant { txn; op } -> Format.fprintf ppf "lock_grant %s.%s" txn op
-  | Epoch_seal { epoch } -> Format.fprintf ppf "epoch_seal ->%d" epoch
-  | Epoch_transfer { epoch } -> Format.fprintf ppf "epoch_transfer ->%d" epoch
-  | Epoch_fence { epoch; stale } ->
-    Format.fprintf ppf "epoch_fence %d fences %d" epoch stale
-  | Crash { site; amnesia } ->
-    Format.fprintf ppf "crash site %d%s" site (if amnesia then " (amnesia)" else "")
-  | Recover { site; resynced } ->
-    Format.fprintf ppf "recover site %d%s" site (if resynced then " (resynced)" else "")
-  | Partition { n_groups } -> Format.fprintf ppf "partition into %d groups" n_groups
-  | Heal -> Format.pp_print_string ppf "heal"
-  | Detector_suspect { site } -> Format.fprintf ppf "detector_suspect site %d" site
-  | Detector_trust { site } -> Format.fprintf ppf "detector_trust site %d" site
-  | Wal_flush { site; records } ->
-    Format.fprintf ppf "wal_flush site %d (%d records)" site records
-  | Wal_checkpoint { site; kept; dropped_segments } ->
-    Format.fprintf ppf "wal_checkpoint site %d (kept %d, dropped %d segments)" site
-      kept dropped_segments
-  | Wal_full { site } -> Format.fprintf ppf "wal_full site %d" site
-  | Wal_replay { site; replayed; truncated; corrupt } ->
-    Format.fprintf ppf "wal_replay site %d (%d replayed, %d truncated%s)" site
-      replayed truncated (if corrupt then ", CORRUPT" else "")
-  | Store_fault { site; fault } -> Format.fprintf ppf "store_fault site %d (%s)" site fault
-  | Commit_point { txn } -> Format.fprintf ppf "commit_point %s" txn
-  | Txn_redrive { txn; outcome } ->
-    Format.fprintf ppf "txn_redrive %s -> %s" txn outcome
-  | Coop_term { txn; outcome } ->
-    Format.fprintf ppf "coop_term %s -> %s" txn outcome
-  | Orphan_gc { site; resolved } ->
-    Format.fprintf ppf "orphan_gc site %d (%d resolved)" site resolved
-  | Deadlock { victim; cycle } ->
-    Format.fprintf ppf "deadlock victim %s (cycle %s)" victim
-      (String.concat "->" cycle)
-  | Txn_decide { txn; site; committed } ->
-    Format.fprintf ppf "txn_decide %s -> %s (driver at site %d)" txn
-      (if committed then "commit" else "abort")
-      site
-  | Takeover_acquire { txn; site; term } ->
-    Format.fprintf ppf "takeover_acquire %s term %d (site %d)" txn term site
-  | Takeover_fence { txn; site; term; granted } ->
-    Format.fprintf ppf "takeover_fence %s: term %d fenced by %d (site %d)" txn
-      term granted site
-  | Quiesce { up; n_sites; partitioned } ->
-    Format.fprintf ppf "quiesce %d/%d sites up%s" up n_sites
-      (if partitioned then ", partitioned" else "")
-  | Span_begin { span; parent; label } ->
-    Format.fprintf ppf "span_begin #%d %s%s" span label
-      (match parent with Some p -> Printf.sprintf " (in #%d)" p | None -> "")
-  | Span_end { span; outcome } -> Format.fprintf ppf "span_end #%d %s" span outcome
-  | Shed { txn; reason } -> Format.fprintf ppf "shed %s (%s)" txn reason
-  | Repo_resolve { txn; committed } ->
-    Format.fprintf ppf "repo_resolve %s -> %s" txn
-      (if committed then "commit" else "abort")
-  | Session_commit { session; txn; counter; site } ->
-    Format.fprintf ppf "session_commit s%d %s @(%d,%d)" session txn counter site
-  | Breaker { site; state } -> Format.fprintf ppf "breaker site %d -> %s" site state
+    [ ("src", int src); ("dst", int dst); ("timeout", num timeout);
+      ("elapsed", num elapsed) ]
+  | Rpc_drop { src; dst; reason; elapsed } ->
+    [ ("src", int src); ("dst", int dst); ("reason", str reason);
+      ("elapsed", num elapsed) ]
   | Rpc_hedge { src; dst; delay } ->
-    Format.fprintf ppf "rpc_hedge %d->%d (after %.1f)" src dst delay
+    [ ("src", int src); ("dst", int dst); ("delay", num delay) ]
   | Rpc_outcome { src; dst; ok; elapsed } ->
-    Format.fprintf ppf "rpc_outcome %d->%d %s (%.1f elapsed)" src dst
-      (if ok then "ok" else "fail")
-      elapsed
-  | Slow_inject { site; mode } ->
-    Format.fprintf ppf "slow_inject site %d (%s)" site mode
+    [ ("src", int src); ("dst", int dst); ("ok", bool ok); ("elapsed", num elapsed) ]
+  | Slow_inject { site; mode } -> [ ("site", int site); ("mode", str mode) ]
   | Detector_slow { site; slow; score } ->
-    Format.fprintf ppf "detector_%s site %d (score %.2f)"
-      (if slow then "suspect_slow" else "trust_fast")
-      site score
+    [ ("site", int site); ("slow", bool slow); ("score", num score) ]
+  | Quorum_read { txn; op; got; need } | Quorum_append { txn; op; got; need } ->
+    [ ("txn", str txn); ("op", str op); ("got", int got); ("need", int need) ]
+  | Repo_append { txn; op; tentative } ->
+    [ ("txn", str txn); ("op", str op); ("tentative", bool tentative) ]
+  | Txn_begin { txn } | Txn_commit { txn } | Commit_point { txn } -> [ ("txn", str txn) ]
+  | Txn_abort { txn; reason } | Shed { txn; reason } ->
+    [ ("txn", str txn); ("reason", str reason) ]
+  | Lock_wait { txn; blocker } -> [ ("txn", str txn); ("blocker", str blocker) ]
+  | Lock_grant { txn; op } -> [ ("txn", str txn); ("op", str op) ]
+  | Epoch_seal { epoch } | Epoch_transfer { epoch } -> [ ("epoch", int epoch) ]
+  | Epoch_fence { epoch; stale } -> [ ("epoch", int epoch); ("stale", int stale) ]
+  | Crash { site; amnesia } -> [ ("site", int site); ("amnesia", bool amnesia) ]
+  | Recover { site; resynced } -> [ ("site", int site); ("resynced", bool resynced) ]
+  | Partition { n_groups } -> [ ("n_groups", int n_groups) ]
+  | Heal -> []
+  | Detector_suspect { site } | Detector_trust { site } | Wal_full { site } ->
+    [ ("site", int site) ]
+  | Wal_flush { site; records } -> [ ("site", int site); ("records", int records) ]
+  | Wal_checkpoint { site; kept; dropped_segments } ->
+    [ ("site", int site); ("kept", int kept);
+      ("dropped_segments", int dropped_segments) ]
+  | Wal_replay { site; replayed; truncated; corrupt } ->
+    [ ("site", int site); ("replayed", int replayed); ("truncated", int truncated);
+      ("corrupt", bool corrupt) ]
+  | Store_fault { site; fault } -> [ ("site", int site); ("fault", str fault) ]
+  | Txn_redrive { txn; outcome } | Coop_term { txn; outcome } ->
+    [ ("txn", str txn); ("outcome", str outcome) ]
+  | Orphan_gc { site; resolved } -> [ ("site", int site); ("resolved", int resolved) ]
+  | Txn_decide { txn; site; committed } ->
+    [ ("txn", str txn); ("site", int site); ("committed", bool committed) ]
+  | Takeover_acquire { txn; site; term } ->
+    [ ("txn", str txn); ("site", int site); ("term", int term) ]
+  | Takeover_fence { txn; site; term; granted } ->
+    [ ("txn", str txn); ("site", int site); ("term", int term);
+      ("granted", int granted) ]
+  | Quiesce { up; n_sites; partitioned } ->
+    [ ("up", int up); ("n_sites", int n_sites); ("partitioned", bool partitioned) ]
+  | Deadlock { victim; cycle } ->
+    [ ("victim", str victim); ("cycle", Json.List (List.map str cycle)) ]
+  | Span_begin { span; parent; label } ->
+    [ ("span", int span);
+      ("parent", match parent with Some p -> int p | None -> Json.Null);
+      ("label", str label) ]
+  | Span_end { span; outcome } -> [ ("span", int span); ("outcome", str outcome) ]
+  | Repo_resolve { txn; committed } -> [ ("txn", str txn); ("committed", bool committed) ]
+  | Session_commit { session; txn; counter; site } ->
+    [ ("session", int session); ("txn", str txn); ("counter", int counter);
+      ("site", int site) ]
+  | Breaker { site; state } -> [ ("site", int site); ("state", str state) ]
+
+(* A field value on the text line: strings bare, lists of them bracketed,
+   everything else as JSON prints it. *)
+let rec value_text = function
+  | Json.Str s -> s
+  | Json.List vs -> "[" ^ String.concat "," (List.map value_text vs) ^ "]"
+  | v -> Json.to_string v
+
+let pp_kind ppf kind =
+  Format.pp_print_string ppf (kind_label kind);
+  List.iter
+    (fun (name, v) -> Format.fprintf ppf " %s=%s" name (value_text v))
+    (fields kind)
 
 let pp_event ppf e =
   Format.fprintf ppf "[%8.1f] site=%-2d L=%-5d #%-5d %a" e.time e.site e.lamport

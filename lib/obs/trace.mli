@@ -249,4 +249,21 @@ val tag_of_label : string -> int option
 (** The tag whose {!kind_label} is the given string; [None] for a string
     no constructor carries. *)
 
+val fields : kind -> (string * Json.t) list
+(** The kind's description: its named fields, in a fixed order, with
+    their values ([Heal] has none). The one per-kind table every view
+    of an event reads: the exporters' [args] object ({!Export}), the
+    text line ({!pp_event}) and postmortem targeting, which reads the
+    fields naming a transaction ([txn], [blocker], [victim], [cycle];
+    {!Postmortem}). A new kind needs its arm here and nowhere else. *)
+
+val pp_kind : Format.formatter -> kind -> unit
+(** The {!kind_label}, then each of the kind's {!fields} as [name=value]:
+    strings bare, a list bracketed and comma-separated, any other value
+    as JSON prints it ([lock_wait txn=T3 blocker=T1],
+    [deadlock victim=T3 cycle=\[T3,T1\]], [heal]). *)
+
 val pp_event : Format.formatter -> event -> unit
+(** One line: the header [\[time\] site=S L=lamport #id], then
+    {!pp_kind}, e.g.
+    [\[    12.0\] site=1  L=4     #7     lock_wait txn=T3 blocker=T1]. *)

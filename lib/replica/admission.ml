@@ -120,20 +120,33 @@ and pump t a =
    the queue is full. An arriving write under [Shed_reads_first] may evict
    the newest queued read instead. *)
 let arrive t index ~arrival =
-  Engine.schedule_at t.st.engine ~time:arrival (fun () ->
-      let p_class =
-        match t.st.cfg.load with Some l -> l.class_of index | None -> `Write
-      in
-      let p = { p_index = index; p_arrival = arrival; p_class } in
-      match t.gate with
-      | None -> admit t p ~admitted:arrival
-      | Some a ->
-        if t.in_flight < a.max_in_flight && t.queue = [] then
-          admit t p ~admitted:arrival
-        else if List.length t.queue < a.queue_limit then t.queue <- t.queue @ [ p ]
-        else
-          match (a.adm_shed_policy, p_class, evict_newest_read t.queue) with
-          | Shed_reads_first, `Write, Some (victim, rest) ->
-            shed t victim ~reason:"shed-by-class";
-            t.queue <- rest @ [ p ]
-          | _ -> shed t p ~reason:"queue full")
+  let p_class =
+    match t.st.cfg.load with Some l -> l.class_of index | None -> `Write
+  in
+  let p = { p_index = index; p_arrival = arrival; p_class } in
+  match t.gate with
+  | None -> admit t p ~admitted:arrival
+  | Some a ->
+    if t.in_flight < a.max_in_flight && t.queue = [] then
+      admit t p ~admitted:arrival
+    else if List.length t.queue < a.queue_limit then t.queue <- t.queue @ [ p ]
+    else
+      match (a.adm_shed_policy, p_class, evict_newest_read t.queue) with
+      | Shed_reads_first, `Write, Some (victim, rest) ->
+        shed t victim ~reason:"shed-by-class";
+        t.queue <- rest @ [ p ]
+      | _ -> shed t p ~reason:"queue full"
+
+(* Feed the arrivals (times in order, transaction [i] at [times.(i)]) one
+   at a time: each arrival event schedules the next before it handles its
+   own, so the event heap holds one future arrival rather than all of
+   them, and the next arrival still precedes every event its predecessor
+   schedules at the same time. *)
+let feed t times =
+  let rec at i =
+    if i < Array.length times then
+      Engine.schedule_at t.st.engine ~time:times.(i) (fun () ->
+          at (i + 1);
+          arrive t i ~arrival:times.(i))
+  in
+  at 0

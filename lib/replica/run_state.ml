@@ -61,6 +61,7 @@ type driver = {
   session : int; (* open-loop session, -1 without a plan *)
   tspan : int;
   mutable commit_span : int;
+  mutable commit_at : float; (* entered the commit window; nan before *)
   release : unit -> unit; (* idempotent admission release *)
 }
 

@@ -85,10 +85,6 @@ type outcome = {
   registry : Metrics.t;
 }
 
-(* Extra prepare-phase probes (with backoff) before a missing commit
-   quorum aborts the transaction; the commit drive re-drives as often. *)
-let commit_quorum_retries = 2
-
 (* The transaction driver. Each transaction runs at a home site: Begin,
    its script of operations with bounded conflict retries, then a
    two-phase commit; every terminal step goes through
@@ -124,6 +120,7 @@ let exec_txn st term index ~arrival ~admitted ~release =
         session = (match cfg.load with Some l -> l.session_of index | None -> -1);
         tspan = Trace.span_begin trc ~site:home "txn";
         commit_span = -1;
+        commit_at = Float.nan;
         release;
       }
     in
@@ -289,6 +286,7 @@ let exec_txn st term index ~arrival ~admitted ~release =
                 | Replicated.Rejected why -> give_up `Rejected why))
     and do_commit () =
       txn.Txn.status <- Txn.Committing;
+      drv.commit_at <- Engine.now st.engine;
       (* Tell interested fault schedules (the coordinator killer) that this
          site just entered its commit window. Costs nothing — not even a
          draw — when nobody listens. *)
@@ -576,22 +574,20 @@ Network.create engine ~n_sites:cfg.n_sites ~latency_mean ()
       Option.iter (fun rc -> Reconfig_coord.install st rc det) cfg.reconfig)
     detector;
   if Timeseries.enabled cfg.timeseries then start_sampler st term cfg.timeseries;
-  (match cfg.load with
-   | None ->
-     (* Closed-form Poisson process: the legacy draw sequence. *)
-     let rng = Engine.rng engine in
-     let arrival = ref 0.0 in
-     for i = 0 to cfg.n_txns - 1 do
-       arrival := !arrival +. Rng.exponential rng cfg.arrival_mean;
-       Admission.arrive admission i ~arrival:!arrival
-     done
-   | Some load ->
-     (* Open-loop plan: arrivals are precomputed (independent of this
-        engine's RNG), so offered load never adapts to system state. *)
-     let n = min cfg.n_txns (Array.length load.arrivals) in
-     for i = 0 to n - 1 do
-       Admission.arrive admission i ~arrival:load.arrivals.(i)
-     done);
+  Admission.feed admission
+    (match cfg.load with
+     | None ->
+       (* Closed-form Poisson process: the legacy draw sequence, drawn
+          before the run starts. *)
+       let rng = Engine.rng engine in
+       let arrival = ref 0.0 in
+       Array.init (max 0 cfg.n_txns) (fun _ ->
+           arrival := !arrival +. Rng.exponential rng cfg.arrival_mean;
+           !arrival)
+     | Some load ->
+       (* Open-loop plan: arrivals are precomputed (independent of this
+          engine's RNG), so offered load never adapts to system state. *)
+       Array.sub load.arrivals 0 (min cfg.n_txns (Array.length load.arrivals)));
   Engine.run ~until:cfg.horizon engine;
   Timeseries.finish cfg.timeseries ~now:(Engine.now engine);
   Option.iter Detector.stop detector;

@@ -158,6 +158,10 @@ let max_retries = 8
 let retry_delay = 25.0
 let retry_delay_cap = 400.0
 
+(* Extra prepare-phase probes (with backoff) before a missing commit
+   quorum aborts the transaction; the commit drive re-drives as often. *)
+let commit_quorum_retries = 2
+
 (* Capped exponential backoff with jitter: attempt 0 waits around the base
    delay, each further attempt doubles it up to the cap, and the uniform
    jitter in [0.5, 1.5) keeps two mutually-refused operations from

@@ -28,6 +28,9 @@ type t = {
      that makes adoption and orphan GC unable to double-decrement. *)
   counted_stranded : (Action.t, unit) Hashtbl.t;
   mutable n_stranded_live : int;
+  (* Terminal transactions with a tentative entry at the reaper's last
+     sweep. *)
+  mutable lingering : (Action.t, unit) Hashtbl.t;
 }
 
 let create st =
@@ -42,6 +45,7 @@ let create st =
     takeover_terms = Hashtbl.create 16;
     counted_stranded = Hashtbl.create 16;
     n_stranded_live = 0;
+    lingering = Hashtbl.create 16;
   }
 
 (* Under [Takeover], a transaction's own driver — its coordinator, or a
@@ -468,12 +472,30 @@ let redrive t log site =
    allows two sweeps. *)
 let reaper_every = 250.0
 
+(* How long a live coordinator may keep a transaction in its commit
+   window before the reaper adopts it (sim ms): two ladders (prepare
+   probes, then vote drives) of [1 + commit_quorum_retries] rounds, each
+   an RPC timeout plus the backoff cap. A probe waits one timeout per
+   object with its own backoffs, a vote drive one timeout per object, and
+   the backoffs stay under 37.5 and 75 ms, so a transaction touching k
+   objects leaves the window within 412.5k + 112.5 ms: the bound covers
+   k <= 6. *)
+let commit_window =
+  2.0 *. float_of_int (commit_quorum_retries + 1)
+  *. (Replicated.rpc_timeout +. retry_delay_cap)
+
 (* Orphan reaper ([Cooperative] and [Takeover]): periodically sweep every
-   repository for tentative entries. Entries of terminal transactions
-   get their status records re-pushed; non-terminal transactions whose
-   coordinator is gone (or which sit in the in-doubt commit window) get
-   a cooperative-termination round. Draws nothing when there is nothing
-   to do. *)
+   repository for tentative entries. A terminal transaction whose entry
+   was already tentative at the previous sweep gets its status records
+   re-pushed: a sweep period outlasts any commit or abort broadcast in
+   flight, so only an entry the broadcast missed (a crashed or
+   partitioned repository) is repaired. A non-terminal transaction gets a
+   cooperative-termination round when its coordinator is gone (stranded,
+   down or unreachable from the sweeping site), or when it has sat in the
+   commit window longer than [commit_window] (its coordinator left it
+   in doubt). A healthy coordinator's transactions are never adopted, so
+   the reaper stays inert when nothing fails. Draws nothing when there is
+   nothing to do. *)
 let rec reap t =
   let st = t.st in
   Engine.schedule st.engine ~delay:reaper_every (fun () ->
@@ -487,6 +509,10 @@ let rec reap t =
                Hashtbl.replace seen e.Log.action name)
            ();
          let resolved = ref 0 in
+         let terminal = Hashtbl.create 16 in
+         let coordinator_lost btxn =
+           btxn.Txn.stranded || not (Network.reachable st.net origin btxn.Txn.home_site)
+         in
          Hashtbl.fold (fun a name acc -> (a, name) :: acc) seen []
          |> List.sort (fun (a, _) (b, _) -> Action.compare a b)
          |> List.iter (fun (a, target) ->
@@ -495,17 +521,22 @@ let rec reap t =
                 | Some btxn -> (
                   match btxn.Txn.status with
                   | Txn.Committed _ | Txn.Aborted _ ->
-                    incr resolved;
-                    Metrics.incr st.counters.c_orphans;
-                    broadcast_status st btxn ~from:origin
+                    Hashtbl.replace terminal a ();
+                    if Hashtbl.mem t.lingering a then begin
+                      incr resolved;
+                      Metrics.incr st.counters.c_orphans;
+                      broadcast_status st btxn ~from:origin
+                    end
                   | Txn.Committing ->
-                    (* In the in-doubt commit window: resolve it. *)
-                    cooperative_terminate t btxn target ~from:origin
-                  | Txn.Running ->
                     if
-                      btxn.Txn.stranded
-                      || not (Network.reachable st.net origin btxn.Txn.home_site)
-                    then cooperative_terminate t btxn target ~from:origin));
+                      coordinator_lost btxn
+                      || Engine.now st.engine -. (Hashtbl.find st.drivers a).commit_at
+                         > commit_window
+                    then cooperative_terminate t btxn target ~from:origin
+                  | Txn.Running ->
+                    if coordinator_lost btxn then
+                      cooperative_terminate t btxn target ~from:origin));
+         t.lingering <- terminal;
          if !resolved > 0 then
            note st ~site:origin
              (Trace.Orphan_gc { site = origin; resolved = !resolved }));

@@ -5,7 +5,6 @@ let pop_inv = Event.Invocation.make "Pop" []
 
 let push item = Event.make (push_inv item) (Event.Response.ok [])
 let pop_ok item = Event.make pop_inv (Event.Response.ok [ Value.str item ])
-let pop_empty = Event.make pop_inv (Event.Response.exn "Empty")
 
 let step state (inv : Event.Invocation.t) =
   let items = Value.get_list state in

@@ -14,7 +14,6 @@ val spec_with_items : string list -> Serial_spec.t
 
 val push : string -> Event.t
 val pop_ok : string -> Event.t
-val pop_empty : Event.t
 
 val push_inv : string -> Event.Invocation.t
 val pop_inv : Event.Invocation.t

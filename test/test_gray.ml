@@ -273,7 +273,10 @@ let contended_cfg ~deadlock ~seed =
    before those paths were restructured: termination under commit-window
    ambushes, takeover, both deadlock policies, the overload surface
    (open-loop plan, admission with breaker, shed-reads-first, a retry
-   budget of 12) and durable WALs under crash-with-amnesia. *)
+   budget of 12) and durable WALs under crash-with-amnesia. The
+   takeover/coordinator_killer row's seed 20 is a tuple whose healed
+   coordinator is fenced mid-takeover, so it covers adoption and
+   fencing. *)
 let golden_paths =
   let presumed =
     {
@@ -290,26 +293,26 @@ let golden_paths =
     ( "paths/cooperative/coordinator_killer/hybrid/seed0",
       campaign_cfg ~base:Campaign.termination_base ~profile:"coordinator_killer"
         ~scheme:Replicated.Hybrid ~seed:0 (),
-      "c=12 a=48 ops=20 sent=1602 drop=25 dup=17 dead=221 to=143 dur=40000.000000 latn=12 latmean=238.397660 coopc=1 coopa=5 pres=20 dl=4 redr=0 orph=10 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=88 rexh=0 strand=0 wal=0"
+      "c=18 a=42 ops=24 sent=1671 drop=26 dup=26 dead=204 to=128 dur=40000.000000 latn=18 latmean=225.130017 coopc=0 coopa=2 pres=21 dl=7 redr=0 orph=4 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=93 rexh=0 strand=0 wal=0"
     );
     ( "paths/cooperative/coordinator_killer/locking/seed1",
       campaign_cfg ~base:Campaign.termination_base ~profile:"coordinator_killer"
         ~scheme:Replicated.Locking ~seed:1 (),
-      "c=17 a=43 ops=21 sent=2382 drop=28 dup=38 dead=212 to=140 dur=40000.000000 latn=17 latmean=935.087238 coopc=1 coopa=3 pres=10 dl=13 redr=0 orph=4 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=179 rexh=0 strand=0 wal=0"
+      "c=10 a=50 ops=13 sent=1695 drop=18 dup=19 dead=194 to=109 dur=40000.000000 latn=9 latmean=368.758008 coopc=0 coopa=1 pres=21 dl=8 redr=1 orph=2 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=126 rexh=0 strand=0 wal=0"
     );
     ( "paths/takeover/takeover_storm/static/seed0",
       campaign_cfg ~base:Campaign.takeover_base ~profile:"takeover_storm"
         ~scheme:Replicated.Static ~seed:0 (),
-      "c=9 a=51 ops=15 sent=1684 drop=90 dup=24 dead=231 to=165 dur=40000.000000 latn=9 latmean=116.741960 coopc=0 coopa=0 pres=31 dl=4 redr=0 orph=9 lease=4 adopt=0 fenced=0 cont=1 shed=0 rspent=104 rexh=0 strand=0 wal=0"
+      "c=12 a=48 ops=14 sent=1501 drop=72 dup=23 dead=165 to=110 dur=40000.000000 latn=12 latmean=118.248199 coopc=0 coopa=0 pres=23 dl=6 redr=0 orph=7 lease=1 adopt=0 fenced=0 cont=1 shed=0 rspent=92 rexh=0 strand=0 wal=0"
     );
     ( "paths/takeover/takeover_storm/hybrid/seed2",
       campaign_cfg ~base:Campaign.takeover_base ~profile:"takeover_storm"
         ~scheme:Replicated.Hybrid ~seed:2 (),
-      "c=6 a=54 ops=11 sent=1109 drop=48 dup=12 dead=207 to=152 dur=40000.000000 latn=5 latmean=166.232258 coopc=0 coopa=1 pres=20 dl=4 redr=1 orph=11 lease=1 adopt=0 fenced=0 cont=5 shed=0 rspent=55 rexh=0 strand=0 wal=0"
+      "c=9 a=51 ops=16 sent=1135 drop=34 dup=8 dead=272 to=175 dur=40000.000000 latn=6 latmean=201.594453 coopc=2 coopa=2 pres=19 dl=4 redr=3 orph=13 lease=4 adopt=2 fenced=0 cont=3 shed=0 rspent=44 rexh=0 strand=0 wal=0"
     );
     ( "paths/deadlock-detect/locking/seed0",
       contended_cfg ~deadlock:Runtime.Detect ~seed:0,
-      "c=3 a=37 ops=14 sent=2436 drop=0 dup=0 dead=0 to=0 dur=40000.000000 latn=3 latmean=2070.505406 coopc=0 coopa=1 pres=0 dl=27 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=202 rexh=0 strand=0 wal=0"
+      "c=4 a=36 ops=15 sent=2436 drop=0 dup=0 dead=0 to=0 dur=40000.000000 latn=4 latmean=2087.431496 coopc=0 coopa=0 pres=0 dl=28 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=200 rexh=0 strand=0 wal=0"
     );
     ( "paths/wound-wait/locking/seed0",
       contended_cfg ~deadlock:Runtime.Wound_wait ~seed:0,
@@ -318,12 +321,12 @@ let golden_paths =
     ( "paths/takeover/coordinator_killer/hybrid/seed1",
       campaign_cfg ~n_txns:120 ~base:Campaign.takeover_base
         ~profile:"coordinator_killer" ~scheme:Replicated.Hybrid ~seed:1 (),
-      "c=15 a=105 ops=24 sent=2470 drop=32 dup=23 dead=489 to=253 dur=40000.000000 latn=14 latmean=413.229794 coopc=0 coopa=2 pres=23 dl=1 redr=1 orph=18 lease=6 adopt=0 fenced=0 cont=8 shed=0 rspent=145 rexh=0 strand=0 wal=0"
+      "c=20 a=100 ops=31 sent=2612 drop=33 dup=37 dead=411 to=272 dur=40000.000000 latn=19 latmean=247.799775 coopc=0 coopa=4 pres=42 dl=9 redr=1 orph=8 lease=11 adopt=0 fenced=0 cont=2 shed=0 rspent=149 rexh=0 strand=0 wal=0"
     );
-    ( "paths/takeover/coordinator_killer/hybrid/seed3",
+    ( "paths/takeover/coordinator_killer/hybrid/seed20",
       campaign_cfg ~n_txns:120 ~base:Campaign.takeover_base
-        ~profile:"coordinator_killer" ~scheme:Replicated.Hybrid ~seed:3 (),
-      "c=34 a=86 ops=40 sent=5536 drop=68 dup=72 dead=339 to=266 dur=40000.000000 latn=31 latmean=330.900930 coopc=6 coopa=3 pres=47 dl=16 redr=5 orph=9 lease=22 adopt=6 fenced=5 cont=3 shed=0 rspent=405 rexh=0 strand=0 wal=0"
+        ~profile:"coordinator_killer" ~scheme:Replicated.Hybrid ~seed:20 (),
+      "c=19 a=101 ops=28 sent=2920 drop=36 dup=22 dead=574 to=363 dur=40000.000000 latn=14 latmean=180.594272 coopc=4 coopa=7 pres=27 dl=15 redr=5 orph=21 lease=15 adopt=4 fenced=2 cont=13 shed=0 rspent=167 rexh=0 strand=0 wal=0"
     );
     ( "paths/overload/overload_storm/locking/seed1",
       campaign_cfg ~n_txns:300 ~base:Campaign.overload_base
@@ -338,7 +341,7 @@ let golden_paths =
       hot_open_cfg ~termination:Atomrep_txn.Termination.Cooperative
         ~deadlock:Runtime.Wound_wait ~retry_budget:12
         ~scheme:Replicated.Locking ~seed:0 (),
-      "c=88 a=155 ops=88 sent=5196 drop=0 dup=0 dead=0 to=0 dur=5000.000000 latn=88 latmean=153.354810 coopc=2 coopa=0 pres=0 dl=58 redr=0 orph=1 lease=0 adopt=0 fenced=0 cont=0 shed=97 rspent=243 rexh=0 strand=0 wal=0"
+      "c=97 a=146 ops=97 sent=5346 drop=0 dup=0 dead=0 to=0 dur=5000.000000 latn=97 latmean=148.919543 coopc=0 coopa=0 pres=0 dl=52 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=94 rspent=246 rexh=0 strand=0 wal=0"
     );
     ( "paths/hot-open/static/budget12/seed1",
       hot_open_cfg ~retry_budget:12 ~scheme:Replicated.Static ~seed:1 (),

@@ -253,6 +253,35 @@ let test_causal_cone_walks_both_edges () =
   check_bool "program-order past pulled in" true (List.mem a ids);
   check_bool "future excluded" false (List.mem unrelated ids)
 
+(* Targets are every event whose fields name a violating transaction, not
+   only the txn_*, lock_* and repo_append kinds: T7's last events
+   (its commit point, a driver's verdict and a cooperative-termination
+   round at site 2, after unrelated events there) are all targets of a
+   failure naming T7, and an event of T70 is not. *)
+let test_postmortem_targets_every_kind_naming_the_txn () =
+  let tr = Trace.create ~n_sites:3 () in
+  let emit site kind = Trace.emit tr ~site kind in
+  let begin_ = emit 0 (Trace.Txn_begin { txn = "T7" }) in
+  let other = emit 1 (Trace.Txn_begin { txn = "T70" }) in
+  ignore (emit 2 (Trace.Crash { site = 2; amnesia = false }));
+  ignore (emit 2 (Trace.Repo_append { txn = "T8"; op = "Enq"; tentative = true }));
+  let point = emit 2 (Trace.Commit_point { txn = "T7" }) in
+  let decide = emit 2 (Trace.Txn_decide { txn = "T7"; site = 2; committed = true }) in
+  let coop = emit 2 (Trace.Coop_term { txn = "T7"; outcome = "coop-commit" }) in
+  let victim = emit 1 (Trace.Deadlock { victim = "T9"; cycle = [ "T9"; "T7" ] }) in
+  let pm =
+    Postmortem.build tr ~header:[]
+      ~failures:[ ("queue", "illegal serialization: order [T7]") ]
+  in
+  let targeted id = List.mem id pm.Postmortem.targets in
+  check_bool "txn_begin is a target" true (targeted begin_);
+  check_bool "commit_point is a target" true (targeted point);
+  check_bool "txn_decide is a target" true (targeted decide);
+  check_bool "coop_term is a target" true (targeted coop);
+  check_bool "a deadlock cycle naming T7 is a target" true (targeted victim);
+  check_bool "T70 is not T7" false (targeted other);
+  check_int "exactly those five" 5 (List.length pm.Postmortem.targets)
+
 (* Replay the PR 1 double-dequeue: with quorum gating and commit piggyback
    both disabled (the [Ungated_rejoin] mutant), a storm run loses a tentative append to
    crash-with-amnesia and the rejoined repository serves a stale view. The
@@ -495,6 +524,8 @@ let suites =
         Alcotest.test_case "failure action tokens" `Quick test_actions_of_failure_tokens;
         Alcotest.test_case "causal cone walks both edges" `Quick
           test_causal_cone_walks_both_edges;
+        Alcotest.test_case "postmortem targets every kind naming the txn" `Quick
+          test_postmortem_targets_every_kind_naming_the_txn;
         Alcotest.test_case "postmortem slices the amnesia violation" `Quick
           test_postmortem_slices_amnesia_violation;
         Alcotest.test_case "spec DSL: empty trace" `Quick test_spec_empty_trace;

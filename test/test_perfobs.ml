@@ -9,6 +9,7 @@ module Profile = Atomrep_obs.Profile
 module Timeseries = Atomrep_obs.Timeseries
 module Bench_diff = Atomrep_obs.Bench_diff
 module Json = Atomrep_obs.Json
+module Export = Atomrep_obs.Export
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -102,10 +103,7 @@ let test_timeseries_empty_gap_windows () =
      check_int "indices consecutive" 3 w3.Timeseries.w_index;
      check_bool "all complete" true
        (List.for_all (fun w -> w.Timeseries.w_complete) ws)
-   | _ -> Alcotest.fail "bad windows");
-  (* CSV keeps the empty rows (no holes). *)
-  let lines = String.split_on_char '\n' (String.trim (Timeseries.to_csv ts)) in
-  check_int "header + 4 rows" 5 (List.length lines)
+   | _ -> Alcotest.fail "bad windows")
 
 let test_timeseries_single_sample_run () =
   let ts = Timeseries.create ~width:10.0 () in
@@ -650,6 +648,52 @@ let test_kind_tags_dense_labels_round_trip () =
     (List.length (List.sort_uniq String.compare labels));
   check_bool "unknown label has no tag" true (Trace.tag_of_label "no_such_kind" = None)
 
+(* Every view of an event reads the kind's one description: the text is
+   the label then [name=value] per field, the event line ends with it,
+   and the JSONL [args] object is the description itself. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let test_views_read_the_description () =
+  let tr = Trace.create ~n_sites:1 () in
+  List.iter (fun kind -> ignore (Trace.emit tr ~site:0 kind)) every_kind;
+  let lines = String.split_on_char '\n' (String.trim (Export.jsonl tr)) in
+  check_int "one JSONL line per kind" (List.length every_kind) (List.length lines);
+  List.iteri
+    (fun id (kind, line) ->
+      let label = Trace.kind_label kind in
+      let fields = Trace.fields kind in
+      let text = Format.asprintf "%a" Trace.pp_kind kind in
+      check_bool (label ^ ": text starts with the label") true
+        (String.starts_with ~prefix:label text);
+      List.iter
+        (fun (name, _) ->
+          check_bool (label ^ ": text shows " ^ name) true
+            (contains text (" " ^ name ^ "=")))
+        fields;
+      check_bool (label ^ ": the event line ends with the text") true
+        (String.ends_with ~suffix:(" " ^ text)
+           (Format.asprintf "%a" Trace.pp_event (Trace.get tr id)));
+      let args =
+        match Json.parse line with
+        | Ok v -> Json.member "args" v
+        | Error e -> Alcotest.failf "%s: bad JSONL line: %s" label e
+      in
+      check_string (label ^ ": JSONL args are the description")
+        (Json.to_string (Json.Obj fields))
+        (match args with Some a -> Json.to_string a | None -> "<missing>"))
+    (List.combine every_kind lines);
+  let text kind = Format.asprintf "%a" Trace.pp_kind kind in
+  check_string "lock_wait text" "lock_wait txn=T blocker=U"
+    (text (Trace.Lock_wait { txn = "T"; blocker = "U" }));
+  check_string "deadlock text" "deadlock victim=T cycle=[T,U]"
+    (text (Trace.Deadlock { victim = "T"; cycle = [ "T"; "U" ] }));
+  check_string "detector_slow text" "detector_slow site=0 slow=true score=3.5"
+    (text (Trace.Detector_slow { site = 0; slow = true; score = 3.5 }));
+  check_string "heal text" "heal" (text Trace.Heal)
+
 (* The catalogue's judge-only bus stores exactly the union of the specs'
    observed kinds, plus spans: no kind a monitor observes is dropped, and
    nothing else is kept. *)
@@ -1004,6 +1048,8 @@ let suites =
           test_check_run_judge_only_agrees;
         Alcotest.test_case "judge-only bus stores the observed union" `Quick
           test_judge_only_bus_stores_observed_union;
+        Alcotest.test_case "every view reads the kind's description" `Quick
+          test_views_read_the_description;
         Alcotest.test_case "kind tags dense, labels unique and round-trip" `Quick
           test_kind_tags_dense_labels_round_trip;
         QCheck_alcotest.to_alcotest prop_dispatch_table_matches_reference;

@@ -232,12 +232,12 @@ let oracle_failures cfg outcome =
   Runtime.check_atomicity cfg outcome @ Runtime.check_common_order cfg outcome
 
 let test_takeover_adopts_and_fences () =
-  (* Seed 3 is a pinned reproducer where a healed original coordinator
+  (* Seed 20 is a pinned reproducer where a healed original coordinator
      returns mid-takeover: the run must show adoptions (a lease holder
      finished someone else's transaction) and fences (a stale driver was
      refused and halted), with no divergence and the oracles intact. *)
   let tr = Trace.create ~n_sites:3 () in
-  let cfg = killer_cfg ~trace:tr ~takeover:true ~seed:3 () in
+  let cfg = killer_cfg ~trace:tr ~takeover:true ~seed:20 () in
   let outcome = Runtime.run cfg in
   let m = outcome.Runtime.metrics in
   check_bool "leases were won" true (m.Runtime.takeover_leases > 0);

@@ -14,6 +14,7 @@ module Termination = Atomrep_txn.Termination
 module Txn = Atomrep_txn.Txn
 module Waits_for = Atomrep_cc.Waits_for
 module Campaign = Atomrep_chaos.Campaign
+module Monitors = Atomrep_chaos.Monitors
 module Rng = Atomrep_stats.Rng
 
 let check_bool = Alcotest.(check bool)
@@ -391,6 +392,49 @@ let test_timely_counts_every_commit () =
         && bounded.Runtime.timely_commits < m.Runtime.timely_commits))
     Termination.[ Disabled; Presumed_abort_only; Cooperative; Takeover ]
 
+(* --- inertness: nothing fails, nothing to terminate -------------------- *)
+
+(* With no fault injected, the orphan reaper and the takeover lease must
+   change nothing. [Presumed_abort_only] is the reference: the same
+   durable commit point and vote drive, with no reaper and no
+   participant-driven rounds. [Cooperative] and [Takeover] must end every
+   transaction exactly as it does, and win no lease, adopt nothing, fence
+   no one and commit nothing cooperatively. ([Disabled] commits without
+   the vote drive, a different message schedule, so only its counters
+   are comparable.) *)
+let test_termination_inert_without_faults () =
+  List.iter
+    (fun scheme ->
+      for seed = 1 to 4 do
+        let run termination =
+          Runtime.run
+            { Runtime.default_config with Runtime.scheme; seed; n_txns = 60; termination }
+        in
+        let reference = run Termination.Presumed_abort_only in
+        List.iter
+          (fun termination ->
+            let o = run termination in
+            let m = o.Runtime.metrics in
+            let name =
+              Printf.sprintf "%s seed %d %s" (Replicated.scheme_name scheme) seed
+                (Termination.mode_name termination)
+            in
+            if termination <> Termination.Disabled then begin
+              check_bool (name ^ ": per-transaction outcomes") true
+                (o.Runtime.histories = reference.Runtime.histories);
+              check_int (name ^ ": committed") reference.Runtime.metrics.Runtime.committed
+                m.Runtime.committed
+            end;
+            check_int (name ^ ": leases") 0 m.Runtime.takeover_leases;
+            check_int (name ^ ": adoptions") 0 m.Runtime.takeover_adoptions;
+            check_int (name ^ ": fences") 0 m.Runtime.takeover_fenced;
+            check_int (name ^ ": cooperative commits") 0 m.Runtime.coop_commits)
+          Termination.[ Disabled; Cooperative; Takeover ]
+      done)
+    Replicated.[ Static; Hybrid; Locking ];
+  check_bool "grace covers the commit window and two sweeps" true
+    (Monitors.grace >= Term_driver.commit_window +. (2.0 *. Term_driver.reaper_every))
+
 let suites =
   [
     ( "termination",
@@ -421,6 +465,8 @@ let suites =
           test_termination_diverges_only_by_protocol;
         Alcotest.test_case "timely counts every commit path" `Quick
           test_timely_counts_every_commit;
+        Alcotest.test_case "inert without faults" `Quick
+          test_termination_inert_without_faults;
       ]
       @ to_alcotest
           [
