@@ -501,7 +501,7 @@ let ambush_doc bench extra =
    coordinator home sites. Per termination mode (none / presumed-abort-only
    / cooperative, the last with deadlock detection) over fixed seeds:
    committed throughput, the abort breakdown including presumed and
-   cooperative aborts, stranded tentative entries left at the horizon (the
+   cooperative aborts, stranded tentative entries left at the run's end (the
    headline: nonzero under `none', zero under `cooperative'), decision-log
    and redrive counters, blocked-operation latency percentiles, and the
    oracle verdict for every run. Written to BENCH_5.json; the schema is
@@ -1201,9 +1201,8 @@ let run_gray () =
     [
       Count ("committed", committed);
       Count ("aborted", fun m -> m.Runtime.aborted);
-      (* Goodput over the fixed offered window, not the run's duration: a
-         gray arm's detector probes keep the engine busy to the horizon,
-         and dividing by a longer idle tail would flatter the baseline. *)
+      (* Goodput over the fixed offered window, not the run's duration,
+         which ends wherever each arm's work ends. *)
       Value ("committed_per_s", fun m -> float_of_int m.Runtime.committed /. horizon *. 1000.0);
       Value ("latency_p50_ms", fun m -> Summary.percentile m.Runtime.txn_latency 0.5);
       Value ("latency_p99_ms", fun m -> Summary.percentile m.Runtime.txn_latency 0.99);

@@ -52,6 +52,8 @@ let float_in what ok =
 
 let pos_float = float_in "a positive number" (fun x -> x > 0.0)
 let nonneg_float = float_in "a non-negative number" (fun x -> x >= 0.0)
+let probability = float_in "a probability in [0, 1]" (fun x -> x >= 0.0 && x <= 1.0)
+let fraction = float_in "a fraction in [0, 1)" (fun x -> x >= 0.0 && x < 1.0)
 
 (* A value named in a fixed catalogue. *)
 let named what ~name ~find ~known =
@@ -362,7 +364,8 @@ let obs_flags ?(timeseries = false) ?(profile = false) ?(export = Fun.id) () =
           "Sample committed/aborted/blocked rates, WAL flushes, messages, queue \
            depth (live engine events; cancelled timers are not counted) and \
            the stranded gauge into fixed-width sim-time windows and write \
-           them as JSON to $(docv)."
+           them as JSON to $(docv). The sampler never extends the run: the \
+           last window ends where the run's work ends."
     in
     let window =
       opt ~absent:"500" Arg.(some pos_float) None [ "window" ] ~docv:"MS"
@@ -585,7 +588,7 @@ let quorums_cmd =
       `Static [ "property" ] ~docv:"PROP" ~doc:"static or dynamic."
   in
   let p_arg =
-    opt Arg.float 0.9 [ "p" ] ~docv:"P" ~doc:"Per-site up probability for availability."
+    opt probability 0.9 [ "p" ] ~docv:"P" ~doc:"Per-site up probability for availability."
   in
   let doc = "Enumerate valid quorum assignments for a data type" in
   Cmd.v (Cmd.info "quorums" ~doc)
@@ -1012,7 +1015,9 @@ let load_cmd =
   in
   let drain_arg =
     opt nonneg_float 8_000.0 [ "drain" ] ~docv:"MS"
-      ~doc:"Extra simulated time after the last planned arrival."
+      ~doc:
+        "The run lasts at most this much simulated time after the last \
+         planned arrival; it ends earlier when its work does."
   in
   let no_admission_arg =
     flag [ "no-admission" ]
@@ -1102,7 +1107,7 @@ let bench_diff_cmd =
       & info [] ~docv:"DIR" ~doc:"Directory holding the BENCH_<n>.json history.")
   in
   let threshold_arg =
-    opt Arg.float 0.2 [ "threshold" ] ~docv:"FRAC"
+    opt fraction 0.2 [ "threshold" ] ~docv:"FRAC"
       ~doc:
         "Fail (exit 1) when the newest entry's best committed/s falls \
          more than $(docv) below the most recent earlier entry of the \

@@ -11,51 +11,34 @@ type kind = Safety | Liveness
 
 type entry = { e_name : string; e_doc : string; e_kind : kind; e_spec : ctx SM.t }
 
-(* The longer of the whole retry budget (capped backoff x attempts) plus
-   a few RPC round trips and the reaper's commit-window bound, then two
-   reaper sweeps: an obligation a live coordinator left open is adopted
-   within [commit_window] plus one sweep. *)
-let grace =
-  let retries = float_of_int (Runtime.max_retries + 1) *. Runtime.retry_delay_cap in
-  let rpc = 4.0 *. Replicated.rpc_timeout in
-  let reaper = 2.0 *. Term_driver.reaper_every in
-  Float.max 500.0 (Float.max (retries +. rpc) Term_driver.commit_window +. reaper)
-
 (* One shape for every obligation judged at quiesce. The runtime's final
-   [Quiesce] event is the end-of-run fairness signal: only a network that
-   ended healed and fully live gave every open obligation its chance, so
-   only then — and only when [gate] enables the property for this run —
-   does the machine report what is [standing]: (opened-at time, message
-   given its age) pairs, each reported once it aged [grace] or more,
-   sorted. [step] folds every other observed kind into the (mutable)
-   state; a violation message it returns is anchored at the event as in
-   any machine, so one machine can carry a safety leg beside its
+   [Quiesce] event marks where the run's work ended and is the fairness
+   signal: only a network that ended healed and fully live gave every open
+   obligation its chance, so only then — and only when [gate] enables the
+   property for this run — does the machine report what is [standing] at
+   the quiesce time, sorted: nothing that stands there can still resolve.
+   [step] folds every other observed kind into the (mutable) state; a
+   violation message it returns is anchored at the event as in any
+   machine, so one machine can carry a safety leg beside its
    obligations. *)
-type 's obligations = { st : 's; on : bool; mutable fair : bool; mutable horizon : float }
+type 's obligations = { st : 's; on : bool; mutable fair : bool; mutable quiesced : float }
 
 let obligations ~name ~observes ?(gate = fun _ -> true) ~init
     ?(step = fun _ _ -> None) ~standing () =
   SM.make ~name ~observes:("quiesce" :: observes)
-    ~init:(fun ctx -> { st = init ctx; on = gate ctx; fair = false; horizon = 0.0 })
+    ~init:(fun ctx -> { st = init ctx; on = gate ctx; fair = false; quiesced = 0.0 })
     ~step:(fun o e ->
       match e.Trace.kind with
       | Trace.Quiesce { up; n_sites; partitioned } ->
         o.fair <- up = n_sites && not partitioned;
-        o.horizon <- e.Trace.time;
+        o.quiesced <- e.Trace.time;
         SM.Continue o
       | _ -> (
         match step o.st e with
         | None -> SM.Continue o
         | Some msg -> SM.Violate (o, msg)))
     ~at_quiesce:(fun o ->
-      if not (o.on && o.fair) then []
-      else
-        List.filter_map
-          (fun (opened, msg) ->
-            let age = o.horizon -. opened in
-            if age >= grace then Some (msg age) else None)
-          (standing o.st)
-        |> List.sort compare)
+      if o.on && o.fair then List.sort compare (standing o.st ~now:o.quiesced) else [])
     ()
 
 (* --- commit_atomicity / common_order -------------------------------- *)
@@ -297,32 +280,27 @@ let no_divergence =
 
 (* --- stranded_entries ------------------------------------------------ *)
 
-(* The gauges are read at the horizon and carry no opening time: a
-   nonzero reading is overdue whatever the grace window. *)
 let stranded_entries =
   obligations ~name:"stranded_entries" ~observes:[]
     ~gate:(fun ctx -> Termination.cooperative ctx.cfg.Runtime.termination)
     ~init:(fun ctx -> ctx.outcome.Runtime.metrics)
-    ~standing:(fun m ->
-      let overdue msg = (Float.neg_infinity, fun _ -> msg) in
+    ~standing:(fun m ~now:_ ->
       (if m.Runtime.stranded_entries > 0 then
          [
-           overdue
-             (Printf.sprintf
-                "%d tentative entr%s still stranded at the horizon despite \
-                 cooperative termination and a healed, fully-live network"
-                m.Runtime.stranded_entries
-                (if m.Runtime.stranded_entries = 1 then "y" else "ies"));
+           Printf.sprintf
+             "%d tentative entr%s still stranded at the horizon despite \
+              cooperative termination and a healed, fully-live network"
+             m.Runtime.stranded_entries
+             (if m.Runtime.stranded_entries = 1 then "y" else "ies");
          ]
        else [])
       @
       if m.Runtime.stranded_live <> 0 then
         [
-          overdue
-            (Printf.sprintf
-               "stranded-transaction gauge ended at %d (must drain to 0 under \
-                cooperative termination)"
-               m.Runtime.stranded_live);
+          Printf.sprintf
+            "stranded-transaction gauge ended at %d (must drain to 0 under \
+             cooperative termination)"
+            m.Runtime.stranded_live;
         ]
       else [])
     ()
@@ -354,14 +332,13 @@ let blocked_liveness =
        | Trace.Deadlock { victim; _ } -> Hashtbl.remove st.b_waiting victim
        | _ -> ());
       None)
-    ~standing:(fun st ->
+    ~standing:(fun st ~now ->
       Hashtbl.fold
         (fun txn (t, blocker) acc ->
-          ( t,
-            Printf.sprintf
-              "%s blocked on %s at t=%.0f and never resolved in the %.0fms \
-               before quiesce on a healed, fully-live network"
-              txn blocker t )
+          Printf.sprintf
+            "%s blocked on %s at t=%.0f and never resolved in the %.0fms \
+             before quiesce on a healed, fully-live network"
+            txn blocker t (now -. t)
           :: acc)
         st.b_waiting [])
     ()
@@ -399,15 +376,14 @@ let indoubt_liveness =
          Hashtbl.remove st.i_pending txn
        | _ -> ());
       None)
-    ~standing:(fun st ->
+    ~standing:(fun st ~now ->
       Hashtbl.fold
         (fun txn t acc ->
-          ( t,
-            Printf.sprintf
-              "%s logged a durable commit point at t=%.0f but reached no \
-               verdict in the %.0fms before quiesce despite enabled \
-               termination and a healed, fully-live network"
-              txn t )
+          Printf.sprintf
+            "%s logged a durable commit point at t=%.0f but reached no \
+             verdict in the %.0fms before quiesce despite enabled \
+             termination and a healed, fully-live network"
+            txn t (now -. t)
           :: acc)
         st.i_pending [])
     ()
@@ -415,7 +391,7 @@ let indoubt_liveness =
 (* --- shed_safety ------------------------------------------------------ *)
 
 type shed_st = {
-  sh_shed : (string, float) Hashtbl.t; (* txn -> shed time *)
+  sh_shed : (string, unit) Hashtbl.t; (* shed transactions *)
   (* txn -> repository sites holding an unresolved tentative entry *)
   sh_pending : (string, IntSet.t) Hashtbl.t;
   (* txn -> sites whose repository already resolved it (sticky: a stale
@@ -446,7 +422,7 @@ let shed_safety =
     ~step:(fun st e ->
       match e.Trace.kind with
       | Trace.Shed { txn; _ } ->
-        Hashtbl.replace st.sh_shed txn e.Trace.time;
+        Hashtbl.replace st.sh_shed txn ();
         None
       | Trace.Repo_append { txn; tentative = true; _ } ->
         let resolved =
@@ -496,19 +472,16 @@ let shed_safety =
         end;
         None
       | _ -> None)
-    ~standing:(fun st ->
+    ~standing:(fun st ~now:_ ->
       Hashtbl.fold
-        (fun txn t0 acc ->
+        (fun txn _ acc ->
           match Hashtbl.find_opt st.sh_pending txn with
           | Some pending when not (IntSet.is_empty pending) ->
-            ( t0,
-              fun _ ->
-                Printf.sprintf
-                  "shed transaction %s still holds tentative entries at \
-                   site(s) %s on a healed, fully-live network"
-                  txn
-                  (String.concat ", "
-                     (List.map string_of_int (IntSet.elements pending))) )
+            Printf.sprintf
+              "shed transaction %s still holds tentative entries at site(s) \
+               %s on a healed, fully-live network"
+              txn
+              (String.concat ", " (List.map string_of_int (IntSet.elements pending)))
             :: acc
           | _ -> acc)
         st.sh_shed [])

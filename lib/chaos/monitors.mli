@@ -11,9 +11,9 @@
     {!Atomrep_replica.Runtime.check_common_order}) judge the outcome at
     quiesce. Every liveness obligation (and [shed_safety]'s residual
     leg) has one shape: it is reported only when the run's end-of-run
-    fairness signal — the final {!Atomrep_obs.Trace.Quiesce} event —
-    says the network ended healed and fully live, and only once it has
-    stood for {!grace}.
+    fairness signal — the final {!Atomrep_obs.Trace.Quiesce} event, which
+    marks where the run's work ended — says the network ended healed and
+    fully live.
 
     The catalogue is the only oracle: every judged run goes through
     {!check_run}, whose default selection is {!history}.
@@ -36,7 +36,7 @@
     - [shed_safety] — a transaction shed by admission control is never
       reported committed, and once the network heals no repository still
       holds one of its tentative entries (safety; the residual-entry leg
-      is fairness- and grace-gated like a liveness obligation).
+      is fairness-gated like a liveness obligation).
     - [session_monotonic] — commit timestamps within one client session
       are strictly increasing (safety, per-session keyed machine; only
       open-loop plans emit session commits).
@@ -45,10 +45,10 @@
       stranded-transaction gauge both drain to zero (liveness).
     - [blocked_liveness] — every operation that blocked resolves (grant,
       commit, abort, or deadlock sentence) once partitions heal and all
-      sites are back up (liveness, grace-windowed).
+      sites are back up (liveness).
     - [indoubt_liveness] — every durable commit point reaches a verdict
       (decide, redrive, or cooperative termination) under an enabled
-      termination protocol with fairness (liveness, grace-windowed). *)
+      termination protocol with fairness (liveness). *)
 
 open Atomrep_replica
 
@@ -69,14 +69,6 @@ type entry = {
           known before any run, so {!check_run} builds the judge-only
           bus from them *)
 }
-
-val grace : float
-(** Liveness grace window, in simulated ms: the longer of the whole retry
-    budget plus a few RPC round trips and the reaper's commit-window bound
-    ([Term_driver.commit_window]), then two reaper sweeps (4,300 ms). An
-    obligation is reported at quiesce only when it has stood at least this
-    long; one opened closer to the horizon never had a fair chance to
-    resolve. *)
 
 val registry : entry list
 (** Every monitor, catalogue order. *)

@@ -435,12 +435,10 @@ let wal_totals objects =
     objects;
   sum
 
-(* Time-series sampler: a recurring engine event polling the hot counters
-   into sim-time windows. It draws no RNG and re-arms only while other
-   work is pending, so committed counts and event order are bit-for-bit
-   identical with the sampler on or off — extra heap entries shift
-   absolute sequence numbers but never the relative order of the
-   workload's own events. *)
+(* Time-series sampler: a recurring daemon event polling the hot counters
+   into sim-time windows. It draws no RNG and never holds a run open, so
+   every metric is identical with the sampler on or off. Returns the last
+   sample, which disarms the next tick before it reads the queue depth. *)
 let start_sampler st term ts =
   let c = st.counters in
   let series agg name = Timeseries.series ts ~agg name in
@@ -468,25 +466,75 @@ let start_sampler st term ts =
       counted s_retries c.c_retries_spent;
     ]
   in
-  let interval = Timeseries.width ts /. 2.0 in
-  let rec tick () =
-    Engine.schedule st.engine ~delay:interval (fun () ->
-        let now = Engine.now st.engine in
-        List.iter
-          (fun (s, read, last) ->
-            let v = read () in
-            Timeseries.observe ts s ~now (float_of_int (v - !last));
-            last := v)
-          deltas;
-        Timeseries.observe ts s_queue ~now (float_of_int (Engine.pending st.engine));
-        Timeseries.observe ts s_stranded ~now
-          (float_of_int term.Term_driver.n_stranded_live);
-        (* Re-armed until the clock stops moving, cancelled deadlines
-           included, so the sampler's trailing tick, and with it the run's
-           duration, does not depend on which timers were cancelled. *)
-        if Engine.queued st.engine > 0 then tick ())
+  let sample () =
+    let now = Engine.now st.engine in
+    List.iter
+      (fun (s, read, last) ->
+        let v = read () in
+        Timeseries.observe ts s ~now (float_of_int (v - !last));
+        last := v)
+      deltas;
+    Timeseries.observe ts s_queue ~now (float_of_int (Engine.pending st.engine));
+    Timeseries.observe ts s_stranded ~now (float_of_int term.Term_driver.n_stranded_live)
   in
-  tick ()
+  let interval = Timeseries.width ts /. 2.0 in
+  let next = ref None in
+  let rec tick () =
+    next := Some (Engine.timer st.engine ~delay:interval (fun () -> sample (); tick ()))
+  in
+  tick ();
+  fun () -> Option.iter (Engine.cancel st.engine) !next; sample ()
+
+(* The background machinery, which never stops: started inside
+   [Engine.daemon], it does not hold the run open. Returns the detector and
+   the sampler's last sample. *)
+let start_daemons st term =
+  let cfg = st.cfg and engine = st.engine and net = st.net in
+  Term_driver.install term;
+  cfg.install_faults net;
+  (* Split gossip streams unconditionally so the workload's draws are the
+     same whether or not anti-entropy runs. *)
+  List.iter
+    (fun (_, obj) ->
+      let gossip_rng = Rng.split (Engine.rng engine) in
+      match cfg.anti_entropy_every with
+      | Some every -> Replicated.start_anti_entropy obj ~rng:gossip_rng ~every
+      | None -> ())
+    st.objects;
+  (* Scripted fail-slow injections: persistent service-time inflation armed
+     at each entry's onset. Empty by default, so the legacy event timeline
+     is untouched. *)
+  List.iter
+    (fun (site, onset, mode) ->
+      Engine.schedule_at engine ~time:onset (fun () ->
+          Network.set_fail_slow net ~site mode))
+    cfg.fail_slow;
+  (* Failure detector, shared by the reconfiguration coordinator (binary
+     suspicion) and the gray-failure layer (latency scoring). It draws from
+     its own split stream for the same reason gossip does: toggling either
+     consumer must not perturb the workload's draws — exactly one split is
+     consumed here whether zero, one, or both are enabled. *)
+  let det_rng = Rng.split (Engine.rng engine) in
+  let detector =
+    if Option.is_none cfg.reconfig && Option.is_none cfg.gray then None
+    else
+      (* The detector's defaults: site 0 probes every 40 with timeout 25
+         and suspects after 3 misses; gray runs add latency scoring. *)
+      Some
+        (Detector.start net ~rng:det_rng
+           ?slow:(Option.map (fun _ -> Detector.default_slow_config) cfg.gray)
+           ())
+  in
+  Option.iter
+    (fun det ->
+      Option.iter (fun gc -> Gray_policy.install st gc det) cfg.gray;
+      Option.iter (fun rc -> Reconfig_coord.install st rc det) cfg.reconfig)
+    detector;
+  let last_sample =
+    if Timeseries.enabled cfg.timeseries then start_sampler st term cfg.timeseries
+    else ignore
+  in
+  (detector, last_sample)
 
 let run_inner cfg =
   let engine = Engine.create ~seed:cfg.seed in
@@ -533,47 +581,7 @@ Network.create engine ~n_sites:cfg.n_sites ~latency_mean ()
      resync quorum; its objects also stop re-pushing entries on commit. *)
   Network.set_resync_quorum net
     (if cfg.mutant = Some Replicated.Ungated_rejoin then 0 else resync_quorum);
-  Term_driver.install term;
-  cfg.install_faults net;
-  (* Split gossip streams unconditionally so the workload's draws are the
-     same whether or not anti-entropy runs. *)
-  List.iter
-    (fun (_, obj) ->
-      let gossip_rng = Rng.split (Engine.rng engine) in
-      match cfg.anti_entropy_every with
-      | Some every -> Replicated.start_anti_entropy obj ~rng:gossip_rng ~every
-      | None -> ())
-    objects;
-  (* Scripted fail-slow injections: persistent service-time inflation armed
-     at each entry's onset. Empty by default, so the legacy event timeline
-     is untouched. *)
-  List.iter
-    (fun (site, onset, mode) ->
-      Engine.schedule_at engine ~time:onset (fun () ->
-          Network.set_fail_slow net ~site mode))
-    cfg.fail_slow;
-  (* Failure detector, shared by the reconfiguration coordinator (binary
-     suspicion) and the gray-failure layer (latency scoring). It draws from
-     its own split stream for the same reason gossip does: toggling either
-     consumer must not perturb the workload's draws — exactly one split is
-     consumed here whether zero, one, or both are enabled. *)
-  let det_rng = Rng.split (Engine.rng engine) in
-  let detector =
-    if Option.is_none cfg.reconfig && Option.is_none cfg.gray then None
-    else
-      (* The detector's defaults: site 0 probes every 40 with timeout 25
-         and suspects after 3 misses; gray runs add latency scoring. *)
-      Some
-        (Detector.start net ~rng:det_rng
-           ?slow:(Option.map (fun _ -> Detector.default_slow_config) cfg.gray)
-           ())
-  in
-  Option.iter
-    (fun det ->
-      Option.iter (fun gc -> Gray_policy.install st gc det) cfg.gray;
-      Option.iter (fun rc -> Reconfig_coord.install st rc det) cfg.reconfig)
-    detector;
-  if Timeseries.enabled cfg.timeseries then start_sampler st term cfg.timeseries;
+  let detector, last_sample = Engine.daemon engine (fun () -> start_daemons st term) in
   Admission.feed admission
     (match cfg.load with
      | None ->
@@ -588,9 +596,10 @@ Network.create engine ~n_sites:cfg.n_sites ~latency_mean ()
        (* Open-loop plan: arrivals are precomputed (independent of this
           engine's RNG), so offered load never adapts to system state. *)
        Array.sub load.arrivals 0 (min cfg.n_txns (Array.length load.arrivals)));
-  Engine.run ~until:cfg.horizon engine;
+  (* The run ends where its work ends; [horizon] caps one that never does. *)
+  Engine.run ~until:cfg.horizon ~work:(fun () -> Term_driver.has_work term) engine;
+  last_sample ();
   Timeseries.finish cfg.timeseries ~now:(Engine.now engine);
-  Option.iter Detector.stop detector;
   (* End-of-run fairness signal: the liveness monitors only indict an
      unresolved obligation when the final network state shows fairness held
      (everything healed, everybody up) — a stranded op behind a permanent

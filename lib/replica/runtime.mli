@@ -145,7 +145,7 @@ type config = {
   arrival_mean : float; (** mean transaction inter-arrival time *)
   script : Rng.t -> int -> op_request list; (** per-transaction operations *)
   install_faults : Network.t -> unit;
-  horizon : float; (** simulated-time cutoff *)
+  horizon : float; (** simulated-time cap for a run whose work never ends *)
   anti_entropy_every : float option;
       (** start per-object gossip ({!Replicated.start_anti_entropy}) at
           this period *)
@@ -222,12 +222,10 @@ type config = {
           aborted / blocked-wait deltas, WAL flushes, messages sent, event
           queue depth ([Engine.pending]: live events, cancelled timers not
           counted) and the live stranded gauge into the series'
-          fixed-width windows; the run calls [Timeseries.finish] at the
-          horizon. The sampler draws no RNG and re-arms only while other
-          events are queued (cancelled ones included), so committed work,
-          histories and verdicts are bit-identical with it on or off; only [duration] can extend to
-          the sampler's final (empty) tick, at most half a window past
-          the last real event. *)
+          fixed-width windows, takes a last sample where the run ends and
+          calls [Timeseries.finish] there. The sampler draws no RNG and is
+          a daemon, so it never extends a run: every metric, [duration]
+          included, is bit-identical with it on or off. *)
 }
 
 val default_config : config
@@ -261,7 +259,7 @@ type metrics = {
   blocked_waits : int; (** operations that waited at least once *)
   ops_done : int;
   txn_latency : Summary.t;
-  duration : float; (** simulated time consumed *)
+  duration : float; (** simulated time where the work ended, or the horizon *)
   msgs_sent : int;
   msgs_dropped : int; (** lost to partitions, failed links, or loss *)
   msgs_duplicated : int;
@@ -272,7 +270,7 @@ type metrics = {
   reconfigs_failed : int; (** attempts that lost a seal/transfer quorum *)
   reconfig_latency : Summary.t; (** wall-clock (simulated) per successful handoff *)
   suspicion_transitions : int; (** detector churn: raises plus clears *)
-  final_epoch : int; (** largest epoch number in force at the horizon *)
+  final_epoch : int; (** largest epoch number in force at the run's end *)
   recoveries : int; (** WAL recoveries performed at rejoin *)
   recoveries_corrupt : int; (** recoveries that detected corruption *)
   recovery_replay : Summary.t; (** per-recovery replayed-record counts *)
@@ -292,7 +290,7 @@ type metrics = {
   redrives : int; (** in-doubt transactions re-driven at recovery *)
   orphans_reaped : int; (** terminal transactions the reaper re-broadcast *)
   stranded_entries : int;
-      (** tentative entries still unresolved at the horizon, summed over
+      (** tentative entries still unresolved at the run's end, summed over
           every repository of every object *)
   decision_log_writes : int; (** successful decision-log flushes *)
   blocked_latency : Summary.t; (** per-operation time spent blocked *)
@@ -306,7 +304,7 @@ type metrics = {
       (** duplicate terminal status re-broadcasts deduplicated per site *)
   stranded_live : int;
       (** live gauge of transactions currently observed stranded (blocked
-          on a dead coordinator, not yet resolved) at the horizon — unlike
+          on a dead coordinator, not yet resolved) at the run's end — unlike
           [stranded_entries] this counts transactions, not entries, and is
           maintained incrementally (strand observed / resolution) *)
   shed : int;
@@ -350,6 +348,11 @@ type outcome = {
 }
 
 val run : config -> outcome
+(** Run one simulation. Probes, gossip, faults, sweeps and the sampler
+    are {!Atomrep_sim.Engine} daemons, so the run ends where its work ends:
+    no foreground event is left, no transaction awaits a verdict from an
+    enabled termination protocol, and no tentative entry awaits the
+    reaper. [Trace.Quiesce] and [duration] mark that point. *)
 
 val check_atomicity : config -> outcome -> (string * string) list
 (** Check every object's history against the scheme's local atomicity

@@ -31,6 +31,7 @@ type t = {
   (* Terminal transactions with a tentative entry at the reaper's last
      sweep. *)
   mutable lingering : (Action.t, unit) Hashtbl.t;
+  mutable n_decided : int; (* entries of [st.txns] with a verdict *)
 }
 
 let create st =
@@ -46,6 +47,7 @@ let create st =
     counted_stranded = Hashtbl.create 16;
     n_stranded_live = 0;
     lingering = Hashtbl.create 16;
+    n_decided = 0;
   }
 
 (* Under [Takeover], a transaction's own driver — its coordinator, or a
@@ -123,6 +125,7 @@ let finalize t btxn ~site ?drv verdict =
   (match btxn.Txn.status with
    | Txn.Committed _ | Txn.Aborted _ -> ()
    | Txn.Running | Txn.Committing ->
+     t.n_decided <- t.n_decided + 1;
      Waits_for.clear st.waits action;
      unmark_stranded t action;
      (match verdict with
@@ -468,8 +471,7 @@ let redrive t log site =
          btxn.Txn.stranded <- true;
          finalize t btxn ~site (`Abort (`Presumed, "presumed abort")))
 
-(* Orphan-reaper sweep period (sim ms); the liveness monitors' grace
-   allows two sweeps. *)
+(* Orphan-reaper sweep period (sim ms). *)
 let reaper_every = 250.0
 
 (* How long a live coordinator may keep a transaction in its commit
@@ -547,3 +549,11 @@ let rec reap t =
 let install t =
   Option.iter (fun log -> Network.on_recover t.st.net (redrive t log)) t.log;
   if Termination.cooperative t.st.cfg.termination then reap t
+
+(* Work left: an enabled protocol owes a started transaction a verdict, or
+   a tentative entry awaits the reaper. *)
+let has_work t =
+  let mode = t.st.cfg.termination in
+  Termination.enabled mode
+  && (Hashtbl.length t.st.txns > t.n_decided
+     || (Termination.cooperative mode && fold_tentative t.st (fun _ _ _ -> true) false))

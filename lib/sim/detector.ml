@@ -43,7 +43,6 @@ type t = {
   misses : int array;
   susp : bool array;
   mutable transitions : int;
-  mutable stopped : bool;
   slow : slow_state option;
 }
 
@@ -56,7 +55,6 @@ let live t =
     (List.init (Network.n_sites t.net) Fun.id)
 
 let transitions t = t.transitions
-let stop t = t.stopped <- true
 
 let set_suspected t site v =
   if t.susp.(site) <> v then begin
@@ -176,7 +174,6 @@ let start net ~rng ?(probe_every = 40.0) ?(timeout = 25.0) ?(suspect_after = 3)
       misses = Array.make n 0;
       susp = Array.make n false;
       transitions = 0;
-      stopped = false;
       slow;
     }
   in
@@ -184,8 +181,7 @@ let start net ~rng ?(probe_every = 40.0) ?(timeout = 25.0) ?(suspect_after = 3)
     (* Latency books feed off every RPC outcome on the network — workload
        and probe traffic alike — so suspicion tracks what quorum rounds
        actually experience, not just what probes see. *)
-    Network.on_rpc_result net (fun ~src:_ ~dst ~ok:_ ~elapsed ->
-        if not t.stopped then on_sample t ~dst ~elapsed);
+    Network.on_rpc_result net (fun ~src:_ ~dst ~ok:_ ~elapsed -> on_sample t ~dst ~elapsed);
   let engine = Network.engine net in
   let rec probe ~first site =
     (* A seeded per-site phase offset spreads the first probes across the
@@ -199,24 +195,22 @@ let start net ~rng ?(probe_every = 40.0) ?(timeout = 25.0) ?(suspect_after = 3)
       else t.probe_every *. (0.75 +. Rng.float t.rng 0.5)
     in
     Engine.schedule engine ~delay (fun () ->
-        if not t.stopped then begin
-          if Network.site_up t.net t.monitor then
-            Rpc.call t.net ~src:t.monitor ~dst:site ~timeout:t.timeout
-              ~handler:(fun () -> ())
-              ~reply:(function
-                | Some () ->
-                  t.misses.(site) <- 0;
-                  set_suspected t site false
-                | None ->
-                  (* A probe that dies while the monitor itself is down says
-                     nothing about the target — don't count it. *)
-                  if Network.site_up t.net t.monitor then begin
-                    t.misses.(site) <- t.misses.(site) + 1;
-                    if t.misses.(site) >= t.suspect_after then
-                      set_suspected t site true
-                  end);
-          probe ~first:false site
-        end)
+        if Network.site_up t.net t.monitor then
+          Rpc.call t.net ~src:t.monitor ~dst:site ~timeout:t.timeout
+            ~handler:(fun () -> ())
+            ~reply:(function
+              | Some () ->
+                t.misses.(site) <- 0;
+                set_suspected t site false
+              | None ->
+                (* A probe that dies while the monitor itself is down says
+                   nothing about the target — don't count it. *)
+                if Network.site_up t.net t.monitor then begin
+                  t.misses.(site) <- t.misses.(site) + 1;
+                  if t.misses.(site) >= t.suspect_after then
+                    set_suspected t site true
+                end);
+        probe ~first:false site)
   in
   for site = 0 to n - 1 do
     if site <> t.monitor then probe ~first:true site

@@ -68,7 +68,7 @@ val start :
     probes are not counted as misses — a dead monitor must not poison its
     own view of the cluster. [slow] enables latency-aware slow-suspicion
     (disabled by default: absent, the detector behaves exactly as it did
-    historically and registers no listeners). *)
+    historically and registers no listeners). Probing never stops. *)
 
 val monitor : t -> int
 
@@ -111,8 +111,3 @@ val transitions : t -> int
 
 val slow_transitions : t -> int
 (** Number of slow-suspicion changes so far (0 without a [slow] config). *)
-
-val stop : t -> unit
-(** Cease probing: already-scheduled probe events become no-ops and the
-    latency books stop folding samples, so a bounded-horizon run drains
-    cleanly. *)

@@ -74,6 +74,7 @@ module Heap = struct
 
   (* The least key and its entry; only valid while [size > 0]. *)
   let[@inline] top_time h = Float.Array.unsafe_get h.times 0
+  let[@inline] top_seq h = Array.unsafe_get h.seqs 0
   let top h = Array.unsafe_get h.ents 0
 
   let remove_top h =
@@ -113,6 +114,8 @@ type t = {
   mutable clock : float;
   mutable next_seq : int;
   mutable n_cancelled : int; (* cancelled entries still in the heap *)
+  mutable n_foreground : int; (* foreground entries in the heap, cancelled ones included *)
+  mutable daemon : bool; (* events scheduled now are daemons *)
 }
 
 let create ~seed =
@@ -122,6 +125,8 @@ let create ~seed =
     clock = 0.0;
     next_seq = 0;
     n_cancelled = 0;
+    n_foreground = 0;
+    daemon = false;
   }
 
 let now t = t.clock
@@ -131,7 +136,10 @@ let add t ~time thunk =
   let time = if time < t.clock then t.clock else time in
   t.next_seq <- t.next_seq + 1;
   let e = { time; thunk; live = true } in
-  Heap.push t.heap time t.next_seq e;
+  (* The key's low bit marks a daemon; the rest is the insertion order. *)
+  let seq = if t.daemon then (2 * t.next_seq) + 1 else 2 * t.next_seq in
+  if not t.daemon then t.n_foreground <- t.n_foreground + 1;
+  Heap.push t.heap time seq e;
   e
 
 let clamp delay = if delay < 0.0 then 0.0 else delay
@@ -147,9 +155,14 @@ let cancel t e =
     t.n_cancelled <- t.n_cancelled + 1
   end
 
+let daemon t f =
+  let outer = t.daemon in
+  t.daemon <- true;
+  Fun.protect ~finally:(fun () -> t.daemon <- outer) f
+
 let dispatch_key = Atomrep_obs.Profile.key ~subsystem:"engine" "dispatch"
 
-let run ?until t =
+let run ?until ?(work = fun () -> false) t =
   let limit = match until with Some l -> l | None -> infinity in
   (* The dispatch phase wraps every simulated thunk, so the hot-phase
      table's engine/dispatch row is the whole event loop; nested phases
@@ -158,11 +171,17 @@ let run ?until t =
   let p = Atomrep_obs.Profile.current () in
   let profiled = Atomrep_obs.Profile.enabled p in
   let h = t.heap in
-  (* Past the horizon the next entry stays in the heap. *)
-  while h.Heap.size > 0 && not (Heap.top_time h > limit) do
+  (* Past the horizon the next entry stays in the heap; so does every
+     daemon once no foreground entry is left and [work] reports none. *)
+  while
+    h.Heap.size > 0 && (not (Heap.top_time h > limit)) && (t.n_foreground > 0 || work ())
+  do
     let e = Heap.top h in
+    let daemon = Heap.top_seq h land 1 = 1 in
     Heap.remove_top h;
     t.clock <- e.time;
+    if not daemon then t.n_foreground <- t.n_foreground - 1;
+    t.daemon <- daemon;
     (* A cancelled entry still moves the clock to its deadline, as the
        no-op it replaces did, but is neither dispatched nor profiled. *)
     if e.live then begin
@@ -171,7 +190,7 @@ let run ?until t =
       else e.thunk ()
     end
     else t.n_cancelled <- t.n_cancelled - 1
-  done
+  done;
+  t.daemon <- false
 
-let queued t = t.heap.Heap.size
-let pending t = queued t - t.n_cancelled
+let pending t = t.heap.Heap.size - t.n_cancelled

@@ -11,7 +11,14 @@
     and is not profiled, but it keeps its (time, seq) slot: the clock still
     passes its deadline exactly as it would have passed the no-op the event
     had become, so [now] and run durations do not depend on whether a
-    settled timer was cancelled or left to fire as a no-op. *)
+    settled timer was cancelled or left to fire as a no-op.
+
+    {b Daemons.} Background machinery that would run for ever (probes,
+    gossip, faults, sweeps) is started inside {!daemon}; an event scheduled
+    while a daemon runs is itself a daemon. {!run} stops once every entry
+    left is a daemon and its [work] predicate is false. A cancelled
+    foreground entry still counts until the clock reaches it, so a run
+    without daemons stops exactly where it did before daemons existed. *)
 
 type t
 
@@ -37,15 +44,16 @@ val cancel : t -> timer -> unit
 (** The event will never run. Its closure is released at once. Cancelling
     an event that already ran, or cancelling twice, is a no-op. *)
 
-val run : ?until:float -> t -> unit
-(** Execute events in order until the queue empties or simulated time would
-    exceed [until]; the first event past [until] stays queued. Cancelled
+val daemon : t -> (unit -> 'a) -> 'a
+(** [daemon t f] runs [f]; every event it schedules is a daemon. Layers
+    that schedule (the detector, fault schedules) need not know. *)
+
+val run : ?until:float -> ?work:(unit -> bool) -> t -> unit
+(** Execute events in order until the queue empties, simulated time would
+    exceed [until], or only daemons remain and [work ()] (consulted only
+    then; default false) is false. Entries not run stay queued. Cancelled
     events advance the clock to their deadline without running. *)
 
 val pending : t -> int
 (** Live events still queued: cancelled events are not counted, even
     before the clock reaches them. *)
-
-val queued : t -> int
-(** Every queued event, cancelled ones included: zero iff the clock will
-    not move again. *)

@@ -106,23 +106,23 @@ let golden =
     );
     ( "faulty/static/seed0",
       faulty_cfg ~scheme:Replicated.Static ~seed:0,
-      "c=15 a=9 ops=17 sent=1599 drop=0 dup=0 dead=194 to=113 dur=999767.833124 latn=15 latmean=224.364066"
+      "c=15 a=9 ops=17 sent=1599 drop=0 dup=0 dead=194 to=113 dur=2264.838268 latn=15 latmean=224.364066"
     );
     ( "faulty/hybrid/seed0",
       faulty_cfg ~scheme:Replicated.Hybrid ~seed:0,
-      "c=14 a=14 ops=16 sent=1333 drop=0 dup=0 dead=121 to=79 dur=999888.050705 latn=14 latmean=111.388800"
+      "c=14 a=14 ops=16 sent=1333 drop=0 dup=0 dead=121 to=79 dur=1560.934154 latn=14 latmean=111.388800"
     );
     ( "faulty/locking/seed3",
       faulty_cfg ~scheme:Replicated.Locking ~seed:3,
-      "c=2 a=15 ops=2 sent=1034 drop=0 dup=0 dead=230 to=104 dur=999989.992655 latn=2 latmean=17.860524"
+      "c=2 a=15 ops=2 sent=1034 drop=0 dup=0 dead=230 to=104 dur=1502.225136 latn=2 latmean=17.860524"
     );
     ( "reconfig/hybrid/seed0",
       reconfig_cfg ~scheme:Replicated.Hybrid ~seed:0,
-      "c=29 a=10 ops=29 sent=2290 drop=0 dup=0 dead=172 to=157 dur=7999.448540 latn=29 latmean=65.571180"
+      "c=29 a=10 ops=29 sent=1754 drop=0 dup=0 dead=145 to=130 dur=4696.434321 latn=29 latmean=65.571180"
     );
     ( "reconfig/locking/seed0",
       reconfig_cfg ~scheme:Replicated.Locking ~seed:0,
-      "c=27 a=11 ops=28 sent=2374 drop=0 dup=0 dead=222 to=195 dur=7999.749521 latn=27 latmean=73.616916"
+      "c=27 a=11 ops=28 sent=1896 drop=0 dup=0 dead=153 to=125 dur=4776.404141 latn=27 latmean=73.616916"
     );
   ]
 
@@ -176,15 +176,15 @@ let golden_gray =
   [
     ( "gray/static/seed0",
       gray_on_cfg ~scheme:Replicated.Static ~seed:0,
-      "c=60 a=0 ops=60 sent=9001 drop=0 dup=0 dead=0 to=416 dur=29996.718829 latn=60 latmean=137.362324 hedges=10 wins=3 late=397 demoted=34 slow=5"
+      "c=60 a=0 ops=60 sent=3530 drop=0 dup=0 dead=0 to=58 dur=2673.882705 latn=60 latmean=137.362324 hedges=10 wins=3 late=397 demoted=34 slow=3"
     );
     ( "gray/hybrid/seed0",
       gray_on_cfg ~scheme:Replicated.Hybrid ~seed:0,
-      "c=56 a=4 ops=56 sent=9912 drop=0 dup=0 dead=0 to=408 dur=29990.408849 latn=56 latmean=309.295573 hedges=16 wins=6 late=539 demoted=123 slow=5"
+      "c=56 a=4 ops=56 sent=4643 drop=0 dup=0 dead=0 to=68 dur=3666.973358 latn=56 latmean=309.295573 hedges=16 wins=6 late=539 demoted=123 slow=5"
     );
     ( "gray/locking/seed0",
       gray_on_cfg ~scheme:Replicated.Locking ~seed:0,
-      "c=54 a=6 ops=54 sent=10961 drop=0 dup=0 dead=0 to=462 dur=29990.408849 latn=54 latmean=553.197009 hedges=20 wins=1 late=751 demoted=149 slow=3"
+      "c=54 a=6 ops=54 sent=5719 drop=0 dup=0 dead=0 to=87 dur=3828.394131 latn=54 latmean=553.197009 hedges=20 wins=1 late=751 demoted=149 slow=3"
     );
   ]
 
@@ -293,45 +293,45 @@ let golden_paths =
     ( "paths/cooperative/coordinator_killer/hybrid/seed0",
       campaign_cfg ~base:Campaign.termination_base ~profile:"coordinator_killer"
         ~scheme:Replicated.Hybrid ~seed:0 (),
-      "c=18 a=42 ops=24 sent=1671 drop=26 dup=26 dead=204 to=128 dur=40000.000000 latn=18 latmean=225.130017 coopc=0 coopa=2 pres=21 dl=7 redr=0 orph=4 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=93 rexh=0 strand=0 wal=0"
+      "c=18 a=42 ops=24 sent=1671 drop=26 dup=26 dead=204 to=128 dur=2457.348700 latn=18 latmean=225.130017 coopc=0 coopa=2 pres=21 dl=7 redr=0 orph=4 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=93 rexh=0 strand=0 wal=0"
     );
     ( "paths/cooperative/coordinator_killer/locking/seed1",
       campaign_cfg ~base:Campaign.termination_base ~profile:"coordinator_killer"
         ~scheme:Replicated.Locking ~seed:1 (),
-      "c=10 a=50 ops=13 sent=1695 drop=18 dup=19 dead=194 to=109 dur=40000.000000 latn=9 latmean=368.758008 coopc=0 coopa=1 pres=21 dl=8 redr=1 orph=2 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=126 rexh=0 strand=0 wal=0"
+      "c=10 a=50 ops=13 sent=1695 drop=18 dup=19 dead=194 to=109 dur=2483.524861 latn=9 latmean=368.758008 coopc=0 coopa=1 pres=21 dl=8 redr=1 orph=2 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=126 rexh=0 strand=0 wal=0"
     );
     ( "paths/takeover/takeover_storm/static/seed0",
       campaign_cfg ~base:Campaign.takeover_base ~profile:"takeover_storm"
         ~scheme:Replicated.Static ~seed:0 (),
-      "c=12 a=48 ops=14 sent=1501 drop=72 dup=23 dead=165 to=110 dur=40000.000000 latn=12 latmean=118.248199 coopc=0 coopa=0 pres=23 dl=6 redr=0 orph=7 lease=1 adopt=0 fenced=0 cont=1 shed=0 rspent=92 rexh=0 strand=0 wal=0"
+      "c=12 a=48 ops=14 sent=1501 drop=72 dup=23 dead=165 to=110 dur=2501.621396 latn=12 latmean=118.248199 coopc=0 coopa=0 pres=23 dl=6 redr=0 orph=7 lease=1 adopt=0 fenced=0 cont=1 shed=0 rspent=92 rexh=0 strand=0 wal=0"
     );
     ( "paths/takeover/takeover_storm/hybrid/seed2",
       campaign_cfg ~base:Campaign.takeover_base ~profile:"takeover_storm"
         ~scheme:Replicated.Hybrid ~seed:2 (),
-      "c=9 a=51 ops=16 sent=1135 drop=34 dup=8 dead=272 to=175 dur=40000.000000 latn=6 latmean=201.594453 coopc=2 coopa=2 pres=19 dl=4 redr=3 orph=13 lease=4 adopt=2 fenced=0 cont=3 shed=0 rspent=44 rexh=0 strand=0 wal=0"
+      "c=9 a=51 ops=16 sent=1135 drop=34 dup=8 dead=272 to=175 dur=2253.605774 latn=6 latmean=201.594453 coopc=2 coopa=2 pres=19 dl=4 redr=3 orph=13 lease=4 adopt=2 fenced=0 cont=3 shed=0 rspent=44 rexh=0 strand=0 wal=0"
     );
     ( "paths/deadlock-detect/locking/seed0",
       contended_cfg ~deadlock:Runtime.Detect ~seed:0,
-      "c=4 a=36 ops=15 sent=2436 drop=0 dup=0 dead=0 to=0 dur=40000.000000 latn=4 latmean=2087.431496 coopc=0 coopa=0 pres=0 dl=28 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=200 rexh=0 strand=0 wal=0"
+      "c=4 a=36 ops=15 sent=2436 drop=0 dup=0 dead=0 to=0 dur=2495.686227 latn=4 latmean=2087.431496 coopc=0 coopa=0 pres=0 dl=28 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=200 rexh=0 strand=0 wal=0"
     );
     ( "paths/wound-wait/locking/seed0",
       contended_cfg ~deadlock:Runtime.Wound_wait ~seed:0,
-      "c=3 a=37 ops=12 sent=1854 drop=0 dup=0 dead=0 to=0 dur=40000.000000 latn=3 latmean=2125.627432 coopc=0 coopa=0 pres=0 dl=33 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=148 rexh=0 strand=0 wal=0"
+      "c=3 a=37 ops=12 sent=1854 drop=0 dup=0 dead=0 to=0 dur=2355.029504 latn=3 latmean=2125.627432 coopc=0 coopa=0 pres=0 dl=33 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=148 rexh=0 strand=0 wal=0"
     );
     ( "paths/takeover/coordinator_killer/hybrid/seed1",
       campaign_cfg ~n_txns:120 ~base:Campaign.takeover_base
         ~profile:"coordinator_killer" ~scheme:Replicated.Hybrid ~seed:1 (),
-      "c=20 a=100 ops=31 sent=2612 drop=33 dup=37 dead=411 to=272 dur=40000.000000 latn=19 latmean=247.799775 coopc=0 coopa=4 pres=42 dl=9 redr=1 orph=8 lease=11 adopt=0 fenced=0 cont=2 shed=0 rspent=149 rexh=0 strand=0 wal=0"
+      "c=20 a=100 ops=31 sent=2612 drop=33 dup=37 dead=411 to=272 dur=4752.416273 latn=19 latmean=247.799775 coopc=0 coopa=4 pres=42 dl=9 redr=1 orph=8 lease=11 adopt=0 fenced=0 cont=2 shed=0 rspent=149 rexh=0 strand=0 wal=0"
     );
     ( "paths/takeover/coordinator_killer/hybrid/seed20",
       campaign_cfg ~n_txns:120 ~base:Campaign.takeover_base
         ~profile:"coordinator_killer" ~scheme:Replicated.Hybrid ~seed:20 (),
-      "c=19 a=101 ops=28 sent=2920 drop=36 dup=22 dead=574 to=363 dur=40000.000000 latn=14 latmean=180.594272 coopc=4 coopa=7 pres=27 dl=15 redr=5 orph=21 lease=15 adopt=4 fenced=2 cont=13 shed=0 rspent=167 rexh=0 strand=0 wal=0"
+      "c=19 a=101 ops=28 sent=2920 drop=36 dup=22 dead=574 to=363 dur=6250.778097 latn=14 latmean=180.594272 coopc=4 coopa=7 pres=27 dl=15 redr=5 orph=21 lease=15 adopt=4 fenced=2 cont=13 shed=0 rspent=167 rexh=0 strand=0 wal=0"
     );
     ( "paths/overload/overload_storm/locking/seed1",
       campaign_cfg ~n_txns:300 ~base:Campaign.overload_base
         ~profile:"overload_storm" ~scheme:Replicated.Locking ~seed:1 (),
-      "c=75 a=38 ops=76 sent=2273 drop=94 dup=27 dead=0 to=66 dur=29600.000000 latn=75 latmean=69.947753 coopc=0 coopa=0 pres=0 dl=0 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=68 rexh=0 strand=4 wal=0"
+      "c=75 a=38 ops=76 sent=2273 drop=94 dup=27 dead=0 to=66 dur=11739.235773 latn=75 latmean=69.947753 coopc=0 coopa=0 pres=0 dl=0 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=68 rexh=0 strand=4 wal=0"
     );
     ( "paths/hot-open/locking/budget12/seed0",
       hot_open_cfg ~retry_budget:12 ~scheme:Replicated.Locking ~seed:0 (),
@@ -341,7 +341,7 @@ let golden_paths =
       hot_open_cfg ~termination:Atomrep_txn.Termination.Cooperative
         ~deadlock:Runtime.Wound_wait ~retry_budget:12
         ~scheme:Replicated.Locking ~seed:0 (),
-      "c=97 a=146 ops=97 sent=5346 drop=0 dup=0 dead=0 to=0 dur=5000.000000 latn=97 latmean=148.919543 coopc=0 coopa=0 pres=0 dl=52 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=94 rspent=246 rexh=0 strand=0 wal=0"
+      "c=97 a=146 ops=97 sent=5346 drop=0 dup=0 dead=0 to=0 dur=3835.156357 latn=97 latmean=148.919543 coopc=0 coopa=0 pres=0 dl=52 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=94 rspent=246 rexh=0 strand=0 wal=0"
     );
     ( "paths/hot-open/static/budget12/seed1",
       hot_open_cfg ~retry_budget:12 ~scheme:Replicated.Static ~seed:1 (),
@@ -354,7 +354,7 @@ let golden_paths =
     ( "paths/wal/amnesia/hybrid/seed0",
       campaign_cfg ~base:Campaign.storage_base ~profile:"amnesia"
         ~scheme:Replicated.Hybrid ~seed:0 (),
-      "c=11 a=34 ops=11 sent=1003 drop=0 dup=0 dead=218 to=93 dur=39953.415569 latn=11 latmean=78.822035 coopc=0 coopa=0 pres=0 dl=0 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=72 rexh=0 strand=0 wal=65"
+      "c=11 a=34 ops=11 sent=1003 drop=0 dup=0 dead=218 to=93 dur=1999.816482 latn=11 latmean=78.822035 coopc=0 coopa=0 pres=0 dl=0 redr=0 orph=0 lease=0 adopt=0 fenced=0 cont=0 shed=0 rspent=72 rexh=0 strand=0 wal=65"
     );
   ]
 
@@ -458,7 +458,6 @@ let test_detector_flags_fail_slow_site () =
      or both — either way the steering view must exclude it. *)
   let flagged = Detector.suspected det 3 || Detector.slow_suspected det 3 in
   let fast = Detector.fast_sites det in
-  Detector.stop det;
   check_bool "the fail-slow site is flagged" true flagged;
   check_bool "steering avoids it" true (not (List.mem 3 fast));
   check_bool "healthy sites stay in the fast set" true

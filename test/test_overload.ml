@@ -1,7 +1,7 @@
 (* Graceful degradation under overload: open-loop plan determinism and
    the Zipf sampler (qcheck), the shed-safety and session-monotonicity
-   monitors and the liveness grace window over hand-built traces, the
-   per-site circuit breaker's state machine, and the admission-controlled
+   monitors and the liveness obligations at quiesce over hand-built
+   traces, the per-site circuit breaker's state machine, and the admission-controlled
    runtime end to end — including the locking conflict-table regression
    the open-loop load exposed. *)
 
@@ -146,8 +146,8 @@ let judge ?(ctx = Lazy.force tiny_ctx) name tr =
   | Some e -> SM.run e.Monitors.e_spec ctx tr
   | None -> Alcotest.fail (name ^ " missing from the monitor catalogue")
 
-(* A trace bus with a hand-cranked clock, so quiesce can land far past
-   any liveness grace window. *)
+(* A trace bus with a hand-cranked clock, so quiesce lands at a chosen
+   time. *)
 let clocked_trace () =
   let tr = Trace.create ~n_sites:3 () in
   let now = ref 0.0 in
@@ -255,14 +255,14 @@ let test_session_monotonic_flags_backwards () =
   | vs ->
     Alcotest.fail (Printf.sprintf "expected 1 violation, got %d" (List.length vs))
 
-(* --- the liveness grace window ------------------------------------------ *)
+(* --- liveness obligations at quiesce ------------------------------------ *)
 
 (* Each obligation-carrying monitor with one obligation opened at t=0 on a
-   hand-clocked bus, so the quiesce time is the obligation's exact age:
-   [Monitors.grace] is the boundary, reported at and past it, never
-   before, and never on a quiesce that is partitioned or has a site down.
-   indoubt_liveness is judged under an enabled termination protocol. *)
-let grace_cases =
+   hand-clocked bus. [Quiesce] marks where the run's work ended, so an
+   obligation standing there is reported whatever its age, and never on a
+   quiesce that is partitioned or has a site down. indoubt_liveness is
+   judged under an enabled termination protocol. *)
+let obligation_cases =
   let emit tr site kind = ignore (Trace.emit tr ~site kind) in
   [
     ( "blocked_liveness",
@@ -282,7 +282,7 @@ let grace_cases =
         emit tr 2 (Trace.Repo_append { txn = "T0"; op = "Enq"; tentative = true }) );
   ]
 
-let test_liveness_grace_boundary () =
+let test_liveness_at_quiesce () =
   List.iter
     (fun (name, ctx_of, open_obligation) ->
       let verdicts ~age ?up ?partitioned () =
@@ -292,19 +292,17 @@ let test_liveness_grace_boundary () =
         quiesce ?up ?partitioned tr;
         List.length (judge ~ctx:(ctx_of (Lazy.force tiny_ctx)) name tr)
       in
-      let g = Monitors.grace in
-      check_int (name ^ ": just under grace is not reported") 0
-        (verdicts ~age:(Float.pred g) ());
-      check_int (name ^ ": exactly grace is reported") 1 (verdicts ~age:g ());
+      check_int (name ^ ": standing at quiesce is reported") 1 (verdicts ~age:0.0 ());
+      check_int (name ^ ": however old") 1 (verdicts ~age:40_000.0 ());
       check_int (name ^ ": partitioned quiesce reports nothing") 0
-        (verdicts ~age:(10.0 *. g) ~partitioned:true ());
+        (verdicts ~age:40_000.0 ~partitioned:true ());
       check_int (name ^ ": a site down reports nothing") 0
-        (verdicts ~age:(10.0 *. g) ~up:2 ()))
-    grace_cases;
+        (verdicts ~age:40_000.0 ~up:2 ()))
+    obligation_cases;
   (* indoubt_liveness owes nothing without a termination protocol. *)
   let tr, now = clocked_trace () in
   ignore (Trace.emit tr ~site:0 (Trace.Commit_point { txn = "T0" }));
-  now := 10.0 *. Monitors.grace;
+  now := 40_000.0;
   quiesce tr;
   check_int "indoubt_liveness: disabled termination reports nothing" 0
     (List.length (judge "indoubt_liveness" tr))
@@ -509,7 +507,7 @@ let suites =
             test_session_monotonic_accepts_increasing;
           test_case "session_monotonic: backwards" `Quick
             test_session_monotonic_flags_backwards;
-          test_case "liveness grace boundary" `Quick test_liveness_grace_boundary;
+          test_case "liveness obligations at quiesce" `Quick test_liveness_at_quiesce;
         ] );
     ( "overload.breaker",
       Alcotest.

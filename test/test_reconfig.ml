@@ -28,7 +28,6 @@ let test_detector_no_false_suspicion () =
   let net = detector_net engine ~n_sites:5 in
   let det = Detector.start net ~rng:(Rng.split (Engine.rng engine)) () in
   Engine.run ~until:5_000.0 engine;
-  Detector.stop det;
   check_int "no churn without faults" 0 (Detector.transitions det);
   Alcotest.(check (list int)) "everyone live" [ 0; 1; 2; 3; 4 ] (Detector.live det)
 
@@ -44,7 +43,6 @@ let test_detector_bounded_detection () =
      (3 + 1) * (50 + 25) = 300 after the kill. *)
   Engine.schedule_at engine ~time:600.0 (fun () -> after := Detector.suspected det 3);
   Engine.run ~until:700.0 engine;
-  Detector.stop det;
   check_bool "not suspected before the kill" false !before;
   check_bool "suspected within the detection bound" true !after;
   check_bool "dropped from the live view" true (not (List.mem 3 (Detector.live det)))
@@ -59,7 +57,6 @@ let test_detector_clears_after_recovery () =
   Engine.schedule_at engine ~time:700.0 (fun () -> down := Detector.suspected det 1);
   Engine.schedule_at engine ~time:1_000.0 (fun () -> back := Detector.suspected det 1);
   Engine.run ~until:1_100.0 engine;
-  Detector.stop det;
   check_bool "suspected while down" true !down;
   check_bool "cleared by the first reply after recovery" false !back;
   (* One raise plus one clear. *)
@@ -79,7 +76,6 @@ let test_detector_deterministic_replay () =
             samples := Detector.suspected det 2 :: !samples))
       [ 250.0; 500.0; 700.0; 1_000.0; 1_200.0 ];
     Engine.run ~until:1_300.0 engine;
-    Detector.stop det;
     (List.rev !samples, Detector.transitions det)
   in
   check_bool "same seed, same suspicion timeline" true (timeline 11 = timeline 11);
@@ -93,7 +89,6 @@ let test_detector_dead_monitor_does_not_poison () =
   (* With the monitor itself down, timed-out probes must not be counted. *)
   Engine.schedule_at engine ~time:100.0 (fun () -> Network.crash net 0);
   Engine.run ~until:2_000.0 engine;
-  Detector.stop det;
   check_int "no suspicion raised by a dead monitor" 0 (Detector.transitions det)
 
 (* --- epochs --- *)

@@ -431,12 +431,83 @@ let test_termination_inert_without_faults () =
             check_int (name ^ ": cooperative commits") 0 m.Runtime.coop_commits)
           Termination.[ Disabled; Cooperative; Takeover ]
       done)
-    Replicated.[ Static; Hybrid; Locking ];
-  check_bool "grace covers the commit window and two sweeps" true
-    (Monitors.grace >= Term_driver.commit_window +. (2.0 *. Term_driver.reaper_every))
+    Replicated.[ Static; Hybrid; Locking ]
+
+(* --- runs end when their work ends ---------------------------------------- *)
+
+(* [atomrep simulate --txns 100]'s configuration (hybrid queue, seed 42,
+   crash-recovery faults at [mtbf] with a 150 ms repair). *)
+let simulate_cfg ?(n_sites = 3) ?(mtbf = 0.0) ?reconfig ?gray
+    ?(termination = Termination.Disabled) () =
+  {
+    Runtime.default_config with
+    Runtime.scheme = Replicated.Hybrid;
+    n_txns = 100;
+    n_sites;
+    seed = 42;
+    install_faults =
+      (fun net -> if mtbf > 0.0 then Fault.crash_recover_all net ~mtbf ~mttr:150.0);
+    objects = Runtime.queue_objects ~n_sites;
+    reconfig;
+    gray;
+    termination;
+  }
+
+(* The sampler is a daemon, so it no longer stretches [duration] by a
+   trailing tick: every metric of the hedged, demoted 5-site run is the
+   same with and without it. *)
+let test_sampler_leaves_metrics_alone () =
+  let cfg = simulate_cfg ~n_sites:5 ~gray:Runtime.default_gray () in
+  let bare = (Runtime.run cfg).Runtime.metrics in
+  let sampled =
+    (Runtime.run { cfg with Runtime.timeseries = Atomrep_obs.Timeseries.create ~width:500.0 () })
+      .Runtime.metrics
+  in
+  check_bool "metrics identical, duration included" true (bare = sampled);
+  check_bool "the run ends long before its horizon" true
+    (bare.Runtime.duration < 10_000.0)
+
+(* Each run ends before its horizon, and its transactions decide exactly
+   as they did when the run went on to the horizon: the digest of the
+   commit/abort events in trace order was taken from runs of the same
+   configurations that simulated to 1,000,000 ms. *)
+let test_runs_end_before_horizon () =
+  List.iter
+    (fun (name, cfg, digest) ->
+      let tr = Atomrep_obs.Trace.create ~n_sites:cfg.Runtime.n_sites () in
+      let m = (Runtime.run { cfg with Runtime.trace = Some tr }).Runtime.metrics in
+      let outcomes = Buffer.create 1024 in
+      Atomrep_obs.Trace.iter tr (fun e ->
+          match e.Atomrep_obs.Trace.kind with
+          | Atomrep_obs.Trace.Txn_commit { txn } -> Buffer.add_string outcomes (txn ^ ":c;")
+          | Atomrep_obs.Trace.Txn_abort { txn; _ } -> Buffer.add_string outcomes (txn ^ ":a;")
+          | _ -> ());
+      check_bool (name ^ ": ends before the horizon") true
+        (m.Runtime.duration < cfg.Runtime.horizon /. 100.0);
+      Alcotest.(check string)
+        (name ^ ": per-transaction outcomes") digest
+        (Digest.to_hex (Digest.string (Buffer.contents outcomes))))
+    [
+      ( "hedge+demote",
+        simulate_cfg ~gray:Runtime.default_gray (),
+        "f054511c5d5209425a632945340be861" );
+      ( "reconfigure, mtbf 400",
+        simulate_cfg ~mtbf:400.0 ~reconfig:Runtime.default_reconfig (),
+        "490cb0bc62acb39a75e409ba5d273617" );
+      ( "cooperative, mtbf 400",
+        simulate_cfg ~mtbf:400.0 ~termination:Termination.Cooperative (),
+        "8328aaea5ce6a5080d10fbc94a02ae79" );
+    ]
 
 let suites =
   [
+    ( "quiescence",
+      [
+        Alcotest.test_case "sampler leaves metrics alone" `Quick
+          test_sampler_leaves_metrics_alone;
+        Alcotest.test_case "runs end before the horizon" `Quick
+          test_runs_end_before_horizon;
+      ] );
     ( "termination",
       [
         Alcotest.test_case "waits-for single walk" `Quick test_waits_for_single_walk;
