@@ -19,7 +19,16 @@
     reachable states the relation is therefore exact once the bound reaches
     the number of search nodes. The tests certify this for eight types:
     for seven of them the relation at [max_len:4] is already exact, and
-    FlagSet gains three pairs at five events. *)
+    FlagSet gains three pairs at five events.
+
+    The search runs on an interned graph built afresh by each call: every
+    spec state it reaches gets an int id (by structural equality), the
+    successor of each (id, event) pair is computed once and memoised, and
+    a node — a phase and up to four ids — is one int. [minimal] asks only
+    whether a pair has some hit, so it stops at the first one and builds no
+    paths; [witness] labels the same graph's nodes with their least paths.
+    Ids take 15 bits: a search that reaches more than 32768 distinct states
+    raises [Invalid_argument]. *)
 
 open Atomrep_history
 open Atomrep_spec

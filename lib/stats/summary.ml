@@ -1,5 +1,7 @@
 type t = {
-  mutable values : float list;
+  mutable values : Float.Array.t;
+      (* the first [n] slots hold the observations in insertion order; spare
+         capacity is zero, so summaries fed the same samples are [=] *)
   mutable n : int;
   mutable sum : float;
   mutable sum_sq : float;
@@ -9,11 +11,17 @@ type t = {
 }
 
 let create () =
-  { values = []; n = 0; sum = 0.0; sum_sq = 0.0;
+  { values = Float.Array.make 0 0.0; n = 0; sum = 0.0; sum_sq = 0.0;
     vmin = infinity; vmax = neg_infinity; sorted = None }
 
 let add t x =
-  t.values <- x :: t.values;
+  let cap = Float.Array.length t.values in
+  if t.n = cap then begin
+    let values = Float.Array.make (max 8 (2 * cap)) 0.0 in
+    Float.Array.blit t.values 0 values 0 cap;
+    t.values <- values
+  end;
+  Float.Array.set t.values t.n x;
   t.n <- t.n + 1;
   t.sum <- t.sum +. x;
   t.sum_sq <- t.sum_sq +. (x *. x);
@@ -23,7 +31,7 @@ let add t x =
 
 let count t = t.n
 let total t = t.sum
-let observations t = List.rev t.values
+let observations t = List.init t.n (Float.Array.get t.values)
 let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
 
 let stddev t =
@@ -42,7 +50,7 @@ let sorted t =
   match t.sorted with
   | Some a -> a
   | None ->
-    let a = Array.of_list t.values in
+    let a = Array.init t.n (Float.Array.get t.values) in
     Array.sort Float.compare a;
     t.sorted <- Some a;
     a

@@ -35,4 +35,5 @@ val percentile : t -> float -> float
 (** [percentile t q] by nearest-rank (rank [ceil q*n]) on the sorted
     sample; [q] is clamped to [\[0,1\]], so any [q] on a single-sample
     summary returns that sample and [0.] on an empty one. Retains all
-    observations; intended for simulation-scale data. *)
+    observations, one word per sample; intended for simulation-scale
+    data. *)

@@ -176,6 +176,32 @@ let test_matches_reference () =
       done)
     Type_registry.all
 
+(* Beyond the reference's reach: at bounds 5 and 6 [minimal] (which stops
+   at the first hit and builds no path) and [witness] (which keeps the
+   least path) must still decide every pair alike. *)
+let test_minimal_agrees_with_witness () =
+  List.iter
+    (fun (name, spec) ->
+      for max_len = 5 to 6 do
+        let relation = Static_dep.minimal spec ~max_len in
+        List.iter
+          (fun inv ->
+            List.iter
+              (fun (e : Event.t) ->
+                check_bool
+                  (Fmt.str "%s max_len:%d %a >= %a" name max_len Event.Invocation.pp inv Event.pp e)
+                  (Relation.mem (inv, e) relation)
+                  (Option.is_some (Static_dep.witness spec ~max_len inv e)))
+              (Serial_spec.event_universe spec ~max_len))
+          spec.Serial_spec.invocations
+      done)
+    Type_registry.all;
+  List.iter
+    (fun (name, cardinal) ->
+      check_int (name ^ " pairs at six events") cardinal
+        (Relation.cardinal (Static_dep.minimal (Option.get (Type_registry.find name)) ~max_len:6)))
+    [ ("queue", 8); ("stack", 8); ("log", 14) ]
+
 (* [Serial_spec.apply_event] takes the first matching response, and the
    state search visits each state once: both are exact only if a (state,
    event) pair has one next state. *)
@@ -241,6 +267,8 @@ let suites =
         Alcotest.test_case "specs are deterministic" `Quick test_deterministic;
         Alcotest.test_case "static, dynamic, universe, witness = reference" `Quick
           test_matches_reference;
+        Alcotest.test_case "minimal = witness at bounds 5 and 6" `Quick
+          test_minimal_agrees_with_witness;
         Alcotest.test_case "saturation certificates" `Quick test_saturation_certificate;
       ] );
   ]

@@ -128,6 +128,51 @@ let test_summary_observations_in_order () =
   check_bool "insertion order preserved" true
     (Summary.observations s = [ 3.0; 1.0; 2.0 ])
 
+(* The summary against a list-based reference, over sample counts that
+   cross several capacity growths: the same observations, percentiles
+   and moments, and two summaries fed the same samples are [=]. *)
+module Reference = struct
+  let percentile xs q =
+    let a = Array.of_list xs in
+    Array.sort Float.compare a;
+    if Array.length a = 0 then 0.0 else a.(Summary.nearest_rank ~n:(Array.length a) q)
+
+  let moments xs =
+    let n = List.length xs in
+    let sum = List.fold_left ( +. ) 0.0 xs in
+    let sum_sq = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
+    let mean = if n = 0 then 0.0 else sum /. float_of_int n in
+    let stddev =
+      if n < 2 then 0.0
+      else begin
+        let n = float_of_int n in
+        let m = sum /. n in
+        sqrt (Float.max ((sum_sq -. (n *. m *. m)) /. (n -. 1.0)) 0.0)
+      end
+    in
+    let extreme pick = match xs with [] -> 0.0 | x :: rest -> List.fold_left pick x rest in
+    (mean, stddev, extreme Float.min, extreme Float.max)
+end
+
+let prop_summary_matches_reference =
+  QCheck.Test.make ~name:"summary = list-based reference" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 1000) (float_range (-1000.) 1000.))
+    (fun xs ->
+      let fill () =
+        let s = Summary.create () in
+        List.iter (Summary.add s) xs;
+        s
+      in
+      let s = fill () and twin = fill () in
+      let quantiles = [ 0.0; 0.5; 0.95; 0.99; 1.0 ] in
+      s = twin
+      && Summary.observations s = xs
+      && List.for_all (fun q -> Summary.percentile s q = Reference.percentile xs q) quantiles
+      && (Summary.mean s, Summary.stddev s, Summary.min_value s, Summary.max_value s)
+         = Reference.moments xs
+      && (List.iter (fun q -> ignore (Summary.percentile twin q)) quantiles;
+          s = twin))
+
 let test_table_rendering () =
   let t = Table.create ~title:"demo" ~columns:[ "a"; "bb" ] in
   Table.add_row t [ "1"; "2" ];
@@ -167,6 +212,7 @@ let suites =
           test_summary_percentile_ranks;
         Alcotest.test_case "summary observations order" `Quick
           test_summary_observations_in_order;
+        QCheck_alcotest.to_alcotest prop_summary_matches_reference;
         Alcotest.test_case "table rendering" `Quick test_table_rendering;
         Alcotest.test_case "table arity" `Quick test_table_wrong_arity;
       ] );
